@@ -62,7 +62,7 @@ from repro.core.compiled import (
 )
 from repro.exceptions import DeploymentError
 
-__all__ = ["BatchEvaluator", "BatchScores"]
+__all__ = ["BatchEvaluator", "BatchScores", "penalty_rows"]
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,40 @@ class BatchScores:
         return int(np.argmin(self.objective))
 
 
+def penalty_rows(loads: "np.ndarray", mode: str) -> "np.ndarray":
+    """The fairness statistic of every row of a ``(K, S)`` load matrix.
+
+    Column-sequential accumulation over the server axis keeps every sum
+    in the left-to-right order of the scalar
+    :func:`~repro.core.compiled.penalty_statistic`, so row ``k`` equals
+    ``penalty_statistic(loads[k], mode)`` bit for bit.
+    """
+    count, servers = loads.shape
+    if servers == 0:  # pragma: no cover - networks are never empty
+        return np.zeros(count)
+    acc = np.zeros(count)
+    for j in range(servers):
+        acc += loads[:, j]
+    mean = acc / servers
+    if mode == "max":
+        worst = np.abs(loads[:, 0] - mean)
+        for j in range(1, servers):
+            np.maximum(worst, np.abs(loads[:, j] - mean), out=worst)
+        return worst
+    if mode == "std":
+        squares = np.zeros(count)
+        for j in range(servers):
+            deviation = np.abs(loads[:, j] - mean)
+            squares += deviation * deviation
+        return np.sqrt(squares / servers)
+    total = np.zeros(count)
+    for j in range(servers):
+        total += np.abs(loads[:, j] - mean)
+    if mode == "sum_abs":
+        return total
+    return total / servers  # mad
+
+
 class BatchEvaluator:
     """Score batches of deployments against one compiled instance.
 
@@ -143,23 +177,7 @@ class BatchEvaluator:
         )
 
         # ---- dense (S, S) affine route-delay matrices -----------------
-        servers = self.num_servers
-        base = np.zeros((servers, servers))
-        rate = np.zeros((servers, servers))
-        sized_pairs: list[tuple[int, int]] = []
-        for i in range(servers):
-            for j in range(servers):
-                coeff = compiled.route_coefficients(i, j)
-                if coeff:
-                    base[i, j] = coeff[0]
-                    rate[i, j] = coeff[1]
-                else:
-                    # genuinely size-dependent pair: priced per message
-                    # size through the router when the matrix is built
-                    sized_pairs.append((i, j))
-        self._base = base
-        self._rate = rate
-        self._sized_pairs = tuple(sized_pairs)
+        self._read_routes()
         self._delay_matrices: dict[float, np.ndarray] = {}
 
         # ---- per-operation incoming edges, delay matrix attached ------
@@ -176,6 +194,30 @@ class BatchEvaluator:
     # ------------------------------------------------------------------
     # delay matrices
     # ------------------------------------------------------------------
+    def _read_routes(self) -> None:
+        """Read the route table into dense ``base``/``rate`` matrices.
+
+        Genuinely size-dependent pairs are collected instead: they are
+        priced per message size through the router when a delay matrix
+        is built.
+        """
+        servers = self.num_servers
+        route_coefficients = self.compiled.route_coefficients
+        base = np.zeros((servers, servers))
+        rate = np.zeros((servers, servers))
+        sized_pairs: list[tuple[int, int]] = []
+        for i in range(servers):
+            for j in range(servers):
+                coeff = route_coefficients(i, j)
+                if coeff:
+                    base[i, j] = coeff[0]
+                    rate[i, j] = coeff[1]
+                else:
+                    sized_pairs.append((i, j))
+        self._base = base
+        self._rate = rate
+        self._sized_pairs = tuple(sized_pairs)
+
     def _delay_matrix(self, size_bits: float) -> "np.ndarray":
         """The dense ``(S, S)`` delay matrix for one message size.
 
@@ -224,22 +266,10 @@ class BatchEvaluator:
         *affected* provably kept all its sized paths. ``None`` means
         every pair may have changed -- re-query them all.
         """
-        servers = self.num_servers
         compiled = self.compiled
-        base = np.zeros((servers, servers))
-        rate = np.zeros((servers, servers))
-        sized_pairs: list[tuple[int, int]] = []
-        for i in range(servers):
-            for j in range(servers):
-                coeff = compiled.route_coefficients(i, j)
-                if coeff:
-                    base[i, j] = coeff[0]
-                    rate[i, j] = coeff[1]
-                else:
-                    sized_pairs.append((i, j))
-        self._base = base
-        self._rate = rate
-        self._sized_pairs = tuple(sized_pairs)
+        self._read_routes()
+        base = self._base
+        rate = self._rate
         if compiled.transition_aware:
             self._migration_table = np.asarray(
                 compiled.migration_table, dtype=np.float64
@@ -357,7 +387,7 @@ class BatchEvaluator:
         # batch's server choices for that operation
         bT = np.ascontiguousarray(b.T)
         execution = self._execution(bT)
-        penalty = self._penalty(self._loads(bT))
+        penalty = penalty_rows(self._loads(bT), self.compiled.penalty_mode)
         compiled = self.compiled
         objective = (
             compiled.execution_weight * execution
@@ -370,6 +400,20 @@ class BatchEvaluator:
         # (ew*e + pw*p) first, then + mw*m
         objective = objective + compiled.migration_weight * migration
         return BatchScores(execution, penalty, objective, migration)
+
+    def execution(self, batch) -> "np.ndarray":
+        """``Texecute`` of every row of *batch*, and nothing else.
+
+        The forward pass of :meth:`evaluate` without the load scatter,
+        penalty and objective: for callers that price the rest of the
+        objective themselves (the fleet rebalancer combines every
+        tenant's loads into one fleet-wide penalty). Each value equals
+        ``evaluate(batch).execution`` bit for bit.
+        """
+        b = self._coerce(batch)
+        if b.shape[0] == 0:
+            return np.empty(0)
+        return self._execution(np.ascontiguousarray(b.T))
 
     def _execution(self, bT: "np.ndarray") -> "np.ndarray":
         """``Texecute`` per row: the vectorized topological forward pass."""
@@ -454,39 +498,6 @@ class BatchEvaluator:
         for op in range(self.num_ops):
             totals += table[op][bT[op]]
         return totals
-
-    def _penalty(self, loads: "np.ndarray") -> "np.ndarray":
-        """The compiled-in fairness statistic, one value per row.
-
-        Column-sequential accumulation over the server axis keeps every
-        sum in the scalar
-        :func:`~repro.core.compiled.penalty_statistic` order.
-        """
-        count, servers = loads.shape
-        if servers == 0:  # pragma: no cover - networks are never empty
-            return np.zeros(count)
-        acc = np.zeros(count)
-        for j in range(servers):
-            acc += loads[:, j]
-        mean = acc / servers
-        mode = self.compiled.penalty_mode
-        if mode == "max":
-            worst = np.abs(loads[:, 0] - mean)
-            for j in range(1, servers):
-                np.maximum(worst, np.abs(loads[:, j] - mean), out=worst)
-            return worst
-        if mode == "std":
-            squares = np.zeros(count)
-            for j in range(servers):
-                deviation = np.abs(loads[:, j] - mean)
-                squares += deviation * deviation
-            return np.sqrt(squares / servers)
-        total = np.zeros(count)
-        for j in range(servers):
-            total += np.abs(loads[:, j] - mean)
-        if mode == "sum_abs":
-            return total
-        return total / servers  # mad
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -38,7 +38,7 @@ deployments.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
 
@@ -54,6 +54,7 @@ __all__ = [
     "CompiledInstance",
     "PENALTY_MODES",
     "batch_evaluator_or_none",
+    "ordered_sum",
     "penalty_statistic",
     "JOIN_MAX",
     "JOIN_MIN",
@@ -69,6 +70,22 @@ JOIN_MIN = 1
 JOIN_XOR = 2
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Add *values* strictly left to right.
+
+    The builtin ``sum()`` of floats is compensated (Neumaier) from
+    Python 3.12 on and a plain left fold before it, so its result
+    depends on the interpreter. The scalar reductions the batch kernel
+    mirrors fold in this order instead (:func:`penalty_statistic`
+    inlines the same fold), which is the order the kernel's vector
+    accumulations use on every Python version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def penalty_statistic(values: Sequence[float], mode: str) -> float:
     """The fairness statistic over per-server load *values*.
 
@@ -80,16 +97,27 @@ def penalty_statistic(values: Sequence[float], mode: str) -> float:
     """
     if not values:
         return 0.0
-    mean = sum(values) / len(values)
-    deviations = [abs(v - mean) for v in values]
-    if mode == "mad":
-        return sum(deviations) / len(values)
-    if mode == "sum_abs":
-        return sum(deviations)
+    # every accumulation is an inline left fold (see ordered_sum): the
+    # batch kernel's penalty_rows adds in this order, and this runs once
+    # per priced move, so the deviations are folded as they are made
+    count = len(values)
+    total = 0.0
+    for value in values:
+        total += value
+    mean = total / count
+    if mode == "mad" or mode == "sum_abs":
+        spread = 0.0
+        for value in values:
+            spread += abs(value - mean)
+        return spread / count if mode == "mad" else spread
     if mode == "max":
-        return max(deviations)
+        return max([abs(value - mean) for value in values])
     # std
-    return math.sqrt(sum(d * d for d in deviations) / len(values))
+    squares = 0.0
+    for value in values:
+        deviation = abs(value - mean)
+        squares += deviation * deviation
+    return math.sqrt(squares / count)
 
 
 def batch_evaluator_or_none(compiled, enabled: bool = True):
@@ -603,13 +631,19 @@ class CompiledInstance:
         self.migration_table = tuple(tuple(row) for row in table)
 
     def _resolve_route(self, source: int, target: int) -> tuple:
-        """Fill one route-table slot from the router's classification."""
+        """Fill one pair's route-table slots from the router.
+
+        Both directions at once: the router builds every pair from its
+        canonical direction, so the reverse coefficients are the same
+        floats (as in :meth:`refresh_routes`).
+        """
         coeff = self.router.pair_coefficients(
             self.server_names[source], self.server_names[target]
         )
         if coeff is None:
             coeff = ()  # size-dependent pair: router answers per size
         self.routes[source][target] = coeff
+        self.routes[target][source] = coeff
         return coeff
 
     def route_coefficients(
@@ -690,7 +724,7 @@ class CompiledInstance:
                         ready = max(arrivals)
                     else:
                         ready = (
-                            sum(
+                            ordered_sum(
                                 w * a
                                 for w, a in zip(weights_all[op], arrivals)
                             )

@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from repro.core.compiled import ordered_sum
 from repro.core.cost import CostBreakdown, CostModel
 from repro.core.mapping import Deployment
 from repro.exceptions import DeploymentError
@@ -344,7 +345,7 @@ class MoveEvaluator:
                             ready = max(arrivals)
                         else:
                             ready = (
-                                sum(
+                                ordered_sum(
                                     w * a
                                     for w, a in zip(
                                         weights_all[node], arrivals

@@ -105,8 +105,9 @@ class Router:
     Attributes
     ----------
     hits, misses:
-        Cache counters over non-co-located :meth:`transmission_time` and
-        :meth:`path` queries: a *hit* is answered from the per-pair (or
+        Cache counters over non-co-located :meth:`transmission_time`,
+        :meth:`pair_coefficients` and :meth:`path` queries (and their
+        bulk forms): a *hit* is answered from the per-pair (or
         per-size fallback) cache, a *miss* runs Dijkstra.
     dijkstra_runs:
         Cumulative single-source Dijkstra passes executed (lazy builds,
@@ -414,7 +415,9 @@ class Router:
         incremental move evaluator: ``time = a + b * size`` for every
         message size. Returns ``None`` for size-dependent pairs (the
         caller must fall back to :meth:`transmission_time`). Co-located
-        pairs are ``(0.0, 0.0)``.
+        pairs are ``(0.0, 0.0)``. Counted like :meth:`transmission_time`:
+        a cold pair is a miss, a cached size-independent pair a hit (a
+        size-dependent pair is counted by the per-size fallback query).
         """
         if source == target:
             return (0.0, 0.0)
@@ -424,6 +427,8 @@ class Router:
             self._network.server(target)
             self.misses += 1
             route = self._build_route(source, target)
+        elif route.size_independent:
+            self.hits += 1
         if route.size_independent:
             return (route.propagation_s, route.transfer_s_per_bit)
         return None

@@ -459,8 +459,8 @@ def run_pricing_task(task: PricingTask) -> list[float]:
     compiled = model.compiled
     rows = [list(row) for row in task.rows]
     try:
-        scores = compiled.batch_evaluator().evaluate(rows)
-        return [float(value) for value in scores.execution]
+        executions = compiled.batch_evaluator().execution(rows)
+        return [float(value) for value in executions]
     except RuntimeError:
         # NumPy-free worker: the scalar forward pass produces the
         # identical floats, one row at a time

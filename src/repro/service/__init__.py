@@ -70,6 +70,7 @@ from repro.service.state import (
     FleetState,
     InstrumentedRouter,
     TenantDeployment,
+    TenantPrice,
     jain_index,
     load_penalty,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "ShardRouter",
     "StepClock",
     "TenantDeployment",
+    "TenantPrice",
     "Tick",
     "UndeployRequest",
     "WorkQueue",

@@ -52,6 +52,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.algorithms.base import get_algorithm
 from repro.algorithms.runtime import (
     CancelToken,
@@ -62,7 +64,7 @@ from repro.algorithms.runtime import (
     SearchStep,
 )
 from repro.core.clock import StepClock
-from repro.core.compiled import batch_evaluator_or_none
+from repro.core.compiled import CompiledInstance
 from repro.core.cost import PENALTY_MODES
 from repro.core.incremental import MoveEvaluator
 from repro.core.migration import MigrationCostModel
@@ -128,14 +130,14 @@ class FleetConfig:
         Seed of the controller's private RNG (handed to placement
         algorithms that need random initial mappings).
     use_batch:
-        Price rebalance / join candidate sets through each tenant's
-        shared :class:`~repro.core.batch.BatchEvaluator` (one kernel
-        call per tenant per round). Decisions and logs are
-        byte-identical either way (only the cache hit/miss counters in
-        the metrics differ, because the two paths touch the caches
-        differently); the scalar
-        :class:`~repro.core.incremental.MoveEvaluator` path is used
-        automatically when NumPy is missing.
+        Price rebalance / join candidates' execution times through each
+        tenant's shared :class:`~repro.core.batch.BatchEvaluator` (one
+        kernel call per tenant per round); off, one
+        :class:`~repro.core.incremental.MoveEvaluator` proposal per
+        candidate. Both feed the same vectorised selection, so decisions,
+        logs and the evaluation counter are byte-identical either way
+        (only the cache hit/miss counters in the metrics differ, because
+        the two paths touch the caches differently).
     parallel_workers:
         Opt-in: when > 1, each rebalance round's per-tenant candidate
         pricing fans out across this many worker processes (one
@@ -838,14 +840,24 @@ class FleetController:
         for bit (migration cost is still *billed* into
         :attr:`migration_paid` when a model is configured).
 
-        Per-tenant execution times are priced in bulk through each
-        tenant's shared :class:`~repro.core.batch.BatchEvaluator`: one
-        kernel call per tenant per round scores that tenant's whole
-        candidate set (falling back to the per-candidate dirty-region
-        :class:`~repro.core.incremental.MoveEvaluator` pass when NumPy
-        is unavailable or :attr:`FleetConfig.use_batch` is off -- both
-        paths produce the identical floats, so the applied moves and
-        logs are byte-identical).
+        Every round scores its whole candidate set -- each eligible
+        ``(tenant, operation)`` pair moved to each destination -- as one
+        array program (:meth:`_scan`); the pricing paths only supply
+        the candidates' tenant execution times:
+
+        * by default one :meth:`BatchEvaluator.execution
+          <repro.core.batch.BatchEvaluator.execution>` call per tenant
+          over that tenant's rows;
+        * with :attr:`FleetConfig.parallel_workers` > 1 the same kernel
+          call per tenant, fanned across the worker pool;
+        * with :attr:`FleetConfig.use_batch` off, one dirty-region
+          :class:`~repro.core.incremental.MoveEvaluator` proposal per
+          candidate (evaluators are built only on this path).
+
+        All three produce the identical floats, so the applied moves
+        and logs are byte-identical. The standing per-tenant prices the
+        scan starts from come from :meth:`FleetState.price
+        <repro.service.state.FleetState.price>`.
 
         The scan runs on the :class:`~repro.algorithms.runtime.
         SearchRuntime` -- one applied move per step -- under
@@ -858,25 +870,14 @@ class FleetController:
         """
         state = self.state
         network = state.network
-        evaluators = {
-            tenant: MoveEvaluator(
-                state.cost_model(tenant), state.tenant(tenant).deployment
-            )
-            for tenant in state.tenants
-        }
+        names = network.server_names
+        destinations = targets if targets is not None else names
         exec_times = {
-            tenant: evaluators[tenant].execution_time
+            tenant: state.price(tenant).execution_time
             for tenant in state.tenants
         }
-        loads = state.combined_loads()
-
-        def objective(execs: dict[str, float], load_map: dict[str, float]) -> float:
-            self.evaluations += 1
-            execution = max(execs.values(), default=0.0)
-            penalty = load_penalty(list(load_map.values()), state.penalty_mode)
-            # the one fleet-level combine, shared with FleetState.snapshot
-            return state.objective_value(execution, penalty)
-
+        loads = np.array(list(state.combined_loads().values()))
+        evaluators: dict[str, MoveEvaluator] = {}
         migration_model = self.config.migration
         aware = self._transition_aware
         # min_gain == 0 keeps the historical strict-improvement epsilon
@@ -904,146 +905,65 @@ class FleetController:
                 migration_model.state_bits(compiled.cycles[op]),
             )
 
-        current = objective(exec_times, loads)
+        def propose(cands: list[tuple[str, str, str, str]]) -> list[float]:
+            """Scalar pricing: one dirty-region proposal per candidate."""
+            priced = []
+            for tenant, operation, _source, target in cands:
+                evaluator = evaluators.get(tenant)
+                if evaluator is None:
+                    evaluator = evaluators[tenant] = MoveEvaluator(
+                        state.cost_model(tenant),
+                        state.tenant(tenant).deployment,
+                    )
+                priced.append(
+                    evaluator.propose(operation, target).execution_time
+                )
+            return priced
+
+        self.evaluations += 1
+        current = state.objective_value(
+            max(exec_times.values(), default=0.0),
+            load_penalty(loads.tolist(), state.penalty_mode),
+        )
         before = current
         migration_total = 0.0
         moves: list[tuple[str, str, str, str]] = []
-
-        def price_candidates(
-            pairs: list[tuple[str, str]],
-        ) -> dict[tuple[str, str, str], float] | None:
-            """Batch-price tenant execution for every candidate move.
-
-            One kernel call per tenant per round over that tenant's
-            ``(operation, target)`` rows; the kernel's forward pass is
-            bit-identical to the dirty-region proposal it replaces.
-            Returns ``None`` to use the scalar path.
-            """
-            if not self.config.use_batch:
-                return None
-            rows: dict[str, list[list[int]]] = {}
-            keys: dict[str, list[tuple[str, str, str]]] = {}
-            for tenant, operation in pairs:
-                compiled = state.cost_model(tenant).compiled
-                batch = batch_evaluator_or_none(compiled)
-                if batch is None:
-                    return None
-                deployment = state.tenant(tenant).deployment
-                source = deployment.server_of(operation)
-                base = compiled.server_vector(deployment)
-                op = compiled.op_index[operation]
-                destinations = (
-                    targets if targets is not None else network.server_names
-                )
-                for target in destinations:
-                    if target == source:
-                        continue
-                    row = list(base)
-                    row[op] = compiled.server_index[target]
-                    rows.setdefault(tenant, []).append(row)
-                    keys.setdefault(tenant, []).append(
-                        (tenant, operation, target)
-                    )
-            priced: dict[tuple[str, str, str], float] = {}
-            if self.config.parallel_workers > 1 and len(rows) > 1:
-                # one PricingTask per tenant, fanned across the pool;
-                # same kernel in every worker, so the floats (and the
-                # moves chosen from them) match the serial loop below
-                from repro.parallel.worker import (
-                    PricingTask,
-                    payload_from,
-                    run_pricing_task,
-                )
-
-                tenants = list(rows)
-                tasks = [
-                    PricingTask(
-                        index=position,
-                        payload=payload_from(
-                            state.tenant(tenant).workflow,
-                            network,
-                            state.cost_model(tenant),
-                        ),
-                        rows=tuple(tuple(row) for row in rows[tenant]),
-                    )
-                    for position, tenant in enumerate(tenants)
-                ]
-                executions = self._pricing_pool().map_plain(
-                    run_pricing_task, tasks
-                )
-                for tenant, tenant_execs in zip(tenants, executions):
-                    for key, execution in zip(keys[tenant], tenant_execs):
-                        priced[key] = float(execution)
-                return priced
-            for tenant, tenant_rows in rows.items():
-                compiled = state.cost_model(tenant).compiled
-                scores = compiled.batch_evaluator().evaluate(tenant_rows)
-                for key, execution in zip(keys[tenant], scores.execution):
-                    priced[key] = float(execution)
-            return priced
 
         def steps() -> Iterator[SearchStep]:
             nonlocal current, loads, migration_total
             yield SearchStep(current, lambda: tuple(moves), evals=1)
             for _ in range(max_moves):
-                best: tuple | None = None
-                scanned = 0
-                pairs = candidates(loads)
-                priced = price_candidates(pairs)
-                for tenant, operation in pairs:
-                    record = state.tenant(tenant)
-                    compiled = state.cost_model(tenant).compiled
-                    source = record.deployment.server_of(operation)
-                    weighted = compiled.wcycles[compiled.op_index[operation]]
-                    destinations = (
-                        targets
-                        if targets is not None
-                        else network.server_names
+                cands = []
+                for tenant, operation in candidates(
+                    dict(zip(names, loads.tolist()))
+                ):
+                    source = state.tenant(tenant).deployment.server_of(
+                        operation
                     )
-                    for target in destinations:
-                        if target == source:
-                            continue
-                        if priced is not None:
-                            tenant_exec = priced[(tenant, operation, target)]
-                        else:
-                            tenant_exec = evaluators[tenant].propose(
-                                operation, target
-                            ).execution_time
-                        trial_loads = dict(loads)
-                        trial_loads[source] -= (
-                            weighted / network.server(source).power_hz
-                        )
-                        trial_loads[target] += (
-                            weighted / network.server(target).power_hz
-                        )
-                        trial_execs = dict(exec_times)
-                        trial_execs[tenant] = tenant_exec
-                        value = objective(trial_execs, trial_loads)
-                        scanned += 1
-                        if aware:
-                            cost = move_cost(
-                                tenant, operation, source, target
-                            )
-                            net = value + (
-                                self.config.migration_weight * cost
-                            )
-                        else:
-                            cost = 0.0
-                            net = value
-                        if net < current - threshold and (
-                            best is None or net < best[0]
-                        ):
-                            best = (
-                                net,
-                                tenant,
-                                operation,
-                                source,
-                                target,
-                                tenant_exec,
-                                trial_loads,
-                                value,
-                                cost,
-                            )
+                    cands.extend(
+                        (tenant, operation, source, target)
+                        for target in destinations
+                        if target != source
+                    )
+                scanned = len(cands)
+                self.evaluations += scanned
+                compiled = {
+                    tenant: state.cost_model(tenant).compiled
+                    for tenant in dict.fromkeys(cand[0] for cand in cands)
+                }
+                if self.config.use_batch:
+                    priced = self._price_batched(cands, compiled)
+                else:
+                    priced = np.array(propose(cands))
+                costs = (
+                    np.array([move_cost(*cand) for cand in cands])
+                    if aware
+                    else None
+                )
+                best = self._scan(
+                    cands, compiled, priced, costs, exec_times, loads,
+                    current - threshold,
+                )
                 if best is None:
                     yield SearchStep(
                         current,
@@ -1052,15 +972,20 @@ class FleetController:
                         rejected=scanned,
                     )
                     break
-                (_net, tenant, operation, source, target,
-                 tenant_exec, new_loads, value, cost) = best
+                row, value, new_loads = best
+                tenant, operation, source, target = cands[row]
+                cost = float(costs[row]) if aware else 0.0
                 if migration_model is not None and not aware:
                     # weight 0: the move was chosen blind, but its cost
                     # is still billed (benchmarks charge naive churn)
                     cost = move_cost(tenant, operation, source, target)
-                # apply() assigns into the tenant's live deployment too
-                evaluators[tenant].apply(operation, target)
-                exec_times[tenant] = tenant_exec
+                evaluator = evaluators.get(tenant)
+                if evaluator is not None:
+                    # apply() assigns into the live deployment too
+                    evaluator.apply(operation, target)
+                else:
+                    state.tenant(tenant).deployment.assign(operation, target)
+                exec_times[tenant] = float(priced[row])
                 # the standing objective never carries the one-time
                 # migration term -- hysteresis compares future nets
                 # against the objective actually achieved
@@ -1091,6 +1016,142 @@ class FleetController:
             self._active_rebalance_cancel = None
         self.last_rebalance_report = outcome.report
         return moves, before, current, migration_total
+
+    def _price_batched(
+        self,
+        cands: list[tuple[str, str, str, str]],
+        compiled: dict[str, CompiledInstance],
+    ) -> np.ndarray:
+        """Candidate tenant execution times through the batch kernel.
+
+        One ``(K_t, M_t)`` batch per tenant -- its current server vector
+        with one operation relocated per row -- priced by
+        :meth:`BatchEvaluator.execution
+        <repro.core.batch.BatchEvaluator.execution>`, in this process or
+        (``parallel_workers > 1`` and several tenants) one
+        :class:`~repro.parallel.worker.PricingTask` per tenant on the
+        pool. Both run the same kernel, so the floats are identical.
+        """
+        state = self.state
+        groups: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}
+        for slot, (tenant, operation, _source, target) in enumerate(cands):
+            instance = compiled[tenant]
+            slots, cells = groups.setdefault(tenant, ([], []))
+            slots.append(slot)
+            cells.append(
+                (instance.op_index[operation], instance.server_index[target])
+            )
+        batches: dict[str, np.ndarray] = {}
+        for tenant, (_slots, cells) in groups.items():
+            base = compiled[tenant].server_vector(
+                state.tenant(tenant).deployment
+            )
+            rows = np.repeat(
+                np.array([base], dtype=np.intp), len(cells), axis=0
+            )
+            cell = np.array(cells, dtype=np.intp)
+            rows[np.arange(len(cells)), cell[:, 0]] = cell[:, 1]
+            batches[tenant] = rows
+        if self.config.parallel_workers > 1 and len(batches) > 1:
+            from repro.parallel.worker import (
+                PricingTask,
+                payload_from,
+                run_pricing_task,
+            )
+
+            tasks = [
+                PricingTask(
+                    index=index,
+                    payload=payload_from(
+                        state.tenant(tenant).workflow,
+                        state.network,
+                        state.cost_model(tenant),
+                    ),
+                    rows=tuple(map(tuple, rows.tolist())),
+                )
+                for index, (tenant, rows) in enumerate(batches.items())
+            ]
+            results = self._pricing_pool().map_plain(run_pricing_task, tasks)
+        else:
+            results = [
+                compiled[tenant].batch_evaluator().execution(rows)
+                for tenant, rows in batches.items()
+            ]
+        priced = np.empty(len(cands))
+        for (slots, _cells), values in zip(groups.values(), results):
+            priced[slots] = values
+        return priced
+
+    def _scan(
+        self,
+        cands: list[tuple[str, str, str, str]],
+        compiled: dict[str, CompiledInstance],
+        priced: np.ndarray,
+        costs: np.ndarray | None,
+        exec_times: dict[str, float],
+        loads: np.ndarray,
+        bar: float,
+    ) -> tuple[int, float, np.ndarray] | None:
+        """Select one rebalance round's winner as one array program.
+
+        Row ``k`` prices candidate ``cands[k]`` (``(tenant, operation,
+        source, target)``, *compiled* maps its tenant to the tenant's
+        compiled instance) whose tenant execution time is
+        ``priced[k]``: the fleet execution is the max over the other
+        tenants' standing *exec_times* and ``priced[k]``; the trial
+        loads are the standing *loads* with exactly the scalar
+        ``weighted / power`` update on the source and target columns;
+        the penalty is
+        :func:`~repro.core.batch.penalty_rows` (left-to-right, as the
+        scalar statistic); *costs* (per-row move costs, or ``None``)
+        enter the net at the migration weight. The winner is the first
+        minimal net strictly below *bar*. Returns ``(row, objective,
+        trial loads)`` of the winner, or ``None`` when no row clears
+        the bar.
+        """
+        from repro.core.batch import penalty_rows
+
+        if not cands:
+            return None
+        state = self.state
+        network = state.network
+        column = {name: j for j, name in enumerate(network.server_names)}
+        power = np.array(
+            [network.server(name).power_hz for name in network.server_names]
+        )
+        position = {tenant: t for t, tenant in enumerate(exec_times)}
+        tenant_of = np.array([position[cand[0]] for cand in cands])
+        source = np.array([column[cand[2]] for cand in cands])
+        target = np.array([column[cand[3]] for cand in cands])
+        weighted = np.array(
+            [
+                compiled[tenant].wcycles[compiled[tenant].op_index[operation]]
+                for tenant, operation, _source, _target in cands
+            ]
+        )
+        # max over every *other* tenant (-inf for a lone tenant): the
+        # prefix max before each tenant joined with the suffix max after
+        execs = np.array(list(exec_times.values()))
+        others = np.full(len(execs), -np.inf)
+        others[1:] = np.maximum.accumulate(execs[:-1])
+        suffix = np.maximum.accumulate(execs[::-1])[::-1]
+        others[:-1] = np.maximum(others[:-1], suffix[1:])
+        execution = np.maximum(others[tenant_of], priced)
+        trial = np.repeat(loads[None, :], len(cands), axis=0)
+        rows = np.arange(len(cands))
+        trial[rows, source] = loads[source] - weighted / power[source]
+        trial[rows, target] = loads[target] + weighted / power[target]
+        values = state.objective_value(
+            execution, penalty_rows(trial, state.penalty_mode)
+        )
+        net = values
+        if costs is not None:
+            net = values + self.config.migration_weight * costs
+        eligible = np.flatnonzero(net < bar)
+        if not len(eligible):
+            return None
+        row = int(eligible[np.argmin(net[eligible])])
+        return row, float(values[row]), trial[row].copy()
 
     # ------------------------------------------------------------------
     # metrics

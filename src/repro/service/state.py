@@ -17,7 +17,12 @@ picture:
   across tenants" that makes a 200-event replay cheap. Each cached cost
   model carries the tenant's
   :class:`~repro.core.compiled.CompiledInstance`, the one compiled
-  artifact its move evaluators, scorers and simulations all borrow.
+  artifact its move evaluators, scorers and simulations all borrow;
+* a per-tenant :class:`TenantPrice` cache (execution time and load
+  dict) keyed by *value* -- the cost model's identity, the topology
+  :attr:`FleetState.epoch` and the tenant's server vector -- so a
+  snapshot re-prices only the tenants whose placement or routes
+  actually changed since the last one.
 
 All aggregate metrics (combined loads, fairness penalty, Jain balance
 index, the scalar fleet objective) are deterministic functions of the
@@ -27,6 +32,7 @@ state, which is what lets the controller log byte-identical replays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 from repro.core.compiled import penalty_statistic
@@ -43,6 +49,7 @@ __all__ = [
     "ROUTE_INVALIDATION_MODES",
     "InstrumentedRouter",
     "TenantDeployment",
+    "TenantPrice",
     "FleetSnapshot",
     "FleetState",
     "load_penalty",
@@ -79,6 +86,23 @@ class TenantDeployment:
     tenant: str
     workflow: Workflow
     deployment: Deployment
+
+
+@dataclass(frozen=True)
+class TenantPrice:
+    """One tenant's priced standing state (see :meth:`FleetState.price`).
+
+    Attributes
+    ----------
+    execution_time:
+        The tenant's ``Texecute`` under its current placement.
+    loads:
+        The tenant's own per-server load in seconds, every server
+        listed, in network order (read-only: the price is shared).
+    """
+
+    execution_time: float
+    loads: Mapping[str, float]
 
 
 @dataclass(frozen=True)
@@ -195,6 +219,14 @@ class FleetState:
         self._router = InstrumentedRouter(network)
         self._tenants: dict[str, TenantDeployment] = {}
         self._cost_models: dict[str, CostModel] = {}
+        # tenant -> (cost model, epoch, server vector, price): the key
+        # is compared by value on every read, never invalidated by hooks
+        self._prices: dict[
+            str, tuple[CostModel, int, tuple[int, ...], TenantPrice]
+        ] = {}
+        # set when the router was replaced: the next cost-model build
+        # compiles every route in one batched sweep first
+        self._compile_routes = False
         self.cost_model_hits = 0
         self.cost_model_misses = 0
         # router hit/miss traffic accumulated before lazy-mode cache
@@ -289,6 +321,7 @@ class FleetState:
         record = self.tenant(tenant)
         del self._tenants[tenant]
         self._cost_models.pop(tenant, None)
+        self._prices.pop(tenant, None)
         return record
 
     def update_tenant_workflow(
@@ -326,15 +359,7 @@ class FleetState:
         if cached is not None:
             self.cost_model_hits += 1
             return cached
-        self.cost_model_misses += 1
-        model = CostModel(
-            record.workflow,
-            self._network,
-            execution_weight=self.execution_weight,
-            penalty_weight=self.penalty_weight,
-            penalty_mode=self.penalty_mode,
-            router=self._router,
-        )
+        model = self.build_cost_model(record.workflow)
         self._cost_models[tenant] = model
         return model
 
@@ -343,8 +368,13 @@ class FleetState:
 
         Counted as a cost-model cache miss: it is the cold build whose
         result :meth:`add_tenant` seeds into the cache on admission.
+        The first build after a server change compiles the replaced
+        router's whole route table first (see :meth:`_invalidate_caches`).
         """
         self.cost_model_misses += 1
+        if self._compile_routes:
+            self._compile_routes = False
+            self._router.compile_all_pairs()
         return CostModel(
             workflow,
             self._network,
@@ -354,10 +384,68 @@ class FleetState:
             router=self._router,
         )
 
+    def price(self, tenant: str) -> TenantPrice:
+        """The tenant's :class:`TenantPrice`, re-priced only on change.
+
+        The cached price is served while its key still matches by value:
+        the same cost-model object (a drift or server change replaces
+        it), the same topology :attr:`epoch` (link events keep the
+        cost models but rewrite their route tables) and the same
+        compiled server vector (deployments are mutated in place from
+        many call sites, so no mutation hook could be trusted). A miss
+        validates the deployment and runs the tenant's forward pass and
+        load scatter once -- the exact floats of
+        :meth:`CostModel.execution_time
+        <repro.core.cost.CostModel.execution_time>` and
+        :meth:`CostModel.loads <repro.core.cost.CostModel.loads>`.
+        """
+        record = self.tenant(tenant)
+        model = self.cost_model(tenant)
+        compiled = model.compiled
+        deployment = record.deployment
+        servers = None
+        if len(deployment) == compiled.num_ops:
+            index = compiled.server_index
+            assigned = deployment.get
+            servers = tuple(
+                [index.get(assigned(name)) for name in compiled.op_names]
+            )
+        cached = self._prices.get(tenant)
+        if (
+            cached is not None
+            and cached[0] is model
+            and cached[1] == self.epoch
+            and cached[2] == servers
+        ):
+            return cached[3]
+        deployment.validate(record.workflow, self._network)
+        vector = list(servers)
+        price = TenantPrice(
+            execution_time=compiled.execution_from(
+                compiled.forward_pass(vector)
+            ),
+            loads=MappingProxyType(
+                dict(zip(compiled.server_names, compiled.load_values(vector)))
+            ),
+        )
+        self._prices[tenant] = (model, self.epoch, servers, price)
+        return price
+
     def _invalidate_caches(self) -> None:
-        """Topology changed: drop every route and cost-model cache."""
+        """Topology changed: drop every route and cost-model cache.
+
+        The replacement router is compiled in one batched sweep (see
+        :meth:`~repro.network.routing.Router.compile_all_pairs`) before
+        the first cost model is rebuilt on it: every tenant is about to
+        re-price, so every pair is about to be resolved anyway, and the
+        sweep answers all of them with at most two passes per server
+        instead of two targeted Dijkstra runs per pair. It is deferred
+        to that first build so a region outage failing several servers
+        in a row compiles once. The construction-time router stays lazy.
+        """
         self.epoch += 1
         self._cost_models.clear()
+        self._compile_routes = True
         router = InstrumentedRouter(self._network)
         router.hits = self._router.hits
         router.misses = self._router.misses
@@ -482,24 +570,26 @@ class FleetState:
         return self.objective.value(execution, penalty)
 
     def combined_loads(self) -> dict[str, float]:
-        """Per-server load in seconds summed over every tenant."""
+        """Per-server load in seconds summed over every tenant.
+
+        Tenants are added in admission order from their cached
+        :meth:`price` -- the summation order is part of the result.
+        """
+        return self._combine([self.price(name) for name in self._tenants])
+
+    def _combine(self, prices: list[TenantPrice]) -> dict[str, float]:
         totals = {name: 0.0 for name in self._network.server_names}
-        for name, record in self._tenants.items():
-            for server, load in (
-                self.cost_model(name).loads(record.deployment).items()
-            ):
+        for price in prices:
+            for server, load in price.loads.items():
                 totals[server] += load
         return totals
 
     def snapshot(self) -> FleetSnapshot:
         """The current :class:`FleetSnapshot` (see its attribute docs)."""
-        loads = self.combined_loads()
+        prices = [self.price(name) for name in self._tenants]
+        loads = self._combine(prices)
         execution = max(
-            (
-                self.cost_model(name).execution_time(record.deployment)
-                for name, record in self._tenants.items()
-            ),
-            default=0.0,
+            (price.execution_time for price in prices), default=0.0
         )
         penalty = load_penalty(list(loads.values()), self.penalty_mode)
         return FleetSnapshot(

@@ -13,8 +13,12 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchEvaluator, BatchScores
-from repro.core.compiled import CompiledInstance, batch_evaluator_or_none
+from repro.core.batch import BatchEvaluator, BatchScores, penalty_rows
+from repro.core.compiled import (
+    CompiledInstance,
+    batch_evaluator_or_none,
+    penalty_statistic,
+)
 from repro.core.workflow import Operation, Workflow
 from repro.exceptions import DeploymentError
 from repro.network.topology import Link, bus_network
@@ -94,6 +98,33 @@ class TestDegenerateBatches:
         # while fairness is worse than any mapping that spreads at all
         spread = [i % compiled.num_servers for i in range(compiled.num_ops)]
         assert scores.penalty[0] > evaluator.evaluate([spread]).penalty[0]
+
+
+class TestExecutionOnly:
+    def test_matches_evaluate_bit_for_bit(self, evaluator, compiled):
+        batch = random_batch(compiled, 40, seed=5)
+        executions = evaluator.execution(batch)
+        expected = evaluator.evaluate(batch).execution
+        assert [value.hex() for value in executions] == [
+            value.hex() for value in expected
+        ]
+
+    def test_empty_batch(self, evaluator):
+        assert evaluator.execution([]).shape == (0,)
+
+    def test_validates_like_evaluate(self, compiled, evaluator):
+        with pytest.raises(DeploymentError):
+            evaluator.execution([[0] * (compiled.num_ops + 1)])
+
+    @pytest.mark.parametrize("mode", ["mad", "sum_abs", "max", "std"])
+    def test_penalty_rows_match_the_scalar_statistic(self, mode):
+        rng = random.Random(mode)
+        loads = np.array(
+            [[rng.expovariate(1.0) for _ in range(7)] for _ in range(25)]
+        )
+        rows = penalty_rows(loads, mode)
+        for row, value in zip(loads, rows):
+            assert value == penalty_statistic(row.tolist(), mode)
 
 
 class TestBatchValidation:

@@ -8,8 +8,10 @@ simulation engine and the fleet must all consume the *same*
 ``CompiledInstance`` object.
 """
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.builder import WorkflowBuilder
@@ -19,6 +21,7 @@ from repro.core.compiled import (
     JOIN_XOR,
     PENALTY_MODES,
     CompiledInstance,
+    ordered_sum,
     penalty_statistic,
 )
 from repro.core.cost import CostModel
@@ -271,3 +274,87 @@ class TestSharing:
         breakdown = model.evaluate(deployment)
         assert evaluator.objective == breakdown.objective
         assert scorer.objective(genome) == breakdown.objective
+
+
+class TestLeftToRightSums:
+    """Reductions the batch kernel mirrors never use builtin ``sum()``.
+
+    From Python 3.12 ``sum()`` of floats is compensated, which would
+    make the scalar paths disagree with the kernel's left-to-right
+    vector accumulation. Every input here is chosen so compensated and
+    left-to-right summation differ (``math.fsum`` proves it).
+    """
+
+    @staticmethod
+    def fold(values):
+        total = 0.0
+        for value in values:
+            total = total + value
+        return total
+
+    def test_ordered_sum_is_a_left_fold(self):
+        values = [1e16, 1.0, -1e16]
+        assert math.fsum(values) == 1.0
+        assert ordered_sum(values) == 0.0
+        assert ordered_sum(iter(values)) == 0.0
+        assert ordered_sum([]) == 0.0
+
+    @pytest.mark.parametrize("mode", PENALTY_MODES)
+    def test_penalty_statistic_matches_the_kernel(self, mode):
+        from repro.core.batch import penalty_rows
+
+        values = [1e16, 1.0, 1.0]
+        assert math.fsum(values) != self.fold(values)
+        mean = self.fold(values) / 3
+        deviations = [abs(v - mean) for v in values]
+        expected = {
+            "mad": self.fold(deviations) / 3,
+            "sum_abs": self.fold(deviations),
+            "max": max(deviations),
+            "std": math.sqrt(self.fold(d * d for d in deviations) / 3),
+        }[mode]
+        assert penalty_statistic(values, mode) == expected
+        assert penalty_rows(np.array([values]), mode)[0] == expected
+
+    @staticmethod
+    def skewed_xor_instance():
+        """A 3-way XOR join whose weighted arrivals are 1e16, 1, 1."""
+        builder = WorkflowBuilder("xor-skew", default_message_bits=8e6)
+        builder.task("start", 1e9)
+        builder.split(NodeKind.XOR_SPLIT, "split", 1e9)
+        for name, cycles in (("big", 3e25), ("b", 1e9), ("c", 1e9)):
+            builder.branch(probability=1 / 3)
+            builder.task(name, cycles)
+        builder.join("join", 1e9)
+        network = bus_network((1e9, 2e9), speed_bps=1e8)
+        return CompiledInstance(builder.build(), network)
+
+    def test_xor_join_sums_left_to_right_on_every_path(self):
+        compiled = self.skewed_xor_instance()
+        on_first = [0] * compiled.num_ops
+        finish = compiled.forward_pass(on_first)
+        join = compiled.op_index["join"]
+        terms = [
+            weight * finish[src]
+            for (src, _size, _w), weight in zip(
+                compiled.incoming[join], compiled.xor_weights[join]
+            )
+        ]
+        assert terms == [1e16, 1.0, 1.0]
+        assert math.fsum(terms) != self.fold(terms)
+        expected = (
+            self.fold(terms) / compiled.xor_weight_total[join]
+            + compiled.tproc[join][0]
+        )
+        assert finish[join] == expected
+        execution = compiled.execution_from(finish)
+        kernel = compiled.batch_evaluator().execution([on_first])
+        assert kernel[0] == execution
+        # the move evaluator's dirty-region pass re-sums the join when
+        # "c" moves back onto the first server
+        mapping = {name: "S1" for name in compiled.op_names}
+        mapping["c"] = "S2"
+        evaluator = MoveEvaluator(
+            CostModel.from_compiled(compiled), Deployment(mapping)
+        )
+        assert evaluator.propose("c", "S1").execution_time == execution

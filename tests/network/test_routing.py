@@ -116,6 +116,24 @@ class TestCaching:
         assert router.hits == 4
         assert router.hit_rate == pytest.approx(0.8)
 
+    def test_repeated_pair_coefficients_count_hits(self, bus3):
+        # the route-table read of compiled instances and batch kernels:
+        # a cold pair is a miss, every later query of it a hit
+        router = Router(bus3)
+        first = router.pair_coefficients("S1", "S2")
+        assert (router.hits, router.misses) == (0, 1)
+        assert router.pair_coefficients("S1", "S2") == first
+        assert router.pair_coefficients("S2", "S1") == first
+        assert (router.hits, router.misses) == (2, 1)
+        assert router.pair_coefficients("S1", "S1") == (0.0, 0.0)
+        assert (router.hits, router.misses) == (2, 1)
+
+    def test_compiled_pairs_are_coefficient_hits(self, bus3):
+        router = Router(bus3)
+        router.compile_all_pairs()
+        router.pair_coefficients("S1", "S3")
+        assert (router.hits, router.misses) == (1, 0)
+
     def test_clear_cache(self, bus3):
         router = Router(bus3)
         router.transmission_time("S1", "S2", 8_000)

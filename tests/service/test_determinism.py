@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.migration import MigrationCostModel
 from repro.service.scenarios import build_scenario, replay
 
 
@@ -44,3 +45,47 @@ class TestByteIdenticalReplay:
             )
             logs.append(replay(scenario).log.to_text())
         assert logs[0] == logs[1]
+
+
+def _replay_with(name, seed, **overrides):
+    """Replay builtin *name* with config fields overridden; the controller."""
+    scenario = build_scenario(name, seed=seed)
+    scenario = dataclasses.replace(
+        scenario, config=dataclasses.replace(scenario.config, **overrides)
+    )
+    controller = replay(scenario)
+    controller.close()
+    return controller
+
+
+#: Per-scenario policy: ``drift`` runs migration-aware, so move costs
+#: enter the selection alongside the priced executions.
+POLICIES = {
+    "surge": {},
+    "drift": {
+        "migration": MigrationCostModel(
+            state_bits_per_cycle=0.1, state_bits_base=2e6, downtime_s=0.1
+        ),
+        "migration_weight": 0.01,
+        "rebalance_cooldown_ticks": 1,
+    },
+    "abilene": {},
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_every_pricing_path_feeds_one_selection(name):
+    """Scalar, pooled and default pricing pick the same moves.
+
+    The three paths only supply candidate execution times (and move
+    costs when migration-aware) to the one vectorised rebalance scan,
+    so the logs are byte-identical and the evaluation counter -- one
+    per candidate plus one per scan start -- is equal too.
+    """
+    policy = POLICIES[name]
+    default = _replay_with(name, 3, **policy)
+    assert default.metrics().rebalance_moves > 0
+    for variant in ({"use_batch": False}, {"parallel_workers": 2}):
+        other = _replay_with(name, 3, **policy, **variant)
+        assert other.log.to_text() == default.log.to_text(), variant
+        assert other.evaluations == default.evaluations, variant

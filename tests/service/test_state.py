@@ -105,6 +105,27 @@ class TestSharedCaches:
         assert state.router.misses == before  # counters carried over
         assert state.router.network is state.network
 
+    def test_server_change_compiles_the_new_router_once(
+        self, fleet_network, tenant_workflows
+    ):
+        state = FleetState(fleet_network)
+        assert state.router.cache_size() == 0  # set-up stays lazy
+        for name, workflow in tenant_workflows.items():
+            place_round_robin(state, name, workflow)
+        state.snapshot()
+        runs, misses = state.router_dijkstra_runs, state.router_misses
+        assert misses > 0
+        state.join_server("S9", 1e9, 100e6)
+        assert state.router.cache_size() == 0  # compiled on first use
+        state.snapshot()
+        for tenant in state.tenants:
+            state.cost_model(tenant).compiled.batch_evaluator()
+        # every pair of the 5-server bus is compiled in one sweep that
+        # the dense dominance certificate answers without Dijkstra
+        assert state.router.cache_size() == 5 * 4
+        assert state.router_dijkstra_runs == runs
+        assert state.router_misses == misses
+
 
 class TestAggregates:
     def test_combined_loads_sum_over_tenants(
