@@ -8,12 +8,15 @@ they replace on the reference 20-operation x 10-server instance:
   :class:`~repro.core.incremental.TableScorer` loop (the PR's
   acceptance floor is 5x for K >= 64);
 * **neighbourhood sweep** -- scoring all ``M x (S - 1)`` single-op
-  moves of a hill-climbing round: one kernel call over the move grid vs
-  the per-move ``MoveEvaluator.propose_value`` scan.
+  moves of a hill-climbing round: one ``MoveEvaluator.scan`` call
+  (the kernel's forward pass over the move grid) vs the per-move
+  ``MoveEvaluator.propose_value`` scan.
 
-Both checks assert the batch scores are bit-identical to the scalar
-ones before timing anything. Results land in the perf trajectory file
-``output/BENCH_batch.json`` (plus the usual text tables).
+Both checks assert the vectorised scores are bit-identical to the
+scalar ones before timing anything (for the sweep this holds by
+construction: ``scan`` is the exact twin of ``propose_value``).
+Results land in the perf trajectory file ``output/BENCH_batch.json``
+(plus the usual text tables).
 
 Set ``BENCH_SMOKE=1`` to shrink the instance and repeat count for CI
 smoke runs; the speedup floor is only asserted on the full instance.
@@ -145,17 +148,16 @@ def bench_ga_generation_scoring(benchmark, instance):
 
 
 def bench_neighborhood_sweep_scoring(benchmark, instance):
-    """One hill-climbing round: move grid in one call vs propose_value."""
+    """One hill-climbing round: MoveEvaluator.scan vs propose_value."""
     workflow, network, model = instance
     deployment = Deployment.random(workflow, network, random.Random(29))
     compiled = model.compiled
-    batch = compiled.batch_evaluator()
+    evaluator = MoveEvaluator(model, deployment)
     servers = compiled.server_vector(deployment)
     operations = workflow.operation_names
     server_names = network.server_names
 
     def sweep_scalar():
-        evaluator = MoveEvaluator(model, deployment)
         values = []
         for operation in operations:
             original = deployment.server_of(operation)
@@ -165,37 +167,37 @@ def bench_neighborhood_sweep_scoring(benchmark, instance):
                 values.append(evaluator.propose_value(operation, server))
         return values
 
-    def sweep_batch():
-        return batch.evaluate(batch.neighborhood(servers)).objective
+    def sweep_scan():
+        return evaluator.scan()
 
-    # parity: the grid rows that encode real moves must match the
-    # scalar proposals (row op*S + s is operation op onto server s)
+    # parity: the scan entries that encode real moves must match the
+    # scalar proposals (entry op*S + s is operation op onto server s)
     scalar_values = sweep_scalar()
-    grid_values = sweep_batch()
+    scan_values = sweep_scan()
     expected = iter(scalar_values)
     for op in range(compiled.num_ops):
         for s in range(compiled.num_servers):
             if s == servers[op]:
                 continue
-            assert grid_values[op * compiled.num_servers + s] == next(expected)
+            assert scan_values[op * compiled.num_servers + s] == next(expected)
 
     t_scalar, _ = _best_time(sweep_scalar)
-    t_batch, _ = _best_time(sweep_batch)
+    t_scan, _ = _best_time(sweep_scan)
     moves = compiled.num_ops * (compiled.num_servers - 1)
-    speedup = t_scalar / t_batch if t_batch > 0 else float("inf")
+    speedup = t_scalar / t_scan if t_scan > 0 else float("inf")
     emit(
         "batch_eval_neighborhood",
         f"{moves} moves per sweep on {NUM_OPERATIONS} operations x "
         f"{NUM_SERVERS} servers" + (" (smoke)" if SMOKE else ""),
         f"scalar propose_value sweep:  {t_scalar * 1e3:10.3f} ms",
-        f"batched grid evaluation:     {t_batch * 1e3:10.3f} ms",
+        f"MoveEvaluator.scan:          {t_scan * 1e3:10.3f} ms",
         f"speedup: {speedup:.1f}x",
     )
     _TRAJECTORY["neighborhood_sweep"] = {
         "moves": moves,
         "scalar_ms": t_scalar * 1e3,
-        "batch_ms": t_batch * 1e3,
+        "scan_ms": t_scan * 1e3,
         "speedup": speedup,
     }
     write_json("BENCH_batch", _TRAJECTORY)
-    benchmark(sweep_batch)
+    benchmark(sweep_scan)

@@ -7,10 +7,16 @@ region alone. This bench times both code paths of the *same* algorithm
 on the reference 20-operation x 10-server instance, checks they return
 the identical deployment, and records the speedup.
 
-The asserted floor defaults to 2x -- conservative enough to pass on
-modest shared CI hardware -- and is env-tunable via
-``BENCH_FLOOR_MOVE_EVAL`` (set a higher bar on dedicated perf boxes, or
-``0`` for measurement-only). The measured speedup is always recorded in
+A second row times one hill-climbing round's neighbourhood: a single
+:meth:`~repro.core.incremental.MoveEvaluator.scan` call vs the
+per-move ``propose_value`` loop it replaces (same floats, checked
+before timing).
+
+The asserted floors default to 2x (search) and 4x (scan) --
+conservative enough to pass on modest shared CI hardware -- and are
+env-tunable via ``BENCH_FLOOR_MOVE_EVAL`` / ``BENCH_FLOOR_MOVE_SCAN``
+(set a higher bar on dedicated perf boxes, or ``0`` for
+measurement-only). The measured speedups are always recorded in
 ``output/move_eval_speedup.json``.
 
 Set ``BENCH_SMOKE=1`` to shrink the instance and repeat count for CI
@@ -43,6 +49,12 @@ NUM_SERVERS = 3 if SMOKE else 10
 REPEATS = 1 if SMOKE else 5
 PROPOSE_ROUNDS = 50 if SMOKE else 2_000
 SPEEDUP_FLOOR = perf_floor("MOVE_EVAL", 2.0)
+#: One MoveEvaluator.scan vs the per-move propose_value loop it replaces.
+SCAN_SPEEDUP_FLOOR = perf_floor("MOVE_SCAN", 4.0)
+
+
+#: The ``move_eval_speedup.json`` payload, accumulated across benches.
+_RESULTS: dict = {}
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +104,7 @@ def bench_hill_climbing_speedup(benchmark, instance):
         f"speedup: {speedup:.1f}x (floor on the full instance: "
         f"{SPEEDUP_FLOOR}x)",
     )
-    write_json(
-        "move_eval_speedup",
+    _RESULTS.update(
         {
             "smoke": SMOKE,
             "operations": NUM_OPERATIONS,
@@ -102,8 +113,9 @@ def bench_hill_climbing_speedup(benchmark, instance):
             "incremental_s": t_incremental,
             "speedup": speedup,
             "floor": SPEEDUP_FLOOR,
-        },
+        }
     )
+    write_json("move_eval_speedup", _RESULTS)
     if not SMOKE:
         assert speedup >= SPEEDUP_FLOOR
     benchmark(_run_hill_climbing, instance, True)
@@ -144,3 +156,46 @@ def bench_propose_vs_full_evaluation(benchmark, instance):
         f"speedup: {speedup:.1f}x",
     )
     benchmark(price_incremental)
+
+
+def bench_scan_vs_per_move(benchmark, instance):
+    """One neighbourhood: MoveEvaluator.scan vs per-move propose_value."""
+    workflow, network, model = instance
+    deployment = Deployment.random(workflow, network, random.Random(37))
+    evaluator = MoveEvaluator(model, deployment)
+    operations = workflow.operation_names
+    servers = network.server_names
+
+    def per_move():
+        return [
+            evaluator.propose_value(operation, server)
+            for operation in operations
+            for server in servers
+        ]
+
+    # the scan is the exact twin of propose_value, no-op entries included
+    assert evaluator.scan().tolist() == per_move()
+    t_per_move, _ = _best_time(per_move)
+    t_scan, _ = _best_time(evaluator.scan)
+    moves = len(operations) * (len(servers) - 1)
+    speedup = t_per_move / t_scan if t_scan > 0 else float("inf")
+    emit(
+        "move_eval_scan",
+        f"{moves} moves per neighbourhood on {NUM_OPERATIONS} operations x "
+        f"{NUM_SERVERS} servers" + (" (smoke)" if SMOKE else ""),
+        f"per-move propose_value:  {t_per_move * 1e3:10.3f} ms",
+        f"MoveEvaluator.scan:      {t_scan * 1e3:10.3f} ms",
+        f"speedup: {speedup:.1f}x (floor on the full instance: "
+        f"{SCAN_SPEEDUP_FLOOR}x)",
+    )
+    _RESULTS["scan"] = {
+        "moves": moves,
+        "per_move_s": t_per_move,
+        "scan_s": t_scan,
+        "speedup": speedup,
+        "floor": SCAN_SPEEDUP_FLOOR,
+    }
+    write_json("move_eval_speedup", _RESULTS)
+    if not SMOKE:
+        assert speedup >= SCAN_SPEEDUP_FLOOR
+    benchmark(evaluator.scan)

@@ -12,11 +12,15 @@ server -- over the cost model's scalar objective:
   stuck in, at the price of more evaluations.
 
 Candidate moves are priced through the
-:class:`~repro.core.incremental.MoveEvaluator`, so one proposal costs a
-dirty-region forward pass instead of a full ``CostModel.objective()``;
-``use_incremental=False`` selects the original full-evaluation path
-(kept as the reference implementation -- the regression tests assert
-both return byte-identical deployments for a fixed seed, and the
+:class:`~repro.core.incremental.MoveEvaluator`: a hill-climbing round
+is one vectorised :meth:`~repro.core.incremental.MoveEvaluator.scan`
+and an annealing proposal one dirty-region forward pass, instead of a
+full ``CostModel.objective()`` per candidate. ``use_incremental=False``
+selects that full-evaluation path, kept as the exact reference. The
+evaluator derives a move's two server loads from running sums, which
+can differ from a from-scratch sum by ulps, so the two paths agree on
+solution quality but may break a near-tie differently (the regression
+tests pin fixtures where they return the same deployment, and the
 benchmarks measure the speedup between them).
 
 Both are expressed as step generators driven by the shared
@@ -42,7 +46,6 @@ from repro.algorithms.base import (
     register_algorithm,
 )
 from repro.algorithms.runtime import SearchBudget, SearchStep
-from repro.core.compiled import batch_evaluator_or_none
 from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
 from repro.exceptions import AlgorithmError
@@ -86,20 +89,10 @@ class HillClimbing(_RefinementBase):
         a ``SearchBudget`` passed to ``deploy`` can stop the climb
         earlier still.
     use_incremental:
-        Price moves with the incremental
-        :class:`~repro.core.incremental.MoveEvaluator` (default) or fall
-        back to one full ``CostModel.objective()`` per candidate.
-        Ignored when ``sweep="batch"`` takes effect.
-    sweep:
-        ``"scalar"`` (default) scans the neighbourhood one proposal at
-        a time through the paths above. ``"batch"`` scores the whole
-        ``M x S`` single-move grid per iteration in **one**
-        :class:`~repro.core.batch.BatchEvaluator` kernel call --
-        best-improvement with the identical scan order and floats, so
-        seeded results are byte-identical to the scalar sweep -- and
-        falls back to the incremental
-        :class:`~repro.core.incremental.MoveEvaluator` when NumPy is
-        unavailable.
+        Price each round's whole neighbourhood with one
+        :meth:`MoveEvaluator.scan <repro.core.incremental.MoveEvaluator.scan>`
+        call (default) or with one full ``CostModel.objective()`` per
+        candidate -- the exact reference path.
     """
 
     name = "HillClimbing"
@@ -109,90 +102,47 @@ class HillClimbing(_RefinementBase):
         seed_algorithm: DeploymentAlgorithm | None = None,
         max_iterations: int = 1_000,
         use_incremental: bool = True,
-        sweep: str = "scalar",
     ):
         super().__init__(seed_algorithm, use_incremental)
         self.max_iterations = SearchBudget.validate_count(
             "max_iterations", max_iterations
         )
-        if sweep not in ("scalar", "batch"):
-            raise AlgorithmError(
-                f"sweep must be 'scalar' or 'batch', got {sweep!r}"
-            )
-        self.sweep = sweep
 
     def _deploy(self, context: ProblemContext) -> Deployment:
         current = self._starting_mapping(context)
-        batch = None
-        if self.sweep == "batch":
-            batch = batch_evaluator_or_none(context.compiled)
-        if batch is not None:
-            steps = self._steps_batch(context, current, batch)
-        elif self.use_incremental:
+        if self.use_incremental:
             steps = self._steps_incremental(context, current)
         else:
             steps = self._steps_full(context, current)
         return context.search(steps).best
 
-    def _steps_batch(
-        self, context: ProblemContext, current: Deployment, batch
-    ) -> Iterator[SearchStep]:
-        compiled = context.compiled
-        num_servers = compiled.num_servers
-        servers = compiled.server_vector(current)
-        current_value = float(batch.evaluate([servers]).objective[0])
-        yield SearchStep(current_value, current.copy, evals=1)
-        # moves per sweep, excluding the no-op rows of the grid (they
-        # score the incumbent and never win the strict-improvement test)
-        evals = compiled.num_ops * (num_servers - 1)
-        for _ in range(self.max_iterations):
-            scores = batch.evaluate(batch.neighborhood(servers))
-            index = scores.argbest()
-            value = float(scores.objective[index])
-            if not value < current_value:
-                yield SearchStep(
-                    current_value, current.copy, evals=evals, rejected=evals
-                )
-                break
-            operation, server = divmod(index, num_servers)
-            servers[operation] = server
-            current.assign(
-                compiled.op_names[operation], compiled.server_names[server]
-            )
-            current_value = value
-            yield SearchStep(
-                value,
-                current.copy,
-                evals=evals,
-                accepted=1,
-                rejected=evals - 1,
-            )
-
     def _steps_incremental(
         self, context: ProblemContext, current: Deployment
     ) -> Iterator[SearchStep]:
         evaluator = MoveEvaluator(context.cost_model, current)
+        compiled = evaluator.compiled
+        num_servers = compiled.num_servers
+        # moves per round, excluding the no-op entries of the scan (they
+        # hold the incumbent and never win the strict-improvement test)
+        evals = compiled.num_ops * (num_servers - 1)
         yield SearchStep(evaluator.objective, current.copy, evals=1)
         for _ in range(self.max_iterations):
-            best_move: tuple[str, str] | None = None
-            best_value = evaluator.objective
-            evals = 0
-            for operation in context.workflow.operation_names:
-                original = current.server_of(operation)
-                for server in context.network.server_names:
-                    if server == original:
-                        continue
-                    value = evaluator.propose_value(operation, server)
-                    evals += 1
-                    if value < best_value:
-                        best_value = value
-                        best_move = (operation, server)
-            if best_move is None:
+            values = evaluator.scan()
+            # the first strict minimum, as a scan in op-major order finds it
+            index = int(values.argmin())
+            best_value = float(values[index])
+            if not best_value < evaluator.objective:
                 yield SearchStep(
-                    best_value, current.copy, evals=evals, rejected=evals
+                    evaluator.objective,
+                    current.copy,
+                    evals=evals,
+                    rejected=evals,
                 )
                 break
-            evaluator.apply(*best_move)
+            operation, server = divmod(index, num_servers)
+            evaluator.apply(
+                compiled.op_names[operation], compiled.server_names[server]
+            )
             yield SearchStep(
                 best_value,
                 current.copy,

@@ -29,10 +29,16 @@ the operands, in exactly the order, that
 double arithmetic is the same whether the lanes are Python floats or
 NumPy float64 vectors -- so batch scores are bit-identical to the scalar
 path wherever the operation order matches (the parity property suite
-pins this, and seeded searches wired through the kernel return the same
-deployments as their scalar counterparts). :meth:`BatchScores.argbest`
-resolves ties like every existing consumer: the first row attaining the
-minimum wins.
+pins this). That scalar path is full evaluation, *not*
+:class:`~repro.core.incremental.MoveEvaluator`: the evaluator prices a
+move's two server loads by running-sum deltas, which can differ from
+the kernel's from-scratch sums by ulps, so a search priced through
+:meth:`evaluate` may break a near-tie differently from one priced move
+by move. :meth:`MoveEvaluator.scan
+<repro.core.incremental.MoveEvaluator.scan>` therefore takes only
+:meth:`BatchEvaluator.execution` from the kernel and patches the loads
+itself. :meth:`BatchScores.argbest` resolves ties like every existing
+consumer: the first row attaining the minimum wins.
 
 NumPy is required *here* but nowhere else: importing
 :mod:`repro.core.batch` without NumPy raises a ``RuntimeError`` naming
@@ -321,16 +327,18 @@ class BatchEvaluator:
             return np.empty((0, self.num_ops), dtype=np.intp)
         return np.asarray(rows, dtype=np.intp)
 
-    def neighborhood(self, servers: Sequence[int]) -> "np.ndarray":
+    def neighborhood(
+        self, servers: Sequence[int], operations: range | None = None
+    ) -> "np.ndarray":
         """The single-move neighbourhood grid of one server vector.
 
         Returns the ``(M * S, M)`` batch in which row ``op * S + s``
         relocates operation ``op`` onto server ``s`` (rows where ``s``
         is the operation's current server are no-op rows scoring the
-        incumbent). Row order matches the scalar hill-climbing scan --
-        operations outer, servers inner -- so
-        :meth:`BatchScores.argbest` picks the same move the scalar
-        best-improvement sweep would.
+        incumbent). Row order matches the hill-climbing scan --
+        operations outer, servers inner. *operations* (a contiguous
+        ``range`` of operation indices, default all) restricts the grid
+        to the rows of those operations, in the same order.
         """
         base = np.asarray(servers, dtype=np.intp)
         if base.shape != (self.num_ops,):
@@ -338,10 +346,14 @@ class BatchEvaluator:
                 f"server vector must have length {self.num_ops}, got "
                 f"shape {base.shape}"
             )
-        count = self.num_ops * self.num_servers
+        if operations is None:
+            operations = range(self.num_ops)
+        count = len(operations) * self.num_servers
         grid = np.repeat(base[None, :], count, axis=0)
         rows = np.arange(count)
-        grid[rows, rows // self.num_servers] = rows % self.num_servers
+        grid[rows, operations.start + rows // self.num_servers] = (
+            rows % self.num_servers
+        )
         return grid
 
     # ------------------------------------------------------------------

@@ -16,7 +16,9 @@ evaluation that makes search over deployment spaces tractable at scale:
     coefficients, O(1) running-sum load deltas (the penalty statistic
     itself is O(N) for ``mad``/``std``-style modes because the mean
     shifts), and a dirty-region forward pass that recomputes ``finish()``
-    only for the moved operation's descendants.
+    only for the moved operation's descendants. ``scan()`` prices the
+    whole single-move neighbourhood in one vectorised call, entry for
+    entry the same floats as ``propose_value``.
 
 :class:`TableScorer`
     Full-mapping scoring against the same tables, for algorithms that
@@ -31,13 +33,15 @@ model, every evaluator and scorer attached to it, the simulation engine
 and the fleet. Dirty-region orders are memoised *on the artifact*, so
 concurrent searches over the same instance share them too.
 
-Both are guarded by an exact-equivalence contract: for any reachable
-state, :attr:`MoveEvaluator.objective` and :meth:`TableScorer.objective`
-agree with :meth:`CostModel.evaluate` (the property tests assert 1e-9;
-in practice the forward pass is bit-identical because every term is
-computed from the same operands in the same order, and only the
-running-sum load totals may drift by ulps over very long move sequences
--- bounded by a periodic resync).
+Both are guarded by an equivalence contract: for any reachable state,
+:attr:`MoveEvaluator.objective` and :meth:`TableScorer.objective` agree
+with :meth:`CostModel.evaluate` to 1e-9 (the property tests assert it).
+The forward pass is bit-identical because every term is computed from
+the same operands in the same order; the evaluator's load values come
+from running-sum deltas, which can differ from a from-scratch sum by
+ulps from the first move on (drift is bounded by a periodic resync).
+:meth:`MoveEvaluator.scan` is held to the stricter contract of bit
+equality with :meth:`MoveEvaluator.propose_value`.
 """
 
 from __future__ import annotations
@@ -55,6 +59,12 @@ __all__ = ["MoveEvaluator", "MoveOutcome", "TableScorer"]
 #: Commits between full load-table resyncs (bounds floating-point drift
 #: of the running sums; the forward pass needs no resync -- it is exact).
 DEFAULT_RESYNC_INTERVAL = 256
+
+#: Most moves :meth:`MoveEvaluator.scan` prices per kernel call: the
+#: neighbourhood grid is evaluated in blocks of whole operations, so a
+#: wide network never materialises its ``(M * S, M)`` grid (or the
+#: ``(M * S, S)`` trial-load matrix) in one piece.
+SCAN_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -94,7 +104,8 @@ class MoveEvaluator:
     the move lifecycle: query candidates with :meth:`propose` (no
     mutation), make the last proposal real with :meth:`commit` (which
     also updates the attached :class:`~repro.core.mapping.Deployment`
-    in place), or do both with :meth:`apply`. Mutating the deployment
+    in place), or do both with :meth:`apply`; :meth:`scan` prices every
+    move at once for neighbourhood searches. Mutating the deployment
     behind the evaluator's back desynchronises it -- call
     :meth:`resync` if that cannot be avoided.
 
@@ -293,6 +304,80 @@ class MoveEvaluator:
             return self._objective
         self.proposals += 1
         return self._price(op, target, source)[0]
+
+    def scan(self) -> "np.ndarray":
+        """The objective of every single-operation move, in one call.
+
+        Returns a ``(M * S,)`` float array in which entry ``op * S + s``
+        equals ``propose_value(op_names[op], server_names[s])`` bit for
+        bit: the exact twin of :meth:`propose_value`, *not* of
+        :meth:`CostModel.evaluate <repro.core.cost.CostModel.evaluate>`
+        (a move's two server loads come from the running sums, exactly
+        as :meth:`_price` derives them). Entries where ``s`` is the
+        operation's current server hold the current objective, so they
+        never win a strict-improvement test. Counts ``M * (S - 1)``
+        :attr:`proposals` and drops any pending move, like that many
+        :meth:`propose_value` calls.
+
+        The execution times come from the shared
+        :class:`~repro.core.batch.BatchEvaluator` forward pass over the
+        neighbourhood grid, evaluated in blocks of at most
+        :data:`SCAN_BLOCK_ROWS` moves so memory stays bounded on wide
+        networks.
+        """
+        import numpy as np
+
+        from repro.core.batch import penalty_rows
+
+        compiled = self.compiled
+        batch = compiled.batch_evaluator()
+        num_ops = compiled.num_ops
+        num_servers = compiled.num_servers
+        self._pending = None
+        self.proposals += num_ops * (num_servers - 1)
+        current = np.asarray(self._servers, dtype=np.intp)
+        cycles = np.asarray(self._cycles)
+        power = np.asarray(compiled.power)
+        wcycles = np.asarray(compiled.wcycles)
+        loads = np.asarray(self._loads_list)
+        values = np.empty(num_ops * num_servers)
+        block = max(1, SCAN_BLOCK_ROWS // num_servers)
+        for start in range(0, num_ops, block):
+            stop = min(start + block, num_ops)
+            count = stop - start
+            rows = count * num_servers
+            source = current[start:stop]
+            weighted = wcycles[start:stop]
+            # the two-slot load patch of _price, one row per move: the
+            # source slot loses the op's cycles, the target slot gains them
+            trial = np.repeat(loads[None, :], rows, axis=0)
+            every = np.arange(rows)
+            trial[every, np.repeat(source, num_servers)] = np.repeat(
+                (cycles[source] - weighted) / power[source], num_servers
+            )
+            trial[every, every % num_servers] = (
+                (cycles[None, :] + weighted[:, None]) / power[None, :]
+            ).ravel()
+            execution = batch.execution(
+                batch.neighborhood(current, range(start, stop))
+            )
+            objective = (
+                compiled.execution_weight * execution
+                + compiled.penalty_weight
+                * penalty_rows(trial, compiled.penalty_mode)
+            )
+            if compiled.transition_aware:
+                # (m + row[dst]) - row[src]: the association of _price
+                table = np.asarray(compiled.migration_table[start:stop])
+                migration = (self._migration + table) - table[
+                    np.arange(count), source
+                ][:, None]
+                objective = (
+                    objective + compiled.migration_weight * migration.ravel()
+                )
+            values[start * num_servers:stop * num_servers] = objective
+        values[np.arange(num_ops) * num_servers + current] = self._objective
+        return values
 
     def _price(self, op: int, target: int, source: int):
         """Dirty-region pricing core shared by propose/propose_value.

@@ -1,15 +1,26 @@
 """Unit tests for the local-search refinement extensions."""
 
+import random
+
 import pytest
 
 from repro.algorithms.exhaustive import Exhaustive
 from repro.algorithms.fair_load import FairLoad
 from repro.algorithms.heavy_ops import HeavyOpsLargeMsgs
 from repro.algorithms.local_search import HillClimbing, SimulatedAnnealing
+from repro.algorithms.tie_resolver import FairLoadTieResolver2
 from repro.core.cost import CostModel
+from repro.core.mapping import Deployment
 from repro.core.workflow import Operation, Workflow
 from repro.exceptions import AlgorithmError
 from repro.network.topology import bus_network
+from repro.workloads import ClassCParameters
+from repro.workloads.generator import (
+    GraphStructure,
+    random_bus_network,
+    random_graph_workflow,
+)
+from tests.oracles import per_move_hill_climbing
 
 
 @pytest.fixture
@@ -29,20 +40,69 @@ class TestHillClimbing:
         with pytest.raises(AlgorithmError):
             HillClimbing(max_iterations=0)
 
-    def test_rejects_unknown_sweep(self):
-        with pytest.raises(AlgorithmError):
-            HillClimbing(sweep="bogus")
+    def test_sweep_option_removed(self):
+        # every round is one MoveEvaluator.scan; there is no second sweep
+        with pytest.raises(TypeError):
+            HillClimbing(sweep="batch")
 
-    def test_batch_sweep_matches_scalar(self, tiny):
+    def test_scan_sweep_matches_per_move_oracle(self, tiny):
         workflow, network, model = tiny
-        batched = HillClimbing(sweep="batch").deploy(
+        deployment, report = HillClimbing().deploy_with_report(
             workflow, network, cost_model=model, rng=4
         )
-        scalar = HillClimbing(sweep="scalar").deploy(
+        start = Deployment.random(workflow, network, random.Random(4))
+        expected, evaluations, accepted, rejected = per_move_hill_climbing(
+            model, start
+        )
+        assert deployment.as_dict() == expected.as_dict()
+        assert (report.evaluations, report.accepted, report.rejected) == (
+            evaluations,
+            accepted,
+            rejected,
+        )
+        full = HillClimbing(use_incremental=False).deploy(
             workflow, network, cost_model=model, rng=4
         )
-        assert batched.as_dict() == scalar.as_dict()
-        assert model.objective(batched) == model.objective(scalar)
+        assert full.as_dict() == deployment.as_dict()
+        assert model.objective(full) == model.objective(deployment)
+
+    def test_hybrid_near_tie_follows_the_per_move_oracle(self):
+        # a deploy-search-shaped instance (32-op hybrid graph, 12-server
+        # 100 Mbps bus, FL-TieResolver2 start) on which the running-sum
+        # loads of the incremental path break a near-tie differently
+        # from full evaluation: the scan must follow the per-move path
+        workflow = random_graph_workflow(
+            32, GraphStructure.HYBRID, seed=26557776
+        )
+        network = random_bus_network(
+            12,
+            seed=1883921597,
+            parameters=ClassCParameters.paper().with_fixed_bus_speed(100e6),
+        )
+        model = CostModel(workflow, network)
+        seed = 1546643347
+        start = FairLoadTieResolver2().deploy(
+            workflow, network, cost_model=model, rng=seed
+        )
+        deployment, report = HillClimbing(
+            seed_algorithm=FairLoadTieResolver2()
+        ).deploy_with_report(workflow, network, cost_model=model, rng=seed)
+        expected, evaluations, accepted, rejected = per_move_hill_climbing(
+            model, start
+        )
+        assert deployment.as_dict() == expected.as_dict()
+        assert (report.evaluations, report.accepted, report.rejected) == (
+            evaluations,
+            accepted,
+            rejected,
+        )
+        full = HillClimbing(
+            seed_algorithm=FairLoadTieResolver2(), use_incremental=False
+        ).deploy(workflow, network, cost_model=model, rng=seed)
+        assert full.as_dict() != deployment.as_dict()
+        assert model.objective(full) == pytest.approx(
+            model.objective(deployment), rel=1e-9
+        )
 
     def test_result_is_a_local_optimum(self, tiny):
         """No single-operation move may improve the returned mapping."""

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from repro.core import incremental
 from repro.core.cost import PENALTY_MODES, CostModel
 from repro.core.incremental import MoveEvaluator, TableScorer
 from repro.core.mapping import Deployment
+from repro.core.migration import MigrationCostModel, TransitionObjective
 from repro.exceptions import DeploymentError
 from repro.workloads.generator import (
     GraphStructure,
@@ -154,6 +156,55 @@ class TestMoveEvaluatorLifecycle:
         broken = Deployment({workflow.operation_names[0]: "S1"})
         with pytest.raises(DeploymentError):
             MoveEvaluator(model, broken)
+
+
+class TestScan:
+    def test_counts_proposals_and_drops_pending_move(self):
+        workflow, network, model, deployment = make_instance(servers=5)
+        evaluator = MoveEvaluator(model, deployment)
+        operation = workflow.operation_names[0]
+        target = next(
+            s
+            for s in network.server_names
+            if s != deployment.server_of(operation)
+        )
+        evaluator.propose(operation, target)
+        before = evaluator.proposals
+        evaluator.scan()
+        assert evaluator.proposals == before + len(workflow) * 4
+        with pytest.raises(DeploymentError):
+            evaluator.commit()
+
+    @pytest.mark.parametrize("aware", [False, True])
+    @pytest.mark.parametrize("cap", [1, 5, 9])
+    def test_blocked_scan_equals_one_block(self, monkeypatch, cap, aware):
+        # a cap below one operation's S rows still takes whole operations
+        workflow, network, model, deployment = make_instance(
+            size=14, servers=4
+        )
+        if aware:
+            baseline = Deployment.random(workflow, network, random.Random(5))
+            model = CostModel(
+                workflow,
+                network,
+                objective=TransitionObjective(
+                    migration_weight=0.5,
+                    migration=MigrationCostModel(state_bits_base=2e5),
+                    baseline=baseline,
+                ),
+            )
+            assert model.compiled.transition_aware
+        evaluator = MoveEvaluator(model, deployment)
+        rng = random.Random(3)
+        for _ in range(6):
+            evaluator.apply(
+                rng.choice(workflow.operation_names),
+                rng.choice(network.server_names),
+            )
+        whole = evaluator.scan()
+        monkeypatch.setattr(incremental, "SCAN_BLOCK_ROWS", cap)
+        blocked = evaluator.scan()
+        assert blocked.tobytes() == whole.tobytes()
 
 
 class TestTableScorer:

@@ -9,9 +9,11 @@ The determinism contract of the vectorized
   (which the kernel engineers everywhere), and ``<= 1e-9`` relative as
   the outer tolerance -- across random well-formed workflows, every
   penalty mode and every graph structure;
-* seeded GA / sampler / hill-climbing runs through the batch path must
-  return deployments with identical objective values, and identical
-  RNG streams, as their scalar counterparts.
+* seeded GA / sampler runs through the batch path must return
+  deployments with identical objective values, and identical RNG
+  streams, as their scalar counterparts; seeded hill climbing (one
+  :meth:`MoveEvaluator.scan` per round) must retrace the per-move
+  ``propose_value`` climb exactly.
 """
 
 import random
@@ -25,12 +27,14 @@ from repro.algorithms.local_search import HillClimbing
 from repro.algorithms.sampling import SolutionSampler
 from repro.core.compiled import PENALTY_MODES, CompiledInstance
 from repro.core.cost import CostModel
+from repro.core.mapping import Deployment
 from repro.workloads.generator import (
     GraphStructure,
     line_workflow,
     random_bus_network,
     random_graph_workflow,
 )
+from tests.oracles import per_move_hill_climbing
 
 TOLERANCE = 1e-9
 
@@ -163,38 +167,37 @@ def test_seeded_sampler_identical_through_batch(size, servers, seed, structure):
 
 @given(size=sizes, servers=server_counts, seed=seeds, structure=structures)
 @settings(max_examples=15, deadline=None)
-def test_seeded_hill_climbing_identical_through_batch(
+def test_seeded_hill_climbing_scan_matches_per_move_oracle(
     size, servers, seed, structure
 ):
-    # the kernel's exact twin is *full* evaluation (it replicates the
-    # scalar IEEE operation order); the incremental MoveEvaluator path
-    # only promises 1e-9-approx values, so its accumulated ULP drift
-    # can legitimately flip a last-ULP accept/reject decision -- it is
-    # compared on objective quality below, not on the exact trajectory
+    # MoveEvaluator.scan prices every move of a round through the kernel
+    # and is the exact twin of per-move propose_value pricing, so the
+    # whole trajectory must match the per-move oracle: deployment and
+    # report counters. Full evaluation is only comparable on quality:
+    # the evaluator's running-sum loads differ from from-scratch sums
+    # by ulps, which can break a near-tie differently
     workflow = make_workflow(size, seed, structure)
     network = random_bus_network(servers, seed=seed + 1)
     model = CostModel(workflow, network)
-    kwargs = dict(max_iterations=30)
-    rng_batch = random.Random(seed)
-    rng_scalar = random.Random(seed)
-    rng_incremental = random.Random(seed)
-    batched = HillClimbing(sweep="batch", **kwargs).deploy(
-        workflow, network, cost_model=model, rng=rng_batch
+    rng_scan = random.Random(seed)
+    rng_full = random.Random(seed)
+    scanned, report = HillClimbing(max_iterations=30).deploy_with_report(
+        workflow, network, cost_model=model, rng=rng_scan
     )
-    scalar = HillClimbing(
-        sweep="scalar", use_incremental=False, **kwargs
-    ).deploy(workflow, network, cost_model=model, rng=rng_scalar)
-    incremental = HillClimbing(sweep="scalar", **kwargs).deploy(
-        workflow, network, cost_model=model, rng=rng_incremental
+    start = Deployment.random(workflow, network, random.Random(seed))
+    expected, evaluations, accepted, rejected = per_move_hill_climbing(
+        model, start, max_iterations=30
     )
-    assert batched.as_dict() == scalar.as_dict()
-    assert model.objective(batched) == model.objective(scalar)
-    assert rng_batch.getstate() == rng_scalar.getstate()
-    assert rng_batch.getstate() == rng_incremental.getstate()
-    # quality, not equality: when a last-ULP flip does occur the two
-    # trajectories walk to *different local optima*, so the finals are
-    # only comparable as solution quality (the per-move 1e-9 numeric
-    # contract itself is pinned in test_property_incremental)
-    assert model.objective(incremental) == pytest.approx(
-        model.objective(batched), rel=1e-3
+    assert scanned.as_dict() == expected.as_dict()
+    assert (report.evaluations, report.accepted, report.rejected) == (
+        evaluations,
+        accepted,
+        rejected,
+    )
+    full = HillClimbing(max_iterations=30, use_incremental=False).deploy(
+        workflow, network, cost_model=model, rng=rng_full
+    )
+    assert rng_scan.getstate() == rng_full.getstate()
+    assert model.objective(scanned) == pytest.approx(
+        model.objective(full), rel=1e-3
     )

@@ -9,7 +9,10 @@ Two guarantees are exercised here:
 * **regression** -- the seeded local-search algorithms return the exact
   same deployment whether they price moves incrementally or with the
   pre-existing full evaluation, so the rewiring cannot have changed any
-  published experiment.
+  published experiment;
+* **scan twin** -- every entry of :meth:`MoveEvaluator.scan` equals the
+  matching :meth:`MoveEvaluator.propose_value` bit for bit, along random
+  commit walks with frequent resyncs.
 """
 
 import random
@@ -22,6 +25,7 @@ from repro.algorithms.local_search import HillClimbing, SimulatedAnnealing
 from repro.core.cost import PENALTY_MODES, CostModel
 from repro.core.incremental import MoveEvaluator, TableScorer
 from repro.core.mapping import Deployment
+from repro.core.migration import MigrationCostModel, TransitionObjective
 from repro.workloads.generator import (
     GraphStructure,
     line_workflow,
@@ -175,3 +179,72 @@ def test_simulated_annealing_unchanged_by_incremental_pricing(seed, structure):
         )
         results[incremental] = deployment.as_dict()
     assert results[True] == results[False]
+
+
+@given(
+    size=sizes,
+    servers=server_counts,
+    seed=seeds,
+    structure=st.sampled_from(
+        [None, GraphStructure.BUSHY, GraphStructure.HYBRID]
+    ),
+    mode=modes,
+    aware=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_scan_equals_propose_value(size, servers, seed, structure, mode, aware):
+    workflow, network, model, deployment = instance(
+        size, servers, seed, structure, mode
+    )
+    if aware:
+        rng = random.Random(seed + 6)
+        model = CostModel(
+            workflow,
+            network,
+            objective=TransitionObjective(
+                penalty_mode=mode,
+                migration_weight=rng.uniform(0.0, 2.0),
+                migration=MigrationCostModel(
+                    state_bits_per_cycle=rng.uniform(0.0, 0.5),
+                    state_bits_base=rng.uniform(0.0, 1e6),
+                    downtime_s=rng.uniform(0.0, 0.05),
+                ),
+                baseline=Deployment.random(workflow, network, rng),
+            ),
+        )
+    evaluator = MoveEvaluator(model, deployment, resync_interval=3)
+    rng = random.Random(seed + 5)
+    for _ in range(8):
+        values = evaluator.scan().tolist()
+        expected = [
+            evaluator.propose_value(operation, server)
+            for operation in workflow.operation_names
+            for server in network.server_names
+        ]
+        assert values == expected
+        evaluator.apply(
+            rng.choice(workflow.operation_names),
+            rng.choice(network.server_names),
+        )
+
+
+def test_scan_is_not_full_evaluation():
+    # the scan prices a move's two server loads from the running sums,
+    # as propose_value does; from-scratch sums (the batch kernel, the
+    # cost model) differ by ulps, so the twins can only be told apart
+    # on an instance like this one, where they disagree
+    workflow, network, model, deployment = instance(
+        12, 4, 7, GraphStructure.HYBRID, "mad"
+    )
+    evaluator = MoveEvaluator(model, deployment, resync_interval=3)
+    batch = model.compiled.batch_evaluator()
+    full = batch.evaluate(
+        batch.neighborhood(model.compiled.server_vector(deployment))
+    ).objective
+    values = evaluator.scan()
+    assert (values != full).any()
+    assert values.tolist() == [
+        evaluator.propose_value(operation, server)
+        for operation in workflow.operation_names
+        for server in network.server_names
+    ]
