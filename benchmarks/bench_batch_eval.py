@@ -4,8 +4,9 @@ The batch kernel's two hot call shapes, timed against the scalar code
 they replace on the reference 20-operation x 10-server instance:
 
 * **GA generation** -- scoring a population of K genomes: one
-  :class:`~repro.core.batch.BatchEvaluator` call vs the per-genome
-  :class:`~repro.core.incremental.TableScorer` loop (the PR's
+  :class:`~repro.core.batch.BatchEvaluator` call vs a per-genome loop
+  that translates server names to indices and calls
+  :meth:`~repro.core.compiled.CompiledInstance.components` (the
   acceptance floor is 5x for K >= 64);
 * **neighbourhood sweep** -- scoring all ``M x (S - 1)`` single-op
   moves of a hill-climbing round: one ``MoveEvaluator.scan`` call
@@ -29,7 +30,7 @@ import time
 import pytest
 
 from repro.core.cost import CostModel
-from repro.core.incremental import MoveEvaluator, TableScorer
+from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
 from repro.workloads.generator import (
     GraphStructure,
@@ -92,10 +93,11 @@ def _random_population(workflow, network, size, seed):
 
 
 def bench_ga_generation_scoring(benchmark, instance):
-    """One GA generation: kernel call vs per-genome TableScorer loop."""
+    """One GA generation: kernel call vs per-genome components loop."""
     workflow, network, model = instance
-    scorer = TableScorer(model, workflow.operation_names)
-    batch = model.compiled.batch_evaluator()
+    compiled = model.compiled
+    server_index = compiled.server_index
+    batch = compiled.batch_evaluator()
     lines = [
         f"instance: {NUM_OPERATIONS} operations x {NUM_SERVERS} servers"
         + (" (smoke)" if SMOKE else "")
@@ -107,7 +109,12 @@ def bench_ga_generation_scoring(benchmark, instance):
         indexed = batch.index_batch(population)
 
         def score_scalar(population=population):
-            return [scorer.objective(genome) for genome in population]
+            # genomes follow the workflow's operation order, which is the
+            # compiled operation order
+            return [
+                compiled.components([server_index[name] for name in genome])[2]
+                for genome in population
+            ]
 
         def score_batch(indexed=indexed):
             return batch.evaluate(indexed).objective

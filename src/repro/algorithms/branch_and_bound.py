@@ -45,7 +45,6 @@ from repro.algorithms.base import (
 from repro.algorithms.fair_load import sorted_operations_by_cost
 from repro.algorithms.heavy_ops import HeavyOpsLargeMsgs
 from repro.algorithms.runtime import SearchBudget, SearchStep
-from repro.core.incremental import TableScorer
 from repro.core.mapping import Deployment
 from repro.core.workflow import NodeKind
 from repro.exceptions import SearchSpaceTooLargeError
@@ -205,16 +204,22 @@ class BranchAndBound(DeploymentAlgorithm):
         fastest_hz = max(server.power_hz for server in network)
         servers = list(network.server_names)
 
-        # leaf evaluation goes through the table-based scorer: one leaf
-        # costs a forward pass, not two validation sweeps plus a
+        # leaf evaluation prices the compiled server vector directly: one
+        # leaf costs a forward pass, not two validation sweeps plus a
         # throwaway Deployment
-        scorer = TableScorer(cost_model)
+        compiled = cost_model.compiled
+        server_index = compiled.server_index
+
+        def leaf_value(mapping: dict[str, str]) -> float:
+            return compiled.components(
+                [server_index[mapping[name]] for name in compiled.op_names]
+            )[2]
 
         incumbent = HeavyOpsLargeMsgs().deploy(
             workflow, network, cost_model=cost_model, rng=context.rng
         )
         best_mapping = incumbent.as_dict()
-        best_value = scorer.score_mapping(best_mapping)
+        best_value = leaf_value(best_mapping)
 
         assignment: dict[str, str] = {}
         assigned_cycles = {name: 0.0 for name in servers}
@@ -232,7 +237,6 @@ class BranchAndBound(DeploymentAlgorithm):
         # the shared objective combine (migration of still-unassigned
         # operations is unknown, and >= 0, so the two-term value stays a
         # valid lower bound for transition-aware objectives too)
-        compiled = cost_model.compiled
 
         def bound(remaining: float) -> float:
             execution = self._execution_lower_bound(
@@ -252,7 +256,7 @@ class BranchAndBound(DeploymentAlgorithm):
                     f"raise node_limit or use a heuristic"
                 )
             if index == len(order):
-                value = scorer.score_mapping(assignment)
+                value = leaf_value(assignment)
                 if value < best_value:
                     best_value = value
                     best_mapping = dict(assignment)

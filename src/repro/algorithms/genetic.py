@@ -7,9 +7,8 @@ stochastic baseline than simulated annealing for the ablation benches:
 * fitness is the negative scalar objective of the cost model; each
   generation's population is scored in **one**
   :class:`~repro.core.batch.BatchEvaluator` kernel call (bit-identical
-  to -- and much faster than -- the per-genome
-  :class:`~repro.core.incremental.TableScorer` path, which remains the
-  fallback when NumPy is unavailable or ``use_batch=False``);
+  to per-genome :meth:`~repro.core.compiled.CompiledInstance.components`
+  pricing, and much faster);
 * tournament selection, uniform crossover, per-gene reset mutation,
   elitism of the single best individual;
 * the initial population mixes random mappings with the greedy suite's
@@ -31,8 +30,6 @@ from repro.algorithms.base import (
 from repro.algorithms.fair_load import FairLoad
 from repro.algorithms.heavy_ops import HeavyOpsLargeMsgs
 from repro.algorithms.runtime import SearchBudget, SearchStep
-from repro.core.compiled import batch_evaluator_or_none
-from repro.core.incremental import TableScorer
 from repro.core.mapping import Deployment
 from repro.exceptions import AlgorithmError
 
@@ -58,12 +55,6 @@ class GeneticAlgorithm(DeploymentAlgorithm):
     seed_with_heuristics:
         Include FairLoad's and HeavyOps-LargeMsgs' mappings in the
         initial population (on by default; the GA is then an *improver*).
-    use_batch:
-        Score each generation through the shared
-        :class:`~repro.core.batch.BatchEvaluator` (on by default;
-        results are bit-identical either way, and the scalar
-        :class:`~repro.core.incremental.TableScorer` path is used
-        automatically when NumPy is missing).
     initial_population:
         Optional explicit starting population: genome tuples of server
         names, one gene per operation in workflow order. Replaces both
@@ -91,7 +82,6 @@ class GeneticAlgorithm(DeploymentAlgorithm):
         mutation_rate: float = 0.05,
         tournament: int = 3,
         seed_with_heuristics: bool = True,
-        use_batch: bool = True,
         initial_population=None,
         population_sink=None,
     ):
@@ -111,7 +101,6 @@ class GeneticAlgorithm(DeploymentAlgorithm):
         self.crossover_rate = crossover_rate
         self.mutation_rate = mutation_rate
         self.seed_with_heuristics = seed_with_heuristics
-        self.use_batch = use_batch
         self.initial_population = (
             None
             if initial_population is None
@@ -127,10 +116,7 @@ class GeneticAlgorithm(DeploymentAlgorithm):
         cost_model = context.cost_model
         operations = context.workflow.operation_names
         servers = context.network.server_names
-        scorer = TableScorer(cost_model, operations)
-        batch = batch_evaluator_or_none(
-            context.compiled, enabled=self.use_batch
-        )
+        batch = cost_model.compiled.batch_evaluator()
 
         def random_genome() -> tuple[str, ...]:
             return tuple(rng.choice(servers) for _ in operations)
@@ -138,18 +124,12 @@ class GeneticAlgorithm(DeploymentAlgorithm):
         def genome_of(deployment: Deployment) -> tuple[str, ...]:
             return tuple(deployment.server_of(name) for name in operations)
 
-        def fitness(genome: tuple[str, ...]) -> float:
-            return -scorer.objective(genome)
-
         def score_population(
             genomes: list[tuple[str, ...]],
         ) -> list[float]:
-            # one kernel call per generation; the scalar loop is the
-            # NumPy-free fallback and produces the identical floats
-            if batch is not None:
-                objectives = batch.evaluate(batch.index_batch(genomes))
-                return [-float(v) for v in objectives.objective]
-            return [fitness(genome) for genome in genomes]
+            # one kernel call per generation
+            objectives = batch.evaluate(batch.index_batch(genomes))
+            return [-float(v) for v in objectives.objective]
 
         population: list[tuple[str, ...]] = []
         if self.initial_population is not None:

@@ -34,9 +34,7 @@ from repro.algorithms.runtime import (
     SearchStep,
 )
 from repro.core.clock import Clock
-from repro.core.compiled import batch_evaluator_or_none
 from repro.core.cost import CostBreakdown, CostModel
-from repro.core.incremental import TableScorer
 from repro.core.mapping import Deployment
 from repro.core.workflow import Workflow
 from repro.exceptions import DeploymentError
@@ -163,21 +161,16 @@ class SolutionSampler:
         Draws scored per :class:`~repro.core.batch.BatchEvaluator`
         kernel call (default 1024). The per-draw statistics, steps and
         results are bit-identical for every block size; the block only
-        sets the vectorisation width. ``block=1`` -- or a missing NumPy
-        -- uses the scalar per-draw path.
-    use_batch:
-        Disable the batch kernel entirely when False.
+        sets the vectorisation width.
     """
 
     def __init__(
         self,
         samples: int = PAPER_SAMPLE_COUNT,
         block: int = DEFAULT_SAMPLE_BLOCK,
-        use_batch: bool = True,
     ):
         self.samples = SearchBudget.validate_count("samples", samples)
         self.block = SearchBudget.validate_count("block", block)
-        self.use_batch = use_batch
 
     def run(
         self,
@@ -195,13 +188,11 @@ class SolutionSampler:
         Samples are scored a block at a time through the shared
         :class:`~repro.core.batch.BatchEvaluator` (one kernel call per
         :attr:`block` draws -- the 32 000-draw protocol's dominant
-        cost), with the per-draw
-        :class:`~repro.core.incremental.TableScorer` path as the
-        NumPy-free fallback. Genomes are drawn with exactly the rng
-        calls ``Deployment.random`` makes, keeping seeded runs
-        byte-identical to the full-evaluation protocol in every block
-        configuration; only the single best-objective sample is
-        materialised and evaluated in full at the end.
+        cost). Genomes are drawn with exactly the rng calls
+        ``Deployment.random`` makes, keeping seeded runs byte-identical
+        to the full-evaluation protocol in every block configuration;
+        only the single best-objective sample is materialised and
+        evaluated in full at the end.
 
         One draw is one runtime step, so *budget*, *cancel*, *clock*
         and *on_progress* behave exactly as for
@@ -209,17 +200,14 @@ class SolutionSampler:
         statistics then aggregate the draws actually made. (One caveat
         under a *binding* budget: blocks are drawn ahead of scoring, so
         the rng may sit up to one block further along its stream after
-        an early stop than the scalar path would leave it; statistics
-        and results still cover exactly the consumed draws.)
+        an early stop than ``block=1`` would leave it; statistics and
+        results still cover exactly the consumed draws.)
         """
         operations = workflow.operation_names
         servers = network.server_names
         if not servers:
             raise DeploymentError("network has no servers")
-        scorer = TableScorer(cost_model, operations)
-        batch = batch_evaluator_or_none(
-            cost_model.compiled, enabled=self.use_batch and self.block > 1
-        )
+        batch = cost_model.compiled.batch_evaluator()
         # per-dimension extrema live outside the generator so the
         # aggregates survive an early (budget/cancel) stop
         state = {
@@ -232,26 +220,19 @@ class SolutionSampler:
         def draws() -> Iterator[SearchStep]:
             remaining = self.samples
             while remaining > 0:
-                size = min(self.block, remaining) if batch else 1
+                size = min(self.block, remaining)
                 genomes = [
                     tuple(rng.choice(servers) for _ in operations)
                     for _ in range(size)
                 ]
-                if batch is not None:
-                    scores = batch.evaluate(batch.index_batch(genomes))
-                    scored = [
-                        (g, float(e), float(p), float(o))
-                        for g, e, p, o in zip(
-                            genomes,
-                            scores.execution,
-                            scores.penalty,
-                            scores.objective,
-                        )
-                    ]
-                else:
-                    scored = [(g, *scorer.components(g)) for g in genomes]
+                scores = batch.evaluate(batch.index_batch(genomes))
                 remaining -= size
-                for genome, execution, penalty, objective in scored:
+                for genome, execution, penalty, objective in zip(
+                    genomes,
+                    scores.execution.tolist(),
+                    scores.penalty.tolist(),
+                    scores.objective.tolist(),
+                ):
                     state["drawn"] += 1
                     state["best_execution"] = min(
                         state["best_execution"], execution

@@ -23,13 +23,14 @@ This package implements the formal model of section 2.2 of the paper:
   model, the move evaluators, the simulation engine and the fleet.
 * :mod:`repro.core.cost` -- the cost model of Table 1 (``Tproc``, ``Tcomm``,
   ``Load``, ``TimePenalty``, ``Texecute``) and the weighted objective.
-* :mod:`repro.core.incremental` -- the incremental move-evaluation engine
-  (:class:`MoveEvaluator`, :class:`TableScorer`) that prices search moves
-  in time proportional to the affected region.
+* :mod:`repro.core.incremental` -- the incremental move evaluator
+  (:class:`MoveEvaluator`) that prices search moves in time proportional
+  to the affected region.
 * :mod:`repro.core.batch` -- the vectorized batch evaluation kernel
   (``BatchEvaluator``) that scores a whole ``(K, M)`` array of candidate
-  deployments per NumPy call. Requires NumPy, so it is re-exported
-  lazily here: every other ``repro.core`` import works without it.
+  deployments per NumPy call. Import it from :mod:`repro.core.batch` (or
+  reach it through :meth:`CompiledInstance.batch_evaluator`); it is not
+  re-exported here, so importing ``repro.core`` does not load NumPy.
 * :mod:`repro.core.rng` -- the shared seed-coercion helper
   (:func:`coerce_rng`) behind every stochastic entry point.
 * :mod:`repro.core.constraints` -- the optional user-constraint set ``C``.
@@ -50,14 +51,10 @@ from repro.core.validation import (
 from repro.core.probability import execution_probabilities
 from repro.core.mapping import Deployment, FrozenDeployment
 from repro.core.migration import MigrationCostModel, TransitionObjective
-from repro.core.compiled import (
-    CompiledInstance,
-    batch_evaluator_or_none,
-    penalty_statistic,
-)
+from repro.core.compiled import CompiledInstance, penalty_statistic
 from repro.core.cost import CostModel, CostBreakdown
 from repro.core.rng import coerce_rng
-from repro.core.incremental import MoveEvaluator, MoveOutcome, TableScorer
+from repro.core.incremental import MoveEvaluator, MoveOutcome
 from repro.core.constraints import (
     Constraint,
     MaxExecutionTime,
@@ -66,25 +63,8 @@ from repro.core.constraints import (
     ConstraintSet,
 )
 
-def __getattr__(name):
-    """Lazy (PEP 562) re-export of the NumPy-only batch kernel.
-
-    ``repro.core.BatchEvaluator``/``BatchScores`` import
-    :mod:`repro.core.batch` on first access, so merely importing
-    ``repro.core`` never requires NumPy.
-    """
-    if name in ("BatchEvaluator", "BatchScores"):
-        from repro.core import batch
-
-        return getattr(batch, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "NodeKind",
-    "BatchEvaluator",
-    "BatchScores",
-    "batch_evaluator_or_none",
     "Operation",
     "Message",
     "Workflow",
@@ -104,7 +84,6 @@ __all__ = [
     "coerce_rng",
     "MoveEvaluator",
     "MoveOutcome",
-    "TableScorer",
     "Constraint",
     "MaxExecutionTime",
     "MaxServerLoad",

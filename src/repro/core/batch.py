@@ -40,11 +40,10 @@ by move. :meth:`MoveEvaluator.scan
 itself. :meth:`BatchScores.argbest` resolves ties like every existing
 consumer: the first row attaining the minimum wins.
 
-NumPy is required *here* but nowhere else: importing
-:mod:`repro.core.batch` without NumPy raises a ``RuntimeError`` naming
-``pip install numpy``, while every non-batch code path stays importable
-(consumers import this module lazily and fall back to their scalar
-implementations).
+NumPy is a required dependency. Consumers still import this module on
+first use (:meth:`CompiledInstance.batch_evaluator
+<repro.core.compiled.CompiledInstance.batch_evaluator>`), so a bare
+``import repro`` does not load NumPy.
 """
 
 from __future__ import annotations
@@ -52,14 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-try:
-    import numpy as np
-except ImportError as exc:  # pragma: no cover - numpy is a declared dep
-    raise RuntimeError(
-        "repro.core.batch requires NumPy for its vectorized kernel; "
-        "install it with `pip install numpy` (every non-batch code path "
-        "works without it)"
-    ) from exc
+import numpy as np
 
 from repro.core.compiled import (
     JOIN_MIN,

@@ -20,8 +20,7 @@ vector -- and every consumer borrows the same artifact:
 * :class:`~repro.core.cost.CostModel` is a thin façade whose
   ``evaluate``/``objective``/``loads``/``response_times`` run an
   array-index forward pass over the compiled form;
-* :class:`~repro.core.incremental.MoveEvaluator` and
-  :class:`~repro.core.incremental.TableScorer` keep only their running
+* :class:`~repro.core.incremental.MoveEvaluator` keeps only its running
   state and dirty-region logic;
 * :class:`~repro.simulation.engine.SimulationEngine` reads processing
   durations and message delays from the same tables;
@@ -53,7 +52,6 @@ from repro.network.topology import ServerNetwork
 __all__ = [
     "CompiledInstance",
     "PENALTY_MODES",
-    "batch_evaluator_or_none",
     "ordered_sum",
     "penalty_statistic",
     "JOIN_MAX",
@@ -90,8 +88,8 @@ def penalty_statistic(values: Sequence[float], mode: str) -> float:
     """The fairness statistic over per-server load *values*.
 
     The single implementation behind ``CostModel.time_penalty``, the
-    move evaluator's penalty refresh and the fleet-level
-    ``load_penalty`` -- see :data:`PENALTY_MODES` for the supported
+    move evaluator's penalty refresh and the fleet's snapshot and
+    rebalance penalty -- see :data:`PENALTY_MODES` for the supported
     *mode* strings (an unknown mode falls through to ``"std"``, which
     matches the historical behaviour of every former copy).
     """
@@ -118,23 +116,6 @@ def penalty_statistic(values: Sequence[float], mode: str) -> float:
         deviation = abs(value - mean)
         squares += deviation * deviation
     return math.sqrt(squares / count)
-
-
-def batch_evaluator_or_none(compiled, enabled: bool = True):
-    """The instance's shared batch evaluator, or ``None`` to go scalar.
-
-    The one fallback idiom every batch consumer shares: returns
-    ``compiled.batch_evaluator()`` when *compiled* is present, *enabled*
-    is true and NumPy imports; returns ``None`` -- meaning "use your
-    scalar path" -- otherwise. Keeps every non-batch code path working
-    without NumPy (see :mod:`repro.core.batch`).
-    """
-    if compiled is None or not enabled:
-        return None
-    try:
-        return compiled.batch_evaluator()
-    except RuntimeError:
-        return None
 
 
 class CompiledInstance:
@@ -504,7 +485,7 @@ class CompiledInstance:
         The contract is *link changes only*: the server set, their
         powers and the workflow must be unchanged (those invalidate the
         whole artifact -- recompile instead). Callers holding
-        ``MoveEvaluator``/``TableScorer`` running state over this
+        ``MoveEvaluator`` running state over this
         instance must rebuild (or ``resync``) them; the fleet's
         rebalancer constructs them per round, so it gets fresh delays
         automatically.
@@ -832,9 +813,8 @@ class CompiledInstance:
         Built lazily on first access and memoised on the artifact, so
         every batch consumer of this instance -- GA generations, sampler
         blocks, neighbourhood sweeps, fleet candidate sets -- shares one
-        set of dense delay matrices. Raises ``RuntimeError`` if NumPy is
-        unavailable (see :mod:`repro.core.batch`); callers that must
-        work without NumPy catch it and fall back to scalar pricing.
+        set of dense delay matrices. The kernel module is imported here,
+        on first use, so compiling an instance does not load NumPy.
         """
         evaluator = self._batch
         if evaluator is None:

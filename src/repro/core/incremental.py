@@ -20,22 +20,22 @@ evaluation that makes search over deployment spaces tractable at scale:
     whole single-move neighbourhood in one vectorised call, entry for
     entry the same floats as ``propose_value``.
 
-:class:`TableScorer`
-    Full-mapping scoring against the same tables, for algorithms that
-    evaluate complete candidate mappings (genetic genomes,
-    branch-and-bound leaves, the 32 000-sample quality protocol) --
-    no throwaway ``Deployment`` construction, no validation passes.
+Algorithms that price complete candidate mappings (genetic genomes,
+branch-and-bound leaves, the 32 000-sample quality protocol) call
+:meth:`CompiledInstance.components
+<repro.core.compiled.CompiledInstance.components>` or the batch kernel
+directly.
 
-Both borrow the cost model's
+The evaluator borrows the cost model's
 :class:`~repro.core.compiled.CompiledInstance` instead of building
 private tables: one compilation of the problem instance serves the cost
-model, every evaluator and scorer attached to it, the simulation engine
-and the fleet. Dirty-region orders are memoised *on the artifact*, so
+model, every evaluator attached to it, the simulation engine and the
+fleet. Dirty-region orders are memoised *on the artifact*, so
 concurrent searches over the same instance share them too.
 
-Both are guarded by an equivalence contract: for any reachable state,
-:attr:`MoveEvaluator.objective` and :meth:`TableScorer.objective` agree
-with :meth:`CostModel.evaluate` to 1e-9 (the property tests assert it).
+The evaluator is guarded by an equivalence contract: for any reachable
+state, :attr:`MoveEvaluator.objective` agrees with
+:meth:`CostModel.evaluate` to 1e-9 (the property tests assert it).
 The forward pass is bit-identical because every term is computed from
 the same operands in the same order; the evaluator's load values come
 from running-sum deltas, which can differ from a from-scratch sum by
@@ -47,14 +47,13 @@ equality with :meth:`MoveEvaluator.propose_value`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from repro.core.compiled import ordered_sum
 from repro.core.cost import CostBreakdown, CostModel
 from repro.core.mapping import Deployment
 from repro.exceptions import DeploymentError
 
-__all__ = ["MoveEvaluator", "MoveOutcome", "TableScorer"]
+__all__ = ["MoveEvaluator", "MoveOutcome"]
 
 #: Commits between full load-table resyncs (bounds floating-point drift
 #: of the running sums; the forward pass needs no resync -- it is exact).
@@ -565,76 +564,3 @@ class MoveEvaluator:
             self.commit()
         return outcome
 
-
-class TableScorer:
-    """Full-mapping objective scoring against the compiled tables.
-
-    For algorithms that price complete candidate mappings (genetic
-    genomes, branch-and-bound leaves, random samples): the same result
-    as ``cost_model.objective(Deployment(...))`` without constructing a
-    throwaway :class:`~repro.core.mapping.Deployment`, without the two
-    O(M) validation passes, and with every ``Tproc`` division and route
-    lookup amortised into the shared
-    :class:`~repro.core.compiled.CompiledInstance`.
-
-    Parameters
-    ----------
-    cost_model:
-        The cost model defining the objective.
-    operations:
-        Genome order: ``genome[i]`` is the server of ``operations[i]``.
-        Defaults to the workflow's operation order.
-    """
-
-    def __init__(
-        self,
-        cost_model: CostModel,
-        operations: Sequence[str] | None = None,
-    ):
-        self.cost_model = cost_model
-        self.compiled = cost_model.compiled
-        compiled = self.compiled
-        ops = (
-            tuple(operations)
-            if operations is not None
-            else compiled.op_names
-        )
-        if sorted(ops) != sorted(compiled.op_names):
-            raise DeploymentError(
-                "scorer operation order must cover exactly the workflow's "
-                "operations"
-            )
-        self.operations: tuple[str, ...] = ops
-        self._index = {name: i for i, name in enumerate(ops)}
-        # genome position of each compiled op index, so a genome converts
-        # to a server vector with one list comprehension
-        self._genome_pos: tuple[int, ...] = tuple(
-            self._index[name] for name in compiled.op_names
-        )
-        #: Number of genomes scored (diagnostics).
-        self.evaluations = 0
-
-    def components(
-        self, genome: Sequence[str]
-    ) -> tuple[float, float, float]:
-        """``(execution_time, time_penalty, objective)`` of *genome*."""
-        compiled = self.compiled
-        self.evaluations += 1
-        server_index = compiled.server_index
-        servers = [server_index[genome[pos]] for pos in self._genome_pos]
-        penalty = compiled.penalty(compiled.load_values(servers))
-        execution = compiled.execution_from(compiled.forward_pass(servers))
-        migration = compiled.migration_cost(servers)
-        return (
-            execution,
-            penalty,
-            compiled.objective_value(execution, penalty, migration),
-        )
-
-    def objective(self, genome: Sequence[str]) -> float:
-        """The scalar objective of *genome* (cheapest entry point)."""
-        return self.components(genome)[2]
-
-    def score_mapping(self, mapping: Mapping[str, str]) -> float:
-        """The scalar objective of a complete ``{op: server}`` dict."""
-        return self.objective([mapping[name] for name in self.operations])

@@ -341,8 +341,8 @@ class ExperimentRunner:
         When > 0, each instance additionally gets a
         :data:`RANDOM_BASELINE` record: the best of this many uniform
         random mappings, scored in blocks through the shared batch
-        kernel (the scalar path when NumPy is missing). The paper's
-        "best sampled solution" reference as a figure series.
+        kernel. The paper's "best sampled solution" reference as a
+        figure series.
     workers:
         When > 1, repetitions are fanned out across that many worker
         processes (algorithm instances must then be picklable). Results

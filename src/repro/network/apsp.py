@@ -31,14 +31,13 @@ targeted run (which merely breaks early at the target's pop) would
 return -- so batching changes *which* queries run, never their answers.
 
 **Dense fast path.** Geo-region factories build *complete* graphs where
-almost every shortest route is the direct link. When NumPy is available
-(gated exactly like :mod:`repro.core.batch`: optional import, silent
-fallback to the pure-Python passes) the per-source *direct-dominance*
-check ``W[i, j] <= min_k(W[i, k] + W[k, j])`` -- evaluated in the same
-float64 arithmetic Dijkstra's relaxations would use -- proves for a
-whole row at once that Dijkstra would keep every direct single-link
-path: the source relaxes all neighbours first, and no later relaxation
-``dist[v] + W[v, u]`` can *strictly* undercut the direct ``W[i, u]``.
+almost every shortest route is the direct link. There the per-source
+*direct-dominance* check ``W[i, j] <= min_k(W[i, k] + W[k, j])`` --
+evaluated in NumPy, in the same float64 arithmetic Dijkstra's
+relaxations would use -- proves for a whole row at once that Dijkstra
+would keep every direct single-link path: the source relaxes all
+neighbours first, and no later relaxation ``dist[v] + W[v, u]`` can
+*strictly* undercut the direct ``W[i, u]``.
 Rows that pass (for a given weight) skip their Dijkstra run entirely
 and fill direct routes whose coefficients are single-link reads -- no
 sums, hence trivially byte-exact. Rows that fail fall back to the
@@ -66,15 +65,6 @@ __all__ = [
 #: Weight selectors of the two classification passes.
 WEIGHT_PROPAGATION = 0
 WEIGHT_TRANSFER = 1
-
-
-def _numpy_or_none():
-    """NumPy when importable, else ``None`` (same gate as repro.core.batch)."""
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is a declared dep
-        return None
-    return numpy
 
 
 @dataclass(frozen=True)
@@ -385,16 +375,16 @@ class _DenseDominance:
 def dense_dominance(graph: CompiledGraph) -> "_DenseDominance | None":
     """The dense fast-path certificate, or ``None`` when unavailable.
 
-    Requires NumPy *and* a complete graph (the geo-factory shape); any
-    other topology -- or a NumPy-less interpreter -- routes every source
-    through the ordinary passes. The certificate is per ``(source,
+    Requires a complete graph (the geo-factory shape); any other
+    topology routes every source through the ordinary passes. NumPy is
+    imported here, on first use, so importing the router does not load
+    it. The certificate is per ``(source,
     weight)``: mixed graphs run Dijkstra only for the rows that need it.
     """
     if not graph.is_complete() or len(graph) < 3:
         return None
-    np = _numpy_or_none()
-    if np is None:
-        return None
+    import numpy as np
+
     return _DenseDominance(graph, np)
 
 

@@ -35,7 +35,7 @@ complete graph) instead of ``S * (S - 1)`` targeted pair builds.
 The router is the *single owner of path selection*: every route-delay
 consumer -- :class:`~repro.core.compiled.CompiledInstance`'s lazy
 route table (and through it ``CostModel``/``MoveEvaluator``/
-``TableScorer``/``BatchEvaluator``), the simulator, the fleet -- reads
+``BatchEvaluator``), the simulator, the fleet -- reads
 paths and affine coefficients from here, over arbitrary weighted graphs
 with heterogeneous per-link speeds and propagation delays. Nothing
 downstream assumes a uniform bus or a line; those are just the easy

@@ -139,7 +139,6 @@ def _ga_parameters(
         "mutation_rate": algorithm.mutation_rate,
         "tournament": algorithm.tournament,
         "seed_with_heuristics": algorithm.seed_with_heuristics,
-        "use_batch": algorithm.use_batch,
     }
     return params, algorithm.generations
 

@@ -458,13 +458,5 @@ def run_pricing_task(task: PricingTask) -> list[float]:
     _, _, model = materialize(task.payload)
     compiled = model.compiled
     rows = [list(row) for row in task.rows]
-    try:
-        executions = compiled.batch_evaluator().execution(rows)
-        return [float(value) for value in executions]
-    except RuntimeError:
-        # NumPy-free worker: the scalar forward pass produces the
-        # identical floats, one row at a time
-        return [
-            compiled.components(row)[0]
-            for row in rows
-        ]
+    executions = compiled.batch_evaluator().execution(rows)
+    return [float(value) for value in executions]

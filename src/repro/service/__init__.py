@@ -68,11 +68,9 @@ from repro.service.sharding import ShardRouter, shard_for
 from repro.service.state import (
     FleetSnapshot,
     FleetState,
-    InstrumentedRouter,
     TenantDeployment,
     TenantPrice,
     jain_index,
-    load_penalty,
 )
 
 __all__ = [
@@ -89,7 +87,6 @@ __all__ = [
     "FleetService",
     "FleetSnapshot",
     "FleetState",
-    "InstrumentedRouter",
     "Job",
     "LogRecord",
     "PREEMPT_PRIORITY",
@@ -108,7 +105,6 @@ __all__ = [
     "format_detail",
     "jain_index",
     "load_checkpoint",
-    "load_penalty",
     "make_server",
     "replay",
     "restore_controller",

@@ -287,7 +287,6 @@ def config_to_dict(config: FleetConfig) -> dict[str, Any]:
         "penalty_weight": config.penalty_weight,
         "penalty_mode": config.penalty_mode,
         "seed": config.seed,
-        "use_batch": config.use_batch,
         "parallel_workers": config.parallel_workers,
         "migration": migration_to_dict(config.migration),
         "migration_weight": config.migration_weight,
@@ -301,7 +300,8 @@ def config_from_dict(document: Mapping[str, Any]) -> FleetConfig:
 
     The transition-aware fields decode with their defaults when absent,
     so version-1 checkpoints written before the migration model existed
-    keep loading.
+    keep loading. Keys it does not read -- such as options removed
+    since an older checkpoint was written -- are ignored.
     """
     return FleetConfig(
         algorithm=str(_require(document, "algorithm", "fleet config")),
@@ -321,7 +321,6 @@ def config_from_dict(document: Mapping[str, Any]) -> FleetConfig:
         ),
         penalty_mode=str(_require(document, "penalty_mode", "fleet config")),
         seed=int(_require(document, "seed", "fleet config")),
-        use_batch=bool(document.get("use_batch", True)),
         parallel_workers=int(document.get("parallel_workers", 1)),
         migration=migration_from_dict(document.get("migration")),
         migration_weight=float(document.get("migration_weight", 0.0)),

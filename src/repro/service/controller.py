@@ -64,9 +64,8 @@ from repro.algorithms.runtime import (
     SearchStep,
 )
 from repro.core.clock import StepClock
-from repro.core.compiled import CompiledInstance
+from repro.core.compiled import CompiledInstance, penalty_statistic
 from repro.core.cost import PENALTY_MODES
-from repro.core.incremental import MoveEvaluator
 from repro.core.migration import MigrationCostModel
 from repro.core.rng import coerce_rng
 from repro.exceptions import ServiceError
@@ -90,7 +89,6 @@ from repro.service.state import (
     ROUTE_INVALIDATION_MODES,
     FleetSnapshot,
     FleetState,
-    load_penalty,
 )
 
 # StepClock lives in repro.core.clock now (the search runtime needs it
@@ -129,15 +127,6 @@ class FleetConfig:
     seed:
         Seed of the controller's private RNG (handed to placement
         algorithms that need random initial mappings).
-    use_batch:
-        Price rebalance / join candidates' execution times through each
-        tenant's shared :class:`~repro.core.batch.BatchEvaluator` (one
-        kernel call per tenant per round); off, one
-        :class:`~repro.core.incremental.MoveEvaluator` proposal per
-        candidate. Both feed the same vectorised selection, so decisions,
-        logs and the evaluation counter are byte-identical either way
-        (only the cache hit/miss counters in the metrics differ, because
-        the two paths touch the caches differently).
     parallel_workers:
         Opt-in: when > 1, each rebalance round's per-tenant candidate
         pricing fans out across this many worker processes (one
@@ -146,7 +135,7 @@ class FleetConfig:
         :meth:`FleetController.close` when done). The workers run the
         same batch kernel, so the priced floats -- and therefore the
         applied moves and the decision log -- are byte-identical to the
-        serial path. Requires ``use_batch``.
+        serial path.
     migration:
         Optional :class:`~repro.core.migration.MigrationCostModel`
         pricing what an applied move *costs* (checkpoint transfer over
@@ -197,7 +186,6 @@ class FleetConfig:
     penalty_weight: float = 0.5
     penalty_mode: str = "mad"
     seed: int = 0
-    use_batch: bool = True
     parallel_workers: int = 1
     migration: MigrationCostModel | None = None
     migration_weight: float = 0.0
@@ -223,11 +211,6 @@ class FleetConfig:
             raise ServiceError("max_moves_per_rebalance must be >= 0")
         if self.parallel_workers < 1:
             raise ServiceError("parallel_workers must be >= 1")
-        if self.parallel_workers > 1 and not self.use_batch:
-            raise ServiceError(
-                "parallel_workers requires use_batch (workers price "
-                "through the batch kernel)"
-            )
         if not (
             math.isfinite(self.migration_weight)
             and self.migration_weight >= 0.0
@@ -842,20 +825,13 @@ class FleetController:
 
         Every round scores its whole candidate set -- each eligible
         ``(tenant, operation)`` pair moved to each destination -- as one
-        array program (:meth:`_scan`); the pricing paths only supply
-        the candidates' tenant execution times:
-
-        * by default one :meth:`BatchEvaluator.execution
-          <repro.core.batch.BatchEvaluator.execution>` call per tenant
-          over that tenant's rows;
-        * with :attr:`FleetConfig.parallel_workers` > 1 the same kernel
-          call per tenant, fanned across the worker pool;
-        * with :attr:`FleetConfig.use_batch` off, one dirty-region
-          :class:`~repro.core.incremental.MoveEvaluator` proposal per
-          candidate (evaluators are built only on this path).
-
-        All three produce the identical floats, so the applied moves
-        and logs are byte-identical. The standing per-tenant prices the
+        array program (:meth:`_scan`); the candidates' tenant execution
+        times come from one :meth:`BatchEvaluator.execution
+        <repro.core.batch.BatchEvaluator.execution>` call per tenant
+        over that tenant's rows (:meth:`_price_batched`), fanned across
+        the worker pool when :attr:`FleetConfig.parallel_workers` > 1.
+        Both produce the identical floats, so the applied moves and
+        logs are byte-identical. The standing per-tenant prices the
         scan starts from come from :meth:`FleetState.price
         <repro.service.state.FleetState.price>`.
 
@@ -877,7 +853,6 @@ class FleetController:
             for tenant in state.tenants
         }
         loads = np.array(list(state.combined_loads().values()))
-        evaluators: dict[str, MoveEvaluator] = {}
         migration_model = self.config.migration
         aware = self._transition_aware
         # min_gain == 0 keeps the historical strict-improvement epsilon
@@ -905,25 +880,10 @@ class FleetController:
                 migration_model.state_bits(compiled.cycles[op]),
             )
 
-        def propose(cands: list[tuple[str, str, str, str]]) -> list[float]:
-            """Scalar pricing: one dirty-region proposal per candidate."""
-            priced = []
-            for tenant, operation, _source, target in cands:
-                evaluator = evaluators.get(tenant)
-                if evaluator is None:
-                    evaluator = evaluators[tenant] = MoveEvaluator(
-                        state.cost_model(tenant),
-                        state.tenant(tenant).deployment,
-                    )
-                priced.append(
-                    evaluator.propose(operation, target).execution_time
-                )
-            return priced
-
         self.evaluations += 1
         current = state.objective_value(
             max(exec_times.values(), default=0.0),
-            load_penalty(loads.tolist(), state.penalty_mode),
+            penalty_statistic(loads.tolist(), state.penalty_mode),
         )
         before = current
         migration_total = 0.0
@@ -951,10 +911,7 @@ class FleetController:
                     tenant: state.cost_model(tenant).compiled
                     for tenant in dict.fromkeys(cand[0] for cand in cands)
                 }
-                if self.config.use_batch:
-                    priced = self._price_batched(cands, compiled)
-                else:
-                    priced = np.array(propose(cands))
+                priced = self._price_batched(cands, compiled)
                 costs = (
                     np.array([move_cost(*cand) for cand in cands])
                     if aware
@@ -979,12 +936,7 @@ class FleetController:
                     # weight 0: the move was chosen blind, but its cost
                     # is still billed (benchmarks charge naive churn)
                     cost = move_cost(tenant, operation, source, target)
-                evaluator = evaluators.get(tenant)
-                if evaluator is not None:
-                    # apply() assigns into the live deployment too
-                    evaluator.apply(operation, target)
-                else:
-                    state.tenant(tenant).deployment.assign(operation, target)
+                state.tenant(tenant).deployment.assign(operation, target)
                 exec_times[tenant] = float(priced[row])
                 # the standing objective never carries the one-time
                 # migration term -- hysteresis compares future nets

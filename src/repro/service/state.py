@@ -11,7 +11,7 @@ picture:
   joins and rebuilt (via the failover machinery) by failures;
 * one :class:`~repro.core.mapping.Deployment` per tenant, so operation
   names never collide across tenants;
-* a shared :class:`InstrumentedRouter` and a per-tenant
+* a shared :class:`~repro.network.routing.Router` and a per-tenant
   :class:`~repro.core.cost.CostModel` cache, both invalidated together
   whenever the topology changes -- the "shared cost-evaluation cache
   across tenants" that makes a 200-event replay cheap. Each cached cost
@@ -47,12 +47,10 @@ from repro.network.topology import Link, Server, ServerNetwork
 
 __all__ = [
     "ROUTE_INVALIDATION_MODES",
-    "InstrumentedRouter",
     "TenantDeployment",
     "TenantPrice",
     "FleetSnapshot",
     "FleetState",
-    "load_penalty",
     "jain_index",
 ]
 
@@ -64,19 +62,6 @@ __all__ = [
 #: demand (the pre-1.9 behaviour). Decisions and logs are identical
 #: across all three.
 ROUTE_INVALIDATION_MODES = ("scoped", "eager", "lazy")
-
-
-class InstrumentedRouter(Router):
-    """A :class:`~repro.network.routing.Router` exposing cache counters.
-
-    The fleet shares one router across every tenant's cost model, so the
-    hit rate directly measures how much cross-tenant reuse the shared
-    cache buys -- one of the headline fleet metrics. The base router now
-    keys its cache per server *pair* (not per ``(pair, size)`` triple)
-    and counts hits/misses itself, so this subclass only survives as the
-    fleet-facing name; heterogeneous message sizes between the same pair
-    of servers are cache hits instead of guaranteed misses.
-    """
 
 
 @dataclass(frozen=True)
@@ -134,16 +119,6 @@ class FleetSnapshot:
     loads: Mapping[str, float]
     balance_index: float
     tenants: int
-
-
-def load_penalty(values: list[float], mode: str) -> float:
-    """The :data:`~repro.core.cost.PENALTY_MODES` statistic over *values*.
-
-    A fleet-facing alias of
-    :func:`repro.core.compiled.penalty_statistic` (formerly a third
-    private copy of the formula).
-    """
-    return penalty_statistic(values, mode)
 
 
 def jain_index(loads: Mapping[str, float]) -> float:
@@ -216,7 +191,7 @@ class FleetState:
             penalty_weight=penalty_weight,
             penalty_mode=penalty_mode,
         )
-        self._router = InstrumentedRouter(network)
+        self._router = Router(network)
         self._tenants: dict[str, TenantDeployment] = {}
         self._cost_models: dict[str, CostModel] = {}
         # tenant -> (cost model, epoch, server vector, price): the key
@@ -245,7 +220,7 @@ class FleetState:
         return self._network
 
     @property
-    def router(self) -> InstrumentedRouter:
+    def router(self) -> Router:
         """The shared router (replaced, counters preserved, on failure)."""
         return self._router
 
@@ -446,7 +421,7 @@ class FleetState:
         self.epoch += 1
         self._cost_models.clear()
         self._compile_routes = True
-        router = InstrumentedRouter(self._network)
+        router = Router(self._network)
         router.hits = self._router.hits
         router.misses = self._router.misses
         router.dijkstra_runs = self._router.dijkstra_runs
@@ -591,7 +566,7 @@ class FleetState:
         execution = max(
             (price.execution_time for price in prices), default=0.0
         )
-        penalty = load_penalty(list(loads.values()), self.penalty_mode)
+        penalty = penalty_statistic(list(loads.values()), self.penalty_mode)
         return FleetSnapshot(
             execution_time=execution,
             time_penalty=penalty,

@@ -4,7 +4,7 @@ The parity property suite (``tests/properties/test_property_batch``)
 pins the kernel's numerics against the scalar compiled path over random
 instances; these tests cover the API surface and the degenerate batch
 shapes the issue calls out -- ``K=0``, ``K=1``, duplicate rows, the
-all-ops-on-one-server antagonism row -- plus the NumPy import guard and
+all-ops-on-one-server antagonism row -- plus the lazy kernel import and
 the shared-artifact memoisation.
 """
 
@@ -14,11 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BatchEvaluator, BatchScores, penalty_rows
-from repro.core.compiled import (
-    CompiledInstance,
-    batch_evaluator_or_none,
-    penalty_statistic,
-)
+from repro.core.compiled import CompiledInstance, penalty_statistic
 from repro.core.workflow import Operation, Workflow
 from repro.exceptions import DeploymentError
 from repro.network.topology import Link, bus_network
@@ -213,13 +209,6 @@ class TestSharing:
     def test_batch_evaluator_is_memoised(self, compiled):
         assert compiled.batch_evaluator() is compiled.batch_evaluator()
 
-    def test_helper_returns_shared_instance(self, compiled):
-        assert batch_evaluator_or_none(compiled) is compiled.batch_evaluator()
-
-    def test_helper_respects_enabled_flag_and_none(self, compiled):
-        assert batch_evaluator_or_none(compiled, enabled=False) is None
-        assert batch_evaluator_or_none(None) is None
-
     def test_delay_matrices_shared_per_size(self):
         workflow = random_graph_workflow(8, GraphStructure.BUSHY, seed=2)
         network = bus_network((2e9, 3e9), speed_bps=1e8)
@@ -242,41 +231,6 @@ class TestImportGuard:
             "import repro.algorithms\n"
             "import repro.service.controller\n"
             "assert 'repro.core.batch' not in sys.modules\n"
-        )
-        subprocess.run(
-            [sys.executable, "-c", code], check=True, capture_output=True
-        )
-
-    def test_missing_numpy_raises_clear_runtime_error(self):
-        import subprocess
-        import sys
-
-        # simulate a numpy-less interpreter: poison the import, reload
-        code = (
-            "import sys\n"
-            "sys.modules['numpy'] = None\n"
-            "import importlib.util\n"
-            "class Block:\n"
-            "    def find_spec(self, name, *args):\n"
-            "        if name == 'numpy':\n"
-            "            raise ImportError('blocked')\n"
-            "        return None\n"
-            "sys.meta_path.insert(0, Block())\n"
-            "del sys.modules['numpy']\n"
-            "try:\n"
-            "    import repro.core.batch\n"
-            "except RuntimeError as exc:\n"
-            "    assert 'pip install numpy' in str(exc), exc\n"
-            "else:\n"
-            "    raise SystemExit('RuntimeError not raised')\n"
-            "from repro.core.compiled import batch_evaluator_or_none\n"
-            "from repro.core.cost import CostModel\n"
-            "from repro.network.topology import bus_network\n"
-            "from repro.workloads.generator import line_workflow\n"
-            "wf = line_workflow(3, seed=1)\n"
-            "net = bus_network((2e9, 3e9), speed_bps=1e8)\n"
-            "model = CostModel(wf, net)\n"
-            "assert batch_evaluator_or_none(model.compiled) is None\n"
         )
         subprocess.run(
             [sys.executable, "-c", code], check=True, capture_output=True

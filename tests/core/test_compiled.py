@@ -25,7 +25,7 @@ from repro.core.compiled import (
     penalty_statistic,
 )
 from repro.core.cost import CostModel
-from repro.core.incremental import MoveEvaluator, TableScorer
+from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
 from repro.core.workflow import Message, NodeKind, Operation, Workflow
 from repro.exceptions import DeploymentError, UnknownServerError
@@ -202,9 +202,8 @@ class TestSharing:
             workflow, network, random.Random(0)
         )
         evaluator = MoveEvaluator(model, deployment)
-        scorer = TableScorer(model)
         assert evaluator.compiled is model.compiled
-        assert scorer.compiled is model.compiled
+        assert model.compiled.batch_evaluator().compiled is model.compiled
 
     def test_simulation_engine_accepts_a_shared_artifact(self, instance):
         workflow, network, compiled = instance
@@ -267,13 +266,10 @@ class TestSharing:
             workflow, network, random.Random(2)
         )
         evaluator = MoveEvaluator(model, deployment)
-        scorer = TableScorer(model)
-        genome = [
-            deployment.server_of(name) for name in scorer.operations
-        ]
+        servers = compiled.server_vector(deployment)
         breakdown = model.evaluate(deployment)
         assert evaluator.objective == breakdown.objective
-        assert scorer.objective(genome) == breakdown.objective
+        assert compiled.components(servers)[2] == breakdown.objective
 
 
 class TestLeftToRightSums:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import incremental
 from repro.core.cost import PENALTY_MODES, CostModel
-from repro.core.incremental import MoveEvaluator, TableScorer
+from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
 from repro.core.migration import MigrationCostModel, TransitionObjective
 from repro.exceptions import DeploymentError
@@ -208,49 +208,41 @@ class TestScan:
 
 
 class TestTableScorer:
+    """Full-mapping pricing through ``CompiledInstance.components``.
+
+    The role the removed ``TableScorer`` played for genomes, leaves and
+    samples: one server-index vector in, the cost model's floats out.
+    """
+
     def test_components_match_cost_model(self):
         workflow, network, model, deployment = make_instance(seed=23)
-        scorer = TableScorer(model)
-        genome = tuple(
-            deployment.server_of(name) for name in scorer.operations
+        compiled = model.compiled
+        execution, penalty, objective = compiled.components(
+            compiled.server_vector(deployment)
         )
-        execution, penalty, objective = scorer.components(genome)
         full = model.evaluate(deployment)
         assert execution == pytest.approx(full.execution_time, abs=TOLERANCE)
         assert penalty == pytest.approx(full.time_penalty, abs=TOLERANCE)
         assert objective == pytest.approx(full.objective, abs=TOLERANCE)
-        assert scorer.evaluations == 1
-
-    def test_custom_operation_order(self):
-        workflow, network, model, deployment = make_instance(seed=31)
-        order = tuple(reversed(workflow.operation_names))
-        scorer = TableScorer(model, order)
-        genome = tuple(deployment.server_of(name) for name in order)
-        assert scorer.objective(genome) == pytest.approx(
-            model.objective(deployment), abs=TOLERANCE
-        )
 
     def test_score_mapping(self):
         _, _, model, deployment = make_instance(seed=41)
-        scorer = TableScorer(model)
-        assert scorer.score_mapping(deployment.as_dict()) == pytest.approx(
+        compiled = model.compiled
+        mapping = deployment.as_dict()
+        servers = [
+            compiled.server_index[mapping[name]] for name in compiled.op_names
+        ]
+        assert compiled.components(servers)[2] == pytest.approx(
             model.objective(deployment), abs=TOLERANCE
         )
-
-    def test_incomplete_operation_order_rejected(self):
-        workflow, _, model, _ = make_instance()
-        with pytest.raises(DeploymentError):
-            TableScorer(model, workflow.operation_names[:-1])
 
     def test_line_workflow(self):
         workflow = line_workflow(6, seed=3)
         network = random_bus_network(3, seed=4)
         model = CostModel(workflow, network)
         deployment = Deployment.random(workflow, network, random.Random(5))
-        scorer = TableScorer(model)
-        genome = tuple(
-            deployment.server_of(name) for name in scorer.operations
-        )
-        assert scorer.objective(genome) == pytest.approx(
+        compiled = model.compiled
+        objective = compiled.components(compiled.server_vector(deployment))[2]
+        assert objective == pytest.approx(
             model.objective(deployment), abs=TOLERANCE
         )

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.compiled import CompiledInstance
 from repro.core.cost import CostBreakdown, CostModel
-from repro.core.incremental import MoveEvaluator, TableScorer
+from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
 from repro.core.migration import (
     PENALTY_MODES,
@@ -224,12 +224,16 @@ class TestEvaluatorsCarryMigration:
     def test_table_scorer_matches_evaluate(
         self, line3, bus3, aware_objective
     ):
+        # full-mapping pricing (the removed TableScorer's role) carries
+        # the migration term exactly like the cost model
         model = CostModel(line3, bus3, objective=aware_objective)
-        scorer = TableScorer(model)
+        compiled = model.compiled
         genome = ["S1", "S2", "S3"]
-        execution, penalty, objective = scorer.components(genome)
+        execution, penalty, objective = compiled.components(
+            [compiled.server_index[name] for name in genome]
+        )
         reference = model.evaluate(
-            Deployment(dict(zip(scorer.operations, genome)))
+            Deployment(dict(zip(compiled.op_names, genome)))
         )
         assert execution == reference.execution_time
         assert penalty == reference.time_penalty

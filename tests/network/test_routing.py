@@ -106,6 +106,11 @@ class TestCaching:
         assert (router.hits, router.misses) == (1, 1)
         assert router.cache_size() > 0
 
+    def test_colocated_queries_bypass_the_cache(self, bus3):
+        router = Router(bus3)
+        assert router.transmission_time("S1", "S1", 1000) == 0.0
+        assert (router.hits, router.misses) == (0, 0)
+
     def test_distinct_sizes_hit_the_route_cache(self, bus3):
         # the route is size-independent, so heterogeneous message sizes
         # must reuse the cached pair instead of growing a float-keyed cache

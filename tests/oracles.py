@@ -2,9 +2,68 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+
+from repro.core.batch import BatchScores
+from repro.core.compiled import CompiledInstance
 from repro.core.cost import CostModel
 from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
+
+
+class ScalarBatchEvaluator:
+    """The batch kernel's interface, priced one row at a time.
+
+    A stand-in for :class:`~repro.core.batch.BatchEvaluator` whose
+    :meth:`index_batch`, :meth:`evaluate` and :meth:`execution` loop
+    over :meth:`~repro.core.compiled.CompiledInstance.components`.
+    Installed by :func:`scalar_batch_pricing`, it moves the genetic
+    algorithm, the sampler and the fleet rebalancer onto scalar
+    pricing, so a test can check that the kernel does not change a
+    single decision.
+    """
+
+    def __init__(self, compiled: CompiledInstance):
+        self.compiled = compiled
+        #: Rows priced so far, so a test can tell the oracle was used.
+        self.rows = 0
+
+    def index_batch(self, genomes) -> list[list[int]]:
+        server_index = self.compiled.server_index
+        return [[server_index[name] for name in genome] for genome in genomes]
+
+    def evaluate(self, batch) -> BatchScores:
+        self.rows += len(batch)
+        scored = [
+            self.compiled.components([int(server) for server in row])
+            for row in batch
+        ]
+        # one (execution, penalty, objective) column each
+        return BatchScores(*np.array(scored, dtype=float).reshape(-1, 3).T)
+
+    def execution(self, batch) -> np.ndarray:
+        return self.evaluate(batch).execution
+
+
+@contextmanager
+def scalar_batch_pricing():
+    """Serve ``CompiledInstance.batch_evaluator()`` from the scalar oracle.
+
+    Yields the list of :class:`ScalarBatchEvaluator` instances handed
+    out inside the block.
+    """
+    issued: list[ScalarBatchEvaluator] = []
+
+    def batch_evaluator(compiled):
+        evaluator = ScalarBatchEvaluator(compiled)
+        issued.append(evaluator)
+        return evaluator
+
+    with mock.patch.object(CompiledInstance, "batch_evaluator", batch_evaluator):
+        yield issued
 
 
 def per_move_hill_climbing(

@@ -71,9 +71,13 @@ class TestFleetParallelPricing:
         for a, b in zip(serial, parallel):
             assert a == b
 
-    def test_parallel_workers_require_batch_kernel(self):
-        from repro.exceptions import ServiceError
+    def test_removed_use_batch_keywords_are_rejected(self):
+        # one batch pricing path remains; the scalar-fallback switch is
+        # gone from all three constructors that used to take it
+        from repro.algorithms.genetic import GeneticAlgorithm
+        from repro.algorithms.sampling import SolutionSampler
         from repro.service.controller import FleetConfig
 
-        with pytest.raises(ServiceError):
-            FleetConfig(use_batch=False, parallel_workers=2)
+        for factory in (GeneticAlgorithm, SolutionSampler, FleetConfig):
+            with pytest.raises(TypeError):
+                factory(use_batch=False)

@@ -11,7 +11,8 @@ The determinism contract of the vectorized
   penalty mode and every graph structure;
 * seeded GA / sampler runs through the batch path must return
   deployments with identical objective values, and identical RNG
-  streams, as their scalar counterparts; seeded hill climbing (one
+  streams, as the same runs priced row by row through
+  :class:`tests.oracles.ScalarBatchEvaluator`; seeded hill climbing (one
   :meth:`MoveEvaluator.scan` per round) must retrace the per-move
   ``propose_value`` climb exactly.
 """
@@ -34,7 +35,7 @@ from repro.workloads.generator import (
     random_bus_network,
     random_graph_workflow,
 )
-from tests.oracles import per_move_hill_climbing
+from tests.oracles import per_move_hill_climbing, scalar_batch_pricing
 
 TOLERANCE = 1e-9
 
@@ -122,15 +123,17 @@ def test_seeded_genetic_identical_through_batch(size, servers, seed, structure):
     workflow = make_workflow(size, seed, structure)
     network = random_bus_network(servers, seed=seed + 1)
     model = CostModel(workflow, network)
-    kwargs = dict(population_size=8, generations=4)
+    algorithm = GeneticAlgorithm(population_size=8, generations=4)
     rng_batch = random.Random(seed)
     rng_scalar = random.Random(seed)
-    batched = GeneticAlgorithm(use_batch=True, **kwargs).deploy(
+    batched = algorithm.deploy(
         workflow, network, cost_model=model, rng=rng_batch
     )
-    scalar = GeneticAlgorithm(use_batch=False, **kwargs).deploy(
-        workflow, network, cost_model=model, rng=rng_scalar
-    )
+    with scalar_batch_pricing() as oracles:
+        scalar = algorithm.deploy(
+            workflow, network, cost_model=model, rng=rng_scalar
+        )
+    assert sum(oracle.rows for oracle in oracles) > 0
     assert batched.as_dict() == scalar.as_dict()
     assert model.objective(batched) == model.objective(scalar)
     # identical RNG streams: both paths consumed exactly the same draws
@@ -148,9 +151,11 @@ def test_seeded_sampler_identical_through_batch(size, servers, seed, structure):
     batched = SolutionSampler(samples=50, block=16).run(
         workflow, network, model, rng_batch
     )
-    scalar = SolutionSampler(samples=50, use_batch=False).run(
-        workflow, network, model, rng_scalar
-    )
+    with scalar_batch_pricing() as oracles:
+        scalar = SolutionSampler(samples=50, block=1).run(
+            workflow, network, model, rng_scalar
+        )
+    assert sum(oracle.rows for oracle in oracles) == 50
     assert batched.samples == scalar.samples
     assert batched.best_execution_time == scalar.best_execution_time
     assert batched.best_time_penalty == scalar.best_time_penalty

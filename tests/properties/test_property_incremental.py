@@ -4,7 +4,8 @@ Two guarantees are exercised here:
 
 * **equivalence** -- over random instances (line and graph structure,
   XOR probabilities, every fairness statistic) and random move
-  sequences, :class:`MoveEvaluator` and :class:`TableScorer` agree with
+  sequences, :class:`MoveEvaluator` and full-mapping
+  ``CompiledInstance.components`` pricing agree with
   ``CostModel.evaluate`` to within ``1e-9``;
 * **regression** -- the seeded local-search algorithms return the exact
   same deployment whether they price moves incrementally or with the
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.local_search import HillClimbing, SimulatedAnnealing
 from repro.core.cost import PENALTY_MODES, CostModel
-from repro.core.incremental import MoveEvaluator, TableScorer
+from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
 from repro.core.migration import MigrationCostModel, TransitionObjective
 from repro.workloads.generator import (
@@ -108,15 +109,18 @@ def test_move_evaluator_tracks_cost_model(size, servers, seed, structure, mode):
 )
 @settings(max_examples=60, deadline=None)
 def test_table_scorer_tracks_cost_model(size, servers, seed, structure, mode):
+    # full-mapping pricing, the role of the removed TableScorer
     workflow, network, model, _ = instance(size, servers, seed, structure, mode)
-    scorer = TableScorer(model)
+    compiled = model.compiled
     rng = random.Random(seed + 3)
     servers_list = network.server_names
     for _ in range(5):
-        genome = tuple(rng.choice(servers_list) for _ in scorer.operations)
-        execution, penalty, objective = scorer.components(genome)
+        genome = tuple(rng.choice(servers_list) for _ in compiled.op_names)
+        execution, penalty, objective = compiled.components(
+            [compiled.server_index[name] for name in genome]
+        )
         full = model.evaluate(
-            Deployment(dict(zip(scorer.operations, genome)))
+            Deployment(dict(zip(compiled.op_names, genome)))
         )
         assert abs(execution - full.execution_time) <= TOLERANCE
         assert abs(penalty - full.time_penalty) <= TOLERANCE

@@ -10,9 +10,8 @@ scalar -- every ``evaluate``/``objective`` float and every vectorized
 batch row compares with ``==``, not a tolerance, because the migration
 term is gated out before any floating-point operation happens.
 
-**Four-way exact parity (weight > 0).** When the objective *is*
+**Exact parity (weight > 0).** When the objective *is*
 transition-aware, :class:`~repro.core.cost.CostModel`,
-:class:`~repro.core.incremental.TableScorer`,
 :class:`~repro.core.batch.BatchEvaluator` and
 :meth:`~repro.core.compiled.CompiledInstance.components` must agree
 exactly on every component including the migration term;
@@ -29,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.batch import BatchEvaluator
 from repro.core.cost import PENALTY_MODES, CostModel
-from repro.core.incremental import MoveEvaluator, TableScorer
+from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
 from repro.core.migration import MigrationCostModel, TransitionObjective
 from repro.workloads.generator import (
@@ -120,7 +119,6 @@ def test_transition_aware_four_way_parity(size, servers, seed, mode):
     model = CostModel(workflow, network, objective=spec)
     compiled = model.compiled
     assert compiled.transition_aware
-    scorer = TableScorer(model)
     index = compiled.server_index
 
     # the baseline placement never pays a migration cost
@@ -149,9 +147,6 @@ def test_transition_aware_four_way_parity(size, servers, seed, mode):
         assert result.objective == objective
         assert result.migration_cost == migration
         assert model.objective(deployment) == objective
-
-        genome = [deployment.server_of(name) for name in scorer.operations]
-        assert scorer.components(genome) == (execution, penalty, objective)
 
     scores = BatchEvaluator(compiled).evaluate(rows)
     for k, deployment in enumerate(candidates):

@@ -35,7 +35,7 @@ from repro.algorithms.runtime import (
 from repro.algorithms.sampling import SolutionSampler
 from repro.core.clock import StepClock
 from repro.core.cost import CostModel
-from repro.core.incremental import MoveEvaluator, TableScorer
+from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
 from repro.workloads.generator import (
     GraphStructure,
@@ -191,7 +191,7 @@ def oracle_sampler(workflow, network, model, rng, samples):
     """SolutionSampler.run as it was before the refactor."""
     operations = workflow.operation_names
     servers = network.server_names
-    scorer = TableScorer(model, operations)
+    compiled = model.compiled
     best_genome = None
     best_objective = float("inf")
     best_execution = float("inf")
@@ -199,7 +199,9 @@ def oracle_sampler(workflow, network, model, rng, samples):
     worst_objective = float("-inf")
     for _ in range(samples):
         genome = tuple(rng.choice(servers) for _ in operations)
-        execution, penalty, objective = scorer.components(genome)
+        execution, penalty, objective = compiled.components(
+            [compiled.server_index[name] for name in genome]
+        )
         if best_genome is None or objective < best_objective:
             best_genome = genome
             best_objective = objective

@@ -3,7 +3,7 @@
 The frozen-oracle contract of the real-topology layer:
 
 * **Four-way parity** -- ``CostModel.evaluate``,
-  ``MoveEvaluator.propose``, ``TableScorer.components`` and the
+  ``MoveEvaluator.propose``, ``CompiledInstance.components`` and the
   ``BatchEvaluator`` kernel price the same mapping identically (within
   ``1e-9``) on genuinely heterogeneous, multi-hop networks: the bundled
   Abilene backbone, seeded geo-region fleets, and parsed SNDlib-style
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.compiled import PENALTY_MODES, CompiledInstance
 from repro.core.cost import CostModel
-from repro.core.incremental import MoveEvaluator, TableScorer
+from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
 from repro.exceptions import DeploymentError
 from repro.network.topology import Link, Server
@@ -97,7 +97,6 @@ def test_four_way_parity_on_heterogeneous_networks(
     network = make_network(kind, seed)
     model = CostModel(workflow, network, penalty_mode=mode)
     compiled = model.compiled
-    scorer = TableScorer(model)
     batch = compiled.batch_evaluator()
     rng = random.Random(seed + 7)
     servers = network.server_names
@@ -111,8 +110,8 @@ def test_four_way_parity_on_heterogeneous_networks(
         oracle = model.evaluate(deployment)
         # batch kernel vs full model
         assert abs(score - oracle.objective) <= TOLERANCE
-        # table scorer vs full model
-        execution, penalty, objective = scorer.components(genome)
+        # full-mapping components vs full model
+        execution, penalty, objective = compiled.components(list(row))
         assert abs(execution - oracle.execution_time) <= TOLERANCE
         assert abs(penalty - oracle.time_penalty) <= TOLERANCE
         assert abs(objective - oracle.objective) <= TOLERANCE

@@ -110,7 +110,6 @@ class TestConfigCodec:
                 max_steps=10, max_evals=200, deadline_s=1.5
             ),
             seed=9,
-            use_batch=False,
         )
         assert config_from_dict(config_to_dict(config)) == config
 
@@ -308,6 +307,76 @@ class TestMigrationCodec:
         assert config.migration_weight == 0.0
         assert config.rebalance_min_gain == 0.0
         assert config.rebalance_cooldown_ticks == 0
+
+
+#: A checkpoint written before ``FleetConfig.use_batch`` was removed:
+#: two line tenants on a 2-server bus and one rebalancing tick, with the
+#: scalar-pricing switch set (``"use_batch":false``).
+LEGACY_CHECKPOINT = (
+    '{"clock":{"kind":"step","step_s":0.001},'
+    '"config":{"admission_load_limit_s":null,'
+    '"algorithm":"HeavyOps-LargeMsgs","drift_threshold":0.0,'
+    '"execution_weight":0.5,"max_moves_per_rebalance":4,"migration":null,'
+    '"migration_weight":0.0,"parallel_workers":1,"penalty_mode":"mad",'
+    '"penalty_weight":0.5,"rebalance_budget":null,'
+    '"rebalance_cooldown_ticks":0,"rebalance_min_gain":0.0,"seed":0,'
+    '"use_batch":false},"events":[{"algorithm":null,"kind":"deploy",'
+    '"tenant":"a","workflow":{"format":"workflow",'
+    '"messages":[{"probability":1.0,"size_bits":10000,"source":"O1",'
+    '"target":"O2"},{"probability":1.0,"size_bits":10000,"source":"O2",'
+    '"target":"O3"}],"name":"a","operations":[{"cycles":10000000.0,'
+    '"kind":"operational","name":"O1"},{"cycles":30000000.0,'
+    '"kind":"operational","name":"O2"},{"cycles":20000000.0,'
+    '"kind":"operational","name":"O3"}],"version":1}},{"algorithm":null,'
+    '"kind":"deploy","tenant":"b","workflow":{"format":"workflow",'
+    '"messages":[{"probability":1.0,"size_bits":10000,"source":"O1",'
+    '"target":"O2"}],"name":"b","operations":[{"cycles":40000000.0,'
+    '"kind":"operational","name":"O1"},{"cycles":5000000.0,'
+    '"kind":"operational","name":"O2"}],"version":1}},{"kind":"tick"}],'
+    '"format":"fleet-checkpoint","log":[{"action":"admitted",'
+    '"details":[["algorithm","HeavyOps-LargeMsgs"],["balance","1.000000"],'
+    '["objective","0.020050"],["operations","3"],["projected_load",'
+    '"0.020000"],["servers_used","2"]],"event":"deploy","latency_s":0.001,'
+    '"seq":0,"subject":"a"},{"action":"admitted","details":[["algorithm",'
+    '"HeavyOps-LargeMsgs"],["balance","0.949438"],["objective","0.023800"],'
+    '["operations","2"],["projected_load","0.035000"],["servers_used","2"]],'
+    '"event":"deploy","latency_s":0.001,"seq":1,"subject":"b"},'
+    '{"action":"rebalanced","details":[["balance","1.000000"],["churn","1"],'
+    '["drift","0.157563"],["gain","0.001200"],["objective","0.022600"],'
+    '["objective_after","0.022600"],["objective_before","0.023800"]],'
+    '"event":"tick","latency_s":0.001,"seq":2,"subject":"fleet"}],'
+    '"network":{"format":"network","links":[{"a":"S1","b":"S2",'
+    '"propagation_s":0.0,"speed_bps":100000000.0}],"name":"legacy",'
+    '"servers":[{"name":"S1","power_hz":1000000000.0},{"name":"S2",'
+    '"power_hz":2000000000.0}],"topology_kind":"bus","version":1},'
+    '"pending":[],"snapshot":{"balance_index":1.0000000000000002,'
+    '"execution_time":0.0452,"loads":{"S1":0.034999999999999996,"S2":0.035},'
+    '"objective":0.022600000000000002,"tenants":2,'
+    '"time_penalty":3.469446951953614e-18},"version":1}'
+)
+
+
+class TestLegacyCheckpoint:
+    def test_use_batch_key_is_accepted_and_replays_identically(
+        self, tmp_path
+    ):
+        document = json.loads(LEGACY_CHECKPOINT)
+        assert document["config"]["use_batch"] is False
+        path = tmp_path / "legacy.json"
+        path.write_text(LEGACY_CHECKPOINT)
+        # restore replays the history and verifies it against the stored
+        # log and snapshot: any drift in the decisions raises here
+        restored, pending = restore_controller(path)
+        assert pending == ()
+        assert restored.config == FleetConfig(drift_threshold=0.0)
+        stored = [record_from_dict(entry) for entry in document["log"]]
+        assert restored.log.to_text() == "".join(
+            record.to_line() + "\n" for record in stored
+        )
+        assert restored.log.records[-1].action == "rebalanced"
+        assert snapshot_to_dict(restored.state.snapshot()) == (
+            document["snapshot"]
+        )
 
 
 class TestPendingPriorities:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.migration import MigrationCostModel
 from repro.service.scenarios import build_scenario, replay
+from tests.oracles import scalar_batch_pricing
 
 
 @pytest.mark.parametrize("name", ["steady", "churn"])
@@ -26,34 +27,38 @@ class TestByteIdenticalReplay:
         assert base != other
 
     def test_batch_pricing_does_not_change_decisions(self, name):
-        """Batch vs scalar candidate pricing yields byte-identical logs.
+        """Kernel vs row-by-row scalar pricing yields byte-identical logs.
 
         Scenarios are one-shot (the controller mutates the network), so
-        each run rebuilds from ``(name, seed)`` with only ``use_batch``
-        flipped. Metrics are deliberately *not* compared: the two paths
-        touch the route / cost-model caches differently, so the cache
-        hit/miss counters diverge while every decision stays the same.
+        each run rebuilds from ``(name, seed)``; the second run prices
+        every candidate set through
+        :class:`tests.oracles.ScalarBatchEvaluator`. Metrics are
+        deliberately *not* compared: the oracle skips the kernel's
+        dense delay matrices, so the route cache hit/miss counters
+        diverge while every decision stays the same.
         """
-        logs = []
-        for use_batch in (True, False):
-            scenario = build_scenario(name, seed=7)
-            scenario = dataclasses.replace(
-                scenario,
-                config=dataclasses.replace(
-                    scenario.config, use_batch=use_batch
-                ),
-            )
-            logs.append(replay(scenario).log.to_text())
-        assert logs[0] == logs[1]
+        batched = replay(build_scenario(name, seed=7))
+        with scalar_batch_pricing():
+            scalar = replay(build_scenario(name, seed=7))
+        assert scalar.log.to_text() == batched.log.to_text()
+        assert scalar.evaluations == batched.evaluations
 
 
-def _replay_with(name, seed, **overrides):
-    """Replay builtin *name* with config fields overridden; the controller."""
+def _replay_with(name, seed, scalar=False, **overrides):
+    """Replay builtin *name* with config fields overridden; the controller.
+
+    *scalar* prices every candidate set through the row-by-row oracle.
+    """
     scenario = build_scenario(name, seed=seed)
     scenario = dataclasses.replace(
         scenario, config=dataclasses.replace(scenario.config, **overrides)
     )
-    controller = replay(scenario)
+    if scalar:
+        with scalar_batch_pricing() as oracles:
+            controller = replay(scenario)
+        assert sum(oracle.rows for oracle in oracles) > 0
+    else:
+        controller = replay(scenario)
     controller.close()
     return controller
 
@@ -80,12 +85,13 @@ def test_every_pricing_path_feeds_one_selection(name):
     The three paths only supply candidate execution times (and move
     costs when migration-aware) to the one vectorised rebalance scan,
     so the logs are byte-identical and the evaluation counter -- one
-    per candidate plus one per scan start -- is equal too.
+    per candidate plus one per scan start -- is equal too. The scalar
+    path is the row-by-row oracle standing in for the kernel.
     """
     policy = POLICIES[name]
     default = _replay_with(name, 3, **policy)
     assert default.metrics().rebalance_moves > 0
-    for variant in ({"use_batch": False}, {"parallel_workers": 2}):
+    for variant in ({"scalar": True}, {"parallel_workers": 2}):
         other = _replay_with(name, 3, **policy, **variant)
         assert other.log.to_text() == default.log.to_text(), variant
         assert other.evaluations == default.evaluations, variant

@@ -14,9 +14,10 @@ serve stale execution times there; this suite is what catches that.
 import pytest
 
 from repro.core.clock import StepClock
+from repro.core.compiled import penalty_statistic
 from repro.service.controller import FleetController
 from repro.service.scenarios import build_scenario
-from repro.service.state import FleetSnapshot, jain_index, load_penalty
+from repro.service.state import FleetSnapshot, jain_index
 
 
 def bits(loads):
@@ -35,7 +36,7 @@ def uncached_snapshot(state):
             loads[server] += load
         executions.append(model.execution_time(deployment))
     execution = max(executions, default=0.0)
-    penalty = load_penalty(list(loads.values()), state.penalty_mode)
+    penalty = penalty_statistic(list(loads.values()), state.penalty_mode)
     return FleetSnapshot(
         execution_time=execution,
         time_penalty=penalty,

@@ -5,33 +5,13 @@ import pytest
 from repro.core.mapping import Deployment
 from repro.exceptions import ReproError, ServiceError
 from repro.network.topology import bus_network
-from repro.service.state import (
-    FleetState,
-    InstrumentedRouter,
-    jain_index,
-    load_penalty,
-)
+from repro.service.state import FleetState, jain_index
 
 
 def place_round_robin(state, tenant, workflow):
     """Admit *tenant* with a round-robin placement; returns the record."""
     deployment = Deployment.round_robin(workflow, state.network)
     return state.add_tenant(tenant, workflow, deployment)
-
-
-class TestInstrumentedRouter:
-    def test_counts_misses_then_hits(self, fleet_network):
-        router = InstrumentedRouter(fleet_network)
-        router.transmission_time("S1", "S2", 1000)
-        assert (router.hits, router.misses) == (0, 1)
-        router.transmission_time("S1", "S2", 1000)
-        assert (router.hits, router.misses) == (1, 1)
-        assert router.hit_rate == 0.5
-
-    def test_colocated_queries_bypass_the_cache(self, fleet_network):
-        router = InstrumentedRouter(fleet_network)
-        assert router.transmission_time("S1", "S1", 1000) == 0.0
-        assert (router.hits, router.misses) == (0, 0)
 
 
 class TestFairnessHelpers:
@@ -45,14 +25,6 @@ class TestFairnessHelpers:
 
     def test_jain_index_idle_fleet_is_fair(self):
         assert jain_index({"a": 0.0, "b": 0.0}) == 1.0
-
-    def test_load_penalty_matches_cost_model_modes(self):
-        values = [1.0, 3.0]
-        assert load_penalty(values, "mad") == pytest.approx(1.0)
-        assert load_penalty(values, "sum_abs") == pytest.approx(2.0)
-        assert load_penalty(values, "max") == pytest.approx(1.0)
-        assert load_penalty(values, "std") == pytest.approx(1.0)
-        assert load_penalty([], "mad") == 0.0
 
 
 class TestTenantLifecycle:
