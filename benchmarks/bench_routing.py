@@ -12,15 +12,19 @@ Two experiments over the routing layer (see DESIGN.md §15):
   (hardware-dependent -- asserted only in full runs, floor env-tunable
   via ``BENCH_FLOOR_ROUTING``).
 
-* **invalidation** -- replaying the seeded ``abilene`` scenario under
-  the ``scoped`` versus the ``lazy`` route-invalidation mode and
-  summing the router's Dijkstra runs across the link events
-  (brownouts/failures). Scoped invalidation recomputes only the pairs
-  whose classification paths crossed a changed link, so it must spend
-  at least ``BENCH_FLOOR_ROUTING_EVENTS`` times fewer runs per link
-  event -- a deterministic, seeded count asserted even in smoke. The
-  two replays' decision logs must match byte for byte (route
-  maintenance must never change a decision).
+* **invalidation** -- replaying the seeded ``abilene`` scenario with
+  the fleet's scoped route refresh versus the rebuild oracle
+  (:func:`tests.oracles.rebuild_routes_on_link_events`: every link
+  event drops the router and every cost model, and routes refill pair
+  by pair on demand) and summing the router's Dijkstra runs across the
+  link events (brownouts/failures). Scoped invalidation recomputes
+  only the pairs whose classification paths crossed a changed link, so
+  it must spend at least ``BENCH_FLOOR_ROUTING_EVENTS`` times fewer
+  runs per link event -- a deterministic, seeded count asserted even in
+  smoke. The two replays' decision logs must match byte for byte (route
+  maintenance must never change a decision). For scale, the arm also
+  reports what one fresh ``compile_all_pairs`` per link event would
+  cost (no floor).
 
 Results land in ``output/BENCH_routing.json``. ``BENCH_SMOKE=1`` runs
 the compile arm on a smaller 20-server fleet and skips only the
@@ -29,13 +33,13 @@ wall-clock floor.
 
 import os
 import time
-from dataclasses import replace
 
 from repro.core.clock import StepClock
 from repro.network.routing import Router
 from repro.scenarios import random_geo_network
 from repro.service.controller import FleetController
 from repro.service.scenarios import build_scenario
+from tests.oracles import rebuild_routes_on_link_events
 
 from _common import emit, perf_floor, write_json
 
@@ -52,8 +56,8 @@ SEED = 0
 COMPILE_WALL_FLOOR = perf_floor("ROUTING", 3.0)
 #: Dijkstra-count floor for the same comparison (deterministic).
 COMPILE_RUNS_FLOOR = perf_floor("ROUTING_RUNS", 5.0)
-#: Per-link-event Dijkstra-count floor, scoped vs full invalidation
-#: (deterministic: seeded replay, counted work).
+#: Per-link-event Dijkstra-count floor, scoped refresh vs the rebuild
+#: oracle (deterministic: seeded replay, counted work).
 EVENTS_RUNS_FLOOR = perf_floor("ROUTING_EVENTS", 5.0)
 
 _RESULTS: dict = {
@@ -180,45 +184,61 @@ def bench_routing_compile(benchmark):
 LINK_EVENTS = ("link-failed", "link-degraded")
 
 
-def _replay_counting(mode: str):
-    """Replay abilene under *mode*; per-link-event Dijkstra-run deltas."""
+def _replay_counting():
+    """Replay abilene; per-link-event Dijkstra-run deltas.
+
+    Also returns the runs one fresh ``compile_all_pairs`` on the
+    post-event network would cost, summed over the link events.
+    """
     scenario = build_scenario(SCENARIO, seed=SEED)
-    config = replace(scenario.config, route_invalidation=mode)
     controller = FleetController(
-        scenario.network, config=config, clock=StepClock()
+        scenario.network, config=scenario.config, clock=StepClock()
     )
     link_runs = 0
     link_events = 0
+    compile_runs = 0
     for event in scenario.events:
         before = controller.state.router_dijkstra_runs
         controller.handle(event)
         if event.kind in LINK_EVENTS:
             link_runs += controller.state.router_dijkstra_runs - before
             link_events += 1
-    return controller, link_runs, link_events
+            fresh = Router(controller.state.network)
+            fresh.compile_all_pairs()
+            compile_runs += fresh.dijkstra_runs
+    return controller, link_runs, link_events, compile_runs
+
+
+def _replay_rebuilt():
+    with rebuild_routes_on_link_events():
+        return _replay_counting()
 
 
 def bench_routing_invalidation(benchmark):
-    """Dijkstra runs per link event: scoped vs full invalidation."""
+    """Dijkstra runs per link event: scoped refresh vs the rebuild oracle."""
 
     def run_both():
-        return _replay_counting("scoped"), _replay_counting("lazy")
+        return _replay_counting(), _replay_rebuilt()
 
     benchmark(run_both)
 
-    (scoped, scoped_runs, events), (lazy, lazy_runs, _) = run_both()
-
-    # route maintenance must never change a fleet decision
-    assert scoped.log.to_text() == lazy.log.to_text(), (
-        "scoped and full invalidation produced different decision logs"
+    (scoped, scoped_runs, events, compile_runs), (rebuilt, full_runs, _, _) = (
+        run_both()
     )
 
-    ratio = lazy_runs / scoped_runs if scoped_runs else float("inf")
+    # route maintenance must never change a fleet decision
+    assert scoped.log.to_text() == rebuilt.log.to_text(), (
+        "scoped refresh and the rebuild oracle produced different "
+        "decision logs"
+    )
+
+    ratio = full_runs / scoped_runs if scoped_runs else float("inf")
     scoped_metrics = scoped.metrics()
 
     _RESULTS["events_link_count"] = events
     _RESULTS["events_scoped_runs"] = scoped_runs
-    _RESULTS["events_full_runs"] = lazy_runs
+    _RESULTS["events_full_runs"] = full_runs
+    _RESULTS["events_compile_runs"] = compile_runs
     _RESULTS["events_runs_ratio"] = ratio
     _RESULTS["events_scoped_total_runs"] = scoped_metrics.route_dijkstra_runs
     _RESULTS["events_pairs_invalidated"] = (
@@ -233,7 +253,8 @@ def bench_routing_invalidation(benchmark):
         "routing_invalidation",
         f"scenario {SCENARIO!r} (seed {SEED}), {events} link events"
         + (" (smoke)" if SMOKE else ""),
-        f"full invalidation:     {lazy_runs:6d} Dijkstra runs on link events",
+        f"rebuild oracle:        {full_runs:6d} Dijkstra runs on link events",
+        f"fresh compile/event:   {compile_runs:6d} Dijkstra runs (no floor)",
         f"scoped invalidation:   {scoped_runs:6d} Dijkstra runs on link "
         f"events ({scoped_metrics.route_pairs_invalidated} pairs "
         f"invalidated, {scoped_metrics.route_pairs_recomputed} recomputed)",

@@ -463,7 +463,6 @@ class CompiledInstance:
         self,
         changed_links: tuple[tuple[str, str], ...] | None = None,
         worsening: bool = False,
-        eager: bool = True,
         speed_changed: bool = True,
         propagation_changed: bool = True,
     ) -> None:
@@ -472,15 +471,14 @@ class CompiledInstance:
         The explicit invalidation/rebuild hook of the scenario layer:
         when a link fails, degrades or is upgraded, the compiled
         artifact stays valid *except* for everything derived from route
-        delays. By default the refresh is *eager*: the router recomputes
-        immediately (link-scoped when *changed_links* is given with
-        ``worsening=True`` -- a failure or strict degrade -- full
-        otherwise; see :meth:`repro.network.routing.Router.invalidate`
-        for the asymmetry) and the route table, the migration-cost table
-        and the memoised batch evaluator's dense delay matrices are
+        delays. The router recomputes immediately (link-scoped when
+        *changed_links* is given with ``worsening=True`` -- a failure or
+        strict degrade -- full otherwise; see
+        :meth:`repro.network.routing.Router.invalidate` for the
+        asymmetry) and the route table, the migration-cost table and
+        the memoised batch evaluator's dense delay matrices are
         bulk-refilled in one pass instead of trickling back through
-        per-pair resolutions mid-rebalance. ``eager=False`` is the
-        legacy lazy path: drop everything and let queries refill.
+        per-pair resolutions mid-rebalance.
 
         The contract is *link changes only*: the server set, their
         powers and the workflow must be unchanged (those invalidate the
@@ -496,42 +494,20 @@ class CompiledInstance:
                 f"{self.network.name!r}: the server set changed; "
                 f"recompile the instance instead"
             )
-        if eager:
-            affected = self.router.invalidate(
-                changed_links=changed_links,
-                worsening=worsening,
-                speed_changed=speed_changed,
-                propagation_changed=propagation_changed,
-            )
-            self._refresh_routes(affected)
-        else:
-            self.router.clear_cache()
-            self.reset_routes()
-
-    def reset_routes(self) -> None:
-        """Drop route-derived state, to refill lazily (legacy path).
-
-        Resets the lazy route table, drops the memoised batch evaluator
-        and recompiles the migration table through fresh router queries.
-        Does *not* touch the router's own caches -- the owner (the fleet
-        state shares one router across tenants) clears or invalidates
-        it exactly once.
-        """
-        self.routes = [
-            [None] * self.num_servers for _ in range(self.num_servers)
-        ]
-        for i in range(self.num_servers):
-            self.routes[i][i] = (0.0, 0.0)
-        self._batch = None
-        if self.transition_aware:
-            self.migration_table = self._compile_migration_table()
+        affected = self.router.invalidate(
+            changed_links=changed_links,
+            worsening=worsening,
+            speed_changed=speed_changed,
+            propagation_changed=propagation_changed,
+        )
+        self._refresh_routes(affected)
 
     def refresh_routes(
         self, affected: set[tuple[str, str]] | None = None
     ) -> None:
         """Refresh route-derived state from an already-updated router.
 
-        The fleet path: the shared router was invalidated (and eagerly
+        The fleet path: the shared router was invalidated (and
         recomputed) once at the state level; each tenant's compiled
         instance then refreshes its own route table, migration rows and
         batch matrices from the router's caches. *affected* is the

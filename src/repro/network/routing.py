@@ -46,19 +46,14 @@ Cache effectiveness is observable through :attr:`Router.hits` /
 through :attr:`Router.dijkstra_runs`, :attr:`Router.pairs_invalidated`,
 :attr:`Router.pairs_recomputed` and :attr:`Router.last_invalidation`.
 Link parameters may change at runtime (the fleet's link
-failure/degradation events). Two invalidation hooks exist:
-
-* :meth:`Router.clear_cache` -- the lazy hook: drop everything (and
-  reset the hit/miss counters, so :attr:`hit_rate` never blends pre- and
-  post-invalidation traffic); the next query re-runs Dijkstra against
-  the current links.
-* :meth:`Router.invalidate` -- the eager hook: recompute immediately.
-  Given ``changed_links`` and ``worsening=True`` it drops *only* the
-  pairs whose classification paths traverse a changed link (a strict
-  worsening cannot make an untouched path sub-optimal) and recomputes
-  just those; improvements or additions can re-route *any* pair, so
-  they always fall back to a full recompile. That asymmetry is the
-  core of link-scoped invalidation -- see DESIGN.md §15.
+failure/degradation events); :meth:`Router.invalidate` is the one
+refresh hook and recomputes immediately. Given ``changed_links`` and
+``worsening=True`` it drops *only* the pairs whose classification paths
+traverse a changed link (a strict worsening cannot make an untouched
+path sub-optimal) and recomputes just those; improvements or additions
+can re-route *any* pair, so they always fall back to a full recompile.
+That asymmetry is the core of link-scoped invalidation -- see
+DESIGN.md §15. A server change needs a new router.
 
 Between mutations the network is treated as frozen.
 """
@@ -100,7 +95,7 @@ class Router:
         The server network to route over. The router snapshots the
         topology lazily on first query (into a
         :class:`repro.network.apsp.CompiledGraph`) and assumes links do
-        not change until :meth:`clear_cache` or :meth:`invalidate`.
+        not change until :meth:`invalidate`.
 
     Attributes
     ----------
@@ -115,7 +110,7 @@ class Router:
         routing work the benchmarks compare.
     pairs_invalidated, pairs_recomputed:
         Cumulative counts over :meth:`invalidate` calls: how many cached
-        pairs were dropped, and how many were eagerly recomputed.
+        pairs were dropped, and how many were recomputed.
     last_invalidation:
         A summary dict of the most recent :meth:`invalidate` call
         (``mode``/``changed_links``/``pairs_invalidated``/
@@ -438,7 +433,7 @@ class Router:
 
         The bulk-refill accessor: after :meth:`compile_all_pairs` or
         :meth:`invalidate` the compiled-instance route table reads every
-        pair through here so eager refreshes do not distort the
+        pair through here so route refreshes do not distort the
         hit/miss telemetry of real pricing traffic.
         """
         return self._route_cache.get((source, target))
@@ -491,7 +486,7 @@ class Router:
         speed_changed: bool = True,
         propagation_changed: bool = True,
     ) -> set[tuple[str, str]] | None:
-        """Eagerly refresh routes after a link change.
+        """Refresh routes after a link change, recomputing immediately.
 
         With *changed_links* (endpoint pairs) and ``worsening=True`` --
         a link failure, or a degrade that is slower and/or laggier --
@@ -538,7 +533,13 @@ class Router:
     def _invalidate_full(self, changed: int) -> None:
         invalidated = len(self._route_cache) // 2
         runs_before = self.dijkstra_runs
-        self._drop_all_routes()
+        self._route_cache.clear()
+        self._sized_path_cache.clear()
+        self._link_pairs.clear()
+        self._pair_links.clear()
+        self._pair_paths.clear()
+        self._graph = None
+        self._compiled_all = False
         recomputed = self.compile_all_pairs()
         self.pairs_invalidated += invalidated
         self.pairs_recomputed += recomputed
@@ -580,7 +581,7 @@ class Router:
         # pair's optimum at one size can be a third Pareto path through
         # a changed link while both classification paths avoid it -- so
         # the dropped pairs are reported alongside the recomputed ones,
-        # or eager consumers would restore the dropped sizes' old (now
+        # or consumers would restore the dropped sizes' old (now
         # too optimistic) prices verbatim.
         sized_dropped: set[tuple[str, str]] = set()
         stale = [
@@ -641,34 +642,6 @@ class Router:
             "dijkstra_runs": self.dijkstra_runs - runs_before,
         }
         return affected | sized_only
-
-    def _drop_all_routes(self) -> None:
-        self._route_cache.clear()
-        self._sized_path_cache.clear()
-        self._link_pairs.clear()
-        self._pair_links.clear()
-        self._pair_paths.clear()
-        self._graph = None
-        self._compiled_all = False
-
-    def clear_cache(self) -> None:
-        """Drop memoised routes: the lazy invalidation hook.
-
-        Call after mutating the network's links (or servers); the next
-        query re-runs Dijkstra against the current topology. The
-        hit/miss counters reset with the cache -- a post-invalidation
-        :attr:`hit_rate` describes post-invalidation traffic only, never
-        a blend (callers that want lifetime totals must accumulate
-        before clearing). The cumulative work counters
-        (:attr:`dijkstra_runs` and friends) are *not* reset; use
-        :meth:`reset_counters` for a full telemetry reset. Consumers
-        holding a :class:`~repro.core.compiled.CompiledInstance` should
-        call its ``invalidate_routes`` instead, which clears this cache
-        *and* resets the compiled route-delay table reading through it.
-        """
-        self._drop_all_routes()
-        self.hits = 0
-        self.misses = 0
 
     def reset_counters(self) -> None:
         """Zero every telemetry counter (caches are left alone)."""

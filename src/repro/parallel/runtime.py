@@ -363,14 +363,6 @@ class ParallelRuntime:
         if deadline_at is not None and self.clock() >= deadline_at:
             ledger.request_stop(STOP_DEADLINE)
 
-    def map_plain(self, fn: Callable, tasks: Sequence[Any]) -> list[Any]:
-        """Fan ``fn(task)`` out with no ledger and no watchdog -- for
-        short, unbudgeted work such as fleet candidate pricing."""
-        if self.inline:
-            return [fn(task) for task in tasks]
-        pool = self._ensure_pool()
-        return list(pool.map(fn, tasks))
-
     def _execute_inline(
         self, fn, tasks, ledger, deadline_at, cancel
     ) -> list[Any]:

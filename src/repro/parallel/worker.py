@@ -9,7 +9,7 @@ What crosses the process boundary is deliberately small and dumb:
 * task dataclasses whose per-round fields are integer indices into the
   worker's own :class:`~repro.core.compiled.CompiledInstance` -- genome
   populations as server-index tuples, operation partitions as op-index
-  tuples, candidate rows as index vectors -- never live domain objects.
+  tuples -- never live domain objects.
 
 Every entry point is a module-level function (picklable by qualified
 name under any ``multiprocessing`` start method) taking ``(task,
@@ -61,8 +61,6 @@ __all__ = [
     "PartitionTask",
     "PartitionResult",
     "run_partition_scan",
-    "PricingTask",
-    "run_pricing_task",
 ]
 
 
@@ -431,32 +429,3 @@ def run_partition_scan(
         move=best_move,
         value=best_value,
     )
-
-
-# ----------------------------------------------------------------------
-# batch candidate pricing (fleet rebalance sharding)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PricingTask:
-    """Score candidate server-vectors; returns their execution times.
-
-    The fleet controller's rebalance scan ships each tenant's
-    ``(operation, target)`` candidate rows here when
-    ``FleetConfig.parallel_workers > 1``; the kernel is the same
-    :class:`~repro.core.batch.BatchEvaluator` the serial path uses, so
-    the returned floats -- and therefore the applied moves and the
-    decision log -- are byte-identical.
-    """
-
-    index: int
-    payload: InstancePayload
-    rows: tuple[tuple[int, ...], ...]
-
-
-def run_pricing_task(task: PricingTask) -> list[float]:
-    """Price ``task.rows`` through the worker's cached batch kernel."""
-    _, _, model = materialize(task.payload)
-    compiled = model.compiled
-    rows = [list(row) for row in task.rows]
-    executions = compiled.batch_evaluator().execution(rows)
-    return [float(value) for value in executions]

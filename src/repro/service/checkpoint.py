@@ -287,7 +287,6 @@ def config_to_dict(config: FleetConfig) -> dict[str, Any]:
         "penalty_weight": config.penalty_weight,
         "penalty_mode": config.penalty_mode,
         "seed": config.seed,
-        "parallel_workers": config.parallel_workers,
         "migration": migration_to_dict(config.migration),
         "migration_weight": config.migration_weight,
         "rebalance_min_gain": config.rebalance_min_gain,
@@ -321,7 +320,6 @@ def config_from_dict(document: Mapping[str, Any]) -> FleetConfig:
         ),
         penalty_mode=str(_require(document, "penalty_mode", "fleet config")),
         seed=int(_require(document, "seed", "fleet config")),
-        parallel_workers=int(document.get("parallel_workers", 1)),
         migration=migration_from_dict(document.get("migration")),
         migration_weight=float(document.get("migration_weight", 0.0)),
         rebalance_min_gain=float(document.get("rebalance_min_gain", 0.0)),

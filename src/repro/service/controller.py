@@ -16,10 +16,11 @@ experiment layer already provides:
 * ``ServerJoined`` -- opportunistic spreading of hosted load onto the
   new capacity, bounded like a rebalance;
 * ``LinkFailure`` / ``LinkDegrade`` -- patch the live topology (drop or
-  re-parameterise a link), invalidate only the route-delay state via
-  :meth:`repro.core.compiled.CompiledInstance.invalidate_routes`, and
-  run the tick's drift check immediately -- re-routed traffic may have
-  pushed the fleet past the rebalance threshold;
+  re-parameterise a link), refresh only the route-delay state (one
+  shared :meth:`repro.network.routing.Router.invalidate`, then each
+  tenant's :meth:`repro.core.compiled.CompiledInstance.refresh_routes`),
+  and run the tick's drift check immediately -- re-routed traffic may
+  have pushed the fleet past the rebalance threshold;
 * ``RegionOutage`` -- fail every server of one geo region
   (``{region}/{i}`` naming, see :mod:`repro.scenarios.geo`), then
   re-home all orphans in a single fleet-wide pass;
@@ -85,11 +86,7 @@ from repro.service.events import (
     WorkloadDrift,
 )
 from repro.service.log import FleetLog, FleetMetrics, LogRecord, format_detail
-from repro.service.state import (
-    ROUTE_INVALIDATION_MODES,
-    FleetSnapshot,
-    FleetState,
-)
+from repro.service.state import FleetSnapshot, FleetState
 
 # StepClock lives in repro.core.clock now (the search runtime needs it
 # too); re-exported here because it is part of this module's public API.
@@ -127,15 +124,6 @@ class FleetConfig:
     seed:
         Seed of the controller's private RNG (handed to placement
         algorithms that need random initial mappings).
-    parallel_workers:
-        Opt-in: when > 1, each rebalance round's per-tenant candidate
-        pricing fans out across this many worker processes (one
-        :class:`~repro.parallel.worker.PricingTask` per tenant, served
-        by a pool the controller keeps across rounds -- call
-        :meth:`FleetController.close` when done). The workers run the
-        same batch kernel, so the priced floats -- and therefore the
-        applied moves and the decision log -- are byte-identical to the
-        serial path.
     migration:
         Optional :class:`~repro.core.migration.MigrationCostModel`
         pricing what an applied move *costs* (checkpoint transfer over
@@ -160,21 +148,6 @@ class FleetConfig:
         tenant's operations, that tenant's operations are not eligible
         rebalance candidates for this many subsequent ticks --
         dampening move-it-back oscillation under drift. 0 disables.
-    route_invalidation:
-        How link events (failures/degrades) refresh the shared routing
-        caches -- one of
-        :data:`~repro.service.state.ROUTE_INVALIDATION_MODES`.
-        ``"scoped"`` (default) eagerly recomputes only the route pairs
-        whose paths cross a strictly *worsened* link (a failure, or a
-        degrade that is no faster and no less laggy) and bulk-refills
-        every tenant's delay tables in one pass; improvements and
-        upgrades fall back to a full eager recompile, because a better
-        link can attract routes that never crossed it -- the asymmetry
-        is inherent, not an optimisation choice. ``"eager"`` always
-        recompiles the whole table; ``"lazy"`` is the legacy
-        drop-and-refill-on-demand policy. All three modes produce
-        byte-identical fleet decisions and logs; they differ only in
-        when Dijkstra runs (see ``benchmarks/bench_routing.py``).
     """
 
     algorithm: str = "HeavyOps-LargeMsgs"
@@ -186,12 +159,10 @@ class FleetConfig:
     penalty_weight: float = 0.5
     penalty_mode: str = "mad"
     seed: int = 0
-    parallel_workers: int = 1
     migration: MigrationCostModel | None = None
     migration_weight: float = 0.0
     rebalance_min_gain: float = 0.0
     rebalance_cooldown_ticks: int = 0
-    route_invalidation: str = "scoped"
 
     def __post_init__(self) -> None:
         if self.penalty_mode not in PENALTY_MODES:
@@ -199,18 +170,10 @@ class FleetConfig:
                 f"unknown penalty mode {self.penalty_mode!r}; expected one "
                 f"of {PENALTY_MODES}"
             )
-        if self.route_invalidation not in ROUTE_INVALIDATION_MODES:
-            raise ServiceError(
-                f"unknown route invalidation mode "
-                f"{self.route_invalidation!r}; expected one of "
-                f"{ROUTE_INVALIDATION_MODES}"
-            )
         if not 0.0 <= self.drift_threshold <= 1.0:
             raise ServiceError("drift_threshold must lie in [0, 1]")
         if self.max_moves_per_rebalance < 0:
             raise ServiceError("max_moves_per_rebalance must be >= 0")
-        if self.parallel_workers < 1:
-            raise ServiceError("parallel_workers must be >= 1")
         if not (
             math.isfinite(self.migration_weight)
             and self.migration_weight >= 0.0
@@ -262,7 +225,6 @@ class FleetController:
             execution_weight=self.config.execution_weight,
             penalty_weight=self.config.penalty_weight,
             penalty_mode=self.config.penalty_mode,
-            route_invalidation=self.config.route_invalidation,
         )
         self.log = FleetLog()
         #: Every event handled so far, in order -- the append-only
@@ -282,7 +244,6 @@ class FleetController:
         #: Report of the most recent rebalance / spreading search.
         self.last_rebalance_report: SearchReport | None = None
         self._active_rebalance_cancel: CancelToken | None = None
-        self._pricing_runtime = None
         #: Cumulative migration cost (seconds) of every applied move,
         #: priced by :attr:`FleetConfig.migration`. Tracked whenever a
         #: migration model is configured -- weight 0 included -- so a
@@ -290,28 +251,6 @@ class FleetController:
         self.migration_paid = 0.0
         # tenant -> remaining ticks it is excluded from rebalancing
         self._tenant_cooldowns: dict[str, int] = {}
-
-    def close(self) -> None:
-        """Release the pricing worker pool, if one was started."""
-        if self._pricing_runtime is not None:
-            self._pricing_runtime.close()
-            self._pricing_runtime = None
-
-    def __enter__(self) -> "FleetController":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _pricing_pool(self):
-        """The lazily started pricing runtime (parallel_workers > 1)."""
-        if self._pricing_runtime is None:
-            from repro.parallel.runtime import ParallelRuntime
-
-            self._pricing_runtime = ParallelRuntime(
-                self.config.parallel_workers
-            )
-        return self._pricing_runtime
 
     def preempt_rebalance(self, reason: str = "") -> bool:
         """Cancel the rebalance currently in flight, if any.
@@ -589,7 +528,6 @@ class FleetController:
             event.b,
             event.speed_factor,
             event.propagation_factor,
-            worsening=event.is_worsening,
         )
         details = {
             "speed_bps": format_detail(link.speed_bps),
@@ -828,12 +766,9 @@ class FleetController:
         array program (:meth:`_scan`); the candidates' tenant execution
         times come from one :meth:`BatchEvaluator.execution
         <repro.core.batch.BatchEvaluator.execution>` call per tenant
-        over that tenant's rows (:meth:`_price_batched`), fanned across
-        the worker pool when :attr:`FleetConfig.parallel_workers` > 1.
-        Both produce the identical floats, so the applied moves and
-        logs are byte-identical. The standing per-tenant prices the
-        scan starts from come from :meth:`FleetState.price
-        <repro.service.state.FleetState.price>`.
+        over that tenant's rows (:meth:`_price_batched`). The standing
+        per-tenant prices the scan starts from come from
+        :meth:`FleetState.price <repro.service.state.FleetState.price>`.
 
         The scan runs on the :class:`~repro.algorithms.runtime.
         SearchRuntime` -- one applied move per step -- under
@@ -979,10 +914,7 @@ class FleetController:
         One ``(K_t, M_t)`` batch per tenant -- its current server vector
         with one operation relocated per row -- priced by
         :meth:`BatchEvaluator.execution
-        <repro.core.batch.BatchEvaluator.execution>`, in this process or
-        (``parallel_workers > 1`` and several tenants) one
-        :class:`~repro.parallel.worker.PricingTask` per tenant on the
-        pool. Both run the same kernel, so the floats are identical.
+        <repro.core.batch.BatchEvaluator.execution>`.
         """
         state = self.state
         groups: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}
@@ -993,45 +925,16 @@ class FleetController:
             cells.append(
                 (instance.op_index[operation], instance.server_index[target])
             )
-        batches: dict[str, np.ndarray] = {}
-        for tenant, (_slots, cells) in groups.items():
-            base = compiled[tenant].server_vector(
-                state.tenant(tenant).deployment
-            )
+        priced = np.empty(len(cands))
+        for tenant, (slots, cells) in groups.items():
+            instance = compiled[tenant]
+            base = instance.server_vector(state.tenant(tenant).deployment)
             rows = np.repeat(
                 np.array([base], dtype=np.intp), len(cells), axis=0
             )
             cell = np.array(cells, dtype=np.intp)
             rows[np.arange(len(cells)), cell[:, 0]] = cell[:, 1]
-            batches[tenant] = rows
-        if self.config.parallel_workers > 1 and len(batches) > 1:
-            from repro.parallel.worker import (
-                PricingTask,
-                payload_from,
-                run_pricing_task,
-            )
-
-            tasks = [
-                PricingTask(
-                    index=index,
-                    payload=payload_from(
-                        state.tenant(tenant).workflow,
-                        state.network,
-                        state.cost_model(tenant),
-                    ),
-                    rows=tuple(map(tuple, rows.tolist())),
-                )
-                for index, (tenant, rows) in enumerate(batches.items())
-            ]
-            results = self._pricing_pool().map_plain(run_pricing_task, tasks)
-        else:
-            results = [
-                compiled[tenant].batch_evaluator().execution(rows)
-                for tenant, rows in batches.items()
-            ]
-        priced = np.empty(len(cands))
-        for (slots, _cells), values in zip(groups.values(), results):
-            priced[slots] = values
+            priced[slots] = instance.batch_evaluator().execution(rows)
         return priced
 
     def _scan(

@@ -234,18 +234,6 @@ class LinkDegrade(FleetEvent):
                 f"got {self.propagation_factor!r}"
             )
 
-    @property
-    def is_worsening(self) -> bool:
-        """Whether the change strictly worsens the link.
-
-        True when the link gets no faster *and* no less laggy -- the
-        precondition for link-scoped route invalidation (a route that
-        avoids a worsened link stays optimal). Any improving factor
-        (a speed-up or a propagation cut) can attract routes that never
-        crossed the link, so those fall back to full invalidation.
-        """
-        return self.speed_factor <= 1.0 and self.propagation_factor >= 1.0
-
 
 @dataclass(frozen=True)
 class RegionOutage(FleetEvent):

@@ -221,11 +221,10 @@ class FleetMetrics:
         Single-source Dijkstra passes executed by the shared router --
         lazy builds, batched compiles and event-driven recomputes alike
         (the unit of routing work ``benchmarks/bench_routing.py``
-        compares across invalidation modes).
+        compares against a from-scratch rebuild).
     route_pairs_invalidated, route_pairs_recomputed:
-        Route pairs dropped / eagerly recomputed by link-event
-        invalidations. Stay 0 under the lazy invalidation mode or when
-        no link event occurred.
+        Route pairs dropped / recomputed by link-event invalidations.
+        Stay 0 when no link event occurred.
     """
 
     events: int

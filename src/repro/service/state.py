@@ -46,23 +46,12 @@ from repro.network.routing import Router
 from repro.network.topology import Link, Server, ServerNetwork
 
 __all__ = [
-    "ROUTE_INVALIDATION_MODES",
     "TenantDeployment",
     "TenantPrice",
     "FleetSnapshot",
     "FleetState",
     "jain_index",
 ]
-
-#: Route-cache refresh policies for link events. ``scoped`` recomputes
-#: only the pairs crossing a strictly-worsened link (full recompile on
-#: improvements -- the asymmetry of
-#: :meth:`repro.network.routing.Router.invalidate`), ``eager`` always
-#: recompiles everything up front, ``lazy`` drops caches and refills on
-#: demand (the pre-1.9 behaviour). Decisions and logs are identical
-#: across all three.
-ROUTE_INVALIDATION_MODES = ("scoped", "eager", "lazy")
-
 
 @dataclass(frozen=True)
 class TenantDeployment:
@@ -148,15 +137,11 @@ class FleetState:
     execution_weight, penalty_weight, penalty_mode:
         Fleet-objective knobs, with the same semantics (and defaults) as
         :class:`~repro.core.cost.CostModel`.
-    route_invalidation:
-        How link events refresh the shared routing caches (see
-        :data:`ROUTE_INVALIDATION_MODES`): ``"scoped"`` (default)
-        eagerly recomputes only the routes crossing a *worsened* link
-        and falls back to a full eager recompile for improvements;
-        ``"eager"`` always recompiles the whole table; ``"lazy"`` is
-        the legacy drop-everything-and-refill-on-demand policy. All
-        three produce byte-identical fleet decisions and logs -- they
-        trade *when* Dijkstra runs, never what it answers.
+
+    Link events refresh the shared routing caches in place (see
+    :meth:`_invalidate_routes`): only the routes crossing a strictly
+    *worsened* link are recomputed, and any improvement recompiles the
+    whole table.
     """
 
     def __init__(
@@ -165,19 +150,12 @@ class FleetState:
         execution_weight: float = 0.5,
         penalty_weight: float = 0.5,
         penalty_mode: str = "mad",
-        route_invalidation: str = "scoped",
     ):
         if penalty_mode not in PENALTY_MODES:
             raise ServiceError(
                 f"unknown penalty mode {penalty_mode!r}; expected one of "
                 f"{PENALTY_MODES}"
             )
-        if route_invalidation not in ROUTE_INVALIDATION_MODES:
-            raise ServiceError(
-                f"unknown route invalidation mode {route_invalidation!r}; "
-                f"expected one of {ROUTE_INVALIDATION_MODES}"
-            )
-        self.route_invalidation = route_invalidation
         self._network = network
         self.execution_weight = execution_weight
         self.penalty_weight = penalty_weight
@@ -204,10 +182,6 @@ class FleetState:
         self._compile_routes = False
         self.cost_model_hits = 0
         self.cost_model_misses = 0
-        # router hit/miss traffic accumulated before lazy-mode cache
-        # clears (clear_cache resets the live counters by design)
-        self._router_hits_base = 0
-        self._router_misses_base = 0
         #: Bumped on every topology change; cache keys include it.
         self.epoch = 0
 
@@ -226,13 +200,13 @@ class FleetState:
 
     @property
     def router_hits(self) -> int:
-        """Lifetime router cache hits, across lazy-mode cache clears."""
-        return self._router_hits_base + self._router.hits
+        """Lifetime router cache hits."""
+        return self._router.hits
 
     @property
     def router_misses(self) -> int:
-        """Lifetime router cache misses, across lazy-mode cache clears."""
-        return self._router_misses_base + self._router.misses
+        """Lifetime router cache misses."""
+        return self._router.misses
 
     @property
     def router_dijkstra_runs(self) -> int:
@@ -241,12 +215,12 @@ class FleetState:
 
     @property
     def router_pairs_invalidated(self) -> int:
-        """Route pairs dropped by eager link-event invalidations."""
+        """Route pairs dropped by link-event invalidations."""
         return self._router.pairs_invalidated
 
     @property
     def router_pairs_recomputed(self) -> int:
-        """Route pairs eagerly recomputed after link events."""
+        """Route pairs recomputed after link events."""
         return self._router.pairs_recomputed
 
     @property
@@ -441,33 +415,17 @@ class FleetState:
         The cheap sibling of :meth:`_invalidate_caches` for the
         link-level events: the server set, powers and every tenant's
         compiled arrays are still valid, so the cached cost models are
-        *kept* and only their route-delay state refreshes. How depends
-        on :attr:`route_invalidation`:
-
-        * ``scoped``/``eager`` -- the shared router recomputes *once*
-          (link-scoped when *changed_links* describes a strict
-          worsening and the mode is scoped, full otherwise), then every
-          tenant's compiled instance bulk-refills its route table,
-          migration rows and batch matrices from the refreshed caches.
-        * ``lazy`` -- drop the shared router's caches and every
-          tenant's route-derived state; queries refill on demand (the
-          legacy policy; hit/miss traffic is accumulated first so the
-          lifetime :attr:`router_hits`/:attr:`router_misses` survive
-          the counter reset of ``clear_cache``).
+        *kept* and only their route-delay state refreshes. The shared
+        router recomputes *once* -- link-scoped when *changed_links*
+        describes a strict worsening, the whole table otherwise (see
+        :meth:`repro.network.routing.Router.invalidate`) -- then every
+        tenant's compiled instance refills its route table, migration
+        rows and batch matrices from the refreshed caches.
 
         The epoch still advances -- anything keyed on topology state
         must observe the change.
         """
         self.epoch += 1
-        if self.route_invalidation == "lazy":
-            self._router_hits_base += self._router.hits
-            self._router_misses_base += self._router.misses
-            self._router.clear_cache()
-            for model in self._cost_models.values():
-                model.compiled.reset_routes()
-            return
-        if self.route_invalidation != "scoped":
-            changed_links = None
         affected = self._router.invalidate(
             changed_links=changed_links,
             worsening=worsening,
@@ -660,7 +618,6 @@ class FleetState:
         b: str,
         speed_factor: float,
         propagation_factor: float = 1.0,
-        worsening: bool | None = None,
     ) -> Link:
         """Scale a link's speed/propagation in place; routes rebuild.
 
@@ -668,10 +625,11 @@ class FleetState:
         constructed (and validated) first, so a factor that would
         produce an invalid link raises with the fleet unchanged. The
         graph structure is untouched -- only route caches invalidate:
-        link-scoped when the change is a strict *worsening* (slower
-        and/or laggier -- inferred from the factors when not given),
-        full when any factor improves the link, because a better link
-        can attract routes that never crossed it.
+        link-scoped when the change is a strict *worsening* (no faster
+        and no less laggy), full when any factor improves the link,
+        because a better link can attract routes that never crossed it.
+        The factors alone decide which: this is the one place the rule
+        lives.
         """
         link = self._network.link(a, b)
         degraded = Link(
@@ -681,13 +639,11 @@ class FleetState:
             link.propagation_s * propagation_factor,
         )
         self._network.replace_link(degraded)
-        if worsening is None:
-            worsening = speed_factor <= 1.0 and propagation_factor >= 1.0
         # a no-op factor leaves that weight graph untouched, letting the
         # scoped recompute reuse the corresponding classification pass
         self._invalidate_routes(
             changed_links=((a, b),),
-            worsening=worsening,
+            worsening=speed_factor <= 1.0 and propagation_factor >= 1.0,
             speed_changed=speed_factor != 1.0,
             propagation_changed=propagation_factor != 1.0,
         )

@@ -139,14 +139,6 @@ class TestCaching:
         router.pair_coefficients("S1", "S3")
         assert (router.hits, router.misses) == (1, 0)
 
-    def test_clear_cache(self, bus3):
-        router = Router(bus3)
-        router.transmission_time("S1", "S2", 8_000)
-        router.clear_cache()
-        assert router.cache_size() == 0
-        assert len(router._route_cache) == 0
-        assert len(router._sized_path_cache) == 0
-
     def test_times_scale_with_size(self, chain3):
         router = Router(chain3)
         t_small = router.transmission_time("S1", "S3", 1_000)
@@ -166,25 +158,6 @@ class TestCaching:
 
 
 class TestCounters:
-    def test_clear_cache_resets_hit_miss_counters(self, bus3):
-        # regression: clear_cache used to keep the old traffic counters,
-        # so post-invalidation hit rates blended pre-change traffic
-        router = Router(bus3)
-        for _ in range(3):
-            router.transmission_time("S1", "S2", 8_000)
-        assert (router.hits, router.misses) == (2, 1)
-        router.clear_cache()
-        assert (router.hits, router.misses) == (0, 0)
-        assert router.hit_rate == 0.0
-
-    def test_clear_cache_keeps_work_counters(self, bus3):
-        router = Router(bus3)
-        router.transmission_time("S1", "S2", 8_000)
-        runs = router.dijkstra_runs
-        assert runs > 0
-        router.clear_cache()
-        assert router.dijkstra_runs == runs
-
     def test_reset_counters_zeroes_everything(self, bus3):
         router = Router(bus3)
         router.transmission_time("S1", "S2", 8_000)

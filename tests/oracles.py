@@ -12,6 +12,7 @@ from repro.core.compiled import CompiledInstance
 from repro.core.cost import CostModel
 from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
+from repro.service.state import FleetState
 
 
 class ScalarBatchEvaluator:
@@ -64,6 +65,28 @@ def scalar_batch_pricing():
 
     with mock.patch.object(CompiledInstance, "batch_evaluator", batch_evaluator):
         yield issued
+
+
+@contextmanager
+def rebuild_routes_on_link_events():
+    """Answer fleet link events with a from-scratch route rebuild.
+
+    Replaces :meth:`FleetState._invalidate_routes
+    <repro.service.state.FleetState._invalidate_routes>` -- the scoped,
+    in-place refresh -- with what a server change does: drop the shared
+    router and every cached cost model, then let the next queries
+    rebuild them. The batched route compile is switched off, so the
+    fresh router fills pair by pair on demand. Nothing is kept across a
+    link event, so a fleet that decides differently under this oracle
+    has a stale cache on the scoped path.
+    """
+
+    def rebuild(state, *_args, **_kwargs):
+        state._invalidate_caches()
+        state._compile_routes = False
+
+    with mock.patch.object(FleetState, "_invalidate_routes", rebuild):
+        yield
 
 
 def per_move_hill_climbing(

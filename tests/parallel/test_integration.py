@@ -1,21 +1,17 @@
-"""Parallel wiring of the experiment harness and the fleet controller.
+"""Parallel wiring of the experiment harness; the fleet stays serial.
 
-Both consumers promise the same contract as ``deploy_parallel``:
-fanning work across processes changes wall-clock time only, never the
-results -- records and fleet logs are byte-identical to the serial run.
+The harness promises the same contract as ``deploy_parallel``: fanning
+repetitions across processes changes wall-clock time only, never the
+results -- records are byte-identical to the serial run. The fleet
+controller prices in process only.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-from repro.core.clock import StepClock
 from repro.exceptions import ExperimentError
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
-from repro.service.controller import FleetController
-from repro.service.scenarios import build_scenario
 
 
 def _record_key(record):
@@ -51,25 +47,7 @@ class TestExperimentRunnerWorkers:
 
 
 class TestFleetParallelPricing:
-    def _replay(self, parallel_workers):
-        scenario = build_scenario("churn", seed=3)
-        config = dataclasses.replace(
-            scenario.config, parallel_workers=parallel_workers
-        )
-        with FleetController(
-            scenario.network, config=config, clock=StepClock()
-        ) as controller:
-            controller.run(scenario.events)
-            pooled = controller._pricing_runtime is not None
-            return list(controller.log), pooled
-
-    def test_parallel_pricing_matches_serial_log(self):
-        serial, _ = self._replay(1)
-        parallel, pooled = self._replay(2)
-        assert pooled, "the multi-tenant pricing fan-out never engaged"
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert a == b
+    """The fleet's pricing fan-out is gone: one in-process kernel."""
 
     def test_removed_use_batch_keywords_are_rejected(self):
         # one batch pricing path remains; the scalar-fallback switch is

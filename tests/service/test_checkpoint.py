@@ -311,7 +311,8 @@ class TestMigrationCodec:
 
 #: A checkpoint written before ``FleetConfig.use_batch`` was removed:
 #: two line tenants on a 2-server bus and one rebalancing tick, with the
-#: scalar-pricing switch set (``"use_batch":false``).
+#: scalar-pricing switch set (``"use_batch":false``). It also carries
+#: ``"parallel_workers":1``, an option removed since.
 LEGACY_CHECKPOINT = (
     '{"clock":{"kind":"step","step_s":0.001},'
     '"config":{"admission_load_limit_s":null,'
@@ -357,13 +358,11 @@ LEGACY_CHECKPOINT = (
 
 
 class TestLegacyCheckpoint:
-    def test_use_batch_key_is_accepted_and_replays_identically(
-        self, tmp_path
-    ):
-        document = json.loads(LEGACY_CHECKPOINT)
-        assert document["config"]["use_batch"] is False
+    def _restore(self, tmp_path, text):
+        """Restore *text*; check it replays its stored log and snapshot."""
+        document = json.loads(text)
         path = tmp_path / "legacy.json"
-        path.write_text(LEGACY_CHECKPOINT)
+        path.write_text(text)
         # restore replays the history and verifies it against the stored
         # log and snapshot: any drift in the decisions raises here
         restored, pending = restore_controller(path)
@@ -377,6 +376,25 @@ class TestLegacyCheckpoint:
         assert snapshot_to_dict(restored.state.snapshot()) == (
             document["snapshot"]
         )
+        return document, restored
+
+    def test_use_batch_key_is_accepted_and_replays_identically(
+        self, tmp_path
+    ):
+        document, _ = self._restore(tmp_path, LEGACY_CHECKPOINT)
+        assert document["config"]["use_batch"] is False
+
+    def test_parallel_workers_key_is_ignored_and_replays_identically(
+        self, tmp_path
+    ):
+        # the pooled pricing it selected made the same decisions, so any
+        # value restores onto the in-process path, byte for byte
+        text = LEGACY_CHECKPOINT.replace(
+            '"parallel_workers":1', '"parallel_workers":2'
+        )
+        document, restored = self._restore(tmp_path, text)
+        assert document["config"]["parallel_workers"] == 2
+        assert "parallel_workers" not in config_to_dict(restored.config)
 
 
 class TestPendingPriorities:

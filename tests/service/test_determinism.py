@@ -59,7 +59,6 @@ def _replay_with(name, seed, scalar=False, **overrides):
         assert sum(oracle.rows for oracle in oracles) > 0
     else:
         controller = replay(scenario)
-    controller.close()
     return controller
 
 
@@ -80,9 +79,9 @@ POLICIES = {
 
 @pytest.mark.parametrize("name", sorted(POLICIES))
 def test_every_pricing_path_feeds_one_selection(name):
-    """Scalar, pooled and default pricing pick the same moves.
+    """Scalar and kernel pricing pick the same moves.
 
-    The three paths only supply candidate execution times (and move
+    The two paths only supply candidate execution times (and move
     costs when migration-aware) to the one vectorised rebalance scan,
     so the logs are byte-identical and the evaluation counter -- one
     per candidate plus one per scan start -- is equal too. The scalar
@@ -91,7 +90,6 @@ def test_every_pricing_path_feeds_one_selection(name):
     policy = POLICIES[name]
     default = _replay_with(name, 3, **policy)
     assert default.metrics().rebalance_moves > 0
-    for variant in ({"scalar": True}, {"parallel_workers": 2}):
-        other = _replay_with(name, 3, **policy, **variant)
-        assert other.log.to_text() == default.log.to_text(), variant
-        assert other.evaluations == default.evaluations, variant
+    scalar = _replay_with(name, 3, scalar=True, **policy)
+    assert scalar.log.to_text() == default.log.to_text()
+    assert scalar.evaluations == default.evaluations

@@ -10,7 +10,14 @@ tick.
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.network.topology import bus_network, line_network
+from repro.network.routing import Router
+from repro.network.topology import (
+    Link,
+    Server,
+    ServerNetwork,
+    bus_network,
+    line_network,
+)
 from repro.scenarios import geo_network
 from repro.service.controller import FleetConfig, FleetController, StepClock
 from repro.service.events import (
@@ -20,6 +27,7 @@ from repro.service.events import (
     RegionOutage,
     Tick,
 )
+from repro.service.state import FleetState
 
 from .conftest import make_line
 
@@ -161,6 +169,30 @@ class TestLinkDegrade:
         controller.handle(LinkDegrade("S1", "S2", 0.5))
         controller.handle(LinkDegrade("S1", "S2", 2.0))
         assert controller.snapshot().objective == pytest.approx(before)
+
+    def test_upgrade_refreshes_every_route(self):
+        # regression: degrade_link used to take a caller's worsening=
+        # flag, which picked the scoped refresh for this upgrade and
+        # kept serving the cached two-hop A-C-B route
+        network = ServerNetwork("triangle")
+        for name in "ABC":
+            network.add_server(Server(name, 1e9))
+        network.add_link(Link("A", "B", 1e6))
+        network.add_link(Link("A", "C", 1e9))
+        network.add_link(Link("C", "B", 1e9))
+        state = FleetState(network)
+        assert state.router.path("A", "B", 1e6) == ("A", "C", "B")
+        with pytest.raises(TypeError):
+            state.degrade_link("A", "B", 1e4, worsening=True)
+        state.degrade_link("A", "B", 1e4)
+        fresh = Router(state.network)
+        for a in "ABC":
+            for b in "ABC":
+                assert state.router.path(a, b, 1e6) == fresh.path(a, b, 1e6)
+                assert state.router.transmission_time(
+                    a, b, 1e6
+                ) == fresh.transmission_time(a, b, 1e6)
+        assert state.router.path("A", "B", 1e6) == ("A", "B")
 
 
 class TestRegionOutage:

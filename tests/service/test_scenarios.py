@@ -4,11 +4,9 @@ import random
 
 import pytest
 
-from dataclasses import replace
-
 from repro.exceptions import ServiceError
 from repro.io.json_codec import workflow_to_dict
-from repro.service.controller import FleetConfig, FleetController, StepClock
+from repro.service.controller import FleetConfig
 from repro.service.events import CapacityDrift, LinkDegrade, WorkloadDrift
 from repro.service.scenarios import (
     build_scenario,
@@ -18,6 +16,8 @@ from repro.service.scenarios import (
     replay,
     wave_workflow,
 )
+from repro.service.state import FleetState
+from tests.oracles import rebuild_routes_on_link_events
 
 from .conftest import make_line
 
@@ -279,36 +279,41 @@ class TestDiurnalScenario:
         assert metrics.route_dijkstra_runs > 0
 
 
-def _replay_with_mode(name, mode, seed=0):
-    scenario = build_scenario(name, seed=seed)
-    controller = FleetController(
-        scenario.network,
-        config=replace(scenario.config, route_invalidation=mode),
-        clock=StepClock(),
-    )
-    controller.run(scenario.events)
-    return controller
+def _replay_scoped_and_rebuilt(name, seed=0):
+    """Replay *name* twice: scoped refresh, then the rebuild oracle."""
+    scoped = replay(build_scenario(name, seed=seed))
+    with rebuild_routes_on_link_events():
+        rebuilt = replay(build_scenario(name, seed=seed))
+    return scoped, rebuilt
 
 
 class TestInvalidationModes:
-    """Scoped, eager and lazy invalidation decide identically."""
+    """Scoped route refresh decides exactly like a from-scratch rebuild.
 
-    def test_unknown_mode_raises(self):
-        with pytest.raises(ServiceError, match="route invalidation"):
-            FleetConfig(route_invalidation="sometimes")
+    The oracle is :func:`tests.oracles.rebuild_routes_on_link_events`:
+    every link event drops the router and every cost model, so nothing
+    cached survives it.
+    """
+
+    def test_unknown_mode_raises(self, fleet_network):
+        # one refresh path and one pricing path remain; the switches
+        # between the old ones are gone
+        with pytest.raises(TypeError):
+            FleetConfig(route_invalidation="scoped")
+        with pytest.raises(TypeError):
+            FleetConfig(parallel_workers=1)
+        with pytest.raises(TypeError):
+            FleetState(fleet_network, route_invalidation="scoped")
 
     @pytest.mark.parametrize("name", ["abilene", "geo", "diurnal"])
     def test_modes_agree_byte_for_byte(self, name):
-        logs = {
-            mode: _replay_with_mode(name, mode).log.to_text()
-            for mode in ("scoped", "eager", "lazy")
-        }
-        assert logs["scoped"] == logs["eager"] == logs["lazy"]
+        scoped, rebuilt = _replay_scoped_and_rebuilt(name)
+        assert scoped.log.to_text() == rebuilt.log.to_text()
+        assert scoped.evaluations == rebuilt.evaluations
 
     def test_scoped_runs_fewer_dijkstras_than_lazy(self):
-        scoped = _replay_with_mode("abilene", "scoped")
-        lazy = _replay_with_mode("abilene", "lazy")
+        scoped, rebuilt = _replay_scoped_and_rebuilt("abilene")
         assert (
             scoped.state.router_dijkstra_runs
-            < lazy.state.router_dijkstra_runs
+            < rebuilt.state.router_dijkstra_runs
         )
