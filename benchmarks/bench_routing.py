@@ -1,6 +1,6 @@
-"""Benchmark: batched route compilation and link-scoped invalidation.
+"""Benchmark: batched route compilation and row-certified invalidation.
 
-Two experiments over the routing layer (see DESIGN.md §15):
+Three experiments over the routing layer (see DESIGN.md §15):
 
 * **compile** -- filling the full all-pairs route table of a 50-server
   geo fleet (complete, heterogeneous graph) two ways: the lazy path
@@ -13,29 +13,44 @@ Two experiments over the routing layer (see DESIGN.md §15):
   via ``BENCH_FLOOR_ROUTING``).
 
 * **invalidation** -- replaying the seeded ``abilene`` scenario with
-  the fleet's scoped route refresh versus the rebuild oracle
+  the fleet's in-place route refresh versus the rebuild oracle
   (:func:`tests.oracles.rebuild_routes_on_link_events`: every link
   event drops the router and every cost model, and routes refill pair
   by pair on demand) and summing the router's Dijkstra runs across the
-  link events (brownouts/failures). Scoped invalidation recomputes
-  only the pairs whose classification paths crossed a changed link, so
-  it must spend at least ``BENCH_FLOOR_ROUTING_EVENTS`` times fewer
-  runs per link event -- a deterministic, seeded count asserted even in
-  smoke. The two replays' decision logs must match byte for byte (route
-  maintenance must never change a decision). For scale, the arm also
-  reports what one fresh ``compile_all_pairs`` per link event would
-  cost (no floor).
+  link events (brownouts/failures). The refresh re-runs only the
+  single-source passes a changed link could alter, so it must spend at
+  least ``BENCH_FLOOR_ROUTING_EVENTS`` times fewer runs per link event
+  -- a deterministic, seeded count asserted even in smoke. The two
+  replays' decision logs must match byte for byte (route maintenance
+  must never change a decision). For scale, the arm also reports what
+  one fresh ``compile_all_pairs`` per link event would cost (no floor).
 
-Results land in ``output/BENCH_routing.json``. ``BENCH_SMOKE=1`` runs
-the compile arm on a smaller 20-server fleet and skips only the
-wall-clock floor.
+* **restore** -- a seeded degrade-then-restore sequence on a sparse
+  40-server fleet (random spanning tree plus extra links, 10M/100M/1G
+  speeds): each round halves one link's speed and doubles another's
+  propagation delay, then restores both exactly. Restores make links
+  *better*, which used to force a full recompile. The Dijkstra runs of
+  :meth:`~repro.network.routing.Router.invalidate` on the restoring
+  events must be at least ``BENCH_FLOOR_ROUTING_RESTORE`` times fewer
+  than one fresh ``compile_all_pairs`` per restoring event (a
+  deterministic count, asserted even in smoke), and the refreshed
+  table must equal the fresh one after every event.
+
+Results land in ``output/BENCH_routing.json``, with the host's CPU
+count, Python and NumPy versions. ``BENCH_SMOKE=1`` runs the compile
+arm on a smaller 20-server fleet and skips only the wall-clock floor.
 """
 
 import os
+import platform
+import random
 import time
+
+import numpy
 
 from repro.core.clock import StepClock
 from repro.network.routing import Router
+from repro.network.topology import Link, random_network
 from repro.scenarios import random_geo_network
 from repro.service.controller import FleetController
 from repro.service.scenarios import build_scenario
@@ -59,6 +74,12 @@ COMPILE_RUNS_FLOOR = perf_floor("ROUTING_RUNS", 5.0)
 #: Per-link-event Dijkstra-count floor, scoped refresh vs the rebuild
 #: oracle (deterministic: seeded replay, counted work).
 EVENTS_RUNS_FLOOR = perf_floor("ROUTING_EVENTS", 5.0)
+#: Restore arm: sparse fleet size and degrade/restore rounds.
+RESTORE_SERVERS = 40
+RESTORE_ROUNDS = 20
+#: Dijkstra-count floor for restoring events, in-place refresh vs one
+#: fresh compile per event (deterministic: seeded, counted work).
+RESTORE_RUNS_FLOOR = perf_floor("ROUTING_RESTORE", 3.0)
 
 _RESULTS: dict = {
     "smoke": SMOKE,
@@ -69,6 +90,12 @@ _RESULTS: dict = {
     "compile_wall_floor": COMPILE_WALL_FLOOR,
     "compile_runs_floor": COMPILE_RUNS_FLOOR,
     "events_runs_floor": EVENTS_RUNS_FLOOR,
+    "restore_servers": RESTORE_SERVERS,
+    "restore_rounds": RESTORE_ROUNDS,
+    "restore_runs_floor": RESTORE_RUNS_FLOOR,
+    "cpu_count": os.cpu_count(),
+    "python": platform.python_version(),
+    "numpy": numpy.__version__,
 }
 
 
@@ -215,7 +242,7 @@ def _replay_rebuilt():
 
 
 def bench_routing_invalidation(benchmark):
-    """Dijkstra runs per link event: scoped refresh vs the rebuild oracle."""
+    """Dijkstra runs per link event: in-place refresh vs the rebuild oracle."""
 
     def run_both():
         return _replay_counting(), _replay_rebuilt()
@@ -228,7 +255,7 @@ def bench_routing_invalidation(benchmark):
 
     # route maintenance must never change a fleet decision
     assert scoped.log.to_text() == rebuilt.log.to_text(), (
-        "scoped refresh and the rebuild oracle produced different "
+        "in-place refresh and the rebuild oracle produced different "
         "decision logs"
     )
 
@@ -255,7 +282,7 @@ def bench_routing_invalidation(benchmark):
         + (" (smoke)" if SMOKE else ""),
         f"rebuild oracle:        {full_runs:6d} Dijkstra runs on link events",
         f"fresh compile/event:   {compile_runs:6d} Dijkstra runs (no floor)",
-        f"scoped invalidation:   {scoped_runs:6d} Dijkstra runs on link "
+        f"in-place refresh:      {scoped_runs:6d} Dijkstra runs on link "
         f"events ({scoped_metrics.route_pairs_invalidated} pairs "
         f"invalidated, {scoped_metrics.route_pairs_recomputed} recomputed)",
         f"per-event run ratio:   {ratio:8.2f}x "
@@ -263,6 +290,89 @@ def bench_routing_invalidation(benchmark):
     )
     if EVENTS_RUNS_FLOOR > 0:
         assert ratio >= EVENTS_RUNS_FLOOR, (
-            f"scoped invalidation saved too few Dijkstra runs: "
+            f"in-place refresh saved too few Dijkstra runs: "
             f"{ratio:.2f}x < floor {EVENTS_RUNS_FLOOR:.2f}x"
+        )
+
+
+def _scale_link(network, link: Link, speed: float, propagation: float):
+    network.replace_link(
+        Link(
+            link.a,
+            link.b,
+            link.speed_bps * speed,
+            link.propagation_s * propagation,
+        )
+    )
+
+
+def _degrade_restore() -> tuple[int, int, int]:
+    """Seeded degrade-then-restore rounds on a sparse fleet.
+
+    Returns ``(restoring events, refresh runs on them, fresh-compile
+    runs on them)``; the refreshed table is checked against a fresh
+    compile after every event.
+    """
+    rng = random.Random(SEED)
+    network = random_network(
+        [1e9] * RESTORE_SERVERS,
+        (10e6, 100e6, 1e9),
+        extra_edge_probability=0.08,
+        rng=rng,
+        propagation_s=1e-3,
+        name="bench-restore",
+    )
+    router = Router(network)
+    router.compile_all_pairs()
+    events = refresh_runs = fresh_runs = 0
+    for _ in range(RESTORE_ROUNDS):
+        slowed, lagged = rng.sample(network.links, 2)
+        for link, speed, propagation, restoring in (
+            (slowed, 0.5, 1.0, False),
+            (lagged, 1.0, 2.0, False),
+            (slowed, 2.0, 1.0, True),
+            (lagged, 1.0, 0.5, True),
+        ):
+            _scale_link(
+                network, network.link(link.a, link.b), speed, propagation
+            )
+            before = router.dijkstra_runs
+            router.invalidate()
+            fresh = Router(network)
+            fresh.compile_all_pairs()
+            assert _route_table(router) == _route_table(fresh), (
+                "in-place refresh diverged from a fresh compile"
+            )
+            if restoring:
+                events += 1
+                refresh_runs += router.dijkstra_runs - before
+                fresh_runs += fresh.dijkstra_runs
+    return events, refresh_runs, fresh_runs
+
+
+def bench_routing_restore(benchmark):
+    """Dijkstra runs per restoring link event: refresh vs fresh compile."""
+    benchmark(_degrade_restore)
+    events, refresh_runs, fresh_runs = _degrade_restore()
+    ratio = fresh_runs / refresh_runs if refresh_runs else float("inf")
+
+    _RESULTS["restore_events"] = events
+    _RESULTS["restore_refresh_runs"] = refresh_runs
+    _RESULTS["restore_compile_runs"] = fresh_runs
+    _RESULTS["restore_runs_ratio"] = ratio if refresh_runs else None
+    _flush_results()
+
+    emit(
+        "routing_restore",
+        f"{RESTORE_SERVERS}-server sparse fleet (seed {SEED}), "
+        f"{events} restoring link events",
+        f"fresh compile/event:   {fresh_runs:6d} Dijkstra runs",
+        f"in-place refresh:      {refresh_runs:6d} Dijkstra runs",
+        f"per-event run ratio:   {ratio:8.2f}x "
+        f"(floor {RESTORE_RUNS_FLOOR:.2f})",
+    )
+    if RESTORE_RUNS_FLOOR > 0:
+        assert ratio >= RESTORE_RUNS_FLOOR, (
+            f"restores saved too few Dijkstra runs: {ratio:.2f}x < floor "
+            f"{RESTORE_RUNS_FLOOR:.2f}x"
         )

@@ -254,15 +254,16 @@ class BatchEvaluator:
 
         *affected* (index pairs, both directions) scopes the expensive
         part: a size-dependent pair outside the affected set kept its
-        per-size optimal paths across the (strictly worsening) change,
-        so its old matrix entries are restored verbatim instead of
-        re-running one Dijkstra per cached message size. That is only
-        sound because :meth:`repro.network.routing.Router.invalidate`
-        reports *every* pair whose per-size fallback entries it dropped
-        -- including pairs whose classification paths avoid the change
-        while some per-size optimum crossed it -- so anything outside
-        *affected* provably kept all its sized paths. ``None`` means
-        every pair may have changed -- re-query them all.
+        per-size optimal paths across the change, so its old matrix
+        entries are restored verbatim instead of re-running one
+        Dijkstra per cached message size. That is only sound because
+        :meth:`repro.network.routing.Router.invalidate` reports *every*
+        pair whose per-size fallback entries it dropped -- including
+        pairs whose classification paths avoid the change while some
+        per-size optimum crossed it, and every size-dependent pair once
+        entries were evicted -- so anything outside *affected* provably
+        kept all its sized paths. ``None`` means every pair may have
+        changed -- re-query them all.
         """
         compiled = self.compiled
         self._read_routes()

@@ -457,36 +457,26 @@ class CompiledInstance:
         2 per pair targeted runs and without counting cache traffic.
         """
         self.router.compile_all_pairs()
-        self._refresh_routes(None)
+        self.refresh_routes()
 
-    def invalidate_routes(
-        self,
-        changed_links: tuple[tuple[str, str], ...] | None = None,
-        worsening: bool = False,
-        speed_changed: bool = True,
-        propagation_changed: bool = True,
-    ) -> None:
+    def invalidate_routes(self) -> None:
         """Rebuild the route-delay table after link parameters changed.
 
         The explicit invalidation/rebuild hook of the scenario layer:
         when a link fails, degrades or is upgraded, the compiled
         artifact stays valid *except* for everything derived from route
-        delays. The router recomputes immediately (link-scoped when
-        *changed_links* is given with ``worsening=True`` -- a failure or
-        strict degrade -- full otherwise; see
-        :meth:`repro.network.routing.Router.invalidate` for the
-        asymmetry) and the route table, the migration-cost table and
-        the memoised batch evaluator's dense delay matrices are
-        bulk-refilled in one pass instead of trickling back through
-        per-pair resolutions mid-rebalance.
+        delays. The router recomputes immediately (see
+        :meth:`repro.network.routing.Router.invalidate`), and the route
+        table, the migration-cost table and the memoised batch
+        evaluator's dense delay matrices are bulk-refilled in one pass
+        instead of trickling back through per-pair resolutions.
 
         The contract is *link changes only*: the server set, their
         powers and the workflow must be unchanged (those invalidate the
         whole artifact -- recompile instead). Callers holding
-        ``MoveEvaluator`` running state over this
-        instance must rebuild (or ``resync``) them; the fleet's
-        rebalancer constructs them per round, so it gets fresh delays
-        automatically.
+        ``MoveEvaluator`` running state over this instance must rebuild
+        (or ``resync``) them; the fleet's rebalancer constructs them per
+        round, so it gets fresh delays automatically.
         """
         if self.network.server_names != self.server_names:
             raise DeploymentError(
@@ -494,13 +484,7 @@ class CompiledInstance:
                 f"{self.network.name!r}: the server set changed; "
                 f"recompile the instance instead"
             )
-        affected = self.router.invalidate(
-            changed_links=changed_links,
-            worsening=worsening,
-            speed_changed=speed_changed,
-            propagation_changed=propagation_changed,
-        )
-        self._refresh_routes(affected)
+        self.refresh_routes(self.router.invalidate())
 
     def refresh_routes(
         self, affected: set[tuple[str, str]] | None = None
@@ -511,20 +495,13 @@ class CompiledInstance:
         recomputed) once at the state level; each tenant's compiled
         instance then refreshes its own route table, migration rows and
         batch matrices from the router's caches. *affected* is the
-        scoped set of canonical ``(server, server)`` name pairs returned
-        by :meth:`repro.network.routing.Router.invalidate` -- the
-        recomputed pairs plus any size-dependent pair whose per-size
-        fallback entries were dropped (its classification stood but its
-        cached per-size prices did not) -- or ``None`` for "every pair
-        changed".
+        set of canonical ``(server, server)`` name pairs returned
+        by :meth:`repro.network.routing.Router.invalidate` -- the pairs
+        whose route changed plus every pair whose per-size prices may
+        have -- or ``None`` for "every pair changed".
         """
-        self._refresh_routes(affected)
-
-    def _refresh_routes(
-        self, affected: set[tuple[str, str]] | None
-    ) -> None:
         if affected is not None and not affected:
-            return  # scoped invalidation touched none of the routes
+            return  # the invalidation changed none of the routes
         routes = self.routes
         server_index = self.server_index
         names = self.server_names

@@ -102,8 +102,9 @@ class MigrationCostModel:
         """The cost of one move whose state transfer takes *delay_s*.
 
         The single pricing expression shared by the full migration-table
-        compile and the link-scoped row refresh -- one float operation
-        order, so scoped refreshes are bit-identical to recompiles.
+        compile and the per-pair row refresh after link events -- one
+        float operation order, so refreshes are bit-identical to
+        recompiles.
         """
         return self.downtime_s + delay_s
 

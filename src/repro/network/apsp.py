@@ -23,12 +23,14 @@ exactly:
   (``vu_dist < seen[u]``), never on equality;
 * distances accumulate as the left fold ``dist[v] + w`` and path
   coefficients as the left-to-right sums of
-  :meth:`Router._coefficients`, so every float is produced by the same
-  IEEE-754 operation sequence.
+  :meth:`CompiledGraph.coefficients`, so every float is produced by the
+  same IEEE-754 operation sequence.
 
 A full single-source pass finalises, for each target, the exact path a
 targeted run (which merely breaks early at the target's pop) would
 return -- so batching changes *which* queries run, never their answers.
+Its ``(dist, parent)`` arrays are a *row*, which :func:`row_survives`
+certifies across link changes (DESIGN.md §15).
 
 **Dense fast path.** Geo-region factories build *complete* graphs where
 almost every shortest route is the direct link. There the per-source
@@ -55,11 +57,18 @@ from repro.network.topology import ServerNetwork
 
 __all__ = [
     "CompiledGraph",
+    "GraphChange",
     "PairRoute",
+    "classify_pair",
     "compile_graph",
-    "compile_source_routes",
+    "crosses",
+    "diff_graphs",
+    "moved_targets",
+    "row_path",
+    "row_survives",
     "shortest_path",
     "shortest_sized_path",
+    "source_row",
 ]
 
 #: Weight selectors of the two classification passes.
@@ -67,28 +76,40 @@ WEIGHT_PROPAGATION = 0
 WEIGHT_TRANSFER = 1
 
 
+#: One full single-source pass for one weight: ``(dist, parent)``.
+Row = tuple[list, list[int]]
+
+
 @dataclass(frozen=True)
 class PairRoute:
     """One classified server pair, as the router caches it.
 
     ``path`` is the representative route (the size-0 optimum unless the
-    min-transfer path dominates), ``alt_path`` the *other*
-    classification path when it differs -- a size-dependent pair's
-    optimum can flip to either, so link-scoped invalidation must watch
-    the links of both. ``zero_path`` / ``large_path`` retain the two
-    raw classification paths: when a later link change touches only one
-    of the two weights, the unchanged weight's pass would reproduce its
-    stored path exactly, so a scoped recompute can reuse it instead of
-    re-running that pass (see ``compile_source_routes``'s *reuse*).
+    min-transfer path dominates) with its affine coefficients; a
+    size-dependent pair is answered per size by the sized fallback.
+    ``paths`` holds the canonical source's two classification paths
+    (min-propagation, min-transfer) in index form.
     """
 
     path: tuple[str, ...]
     propagation_s: float
     transfer_s_per_bit: float
     size_independent: bool
-    alt_path: tuple[str, ...] | None
-    zero_path: tuple[str, ...]
-    large_path: tuple[str, ...]
+    paths: tuple[tuple[int, ...], tuple[int, ...]]
+
+    def time(self, size_bits: float) -> float:
+        """Delivery time of a *size_bits* message along :attr:`path`."""
+        return self.propagation_s + size_bits * self.transfer_s_per_bit
+
+    def reversed(self) -> "PairRoute":
+        """The same route walked backwards: identical coefficients."""
+        return PairRoute(
+            self.path[::-1],
+            self.propagation_s,
+            self.transfer_s_per_bit,
+            self.size_independent,
+            self.paths,
+        )
 
 
 class CompiledGraph:
@@ -148,9 +169,8 @@ class CompiledGraph:
     ) -> tuple[float, float]:
         """``(sum propagation, sum 1/speed)`` along *path* (index form).
 
-        The same left-to-right fold as
-        :meth:`repro.network.routing.Router._coefficients`, reading the
-        precomputed per-edge weights -- identical floats.
+        The one left-to-right fold of path coefficients, shared by
+        classification and sized pricing -- identical floats.
         """
         propagation = 0.0
         transfer = 0.0
@@ -312,23 +332,13 @@ def classify_pair(
     """
     prop_zero, transfer_zero = graph.coefficients(path_zero)
     prop_large, transfer_large = graph.coefficients(path_large)
-    zero_names = graph.to_names(path_zero)
-    large_names = graph.to_names(path_large)
+    paths = (path_zero, path_large)
+    names = graph.to_names
     if transfer_zero <= transfer_large:
-        return PairRoute(
-            zero_names, prop_zero, transfer_zero, True, None,
-            zero_names, large_names,
-        )
+        return PairRoute(names(path_zero), prop_zero, transfer_zero, True, paths)
     if prop_large <= prop_zero:
-        return PairRoute(
-            large_names, prop_large, transfer_large, True, None,
-            zero_names, large_names,
-        )
-    alt = large_names if large_names != zero_names else None
-    return PairRoute(
-        zero_names, prop_zero, transfer_zero, False, alt,
-        zero_names, large_names,
-    )
+        return PairRoute(names(path_large), prop_large, transfer_large, True, paths)
+    return PairRoute(names(path_zero), prop_zero, transfer_zero, False, paths)
 
 
 class _DenseDominance:
@@ -359,7 +369,6 @@ class _DenseDominance:
             self._dominant_rows(prop, np),
             self._dominant_rows(trans, np),
         )
-        self.dense_rows = int(self.ok_rows[0].sum() + self.ok_rows[1].sum())
 
     @staticmethod
     def _dominant_rows(weights, np):
@@ -388,56 +397,138 @@ def dense_dominance(graph: CompiledGraph) -> "_DenseDominance | None":
     return _DenseDominance(graph, np)
 
 
-def compile_source_routes(
+def source_row(
     graph: CompiledGraph,
     source: int,
-    targets,
+    weight: int,
     dense: "_DenseDominance | None" = None,
-    reuse: "tuple[int, dict[int, tuple[int, ...]]] | None" = None,
-) -> tuple[dict[int, PairRoute], int]:
-    """Classify every ``(source, target)`` pair in one batched sweep.
+) -> tuple[Row, int]:
+    """The full-pass row of *source* for *weight*; ``(row, runs)``.
 
-    Runs the min-propagation and min-transfer passes for *source* (or
-    skips either via the *dense* direct-dominance certificate) and
-    classifies each requested target. Returns ``(routes, dijkstra_runs)``
-    where *routes* maps target index to its :class:`PairRoute` and
-    *dijkstra_runs* counts the actual passes executed (0, 1 or 2).
-
-    *reuse* -- ``(weight, {target: index_path})`` -- skips that weight's
-    pass and substitutes the given per-target paths. Sound only when the
-    caller knows that weight's graph is unchanged since the paths were
-    computed (e.g. a speed-only degrade leaves every propagation weight
-    and the adjacency intact), in which case a fresh pass -- being
-    deterministic on identical inputs -- would reproduce them exactly.
+    A *dense*-certified row is the direct weights with parent *source*,
+    exactly what the skipped pass returns, at ``runs == 0``.
     """
-    runs = 0
-    parents: list[list[int] | None] = [None, None]
-    dists: list[list[float | None] | None] = [None, None]
-    direct = [False, False]
-    for weight in (WEIGHT_PROPAGATION, WEIGHT_TRANSFER):
-        if reuse is not None and reuse[0] == weight:
-            continue
-        if dense is not None and dense.row_ok(source, weight):
-            direct[weight] = True
-            continue
-        dist, parent = _dijkstra(graph, source, weight)
-        dists[weight], parents[weight] = dist, parent
-        runs += 1
+    if dense is not None and dense.row_ok(source, weight):
+        size = len(graph.names)
+        dist: list = [None] * size
+        parent = [-1] * size
+        dist[source] = 0
+        for edge in graph.adjacency[source]:
+            dist[edge[0]] = edge[1 + weight]
+            parent[edge[0]] = source
+        return (dist, parent), 0
+    return _dijkstra(graph, source, weight), 1
 
-    def pass_path(weight: int, target: int) -> tuple[int, ...]:
-        if reuse is not None and reuse[0] == weight:
-            return reuse[1][target]
-        if direct[weight]:
-            return (source, target)
-        if dists[weight][target] is None:
-            raise _no_route(graph, source, target)
-        return _reconstruct(parents[weight], source, target)
 
-    routes: dict[int, PairRoute] = {}
-    for target in targets:
-        if target == source:
+def row_path(
+    graph: CompiledGraph, row: Row, source: int, target: int
+) -> tuple[int, ...]:
+    """The finalised path ``source -> target`` of a full-pass row."""
+    if row[0][target] is None:
+        raise _no_route(graph, source, target)
+    return _reconstruct(row[1], source, target)
+
+
+def crosses(path: tuple[int, ...], edges) -> bool:
+    """True when *path* traverses one of the directed *edges*."""
+    return any(edge in edges for edge in zip(path, path[1:]))
+
+
+@dataclass(frozen=True)
+class GraphChange:
+    """Per-edge difference between two snapshots of one server set.
+
+    ``relaxed[weight]``: ``(x, y, new_weight)`` per directed edge that
+    changed, was added or removed (``inf``), plus every edge out of a
+    node whose adjacency order changed. ``moved``: directed edges whose
+    link parameters changed. ``better[weight]``: an edge got cheaper,
+    was added or reordered; when false, paths avoiding the changed
+    edges keep their optimum (DESIGN.md §15). ``improved``: a link got
+    faster, less laggy, added or reordered.
+    """
+
+    relaxed: tuple[tuple[tuple[int, int, float], ...], ...]
+    moved: frozenset[tuple[int, int]]
+    better: tuple[bool, bool]
+    improved: bool
+
+
+def diff_graphs(old: CompiledGraph, new: CompiledGraph) -> GraphChange:
+    """Compare two snapshots of the same server set edge by edge."""
+    relaxed: tuple[list, list] = ([], [])
+    moved: set[tuple[int, int]] = set()
+    better = [False, False]
+    faster = False
+    removed = (float("inf"), float("inf"), 0.0)  # an infinitely slow link
+    for x, (before, after) in enumerate(zip(old.adjacency, new.adjacency)):
+        if before == after:
             continue
-        path_zero = pass_path(WEIGHT_PROPAGATION, target)
-        path_large = pass_path(WEIGHT_TRANSFER, target)
-        routes[target] = classify_pair(graph, path_zero, path_large)
-    return routes, runs
+        was = {edge[0]: edge for edge in before}
+        now = {edge[0]: edge for edge in after}
+        reordered = [u for u in was if u in now] != [u for u in now if u in was]
+        now.update((y, (y, *removed)) for y in was.keys() - now.keys())
+        for y, edge in now.items():
+            prior = was.get(y)
+            if prior != edge:
+                moved.add((x, y))
+                faster |= prior is not None and edge[3] > prior[3]
+            for weight in (WEIGHT_PROPAGATION, WEIGHT_TRANSFER):
+                value = edge[1 + weight]
+                if reordered or prior is None or prior[1 + weight] != value:
+                    relaxed[weight].append((x, y, value))
+                    better[weight] |= (
+                        reordered or prior is None or value < prior[1 + weight]
+                    )
+    return GraphChange(
+        tuple(map(tuple, relaxed)),
+        frozenset(moved),
+        (better[0], better[1]),
+        faster or any(better),
+    )
+
+
+def row_survives(row: Row, relaxed) -> bool:
+    """True when re-running *row*'s pass would reproduce it exactly.
+
+    Every changed edge ``(x, y, new_weight)`` of the row's weight must
+    be off the tree (``parent[y] != x``) and strictly slower into ``y``
+    than its final distance, ``dist[x] + new_weight > dist[y]``, in the
+    pass's own float fold (proof sketch: DESIGN.md §15).
+    """
+    dist, parent = row
+    for x, y, weight in relaxed:
+        if parent[y] == x:
+            return False
+        before, head = dist[x], dist[y]
+        if before is None or head is None or not before + weight > head:
+            return False
+    return True
+
+
+def _below(row: Row, marked: set[int]) -> set[int]:
+    """Nodes whose tree path passes a *marked* node, or unreachable."""
+    dist, parent = row
+    below: list = [None] * len(parent)
+    for start in range(len(parent)):
+        chain, node = [], start
+        while node >= 0 and below[node] is None:
+            chain.append(node)
+            node = parent[node]
+        flag = node >= 0 and below[node]
+        for node in reversed(chain):
+            below[node] = flag = flag or node in marked or dist[node] is None
+    return {node for node, flag in enumerate(below) if flag}
+
+
+def moved_targets(
+    old: Row, new: Row, moved: frozenset[tuple[int, int]]
+) -> set[int]:
+    """Nodes whose path crosses a *moved* edge in *old* or differs in
+    *new*: the targets whose classification may have changed."""
+    heads = {y for x, y in moved if old[1][y] == x}
+    dirty = _below(old, heads) if heads else set()
+    if new is not old:
+        dirty |= _below(
+            new, {v for v, (a, b) in enumerate(zip(old[1], new[1])) if a != b}
+        )
+    return dirty

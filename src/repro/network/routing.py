@@ -47,21 +47,16 @@ through :attr:`Router.dijkstra_runs`, :attr:`Router.pairs_invalidated`,
 :attr:`Router.pairs_recomputed` and :attr:`Router.last_invalidation`.
 Link parameters may change at runtime (the fleet's link
 failure/degradation events); :meth:`Router.invalidate` is the one
-refresh hook and recomputes immediately. Given ``changed_links`` and
-``worsening=True`` it drops *only* the pairs whose classification paths
-traverse a changed link (a strict worsening cannot make an untouched
-path sub-optimal) and recomputes just those; improvements or additions
-can re-route *any* pair, so they always fall back to a full recompile.
-That asymmetry is the core of link-scoped invalidation -- see
-DESIGN.md §15. A server change needs a new router.
+refresh hook: it re-runs only the single-source passes a changed edge
+could alter, for any kind of change (DESIGN.md §15). A server change
+needs a new router.
 
 Between mutations the network is treated as frozen.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.exceptions import NetworkError
 from repro.network import apsp
 from repro.network.topology import ServerNetwork
 
@@ -71,19 +66,6 @@ __all__ = ["Router"]
 #: before the oldest half is evicted (bounds memory on adversarial
 #: workloads; size-independent pairs never consume these entries).
 SIZED_CACHE_LIMIT = 4096
-
-
-@dataclass(frozen=True)
-class _Route:
-    """One cached route: its path and affine time coefficients."""
-
-    path: tuple[str, ...]
-    propagation_s: float
-    transfer_s_per_bit: float
-    size_independent: bool
-
-    def time(self, size_bits: float) -> float:
-        return self.propagation_s + size_bits * self.transfer_s_per_bit
 
 
 class Router:
@@ -106,33 +88,32 @@ class Router:
         per-size fallback) cache, a *miss* runs Dijkstra.
     dijkstra_runs:
         Cumulative single-source Dijkstra passes executed (lazy builds,
-        batched compiles and scoped recomputes alike) -- the unit of
+        batched compiles and invalidation re-runs alike) -- the unit of
         routing work the benchmarks compare.
     pairs_invalidated, pairs_recomputed:
         Cumulative counts over :meth:`invalidate` calls: how many cached
-        pairs were dropped, and how many were recomputed.
+        pairs were dropped, and how many were recomputed (the same
+        pairs: every dropped pair is reclassified at once).
     last_invalidation:
         A summary dict of the most recent :meth:`invalidate` call
-        (``mode``/``changed_links``/``pairs_invalidated``/
-        ``pairs_recomputed``/``dijkstra_runs``, plus
-        ``sized_pairs_dropped`` in scoped mode), or ``None``.
+        (``changed_links``/``rows_rerun``/``pairs_invalidated``/
+        ``pairs_recomputed``/``sized_pairs_dropped``/``dijkstra_runs``),
+        or ``None``.
     """
 
     def __init__(self, network: ServerNetwork):
         self._network = network
         self._graph: apsp.CompiledGraph | None = None
-        self._route_cache: dict[tuple[str, str], _Route] = {}
+        # the snapshot's dense certificate, built on its first use
+        self._dense: object | None = None
+        self._route_cache: dict[tuple[str, str], apsp.PairRoute] = {}
         self._sized_path_cache: dict[tuple[str, str, float], tuple[str, ...]] = {}
-        # link-scoped invalidation reverse index: which cached pairs have
-        # a classification path traversing a given link, and the inverse
-        self._link_pairs: dict[frozenset[str], set[tuple[str, str]]] = {}
-        self._pair_links: dict[tuple[str, str], frozenset[frozenset[str]]] = {}
-        # raw (zero_path, large_path) per canonical pair, kept so a
-        # change touching only one weight can reuse the other's pass
-        self._pair_paths: dict[
-            tuple[str, str], tuple[tuple[str, ...], tuple[str, ...]]
-        ] = {}
-        self._compiled_all = False
+        # canonical source index -> (min-propagation, min-transfer)
+        # rows for every source with cached pairs; None stands for the
+        # paths its cached pairs carry (see _refresh_rows)
+        self._rows: dict[int, tuple[apsp.Row | None, apsp.Row | None]] = {}
+        # set when per-size entries were evicted since the last refresh
+        self._sized_evicted = False
         self.hits = 0
         self.misses = 0
         self.dijkstra_runs = 0
@@ -160,47 +141,14 @@ class Router:
             graph = self._graph = apsp.compile_graph(self._network)
         return graph
 
-    def _coefficients(self, nodes: tuple[str, ...]) -> tuple[float, float]:
-        """``(sum propagation, sum 1/speed)`` along *nodes*."""
-        propagation = 0.0
-        transfer = 0.0
-        for a, b in zip(nodes, nodes[1:]):
-            link = self._network.link(a, b)
-            propagation += link.propagation_s
-            transfer += 1.0 / link.speed_bps
-        return propagation, transfer
-
-    def _store(
-        self, a: str, b: str, record: apsp.PairRoute
-    ) -> None:
+    def _store(self, a: str, b: str, route: apsp.PairRoute) -> None:
         """Cache one classified canonical pair (both directions)."""
-        route = _Route(
-            record.path,
-            record.propagation_s,
-            record.transfer_s_per_bit,
-            record.size_independent,
-        )
         self._route_cache[(a, b)] = route
         # symmetric network: the reverse path is optimal in reverse,
         # with the *same* coefficient floats
-        self._route_cache[(b, a)] = _Route(
-            route.path[::-1],
-            route.propagation_s,
-            route.transfer_s_per_bit,
-            route.size_independent,
-        )
-        paths = (record.path,)
-        if record.alt_path is not None:
-            paths += (record.alt_path,)
-        links = frozenset(
-            frozenset(edge) for path in paths for edge in zip(path, path[1:])
-        )
-        self._pair_links[(a, b)] = links
-        for link in links:
-            self._link_pairs.setdefault(link, set()).add((a, b))
-        self._pair_paths[(a, b)] = (record.zero_path, record.large_path)
+        self._route_cache[(b, a)] = route.reversed()
 
-    def _build_route(self, source: str, target: str) -> _Route:
+    def _build_route(self, source: str, target: str) -> apsp.PairRoute:
         """Classify the (source, target) pair on its first query.
 
         Runs Dijkstra twice -- once by propagation delay (the size-0
@@ -233,6 +181,7 @@ class Router:
             ) from None
         self.dijkstra_runs += 2
         self._store(a, b, apsp.classify_pair(graph, path_zero, path_large))
+        self._rows.setdefault(index[a], (None, None))
         return self._route_cache[(source, target)]
 
     def _sized_path(self, source: str, target: str, size_bits: float) -> tuple[str, ...]:
@@ -260,12 +209,17 @@ class Router:
             # drop the oldest half; simple and O(1) amortised
             for stale in list(self._sized_path_cache)[: SIZED_CACHE_LIMIT // 2]:
                 del self._sized_path_cache[stale]
+            self._sized_evicted = True
         source, target, size_bits = key
         self._sized_path_cache[key] = path
         self._sized_path_cache[(target, source, size_bits)] = path[::-1]
 
     def _sized_time(self, path: tuple[str, ...], size_bits: float) -> float:
-        propagation, transfer = self._coefficients(path)
+        graph = self._graph
+        index = graph.index
+        propagation, transfer = graph.coefficients(
+            tuple(index[name] for name in path)
+        )
         return propagation + size_bits * transfer
 
     # ------------------------------------------------------------------
@@ -428,7 +382,7 @@ class Router:
             return (route.propagation_s, route.transfer_s_per_bit)
         return None
 
-    def cached_route(self, source: str, target: str) -> _Route | None:
+    def cached_route(self, source: str, target: str) -> apsp.PairRoute | None:
         """The cached entry for a pair, without counting a query.
 
         The bulk-refill accessor: after :meth:`compile_all_pairs` or
@@ -455,13 +409,12 @@ class Router:
         One batched sweep: at most two single-source Dijkstra passes per
         source server (the dense direct-dominance certificate skips
         whole passes on complete graphs), instead of two *targeted* runs
-        per pair. Already-cached pairs are kept -- their entries are
-        bit-identical to what recompilation would produce, because every
-        build path is canonical.
+        per pair, kept as the source's rows for :meth:`invalidate`.
+        Already-cached pairs are kept: every build path is canonical, so
+        their entries are bit-identical.
         """
         graph = self._compiled_graph()
         names = graph.names
-        dense = apsp.dense_dominance(graph)
         compiled = 0
         for si in range(len(names) - 1):
             targets = [
@@ -471,177 +424,174 @@ class Router:
             ]
             if not targets:
                 continue
-            routes, runs = apsp.compile_source_routes(graph, si, targets, dense)
-            self.dijkstra_runs += runs
-            for ti, record in routes.items():
-                self._store(names[si], names[ti], record)
+            rows = self._rows.get(si, (None, None))
+            rows = self._rows[si] = tuple(
+                self._source_row(si, weight) if row is None else row
+                for weight, row in enumerate(rows)
+            )
+            for ti in targets:
+                self._store(names[si], names[ti], self._classify(si, ti, rows))
                 compiled += 1
-        self._compiled_all = True
         return compiled
 
-    def invalidate(
-        self,
-        changed_links: tuple[tuple[str, str], ...] | None = None,
-        worsening: bool = False,
-        speed_changed: bool = True,
-        propagation_changed: bool = True,
-    ) -> set[tuple[str, str]] | None:
-        """Refresh routes after a link change, recomputing immediately.
+    def _source_row(self, source: int, weight: int) -> apsp.Row:
+        """One full pass of the snapshot (or its dense certificate)."""
+        if self._dense is None:
+            self._dense = apsp.dense_dominance(self._graph) or False
+        row, runs = apsp.source_row(self._graph, source, weight, self._dense or None)
+        self.dijkstra_runs += runs
+        return row
 
-        With *changed_links* (endpoint pairs) and ``worsening=True`` --
-        a link failure, or a degrade that is slower and/or laggier --
-        only the cached pairs whose classification paths traverse a
-        changed link are dropped and recomputed: a path untouched by a
-        strict worsening keeps exactly its coefficients and stays
-        optimal, because every alternative only got worse. The returned
-        set of canonical pairs is everything whose *route-derived state*
-        may have changed: the recomputed pairs, plus any size-dependent
-        pair whose cached per-size fallback path crossed a changed link
-        -- a pair's per-size optimum can be a third Pareto path through
-        the change while both classification paths avoid it, so its
-        classification stands but consumers caching per-size prices
-        (dense delay matrices, migration rows) must re-derive them.
+    def _classify(self, source: int, target: int, rows) -> apsp.PairRoute:
+        """Classify a canonical pair from its rows (or cached paths)."""
+        graph = self._graph
+        paths = [
+            apsp.row_path(graph, row, source, target)
+            if row is not None
+            else self._route_cache[
+                (graph.names[source], graph.names[target])
+            ].paths[weight]
+            for weight, row in enumerate(rows)
+        ]
+        return apsp.classify_pair(graph, paths[0], paths[1])
 
-        Anything else -- no link set, an improvement, a new link -- can
-        re-route pairs whose cached paths *avoid* the change, so the
-        whole table is dropped and recompiled via
-        :meth:`compile_all_pairs`; ``None`` is returned meaning "all
-        pairs". Hit/miss counters are preserved either way (this is
-        maintenance, not traffic); the work done is recorded in
-        :attr:`last_invalidation` and the cumulative counters.
+    def invalidate(self) -> set[tuple[str, str]]:
+        """Refresh routes after link changes, recomputing immediately.
 
-        *speed_changed* / *propagation_changed* scope the recompute
-        further: when a worsening touched only link speeds (a
-        speed-only degrade), the propagation-weight graph is unchanged,
-        so the affected pairs' stored min-propagation paths are exactly
-        what a fresh pass would return and only the min-transfer passes
-        re-run (and symmetrically). Leave both ``True`` -- the
-        conservative default -- for failures or mixed degrades.
+        One path for every change: the router diffs its snapshot against
+        the live network per edge and weight
+        (:func:`~repro.network.apsp.diff_graphs`), re-runs only the rows
+        a changed edge fails :func:`~repro.network.apsp.row_survives`
+        for, and reclassifies only the pairs whose path changed or
+        crosses a changed link. Per-size entries all drop after an
+        improvement, otherwise only those crossing a changed link.
+        DESIGN.md §15 has the rules and their proofs.
+
+        Returns the canonical ``(server, server)`` pairs whose cached
+        route changed or whose per-size entries dropped -- every
+        size-dependent pair once per-size entries were evicted -- so
+        consumers re-derive their per-size prices. Hit/miss counters
+        are kept; the work lands in :attr:`last_invalidation`.
         """
-        links: frozenset[frozenset[str]] | None = None
-        if changed_links is not None:
-            links = frozenset(frozenset(pair) for pair in changed_links)
-        if links and worsening:
-            reuse_weight: int | None = None
-            if not propagation_changed and speed_changed:
-                reuse_weight = apsp.WEIGHT_PROPAGATION
-            elif not speed_changed and propagation_changed:
-                reuse_weight = apsp.WEIGHT_TRANSFER
-            return self._invalidate_scoped(links, reuse_weight)
-        return self._invalidate_full(len(links) if links else 0)
-
-    def _invalidate_full(self, changed: int) -> None:
-        invalidated = len(self._route_cache) // 2
         runs_before = self.dijkstra_runs
-        self._route_cache.clear()
-        self._sized_path_cache.clear()
-        self._link_pairs.clear()
-        self._pair_links.clear()
-        self._pair_paths.clear()
-        self._graph = None
-        self._compiled_all = False
-        recomputed = self.compile_all_pairs()
-        self.pairs_invalidated += invalidated
-        self.pairs_recomputed += recomputed
+        old = self._graph
+        graph = self._graph = apsp.compile_graph(self._network)
+        self._dense = None
+        if old is None or graph.names != old.names:
+            if self._route_cache:
+                raise NetworkError(
+                    f"{self._network.name!r} changed servers: use a new Router"
+                )
+            old = graph
+        change = apsp.diff_graphs(old, graph)
+        names = graph.names
+        affected: set[tuple[str, str]] = set()
+        reclassified = rerun = 0
+        for si in sorted(self._rows):
+            targets, runs = self._refresh_rows(si, change)
+            rerun += runs
+            for ti in targets:
+                pair = (names[si], names[ti])
+                prior = self._route_cache.get(pair)
+                route = self._classify(si, ti, self._rows[si])
+                self._store(*pair, route)
+                if prior is not None:
+                    reclassified += 1
+                    if route != prior:
+                        affected.add(pair)
+        sized_dropped = self._drop_sized(change)
+        affected |= sized_dropped
+        if self._sized_evicted and (change.moved or change.improved):
+            self._sized_evicted = False  # consumers may price evicted sizes
+            index = graph.index
+            affected.update(
+                (a, b)
+                for (a, b), route in self._route_cache.items()
+                if not route.size_independent and index[a] < index[b]
+            )
+        self.pairs_invalidated += reclassified
+        self.pairs_recomputed += reclassified
         self.last_invalidation = {
-            "mode": "full",
-            "changed_links": changed,
-            "pairs_invalidated": invalidated,
-            "pairs_recomputed": recomputed,
+            "changed_links": len(change.moved) // 2,
+            "rows_rerun": rerun,
+            "pairs_invalidated": reclassified,
+            "pairs_recomputed": reclassified,
+            "sized_pairs_dropped": len(sized_dropped),
             "dijkstra_runs": self.dijkstra_runs - runs_before,
         }
-        return None
+        return affected
 
-    def _invalidate_scoped(
-        self,
-        links: frozenset[frozenset[str]],
-        reuse_weight: int | None = None,
-    ) -> set[tuple[str, str]]:
-        runs_before = self.dijkstra_runs
-        affected: set[tuple[str, str]] = set()
-        for link in links:
-            affected |= self._link_pairs.get(link, set())
-        reusable: dict[tuple[str, str], tuple[str, ...]] = {}
-        for pair in affected:
-            if reuse_weight is not None:
-                reusable[pair] = self._pair_paths[pair][reuse_weight]
-            self._pair_paths.pop(pair, None)
-            for link in self._pair_links.pop(pair, ()):  # clean the index
-                owners = self._link_pairs.get(link)
-                if owners is not None:
-                    owners.discard(pair)
-                    if not owners:
-                        del self._link_pairs[link]
-            a, b = pair
-            del self._route_cache[(a, b)]
-            del self._route_cache[(b, a)]
-        # sized fallbacks: only entries whose stored path crosses a
-        # changed link can be stale under a strict worsening. Their
-        # pairs are not necessarily in `affected` -- a size-dependent
-        # pair's optimum at one size can be a third Pareto path through
-        # a changed link while both classification paths avoid it -- so
-        # the dropped pairs are reported alongside the recomputed ones,
-        # or consumers would restore the dropped sizes' old (now
-        # too optimistic) prices verbatim.
-        sized_dropped: set[tuple[str, str]] = set()
+    def _refresh_rows(
+        self, si: int, change: apsp.GraphChange
+    ) -> tuple[list[int], int]:
+        """Re-run the stale rows of one source; ``(targets, re-runs)``.
+
+        A missing row stands for the stored paths of the source's cached
+        pairs until its weight's graph changes in a way that could move
+        one; with both rows the source fills every pair.
+        """
+        graph = self._graph
+        names = graph.names
+        before = self._rows[si]
+        rows = list(before)
+        cached = {}
+        for ti in range(si + 1, len(names)) if None in before else ():
+            if route := self._route_cache.get((names[si], names[ti])):
+                cached[ti] = route
+        dirty: set[int] = set()
+        runs = 0
+        for weight, relaxed in enumerate(change.relaxed):
+            row = before[weight]
+            if not relaxed:
+                stale = False
+            elif row is not None:
+                stale = not apsp.row_survives(row, relaxed)
+            else:  # a path avoiding a pure worsening keeps its optimum
+                edges = {(x, y) for x, y, _ in relaxed}
+                stale = change.better[weight] or any(
+                    apsp.crosses(route.paths[weight], edges)
+                    for route in cached.values()
+                )
+            if stale:
+                rows[weight] = self._source_row(si, weight)
+                runs += 1
+            if row is not None:
+                dirty |= apsp.moved_targets(row, rows[weight], change.moved)
+        self._rows[si] = (rows[0], rows[1])
+        if None not in before:
+            return sorted(ti for ti in dirty if ti > si), runs
+        if None not in rows:  # both rows now: fill the source
+            return list(range(si + 1, len(names))), runs
+        return [
+            ti
+            for ti, route in cached.items()
+            if ti in dirty
+            or any(
+                row is None
+                and (
+                    apsp.crosses(path, change.moved)
+                    or new is not None
+                    and apsp.row_path(graph, new, si, ti) != path
+                )
+                for row, new, path in zip(before, rows, route.paths)
+            )
+        ], runs
+
+    def _drop_sized(self, change: apsp.GraphChange) -> set[tuple[str, str]]:
+        """Drop stale per-size entries; returns their canonical pairs."""
+        index = self._graph.index
         stale = [
             key
             for key, path in self._sized_path_cache.items()
-            if any(frozenset(edge) in links for edge in zip(path, path[1:]))
+            if change.improved
+            or apsp.crosses(tuple(index[name] for name in path), change.moved)
         ]
+        dropped: set[tuple[str, str]] = set()
         for key in stale:
             del self._sized_path_cache[key]
-            sized_dropped.add(key[:2])
-        # link weights changed: re-snapshot, then recompute the affected
-        # pairs in batched per-source sweeps (canonical direction); when
-        # only one weight changed the other's stored paths stand in for
-        # its pass -- a deterministic rerun over an unchanged weight
-        # graph could only reproduce them
-        self._graph = None
-        graph = self._compiled_graph()
-        index = graph.index
-        sized_only = {
-            pair if index[pair[0]] < index[pair[1]] else pair[::-1]
-            for pair in sized_dropped
-        } - affected
-        by_source: dict[int, list[int]] = {}
-        for a, b in affected:
-            by_source.setdefault(graph.index[a], []).append(graph.index[b])
-        dense = apsp.dense_dominance(graph)
-        for si in sorted(by_source):
-            targets = sorted(by_source[si])
-            reuse = None
-            if reuse_weight is not None:
-                source_name = graph.names[si]
-                reuse = (
-                    reuse_weight,
-                    {
-                        ti: tuple(
-                            graph.index[name]
-                            for name in reusable[
-                                (source_name, graph.names[ti])
-                            ]
-                        )
-                        for ti in targets
-                    },
-                )
-            routes, runs = apsp.compile_source_routes(
-                graph, si, targets, dense, reuse
-            )
-            self.dijkstra_runs += runs
-            for ti, record in routes.items():
-                self._store(graph.names[si], graph.names[ti], record)
-        self.pairs_invalidated += len(affected)
-        self.pairs_recomputed += len(affected)
-        self.last_invalidation = {
-            "mode": "scoped",
-            "changed_links": len(links),
-            "pairs_invalidated": len(affected),
-            "pairs_recomputed": len(affected),
-            "sized_pairs_dropped": len(sized_only),
-            "dijkstra_runs": self.dijkstra_runs - runs_before,
-        }
-        return affected | sized_only
+            a, b = key[:2]
+            dropped.add((a, b) if index[a] < index[b] else (b, a))
+        return dropped
 
     def reset_counters(self) -> None:
         """Zero every telemetry counter (caches are left alone)."""

@@ -37,9 +37,8 @@ Three builtin scenarios cover the interesting regimes:
     A three-region fleet under sixteen rounds of sinusoidal traffic
     waves (:func:`wave_workflow` scaling every message size up and
     down through the day) while the inter-region trunk browns out at
-    every peak and recovers at every trough -- alternating the
-    link-scoped (worsening) and full (improvement) route-invalidation
-    paths round after round.
+    every peak and recovers at every trough -- alternating worsening
+    and improving route refreshes round after round.
 
 :func:`drift_workflow` and :func:`drift_capacity` are the seeded
 perturbation helpers behind the ``drift`` trace: shape-preserving
@@ -520,11 +519,10 @@ def _build_diurnal(seed: int) -> Scenario:
     workflow by ``1 + 0.6 * sin(2 * pi * round / 8)`` (the
     :func:`wave_workflow` diurnal wave) plus a light seeded jitter. At
     every peak the inter-region trunk slows to half speed -- a strict
-    worsening, the link-scoped invalidation path -- and at every trough
-    it doubles back to exactly its base speed (``(s * 0.5) * 2.0 == s``
-    in IEEE-754) -- an improvement, the full-recompile path. The trace
-    therefore alternates both sides of the invalidation asymmetry while
-    the load itself breathes.
+    worsening -- and at every trough it doubles back to exactly its
+    base speed (``(s * 0.5) * 2.0 == s`` in IEEE-754) -- an
+    improvement. The trace therefore alternates both polarities of the
+    route refresh while the load itself breathes.
     """
     rng = coerce_rng(seed)
     network = random_geo_network(

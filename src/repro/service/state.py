@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
+import networkx as nx
+
 from repro.core.compiled import penalty_statistic
 from repro.core.cost import PENALTY_MODES, CostModel
 from repro.core.mapping import Deployment
@@ -139,9 +141,9 @@ class FleetState:
         :class:`~repro.core.cost.CostModel`.
 
     Link events refresh the shared routing caches in place (see
-    :meth:`_invalidate_routes`): only the routes crossing a strictly
-    *worsened* link are recomputed, and any improvement recompiles the
-    whole table.
+    :meth:`_invalidate_routes`): only the single-source passes a changed
+    link could alter re-run, and only the pairs whose paths moved are
+    reclassified.
     """
 
     def __init__(
@@ -403,35 +405,23 @@ class FleetState:
         router.pairs_recomputed = self._router.pairs_recomputed
         self._router = router
 
-    def _invalidate_routes(
-        self,
-        changed_links: tuple[tuple[str, str], ...] | None = None,
-        worsening: bool = False,
-        speed_changed: bool = True,
-        propagation_changed: bool = True,
-    ) -> None:
+    def _invalidate_routes(self) -> None:
         """Link parameters changed: rebuild only the route tables.
 
         The cheap sibling of :meth:`_invalidate_caches` for the
         link-level events: the server set, powers and every tenant's
         compiled arrays are still valid, so the cached cost models are
         *kept* and only their route-delay state refreshes. The shared
-        router recomputes *once* -- link-scoped when *changed_links*
-        describes a strict worsening, the whole table otherwise (see
-        :meth:`repro.network.routing.Router.invalidate`) -- then every
+        router recomputes *once* (see
+        :meth:`repro.network.routing.Router.invalidate`), then every
         tenant's compiled instance refills its route table, migration
-        rows and batch matrices from the refreshed caches.
+        rows and batch matrices from it.
 
         The epoch still advances -- anything keyed on topology state
         must observe the change.
         """
         self.epoch += 1
-        affected = self._router.invalidate(
-            changed_links=changed_links,
-            worsening=worsening,
-            speed_changed=speed_changed,
-            propagation_changed=propagation_changed,
-        )
+        affected = self._router.invalidate()
         for model in self._cost_models.values():
             model.compiled.refresh_routes(affected)
 
@@ -594,22 +584,22 @@ class FleetState:
         """Remove the link between *a* and *b*; reject a partition.
 
         Transactional: when removing the link would disconnect the
-        fleet (no redundant path exists), it is re-inserted unchanged
-        and :class:`~repro.exceptions.ServiceError` is raised -- a
+        fleet (no redundant path exists), the network is left untouched
+        -- adjacency order included, which breaks routing ties -- and
+        :class:`~repro.exceptions.ServiceError` is raised: a
         partitioned fleet cannot route messages, so the caller (the
         controller's link-failure handler) turns this into a rejected
         event instead. On success only the route caches are
         invalidated: placements and compiled tenant arrays stay valid.
         """
-        link = self._network.remove_link(a, b)
-        if not self._network.is_connected():
-            self._network.add_link(link)
+        self._network.link(a, b)  # raise early on unknown links
+        without = nx.restricted_view(self._network.graph, (), [(a, b)])
+        if not nx.has_path(without, a, b):
             raise ServiceError(
                 f"dropping link {a!r}-{b!r} would disconnect the fleet"
             )
-        # a removal is always a strict worsening: routes avoiding the
-        # link keep exactly their coefficients and stay optimal
-        self._invalidate_routes(changed_links=((a, b),), worsening=True)
+        link = self._network.remove_link(a, b)
+        self._invalidate_routes()
         return link
 
     def degrade_link(
@@ -624,12 +614,9 @@ class FleetState:
         The replacement :class:`~repro.network.topology.Link` is
         constructed (and validated) first, so a factor that would
         produce an invalid link raises with the fleet unchanged. The
-        graph structure is untouched -- only route caches invalidate:
-        link-scoped when the change is a strict *worsening* (no faster
-        and no less laggy), full when any factor improves the link,
-        because a better link can attract routes that never crossed it.
-        The factors alone decide which: this is the one place the rule
-        lives.
+        graph structure is untouched -- only route caches invalidate,
+        and the router works out from its own snapshot which routes the
+        new link parameters can move.
         """
         link = self._network.link(a, b)
         degraded = Link(
@@ -639,14 +626,7 @@ class FleetState:
             link.propagation_s * propagation_factor,
         )
         self._network.replace_link(degraded)
-        # a no-op factor leaves that weight graph untouched, letting the
-        # scoped recompute reuse the corresponding classification pass
-        self._invalidate_routes(
-            changed_links=((a, b),),
-            worsening=speed_factor <= 1.0 and propagation_factor >= 1.0,
-            speed_changed=speed_factor != 1.0,
-            propagation_changed=propagation_factor != 1.0,
-        )
+        self._invalidate_routes()
         return degraded
 
     def set_server_power(self, server: str, power_hz: float) -> Server:

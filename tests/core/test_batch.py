@@ -268,9 +268,7 @@ class TestScopedRefreshSizedPairs:
         row = [0, 4]  # op1 on A, op2 on B
         before = evaluator.evaluate([row]).execution[0]
         pareto_triple.replace_link(Link("A", "z", 1e3, 50.0))
-        compiled.invalidate_routes(
-            changed_links=(("A", "z"),), worsening=True
-        )
+        compiled.invalidate_routes()
         fresh = CompiledInstance(workflow, pareto_triple)
         fresh_scores = fresh.batch_evaluator().evaluate([row])
         scores = evaluator.evaluate([row])
@@ -278,3 +276,31 @@ class TestScopedRefreshSizedPairs:
         assert scores.execution[0] == fresh_scores.execution[0]
         assert scores.objective[0] == fresh_scores.objective[0]
         assert scores.execution[0] > before  # the z detour is gone
+
+    def test_refresh_reprices_evicted_sized_entries(
+        self, pareto_triple, monkeypatch
+    ):
+        # the dense matrix still holds the via-z price after the
+        # router's bounded per-size cache evicted that entry: the
+        # A-z worsening must re-derive it although no cached sized
+        # path crosses A-z any more
+        monkeypatch.setattr("repro.network.routing.SIZED_CACHE_LIMIT", 2)
+        workflow = Workflow("pair")
+        workflow.add_operations(
+            [Operation("op1", 1e9), Operation("op2", 1e9)]
+        )
+        workflow.connect("op1", "op2", 5e6)
+        compiled = CompiledInstance(workflow, pareto_triple)
+        evaluator = compiled.batch_evaluator()
+        row = [0, 4]  # op1 on A, op2 on B
+        evaluator.evaluate([row])
+        for size in (1e3, 1e4):  # evict both via-z entries
+            compiled.router.transmission_time("A", "B", size)
+        assert ("A", "B", 5e6) not in compiled.router._sized_path_cache
+        pareto_triple.replace_link(Link("A", "z", 1e3, 50.0))
+        compiled.invalidate_routes()
+        fresh = CompiledInstance(workflow, pareto_triple)
+        scores = evaluator.evaluate([row])
+        assert scores.execution[0] == (
+            fresh.batch_evaluator().evaluate([row]).execution[0]
+        )

@@ -266,9 +266,7 @@ class TestScopedInvalidationReprices:
         before = compiled.migration_table[0][4]  # op1: A -> B
         assert before == pytest.approx(6.5)  # state rides z
         pareto_triple.replace_link(Link("A", "z", 1e3, 50.0))
-        compiled.invalidate_routes(
-            changed_links=(("A", "z"),), worsening=True
-        )
+        compiled.invalidate_routes()
         fresh = CompiledInstance(
             workflow, pareto_triple, objective=objective
         )

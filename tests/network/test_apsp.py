@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import DisconnectedNetworkError
 from repro.network import apsp
-from repro.network.topology import Server, ServerNetwork
+from repro.network.topology import Link, Server, ServerNetwork
 
 
 def _diamond():
@@ -26,6 +26,24 @@ def _complete(speeds=(100e6, 50e6, 25e6)):
     network.connect("S0", "S2", speeds[1], propagation_s=0.002)
     network.connect("S1", "S2", speeds[2], propagation_s=0.003)
     return network
+
+
+def _source_routes(graph, source, targets, dense=None):
+    """Both rows of *source*, classified per target; ``(routes, runs)``."""
+    rows, runs = [], 0
+    for weight in (apsp.WEIGHT_PROPAGATION, apsp.WEIGHT_TRANSFER):
+        row, ran = apsp.source_row(graph, source, weight, dense)
+        rows.append(row)
+        runs += ran
+    routes = {
+        target: apsp.classify_pair(
+            graph,
+            apsp.row_path(graph, rows[0], source, target),
+            apsp.row_path(graph, rows[1], source, target),
+        )
+        for target in targets
+    }
+    return routes, runs
 
 
 class TestCompiledGraph:
@@ -108,36 +126,65 @@ class TestDijkstra:
 class TestClassification:
     def test_dominant_pair_is_size_independent(self):
         graph = apsp.compile_graph(_complete())
-        routes, runs = apsp.compile_source_routes(graph, 0, [1, 2])
+        routes, runs = _source_routes(graph, 0, [1, 2])
         assert runs <= 2
         assert routes[1].size_independent
         assert routes[1].path == ("S0", "S1")
 
     def test_size_dependent_pair_keeps_both_paths(self):
         graph = apsp.compile_graph(_diamond())
-        routes, _ = apsp.compile_source_routes(graph, 0, [3])
+        routes, _ = _source_routes(graph, 0, [3])
         record = routes[3]
         assert not record.size_independent
         assert record.path == ("S0", "S2", "S3")  # size-0 representative
-        assert record.alt_path == ("S0", "S1", "S3")
-        assert record.zero_path == record.path
-        assert record.large_path == record.alt_path
-
-    def test_reuse_substitutes_a_pass(self):
-        graph = apsp.compile_graph(_diamond())
-        baseline, _ = apsp.compile_source_routes(graph, 0, [1, 2, 3])
-        zero_paths = {
-            target: apsp.shortest_path(
-                graph, 0, target, apsp.WEIGHT_PROPAGATION
-            )
-            for target in (1, 2, 3)
-        }
-        reused, runs = apsp.compile_source_routes(
-            graph, 0, [1, 2, 3],
-            reuse=(apsp.WEIGHT_PROPAGATION, zero_paths),
+        # the two rows keep both classification paths
+        zero, _ = apsp.source_row(graph, 0, apsp.WEIGHT_PROPAGATION)
+        large, _ = apsp.source_row(graph, 0, apsp.WEIGHT_TRANSFER)
+        assert graph.to_names(apsp.row_path(graph, zero, 0, 3)) == record.path
+        assert graph.to_names(apsp.row_path(graph, large, 0, 3)) == (
+            "S0", "S1", "S3",
         )
-        assert runs == 1  # only the transfer pass ran
-        assert reused == baseline
+
+
+class TestRows:
+    def test_diff_reports_each_changed_weight(self):
+        network = _diamond()
+        old = apsp.compile_graph(network)
+        network.replace_link(Link("S0", "S1", 1e9, 0.020))  # laggier only
+        change = apsp.diff_graphs(old, apsp.compile_graph(network))
+        assert change.relaxed[apsp.WEIGHT_TRANSFER] == ()
+        assert sorted(change.relaxed[apsp.WEIGHT_PROPAGATION]) == [
+            (0, 1, 0.020), (1, 0, 0.020),
+        ]
+        assert change.moved == {(0, 1), (1, 0)}
+        assert not change.improved
+
+    def test_diff_marks_removal_infinite_and_readd_reordered(self):
+        network = _diamond()
+        old = apsp.compile_graph(network)
+        link = network.remove_link("S0", "S1")
+        removed = apsp.diff_graphs(old, apsp.compile_graph(network))
+        assert (0, 1, float("inf")) in removed.relaxed[apsp.WEIGHT_TRANSFER]
+        assert not removed.improved
+        # re-adding the same link appends it to both adjacency lists:
+        # unchanged parameters, but a new relaxation order
+        network.add_link(link)
+        readded = apsp.diff_graphs(old, apsp.compile_graph(network))
+        assert readded.moved == frozenset()
+        assert readded.improved
+        assert (0, 2, 0.001) in readded.relaxed[apsp.WEIGHT_PROPAGATION]
+
+    def test_row_survives_only_strictly_slower_non_tree_edges(self):
+        graph = apsp.compile_graph(_diamond())
+        row, _ = apsp.source_row(graph, 0, apsp.WEIGHT_PROPAGATION)
+        # S1-S3 is off the min-propagation tree of S0 and stays slower
+        assert apsp.row_survives(row, [(1, 3, 0.5), (3, 1, 0.5)])
+        # a tie is not enough: ties resolve by push order
+        exact = ([0, 1.0, 0.5, 1.5], [-1, 0, 0, 2])
+        assert apsp.row_survives(exact, [(2, 1, 0.75)])
+        assert not apsp.row_survives(exact, [(2, 1, 0.5)])
+        # S0-S2 is a tree edge: any change re-runs the row
+        assert not apsp.row_survives(row, [(0, 2, 0.5)])
 
 
 class TestDenseFastPath:
@@ -149,10 +196,8 @@ class TestDenseFastPath:
         graph = apsp.compile_graph(_complete())
         dense = apsp.dense_dominance(graph)
         assert dense is not None
-        with_dense, dense_runs = apsp.compile_source_routes(
-            graph, 0, [1, 2], dense
-        )
-        without, full_runs = apsp.compile_source_routes(graph, 0, [1, 2])
+        with_dense, dense_runs = _source_routes(graph, 0, [1, 2], dense)
+        without, full_runs = _source_routes(graph, 0, [1, 2])
         assert dense_runs <= full_runs
         assert with_dense == without
 
@@ -165,6 +210,16 @@ class TestDenseFastPath:
         dense = apsp.dense_dominance(graph)
         assert dense is not None
         assert not dense.row_ok(0, apsp.WEIGHT_TRANSFER)
-        routes, _ = apsp.compile_source_routes(graph, 0, [2], dense)
-        plain, _ = apsp.compile_source_routes(graph, 0, [2])
+        routes, _ = _source_routes(graph, 0, [2], dense)
+        plain, _ = _source_routes(graph, 0, [2])
         assert routes == plain
+
+    def test_dense_rows_equal_dijkstra_rows(self):
+        pytest.importorskip("numpy")
+        graph = apsp.compile_graph(_complete())
+        dense = apsp.dense_dominance(graph)
+        for source in range(3):
+            for weight in (apsp.WEIGHT_PROPAGATION, apsp.WEIGHT_TRANSFER):
+                row, runs = apsp.source_row(graph, source, weight, dense)
+                assert row == apsp._dijkstra(graph, source, weight)
+                assert runs == (0 if dense.row_ok(source, weight) else 1)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.compiled import CompiledInstance
 from repro.exceptions import DisconnectedNetworkError, UnknownServerError
 from repro.network.routing import Router
 from repro.network.topology import (
@@ -11,6 +12,7 @@ from repro.network.topology import (
     bus_network,
     line_network,
 )
+from repro.workloads.generator import line_workflow
 
 
 class TestBasicRouting:
@@ -228,15 +230,29 @@ class TestInvalidate:
         network.connect("S3", "S4", 50e6, propagation_s=0.003)
         return network
 
-    def test_full_invalidation_recompiles_everything(self):
+    def _assert_matches_fresh(self, router, network):
+        fresh = Router(network)
+        fresh.compile_all_pairs()
+        for a in network.server_names:
+            for b in network.server_names:
+                if a != b:
+                    assert router.cached_route(a, b) == fresh.cached_route(
+                        a, b
+                    ), (a, b)
+        return fresh
+
+    def test_unchanged_network_recomputes_nothing(self):
         network = self._square()
         router = Router(network)
         router.compile_all_pairs()
+        runs = router.dijkstra_runs
         affected = router.invalidate()
-        assert affected is None  # None means "all pairs"
-        assert router.last_invalidation["mode"] == "full"
-        assert router.pairs_invalidated == 6
-        assert router.pairs_recomputed == 6
+        assert affected == set()
+        assert router.dijkstra_runs == runs
+        assert router.last_invalidation["changed_links"] == 0
+        assert router.last_invalidation["rows_rerun"] == 0
+        assert router.pairs_invalidated == 0
+        assert router.pairs_recomputed == 0
 
     def test_scoped_invalidation_recomputes_only_crossing_pairs(self):
         network = self._square()
@@ -246,79 +262,83 @@ class TestInvalidate:
         network.replace_link(
             Link("S1", "S2", 10e6, 0.001)
         )
-        affected = router.invalidate(
-            changed_links=(("S1", "S2"),), worsening=True
-        )
-        assert affected is not None and affected
+        affected = router.invalidate()
+        assert affected
         # the S3-S4 pair rides its own direct link: untouched
         assert ("S3", "S4") not in affected and ("S4", "S3") not in affected
-        assert router.last_invalidation["mode"] == "scoped"
-        # scoped results equal a fresh router's classification exactly
-        fresh = Router(network)
-        for a in network.server_names:
-            for b in network.server_names:
-                if a == b:
-                    continue
-                fresh.pair_coefficients(a, b)
-                left = router.cached_route(a, b)
-                right = fresh.cached_route(a, b)
-                assert left.path == right.path
-                assert left.propagation_s == right.propagation_s
-                assert left.transfer_s_per_bit == right.transfer_s_per_bit
-                assert left.size_independent == right.size_independent
+        assert router.last_invalidation["changed_links"] == 1
+        # the refreshed table equals a fresh router's exactly
+        self._assert_matches_fresh(router, network)
 
-    def test_improvement_forces_full_invalidation(self):
+    def test_improvement_reroutes_only_changed_pairs(self):
         network = self._square()
         router = Router(network)
         router.compile_all_pairs()
-        network.replace_link(Link("S1", "S2", 200e6, 0.001))
-        affected = router.invalidate(
-            changed_links=(("S1", "S2"),), worsening=False
-        )
-        assert affected is None
-        assert router.last_invalidation["mode"] == "full"
+        # upgrade the slow S1-S3 link fourfold
+        network.replace_link(Link("S1", "S3", 200e6, 0.003))
+        before = {
+            (a, b): router.cached_route(a, b)
+            for a in network.server_names
+            for b in network.server_names
+            if a != b
+        }
+        runs_before = router.dijkstra_runs
+        affected = router.invalidate()
+        runs = router.dijkstra_runs - runs_before
+        fresh = self._assert_matches_fresh(router, network)
+        changed = {
+            (a, b)
+            for (a, b), route in before.items()
+            if a < b and route != router.cached_route(a, b)
+        }
+        # S1-S3 rides the upgraded link, S2-S3 now re-routes over it
+        assert changed == {("S1", "S3"), ("S2", "S3")}
+        assert affected == changed  # only the re-routed pairs
+        # a speed-only upgrade re-runs min-transfer passes only
+        assert runs == router.last_invalidation["rows_rerun"] == 3
+        assert runs < fresh.dijkstra_runs
 
     def test_speed_only_worsening_reuses_propagation_passes(self):
-        # a speed-only degrade leaves the propagation graph unchanged,
-        # so the scoped recompute skips every min-propagation pass --
-        # and must still match a fresh classification byte for byte
+        # a speed-only degrade leaves the propagation graph unchanged:
+        # no caller flag says so, the router's own diff does -- every
+        # min-propagation row survives and no propagation pass runs
         network = self._square()
         router = Router(network)
         router.compile_all_pairs()
+        propagation_rows = {
+            source: rows[0] for source, rows in router._rows.items()
+        }
         runs_before = router.dijkstra_runs
         network.replace_link(Link("S1", "S2", 10e6, 0.001))
-        router.invalidate(
-            changed_links=(("S1", "S2"),),
-            worsening=True,
-            speed_changed=True,
-            propagation_changed=False,
+        router.invalidate()
+        assert router.dijkstra_runs - runs_before > 0
+        assert router.dijkstra_runs - runs_before == (
+            router.last_invalidation["rows_rerun"]
         )
-        reuse_runs = router.dijkstra_runs - runs_before
+        for source, rows in router._rows.items():
+            assert rows[0] is propagation_rows[source]
+        self._assert_matches_fresh(router, network)
 
-        full = Router(self._square())
-        full.compile_all_pairs()
-        runs_before = full.dijkstra_runs
-        full.network.replace_link(Link("S1", "S2", 10e6, 0.001))
-        full.invalidate(changed_links=(("S1", "S2"),), worsening=True)
-        both_runs = full.dijkstra_runs - runs_before
-        assert reuse_runs < both_runs
-        for a in network.server_names:
-            for b in network.server_names:
-                if a == b:
-                    continue
-                left = router.cached_route(a, b)
-                right = full.cached_route(a, b)
-                assert left.path == right.path
-                assert left.propagation_s == right.propagation_s
-                assert left.transfer_s_per_bit == right.transfer_s_per_bit
-                assert left.size_independent == right.size_independent
+    def test_removed_keywords_raise_type_error(self):
+        network = self._square()
+        router = Router(network)
+        compiled = CompiledInstance(line_workflow(3, seed=0), network)
+        for keyword in (
+            "changed_links", "worsening", "speed_changed",
+            "propagation_changed",
+        ):
+            with pytest.raises(TypeError):
+                router.invalidate(**{keyword: True})
+            with pytest.raises(TypeError):
+                compiled.invalidate_routes(**{keyword: True})
 
     def test_invalidation_preserves_traffic_counters(self):
         network = self._square()
         router = Router(network)
         router.transmission_time("S1", "S4", 8_000)
         hits, misses = router.hits, router.misses
-        router.invalidate(changed_links=(("S1", "S2"),), worsening=True)
+        network.replace_link(Link("S1", "S2", 10e6, 0.001))
+        router.invalidate()
         assert (router.hits, router.misses) == (hits, misses)
 
     def test_scoped_invalidation_reports_sized_only_pairs(
@@ -334,9 +354,7 @@ class TestInvalidate:
         before = router.transmission_time("A", "B", 5e6)
         assert before == pytest.approx(6.5)  # via z
         pareto_triple.replace_link(Link("A", "z", 1e3, 50.0))
-        affected = router.invalidate(
-            changed_links=(("A", "z"),), worsening=True
-        )
+        affected = router.invalidate()
         # both classification paths (via x, via y) avoid A-z, yet the
         # pair is reported because its sized-cache entry was dropped
         assert ("A", "B") in affected
@@ -359,9 +377,7 @@ class TestInvalidate:
         router.compile_all_pairs()
         router.transmission_time("A", "B", 5e6)  # sized entry via z
         pareto_triple.replace_link(Link("A", "y", 1e8, 6.0))
-        affected = router.invalidate(
-            changed_links=(("A", "y"),), worsening=True
-        )
+        router.invalidate()
         assert router.last_invalidation["sized_pairs_dropped"] == 0
         hits = router.hits
         assert router.transmission_time("A", "B", 5e6) == pytest.approx(6.5)

@@ -72,13 +72,13 @@ def rebuild_routes_on_link_events():
     """Answer fleet link events with a from-scratch route rebuild.
 
     Replaces :meth:`FleetState._invalidate_routes
-    <repro.service.state.FleetState._invalidate_routes>` -- the scoped,
+    <repro.service.state.FleetState._invalidate_routes>` -- the
     in-place refresh -- with what a server change does: drop the shared
     router and every cached cost model, then let the next queries
     rebuild them. The batched route compile is switched off, so the
     fresh router fills pair by pair on demand. Nothing is kept across a
     link event, so a fleet that decides differently under this oracle
-    has a stale cache on the scoped path.
+    has a stale cache on the in-place path.
     """
 
     def rebuild(state, *_args, **_kwargs):

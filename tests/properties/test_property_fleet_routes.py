@@ -3,9 +3,10 @@
 The fleet keeps every tenant's :class:`~repro.core.compiled.CompiledInstance`
 across link events and refreshes its route-derived state in place: one
 shared :meth:`Router.invalidate <repro.network.routing.Router.invalidate>`
-(scoped on strict worsenings, full otherwise), then each tenant's
-``refresh_routes``. Random sequences of link failures, degrades of every
-polarity (worsening, improving, speed-only, propagation-only) and ticks
+(re-running only the passes a changed link could alter), then each
+tenant's ``refresh_routes``. Random sequences of link failures, degrades
+of every polarity (worsening, improving, speed-only, propagation-only
+and the two mixed ones) and ticks
 are driven through :class:`~repro.service.controller.FleetController` on
 the Abilene backbone, a seeded geo fleet and a five-server net with
 three Pareto-optimal A-B routes (a migration checkpoint's optimum rides
@@ -53,6 +54,8 @@ DEGRADES = {
     "speed-better": lambda s: (1.0 / s, 1.0),
     "prop-worse": lambda s: (1.0, 1.0 / s),
     "prop-better": lambda s: (1.0, s),
+    "faster-laggier": lambda s: (1.0 / s, 1.0 / s),
+    "slower-snappier": lambda s: (s, s),
 }
 
 steps = st.lists(

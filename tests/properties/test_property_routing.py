@@ -18,8 +18,8 @@ unnoticed:
 * **Sized parity** -- per-size fallback paths equal the oracle's sized
   networkx query.
 * **Invalidation equivalence** -- after random sequences of worsenings
-  and improvements, link-scoped invalidation, full invalidation and a
-  fresh compile agree exactly on every pair.
+  and improvements, the row-certified invalidation and a fresh compile
+  agree exactly on every pair.
 """
 
 import random
@@ -202,7 +202,7 @@ def test_sized_paths_match_oracle(seed, size):
 
 
 # ----------------------------------------------------------------------
-# invalidation equivalence: scoped == full == fresh compile
+# invalidation equivalence: refreshed == fresh compile
 # ----------------------------------------------------------------------
 def _table(router, network):
     return {
@@ -220,7 +220,7 @@ def _table(router, network):
 
 
 def _mutate(network, rng):
-    """One random link change; ``(changed_link, worsening, flags)``."""
+    """One random link change: worsening, speed-only or improvement."""
     link = rng.choice(network.links)
     kind = rng.randrange(3)
     if kind == 0:  # strict worsening: slower and laggier
@@ -229,7 +229,7 @@ def _mutate(network, rng):
     elif kind == 1:  # speed-only worsening (propagation untouched)
         speed_factor = rng.uniform(0.2, 0.9)
         prop_factor = 1.0
-    else:  # improvement: full invalidation required
+    else:  # improvement: faster and less laggy
         speed_factor = rng.uniform(1.1, 3.0)
         prop_factor = rng.uniform(0.5, 1.0)
     network.replace_link(
@@ -240,13 +240,6 @@ def _mutate(network, rng):
             link.propagation_s * prop_factor,
         )
     )
-    worsening = speed_factor <= 1.0 and prop_factor >= 1.0
-    return (
-        (link.a, link.b),
-        worsening,
-        speed_factor != 1.0,
-        prop_factor != 1.0,
-    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -254,26 +247,14 @@ def _mutate(network, rng):
 def test_invalidation_equals_fresh_compile(seed):
     rng = random.Random(seed)
     network = random_network(seed)
-    scoped = Router(network)
-    scoped.compile_all_pairs()
-    full = Router(network)
-    full.compile_all_pairs()
+    router = Router(network)
+    router.compile_all_pairs()
     for _ in range(rng.randint(1, 4)):
-        changed, worsening, speed_changed, prop_changed = _mutate(
-            network, rng
-        )
-        scoped.invalidate(
-            changed_links=(changed,),
-            worsening=worsening,
-            speed_changed=speed_changed,
-            propagation_changed=prop_changed,
-        )
-        full.invalidate()  # always the drop-everything recompile
+        _mutate(network, rng)
+        router.invalidate()
         fresh = Router(network)
         fresh.compile_all_pairs()
-        reference = _table(fresh, network)
-        assert _table(scoped, network) == reference
-        assert _table(full, network) == reference
+        assert _table(router, network) == _table(fresh, network)
 
 
 @settings(max_examples=15, deadline=None)
@@ -290,13 +271,8 @@ def test_invalidation_keeps_sized_queries_exact(seed):
             if a != b:
                 for size in sizes:
                     router.transmission_time(a, b, size)
-    changed, worsening, speed_changed, prop_changed = _mutate(network, rng)
-    router.invalidate(
-        changed_links=(changed,),
-        worsening=worsening,
-        speed_changed=speed_changed,
-        propagation_changed=prop_changed,
-    )
+    _mutate(network, rng)
+    router.invalidate()
     fresh = Router(network)
     for a in names:
         for b in names:

@@ -103,11 +103,15 @@ class TestLinkFailure:
     def test_rejects_partition_and_keeps_link(self):
         chain = line_network([1e9, 1e9, 1e9], speeds_bps=1e8)
         controller = controller_for(chain)
+        neighbors = chain.neighbors("S2")
         record = controller.handle(LinkFailure("S1", "S2"))
         assert record.action == "rejected"
         assert record.detail("reason") == "would-partition"
         assert controller.state.network.has_link("S1", "S2")
         assert controller.state.network.is_connected()
+        # untouched, not removed and re-added: the adjacency order that
+        # breaks routing ties is the same
+        assert controller.state.network.neighbors("S2") == neighbors
 
     def test_failure_changes_cost_estimates(self, tenant_workflows):
         # a 3-server ring-ish bus: dropping S1-S2 forces S1<->S2 traffic

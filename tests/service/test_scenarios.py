@@ -268,8 +268,8 @@ class TestDiurnalScenario:
             if isinstance(event, LinkDegrade)
         ]
         assert degrades
-        # peak brownouts are strict worsenings (scoped invalidation);
-        # trough recoveries are improvements (full invalidation)
+        # peak brownouts are strict worsenings; trough recoveries are
+        # improvements (both refresh routes in place)
         assert any(event.speed_factor == 0.5 for event in degrades)
         assert any(event.speed_factor == 2.0 for event in degrades)
 
