@@ -24,7 +24,7 @@ bench:
 # topology and routing benches (used by CI): exercises both pricing
 # code paths, the compiled-vs-legacy parity check, the legacy-loop
 # parity of the search runtime, the batch-vs-scalar parity of the
-# vectorized kernel, the 2-worker process pool (islands/portfolio +
+# vectorized kernel, the 2-worker process pool (GA restarts/portfolio +
 # workers=1 identity), the transition-aware-vs-blind drift replay, the
 # naive-vs-rebalancing Abilene link-failure replay, and the batched
 # route-compile comparison plus scoped invalidation vs the from-scratch

@@ -1,15 +1,18 @@
-"""Benchmark: the multiprocess shard & portfolio runtime.
+"""Benchmark: the multiprocess restart & portfolio runtime.
 
 Three measurements on the 100-operation x 50-server scaling instance
 (the parallel layer's reference size):
 
-* **GA islands throughput scaling** -- generations/second of the
-  island-model genetic search at 1 worker vs ``SCALE_WORKERS`` workers.
+* **GA restarts throughput scaling** -- generations/second of seeded
+  genetic-search restarts at 1 worker vs ``SCALE_WORKERS`` workers.
   On a multi-core box the acceptance floor is >= 2.5x at 4 workers
   (env-tunable via ``BENCH_FLOOR_PARALLEL_GA``); on machines with fewer
   cores than ``SCALE_WORKERS`` the assertion is skipped -- there is no
   parallel hardware to measure -- but both throughputs are still
-  recorded in ``output/BENCH_parallel.json``.
+  recorded in ``output/BENCH_parallel.json``. Next to them it records
+  one serial GA run given ``SCALE_WORKERS`` times the generations
+  (about the restarts' total evaluations): its wall time and best
+  objective against the restarts' own.
 * **Portfolio race** -- wall-clock and winner of the default portfolio
   under a shared evaluation budget, serial (workers=1 inline) vs the
   process pool.
@@ -26,7 +29,10 @@ identity checks without asserting the scaling floor.
 
 import dataclasses
 import os
+import platform
 import time
+
+import numpy
 
 import pytest
 
@@ -62,6 +68,8 @@ _RESULTS: dict = {
     "operations": NUM_OPERATIONS,
     "servers": NUM_SERVERS,
     "cpu_count": os.cpu_count(),
+    "python": platform.python_version(),
+    "numpy": numpy.__version__,
     "scale_workers": SCALE_WORKERS,
     "ga_scaling_floor": GA_SCALING_FLOOR,
 }
@@ -80,51 +88,82 @@ def _flush_results() -> None:
     write_json("BENCH_parallel", _RESULTS)
 
 
-def bench_ga_islands_scaling(benchmark, instance):
-    """GA generations/sec: 1 worker vs SCALE_WORKERS island workers."""
+def bench_ga_restarts_scaling(benchmark, instance):
+    """GA generations/sec: 1 worker vs SCALE_WORKERS seeded restarts,
+    plus a serial GA given the restarts' total generations."""
     workflow, network, model = instance
-    ga = AlgorithmSpec.of(
-        "Genetic", generations=GENERATIONS, population_size=POPULATION
-    )
 
-    def run(workers: int) -> float:
+    def ga(generations: int) -> AlgorithmSpec:
+        return AlgorithmSpec.of(
+            "Genetic", generations=generations, population_size=POPULATION
+        )
+
+    def run(workers: int):
         start = time.perf_counter()
         outcome = deploy_parallel(
-            ga,
+            ga(GENERATIONS),
             workflow,
             network,
             cost_model=model,
             workers=workers,
             seed=7,
-            plan="islands" if workers > 1 else None,
         )
         elapsed = time.perf_counter() - start
         assert outcome.best_value > 0
-        # every worker evolves GENERATIONS generations; throughput is
-        # total generations evolved across the fleet per second
-        return GENERATIONS * workers / elapsed
+        return outcome, elapsed
 
-    serial_gps = run(1)
-    parallel_gps = run(SCALE_WORKERS)
+    _, serial_s = run(1)
+    parallel_outcome, parallel_s = run(SCALE_WORKERS)
+    # every restart evolves GENERATIONS generations; throughput is
+    # total generations evolved across the workers per second
+    serial_gps = GENERATIONS / serial_s
+    parallel_gps = GENERATIONS * SCALE_WORKERS / parallel_s
     scaling = parallel_gps / serial_gps if serial_gps > 0 else float("inf")
     cores = os.cpu_count() or 1
     enough_cores = cores >= SCALE_WORKERS
+
+    # the equal-evaluation baseline: one serial GA evolving as many
+    # generations as all the restarts together
+    start = time.perf_counter()
+    long_outcome = deploy_parallel(
+        ga(GENERATIONS * SCALE_WORKERS),
+        workflow,
+        network,
+        cost_model=model,
+        workers=1,
+        seed=7,
+    )
+    long_s = time.perf_counter() - start
+
     _RESULTS["ga_generations_per_s_1w"] = serial_gps
     _RESULTS[f"ga_generations_per_s_{SCALE_WORKERS}w"] = parallel_gps
     _RESULTS["ga_scaling"] = scaling
     _RESULTS["ga_scaling_asserted"] = bool(not SMOKE and enough_cores)
+    _RESULTS["ga_restarts_s"] = parallel_s
+    _RESULTS["ga_restarts_evaluations"] = parallel_outcome.report.evaluations
+    _RESULTS["ga_restarts_best_value"] = parallel_outcome.best_value
+    _RESULTS["ga_serial_long_generations"] = GENERATIONS * SCALE_WORKERS
+    _RESULTS["ga_serial_long_s"] = long_s
+    _RESULTS["ga_serial_long_evaluations"] = long_outcome.report.evaluations
+    _RESULTS["ga_serial_long_best_value"] = long_outcome.best_value
     _flush_results()
     emit(
         "parallel_ga_scaling",
         f"instance: {NUM_OPERATIONS} operations x {NUM_SERVERS} servers"
         + (" (smoke)" if SMOKE else ""),
-        f"GA generations/sec, 1 worker:           {serial_gps:10.2f}",
-        f"GA generations/sec, {SCALE_WORKERS} island workers:   "
+        f"GA generations/sec, 1 worker:            {serial_gps:10.2f}",
+        f"GA generations/sec, {SCALE_WORKERS} restart workers:  "
         f"{parallel_gps:10.2f}",
         f"scaling: {scaling:.2f}x (floor {GA_SCALING_FLOOR}x, "
         f"{cores} cores available"
         + ("" if enough_cores else " -- assertion skipped")
         + ")",
+        f"{SCALE_WORKERS} restarts x {GENERATIONS} generations: "
+        f"{parallel_s:.3f} s, best {parallel_outcome.best_value:.6g} "
+        f"({parallel_outcome.report.evaluations} evaluations)",
+        f"serial GA, {GENERATIONS * SCALE_WORKERS} generations: "
+        f"{long_s:.3f} s, best {long_outcome.best_value:.6g} "
+        f"({long_outcome.report.evaluations} evaluations)",
     )
     if not SMOKE and enough_cores:
         assert scaling >= GA_SCALING_FLOOR

@@ -42,11 +42,11 @@ The search runtime (:mod:`repro.algorithms.runtime`)
     ``deploy_with_report`` to also get the anytime best-so-far curve.
 
 The parallel layer (:mod:`repro.parallel`)
-    :func:`~repro.parallel.deploy_parallel` shards one algorithm across
-    worker processes (seeded restarts, GA islands, partitioned hill
-    climbing) and :func:`~repro.parallel.race_portfolio` races a
-    portfolio of algorithms under one shared budget; both are
-    re-exported here for convenience.
+    :func:`~repro.parallel.deploy_parallel` runs one algorithm as
+    seeded restarts across worker processes and
+    :func:`~repro.parallel.race_portfolio` races a portfolio of
+    algorithms under one shared budget; both are re-exported here for
+    convenience.
 """
 
 from repro.algorithms.base import (

@@ -1,15 +1,14 @@
-"""repro.parallel -- multiprocess shard & portfolio search runtime.
+"""repro.parallel -- multiprocess restart & portfolio search runtime.
 
 A fan-out layer over the serial anytime
-:class:`~repro.algorithms.runtime.SearchRuntime`: shard one algorithm
-across worker processes (seeded restarts, GA islands with ring
-migration, partitioned-neighbourhood hill climbing) or race a portfolio
-of algorithms under one shared evaluation/deadline budget with
+:class:`~repro.algorithms.runtime.SearchRuntime`: run one algorithm as
+seeded restarts across worker processes, or race a portfolio of
+algorithms, under one shared evaluation/deadline budget with
 cooperative cancellation and a merged anytime report. Deterministic by
 construction -- worker RNG streams are pure functions of the root seed
-and each worker's structural position, and budget shares are
-pre-partitioned -- so a fixed ``(seed, workers, plan)`` triple
-reproduces the same winner. See DESIGN §11 for the protocols.
+and each worker's position, and budget shares are pre-partitioned --
+so a fixed ``(seed, workers)`` pair reproduces the same winner. See
+DESIGN §11 for the protocols.
 """
 
 from repro.parallel.api import (
@@ -34,13 +33,7 @@ from repro.parallel.runtime import (
     WorkerRun,
     merge_curves,
 )
-from repro.parallel.specs import (
-    DEFAULT_PORTFOLIO,
-    PLAN_KINDS,
-    AlgorithmSpec,
-    ShardPlan,
-    auto_plan,
-)
+from repro.parallel.specs import DEFAULT_PORTFOLIO, AlgorithmSpec
 from repro.parallel.worker import InstancePayload, payload_from
 
 __all__ = [
@@ -53,10 +46,7 @@ __all__ = [
     "WorkerRun",
     "merge_curves",
     "AlgorithmSpec",
-    "ShardPlan",
-    "PLAN_KINDS",
     "DEFAULT_PORTFOLIO",
-    "auto_plan",
     "slice_budget",
     "BudgetLedger",
     "InlineLedger",

@@ -1,21 +1,21 @@
 """Deterministic RNG spawning for multiprocess search.
 
-A parallel run must be a pure function of ``(seed, workers, plan)``:
+A parallel run must be a pure function of ``(seed, workers)``:
 re-running it reproduces the same winner byte-identically. That rules
 out shipping live ``random.Random`` streams across processes (their
 state cannot be split) and it rules out entropy-based child seeding.
 Instead every worker derives its *own* seed string from the parent seed
-and its structural position -- worker index, island index, migration
-round -- and feeds it through the library's one seeding convention,
+and its structural position -- restart index or portfolio lane -- and
+feeds it through the library's one seeding convention,
 :func:`repro.core.rng.coerce_rng` (the same ``f"{seed}:{path}"`` idiom
 the experiment harness has always used for per-instance streams).
 
 Two properties follow by construction:
 
 * workers are order-independent -- a worker's stream depends only on
-  its position in the plan, never on scheduling; and
-* runs are extension-stable -- adding workers or rounds never perturbs
-  the streams of existing positions.
+  its position in the line-up, never on scheduling; and
+* runs are extension-stable -- adding workers never perturbs the
+  streams of existing positions.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ def require_spawnable_seed(
 def spawn_seed(seed, *path) -> str:
     """Derive a child seed string from *seed* and a structural *path*.
 
-    ``spawn_seed(7, "w", 3)`` -> ``"7:w:3"``; nested positions chain
-    naturally (``spawn_seed(7, "island", 2, "round", 5)``). The result
-    is fed to :func:`~repro.core.rng.coerce_rng`, exactly like the
+    ``spawn_seed(7, "worker", 3)`` -> ``"7:worker:3"``; nested
+    positions chain naturally (``spawn_seed(7, "a", 2, "b", 5)``). The
+    result is fed to :func:`~repro.core.rng.coerce_rng`, exactly like the
     experiment harness's historical ``f"{seed}:{repetition}:{name}"``
     strings.
     """

@@ -1,4 +1,4 @@
-"""Picklable algorithm specs, shard plans and the default portfolio.
+"""Picklable algorithm specs and the default portfolio.
 
 Worker processes cannot receive live algorithm objects bound to problem
 data, and the CLI needs a textual way to name "FLTR2-seeded hill
@@ -7,9 +7,6 @@ picklable description -- registry name, constructor parameters, and an
 optional constructive *seed algorithm* for the refinement family --
 that each worker :meth:`~AlgorithmSpec.build`\\ s locally.
 
-:class:`ShardPlan` names how one algorithm's work is split across
-workers (``restarts`` / ``islands`` / ``partition``; see
-:mod:`repro.parallel.runtime` for the protocols), and
 :data:`DEFAULT_PORTFOLIO` is the racing line-up used when the caller
 does not provide one: the paper's strongest constructive baselines
 (HOLM, FLTR2) fanned into hill-climbing / annealing polishers, plus a
@@ -23,16 +20,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.algorithms.base import DeploymentAlgorithm, get_algorithm
-from repro.algorithms.runtime import SearchBudget
 from repro.exceptions import AlgorithmError
 
-__all__ = [
-    "AlgorithmSpec",
-    "ShardPlan",
-    "PLAN_KINDS",
-    "DEFAULT_PORTFOLIO",
-    "auto_plan",
-]
+__all__ = ["AlgorithmSpec", "DEFAULT_PORTFOLIO"]
 
 
 @dataclass(frozen=True)
@@ -125,63 +115,6 @@ def spec_label(entry: "AlgorithmSpec | DeploymentAlgorithm") -> str:
     if isinstance(entry, AlgorithmSpec):
         return entry.label
     return entry.name
-
-
-#: Valid :attr:`ShardPlan.kind` values.
-PLAN_KINDS = ("restarts", "islands", "partition")
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """How one algorithm's search is sharded across workers.
-
-    Attributes
-    ----------
-    kind:
-        ``"restarts"`` -- every worker runs the full algorithm from its
-        own spawned RNG stream; best run wins. Works for any algorithm.
-        ``"islands"`` -- GA islands evolving in parallel with periodic
-        ring migration of elites (Genetic only).
-        ``"partition"`` -- one cooperative hill-climbing trajectory
-        whose move neighbourhood is partitioned across workers each
-        sweep (HillClimbing only).
-    migration_every:
-        Islands: generations evolved between migration barriers.
-    max_rounds:
-        Partition: cap on cooperative sweeps (mirrors the serial
-        climber's ``max_iterations`` default).
-    """
-
-    kind: str = "restarts"
-    migration_every: int = 5
-    max_rounds: int = 1_000
-
-    def __post_init__(self) -> None:
-        if self.kind not in PLAN_KINDS:
-            raise AlgorithmError(
-                f"plan kind must be one of {PLAN_KINDS}, got {self.kind!r}"
-            )
-        SearchBudget.validate_count("migration_every", self.migration_every)
-        SearchBudget.validate_count("max_rounds", self.max_rounds)
-
-    @classmethod
-    def coerce(cls, plan: "ShardPlan | str | None") -> "ShardPlan | None":
-        """``None`` passes through; strings become default-knob plans."""
-        if plan is None or isinstance(plan, ShardPlan):
-            return plan
-        return cls(kind=plan)
-
-
-def auto_plan(name: str) -> ShardPlan:
-    """The default plan for an algorithm: islands for the GA (its
-    population structure is what migration exploits), parallel seeded
-    restarts for everything else. The ``partition`` plan is opt-in --
-    it changes the search from independent trajectories to one
-    cooperative trajectory, which callers should choose deliberately.
-    """
-    if name == "Genetic":
-        return ShardPlan(kind="islands")
-    return ShardPlan(kind="restarts")
 
 
 #: The default racing line-up for :func:`repro.parallel.api.

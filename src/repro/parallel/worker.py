@@ -6,12 +6,11 @@ What crosses the process boundary is deliberately small and dumb:
   and network plus the cost-model knobs, fingerprinted so each worker
   process rebuilds (and compiles) an instance **once** and serves every
   later task for the same fingerprint from :data:`_MATERIALIZED`;
-* task dataclasses whose per-round fields are integer indices into the
-  worker's own :class:`~repro.core.compiled.CompiledInstance` -- genome
-  populations as server-index tuples, operation partitions as op-index
-  tuples -- never live domain objects.
+* a :class:`SearchTask` naming the algorithm (a picklable spec or
+  instance), its pre-spawned seed and its budget share -- never live
+  domain objects.
 
-Every entry point is a module-level function (picklable by qualified
+The entry point is a module-level function (picklable by qualified
 name under any ``multiprocessing`` start method) taking ``(task,
 ledger)`` and returning a plain picklable result object. Budget
 accounting and cooperative cancellation run through the
@@ -29,8 +28,6 @@ from repro.algorithms.base import DeploymentAlgorithm
 from repro.algorithms.runtime import CancelToken, SearchBudget, SearchReport
 from repro.core.clock import Clock
 from repro.core.cost import CostModel
-from repro.core.incremental import MoveEvaluator
-from repro.core.mapping import Deployment
 from repro.core.rng import coerce_rng
 from repro.core.workflow import Workflow
 from repro.io.json_codec import (
@@ -55,12 +52,6 @@ __all__ = [
     "SearchTask",
     "SearchResult",
     "run_search_task",
-    "IslandTask",
-    "IslandResult",
-    "run_island_task",
-    "PartitionTask",
-    "PartitionResult",
-    "run_partition_scan",
 ]
 
 
@@ -120,9 +111,9 @@ def payload_from(
 #: Per-process cache: payload fingerprint -> (workflow, network, model).
 _MATERIALIZED: dict[str, tuple[Workflow, ServerNetwork, CostModel]] = {}
 
-#: Cache bound: a long-lived worker pool serving many distinct
-#: instances (the fleet controller across joins/failures) must not grow
-#: without limit; rebuilding after a clear is cheap relative to search.
+#: Cache bound: a worker process that serves races on many distinct
+#: instances must not grow without limit; rebuilding after a clear is
+#: cheap relative to search.
 _CACHE_LIMIT = 32
 
 
@@ -149,24 +140,8 @@ def materialize(
     return workflow, network, model
 
 
-def _bridged_cancel(
-    ledger: BudgetLedger,
-    flush_every: int,
-    target_value: float | None,
-) -> tuple[CancelToken, WorkerBridge]:
-    """A cancel token pre-tripped if the run is already stopping, plus
-    its ledger bridge."""
-    cancel = CancelToken()
-    if ledger.stop_requested:
-        cancel.cancel(ledger.stop_reason)
-    bridge = WorkerBridge(
-        ledger, cancel, flush_every=flush_every, target_value=target_value
-    )
-    return cancel, bridge
-
-
 # ----------------------------------------------------------------------
-# whole-search tasks (restarts / portfolio racing)
+# whole-search tasks (seeded restarts / portfolio racing)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SearchTask:
@@ -215,8 +190,15 @@ def run_search_task(
         if isinstance(task.algorithm, AlgorithmSpec)
         else task.algorithm
     )
-    cancel, bridge = _bridged_cancel(
-        ledger, task.flush_every, task.target_value
+    # pre-tripped when the run is already stopping
+    cancel = CancelToken()
+    if ledger.stop_requested:
+        cancel.cancel(ledger.stop_reason)
+    bridge = WorkerBridge(
+        ledger,
+        cancel,
+        flush_every=task.flush_every,
+        target_value=task.target_value,
     )
     try:
         deployment, report = algorithm.deploy_with_report(
@@ -246,186 +228,4 @@ def run_search_task(
         mapping=deployment.as_dict(),
         value=value,
         report=report,
-    )
-
-
-# ----------------------------------------------------------------------
-# GA island rounds
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class IslandTask:
-    """One island evolving for one migration round.
-
-    ``population`` is the resume state -- server-*index* genomes from
-    the previous round (``None`` on round zero, where the island seeds
-    itself: heuristics plus random fill, exactly like the serial GA).
-    """
-
-    index: int
-    payload: InstancePayload
-    seed: Any
-    generations: int
-    ga_params: tuple[tuple[str, Any], ...]
-    population: tuple[tuple[int, ...], ...] | None = None
-    budget: SearchBudget | None = None
-    target_value: float | None = None
-    flush_every: int = DEFAULT_FLUSH_EVERY
-
-
-@dataclass(frozen=True)
-class IslandResult:
-    """Round outcome: winner plus the resume state for migration."""
-
-    index: int
-    mapping: dict[str, str]
-    value: float
-    report: SearchReport
-    population: tuple[tuple[int, ...], ...]
-    objectives: tuple[float, ...]
-
-
-def run_island_task(
-    task: IslandTask,
-    ledger: BudgetLedger,
-    clock: Clock | None = None,
-) -> IslandResult:
-    """Evolve one island for ``task.generations`` generations."""
-    from repro.algorithms.genetic import GeneticAlgorithm
-
-    workflow, network, model = materialize(task.payload)
-    compiled = model.compiled
-    server_names = compiled.server_names
-    initial = None
-    if task.population is not None:
-        initial = [
-            tuple(server_names[index] for index in genome)
-            for genome in task.population
-        ]
-    captured: dict[str, Any] = {}
-
-    def sink(population, objectives):
-        captured["population"] = population
-        captured["objectives"] = objectives
-
-    params = dict(task.ga_params)
-    params["generations"] = task.generations
-    algorithm = GeneticAlgorithm(
-        initial_population=initial, population_sink=sink, **params
-    )
-    cancel, bridge = _bridged_cancel(
-        ledger, task.flush_every, task.target_value
-    )
-    try:
-        deployment, report = algorithm.deploy_with_report(
-            workflow,
-            network,
-            cost_model=model,
-            rng=coerce_rng(task.seed),
-            budget=task.budget,
-            cancel=cancel,
-            clock=clock,
-            on_progress=bridge,
-        )
-    finally:
-        # a crashed island must still account for its spent evaluations
-        bridge.finish()
-    bridge.finish(report.evaluations)
-    value = model.objective(deployment)
-    if task.target_value is not None and value <= task.target_value:
-        ledger.request_stop(STOP_TARGET)
-    server_index = compiled.server_index
-    population = tuple(
-        tuple(server_index[name] for name in genome)
-        for genome in captured["population"]
-    )
-    return IslandResult(
-        index=task.index,
-        mapping=deployment.as_dict(),
-        value=value,
-        report=report,
-        population=population,
-        objectives=tuple(captured["objectives"]),
-    )
-
-
-# ----------------------------------------------------------------------
-# partitioned-neighbourhood hill-climbing scans
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PartitionTask:
-    """One worker's share of a cooperative best-improvement sweep.
-
-    ``servers`` is the current trajectory state (server index per
-    operation, workflow order); ``operations`` the op indices this
-    worker scans. The worker prices every single-operation move of its
-    partition and reports its best strict improvement.
-    """
-
-    index: int
-    payload: InstancePayload
-    servers: tuple[int, ...]
-    operations: tuple[int, ...]
-    flush_every: int = DEFAULT_FLUSH_EVERY
-
-
-@dataclass(frozen=True)
-class PartitionResult:
-    """Best move found in one partition (``move is None``: no
-    improvement in this partition)."""
-
-    index: int
-    evaluations: int
-    move: tuple[int, int] | None
-    value: float
-
-
-def run_partition_scan(
-    task: PartitionTask,
-    ledger: BudgetLedger,
-    clock: Clock | None = None,
-) -> PartitionResult:
-    """Scan one partition of the move neighbourhood incrementally."""
-    _, _, model = materialize(task.payload)
-    compiled = model.compiled
-    op_names = compiled.op_names
-    server_names = compiled.server_names
-    deployment = Deployment(
-        {
-            op_names[op]: server_names[server]
-            for op, server in enumerate(task.servers)
-        }
-    )
-    evaluator = MoveEvaluator(model, deployment)
-    current_value = evaluator.objective
-    best_move: tuple[int, int] | None = None
-    best_value = current_value
-    evaluations = 0
-    unflushed = 0
-    try:
-        for op in task.operations:
-            if ledger.stop_requested:
-                break
-            original = task.servers[op]
-            operation_name = op_names[op]
-            for server, server_name in enumerate(server_names):
-                if server == original:
-                    continue
-                value = evaluator.propose_value(operation_name, server_name)
-                evaluations += 1
-                unflushed += 1
-                if value < best_value:
-                    best_value = value
-                    best_move = (op, server)
-            if unflushed >= task.flush_every:
-                ledger.record(unflushed)
-                unflushed = 0
-    finally:
-        # the tail delta must land even when a proposal raises, or the
-        # global accounting under-counts after a crashed worker
-        ledger.record(unflushed)
-    return PartitionResult(
-        index=task.index,
-        evaluations=evaluations,
-        move=best_move,
-        value=best_value,
     )

@@ -1,6 +1,6 @@
 """End-to-end contracts of ``deploy_parallel`` / ``race_portfolio``.
 
-Everything except one process-pool parity check runs in *inline* mode:
+Everything except the process-pool parity checks runs in *inline* mode:
 the same task protocol and shared-ledger accounting, executed
 sequentially in this process -- deterministic, fast, and exactly what
 the pool executes (the parity test pins that equivalence).
@@ -109,42 +109,6 @@ class TestReproducibility:
             r.label for r in second.parallel.runs
         ]
 
-    def test_islands_run_is_reproducible(self, line5, bus5, model):
-        def run():
-            return deploy_parallel(
-                AlgorithmSpec.of(
-                    "Genetic", generations=8, population_size=8
-                ),
-                line5,
-                bus5,
-                cost_model=model,
-                workers=2,
-                seed=9,
-                plan="islands",
-                inline=True,
-            )
-
-        first, second = run(), run()
-        assert first.best.as_dict() == second.best.as_dict()
-        assert _strip(first.report) == _strip(second.report)
-
-    def test_partition_run_is_reproducible(self, line5, bus5, model):
-        def run():
-            return deploy_parallel(
-                "HillClimbing@HeavyOps-LargeMsgs",
-                line5,
-                bus5,
-                cost_model=model,
-                workers=2,
-                seed=9,
-                plan="partition",
-                inline=True,
-            )
-
-        first, second = run(), run()
-        assert first.best.as_dict() == second.best.as_dict()
-        assert _strip(first.report) == _strip(second.report)
-
     def test_live_rng_rejected_for_sharded_runs(self, line5, bus5, model):
         with pytest.raises(AlgorithmError):
             deploy_parallel(
@@ -217,25 +181,6 @@ class TestBudgetEnforcement:
         assert outcome.report.stop_reason == STOP_CANCELLED
         assert outcome.best is not None
 
-    def test_precancelled_islands_still_yield_a_deployment(
-        self, line5, bus5, model
-    ):
-        cancel = CancelToken()
-        cancel.cancel()
-        outcome = deploy_parallel(
-            AlgorithmSpec.of("Genetic", generations=30),
-            line5,
-            bus5,
-            cost_model=model,
-            workers=2,
-            seed=1,
-            plan="islands",
-            cancel=cancel,
-            inline=True,
-        )
-        assert outcome.report.stop_reason == STOP_CANCELLED
-        assert outcome.best is not None
-
     def test_target_value_stops_the_race(self, line5, bus5, model):
         # a target above any feasible objective is reached immediately
         outcome = deploy_parallel(
@@ -250,34 +195,6 @@ class TestBudgetEnforcement:
             inline=True,
         )
         assert outcome.report.stop_reason == STOP_TARGET
-
-
-class TestPlanValidation:
-    def test_islands_require_the_genetic_algorithm(self, line5, bus5, model):
-        with pytest.raises(AlgorithmError):
-            deploy_parallel(
-                "SimulatedAnnealing",
-                line5,
-                bus5,
-                cost_model=model,
-                workers=2,
-                seed=1,
-                plan="islands",
-                inline=True,
-            )
-
-    def test_partition_requires_hill_climbing(self, line5, bus5, model):
-        with pytest.raises(AlgorithmError):
-            deploy_parallel(
-                "Genetic",
-                line5,
-                bus5,
-                cost_model=model,
-                workers=2,
-                seed=1,
-                plan="partition",
-                inline=True,
-            )
 
 
 class TestPortfolio:
@@ -335,12 +252,21 @@ class TestPortfolio:
 
 
 class TestProcessPoolParity:
-    def test_pool_matches_inline_execution(self, line5, bus5, model):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "SimulatedAnnealing",
+            # Genetic under workers=2 takes the seeded-restarts path too
+            AlgorithmSpec.of("Genetic", generations=6, population_size=8),
+        ],
+        ids=["annealing", "genetic"],
+    )
+    def test_pool_matches_inline_execution(self, line5, bus5, model, spec):
         """Real worker processes produce the inline-mode result."""
 
         def run(inline):
             return deploy_parallel(
-                "SimulatedAnnealing",
+                spec,
                 line5,
                 bus5,
                 cost_model=model,
@@ -352,6 +278,31 @@ class TestProcessPoolParity:
 
         inline_outcome = run(True)
         pool_outcome = run(False)
+        assert pool_outcome.parallel.plan == "restarts"
         assert pool_outcome.best.as_dict() == inline_outcome.best.as_dict()
         assert pool_outcome.best_value == inline_outcome.best_value
         assert _strip(pool_outcome.report) == _strip(inline_outcome.report)
+
+
+class TestRemovedOptions:
+    def test_removed_plan_runtime_and_ga_hooks_are_rejected(
+        self, line5, bus5, model
+    ):
+        """The shard-plan and runtime-reuse keywords and the GA's
+        island-only hooks are gone, not silently ignored."""
+        from repro.algorithms.genetic import GeneticAlgorithm
+        from repro.parallel import ParallelRuntime
+
+        with pytest.raises(TypeError):
+            deploy_parallel(
+                "Genetic", line5, bus5, workers=2, plan="islands", inline=True
+            )
+        with ParallelRuntime(2, inline=True) as runtime:
+            with pytest.raises(TypeError):
+                deploy_parallel(
+                    "Genetic", line5, bus5, workers=2, runtime=runtime
+                )
+        with pytest.raises(TypeError):
+            GeneticAlgorithm(initial_population=[])
+        with pytest.raises(AlgorithmError):
+            AlgorithmSpec.of("Genetic", population_sink=print)

@@ -1,4 +1,4 @@
-"""AlgorithmSpec / ShardPlan validation and the default portfolio."""
+"""AlgorithmSpec validation and the default portfolio."""
 
 from __future__ import annotations
 
@@ -9,13 +9,7 @@ import pytest
 from repro.algorithms.genetic import GeneticAlgorithm
 from repro.algorithms.local_search import HillClimbing
 from repro.exceptions import AlgorithmError
-from repro.parallel.specs import (
-    DEFAULT_PORTFOLIO,
-    PLAN_KINDS,
-    AlgorithmSpec,
-    ShardPlan,
-    auto_plan,
-)
+from repro.parallel.specs import DEFAULT_PORTFOLIO, AlgorithmSpec
 
 
 class TestAlgorithmSpec:
@@ -67,28 +61,6 @@ class TestAlgorithmSpec:
         spec = AlgorithmSpec.of("Genetic", generations=3)
         assert pickle.loads(pickle.dumps(spec)) == spec
         assert hash(spec) == hash(AlgorithmSpec.of("Genetic", generations=3))
-
-
-class TestShardPlan:
-    def test_coerce_from_kind_string(self):
-        for kind in PLAN_KINDS:
-            assert ShardPlan.coerce(kind).kind == kind
-
-    def test_coerce_passthrough_and_none(self):
-        plan = ShardPlan(kind="islands", migration_every=3)
-        assert ShardPlan.coerce(plan) is plan
-        assert ShardPlan.coerce(None) is None
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(AlgorithmError):
-            ShardPlan.coerce("butterfly")
-        with pytest.raises(AlgorithmError):
-            ShardPlan(kind="butterfly")
-
-    def test_auto_plan_matches_algorithm_family(self):
-        assert auto_plan("Genetic").kind == "islands"
-        assert auto_plan("HillClimbing").kind == "restarts"
-        assert auto_plan("HeavyOps-LargeMsgs").kind == "restarts"
 
 
 class TestDefaultPortfolio:

@@ -2,8 +2,8 @@
 
 Satellite regression: a worker that raised mid-search used to leave its
 un-flushed evaluation delta off the shared ledger, so the global budget
-accounting under-counted after every crash. The worker entry points now
-flush in ``finally`` blocks and the bridge tracks the last progress
+accounting under-counted after every crash. The worker entry point now
+flushes in a ``finally`` block and the bridge tracks the last progress
 callback, so the ledger ends correct to the flush granularity even when
 the search dies.
 """
@@ -16,13 +16,7 @@ from repro.algorithms.runtime import CancelToken, SearchProgress
 from repro.core.cost import CostModel
 from repro.network.topology import bus_network
 from repro.parallel.budget import InlineLedger, WorkerBridge
-from repro.parallel.worker import (
-    PartitionTask,
-    SearchTask,
-    payload_from,
-    run_partition_scan,
-    run_search_task,
-)
+from repro.parallel.worker import SearchTask, payload_from, run_search_task
 
 from ..service.conftest import make_line
 
@@ -85,55 +79,6 @@ class TestSearchTaskCrash:
         with pytest.raises(RuntimeError):
             run_search_task(task, ledger)
         assert ledger.evaluations == 0
-
-
-class TestPartitionScanCrash:
-    def test_tail_delta_lands_when_a_proposal_raises(
-        self, payload, monkeypatch
-    ):
-        """The scan prices moves with flush_every=1000 (never flushes
-        inside the loop); a proposal raising at evaluation 4 must still
-        leave the first 3 on the ledger."""
-        import repro.parallel.worker as worker_module
-
-        real_evaluator = worker_module.MoveEvaluator
-        calls = {"n": 0}
-
-        class ExplodingEvaluator(real_evaluator):
-            def propose_value(self, operation, server):
-                calls["n"] += 1
-                if calls["n"] >= 4:
-                    raise RuntimeError("pricing kernel fault")
-                return super().propose_value(operation, server)
-
-        monkeypatch.setattr(
-            worker_module, "MoveEvaluator", ExplodingEvaluator
-        )
-        ledger = InlineLedger()
-        task = PartitionTask(
-            index=0,
-            payload=payload,
-            servers=(0, 0, 0, 0),
-            operations=(0, 1, 2, 3),
-            flush_every=1000,
-        )
-        with pytest.raises(RuntimeError, match="pricing kernel fault"):
-            run_partition_scan(task, ledger)
-        assert ledger.evaluations == 3
-
-    def test_clean_scan_accounts_everything(self, payload):
-        ledger = InlineLedger()
-        task = PartitionTask(
-            index=0,
-            payload=payload,
-            servers=(0, 0, 0, 0),
-            operations=(0, 1, 2, 3),
-            flush_every=1000,
-        )
-        result = run_partition_scan(task, ledger)
-        # 4 operations x 2 non-current servers
-        assert result.evaluations == 8
-        assert ledger.evaluations == 8
 
 
 class TestBridgeExceptionAccounting:

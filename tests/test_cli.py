@@ -123,6 +123,25 @@ class TestDeploy:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_plan_option_is_gone(self, instance_path, capsys):
+        # sharded runs are always seeded restarts; --plan is a usage error
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "deploy",
+                    "--instance",
+                    str(instance_path),
+                    "--algorithm",
+                    "Genetic",
+                    "--workers",
+                    "2",
+                    "--plan",
+                    "islands",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --plan" in capsys.readouterr().err
+
 
 class TestTopologyOverride:
     SNDLIB = (
