@@ -5,14 +5,32 @@ fleet -- through :class:`~repro.service.controller.FleetController` and
 reports sustained events/second together with the router and cost-model
 cache hit rates. The numbers land in
 ``benchmarks/output/fleet_throughput.txt``.
+
+A second, counted replay of the same seed records the deterministic
+work behind those figures in ``benchmarks/output/BENCH_fleet.json``:
+full workflow compiles (:class:`~repro.core.compiled.CompiledWorkflow`
+builds), topology rebinds (:meth:`CompiledInstance.rebind
+<repro.core.compiled.CompiledInstance.rebind>` after a server change),
+dense route-table reads (:class:`~repro.core.batch.DenseRoutes` builds
+and refreshes) and router hits, plus the host (``cpu_count``, Python,
+NumPy). It asserts the floor the two-halves compile layout guarantees:
+a workflow is compiled once per admission attempt and once per
+workload drift, never per server change or per tenant.
 """
 
+import os
+import platform
 import time
+from unittest import mock
 
+import numpy
+
+from repro.core.batch import DenseRoutes
+from repro.core.compiled import CompiledInstance, CompiledWorkflow
 from repro.experiments.reporting import TextTable
 from repro.service.scenarios import build_scenario, replay
 
-from _common import emit
+from _common import emit, write_json
 
 SEED = 7
 
@@ -20,6 +38,32 @@ SEED = 7
 def _replay_surge():
     controller = replay("surge", seed=SEED)
     return controller
+
+
+def _counted_replay():
+    """Replay surge with the compile/rebind/route-read calls counted."""
+    counts = {"workflow_compiles": 0, "topology_rebinds": 0, "dense_route_reads": 0}
+
+    def counting(key, function):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    with mock.patch.object(
+        CompiledWorkflow,
+        "__init__",
+        counting("workflow_compiles", CompiledWorkflow.__init__),
+    ), mock.patch.object(
+        CompiledInstance,
+        "rebind",
+        counting("topology_rebinds", CompiledInstance.rebind),
+    ), mock.patch.object(
+        DenseRoutes, "_read", counting("dense_route_reads", DenseRoutes._read)
+    ):
+        controller = replay("surge", seed=SEED)
+    return controller, counts
 
 
 def bench_fleet_surge_throughput(benchmark):
@@ -64,3 +108,65 @@ def bench_fleet_surge_throughput(benchmark):
     # being queried per message, so the *cost-model* cache is the hot
     # path now -- the router hit rate is reported above but not asserted
     assert fresh_metrics.cost_model_hit_rate > 0.5
+
+
+def bench_fleet_surge_work_counters(benchmark):
+    controller, counts = benchmark.pedantic(_counted_replay, rounds=1)
+    log = list(controller.log)
+    # every deploy request that is not a duplicate prices its workflow
+    admissions = sum(
+        1
+        for record in log
+        if record.event == "deploy"
+        and dict(record.details).get("reason") != "duplicate-tenant"
+    )
+    drifts = sum(
+        1
+        for record in log
+        if record.event == "workload-drift" and record.action == "drifted"
+    )
+    server_changes = sum(
+        1
+        for record in log
+        if record.event in ("server-failed", "server-joined", "capacity-drift")
+        and record.action != "rejected"
+    )
+    state = controller.state
+    payload = {
+        "scenario": "surge",
+        "seed": SEED,
+        "events": len(log),
+        "admissions": admissions,
+        "workload_drifts": drifts,
+        "server_changes": server_changes,
+        **counts,
+        "router_hits": state.router_hits,
+        "router_misses": state.router_misses,
+        "dijkstra_runs": state.router_dijkstra_runs,
+        "cost_model_hits": state.cost_model_hits,
+        "cost_model_misses": state.cost_model_misses,
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+        },
+    }
+    write_json("BENCH_fleet", payload)
+    table = TextTable(["counter", "value"], title="fleet surge work (seed 7)")
+    for key in (
+        "admissions",
+        "workload_drifts",
+        "server_changes",
+        "workflow_compiles",
+        "topology_rebinds",
+        "dense_route_reads",
+        "router_hits",
+    ):
+        table.add_row([key, payload[key]])
+    emit("fleet_work", table)
+
+    # deterministic floor: no server change or tenant count recompiles
+    # a workflow, and the route table is read densely at most once per
+    # router (the initial one plus one per server change)
+    assert counts["workflow_compiles"] == admissions + drifts
+    assert counts["dense_route_reads"] <= server_changes + 1

@@ -8,11 +8,13 @@ candidate. :class:`BatchEvaluator` scores a whole *batch* of deployments
 -- a ``(K, M)`` integer array of server choices, one row per candidate
 -- in NumPy across the batch axis:
 
-* the affine route-delay table of the shared
-  :class:`~repro.core.compiled.CompiledInstance` is materialised as
-  dense ``(S, S)`` base/rate matrices (one per-message delay matrix per
-  distinct message size, so genuinely size-dependent pairs are priced
-  through the router exactly once per size);
+* the router's shared route table
+  (:class:`~repro.network.routing.RouteTable`) is materialised once per
+  router as :class:`DenseRoutes`: dense ``(S, S)`` base/rate matrices
+  plus one delay matrix per distinct message size, so genuinely
+  size-dependent pairs are priced through the router exactly once per
+  size -- for every evaluator on that router, whichever tenant or
+  instance it belongs to;
 * the topological forward pass runs as ``M`` vectorized steps over
   ``K``-vectors -- ``Tproc`` gathered from the ``(M, S)`` table, message
   delays via fancy-indexed endpoint lookups, and probability-weighted
@@ -48,8 +50,9 @@ first use (:meth:`CompiledInstance.batch_evaluator
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -59,8 +62,9 @@ from repro.core.compiled import (
     CompiledInstance,
 )
 from repro.exceptions import DeploymentError
+from repro.network.routing import RouteTable
 
-__all__ = ["BatchEvaluator", "BatchScores", "penalty_rows"]
+__all__ = ["BatchEvaluator", "BatchScores", "DenseRoutes", "penalty_rows"]
 
 
 @dataclass(frozen=True)
@@ -137,14 +141,173 @@ def penalty_rows(loads: "np.ndarray", mode: str) -> "np.ndarray":
     return total / servers  # mad
 
 
+class DenseRoutes:
+    """Dense ``(S, S)`` delay matrices over one router's route table.
+
+    The batch kernel's half of the shared topology: built once per
+    :class:`~repro.network.routing.RouteTable` -- so once per router --
+    and borrowed by every :class:`BatchEvaluator` on it, whichever
+    instance or tenant it prices. Obtain it through :meth:`of`.
+
+    Attributes
+    ----------
+    base, rate:
+        ``(S, S)`` propagation and per-bit transfer coefficients of the
+        affine pairs (zero for size-dependent pairs).
+    sized_pairs:
+        The genuinely size-dependent index pairs, priced through the
+        router per message size.
+    matrices:
+        Message size -> ``(S, S)`` delay matrix, filled on demand
+        (:meth:`matrix`). Evaluators hold references to these arrays,
+        so :meth:`refresh` rewrites them in place.
+    """
+
+    def __init__(self, table: RouteTable):
+        # weak, like the table's own reference to its router: the table
+        # owns these matrices
+        self._table = weakref.ref(table)
+        self.matrices: dict[float, np.ndarray] = {}
+        self._read()
+
+    @property
+    def table(self) -> RouteTable:
+        """The route table these matrices are read from."""
+        return self._table()
+
+    @classmethod
+    def of(cls, table: RouteTable) -> "DenseRoutes":
+        """The dense matrices of *table*, built on first use."""
+        dense = table.dense
+        if dense is None:
+            dense = table.dense = cls(table)
+        return dense
+
+    def _read(self) -> None:
+        """Read the route table into dense ``base``/``rate`` matrices.
+
+        Resolves every unresolved pair through the router (row-major,
+        counted as router queries). Genuinely size-dependent pairs are
+        collected instead: they are priced per message size when a
+        delay matrix is built.
+        """
+        table = self.table
+        routes = table.routes
+        servers = len(routes)
+        base = np.zeros((servers, servers))
+        rate = np.zeros((servers, servers))
+        sized_pairs: list[tuple[int, int]] = []
+        for i in range(servers):
+            row = routes[i]
+            for j in range(servers):
+                coeff = row[j]
+                if coeff is None:
+                    coeff = table.resolve(i, j)
+                if coeff:
+                    base[i, j] = coeff[0]
+                    rate[i, j] = coeff[1]
+                else:
+                    sized_pairs.append((i, j))
+        self.base = base
+        self.rate = rate
+        self.sized_pairs = tuple(sized_pairs)
+
+    def _sized_times(
+        self, pairs: Sequence[tuple[int, int]], size_bits: float
+    ) -> list[float]:
+        names = self.table.server_names
+        return self.table.router.transmission_times(
+            [(names[i], names[j]) for i, j in pairs], size_bits
+        )
+
+    def matrix(self, size_bits: float) -> "np.ndarray":
+        """The dense ``(S, S)`` delay matrix for one message size.
+
+        ``base + size * rate`` elementwise -- the same expression the
+        scalar :meth:`~repro.core.compiled.CompiledInstance.delay`
+        evaluates per query, so every entry is the identical float.
+        Size-dependent pairs are answered by the router, once per size.
+        """
+        matrix = self.matrices.get(size_bits)
+        if matrix is None:
+            matrix = self.base + size_bits * self.rate
+            if self.sized_pairs:
+                values = self._sized_times(self.sized_pairs, size_bits)
+                for (i, j), value in zip(self.sized_pairs, values):
+                    matrix[i, j] = value
+            self.matrices[size_bits] = matrix
+        return matrix
+
+    def retain(self, sizes: Collection[float]) -> None:
+        """Drop the delay matrix of every message size not in *sizes*.
+
+        For the owner of the evaluators on this table -- the fleet state
+        -- to call with the sizes its live tenants price, so refreshes
+        and memory follow the live tenants instead of every size priced
+        since the router was built. A dropped matrix is no longer
+        refreshed: an evaluator still holding one would price stale
+        routes.
+        """
+        for size_bits in [size for size in self.matrices if size not in sizes]:
+            del self.matrices[size_bits]
+
+    def refresh(self, affected: "set[tuple[int, int]] | None" = None) -> None:
+        """Rebuild every matrix in place after a route refresh.
+
+        Called by :meth:`RouteTable.refresh
+        <repro.network.routing.RouteTable.refresh>` once the table holds
+        the post-event coefficients: re-reads every pair into
+        ``base``/``rate`` and recomputes each cached per-size matrix
+        **in place**, because evaluators' per-operation incoming tuples
+        hold references to those arrays.
+
+        *affected* (index pairs, both directions) scopes the expensive
+        part: a size-dependent pair outside the affected set kept its
+        per-size optimal paths across the change, so its old matrix
+        entries are restored verbatim instead of re-running one
+        Dijkstra per cached message size. That is only sound because
+        :meth:`repro.network.routing.Router.invalidate` reports *every*
+        pair whose per-size fallback entries it dropped -- including
+        pairs whose classification paths avoid the change while some
+        per-size optimum crossed it, and every size-dependent pair once
+        entries were evicted -- so anything outside *affected* provably
+        kept all its sized paths. ``None`` means every pair may have
+        changed -- re-query them all.
+        """
+        self._read()
+        base = self.base
+        rate = self.rate
+        for size_bits, matrix in self.matrices.items():
+            kept = {
+                (i, j): matrix[i, j]
+                for i, j in self.sized_pairs
+                if affected is not None and (i, j) not in affected
+            }
+            matrix[...] = base + size_bits * rate
+            requery: list[tuple[int, int]] = []
+            for i, j in self.sized_pairs:
+                value = kept.get((i, j))
+                if value is not None:
+                    matrix[i, j] = value
+                else:
+                    requery.append((i, j))
+            if requery:
+                for (i, j), value in zip(
+                    requery, self._sized_times(requery, size_bits)
+                ):
+                    matrix[i, j] = value
+
+
 class BatchEvaluator:
     """Score batches of deployments against one compiled instance.
 
-    Built once from a :class:`~repro.core.compiled.CompiledInstance`
-    (construction resolves every server-pair route into the dense delay
-    matrices); each :meth:`evaluate` call then prices ``K`` candidate
-    deployments in ``M`` vectorized steps. Obtain the shared per-artifact
-    evaluator through
+    Built once from a :class:`~repro.core.compiled.CompiledInstance`;
+    each :meth:`evaluate` call then prices ``K`` candidate deployments
+    in ``M`` vectorized steps. The per-instance part is small -- the
+    ``Tproc`` table, loads and migration costs -- because the dense
+    delay matrices are the router's shared :class:`DenseRoutes`,
+    resolved once for every evaluator on that router. Obtain the
+    shared per-artifact evaluator through
     :meth:`CompiledInstance.batch_evaluator
     <repro.core.compiled.CompiledInstance.batch_evaluator>` rather than
     constructing duplicates.
@@ -153,6 +316,11 @@ class BatchEvaluator:
     ----------
     compiled:
         The compiled problem instance to evaluate against.
+
+    Attributes
+    ----------
+    routes:
+        The shared :class:`DenseRoutes` of the instance's router.
     """
 
     def __init__(self, compiled: CompiledInstance):
@@ -174,127 +342,31 @@ class BatchEvaluator:
             else None
         )
 
-        # ---- dense (S, S) affine route-delay matrices -----------------
-        self._read_routes()
-        self._delay_matrices: dict[float, np.ndarray] = {}
-
-        # ---- per-operation incoming edges, delay matrix attached ------
+        # ---- per-operation incoming edges, shared delay matrix attached
+        self.routes = DenseRoutes.of(compiled.route_table)
+        matrix = self.routes.matrix
         self._incoming: tuple[tuple[tuple[int, "np.ndarray"], ...], ...] = (
             tuple(
                 tuple(
-                    (src, self._delay_matrix(size_bits))
+                    (src, matrix(size_bits))
                     for src, size_bits, _weight in compiled.incoming[op]
                 )
                 for op in range(self.num_ops)
             )
         )
 
-    # ------------------------------------------------------------------
-    # delay matrices
-    # ------------------------------------------------------------------
-    def _read_routes(self) -> None:
-        """Read the route table into dense ``base``/``rate`` matrices.
-
-        Genuinely size-dependent pairs are collected instead: they are
-        priced per message size through the router when a delay matrix
-        is built.
-        """
-        servers = self.num_servers
-        route_coefficients = self.compiled.route_coefficients
-        base = np.zeros((servers, servers))
-        rate = np.zeros((servers, servers))
-        sized_pairs: list[tuple[int, int]] = []
-        for i in range(servers):
-            for j in range(servers):
-                coeff = route_coefficients(i, j)
-                if coeff:
-                    base[i, j] = coeff[0]
-                    rate[i, j] = coeff[1]
-                else:
-                    sized_pairs.append((i, j))
-        self._base = base
-        self._rate = rate
-        self._sized_pairs = tuple(sized_pairs)
-
-    def _delay_matrix(self, size_bits: float) -> "np.ndarray":
-        """The dense ``(S, S)`` delay matrix for one message size.
-
-        ``base + size * rate`` elementwise -- the same expression the
-        scalar :meth:`~repro.core.compiled.CompiledInstance.delay`
-        evaluates per query, so every entry is the identical float.
-        Size-dependent pairs are answered by the router, once per size.
-        """
-        matrix = self._delay_matrices.get(size_bits)
-        if matrix is None:
-            matrix = self._base + size_bits * self._rate
-            if self._sized_pairs:
-                router = self.compiled.router
-                names = self.compiled.server_names
-                values = router.transmission_times(
-                    [(names[i], names[j]) for i, j in self._sized_pairs],
-                    size_bits,
-                )
-                for (i, j), value in zip(self._sized_pairs, values):
-                    matrix[i, j] = value
-            self._delay_matrices[size_bits] = matrix
-        return matrix
-
-    def refresh_routes(
-        self, affected: "set[tuple[int, int]] | None" = None
-    ) -> None:
-        """Rebuild the dense delay matrices after a route refresh.
+    def refresh_routes(self) -> None:
+        """Re-read the instance's migration table after a route refresh.
 
         Called by :meth:`CompiledInstance.refresh_routes
-        <repro.core.compiled.CompiledInstance.refresh_routes>` once the
-        shared route table holds the post-event coefficients: re-reads
-        every pair into ``base``/``rate`` and recomputes each cached
-        per-size matrix **in place**, because the per-operation incoming
-        tuples hold references to those arrays. One bulk pass instead of
-        discarding the evaluator and re-resolving every pair lazily.
-
-        *affected* (index pairs, both directions) scopes the expensive
-        part: a size-dependent pair outside the affected set kept its
-        per-size optimal paths across the change, so its old matrix
-        entries are restored verbatim instead of re-running one
-        Dijkstra per cached message size. That is only sound because
-        :meth:`repro.network.routing.Router.invalidate` reports *every*
-        pair whose per-size fallback entries it dropped -- including
-        pairs whose classification paths avoid the change while some
-        per-size optimum crossed it, and every size-dependent pair once
-        entries were evicted -- so anything outside *affected* provably
-        kept all its sized paths. ``None`` means every pair may have
-        changed -- re-query them all.
+        <repro.core.compiled.CompiledInstance.refresh_routes>` of a
+        transition-aware instance once its migration rows are re-priced.
+        The delay matrices need nothing here: the router refreshed the
+        shared :class:`DenseRoutes` in place before.
         """
-        compiled = self.compiled
-        self._read_routes()
-        base = self._base
-        rate = self._rate
-        if compiled.transition_aware:
-            self._migration_table = np.asarray(
-                compiled.migration_table, dtype=np.float64
-            )
-        router = compiled.router
-        names = compiled.server_names
-        for size_bits, matrix in self._delay_matrices.items():
-            kept = {
-                (i, j): matrix[i, j]
-                for i, j in self._sized_pairs
-                if affected is not None and (i, j) not in affected
-            }
-            matrix[...] = base + size_bits * rate
-            requery: list[tuple[int, int]] = []
-            for i, j in self._sized_pairs:
-                value = kept.get((i, j))
-                if value is not None:
-                    matrix[i, j] = value
-                else:
-                    requery.append((i, j))
-            if requery:
-                values = router.transmission_times(
-                    [(names[i], names[j]) for i, j in requery], size_bits
-                )
-                for (i, j), value in zip(requery, values):
-                    matrix[i, j] = value
+        self._migration_table = np.asarray(
+            self.compiled.migration_table, dtype=np.float64
+        )
 
     # ------------------------------------------------------------------
     # batch construction helpers

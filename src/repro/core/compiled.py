@@ -10,12 +10,12 @@ kept name-keyed dicts, the incremental move evaluator built private
 fleet cached yet another copy per tenant.
 
 :class:`CompiledInstance` compiles a ``(Workflow, ServerNetwork, cost
-parameters)`` triple **once** into immutable integer-indexed arrays --
-operation/server index maps, the topological order, message endpoint
-index pairs with their probability weights, XOR join weights, the
-per-``(op, server)`` ``Tproc`` table, per-``(server, server)`` affine
-route-delay coefficients and the capacity-proportional ideal-load
-vector -- and every consumer borrows the same artifact:
+parameters)`` triple into integer-indexed arrays -- operation/server
+index maps, the topological order, message endpoint index pairs with
+their probability weights, XOR join weights, the per-``(op, server)``
+``Tproc`` table, per-``(server, server)`` affine route-delay
+coefficients and the capacity-proportional ideal-load vector -- and
+every consumer borrows the same artifact:
 
 * :class:`~repro.core.cost.CostModel` is a thin façade whose
   ``evaluate``/``objective``/``loads``/``response_times`` run an
@@ -27,6 +27,26 @@ vector -- and every consumer borrows the same artifact:
 * :class:`~repro.service.state.FleetState` holds one artifact per
   tenant.
 
+The artifact is built from two halves, because in the paper's cost
+model ``Tproc`` depends on the operation and the server while ``Tcomm``
+depends only on the network:
+
+* the **workflow half**, :class:`CompiledWorkflow` -- index maps, order,
+  probabilities, cycles, join codes, message endpoints, XOR weights and
+  the dirty-region and scope memos -- compiled once per workflow and
+  probability setting and never changed;
+* the **topology half** -- server index, capacities, the connectivity
+  check and the route-delay table -- where the route part is one
+  :class:`~repro.network.routing.RouteTable` per router, borrowed by
+  every instance on that router and refreshed in place when links
+  change (:meth:`Router.invalidate
+  <repro.network.routing.Router.invalidate>`).
+
+Only ``Tproc``, the ideal-load vector and the transition tables are
+per instance. :meth:`CompiledInstance.rebind` moves a compiled workflow
+onto a changed server set without recompiling it -- what the fleet does
+on every server failure, join or capacity change.
+
 Every array entry is computed from exactly the operands (in exactly the
 order) the pre-compilation object path used, so compiled evaluation is
 bit-identical to the historical name-dict path -- the parity property
@@ -37,7 +57,7 @@ deployments.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import networkx as nx
 
@@ -48,9 +68,11 @@ from repro.core.workflow import NodeKind, Workflow
 from repro.exceptions import DeploymentError, UnknownServerError
 from repro.network.routing import Router
 from repro.network.topology import ServerNetwork
+from repro.numeric import ordered_sum
 
 __all__ = [
     "CompiledInstance",
+    "CompiledWorkflow",
     "PENALTY_MODES",
     "ordered_sum",
     "penalty_statistic",
@@ -66,22 +88,6 @@ JOIN_MAX = 0
 JOIN_MIN = 1
 #: ``XOR`` joins take the probability-weighted average of arrivals.
 JOIN_XOR = 2
-
-
-def ordered_sum(values: Iterable[float]) -> float:
-    """Add *values* strictly left to right.
-
-    The builtin ``sum()`` of floats is compensated (Neumaier) from
-    Python 3.12 on and a plain left fold before it, so its result
-    depends on the interpreter. The scalar reductions the batch kernel
-    mirrors fold in this order instead (:func:`penalty_statistic`
-    inlines the same fold), which is the order the kernel's vector
-    accumulations use on every Python version.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 def penalty_statistic(values: Sequence[float], mode: str) -> float:
@@ -118,18 +124,207 @@ def penalty_statistic(values: Sequence[float], mode: str) -> float:
     return math.sqrt(squares / count)
 
 
+class CompiledWorkflow:
+    """The workflow half of a compiled instance, shared across rebinds.
+
+    Everything a compiled instance derives from the workflow alone:
+    index maps, the topological order, probabilities, cycles, join
+    codes, message endpoints and XOR weights, plus the memoised dirty
+    regions and decision scopes. It depends on no server, so one
+    compilation serves the workflow on every network it is bound to
+    (see :meth:`CompiledInstance.rebind`). Every public attribute is
+    also an attribute of the same name on each :class:`CompiledInstance`
+    built from it.
+
+    Parameters
+    ----------
+    workflow:
+        The workflow to compile; it must be a DAG.
+    use_probabilities:
+        Weight costs by execution probabilities; ``None`` auto-enables
+        this exactly when the workflow contains an ``XOR`` split.
+    """
+
+    def __init__(self, workflow: Workflow, use_probabilities: bool | None):
+        if not workflow.is_dag():
+            raise DeploymentError(
+                f"workflow {workflow.name!r} contains a cycle; the cost "
+                f"model requires a DAG"
+            )
+        self.workflow = workflow
+        self.has_xor = any(op.kind is NodeKind.XOR_SPLIT for op in workflow)
+        self.use_probabilities = self.probability_setting(use_probabilities)
+        if self.use_probabilities:
+            workflow.validate_xor_probabilities()
+            prob_by_name = execution_probabilities(workflow)
+        else:
+            prob_by_name = {name: 1.0 for name in workflow.operation_names}
+
+        self.op_names: tuple[str, ...] = workflow.operation_names
+        op_index = self.op_index = {
+            name: i for i, name in enumerate(self.op_names)
+        }
+        self.num_ops = len(self.op_names)
+        self.order: tuple[int, ...] = tuple(
+            op_index[name] for name in workflow.topological_order()
+        )
+        self.exits: tuple[int, ...] = tuple(
+            op_index[name] for name in workflow.exits
+        )
+        self.node_prob: tuple[float, ...] = tuple(
+            prob_by_name[name] for name in self.op_names
+        )
+        operations = workflow.operations
+        self.cycles: tuple[float, ...] = tuple(op.cycles for op in operations)
+        self.wcycles: tuple[float, ...] = tuple(
+            op.cycles * prob_by_name[op.name] for op in operations
+        )
+        self.total_weighted_cycles: float = ordered_sum(self.wcycles)
+        self.kinds: tuple[NodeKind, ...] = tuple(op.kind for op in operations)
+        self.join_code: tuple[int, ...] = tuple(
+            JOIN_XOR
+            if kind is NodeKind.XOR_JOIN
+            else (JOIN_MIN if kind is NodeKind.OR_JOIN else JOIN_MAX)
+            for kind in self.kinds
+        )
+
+        # ---- message endpoint arrays ------------------------------------
+        self.incoming: tuple[tuple[tuple[int, float, float], ...], ...] = (
+            tuple(
+                tuple(
+                    (
+                        op_index[m.source],
+                        m.size_bits,
+                        prob_by_name[m.source] * m.probability,
+                    )
+                    for m in workflow.incoming(name)
+                )
+                for name in self.op_names
+            )
+        )
+        self.outgoing: tuple[tuple[tuple[int, float, float], ...], ...] = (
+            tuple(
+                tuple(
+                    (
+                        op_index[m.target],
+                        m.size_bits,
+                        prob_by_name[m.source] * m.probability,
+                    )
+                    for m in workflow.outgoing(name)
+                )
+                for name in self.op_names
+            )
+        )
+        self.messages: tuple[tuple[int, int, float, float], ...] = tuple(
+            (
+                op_index[m.source],
+                op_index[m.target],
+                m.size_bits,
+                prob_by_name[m.source] * m.probability,
+            )
+            for m in workflow.messages
+        )
+        # static XOR join weights (and their sums) in arrival order
+        self.xor_weights: tuple[tuple[float, ...], ...] = tuple(
+            tuple(w for _, _, w in entries) for entries in self.incoming
+        )
+        self.xor_weight_total: tuple[float, ...] = tuple(
+            ordered_sum(weights) for weights in self.xor_weights
+        )
+
+        # ---- lazily-filled memos ----------------------------------------
+        self._graph = workflow.graph
+        topo_pos = [0] * self.num_ops
+        for pos, op in enumerate(self.order):
+            topo_pos[op] = pos
+        self._topo_pos: list[int] = topo_pos
+        self._dirty: dict[int, tuple[int, ...]] = {}
+        self._scopes: dict[int, tuple[int, ...]] | None = None
+
+    def probability_setting(self, use_probabilities: bool | None) -> bool:
+        """What a requested *use_probabilities* resolves to here."""
+        return self.has_xor if use_probabilities is None else use_probabilities
+
+    def dirty_order(self, op: int) -> tuple[int, ...]:
+        """See :meth:`CompiledInstance.dirty_order`."""
+        cached = self._dirty.get(op)
+        if cached is None:
+            name = self.op_names[op]
+            region = nx.descendants(self._graph, name) | {name}
+            cached = tuple(
+                sorted(
+                    (self.op_index[n] for n in region),
+                    key=self._topo_pos.__getitem__,
+                )
+            )
+            self._dirty[op] = cached
+        return cached
+
+    def decision_scopes(self) -> Mapping[int, tuple[int, ...]]:
+        """See :meth:`CompiledInstance.decision_scopes`."""
+        if self._scopes is None:
+            graph = self._graph
+            report = check_well_formed(self.workflow)
+            scopes: dict[int, tuple[int, ...]] = {}
+            for split, join in report.matches.items():
+                members = (
+                    nx.descendants(graph, split) & nx.ancestors(graph, join)
+                ) | {split, join}
+                scopes[self.op_index[split]] = tuple(
+                    sorted(
+                        (self.op_index[n] for n in members),
+                        key=self._topo_pos.__getitem__,
+                    )
+                )
+            self._scopes = scopes
+        return self._scopes
+
+
+def _checked(objective: TransitionObjective) -> TransitionObjective:
+    """*objective*, after validating its penalty mode and weights."""
+    if objective.penalty_mode not in PENALTY_MODES:
+        raise DeploymentError(
+            f"unknown penalty mode {objective.penalty_mode!r}; expected "
+            f"one of {PENALTY_MODES}"
+        )
+    if objective.execution_weight < 0 or objective.penalty_weight < 0:
+        raise DeploymentError("objective weights must be >= 0")
+    return objective
+
+
+def _shared_router(network: ServerNetwork, router: Router | None) -> Router:
+    """*router* (a fresh one when omitted), its route table built.
+
+    Building the table checks that the network is connected; its server
+    order must be *network*'s.
+    """
+    router = router or Router(network)
+    if router.route_table().server_names != network.server_names:
+        raise DeploymentError(
+            f"the router's network {router.network.name!r} does not have "
+            f"the servers of {network.name!r}"
+        )
+    return router
+
+
 class CompiledInstance:
-    """A frozen, integer-indexed compilation of one problem instance.
+    """An integer-indexed compilation of one problem instance.
 
     Compile once, evaluate everywhere: all problem data needed to price
     a deployment lives in flat tuples indexed by small integers, and the
     only per-evaluation input is a server vector ``servers[op_index] ->
-    server_index``. The artifact is immutable after construction (the
-    route table and region caches fill lazily but never change value),
-    with one sanctioned exception: when *link parameters* change at
-    runtime, :meth:`invalidate_routes` resets everything derived from
-    route delays in place. Any other mutation of the workflow or
-    network requires a recompile.
+    server_index``. The instance is made of a workflow half
+    (:class:`CompiledWorkflow`, :attr:`compiled_workflow`) and a
+    topology half whose route table (:attr:`route_table`) is shared by
+    every instance on the same router. Neither changes value after
+    construction (the route table and the memos fill lazily), with one
+    sanctioned exception: when *link parameters* change at runtime,
+    :meth:`Router.invalidate <repro.network.routing.Router.invalidate>`
+    refreshes the shared route table in place and
+    :meth:`refresh_routes` (or :meth:`invalidate_routes`, which does
+    both) refreshes this instance's migration rows. A changed server
+    set or capacity needs a new router and :meth:`rebind`; a changed
+    workflow needs a recompile.
 
     Parameters
     ----------
@@ -145,9 +340,9 @@ class CompiledInstance:
         (default) auto-enables this exactly when the workflow contains
         an ``XOR`` split.
     router:
-        Optional pre-built :class:`~repro.network.routing.Router` whose
-        per-pair affine coefficients seed the route-delay table; built
-        fresh when omitted.
+        Optional pre-built :class:`~repro.network.routing.Router` over
+        the same servers, whose shared route table this instance
+        borrows; built fresh when omitted.
     objective:
         Optional :class:`~repro.core.migration.TransitionObjective`. When
         given it is the single source of truth for every objective
@@ -159,6 +354,9 @@ class CompiledInstance:
 
     Attributes
     ----------
+    compiled_workflow:
+        The :class:`CompiledWorkflow` the workflow arrays below belong
+        to (shared with every instance rebound from this one).
     op_names, op_index:
         Operation names in insertion order and the name -> index map.
     server_names, server_index:
@@ -185,12 +383,13 @@ class CompiledInstance:
     join_code, xor_weights, xor_weight_total:
         Join semantics code (:data:`JOIN_MAX`/:data:`JOIN_MIN`/
         :data:`JOIN_XOR`) plus the static XOR join weights.
-    routes:
-        The lazily-filled per-``(server, server)`` affine route-delay
-        table: ``(propagation_s, transfer_s_per_bit)``, ``None`` when
-        not yet resolved, ``()`` for the rare genuinely size-dependent
-        pairs (answered by the router per size). Read through
-        :meth:`delay` unless you replicate its fallback.
+    route_table, routes:
+        The router's shared :class:`~repro.network.routing.RouteTable`
+        and its lazily-filled per-``(server, server)`` affine
+        route-delay table: ``(propagation_s, transfer_s_per_bit)``,
+        ``None`` when not yet resolved, ``()`` for the rare genuinely
+        size-dependent pairs (answered by the router per size). Read
+        through :meth:`delay` unless you replicate its fallback.
     objective, transition_aware, migration_weight:
         The resolved :class:`~repro.core.migration.TransitionObjective`
         plus its unpacked gate and coefficient.
@@ -219,84 +418,69 @@ class CompiledInstance:
                 penalty_mode=penalty_mode,
                 use_probabilities=use_probabilities,
             )
-        execution_weight = objective.execution_weight
-        penalty_weight = objective.penalty_weight
-        penalty_mode = objective.penalty_mode
-        use_probabilities = objective.use_probabilities
-        if penalty_mode not in PENALTY_MODES:
-            raise DeploymentError(
-                f"unknown penalty mode {penalty_mode!r}; expected one of "
-                f"{PENALTY_MODES}"
-            )
-        if execution_weight < 0 or penalty_weight < 0:
-            raise DeploymentError("objective weights must be >= 0")
-        network.require_connected()
-        if not workflow.is_dag():
-            raise DeploymentError(
-                f"workflow {workflow.name!r} contains a cycle; the cost "
-                f"model requires a DAG"
-            )
-        self.workflow = workflow
+        objective = _checked(objective)
+        router = _shared_router(network, router)
+        self._bind(
+            CompiledWorkflow(workflow, objective.use_probabilities),
+            network,
+            router,
+            objective,
+        )
+
+    def rebind(
+        self,
+        network: ServerNetwork,
+        router: Router | None = None,
+        objective: TransitionObjective | None = None,
+    ) -> "CompiledInstance":
+        """This workflow compiled onto *network*, without recompiling it.
+
+        The new instance borrows this one's :class:`CompiledWorkflow`
+        and *router*'s shared route table, and derives only the
+        per-instance ``Tproc``, ideal loads and (when transition-aware)
+        transition tables -- equal, field for field, to
+        ``CompiledInstance(self.workflow, network, router=router,
+        objective=objective)``. *objective* defaults to this instance's;
+        one that resolves a different probability setting compiles the
+        workflow again, since the probabilities weight every array.
+        """
+        objective = self.objective if objective is None else _checked(objective)
+        router = _shared_router(network, router)
+        shape = self.compiled_workflow
+        requested = objective.use_probabilities
+        if shape.probability_setting(requested) != shape.use_probabilities:
+            shape = CompiledWorkflow(self.workflow, requested)
+        instance = CompiledInstance.__new__(CompiledInstance)
+        instance._bind(shape, network, router, objective)
+        return instance
+
+    def _bind(
+        self,
+        shape: CompiledWorkflow,
+        network: ServerNetwork,
+        router: Router,
+        objective: TransitionObjective,
+    ) -> None:
+        """Attach a workflow half to a topology: the one build path."""
+        self.compiled_workflow = shape
+        for name, value in vars(shape).items():
+            if not name.startswith("_"):  # the public workflow arrays
+                setattr(self, name, value)
         self.network = network
         self.objective = objective
-        self.execution_weight = execution_weight
-        self.penalty_weight = penalty_weight
-        self.penalty_mode = penalty_mode
+        self.execution_weight = objective.execution_weight
+        self.penalty_weight = objective.penalty_weight
+        self.penalty_mode = objective.penalty_mode
         self.migration_weight = objective.migration_weight
         self.transition_aware = objective.transition_aware
-        self.router = router or Router(network)
 
-        has_xor = any(op.kind is NodeKind.XOR_SPLIT for op in workflow)
-        self.use_probabilities = (
-            has_xor if use_probabilities is None else use_probabilities
-        )
-        if self.use_probabilities:
-            workflow.validate_xor_probabilities()
-            prob_by_name = execution_probabilities(workflow)
-        else:
-            prob_by_name = {name: 1.0 for name in workflow.operation_names}
-
-        # ---- index maps --------------------------------------------------
-        self.op_names: tuple[str, ...] = workflow.operation_names
-        self.op_index: dict[str, int] = {
-            name: i for i, name in enumerate(self.op_names)
-        }
-        self.num_ops = len(self.op_names)
-        self.server_names: tuple[str, ...] = network.server_names
-        self.server_index: dict[str, int] = {
-            name: i for i, name in enumerate(self.server_names)
-        }
+        # ---- topology half: the shared routes, then capacities ---------
+        table = self.route_table = router.route_table()
+        self.router = router
+        self.routes = table.routes
+        self.server_names: tuple[str, ...] = table.server_names
+        self.server_index: dict[str, int] = table.server_index
         self.num_servers = len(self.server_names)
-
-        # ---- per-operation arrays ---------------------------------------
-        op_index = self.op_index
-        self.order: tuple[int, ...] = tuple(
-            op_index[name] for name in workflow.topological_order()
-        )
-        self.exits: tuple[int, ...] = tuple(
-            op_index[name] for name in workflow.exits
-        )
-        self.node_prob: tuple[float, ...] = tuple(
-            prob_by_name[name] for name in self.op_names
-        )
-        operations = workflow.operations
-        self.cycles: tuple[float, ...] = tuple(
-            op.cycles for op in operations
-        )
-        self.wcycles: tuple[float, ...] = tuple(
-            op.cycles * prob_by_name[op.name] for op in operations
-        )
-        self.kinds: tuple[NodeKind, ...] = tuple(
-            op.kind for op in operations
-        )
-        self.join_code: tuple[int, ...] = tuple(
-            JOIN_XOR
-            if kind is NodeKind.XOR_JOIN
-            else (JOIN_MIN if kind is NodeKind.OR_JOIN else JOIN_MAX)
-            for kind in self.kinds
-        )
-
-        # ---- per-server arrays ------------------------------------------
         self.power: tuple[float, ...] = tuple(
             network.server(name).power_hz for name in self.server_names
         )
@@ -304,69 +488,12 @@ class CompiledInstance:
         # Tproc(op, s) = C(op) / P(s), the exact division the name-dict
         # path performed per query
         self.tproc: tuple[tuple[float, ...], ...] = tuple(
-            tuple(op.cycles / p for p in self.power) for op in operations
-        )
-        self.total_weighted_cycles: float = sum(
-            op.cycles * prob_by_name[op.name] for op in operations
+            tuple(cycles / p for p in self.power) for cycles in shape.cycles
         )
         self.ideal_cycles: tuple[float, ...] = tuple(
-            self.total_weighted_cycles * p / self.total_power_hz
+            shape.total_weighted_cycles * p / self.total_power_hz
             for p in self.power
         )
-
-        # ---- message endpoint arrays ------------------------------------
-        incoming: list[tuple[tuple[int, float, float], ...]] = []
-        outgoing: list[tuple[tuple[int, float, float], ...]] = []
-        for name in self.op_names:
-            incoming.append(
-                tuple(
-                    (
-                        op_index[m.source],
-                        m.size_bits,
-                        prob_by_name[m.source] * m.probability,
-                    )
-                    for m in workflow.incoming(name)
-                )
-            )
-            outgoing.append(
-                tuple(
-                    (
-                        op_index[m.target],
-                        m.size_bits,
-                        prob_by_name[m.source] * m.probability,
-                    )
-                    for m in workflow.outgoing(name)
-                )
-            )
-        self.incoming: tuple[tuple[tuple[int, float, float], ...], ...] = (
-            tuple(incoming)
-        )
-        self.outgoing: tuple[tuple[tuple[int, float, float], ...], ...] = (
-            tuple(outgoing)
-        )
-        self.messages: tuple[tuple[int, int, float, float], ...] = tuple(
-            (
-                op_index[m.source],
-                op_index[m.target],
-                m.size_bits,
-                prob_by_name[m.source] * m.probability,
-            )
-            for m in workflow.messages
-        )
-        # static XOR join weights (and their sums) in arrival order
-        self.xor_weights: tuple[tuple[float, ...], ...] = tuple(
-            tuple(w for _, _, w in entries) for entries in self.incoming
-        )
-        self.xor_weight_total: tuple[float, ...] = tuple(
-            sum(weights) for weights in self.xor_weights
-        )
-
-        # ---- route-delay table (lazily resolved through the router) -----
-        self.routes: list[list[tuple[float, float] | None]] = [
-            [None] * self.num_servers for _ in range(self.num_servers)
-        ]
-        for i in range(self.num_servers):
-            self.routes[i][i] = (0.0, 0.0)  # co-located: free, any size
 
         # ---- transition baseline + migration-cost table ------------------
         if self.transition_aware:
@@ -377,7 +504,7 @@ class CompiledInstance:
             if missing:
                 raise DeploymentError(
                     f"transition baseline is missing operations "
-                    f"{missing!r} of workflow {workflow.name!r}"
+                    f"{missing!r} of workflow {self.workflow.name!r}"
                 )
             self.baseline_servers: tuple[int, ...] | None = tuple(
                 self.server_index_of(baseline[name])
@@ -389,15 +516,6 @@ class CompiledInstance:
         else:
             self.baseline_servers = None
             self.migration_table = None
-
-        # ---- lazily-filled caches ---------------------------------------
-        self._graph = workflow.graph
-        topo_pos = [0] * self.num_ops
-        for pos, op in enumerate(self.order):
-            topo_pos[op] = pos
-        self._topo_pos: list[int] = topo_pos
-        self._dirty: dict[int, tuple[int, ...]] = {}
-        self._scopes: dict[int, tuple[int, ...]] | None = None
         self._batch = None
 
     # ------------------------------------------------------------------
@@ -452,95 +570,70 @@ class CompiledInstance:
         Batched compilation through
         :meth:`~repro.network.routing.Router.compile_all_pairs` (at most
         two single-source Dijkstra passes per server) followed by a bulk
-        refill of the lazy per-pair table -- bit-identical entries to
-        what lazy per-pair resolution would produce, just without the
-        2 per pair targeted runs and without counting cache traffic.
+        refill of the shared route table and this instance's migration
+        rows -- bit-identical entries to what lazy per-pair resolution
+        would produce, just without the 2 per pair targeted runs and
+        without counting cache traffic.
         """
         self.router.compile_all_pairs()
+        self.route_table.refresh()
         self.refresh_routes()
 
     def invalidate_routes(self) -> None:
-        """Rebuild the route-delay table after link parameters changed.
+        """Rebuild the route-delay state after link parameters changed.
 
         The explicit invalidation/rebuild hook of the scenario layer:
         when a link fails, degrades or is upgraded, the compiled
         artifact stays valid *except* for everything derived from route
-        delays. The router recomputes immediately (see
-        :meth:`repro.network.routing.Router.invalidate`), and the route
-        table, the migration-cost table and the memoised batch
-        evaluator's dense delay matrices are bulk-refilled in one pass
-        instead of trickling back through per-pair resolutions.
+        delays. The router recomputes immediately and refreshes its
+        shared route table and dense delay matrices in place (see
+        :meth:`repro.network.routing.Router.invalidate`); then this
+        instance's migration rows follow (:meth:`refresh_routes`).
 
         The contract is *link changes only*: the server set, their
-        powers and the workflow must be unchanged (those invalidate the
-        whole artifact -- recompile instead). Callers holding
-        ``MoveEvaluator`` running state over this instance must rebuild
-        (or ``resync``) them; the fleet's rebalancer constructs them per
-        round, so it gets fresh delays automatically.
+        powers and the workflow must be unchanged (the first two need a
+        new router and :meth:`rebind`, the last a recompile). Other
+        instances on the same router see the refreshed routes at once
+        but must still :meth:`refresh_routes` their migration rows.
+        Callers holding ``MoveEvaluator`` running state over this
+        instance must rebuild (or ``resync``) them; the fleet's
+        rebalancer constructs them per round, so it gets fresh delays
+        automatically.
         """
         if self.network.server_names != self.server_names:
             raise DeploymentError(
                 f"invalidate_routes on {self.workflow.name!r} x "
                 f"{self.network.name!r}: the server set changed; "
-                f"recompile the instance instead"
+                f"recompile or rebind the instance instead"
             )
         self.refresh_routes(self.router.invalidate())
 
     def refresh_routes(
         self, affected: set[tuple[str, str]] | None = None
     ) -> None:
-        """Refresh route-derived state from an already-updated router.
+        """Refresh this instance's route-derived state after a link change.
 
-        The fleet path: the shared router was invalidated (and
-        recomputed) once at the state level; each tenant's compiled
-        instance then refreshes its own route table, migration rows and
-        batch matrices from the router's caches. *affected* is the
-        set of canonical ``(server, server)`` name pairs returned
-        by :meth:`repro.network.routing.Router.invalidate` -- the pairs
-        whose route changed plus every pair whose per-size prices may
-        have -- or ``None`` for "every pair changed".
+        The shared route table and dense matrices were already refreshed
+        by :meth:`Router.invalidate
+        <repro.network.routing.Router.invalidate>`; what is left per
+        instance is the transition-aware migration table (and the batch
+        evaluator's copy of it), so this is a no-op for instances that
+        are not transition-aware. *affected* is the set of canonical
+        ``(server, server)`` name pairs the invalidation returned -- the
+        pairs whose route changed plus every pair whose per-size prices
+        may have -- or ``None`` for "every pair changed".
         """
-        if affected is not None and not affected:
-            return  # the invalidation changed none of the routes
-        routes = self.routes
-        server_index = self.server_index
-        names = self.server_names
+        if not self.transition_aware or (affected is not None and not affected):
+            return
         if affected is None:
-            pairs = [
-                (i, j)
-                for i in range(self.num_servers)
-                for j in range(i + 1, self.num_servers)
-            ]
+            self.migration_table = self._compile_migration_table()
         else:
-            pairs = [
-                (server_index[a], server_index[b]) for a, b in affected
-            ]
-        for i, j in pairs:
-            route = self.router.cached_route(names[i], names[j])
-            if route is None:  # pragma: no cover - router compiles first
-                routes[i][j] = None
-                routes[j][i] = None
-                continue
-            coeff: tuple[float, float] | tuple[()]
-            if route.size_independent:
-                coeff = (route.propagation_s, route.transfer_s_per_bit)
-            else:
-                coeff = ()  # size-dependent pair: router answers per size
-            # canonical-direction builds make the coefficients exact for
-            # both directions (the reverse path sums the same links)
-            routes[i][j] = coeff
-            routes[j][i] = coeff
-        if self.transition_aware:
-            if affected is None:
-                self.migration_table = self._compile_migration_table()
-            else:
-                self._refresh_migration_rows(pairs)
+            server_index = self.server_index
+            self._refresh_migration_rows(
+                [(server_index[a], server_index[b]) for a, b in affected]
+            )
         if self._batch is not None:
-            scope = None
-            if affected is not None:
-                scope = {(i, j) for i, j in pairs}
-                scope |= {(j, i) for i, j in pairs}
-            self._batch.refresh_routes(scope)
+            self._batch.refresh_routes()
 
     def _refresh_migration_rows(
         self, pairs: list[tuple[int, int]]
@@ -564,22 +657,6 @@ class CompiledInstance:
                 )
         self.migration_table = tuple(tuple(row) for row in table)
 
-    def _resolve_route(self, source: int, target: int) -> tuple:
-        """Fill one pair's route-table slots from the router.
-
-        Both directions at once: the router builds every pair from its
-        canonical direction, so the reverse coefficients are the same
-        floats (as in :meth:`refresh_routes`).
-        """
-        coeff = self.router.pair_coefficients(
-            self.server_names[source], self.server_names[target]
-        )
-        if coeff is None:
-            coeff = ()  # size-dependent pair: router answers per size
-        self.routes[source][target] = coeff
-        self.routes[target][source] = coeff
-        return coeff
-
     def route_coefficients(
         self, source: int, target: int
     ) -> tuple[float, float] | tuple[()]:
@@ -589,12 +666,12 @@ class CompiledInstance:
         empty tuple for the rare genuinely size-dependent pairs (price
         those through the router per size). Resolves the lazy route
         table slot on first access -- this is the read-through API for
-        consumers (such as the batch kernel) that materialise the table
-        instead of calling :meth:`delay` per message.
+        consumers that materialise the table instead of calling
+        :meth:`delay` per message.
         """
         coeff = self.routes[source][target]
         if coeff is None:
-            coeff = self._resolve_route(source, target)
+            coeff = self.route_table.resolve(source, target)
         return coeff
 
     def delay(self, source: int, target: int, size_bits: float) -> float:
@@ -609,7 +686,7 @@ class CompiledInstance:
         """
         coeff = self.routes[source][target]
         if coeff is None:
-            coeff = self._resolve_route(source, target)
+            coeff = self.route_table.resolve(source, target)
         if coeff:
             return coeff[0] + size_bits * coeff[1]
         return self.router.transmission_time(
@@ -766,7 +843,8 @@ class CompiledInstance:
         Built lazily on first access and memoised on the artifact, so
         every batch consumer of this instance -- GA generations, sampler
         blocks, neighbourhood sweeps, fleet candidate sets -- shares one
-        set of dense delay matrices. The kernel module is imported here,
+        evaluator; its dense delay matrices are shared further, by every
+        instance on the same router. The kernel module is imported here,
         on first use, so compiling an instance does not load NumPy.
         """
         evaluator = self._batch
@@ -786,22 +864,10 @@ class CompiledInstance:
         Moving an operation changes its own ``Tproc`` and the ``Tcomm``
         of every incident message; the only ``finish()`` values that can
         change are the operation's and its descendants'. Memoised on the
-        artifact, so every move evaluator over this instance shares one
-        region table.
+        workflow half, so every move evaluator over this instance (or
+        any instance rebound from it) shares one region table.
         """
-        cached = self._dirty.get(op)
-        if cached is None:
-            name = self.op_names[op]
-            region = nx.descendants(self._graph, name) | {name}
-            topo_pos = self._topo_pos
-            cached = tuple(
-                sorted(
-                    (self.op_index[n] for n in region),
-                    key=topo_pos.__getitem__,
-                )
-            )
-            self._dirty[op] = cached
-        return cached
+        return self.compiled_workflow.dirty_order(op)
 
     def decision_scopes(self) -> Mapping[int, tuple[int, ...]]:
         """Per-split region membership: split index -> member indices.
@@ -814,23 +880,7 @@ class CompiledInstance:
         workflows that are not well-formed yield the regions that did
         match (possibly none).
         """
-        if self._scopes is None:
-            report = check_well_formed(self.workflow)
-            topo_pos = self._topo_pos
-            scopes: dict[int, tuple[int, ...]] = {}
-            for split, join in report.matches.items():
-                members = (
-                    nx.descendants(self._graph, split)
-                    & nx.ancestors(self._graph, join)
-                ) | {split, join}
-                scopes[self.op_index[split]] = tuple(
-                    sorted(
-                        (self.op_index[n] for n in members),
-                        key=topo_pos.__getitem__,
-                    )
-                )
-            self._scopes = scopes
-        return self._scopes
+        return self.compiled_workflow.decision_scopes()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -33,13 +33,16 @@ single-source passes (fewer when the dense fast path certifies rows of a
 complete graph) instead of ``S * (S - 1)`` targeted pair builds.
 
 The router is the *single owner of path selection*: every route-delay
-consumer -- :class:`~repro.core.compiled.CompiledInstance`'s lazy
-route table (and through it ``CostModel``/``MoveEvaluator``/
-``BatchEvaluator``), the simulator, the fleet -- reads
-paths and affine coefficients from here, over arbitrary weighted graphs
-with heterogeneous per-link speeds and propagation delays. Nothing
-downstream assumes a uniform bus or a line; those are just the easy
-special cases.
+consumer -- the compiled instances (and through them ``CostModel``/
+``MoveEvaluator``/``BatchEvaluator``), the simulator, the fleet --
+reads paths and affine coefficients from here, over arbitrary weighted
+graphs with heterogeneous per-link speeds and propagation delays.
+Nothing downstream assumes a uniform bus or a line; those are just the
+easy special cases. The index-keyed form of those coefficients is one
+:class:`RouteTable` per router (:meth:`Router.route_table`), which
+every :class:`~repro.core.compiled.CompiledInstance` on the router
+borrows, so a fleet of tenants reads each pair once instead of once per
+tenant.
 
 Cache effectiveness is observable through :attr:`Router.hits` /
 :attr:`Router.misses` / :attr:`Router.hit_rate`; recompute effort
@@ -48,19 +51,21 @@ through :attr:`Router.dijkstra_runs`, :attr:`Router.pairs_invalidated`,
 Link parameters may change at runtime (the fleet's link
 failure/degradation events); :meth:`Router.invalidate` is the one
 refresh hook: it re-runs only the single-source passes a changed edge
-could alter, for any kind of change (DESIGN.md §15). A server change
-needs a new router.
+could alter, for any kind of change (DESIGN.md §15), and refreshes the
+router's route table in place. A server change needs a new router.
 
 Between mutations the network is treated as frozen.
 """
 
 from __future__ import annotations
 
+import weakref
+
 from repro.exceptions import NetworkError
 from repro.network import apsp
 from repro.network.topology import ServerNetwork
 
-__all__ = ["Router"]
+__all__ = ["Router", "RouteTable"]
 
 #: Per-size fallback entries kept for size-*dependent* server pairs
 #: before the oldest half is evicted (bounds memory on adversarial
@@ -120,6 +125,7 @@ class Router:
         self.pairs_invalidated = 0
         self.pairs_recomputed = 0
         self.last_invalidation: dict[str, object] | None = None
+        self._table: RouteTable | None = None
 
     @property
     def network(self) -> ServerNetwork:
@@ -392,6 +398,17 @@ class Router:
         """
         return self._route_cache.get((source, target))
 
+    def route_table(self) -> RouteTable:
+        """The shared index-keyed :class:`RouteTable` over this router.
+
+        Built on first use and kept for the router's lifetime;
+        :meth:`invalidate` refreshes it in place.
+        """
+        table = self._table
+        if table is None:
+            table = self._table = RouteTable(self)
+        return table
+
     def hop_count(self, source: str, target: str, size_bits: float = 0.0) -> int:
         """Number of links on the chosen route (0 when co-located)."""
         return len(self.path(source, target, size_bits)) - 1
@@ -470,8 +487,10 @@ class Router:
         Returns the canonical ``(server, server)`` pairs whose cached
         route changed or whose per-size entries dropped -- every
         size-dependent pair once per-size entries were evicted -- so
-        consumers re-derive their per-size prices. Hit/miss counters
-        are kept; the work lands in :attr:`last_invalidation`.
+        consumers re-derive their per-size prices. The
+        :meth:`route_table`, when built, is refreshed from those pairs
+        before this returns. Hit/miss counters are kept; the work lands
+        in :attr:`last_invalidation`.
         """
         runs_before = self.dijkstra_runs
         old = self._graph
@@ -519,6 +538,8 @@ class Router:
             "sized_pairs_dropped": len(sized_dropped),
             "dijkstra_runs": self.dijkstra_runs - runs_before,
         }
+        if self._table is not None:
+            self._table.refresh(affected)
         return affected
 
     def _refresh_rows(
@@ -601,3 +622,100 @@ class Router:
         self.pairs_invalidated = 0
         self.pairs_recomputed = 0
         self.last_invalidation = None
+
+
+class RouteTable:
+    """The index-keyed route-delay table of one router, shared.
+
+    The route half of a compiled instance's topology: ``routes[i][j]``,
+    over the router network's server order, holds the pair's affine
+    ``(propagation_s, transfer_s_per_bit)`` coefficients, ``()`` for the
+    rare size-dependent pairs (answered by the router per size), or
+    ``None`` until first read; co-located pairs are ``(0.0, 0.0)``.
+    Every :class:`~repro.core.compiled.CompiledInstance` on the router
+    borrows the same table (obtain it through
+    :meth:`Router.route_table`), and :attr:`dense` holds the batch
+    kernel's dense matrices over it once one is built. Both are
+    refreshed in place by :meth:`Router.invalidate`, because consumers
+    hold references to them.
+
+    Construction checks that the network is connected. The table refers
+    to its router weakly: the router owns the table, and a cycle would
+    leave every discarded router (and its route cache) to the cyclic
+    garbage collector instead of freeing it at once.
+    """
+
+    def __init__(self, router: Router):
+        network = router.network
+        network.require_connected()
+        self._router = weakref.ref(router)
+        self.server_names: tuple[str, ...] = network.server_names
+        self.server_index: dict[str, int] = {
+            name: i for i, name in enumerate(self.server_names)
+        }
+        count = len(self.server_names)
+        self.routes: list[list[tuple[float, float] | tuple[()] | None]] = [
+            [None] * count for _ in range(count)
+        ]
+        for i in range(count):
+            self.routes[i][i] = (0.0, 0.0)  # co-located: free, any size
+        #: The batch kernel's dense matrices over this table
+        #: (:class:`repro.core.batch.DenseRoutes`), built on first use.
+        self.dense = None
+
+    @property
+    def router(self) -> Router:
+        """The router that owns this table."""
+        return self._router()
+
+    def resolve(self, source: int, target: int) -> tuple:
+        """Fill one pair's slots from the router; return the coefficients.
+
+        Both directions at once: the router builds every pair from its
+        canonical direction, so the reverse coefficients are the same
+        floats. Counted as a router query
+        (:meth:`Router.pair_coefficients`).
+        """
+        names = self.server_names
+        coeff = self.router.pair_coefficients(names[source], names[target])
+        if coeff is None:
+            coeff = ()  # size-dependent pair: router answers per size
+        self.routes[source][target] = coeff
+        self.routes[target][source] = coeff
+        return coeff
+
+    def refresh(self, affected: set[tuple[str, str]] | None = None) -> None:
+        """Re-read pairs from the router's caches, then the dense matrices.
+
+        *affected* is the set of canonical ``(server, server)`` name
+        pairs :meth:`Router.invalidate` returned, or ``None`` for every
+        pair. Reads go through :meth:`Router.cached_route`, so a refresh
+        does not count as router queries.
+        """
+        if affected is not None and not affected:
+            return  # the invalidation changed none of the routes
+        routes = self.routes
+        names = self.server_names
+        router = self.router
+        if affected is None:
+            count = len(names)
+            pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
+        else:
+            index = self.server_index
+            pairs = [(index[a], index[b]) for a, b in affected]
+        for i, j in pairs:
+            route = router.cached_route(names[i], names[j])
+            coeff: tuple[float, float] | tuple[()] | None
+            if route is None:  # pragma: no cover - the router compiles first
+                coeff = None
+            elif route.size_independent:
+                coeff = (route.propagation_s, route.transfer_s_per_bit)
+            else:
+                coeff = ()
+            routes[i][j] = coeff
+            routes[j][i] = coeff
+        if self.dense is not None:
+            scope = None
+            if affected is not None:
+                scope = set(pairs) | {(j, i) for i, j in pairs}
+            self.dense.refresh(scope)

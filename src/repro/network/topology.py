@@ -29,6 +29,7 @@ from repro.exceptions import (
     NetworkError,
     UnknownServerError,
 )
+from repro.numeric import ordered_sum
 
 __all__ = [
     "Server",
@@ -278,7 +279,7 @@ class ServerNetwork:
     @property
     def total_power_hz(self) -> float:
         """``Sum_Capacity``: combined power of all servers."""
-        return sum(s.power_hz for s in self._servers.values())
+        return ordered_sum(s.power_hz for s in self._servers.values())
 
     @property
     def graph(self) -> nx.Graph:

@@ -17,10 +17,11 @@ experiment layer already provides:
   new capacity, bounded like a rebalance;
 * ``LinkFailure`` / ``LinkDegrade`` -- patch the live topology (drop or
   re-parameterise a link), refresh only the route-delay state (one
-  shared :meth:`repro.network.routing.Router.invalidate`, then each
-  tenant's :meth:`repro.core.compiled.CompiledInstance.refresh_routes`),
-  and run the tick's drift check immediately -- re-routed traffic may
-  have pushed the fleet past the rebalance threshold;
+  shared :meth:`repro.network.routing.Router.invalidate`, which
+  refreshes the route table every tenant borrows, then each tenant's
+  :meth:`repro.core.compiled.CompiledInstance.refresh_routes`), and run
+  the tick's drift check immediately -- re-routed traffic may have
+  pushed the fleet past the rebalance threshold;
 * ``RegionOutage`` -- fail every server of one geo region
   (``{region}/{i}`` naming, see :mod:`repro.scenarios.geo`), then
   re-home all orphans in a single fleet-wide pass;

@@ -11,13 +11,23 @@ picture:
   joins and rebuilt (via the failover machinery) by failures;
 * one :class:`~repro.core.mapping.Deployment` per tenant, so operation
   names never collide across tenants;
-* a shared :class:`~repro.network.routing.Router` and a per-tenant
-  :class:`~repro.core.cost.CostModel` cache, both invalidated together
-  whenever the topology changes -- the "shared cost-evaluation cache
-  across tenants" that makes a 200-event replay cheap. Each cached cost
-  model carries the tenant's
+* a shared :class:`~repro.network.routing.Router` with its one
+  index-keyed route table (and the batch kernel's dense delay matrices
+  over it) that every tenant borrows, and a per-tenant
+  :class:`~repro.core.cost.CostModel` cache -- the "shared
+  cost-evaluation cache across tenants" that makes a 200-event replay
+  cheap. Each cached cost model carries the tenant's
   :class:`~repro.core.compiled.CompiledInstance`, the one compiled
-  artifact its move evaluators, scorers and simulations all borrow;
+  artifact its move evaluators, scorers and simulations all borrow.
+  The caches follow the paper's split of the cost model: ``Tcomm``
+  depends only on the network, ``Tproc`` on the operation and the
+  server. A link event refreshes the shared route table once, in
+  place, and each tenant only its migration rows. A server failure,
+  join or capacity change replaces the router, and each tenant's next
+  cost model *rebinds* its compiled workflow to it
+  (:meth:`~repro.core.compiled.CompiledInstance.rebind`), re-deriving
+  only ``Tproc`` and the ideal loads; a workload drift recompiles that
+  one tenant's workflow;
 * a per-tenant :class:`TenantPrice` cache (execution time and load
   dict) keyed by *value* -- the cost model's identity, the topology
   :attr:`FleetState.epoch` and the tenant's server vector -- so a
@@ -37,7 +47,7 @@ from typing import Mapping
 
 import networkx as nx
 
-from repro.core.compiled import penalty_statistic
+from repro.core.compiled import CompiledInstance, penalty_statistic
 from repro.core.cost import PENALTY_MODES, CostModel
 from repro.core.mapping import Deployment
 from repro.core.migration import TransitionObjective
@@ -46,6 +56,7 @@ from repro.exceptions import ServiceError
 from repro.experiments.failover import remove_server
 from repro.network.routing import Router
 from repro.network.topology import Link, Server, ServerNetwork
+from repro.numeric import ordered_sum
 
 __all__ = [
     "TenantDeployment",
@@ -121,10 +132,10 @@ def jain_index(loads: Mapping[str, float]) -> float:
     values = list(loads.values())
     if not values:
         return 1.0
-    square_sum = sum(v * v for v in values)
+    square_sum = ordered_sum(v * v for v in values)
     if square_sum <= 0:
         return 1.0
-    total = sum(values)
+    total = ordered_sum(values)
     return total * total / (len(values) * square_sum)
 
 
@@ -174,6 +185,9 @@ class FleetState:
         self._router = Router(network)
         self._tenants: dict[str, TenantDeployment] = {}
         self._cost_models: dict[str, CostModel] = {}
+        # tenant -> its compiled instance from before the last server
+        # change: the next cost model rebinds its workflow half
+        self._stale: dict[str, CompiledInstance] = {}
         # tenant -> (cost model, epoch, server vector, price): the key
         # is compared by value on every read, never invalidated by hooks
         self._prices: dict[
@@ -272,7 +286,9 @@ class FleetState:
         record = self.tenant(tenant)
         del self._tenants[tenant]
         self._cost_models.pop(tenant, None)
+        self._stale.pop(tenant, None)
         self._prices.pop(tenant, None)
+        self._drop_unpriced_sizes()
         return record
 
     def update_tenant_workflow(
@@ -283,7 +299,7 @@ class FleetState:
         The replacement must keep exactly the same operation names (the
         shape-preserving drift contract of
         :class:`~repro.service.events.WorkloadDrift`), so the tenant's
-        current placement stays valid and only *its* cost model is
+        current placement stays valid and only *its* workflow is
         recompiled -- the topology epoch and every other tenant's cache
         are untouched.
         """
@@ -298,19 +314,39 @@ class FleetState:
         updated = TenantDeployment(tenant, workflow, record.deployment)
         self._tenants[tenant] = updated
         self._cost_models.pop(tenant, None)
+        self._stale.pop(tenant, None)
+        self._drop_unpriced_sizes()
         return updated
 
     # ------------------------------------------------------------------
     # shared evaluation caches
     # ------------------------------------------------------------------
     def cost_model(self, tenant: str) -> CostModel:
-        """The tenant's cost model, cached until the topology changes."""
+        """The tenant's cost model, cached until a server change.
+
+        A miss after a server failure, join or capacity change rebinds
+        the tenant's compiled workflow to the new network and router
+        (:meth:`~repro.core.compiled.CompiledInstance.rebind`); only a
+        tenant with nothing compiled yet, or a drifted workflow, goes
+        through :meth:`build_cost_model`. Both count as a miss.
+        """
         record = self.tenant(tenant)
         cached = self._cost_models.get(tenant)
         if cached is not None:
             self.cost_model_hits += 1
             return cached
-        model = self.build_cost_model(record.workflow)
+        stale = self._stale.pop(tenant, None)
+        if stale is None:
+            model = self.build_cost_model(record.workflow)
+        else:
+            self.cost_model_misses += 1
+            model = CostModel.from_compiled(
+                stale.rebind(
+                    self._network,
+                    router=self._compiled_router(),
+                    objective=self.objective,
+                )
+            )
         self._cost_models[tenant] = model
         return model
 
@@ -323,17 +359,19 @@ class FleetState:
         router's whole route table first (see :meth:`_invalidate_caches`).
         """
         self.cost_model_misses += 1
-        if self._compile_routes:
-            self._compile_routes = False
-            self._router.compile_all_pairs()
         return CostModel(
             workflow,
             self._network,
-            execution_weight=self.execution_weight,
-            penalty_weight=self.penalty_weight,
-            penalty_mode=self.penalty_mode,
-            router=self._router,
+            router=self._compiled_router(),
+            objective=self.objective,
         )
+
+    def _compiled_router(self) -> Router:
+        """The shared router, compiled in one sweep if it was replaced."""
+        if self._compile_routes:
+            self._compile_routes = False
+            self._router.compile_all_pairs()
+        return self._router
 
     def price(self, tenant: str) -> TenantPrice:
         """The tenant's :class:`TenantPrice`, re-priced only on change.
@@ -383,9 +421,12 @@ class FleetState:
         return price
 
     def _invalidate_caches(self) -> None:
-        """Topology changed: drop every route and cost-model cache.
+        """Servers changed: replace the router, drop every cost model.
 
-        The replacement router is compiled in one batched sweep (see
+        Each dropped model's compiled instance is kept until the tenant's
+        next :meth:`cost_model`, which rebinds its workflow half to the
+        new network instead of recompiling it. The replacement router is
+        compiled in one batched sweep (see
         :meth:`~repro.network.routing.Router.compile_all_pairs`) before
         the first cost model is rebuilt on it: every tenant is about to
         re-price, so every pair is about to be resolved anyway, and the
@@ -395,6 +436,8 @@ class FleetState:
         in a row compiles once. The construction-time router stays lazy.
         """
         self.epoch += 1
+        for tenant, model in self._cost_models.items():
+            self._stale[tenant] = model.compiled
         self._cost_models.clear()
         self._compile_routes = True
         router = Router(self._network)
@@ -412,25 +455,43 @@ class FleetState:
         link-level events: the server set, powers and every tenant's
         compiled arrays are still valid, so the cached cost models are
         *kept* and only their route-delay state refreshes. The shared
-        router recomputes *once* (see
-        :meth:`repro.network.routing.Router.invalidate`), then every
-        tenant's compiled instance refills its route table, migration
-        rows and batch matrices from it.
+        router recomputes *once* and refreshes the route table and dense
+        delay matrices every tenant borrows, in place (see
+        :meth:`repro.network.routing.Router.invalidate`); then each
+        transition-aware tenant re-prices its migration rows.
 
         The epoch still advances -- anything keyed on topology state
         must observe the change.
         """
         self.epoch += 1
+        self._drop_unpriced_sizes()
         affected = self._router.invalidate()
         for model in self._cost_models.values():
             model.compiled.refresh_routes(affected)
+
+    def _drop_unpriced_sizes(self) -> None:
+        """Keep only the shared delay matrices a cached tenant prices.
+
+        The router's dense matrices are shared by every tenant, so
+        nothing else frees the message sizes of departed or drifted
+        workflows; without this, every link event would re-price them.
+        """
+        dense = self._router.route_table().dense
+        if dense is not None:
+            dense.retain(
+                {
+                    size_bits
+                    for model in self._cost_models.values()
+                    for _src, _dst, size_bits, _weight in model.compiled.messages
+                }
+            )
 
     # ------------------------------------------------------------------
     # aggregate load accounting
     # ------------------------------------------------------------------
     def total_weighted_cycles(self) -> float:
         """Probability-weighted cycles of every hosted operation."""
-        return sum(
+        return ordered_sum(
             self.cost_model(name).total_weighted_cycles()
             for name in self._tenants
         )

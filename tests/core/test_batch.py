@@ -20,6 +20,7 @@ from repro.exceptions import DeploymentError
 from repro.network.topology import Link, bus_network
 from repro.workloads.generator import (
     GraphStructure,
+    line_workflow,
     random_bus_network,
     random_graph_workflow,
 )
@@ -215,7 +216,15 @@ class TestSharing:
         evaluator = CompiledInstance(workflow, network).batch_evaluator()
         sizes = {m.size_bits for m in workflow.messages}
         evaluator.evaluate(random_batch(evaluator.compiled, 2))
-        assert set(evaluator._delay_matrices) == sizes
+        assert set(evaluator.routes.matrices) == sizes
+        # a second instance on the same router borrows the same matrices
+        other = CompiledInstance(
+            line_workflow(4, seed=3), network, router=evaluator.compiled.router
+        ).batch_evaluator()
+        assert other.routes is evaluator.routes
+        shared = [id(matrix) for matrix in other.routes.matrices.values()]
+        for edges in other._incoming:
+            assert all(id(matrix) in shared for _src, matrix in edges)
 
 
 class TestImportGuard:

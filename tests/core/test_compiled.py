@@ -8,8 +8,10 @@ simulation engine and the fleet must all consume the *same*
 ``CompiledInstance`` object.
 """
 
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -27,11 +29,12 @@ from repro.core.compiled import (
 from repro.core.cost import CostModel
 from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
+from repro.core.migration import TransitionObjective
 from repro.core.workflow import Message, NodeKind, Operation, Workflow
 from repro.exceptions import DeploymentError, UnknownServerError
-from repro.network.topology import bus_network
+from repro.network.topology import Link, bus_network
+from repro.service.state import FleetState, jain_index
 from repro.simulation.engine import SimulationEngine
-from repro.service.state import FleetState
 from repro.workloads.generator import (
     GraphStructure,
     line_workflow,
@@ -52,6 +55,18 @@ def xor_workflow():
     builder.join("join", 1e9)
     builder.task("end", 3e9, message_bits=4e6)
     return builder.build()
+
+
+def make_chain(name, cycles):
+    """A line workflow ``O1 -> ... -> O<n>`` with the given cycles."""
+    workflow = Workflow(name)
+    for index, value in enumerate(cycles, start=1):
+        workflow.add_operation(Operation(f"O{index}", value))
+        if index > 1:
+            workflow.add_transition(
+                Message(f"O{index - 1}", f"O{index}", size_bits=1e4)
+            )
+    return workflow
 
 
 @pytest.fixture
@@ -312,6 +327,52 @@ class TestLeftToRightSums:
         assert penalty_statistic(values, mode) == expected
         assert penalty_rows(np.array([values]), mode)[0] == expected
 
+    def test_totals_feeding_fleet_decisions_are_left_folds(self):
+        # 1e16 + 1 + 1 folds to 1e16 left to right, 1e16 + 2 compensated
+        parts = [1e16, 1.0, 1.0]
+        assert math.fsum(parts) != self.fold(parts)
+        network = bus_network(parts, speed_bps=1e8)
+        assert network.total_power_hz == self.fold(parts)
+        workflow = make_chain("skew", parts)
+        compiled = CompiledInstance(workflow, network)
+        assert compiled.total_weighted_cycles == self.fold(parts)
+        state = FleetState(network)
+        for index, cycles in enumerate(parts):
+            tenant = make_chain(f"t{index}", [cycles])
+            state.add_tenant(
+                f"t{index}", tenant, Deployment({"O1": "S1"})
+            )
+        assert state.total_weighted_cycles() == self.fold(parts)
+        # the loads' sum skews at 1e16, the sum of their squares at 1e8
+        for values in (parts, [1e8, 1.0, 1.0]):
+            squares = [v * v for v in values]
+            assert any(
+                math.fsum(terms) != self.fold(terms)
+                for terms in (values, squares)
+            )
+            total = self.fold(values)
+            assert jain_index(dict(zip("abc", values))) == (
+                total * total / (3 * self.fold(squares))
+            )
+
+    def test_xor_weight_total_is_a_left_fold(self):
+        # XOR branch weights 0.7 + 0.2 + 0.1 fold to 0.9999999999999999
+        weights = [0.7, 0.2, 0.1]
+        assert math.fsum(weights) != self.fold(weights)
+        builder = WorkflowBuilder("xor-weights", default_message_bits=8e6)
+        builder.task("start", 1e9)
+        builder.split(NodeKind.XOR_SPLIT, "split", 1e9)
+        for name, probability in zip("abc", weights):
+            builder.branch(probability=probability)
+            builder.task(name, 1e9)
+        builder.join("join", 1e9)
+        compiled = CompiledInstance(
+            builder.build(), bus_network((1e9, 2e9), speed_bps=1e8)
+        )
+        join = compiled.op_index["join"]
+        assert list(compiled.xor_weights[join]) == weights
+        assert compiled.xor_weight_total[join] == self.fold(weights)
+
     @staticmethod
     def skewed_xor_instance():
         """A 3-way XOR join whose weighted arrivals are 1e16, 1, 1."""
@@ -354,3 +415,147 @@ class TestLeftToRightSums:
             CostModel.from_compiled(compiled), Deployment(mapping)
         )
         assert evaluator.propose("c", "S1").execution_time == execution
+
+
+#: Every array a compiled instance exposes (tuples, lists and dicts
+#: compare by value).
+COMPILED_FIELDS = (
+    "op_names",
+    "op_index",
+    "num_ops",
+    "order",
+    "exits",
+    "node_prob",
+    "cycles",
+    "wcycles",
+    "total_weighted_cycles",
+    "kinds",
+    "join_code",
+    "incoming",
+    "outgoing",
+    "messages",
+    "xor_weights",
+    "xor_weight_total",
+    "use_probabilities",
+    "server_names",
+    "server_index",
+    "num_servers",
+    "power",
+    "total_power_hz",
+    "tproc",
+    "ideal_cycles",
+    "objective",
+    "baseline_servers",
+    "migration_table",
+)
+
+
+class TestTwoHalves:
+    """A workflow half compiled once, a route half shared per router."""
+
+    def test_rebind_equals_a_fresh_compile(self, instance):
+        workflow, network, compiled = instance
+        compiled.batch_evaluator()
+        moved = bus_network((5e9, 1e9), speed_bps=4e7)
+        rebound = compiled.rebind(moved)
+        fresh = CompiledInstance(workflow, moved)
+        assert rebound.compiled_workflow is compiled.compiled_workflow
+        assert rebound.network is moved
+        for name in COMPILED_FIELDS:
+            assert getattr(rebound, name) == getattr(fresh, name), name
+        servers = range(rebound.num_servers)
+        for i in servers:
+            for j in servers:
+                assert rebound.route_coefficients(
+                    i, j
+                ) == fresh.route_coefficients(i, j)
+        rows = random_rows(rebound, 16, seed=4)
+        got = rebound.batch_evaluator().evaluate(rows)
+        want = fresh.batch_evaluator().evaluate(rows)
+        assert np.array_equal(got.objective, want.objective)
+        assert compiled.dirty_order(0) is rebound.dirty_order(0)
+
+    def test_rebind_recompiles_for_another_probability_setting(
+        self, instance
+    ):
+        workflow, network, _ = instance
+        plain = CompiledInstance(workflow, network, use_probabilities=False)
+        rebound = plain.rebind(network, objective=TransitionObjective())
+        fresh = CompiledInstance(workflow, network)
+        assert rebound.compiled_workflow is not plain.compiled_workflow
+        assert rebound.use_probabilities and not plain.use_probabilities
+        for name in COMPILED_FIELDS:
+            assert getattr(rebound, name) == getattr(fresh, name), name
+
+    def test_rebind_validates_the_objective(self, instance):
+        _, network, compiled = instance
+        with pytest.raises(DeploymentError, match="penalty mode"):
+            compiled.rebind(
+                network, objective=TransitionObjective(penalty_mode="bogus")
+            )
+
+    def test_instances_on_one_router_share_the_route_half(self, instance):
+        workflow, network, compiled = instance
+        other = CompiledInstance(
+            line_workflow(4, seed=1), network, router=compiled.router
+        )
+        assert other.route_table is compiled.route_table
+        assert other.routes is compiled.routes
+        assert compiled.route_table is compiled.router.route_table()
+        # a pair resolved through one instance is resolved for both
+        other.delay(0, 2, 1e6)
+        assert compiled.routes[0][2] is not None
+        assert (
+            other.batch_evaluator().routes
+            is compiled.batch_evaluator().routes
+        )
+
+    def test_router_over_other_servers_is_rejected(self, instance):
+        workflow, network, compiled = instance
+        smaller = bus_network((2e9, 3e9), speed_bps=1e8)
+        with pytest.raises(DeploymentError, match="does not have the servers"):
+            CompiledInstance(workflow, smaller, router=compiled.router)
+        with pytest.raises(DeploymentError, match="does not have the servers"):
+            compiled.rebind(smaller, router=compiled.router)
+
+    def test_route_half_is_freed_without_the_cycle_collector(self):
+        from repro.core.batch import DenseRoutes
+
+        network = bus_network((1e9, 2e9, 3e9), speed_bps=1e8)
+        compiled = CompiledInstance(line_workflow(4, seed=1), network)
+        compiled.delay(0, 1, 1e6)
+        DenseRoutes.of(compiled.route_table)
+        router = weakref.ref(compiled.router)
+        table = weakref.ref(compiled.route_table)
+        gc.disable()
+        try:
+            del compiled
+            # freed by reference counting
+            assert router() is None and table() is None
+        finally:
+            gc.enable()
+
+    def test_link_change_refreshes_every_instance_on_the_router(self):
+        network = bus_network((1e9, 2e9, 3e9), speed_bps=1e8)
+        first = CompiledInstance(line_workflow(4, seed=2), network)
+        second = CompiledInstance(
+            line_workflow(5, seed=3), network, router=first.router
+        )
+        for compiled in (first, second):
+            compiled.batch_evaluator()
+        network.replace_link(Link("S1", "S2", 1e6))
+        first.invalidate_routes()
+        fresh = CompiledInstance(second.workflow, network)
+        rows = random_rows(second, 16, seed=5)
+        got = second.batch_evaluator().evaluate(rows)
+        want = fresh.batch_evaluator().evaluate(rows)
+        assert np.array_equal(got.objective, want.objective)
+        assert second.delay(0, 1, 1e6) == fresh.delay(0, 1, 1e6)
+
+
+def random_rows(compiled, count, seed):
+    rng = random.Random(seed)
+    return [
+        [rng.randrange(compiled.num_servers) for _ in compiled.op_names]
+        for _ in range(count)
+    ]

@@ -76,9 +76,10 @@ def rebuild_routes_on_link_events():
     in-place refresh -- with what a server change does: drop the shared
     router and every cached cost model, then let the next queries
     rebuild them. The batched route compile is switched off, so the
-    fresh router fills pair by pair on demand. Nothing is kept across a
-    link event, so a fleet that decides differently under this oracle
-    has a stale cache on the in-place path.
+    fresh router fills pair by pair on demand. Nothing route-derived is
+    kept across a link event (only the link-independent compiled
+    workflows are rebound), so a fleet that decides differently under
+    this oracle has a stale cache on the in-place path.
     """
 
     def rebuild(state, *_args, **_kwargs):

@@ -7,6 +7,8 @@ from repro.exceptions import ReproError, ServiceError
 from repro.network.topology import bus_network
 from repro.service.state import FleetState, jain_index
 
+from .conftest import make_line
+
 
 def place_round_robin(state, tenant, workflow):
     """Admit *tenant* with a round-robin placement; returns the record."""
@@ -209,3 +211,103 @@ class TestTopologyChanges:
         # the fleet is still fully usable: a good join goes through
         state.join_server("S9", 1e9, 1e8)
         assert "S9" in state.network
+
+
+class TestWorkCounters:
+    """Server changes rebind compiled workflows; routes are read once."""
+
+    @pytest.fixture
+    def counters(self, monkeypatch):
+        from repro.core.batch import DenseRoutes
+        from repro.core.compiled import CompiledWorkflow
+
+        counts = {"compiles": 0, "dense_reads": 0}
+
+        def counting(key, function):
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return function(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(
+            CompiledWorkflow,
+            "__init__",
+            counting("compiles", CompiledWorkflow.__init__),
+        )
+        monkeypatch.setattr(
+            DenseRoutes, "_read", counting("dense_reads", DenseRoutes._read)
+        )
+        return counts
+
+    @staticmethod
+    def price_everything(state):
+        state.snapshot()
+        for tenant in state.tenants:
+            state.cost_model(tenant).compiled.batch_evaluator()
+
+    @pytest.mark.parametrize(
+        "change", ["failure", "join", "capacity"]
+    )
+    @pytest.mark.parametrize("tenants", [1, 3])
+    def test_server_change_compiles_no_workflow(
+        self, fleet_network, tenant_workflows, counters, change, tenants
+    ):
+        state = FleetState(fleet_network)
+        for name in list(tenant_workflows)[:tenants]:
+            place_round_robin(state, name, tenant_workflows[name])
+        self.price_everything(state)
+        assert counters == {"compiles": tenants, "dense_reads": 1}
+        before = {t: state.cost_model(t).compiled for t in state.tenants}
+        if change == "failure":
+            orphans = state.fail_server("S4")
+            for tenant, operations in orphans.items():
+                for operation in operations:
+                    state.tenant(tenant).deployment.assign(operation, "S1")
+        elif change == "join":
+            state.join_server("S9", 1e9, 100e6)
+        else:
+            state.set_server_power("S2", 3e9)
+        self.price_everything(state)
+        assert counters == {"compiles": tenants, "dense_reads": 2}
+        table = state.router.route_table()
+        for tenant, old in before.items():
+            compiled = state.cost_model(tenant).compiled
+            assert compiled is not old
+            assert compiled.compiled_workflow is old.compiled_workflow
+            assert compiled.route_table is table
+
+    def test_workload_drift_recompiles_only_that_tenant(
+        self, fleet_network, tenant_workflows, counters
+    ):
+        state = FleetState(fleet_network)
+        for name, workflow in tenant_workflows.items():
+            place_round_robin(state, name, workflow)
+        self.price_everything(state)
+        state.update_tenant_workflow("beta", make_line("beta", [45e6, 50e6]))
+        self.price_everything(state)
+        assert counters == {"compiles": 4, "dense_reads": 1}
+        # a server change right after the drift rebinds the new workflow
+        state.join_server("S9", 1e9, 100e6)
+        self.price_everything(state)
+        assert counters == {"compiles": 4, "dense_reads": 2}
+
+    def test_only_priced_message_sizes_keep_a_matrix(
+        self, fleet_network, tenant_workflows
+    ):
+        state = FleetState(fleet_network)
+        sizes = {"alpha": 1e4, "beta": 2e4, "gamma": 3e4}
+        for name, bits in sizes.items():
+            cycles = [op.cycles for op in tenant_workflows[name]]
+            place_round_robin(state, name, make_line(name, cycles, bits))
+        self.price_everything(state)
+        dense = state.router.route_table().dense
+        assert set(dense.matrices) == set(sizes.values())
+        state.remove_tenant("beta")
+        assert set(dense.matrices) == {1e4, 3e4}
+        state.update_tenant_workflow(
+            "gamma", make_line("gamma", [15e6] * 4, 4e4)
+        )
+        assert set(dense.matrices) == {1e4}
+        self.price_everything(state)
+        assert set(dense.matrices) == {1e4, 4e4}
