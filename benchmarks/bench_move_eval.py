@@ -4,8 +4,10 @@ The hill climber scans ``M x (N - 1)`` candidate moves per round; with
 full evaluation each candidate costs a complete cost-model sweep, while
 :class:`~repro.core.incremental.MoveEvaluator` prices it from the dirty
 region alone. This bench times both code paths of the *same* algorithm
-on the reference 20-operation x 10-server instance, checks they return
-the identical deployment, and records the speedup.
+on the reference 20-operation x 10-server instance -- the full pricing
+through :class:`tests.oracles.FullEvaluationHillClimbing`, which runs
+the same search loop -- checks they return the identical deployment,
+and records the speedup.
 
 A second row times one hill-climbing round's neighbourhood: a single
 :meth:`~repro.core.incremental.MoveEvaluator.scan` call vs the
@@ -38,6 +40,7 @@ from repro.workloads.generator import (
     random_bus_network,
     random_graph_workflow,
 )
+from tests.oracles import FullEvaluationHillClimbing
 
 from _common import emit, perf_floor, write_json
 
@@ -66,10 +69,9 @@ def instance():
     return workflow, network, CostModel(workflow, network)
 
 
-def _run_hill_climbing(instance, use_incremental):
+def _run_hill_climbing(instance, algorithm_class):
     workflow, network, model = instance
-    algorithm = HillClimbing(use_incremental=use_incremental)
-    return algorithm.deploy(
+    return algorithm_class().deploy(
         workflow, network, cost_model=model, rng=random.Random(23)
     )
 
@@ -87,10 +89,10 @@ def _best_time(fn, repeats=REPEATS):
 def bench_hill_climbing_speedup(benchmark, instance):
     """Same seeded search, incremental vs full pricing."""
     t_full, full_result = _best_time(
-        lambda: _run_hill_climbing(instance, use_incremental=False)
+        lambda: _run_hill_climbing(instance, FullEvaluationHillClimbing)
     )
     t_incremental, incremental_result = _best_time(
-        lambda: _run_hill_climbing(instance, use_incremental=True)
+        lambda: _run_hill_climbing(instance, HillClimbing)
     )
     # the rewiring is purely a pricing change: identical deployments out
     assert incremental_result.as_dict() == full_result.as_dict()
@@ -118,7 +120,7 @@ def bench_hill_climbing_speedup(benchmark, instance):
     write_json("move_eval_speedup", _RESULTS)
     if not SMOKE:
         assert speedup >= SPEEDUP_FLOOR
-    benchmark(_run_hill_climbing, instance, True)
+    benchmark(_run_hill_climbing, instance, HillClimbing)
 
 
 def bench_propose_vs_full_evaluation(benchmark, instance):

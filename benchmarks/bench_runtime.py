@@ -36,6 +36,7 @@ from repro.workloads.generator import (
     random_bus_network,
     random_graph_workflow,
 )
+from tests.oracles import FullEvaluationHillClimbing
 
 from _common import emit
 
@@ -140,16 +141,12 @@ CASES = [
     (
         "hill climbing, full pricing",
         _legacy_hill_climbing_full,
-        lambda: HillClimbing(
-            max_iterations=HC_ITERATIONS, use_incremental=False
-        ),
+        lambda: FullEvaluationHillClimbing(max_iterations=HC_ITERATIONS),
     ),
     (
         "hill climbing, incremental",
         _legacy_hill_climbing_incremental,
-        lambda: HillClimbing(
-            max_iterations=HC_ITERATIONS, use_incremental=True
-        ),
+        lambda: HillClimbing(max_iterations=HC_ITERATIONS),
     ),
     (
         "simulated annealing",

@@ -15,13 +15,14 @@ Candidate moves are priced through the
 :class:`~repro.core.incremental.MoveEvaluator`: a hill-climbing round
 is one vectorised :meth:`~repro.core.incremental.MoveEvaluator.scan`
 and an annealing proposal one dirty-region forward pass, instead of a
-full ``CostModel.objective()`` per candidate. ``use_incremental=False``
-selects that full-evaluation path, kept as the exact reference. The
-evaluator derives a move's two server loads from running sums, which
-can differ from a from-scratch sum by ulps, so the two paths agree on
-solution quality but may break a near-tie differently (the regression
-tests pin fixtures where they return the same deployment, and the
-benchmarks measure the speedup between them).
+full ``CostModel.objective()`` per candidate. The full-evaluation
+searches live on as test oracles (``FullEvaluationHillClimbing`` and
+``FullEvaluationAnnealing`` in ``tests/oracles.py``). The evaluator
+derives a move's two server loads from running sums, which can differ
+from a from-scratch sum by ulps, so the oracles agree on solution
+quality but may break a near-tie differently (the regression tests pin
+fixtures where they return the same deployment, and the benchmarks
+measure the speedup between them).
 
 Both are expressed as step generators driven by the shared
 :class:`~repro.algorithms.runtime.SearchRuntime`: one hill-climbing
@@ -54,15 +55,15 @@ __all__ = ["HillClimbing", "SimulatedAnnealing"]
 
 
 class _RefinementBase(DeploymentAlgorithm):
-    """Shared starting-point handling for the refinement algorithms."""
+    """Starting point and search driving shared by the refinements.
 
-    def __init__(
-        self,
-        seed_algorithm: DeploymentAlgorithm | None = None,
-        use_incremental: bool = True,
-    ):
+    Subclasses supply ``_steps(context, current)``: the search as
+    :class:`~repro.algorithms.runtime.SearchStep` items, moving
+    *current* in place.
+    """
+
+    def __init__(self, seed_algorithm: DeploymentAlgorithm | None = None):
         self.seed_algorithm = seed_algorithm
-        self.use_incremental = use_incremental
 
     def _starting_mapping(self, context: ProblemContext) -> Deployment:
         if self.seed_algorithm is not None:
@@ -73,6 +74,10 @@ class _RefinementBase(DeploymentAlgorithm):
                 rng=context.rng,
             )
         return Deployment.random(context.workflow, context.network, context.rng)
+
+    def _deploy(self, context: ProblemContext) -> Deployment:
+        current = self._starting_mapping(context)
+        return context.search(self._steps(context, current)).best
 
 
 @register_algorithm
@@ -87,12 +92,9 @@ class HillClimbing(_RefinementBase):
         Upper bound on improvement rounds; each round scans the full
         ``M x (N - 1)`` move neighbourhood. External budgets compose:
         a ``SearchBudget`` passed to ``deploy`` can stop the climb
-        earlier still.
-    use_incremental:
-        Price each round's whole neighbourhood with one
-        :meth:`MoveEvaluator.scan <repro.core.incremental.MoveEvaluator.scan>`
-        call (default) or with one full ``CostModel.objective()`` per
-        candidate -- the exact reference path.
+        earlier still. Each round's whole neighbourhood is priced by
+        one :meth:`MoveEvaluator.scan
+        <repro.core.incremental.MoveEvaluator.scan>` call.
     """
 
     name = "HillClimbing"
@@ -101,22 +103,13 @@ class HillClimbing(_RefinementBase):
         self,
         seed_algorithm: DeploymentAlgorithm | None = None,
         max_iterations: int = 1_000,
-        use_incremental: bool = True,
     ):
-        super().__init__(seed_algorithm, use_incremental)
+        super().__init__(seed_algorithm)
         self.max_iterations = SearchBudget.validate_count(
             "max_iterations", max_iterations
         )
 
-    def _deploy(self, context: ProblemContext) -> Deployment:
-        current = self._starting_mapping(context)
-        if self.use_incremental:
-            steps = self._steps_incremental(context, current)
-        else:
-            steps = self._steps_full(context, current)
-        return context.search(steps).best
-
-    def _steps_incremental(
+    def _steps(
         self, context: ProblemContext, current: Deployment
     ) -> Iterator[SearchStep]:
         evaluator = MoveEvaluator(context.cost_model, current)
@@ -151,43 +144,6 @@ class HillClimbing(_RefinementBase):
                 rejected=evals - 1,
             )
 
-    def _steps_full(
-        self, context: ProblemContext, current: Deployment
-    ) -> Iterator[SearchStep]:
-        cost_model = context.cost_model
-        current_value = cost_model.objective(current)
-        yield SearchStep(current_value, current.copy, evals=1)
-        for _ in range(self.max_iterations):
-            best_move: tuple[str, str] | None = None
-            best_value = current_value
-            evals = 0
-            for operation in context.workflow.operation_names:
-                original = current.server_of(operation)
-                for server in context.network.server_names:
-                    if server == original:
-                        continue
-                    current.assign(operation, server)
-                    value = cost_model.objective(current)
-                    evals += 1
-                    if value < best_value:
-                        best_value = value
-                        best_move = (operation, server)
-                current.assign(operation, original)
-            if best_move is None:
-                yield SearchStep(
-                    best_value, current.copy, evals=evals, rejected=evals
-                )
-                break
-            current.assign(*best_move)
-            current_value = best_value
-            yield SearchStep(
-                best_value,
-                current.copy,
-                evals=evals,
-                accepted=1,
-                rejected=evals - 1,
-            )
-
 
 @register_algorithm
 class SimulatedAnnealing(_RefinementBase):
@@ -206,10 +162,6 @@ class SimulatedAnnealing(_RefinementBase):
     steps:
         Number of proposed moves (the schedule length; an external
         ``SearchBudget`` can cut it short).
-    use_incremental:
-        Price moves with the incremental
-        :class:`~repro.core.incremental.MoveEvaluator` (default) or fall
-        back to one full ``CostModel.objective()`` per proposal.
     """
 
     name = "SimulatedAnnealing"
@@ -220,9 +172,8 @@ class SimulatedAnnealing(_RefinementBase):
         initial_temperature: float = 0.5,
         cooling: float = 0.995,
         steps: int = 2_000,
-        use_incremental: bool = True,
     ):
-        super().__init__(seed_algorithm, use_incremental)
+        super().__init__(seed_algorithm)
         if initial_temperature <= 0:
             raise AlgorithmError("initial_temperature must be > 0")
         if not 0.0 < cooling < 1.0:
@@ -231,15 +182,7 @@ class SimulatedAnnealing(_RefinementBase):
         self.cooling = cooling
         self.steps = SearchBudget.validate_count("steps", steps)
 
-    def _deploy(self, context: ProblemContext) -> Deployment:
-        current = self._starting_mapping(context)
-        if self.use_incremental:
-            steps = self._steps_incremental(context, current)
-        else:
-            steps = self._steps_full(context, current)
-        return context.search(steps).best
-
-    def _steps_incremental(
+    def _steps(
         self, context: ProblemContext, current: Deployment
     ) -> Iterator[SearchStep]:
         rng = context.rng
@@ -272,32 +215,3 @@ class SimulatedAnnealing(_RefinementBase):
             else:
                 yield SearchStep(current_value, snapshot, 1, 0, 1)
             temperature *= cooling
-
-    def _steps_full(
-        self, context: ProblemContext, current: Deployment
-    ) -> Iterator[SearchStep]:
-        cost_model = context.cost_model
-        rng = context.rng
-        operations = context.workflow.operation_names
-        servers = context.network.server_names
-        current_value = cost_model.objective(current)
-        snapshot = current.copy
-        yield SearchStep(current_value, snapshot, 1)
-        if len(servers) == 1:
-            return  # no move neighbourhood exists
-        temperature = self.initial_temperature * max(current_value, 1e-12)
-        for _ in range(self.steps):
-            operation = rng.choice(operations)
-            original = current.server_of(operation)
-            alternatives = [s for s in servers if s != original]
-            server = rng.choice(alternatives)
-            current.assign(operation, server)
-            value = cost_model.objective(current)
-            delta = value - current_value
-            if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-                current_value = value
-                yield SearchStep(value, snapshot, 1, 1, 0)
-            else:
-                current.assign(operation, original)
-                yield SearchStep(current_value, snapshot, 1, 0, 1)
-            temperature *= self.cooling

@@ -52,6 +52,32 @@ def _require(document: Mapping[str, Any], field: str, expected: str) -> Any:
         ) from None
 
 
+def _entries(document: Mapping[str, Any], field: str, expected: str) -> list:
+    """Read list *field* (operations, messages, servers, links)."""
+    value = _require(document, field, expected)
+    if not isinstance(value, list):
+        raise CodecError(f"{expected} field {field!r} must be a list")
+    return value
+
+
+def _number(
+    document: Mapping[str, Any],
+    field: str,
+    expected: str,
+    default: float | None = None,
+) -> float:
+    """Read numeric *field*; *default* when given and it is absent."""
+    if default is not None and field not in document:
+        return default
+    value = _require(document, field, expected)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise CodecError(
+            f"{expected} field {field!r} must be a number, got {value!r}"
+        ) from None
+
+
 def _check_format(document: Mapping[str, Any], expected: str) -> None:
     actual = _require(document, "format", expected)
     if actual != expected:
@@ -99,7 +125,8 @@ def workflow_from_dict(document: Mapping[str, Any]) -> Workflow:
     """Decode a workflow; raises :class:`CodecError` on malformed input."""
     _check_format(document, "workflow")
     workflow = Workflow(str(_require(document, "name", "workflow")))
-    for entry in _require(document, "operations", "workflow"):
+    for entry in _entries(document, "operations", "workflow"):
+        name = str(_require(entry, "name", "operation"))
         kind_value = entry.get("kind", NodeKind.OPERATIONAL.value)
         try:
             kind = NodeKind(kind_value)
@@ -108,19 +135,15 @@ def workflow_from_dict(document: Mapping[str, Any]) -> Workflow:
                 f"unknown operation kind {kind_value!r}"
             ) from None
         workflow.add_operation(
-            Operation(
-                str(_require(entry, "name", "operation")),
-                float(_require(entry, "cycles", "operation")),
-                kind,
-            )
+            Operation(name, _number(entry, "cycles", "operation"), kind)
         )
-    for entry in _require(document, "messages", "workflow"):
+    for entry in _entries(document, "messages", "workflow"):
         workflow.add_transition(
             Message(
                 str(_require(entry, "source", "message")),
                 str(_require(entry, "target", "message")),
-                float(_require(entry, "size_bits", "message")),
-                float(entry.get("probability", 1.0)),
+                _number(entry, "size_bits", "message"),
+                _number(entry, "probability", "message", default=1.0),
             )
         )
     return workflow
@@ -159,20 +182,20 @@ def network_from_dict(document: Mapping[str, Any]) -> ServerNetwork:
         str(_require(document, "name", "network")),
         topology_kind=str(document.get("topology_kind", "custom")),
     )
-    for entry in _require(document, "servers", "network"):
+    for entry in _entries(document, "servers", "network"):
         network.add_server(
             Server(
                 str(_require(entry, "name", "server")),
-                float(_require(entry, "power_hz", "server")),
+                _number(entry, "power_hz", "server"),
             )
         )
-    for entry in _require(document, "links", "network"):
+    for entry in _entries(document, "links", "network"):
         network.add_link(
             Link(
                 str(_require(entry, "a", "link")),
                 str(_require(entry, "b", "link")),
-                float(_require(entry, "speed_bps", "link")),
-                float(entry.get("propagation_s", 0.0)),
+                _number(entry, "speed_bps", "link"),
+                _number(entry, "propagation_s", "link", default=0.0),
             )
         )
     return network

@@ -28,9 +28,6 @@ Modules
     controller (plus any still-pending events).
 :mod:`repro.service.server`
     The stdlib-only REST façade (``FleetApp`` + ``make_server``).
-:mod:`repro.service.sharding`
-    :class:`ShardRouter`: tenants hashed across N controller shards
-    with per-shard rebalance budgets.
 """
 
 from repro.service.checkpoint import (
@@ -64,7 +61,6 @@ from repro.service.scenarios import (
     replay,
 )
 from repro.service.server import FleetApp, make_server
-from repro.service.sharding import ShardRouter, shard_for
 from repro.service.state import (
     FleetSnapshot,
     FleetState,
@@ -93,7 +89,6 @@ __all__ = [
     "Scenario",
     "ServerFailed",
     "ServerJoined",
-    "ShardRouter",
     "StepClock",
     "TenantDeployment",
     "TenantPrice",
@@ -108,6 +103,5 @@ __all__ = [
     "make_server",
     "replay",
     "restore_controller",
-    "shard_for",
     "write_checkpoint",
 ]

@@ -520,7 +520,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             step_s=float(clock_doc.get("step_s", 0.001)),
             pending_priorities=tuple(pending_priorities),
         )
-    except (CodecError, TypeError, AttributeError) as exc:
+    except (CodecError, TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"{path}: malformed checkpoint ({exc})") from None
 
 
@@ -582,8 +582,12 @@ def restore_controller(
         checkpoint, label = source, "checkpoint"
     else:
         checkpoint, label = load_checkpoint(source), str(source)
+    try:
+        network = network_from_dict(checkpoint.network_doc)
+    except CodecError as exc:
+        raise ValidationError(f"{label}: malformed checkpoint ({exc})") from None
     controller = FleetController(
-        network_from_dict(checkpoint.network_doc),
+        network,
         config=checkpoint.config,
         clock=StepClock(step_s=checkpoint.step_s),
     )

@@ -458,7 +458,11 @@ class FleetController:
             return event.server, "rejected", {"reason": "unknown-server"}
         if len(state.network) <= 1:
             return event.server, "rejected", {"reason": "last-server"}
-        orphans = state.fail_server(event.server)
+        try:
+            orphans = state.fail_server(event.server)
+        except ServiceError:
+            # the survivors would split: keeping the server beats that
+            return event.server, "rejected", {"reason": "would-partition"}
         rehomed = self._rehome_orphans(orphans)
         return (
             event.server,
@@ -548,13 +552,11 @@ class FleetController:
             return event.region, "rejected", {"reason": "whole-fleet"}
         # fail every member first, re-home once: orphans must never be
         # parked on a server that dies later in the same outage
-        merged: dict[str, list[str]] = {}
-        for server in members:
-            for tenant, operations in state.fail_server(server).items():
-                merged.setdefault(tenant, []).extend(operations)
-        rehomed = self._rehome_orphans(
-            {tenant: tuple(ops) for tenant, ops in merged.items()}
-        )
+        try:
+            merged = state.fail_server(*members)
+        except ServiceError:
+            return event.region, "rejected", {"reason": "would-partition"}
+        rehomed = self._rehome_orphans(merged)
         return (
             event.region,
             "recovered",

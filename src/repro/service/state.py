@@ -588,30 +588,45 @@ class FleetState:
     # ------------------------------------------------------------------
     # topology changes
     # ------------------------------------------------------------------
-    def fail_server(self, server: str) -> dict[str, tuple[str, ...]]:
-        """Remove *server*; return the orphaned operations per tenant.
+    def fail_server(self, *servers: str) -> dict[str, tuple[str, ...]]:
+        """Remove *servers*; return the orphaned operations per tenant.
 
-        The network is rebuilt without the server (reusing the failover
-        experiment's :func:`~repro.experiments.failover.remove_server`),
-        orphaned assignments are dropped from the affected tenants'
-        deployments, and every evaluation cache is invalidated. Callers
-        (the controller) are responsible for re-homing the orphans.
+        The network is rebuilt without each server in turn (reusing the
+        failover experiment's
+        :func:`~repro.experiments.failover.remove_server`), orphaned
+        assignments are dropped from the affected tenants' deployments
+        (per tenant, in the order the servers fail), and every
+        evaluation cache is invalidated. Callers (the controller) are
+        responsible for re-homing the orphans.
+
+        Transactional: when the surviving servers would not form one
+        connected fleet -- or none would survive -- the fleet is left
+        untouched and :class:`~repro.exceptions.ServiceError` is raised,
+        as :meth:`drop_link` does, because a partitioned fleet cannot
+        route messages. Only the survivors must stay connected: a server
+        stranded between two failing ones does not block the outage.
         """
-        self._network.server(server)  # raise early on unknown names
-        if len(self._network) <= 1:
+        for server in servers:
+            self._network.server(server)  # raise early on unknown names
+        names = ", ".join(map(repr, servers))
+        if len(set(servers)) >= len(self._network):
             raise ServiceError(
-                f"cannot fail {server!r}: it is the only fleet server"
+                f"cannot fail {names}: the only fleet servers would be gone"
             )
-        orphans: dict[str, tuple[str, ...]] = {}
-        for name, record in self._tenants.items():
-            lost = record.deployment.operations_on(server)
-            if lost:
-                orphans[name] = lost
-                for operation in lost:
-                    record.deployment.unassign(operation)
-        self._network = remove_server(self._network, server)
+        survivors = nx.restricted_view(self._network.graph, servers, ())
+        if not nx.is_connected(survivors):
+            raise ServiceError(f"failing {names} would disconnect the fleet")
+        orphans: dict[str, list[str]] = {}
+        for server in servers:
+            for name, record in self._tenants.items():
+                lost = record.deployment.operations_on(server)
+                if lost:
+                    orphans.setdefault(name, []).extend(lost)
+                    for operation in lost:
+                        record.deployment.unassign(operation)
+            self._network = remove_server(self._network, server)
         self._invalidate_caches()
-        return orphans
+        return {name: tuple(lost) for name, lost in orphans.items()}
 
     def join_server(
         self,

@@ -14,13 +14,14 @@ from repro.core.mapping import Deployment
 from repro.core.workflow import Operation, Workflow
 from repro.exceptions import AlgorithmError
 from repro.network.topology import bus_network
+from repro.parallel.specs import AlgorithmSpec
 from repro.workloads import ClassCParameters
 from repro.workloads.generator import (
     GraphStructure,
     random_bus_network,
     random_graph_workflow,
 )
-from tests.oracles import per_move_hill_climbing
+from tests.oracles import FullEvaluationHillClimbing, per_move_hill_climbing
 
 
 @pytest.fixture
@@ -45,6 +46,16 @@ class TestHillClimbing:
         with pytest.raises(TypeError):
             HillClimbing(sweep="batch")
 
+    def test_full_evaluation_option_removed(self):
+        # moves are always priced by MoveEvaluator; full evaluation is
+        # the test oracle tests.oracles.FullEvaluationHillClimbing
+        with pytest.raises(TypeError):
+            HillClimbing(use_incremental=False)
+        with pytest.raises(TypeError):
+            SimulatedAnnealing(use_incremental=True)
+        with pytest.raises(AlgorithmError):
+            AlgorithmSpec.of("HillClimbing", use_incremental=False)
+
     def test_scan_sweep_matches_per_move_oracle(self, tiny):
         workflow, network, model = tiny
         deployment, report = HillClimbing().deploy_with_report(
@@ -60,7 +71,7 @@ class TestHillClimbing:
             accepted,
             rejected,
         )
-        full = HillClimbing(use_incremental=False).deploy(
+        full = FullEvaluationHillClimbing().deploy(
             workflow, network, cost_model=model, rng=4
         )
         assert full.as_dict() == deployment.as_dict()
@@ -96,8 +107,8 @@ class TestHillClimbing:
             accepted,
             rejected,
         )
-        full = HillClimbing(
-            seed_algorithm=FairLoadTieResolver2(), use_incremental=False
+        full = FullEvaluationHillClimbing(
+            seed_algorithm=FairLoadTieResolver2()
         ).deploy(workflow, network, cost_model=model, rng=seed)
         assert full.as_dict() != deployment.as_dict()
         assert model.objective(full) == pytest.approx(

@@ -97,6 +97,60 @@ class TestErrorHandling:
         with pytest.raises(CodecError):
             workflow_from_dict(document)
 
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ("operations", "cycles"),
+            ("messages", "size_bits"),
+            ("messages", "probability"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["fast", None, [1]])
+    def test_non_numeric_workflow_field_rejected(
+        self, line3, section, field, value
+    ):
+        document = workflow_to_dict(line3)
+        document[section][0][field] = value
+        with pytest.raises(CodecError, match=field):
+            workflow_from_dict(document)
+
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ("servers", "power_hz"),
+            ("links", "speed_bps"),
+            ("links", "propagation_s"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["fast", None, {"x": 1}])
+    def test_non_numeric_network_field_rejected(
+        self, bus3, section, field, value
+    ):
+        document = network_to_dict(bus3)
+        document[section][0][field] = value
+        with pytest.raises(CodecError, match=field):
+            network_from_dict(document)
+
+    @pytest.mark.parametrize("field", ["operations", "messages"])
+    def test_workflow_section_that_is_not_a_list_rejected(self, line3, field):
+        document = workflow_to_dict(line3)
+        document[field] = 5
+        with pytest.raises(CodecError, match=field):
+            workflow_from_dict(document)
+
+    @pytest.mark.parametrize("field", ["servers", "links"])
+    def test_network_section_that_is_not_a_list_rejected(self, bus3, field):
+        document = network_to_dict(bus3)
+        document[field] = {"S1": 1e9}
+        with pytest.raises(CodecError, match=field):
+            network_from_dict(document)
+
+    def test_operation_that_is_not_an_object_rejected(self, line3):
+        document = workflow_to_dict(line3)
+        document["operations"][0] = 5
+        with pytest.raises(CodecError, match="name"):
+            workflow_from_dict(document)
+
     def test_bad_assignments_rejected(self):
         with pytest.raises(CodecError):
             deployment_from_dict(

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
+from typing import Iterator
 from unittest import mock
 
 import numpy as np
 
+from repro.algorithms.base import ProblemContext
+from repro.algorithms.local_search import HillClimbing, SimulatedAnnealing
+from repro.algorithms.runtime import SearchStep
 from repro.core.batch import BatchScores
 from repro.core.compiled import CompiledInstance
 from repro.core.cost import CostModel
@@ -128,3 +133,91 @@ def per_move_hill_climbing(
         accepted += 1
         rejected += evals - 1
     return current, evaluations, accepted, rejected
+
+
+class FullEvaluationHillClimbing(HillClimbing):
+    """:class:`HillClimbing` pricing every candidate from scratch.
+
+    Each round walks the move neighbourhood in workflow-operation x
+    network-server order and prices every move with one full
+    ``CostModel.objective()`` call; the first strict minimum below the
+    incumbent wins. It still runs through ``context.search``, so a
+    benchmark that times it against :class:`HillClimbing` compares
+    pricing alone. Not registered: it exists to be compared against.
+    """
+
+    def _steps(
+        self, context: ProblemContext, current: Deployment
+    ) -> Iterator[SearchStep]:
+        cost_model = context.cost_model
+        current_value = cost_model.objective(current)
+        yield SearchStep(current_value, current.copy, evals=1)
+        for _ in range(self.max_iterations):
+            best_move: tuple[str, str] | None = None
+            best_value = current_value
+            evals = 0
+            for operation in context.workflow.operation_names:
+                original = current.server_of(operation)
+                for server in context.network.server_names:
+                    if server == original:
+                        continue
+                    current.assign(operation, server)
+                    value = cost_model.objective(current)
+                    evals += 1
+                    if value < best_value:
+                        best_value = value
+                        best_move = (operation, server)
+                current.assign(operation, original)
+            if best_move is None:
+                yield SearchStep(
+                    best_value, current.copy, evals=evals, rejected=evals
+                )
+                break
+            current.assign(*best_move)
+            current_value = best_value
+            yield SearchStep(
+                best_value,
+                current.copy,
+                evals=evals,
+                accepted=1,
+                rejected=evals - 1,
+            )
+
+
+class FullEvaluationAnnealing(SimulatedAnnealing):
+    """:class:`SimulatedAnnealing` pricing every proposal from scratch.
+
+    The same proposal sequence and Metropolis test, with each proposal
+    priced by one full ``CostModel.objective()`` call instead of the
+    incremental evaluator, driven through ``context.search``. Not
+    registered: it exists to be compared against.
+    """
+
+    def _steps(
+        self, context: ProblemContext, current: Deployment
+    ) -> Iterator[SearchStep]:
+        cost_model = context.cost_model
+        rng = context.rng
+        operations = context.workflow.operation_names
+        servers = context.network.server_names
+        current_value = cost_model.objective(current)
+        snapshot = current.copy
+        yield SearchStep(current_value, snapshot, 1)
+        if len(servers) == 1:
+            return  # no move neighbourhood exists
+        temperature = self.initial_temperature * max(current_value, 1e-12)
+        for _ in range(self.steps):
+            operation = rng.choice(operations)
+            original = current.server_of(operation)
+            alternatives = [s for s in servers if s != original]
+            server = rng.choice(alternatives)
+            current.assign(operation, server)
+            value = cost_model.objective(current)
+            delta = value - current_value
+            if delta <= 0 or rng.random() < math.exp(-delta / temperature):
+                current_value = value
+                yield SearchStep(value, snapshot, 1, 1, 0)
+            else:
+                current.assign(operation, original)
+                yield SearchStep(current_value, snapshot, 1, 0, 1)
+            temperature *= self.cooling

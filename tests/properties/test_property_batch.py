@@ -35,7 +35,11 @@ from repro.workloads.generator import (
     random_bus_network,
     random_graph_workflow,
 )
-from tests.oracles import per_move_hill_climbing, scalar_batch_pricing
+from tests.oracles import (
+    FullEvaluationHillClimbing,
+    per_move_hill_climbing,
+    scalar_batch_pricing,
+)
 
 TOLERANCE = 1e-9
 
@@ -199,7 +203,7 @@ def test_seeded_hill_climbing_scan_matches_per_move_oracle(
         accepted,
         rejected,
     )
-    full = HillClimbing(max_iterations=30, use_incremental=False).deploy(
+    full = FullEvaluationHillClimbing(max_iterations=30).deploy(
         workflow, network, cost_model=model, rng=rng_full
     )
     assert rng_scan.getstate() == rng_full.getstate()

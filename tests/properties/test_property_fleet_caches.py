@@ -4,11 +4,15 @@ The fleet keeps each tenant's compiled workflow across server changes
 (rebinding it to the new network and router) and keeps one route table
 per router, which every tenant borrows and link events refresh in
 place. Random sequences of admissions, departures, server failures and
-joins, capacity and workload drifts, link degrades and link failures
-are driven through :class:`~repro.service.controller.FleetController` on a
-heterogeneous full mesh (so degrades leave size-dependent pairs). After
-*every* event each tenant's artifact must equal, field for field, a
-fresh ``CompiledInstance`` on a router over a copy of the network:
+joins, region outages, capacity and workload drifts, ticks, link
+degrades and link failures are driven through
+:class:`~repro.service.controller.FleetController` on a heterogeneous
+full mesh (so degrades leave size-dependent pairs) whose servers fall
+into two regions. Failures and outages are drawn without regard to
+connectivity, so some would split the fleet and must be refused. After
+*every* event every tenant must be completely placed on live servers,
+and each tenant's artifact must equal, field for field, a fresh
+``CompiledInstance`` on a router over a copy of the network:
 
 * the workflow arrays, index maps, ``tproc`` and ``ideal_cycles``;
 * every route-table slot the fleet has resolved;
@@ -22,7 +26,6 @@ their evaluators reading its per-size matrices and no stale copies.
 import copy
 import random
 
-import networkx as nx
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,14 +33,17 @@ from hypothesis import strategies as st
 from repro.core.compiled import CompiledInstance
 from repro.network.routing import Router
 from repro.network.topology import Server, ServerNetwork
+from repro.scenarios.geo import region_of
 from repro.service.controller import FleetConfig, FleetController, StepClock
 from repro.service.events import (
     CapacityDrift,
     DeployRequest,
     LinkDegrade,
     LinkFailure,
+    RegionOutage,
     ServerFailed,
     ServerJoined,
+    Tick,
     UndeployRequest,
     WorkloadDrift,
 )
@@ -70,8 +76,10 @@ KINDS = (
     "undeploy",
     "fail",
     "join",
+    "region-outage",
     "capacity",
     "workload",
+    "tick",
     "degrade",
     "improve",
     "link-failure",
@@ -89,10 +97,14 @@ steps = st.lists(
 
 
 def mesh(seed):
-    """Five servers, every pair linked at a random speed and latency."""
+    """Five servers in two regions, every pair linked at random speeds.
+
+    Names follow the geo factories' ``{region}/{i}`` form, so a region
+    outage fails two or three servers at once.
+    """
     rng = random.Random(seed)
     network = ServerNetwork("mesh")
-    names = [f"S{i}" for i in range(1, 6)]
+    names = [f"r{i % 2}/{i}" for i in range(1, 6)]
     network.add_servers([Server(name, rng.uniform(1e9, 4e9)) for name in names])
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
@@ -125,13 +137,16 @@ def next_event(state, kind, pick, scale, seed, counter):
             return None
         return UndeployRequest(tenants[pick % len(tenants)])
     if kind == "fail":
-        server = names[pick % len(names)]
-        rest = nx.restricted_view(network.graph, [server], [])
-        if len(names) <= 3 or not nx.is_connected(rest):
+        if len(names) <= 3:
             return None
-        return ServerFailed(server)
+        return ServerFailed(names[pick % len(names)])
     if kind == "join":
         return ServerJoined(f"J{counter}", 1e9 * (1 + pick % 3), 1e7 * scale)
+    if kind == "region-outage":
+        regions = sorted({region_of(name) for name in names})
+        return RegionOutage(regions[pick % len(regions)])
+    if kind == "tick":
+        return Tick()
     if kind == "capacity":
         return CapacityDrift(names[pick % len(names)], 1e9 * scale + pick)
     if kind == "workload":
@@ -142,6 +157,8 @@ def next_event(state, kind, pick, scale, seed, counter):
             state.tenant(tenant).workflow, random.Random(pick), 0.5
         )
         return WorkloadDrift(tenant, drifted)
+    if not network.links:
+        return None  # an outage can leave a single server
     link = network.links[pick % len(network.links)]
     if kind == "link-failure":
         return LinkFailure(link.a, link.b)
@@ -149,7 +166,17 @@ def next_event(state, kind, pick, scale, seed, counter):
     return LinkDegrade(link.a, link.b, factor, 1.0 / factor)
 
 
+def assert_placed(state):
+    """Every tenant is completely placed on servers still in the fleet."""
+    live = set(state.network.server_names)
+    for tenant in state.tenants:
+        record = state.tenant(tenant)
+        assert record.deployment.is_complete(record.workflow), tenant
+        assert set(dict(record.deployment).values()) <= live, tenant
+
+
 def assert_coherent(state, rng):
+    assert_placed(state)
     table = state.router.route_table()
     for tenant in state.tenants:
         compiled = state.cost_model(tenant).compiled

@@ -8,9 +8,10 @@ Two guarantees are exercised here:
   ``CompiledInstance.components`` pricing agree with
   ``CostModel.evaluate`` to within ``1e-9``;
 * **regression** -- the seeded local-search algorithms return the exact
-  same deployment whether they price moves incrementally or with the
-  pre-existing full evaluation, so the rewiring cannot have changed any
-  published experiment;
+  same deployment as their full-evaluation oracles
+  (:class:`tests.oracles.FullEvaluationHillClimbing`,
+  :class:`tests.oracles.FullEvaluationAnnealing`), so the incremental
+  pricing cannot have changed any published experiment;
 * **scan twin** -- every entry of :meth:`MoveEvaluator.scan` equals the
   matching :meth:`MoveEvaluator.propose_value` bit for bit, along random
   commit walks with frequent resyncs.
@@ -33,6 +34,7 @@ from repro.workloads.generator import (
     random_bus_network,
     random_graph_workflow,
 )
+from tests.oracles import FullEvaluationAnnealing, FullEvaluationHillClimbing
 
 TOLERANCE = 1e-9
 
@@ -154,14 +156,13 @@ def test_hill_climbing_unchanged_by_incremental_pricing(seed, structure):
         workflow = random_graph_workflow(12, structure, seed=seed)
     network = random_bus_network(4, seed=seed + 50)
     model = CostModel(workflow, network)
-    results = {}
-    for incremental in (True, False):
-        algorithm = HillClimbing(use_incremental=incremental)
-        deployment = algorithm.deploy(
+    results = [
+        algorithm.deploy(
             workflow, network, cost_model=model, rng=random.Random(seed)
-        )
-        results[incremental] = deployment.as_dict()
-    assert results[True] == results[False]
+        ).as_dict()
+        for algorithm in (HillClimbing(), FullEvaluationHillClimbing())
+    ]
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -173,16 +174,16 @@ def test_simulated_annealing_unchanged_by_incremental_pricing(seed, structure):
         workflow = random_graph_workflow(12, structure, seed=seed)
     network = random_bus_network(4, seed=seed + 70)
     model = CostModel(workflow, network)
-    results = {}
-    for incremental in (True, False):
-        algorithm = SimulatedAnnealing(
-            steps=400, use_incremental=incremental
-        )
-        deployment = algorithm.deploy(
+    results = [
+        algorithm.deploy(
             workflow, network, cost_model=model, rng=random.Random(seed)
+        ).as_dict()
+        for algorithm in (
+            SimulatedAnnealing(steps=400),
+            FullEvaluationAnnealing(steps=400),
         )
-        results[incremental] = deployment.as_dict()
-    assert results[True] == results[False]
+    ]
+    assert results[0] == results[1]
 
 
 @given(

@@ -43,6 +43,7 @@ from repro.workloads.generator import (
     random_bus_network,
     random_graph_workflow,
 )
+from tests.oracles import FullEvaluationAnnealing, FullEvaluationHillClimbing
 
 TOLERANCE = 1e-9
 
@@ -219,17 +220,15 @@ def oracle_sampler(workflow, network, model, rng, samples):
 @settings(max_examples=25, deadline=None)
 def test_hill_climbing_matches_frozen_oracle(size, servers, seed, structure):
     workflow, network, model = instance(size, servers, seed, structure)
-    oracles = {
-        False: oracle_hill_climbing,
-        True: oracle_hill_climbing_incremental,
-    }
-    for use_incremental, oracle in oracles.items():
+    pairs = (
+        (oracle_hill_climbing, FullEvaluationHillClimbing),
+        (oracle_hill_climbing_incremental, HillClimbing),
+    )
+    for oracle, algorithm_class in pairs:
         expected = oracle(
             workflow, network, model, random.Random(seed), max_iterations=50
         )
-        algorithm = HillClimbing(
-            max_iterations=50, use_incremental=use_incremental
-        )
+        algorithm = algorithm_class(max_iterations=50)
         deployment, report = algorithm.deploy_with_report(
             workflow, network, cost_model=model, rng=random.Random(seed)
         )
@@ -241,11 +240,11 @@ def test_hill_climbing_matches_frozen_oracle(size, servers, seed, structure):
 @settings(max_examples=25, deadline=None)
 def test_annealing_matches_frozen_oracle(size, servers, seed, structure):
     workflow, network, model = instance(size, servers, seed, structure)
-    oracles = {
-        False: oracle_simulated_annealing,
-        True: oracle_simulated_annealing_incremental,
-    }
-    for use_incremental, oracle in oracles.items():
+    pairs = (
+        (oracle_simulated_annealing, FullEvaluationAnnealing),
+        (oracle_simulated_annealing_incremental, SimulatedAnnealing),
+    )
+    for oracle, algorithm_class in pairs:
         expected = oracle(
             workflow,
             network,
@@ -255,9 +254,7 @@ def test_annealing_matches_frozen_oracle(size, servers, seed, structure):
             cooling=0.99,
             steps=120,
         )
-        algorithm = SimulatedAnnealing(
-            cooling=0.99, steps=120, use_incremental=use_incremental
-        )
+        algorithm = algorithm_class(cooling=0.99, steps=120)
         deployment, report = algorithm.deploy_with_report(
             workflow, network, cost_model=model, rng=random.Random(seed)
         )
@@ -314,7 +311,7 @@ def assert_curve_monotone(report):
 
 ANYTIME_ALGORITHMS = [
     lambda: HillClimbing(max_iterations=50),
-    lambda: HillClimbing(max_iterations=50, use_incremental=False),
+    lambda: FullEvaluationHillClimbing(max_iterations=50),
     lambda: SimulatedAnnealing(steps=150),
     lambda: GeneticAlgorithm(population_size=8, generations=10),
 ]

@@ -149,6 +149,22 @@ class TestLoadTopology:
         with pytest.raises(TopologyFormatError, match="not valid JSON"):
             load_topology(path)
 
+    @pytest.mark.parametrize(
+        "section, field",
+        [
+            ("servers", "power_hz"),
+            ("links", "speed_bps"),
+            ("links", "propagation_s"),
+        ],
+    )
+    def test_json_non_numeric_field(self, tmp_path, section, field):
+        document = network_to_dict(bus_network([1e9, 2e9], speed_bps=1e6))
+        document[section][0][field] = "fast"
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(TopologyFormatError, match=field):
+            load_topology(path)
+
     def test_json_wrong_shape(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"unexpected": true}')

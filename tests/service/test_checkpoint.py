@@ -169,6 +169,41 @@ class TestWriteAndLoad:
             load_checkpoint(path)
 
 
+#: One corruption per checkpoint field that must decode as a number (or
+#: a pair): each must raise ValidationError naming the file.
+CORRUPTIONS = {
+    "config-seed": lambda doc: doc["config"].update(seed="x"),
+    "clock-step": lambda doc: doc["clock"].update(step_s="x"),
+    "details-pair": lambda doc: doc["log"][0]["details"].__setitem__(
+        0, ["only"]
+    ),
+    "link-speed": lambda doc: doc["network"]["links"][0].update(
+        speed_bps="x"
+    ),
+    "server-power": lambda doc: doc["network"]["servers"][0].update(
+        power_hz=[1]
+    ),
+}
+
+
+def corrupt_checkpoint(path, corruption):
+    """Rewrite the checkpoint at *path* with *corruption* applied."""
+    document = json.loads(path.read_text())
+    CORRUPTIONS[corruption](document)
+    path.write_text(json.dumps(document))
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_restore_raises_validation_error(self, tmp_path, corruption):
+        path = write_checkpoint(
+            replay("steady", seed=1), tmp_path / "fleet.json"
+        )
+        corrupt_checkpoint(path, corruption)
+        with pytest.raises(ValidationError, match="malformed checkpoint"):
+            restore_controller(path)
+
+
 class TestVerifiedRestore:
     def test_restore_reproduces_log_byte_identically(self, tmp_path):
         controller = replay("churn", seed=3)

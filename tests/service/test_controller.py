@@ -20,6 +20,14 @@ def controller_for(network, **overrides):
     return FleetController(network, config=config, clock=StepClock())
 
 
+def test_tenant_sharding_is_gone():
+    # one controller prices every tenant on one fleet: nothing to shard
+    with pytest.raises(ImportError):
+        from repro.service import ShardRouter  # noqa: F401
+    with pytest.raises(ImportError):
+        import repro.service.sharding  # noqa: F401
+
+
 class TestDeploy:
     def test_admits_and_places_completely(
         self, fleet_network, tenant_workflows

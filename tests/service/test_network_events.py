@@ -25,6 +25,7 @@ from repro.service.events import (
     LinkDegrade,
     LinkFailure,
     RegionOutage,
+    ServerFailed,
     Tick,
 )
 from repro.service.state import FleetState
@@ -259,6 +260,62 @@ class TestRegionOutage:
         for tenant in tenant_workflows:
             mapping = dict(controller.state.tenant(tenant).deployment)
             assert set(mapping.values()) <= survivors
+
+
+class TestServerLossPartition:
+    """A failure that would split the survivors is refused untouched."""
+
+    def line_controller(self, tenant_workflows):
+        # a/1 - b/1 - b/2 - c/1: losing b/1 (or region b) strands a/1
+        network = ServerNetwork("line-4")
+        names = ("a/1", "b/1", "b/2", "c/1")
+        network.add_servers([Server(name, 1e9) for name in names])
+        for a, b in zip(names, names[1:]):
+            network.add_link(Link(a, b, 1e8))
+        controller = controller_for(network)
+        controller.handle(DeployRequest("alpha", tenant_workflows["alpha"]))
+        return controller
+
+    @pytest.mark.parametrize(
+        "event", [ServerFailed("b/1"), RegionOutage("b")], ids=repr
+    )
+    def test_rejected_before_any_change(self, tenant_workflows, event):
+        controller = self.line_controller(tenant_workflows)
+        state = controller.state
+        network = state.network
+        servers, links = network.server_names, network.links
+        placement = dict(state.tenant("alpha").deployment)
+        epoch = state.epoch
+        record = controller.handle(event)
+        assert record.action == "rejected"
+        assert record.detail("reason") == "would-partition"
+        assert state.network is network
+        assert network.server_names == servers
+        assert network.links == links
+        assert dict(state.tenant("alpha").deployment) == placement
+        assert state.epoch == epoch
+        # the fleet keeps working after the refusal
+        assert controller.handle(Tick()).action in ("steady", "rebalanced")
+        record = controller.handle(
+            DeployRequest("beta", tenant_workflows["beta"])
+        )
+        assert record.action == "admitted"
+
+    def test_stranded_member_does_not_block_an_outage(
+        self, tenant_workflows
+    ):
+        # b/2 hangs off b/1 only: losing b/1 alone would strand it, but
+        # region b takes both and the survivor a/1 is whole
+        network = ServerNetwork("spur")
+        names = ("a/1", "b/1", "b/2")
+        network.add_servers([Server(name, 1e9) for name in names])
+        network.add_link(Link("a/1", "b/1", 1e8))
+        network.add_link(Link("b/1", "b/2", 1e8))
+        controller = controller_for(network)
+        controller.handle(DeployRequest("alpha", tenant_workflows["alpha"]))
+        record = controller.handle(RegionOutage("b"))
+        assert record.action == "recovered"
+        assert controller.state.network.server_names == ("a/1",)
 
 
 class TestRouteInvalidationKeepsCostModels:

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.io.json_codec import load_instance
+from repro.io.json_codec import load_instance, network_to_dict
+from tests.service.test_checkpoint import CORRUPTIONS, corrupt_checkpoint
 
 
 @pytest.fixture
@@ -213,6 +214,26 @@ class TestTopologyOverride:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "section, field",
+        [("servers", "power_hz"), ("links", "speed_bps")],
+    )
+    def test_non_numeric_json_topology_is_one_line_error(
+        self, instance_path, tmp_path, capsys, section, field
+    ):
+        _workflow, network, _deployment = load_instance(instance_path)
+        document = network_to_dict(network)
+        document[section][0][field] = "fast"
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(document))
+        code = main(
+            ["deploy", "--instance", str(instance_path), "--topology", str(path)]
+        )
+        assert code == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error:") and field in err_lines[0]
 
     def test_malformed_topology_is_one_line_error(
         self, instance_path, tmp_path, capsys
@@ -540,6 +561,30 @@ class TestFleetDurability:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "diverged" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_malformed_checkpoint_field_is_one_line_error(
+        self, tmp_path, capsys, corruption
+    ):
+        path = tmp_path / "fleet.json"
+        main(
+            [
+                "fleet",
+                "checkpoint",
+                "--scenario",
+                "steady",
+                "--checkpoint",
+                str(path),
+            ]
+        )
+        capsys.readouterr()
+        corrupt_checkpoint(path, corruption)
+        code = main(["fleet", "restore", "--checkpoint", str(path)])
+        assert code == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error:")
+        assert "malformed checkpoint" in err_lines[0]
 
     def test_stop_after_out_of_range_is_one_line_error(
         self, tmp_path, capsys
