@@ -3,8 +3,9 @@
 Three experiments over the routing layer (see DESIGN.md §15):
 
 * **compile** -- filling the full all-pairs route table of a 50-server
-  geo fleet (complete, heterogeneous graph) two ways: the lazy path
-  (every pair classified by its own targeted Dijkstra queries) versus
+  geo fleet (complete, heterogeneous graph) two ways: the per-pair
+  oracle (:func:`tests.oracles.per_pair_routes`: every pair classified
+  by its own targeted Dijkstra queries) versus
   :meth:`~repro.network.routing.Router.compile_all_pairs` (per-source
   sweeps plus the dense direct-dominance fast path). Both tables must
   be *byte-identical*; the compiled path must win on Dijkstra count
@@ -54,7 +55,7 @@ from repro.network.topology import Link, random_network
 from repro.scenarios import random_geo_network
 from repro.service.controller import FleetController
 from repro.service.scenarios import build_scenario
-from tests.oracles import rebuild_routes_on_link_events
+from tests.oracles import per_pair_routes, rebuild_routes_on_link_events
 
 from _common import emit, perf_floor, write_json
 
@@ -131,15 +132,16 @@ def _route_table(router: Router) -> dict:
 
 
 def _lazy_fill(network) -> tuple[Router, float]:
-    """The per-pair path: classify every pair through its own queries."""
+    """The per-pair oracle: classify every pair through its own queries."""
     router = Router(network)
     names = network.server_names
-    start = time.perf_counter()
-    for a in names:
-        for b in names:
-            if a != b:
-                router.pair_coefficients(a, b)
-    return router, time.perf_counter() - start
+    with per_pair_routes():
+        start = time.perf_counter()
+        for a in names:
+            for b in names:
+                if a != b:
+                    router.pair_coefficients(a, b)
+        return router, time.perf_counter() - start
 
 
 def _compiled_fill(network) -> tuple[Router, float]:

@@ -130,24 +130,27 @@ class HeavyOpsLargeMsgs(DeploymentAlgorithm):
 
     name = "HeavyOps-LargeMsgs"
 
-    def _bus_transfer_time(self, context: ProblemContext, weighted_bits: float) -> float:
-        """Time to push *weighted_bits* over the (conservative) bus."""
-        network = context.network
+    @staticmethod
+    def _bus(network) -> tuple[float, float] | None:
+        """``(speed, propagation)`` of the (conservative) bus.
+
+        ``None`` for a single server, where every message is local.
+        """
         if not network.links:
-            return 0.0  # single server: every message is local
+            return None
         if network.is_uniform_bus():
-            speed = network.uniform_speed_bps
-            propagation = network.links[0].propagation_s if network.links else 0.0
-        else:
-            speed = min(link.speed_bps for link in network.links)
-            propagation = max(link.propagation_s for link in network.links)
-        return weighted_bits / speed + propagation
+            return network.uniform_speed_bps, network.links[0].propagation_s
+        return (
+            min(link.speed_bps for link in network.links),
+            max(link.propagation_s for link in network.links),
+        )
 
     def _deploy(self, context: ProblemContext) -> Deployment:
         workflow = context.workflow
         budgets = ServerBudgets(context)
         groups = _Groups(context)
         mapping = Deployment()
+        bus = self._bus(context.network)
 
         # messages sorted by weighted size descending, insertion order on ties
         messages = sorted(
@@ -190,9 +193,12 @@ class HeavyOpsLargeMsgs(DeploymentAlgorithm):
                 group_time = groups.cycles(heaviest) / context.network.server(
                     server
                 ).power_hz
-                transfer_time = self._bus_transfer_time(
-                    context, context.weighted_message_bits(*top.pair)
-                )
+                # time to push the message over the bus
+                transfer_time = 0.0
+                if bus is not None:
+                    speed, propagation = bus
+                    bits = context.weighted_message_bits(*top.pair)
+                    transfer_time = bits / speed + propagation
                 message_is_large = transfer_time >= group_time
 
             if top is None or not message_is_large:

@@ -19,6 +19,7 @@ functions of their inputs.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Callable
 
@@ -43,12 +44,19 @@ class StepClock:
     Parameters
     ----------
     step_s:
-        Seconds added per reading.
+        Seconds added per reading: finite and positive, so the clock
+        moves forward and deadlines fire. Anything else raises
+        :class:`ValueError`.
     start_s:
         Initial reading (the first call returns ``start_s + step_s``).
     """
 
     def __init__(self, step_s: float = 0.001, start_s: float = 0.0):
+        if not 0.0 < step_s < math.inf:
+            raise ValueError(
+                f"step_s must be a finite positive number of seconds, "
+                f"got {step_s!r}"
+            )
         self.step_s = step_s
         self._now = start_s
 

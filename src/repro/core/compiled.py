@@ -323,8 +323,9 @@ class CompiledInstance:
     refreshes the shared route table in place and
     :meth:`refresh_routes` (or :meth:`invalidate_routes`, which does
     both) refreshes this instance's migration rows. A changed server
-    set or capacity needs a new router and :meth:`rebind`; a changed
-    workflow needs a recompile.
+    set needs a new router and :meth:`rebind`, a changed capacity
+    :meth:`rebind` on the same router; a changed workflow needs a
+    recompile.
 
     Parameters
     ----------
@@ -567,13 +568,12 @@ class CompiledInstance:
     def compile_all_pairs(self) -> None:
         """Eagerly materialise the whole route-delay table.
 
-        Batched compilation through
+        Every server's rows through
         :meth:`~repro.network.routing.Router.compile_all_pairs` (at most
         two single-source Dijkstra passes per server) followed by a bulk
         refill of the shared route table and this instance's migration
-        rows -- bit-identical entries to what lazy per-pair resolution
-        would produce, just without the 2 per pair targeted runs and
-        without counting cache traffic.
+        rows -- bit-identical entries to what lazy resolution would
+        produce, without counting cache traffic.
         """
         self.router.compile_all_pairs()
         self.route_table.refresh()
@@ -591,8 +591,9 @@ class CompiledInstance:
         instance's migration rows follow (:meth:`refresh_routes`).
 
         The contract is *link changes only*: the server set, their
-        powers and the workflow must be unchanged (the first two need a
-        new router and :meth:`rebind`, the last a recompile). Other
+        powers and the workflow must be unchanged (the first needs a
+        new router and :meth:`rebind`, the second :meth:`rebind`, the
+        last a recompile). Other
         instances on the same router see the refreshed routes at once
         but must still :meth:`refresh_routes` their migration rows.
         Callers holding ``MoveEvaluator`` running state over this

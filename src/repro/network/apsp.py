@@ -1,20 +1,20 @@
 """Batched all-pairs shortest-route compilation over a server network.
 
 The :class:`~repro.network.routing.Router` classifies each server pair
-by running Dijkstra twice -- once by propagation delay (the size-0
-optimum) and once by transfer coefficient (the size-infinity optimum).
-Resolved lazily that costs ``2 * S * (S - 1)`` *targeted* runs to fill
-a full route table, each one driven through a networkx Python-lambda
-weight callback. This module compiles the same answers in ``2 * S``
-single-source passes over a prebuilt integer-indexed adjacency snapshot
-with precomputed ``(propagation_s, 1/speed_bps)`` edge weights -- the
-min-propagation pass, the min-transfer pass and the dominance
-classification for every target of a source happen in one sweep.
+from two shortest paths -- one by propagation delay (the size-0
+optimum) and one by transfer coefficient (the size-infinity optimum).
+This module computes them per *source*: :func:`source_row` runs one
+single-source pass per weight over a prebuilt integer-indexed adjacency
+snapshot with precomputed ``(propagation_s, 1/speed_bps)`` edge
+weights, and every target of that source is classified from the two
+passes: ``2 * S`` passes fill a full route table, where two targeted
+networkx runs per pair, each driven through a Python-lambda weight
+callback, would take ``2 * S * (S - 1)``.
 
 **Exactness contract.** Every coefficient and representative path is
-*byte-identical* to what the per-pair lazy path produces, because the
-inner loop replicates networkx's ``_dijkstra_multisource`` semantics
-exactly:
+*byte-identical* to what per-pair networkx queries produce, because
+the inner loop replicates networkx's ``_dijkstra_multisource``
+semantics exactly:
 
 * the fringe holds ``(distance, tie_counter, node)`` triples, so ties
   on equal distances resolve by push order;
@@ -66,7 +66,6 @@ __all__ = [
     "moved_targets",
     "row_path",
     "row_survives",
-    "shortest_path",
     "shortest_sized_path",
     "source_row",
 ]
@@ -87,15 +86,12 @@ class PairRoute:
     ``path`` is the representative route (the size-0 optimum unless the
     min-transfer path dominates) with its affine coefficients; a
     size-dependent pair is answered per size by the sized fallback.
-    ``paths`` holds the canonical source's two classification paths
-    (min-propagation, min-transfer) in index form.
     """
 
     path: tuple[str, ...]
     propagation_s: float
     transfer_s_per_bit: float
     size_independent: bool
-    paths: tuple[tuple[int, ...], tuple[int, ...]]
 
     def time(self, size_bits: float) -> float:
         """Delivery time of a *size_bits* message along :attr:`path`."""
@@ -108,7 +104,6 @@ class PairRoute:
             self.propagation_s,
             self.transfer_s_per_bit,
             self.size_independent,
-            self.paths,
         )
 
 
@@ -126,8 +121,8 @@ class CompiledGraph:
     adjacency:
         ``adjacency[v] = [(u, propagation_s, inv_speed, speed_bps), ...]``
         in the *networkx adjacency order* of the underlying graph --
-        the order the lazy per-pair path relaxed neighbours in, which
-        the tie-counter semantics make observable.
+        the order networkx Dijkstra relaxes neighbours in, which the
+        tie-counter semantics make observable.
     """
 
     __slots__ = ("network", "names", "index", "adjacency")
@@ -214,9 +209,10 @@ def _dijkstra(
     (:data:`WEIGHT_PROPAGATION` / :data:`WEIGHT_TRANSFER`); when
     *size_bits* is given the weight is instead the sized delivery time
     ``size_bits / speed_bps + propagation_s``, computed with exactly the
-    float operations the lazy router's sized lambda used. A *target*
-    stops the pass at the target's pop (the targeted-query fast path);
-    without one the pass finalises every reachable node.
+    float operations the original router's sized lambda used. A
+    *target* stops the pass at the target's pop (the per-size
+    fallback's fast path); without one the pass finalises every
+    reachable node.
 
     The semantics mirror networkx ``_dijkstra_multisource`` operation
     for operation: the fringe is a heap of ``(dist, counter, node)``
@@ -268,16 +264,6 @@ def _reconstruct(parent: list[int], source: int, target: int) -> tuple[int, ...]
     return tuple(path)
 
 
-def shortest_path(
-    graph: CompiledGraph, source: int, target: int, weight: int
-) -> tuple[int, ...]:
-    """The targeted single-pair query (early-stop Dijkstra)."""
-    dist, parent = _dijkstra(graph, source, weight, target=target)
-    if dist[target] is None:
-        raise _no_route(graph, source, target)
-    return _reconstruct(parent, source, target)
-
-
 def shortest_sized_path(
     graph: CompiledGraph, source: int, target: int, size_bits: float
 ) -> tuple[int, ...]:
@@ -318,8 +304,8 @@ def classify_pair(
 ) -> PairRoute:
     """The pinned dominance classification of one server pair.
 
-    Byte-identical to ``Router._build_route``'s branch order, which is
-    therefore the frozen tie-break contract:
+    Byte-identical to the original per-pair router's branch order,
+    which is therefore the frozen tie-break contract:
 
     1. ``transfer_zero <= transfer_large``: the min-propagation path
        also minimises the transfer coefficient -- size-independent,
@@ -332,13 +318,12 @@ def classify_pair(
     """
     prop_zero, transfer_zero = graph.coefficients(path_zero)
     prop_large, transfer_large = graph.coefficients(path_large)
-    paths = (path_zero, path_large)
     names = graph.to_names
     if transfer_zero <= transfer_large:
-        return PairRoute(names(path_zero), prop_zero, transfer_zero, True, paths)
+        return PairRoute(names(path_zero), prop_zero, transfer_zero, True)
     if prop_large <= prop_zero:
-        return PairRoute(names(path_large), prop_large, transfer_large, True, paths)
-    return PairRoute(names(path_zero), prop_zero, transfer_zero, False, paths)
+        return PairRoute(names(path_large), prop_large, transfer_large, True)
+    return PairRoute(names(path_zero), prop_zero, transfer_zero, False)
 
 
 class _DenseDominance:

@@ -14,8 +14,8 @@ The delivery time of a fixed path is affine in the message size::
     time(path, size) = sum(propagation) + size * sum(1/speed)
 
 so a path that simultaneously minimises both coefficients is optimal for
-*every* message size. The router detects that (very common) case on the
-first query for a server pair and caches the two coefficients per
+*every* message size. The router detects that (very common) case when
+it classifies a server pair and caches the two coefficients per
 ``(source, target)`` -- after which any message size is answered in O(1)
 without touching Dijkstra and without growing the cache. Only genuinely
 size-dependent pairs (a short slow path versus a long fast one, where
@@ -23,14 +23,15 @@ neither dominates) fall back to a bounded per-size cache.
 
 Pair classification runs on the compiled kernel in
 :mod:`repro.network.apsp` -- integer-indexed adjacency with precomputed
-weights, networkx-faithful tie-breaking -- instead of per-query networkx
-lambdas, and each pair is *built in canonical direction* (the endpoint
-that comes first in the network's server order is the Dijkstra source)
-so that lazily-filled, batch-compiled and incrementally-refreshed caches
-hold bit-identical coefficients no matter which query arrived first.
-:meth:`Router.compile_all_pairs` fills the whole table in ``2 * (S - 1)``
-single-source passes (fewer when the dense fast path certifies rows of a
-complete graph) instead of ``S * (S - 1)`` targeted pair builds.
+weights, networkx-faithful tie-breaking -- from per-source *rows*. Each
+pair is built in canonical direction: the endpoint that comes first in
+the network's server order is the source, and the first query for any
+of its pairs runs that source's two single-source passes and classifies
+every pair of the source from them. Lazy queries and
+:meth:`Router.compile_all_pairs` therefore take the same path: a full
+table costs at most ``2 * (S - 1)`` passes (fewer when the dense fast
+path certifies rows of a complete graph), and the cached coefficients
+are bit-identical no matter which query arrived first.
 
 The router is the *single owner of path selection*: every route-delay
 consumer -- the compiled instances (and through them ``CostModel``/
@@ -90,11 +91,12 @@ class Router:
         Cache counters over non-co-located :meth:`transmission_time`,
         :meth:`pair_coefficients` and :meth:`path` queries (and their
         bulk forms): a *hit* is answered from the per-pair (or
-        per-size fallback) cache, a *miss* runs Dijkstra.
+        per-size fallback) cache, a *miss* fills the pair's source (or
+        runs a per-size pass).
     dijkstra_runs:
-        Cumulative single-source Dijkstra passes executed (lazy builds,
-        batched compiles and invalidation re-runs alike) -- the unit of
-        routing work the benchmarks compare.
+        Cumulative single-source Dijkstra passes executed (source
+        fills, per-size fallbacks and invalidation re-runs alike) --
+        the unit of routing work the benchmarks compare.
     pairs_invalidated, pairs_recomputed:
         Cumulative counts over :meth:`invalidate` calls: how many cached
         pairs were dropped, and how many were recomputed (the same
@@ -113,10 +115,9 @@ class Router:
         self._dense: object | None = None
         self._route_cache: dict[tuple[str, str], apsp.PairRoute] = {}
         self._sized_path_cache: dict[tuple[str, str, float], tuple[str, ...]] = {}
-        # canonical source index -> (min-propagation, min-transfer)
-        # rows for every source with cached pairs; None stands for the
-        # paths its cached pairs carry (see _refresh_rows)
-        self._rows: dict[int, tuple[apsp.Row | None, apsp.Row | None]] = {}
+        # canonical source index -> its (min-propagation, min-transfer)
+        # rows; a source has rows exactly when its pairs are cached
+        self._rows: dict[int, tuple[apsp.Row, apsp.Row]] = {}
         # set when per-size entries were evicted since the last refresh
         self._sized_evicted = False
         self.hits = 0
@@ -154,40 +155,36 @@ class Router:
         # with the *same* coefficient floats
         self._route_cache[(b, a)] = route.reversed()
 
+    def _route(self, source: str, target: str) -> apsp.PairRoute:
+        """The pair's route, built on a miss; counts the query.
+
+        A size-dependent pair's hit is left to its per-size query.
+        """
+        route = self._route_cache.get((source, target))
+        if route is None:
+            self._network.server(source)
+            self._network.server(target)
+            self.misses += 1
+            route = self._build_route(source, target)
+        elif route.size_independent:
+            self.hits += 1
+        return route
+
     def _build_route(self, source: str, target: str) -> apsp.PairRoute:
         """Classify the (source, target) pair on its first query.
 
-        Runs Dijkstra twice -- once by propagation delay (the size-0
-        optimum) and once by transfer coefficient (the size-infinity
-        optimum). When one of the two paths minimises *both* affine
-        coefficients it is optimal for every message size and the pair is
-        cached as size-independent; otherwise neither path dominates and
-        per-size queries must fall back to Dijkstra.
-
-        The pair is always *built* from its canonical direction (network
-        server order), whichever way the query ran, so every code path
-        that can populate the cache produces identical floats.
+        The pair's canonical source (the endpoint that comes first in
+        network server order) is filled (:meth:`_fill_source`), which
+        classifies this pair and every other pair of that source, so a
+        later query from the same source is a hit.
         """
-        graph = self._compiled_graph()
-        index = graph.index
-        a, b = source, target
-        if index[a] > index[b]:
-            a, b = b, a
+        index = self._compiled_graph().index
         try:
-            path_zero = apsp.shortest_path(
-                graph, index[a], index[b], apsp.WEIGHT_PROPAGATION
-            )
-            path_large = apsp.shortest_path(
-                graph, index[a], index[b], apsp.WEIGHT_TRANSFER
-            )
-        except apsp.DisconnectedNetworkError:
+            self._fill_source(min(index[source], index[target]))
+        except apsp.DisconnectedNetworkError as error:
             raise apsp.DisconnectedNetworkError(
-                f"no route from {source!r} to {target!r} in "
-                f"{self._network.name!r}"
+                f"cannot route {source!r} to {target!r}: {error}"
             ) from None
-        self.dijkstra_runs += 2
-        self._store(a, b, apsp.classify_pair(graph, path_zero, path_large))
-        self._rows.setdefault(index[a], (None, None))
         return self._route_cache[(source, target)]
 
     def _sized_path(self, source: str, target: str, size_bits: float) -> tuple[str, ...]:
@@ -242,12 +239,7 @@ class Router:
         self._network.server(target)
         if source == target:
             return (source,)
-        route = self._route_cache.get((source, target))
-        if route is None:
-            self.misses += 1
-            route = self._build_route(source, target)
-        elif route.size_independent:
-            self.hits += 1
+        route = self._route(source, target)
         if route.size_independent:
             return route.path
         return self._sized_path(source, target, size_bits)
@@ -265,14 +257,7 @@ class Router:
         """
         if source == target:
             return 0.0
-        route = self._route_cache.get((source, target))
-        if route is None:
-            self._network.server(source)
-            self._network.server(target)
-            self.misses += 1
-            route = self._build_route(source, target)
-        elif route.size_independent:
-            self.hits += 1
+        route = self._route(source, target)
         if route.size_independent:
             return route.time(size_bits)
         path = self._sized_path(source, target, size_bits)
@@ -303,14 +288,7 @@ class Router:
         for slot, (source, target) in enumerate(pairs):
             if source == target:
                 continue
-            route = self._route_cache.get((source, target))
-            if route is None:
-                self._network.server(source)
-                self._network.server(target)
-                self.misses += 1
-                route = self._build_route(source, target)
-            elif route.size_independent:
-                self.hits += 1
+            route = self._route(source, target)
             if route.size_independent:
                 times[slot] = route.time(size_bits)
                 continue
@@ -376,14 +354,7 @@ class Router:
         """
         if source == target:
             return (0.0, 0.0)
-        route = self._route_cache.get((source, target))
-        if route is None:
-            self._network.server(source)
-            self._network.server(target)
-            self.misses += 1
-            route = self._build_route(source, target)
-        elif route.size_independent:
-            self.hits += 1
+        route = self._route(source, target)
         if route.size_independent:
             return (route.propagation_s, route.transfer_s_per_bit)
         return None
@@ -423,33 +394,38 @@ class Router:
     def compile_all_pairs(self) -> int:
         """Eagerly classify every server pair; returns pairs compiled.
 
-        One batched sweep: at most two single-source Dijkstra passes per
-        source server (the dense direct-dominance certificate skips
-        whole passes on complete graphs), instead of two *targeted* runs
-        per pair, kept as the source's rows for :meth:`invalidate`.
-        Already-cached pairs are kept: every build path is canonical, so
-        their entries are bit-identical.
+        Fills every canonical source that has no rows yet, exactly as
+        its first query would: at most two single-source Dijkstra passes
+        per source (the dense direct-dominance certificate skips whole
+        passes on complete graphs). Already-filled sources are kept.
         """
-        graph = self._compiled_graph()
-        names = graph.names
-        compiled = 0
-        for si in range(len(names) - 1):
-            targets = [
-                ti
-                for ti in range(si + 1, len(names))
-                if (names[si], names[ti]) not in self._route_cache
-            ]
-            if not targets:
-                continue
-            rows = self._rows.get(si, (None, None))
-            rows = self._rows[si] = tuple(
-                self._source_row(si, weight) if row is None else row
-                for weight, row in enumerate(rows)
-            )
-            for ti in targets:
-                self._store(names[si], names[ti], self._classify(si, ti, rows))
-                compiled += 1
-        return compiled
+        return sum(
+            self._fill_source(si) for si in range(len(self._compiled_graph()) - 1)
+        )
+
+    def _fill_source(self, si: int) -> int:
+        """Classify every pair ``(si, ti > si)`` from the source's rows.
+
+        The one route-build path. The two rows are kept for
+        :meth:`invalidate`; nothing is stored when a target is
+        unreachable. Returns the pairs classified (0 for a source that
+        is already filled).
+        """
+        if si in self._rows:
+            return 0
+        names = self._graph.names
+        rows = (
+            self._source_row(si, apsp.WEIGHT_PROPAGATION),
+            self._source_row(si, apsp.WEIGHT_TRANSFER),
+        )
+        routes = [
+            (names[ti], self._classify(si, ti, rows))
+            for ti in range(si + 1, len(names))
+        ]
+        self._rows[si] = rows
+        for target, route in routes:
+            self._store(names[si], target, route)
+        return len(routes)
 
     def _source_row(self, source: int, weight: int) -> apsp.Row:
         """One full pass of the snapshot (or its dense certificate)."""
@@ -460,17 +436,13 @@ class Router:
         return row
 
     def _classify(self, source: int, target: int, rows) -> apsp.PairRoute:
-        """Classify a canonical pair from its rows (or cached paths)."""
+        """Classify a canonical pair from its source's two rows."""
         graph = self._graph
-        paths = [
-            apsp.row_path(graph, row, source, target)
-            if row is not None
-            else self._route_cache[
-                (graph.names[source], graph.names[target])
-            ].paths[weight]
-            for weight, row in enumerate(rows)
-        ]
-        return apsp.classify_pair(graph, paths[0], paths[1])
+        return apsp.classify_pair(
+            graph,
+            apsp.row_path(graph, rows[0], source, target),
+            apsp.row_path(graph, rows[1], source, target),
+        )
 
     def invalidate(self) -> set[tuple[str, str]]:
         """Refresh routes after link changes, recomputing immediately.
@@ -509,15 +481,13 @@ class Router:
         for si in sorted(self._rows):
             targets, runs = self._refresh_rows(si, change)
             rerun += runs
+            reclassified += len(targets)
             for ti in targets:
                 pair = (names[si], names[ti])
-                prior = self._route_cache.get(pair)
                 route = self._classify(si, ti, self._rows[si])
+                if route != self._route_cache[pair]:
+                    affected.add(pair)
                 self._store(*pair, route)
-                if prior is not None:
-                    reclassified += 1
-                    if route != prior:
-                        affected.add(pair)
         sized_dropped = self._drop_sized(change)
         affected |= sized_dropped
         if self._sized_evicted and (change.moved or change.improved):
@@ -547,56 +517,20 @@ class Router:
     ) -> tuple[list[int], int]:
         """Re-run the stale rows of one source; ``(targets, re-runs)``.
 
-        A missing row stands for the stored paths of the source's cached
-        pairs until its weight's graph changes in a way that could move
-        one; with both rows the source fills every pair.
+        The targets are the source's pairs whose path changed or
+        crosses a moved link.
         """
-        graph = self._graph
-        names = graph.names
         before = self._rows[si]
         rows = list(before)
-        cached = {}
-        for ti in range(si + 1, len(names)) if None in before else ():
-            if route := self._route_cache.get((names[si], names[ti])):
-                cached[ti] = route
         dirty: set[int] = set()
         runs = 0
         for weight, relaxed in enumerate(change.relaxed):
-            row = before[weight]
-            if not relaxed:
-                stale = False
-            elif row is not None:
-                stale = not apsp.row_survives(row, relaxed)
-            else:  # a path avoiding a pure worsening keeps its optimum
-                edges = {(x, y) for x, y, _ in relaxed}
-                stale = change.better[weight] or any(
-                    apsp.crosses(route.paths[weight], edges)
-                    for route in cached.values()
-                )
-            if stale:
+            if relaxed and not apsp.row_survives(before[weight], relaxed):
                 rows[weight] = self._source_row(si, weight)
                 runs += 1
-            if row is not None:
-                dirty |= apsp.moved_targets(row, rows[weight], change.moved)
+            dirty |= apsp.moved_targets(before[weight], rows[weight], change.moved)
         self._rows[si] = (rows[0], rows[1])
-        if None not in before:
-            return sorted(ti for ti in dirty if ti > si), runs
-        if None not in rows:  # both rows now: fill the source
-            return list(range(si + 1, len(names))), runs
-        return [
-            ti
-            for ti, route in cached.items()
-            if ti in dirty
-            or any(
-                row is None
-                and (
-                    apsp.crosses(path, change.moved)
-                    or new is not None
-                    and apsp.row_path(graph, new, si, ti) != path
-                )
-                for row, new, path in zip(before, rows, route.paths)
-            )
-        ], runs
+        return sorted(ti for ti in dirty if ti > si), runs
 
     def _drop_sized(self, change: apsp.GraphChange) -> set[tuple[str, str]]:
         """Drop stale per-size entries; returns their canonical pairs."""

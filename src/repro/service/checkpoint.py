@@ -517,11 +517,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             snapshot_doc=dict(_require(document, "snapshot", "checkpoint")),
             pending=tuple(pending_events),
             deterministic=clock_doc.get("kind") == "step",
-            step_s=float(clock_doc.get("step_s", 0.001)),
+            step_s=_step_s(clock_doc.get("step_s", 0.001)),
             pending_priorities=tuple(pending_priorities),
         )
     except (CodecError, TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"{path}: malformed checkpoint ({exc})") from None
+
+
+def _step_s(value: Any) -> float:
+    """Decode ``clock.step_s``: a :class:`StepClock` step, or raise."""
+    try:
+        return StepClock(float(value)).step_s
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"clock.step_s: {exc}") from None
 
 
 def _decision_line(record: LogRecord) -> str:

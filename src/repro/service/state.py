@@ -22,9 +22,10 @@ picture:
   The caches follow the paper's split of the cost model: ``Tcomm``
   depends only on the network, ``Tproc`` on the operation and the
   server. A link event refreshes the shared route table once, in
-  place, and each tenant only its migration rows. A server failure,
-  join or capacity change replaces the router, and each tenant's next
-  cost model *rebinds* its compiled workflow to it
+  place, and each tenant only its migration rows. A server failure or
+  join replaces the router (a capacity change keeps it: routes do not
+  depend on server power), and each tenant's next cost model *rebinds*
+  its compiled workflow to the current router
   (:meth:`~repro.core.compiled.CompiledInstance.rebind`), re-deriving
   only ``Tproc`` and the ideal loads; a workload drift recompiles that
   one tenant's workflow;
@@ -193,9 +194,6 @@ class FleetState:
         self._prices: dict[
             str, tuple[CostModel, int, tuple[int, ...], TenantPrice]
         ] = {}
-        # set when the router was replaced: the next cost-model build
-        # compiles every route in one batched sweep first
-        self._compile_routes = False
         self.cost_model_hits = 0
         self.cost_model_misses = 0
         #: Bumped on every topology change; cache keys include it.
@@ -325,7 +323,7 @@ class FleetState:
         """The tenant's cost model, cached until a server change.
 
         A miss after a server failure, join or capacity change rebinds
-        the tenant's compiled workflow to the new network and router
+        the tenant's compiled workflow to the current network and router
         (:meth:`~repro.core.compiled.CompiledInstance.rebind`); only a
         tenant with nothing compiled yet, or a drifted workflow, goes
         through :meth:`build_cost_model`. Both count as a miss.
@@ -343,7 +341,7 @@ class FleetState:
             model = CostModel.from_compiled(
                 stale.rebind(
                     self._network,
-                    router=self._compiled_router(),
+                    router=self._router,
                     objective=self.objective,
                 )
             )
@@ -355,23 +353,14 @@ class FleetState:
 
         Counted as a cost-model cache miss: it is the cold build whose
         result :meth:`add_tenant` seeds into the cache on admission.
-        The first build after a server change compiles the replaced
-        router's whole route table first (see :meth:`_invalidate_caches`).
         """
         self.cost_model_misses += 1
         return CostModel(
             workflow,
             self._network,
-            router=self._compiled_router(),
+            router=self._router,
             objective=self.objective,
         )
-
-    def _compiled_router(self) -> Router:
-        """The shared router, compiled in one sweep if it was replaced."""
-        if self._compile_routes:
-            self._compile_routes = False
-            self._router.compile_all_pairs()
-        return self._router
 
     def price(self, tenant: str) -> TenantPrice:
         """The tenant's :class:`TenantPrice`, re-priced only on change.
@@ -421,25 +410,14 @@ class FleetState:
         return price
 
     def _invalidate_caches(self) -> None:
-        """Servers changed: replace the router, drop every cost model.
+        """Servers joined or left: replace the router, drop every cost model.
 
-        Each dropped model's compiled instance is kept until the tenant's
-        next :meth:`cost_model`, which rebinds its workflow half to the
-        new network instead of recompiling it. The replacement router is
-        compiled in one batched sweep (see
-        :meth:`~repro.network.routing.Router.compile_all_pairs`) before
-        the first cost model is rebuilt on it: every tenant is about to
-        re-price, so every pair is about to be resolved anyway, and the
-        sweep answers all of them with at most two passes per server
-        instead of two targeted Dijkstra runs per pair. It is deferred
-        to that first build so a region outage failing several servers
-        in a row compiles once. The construction-time router stays lazy.
+        The new router fills on demand: the first query from a server
+        fills that server's rows, the same work
+        :meth:`~repro.network.routing.Router.compile_all_pairs` does for
+        every server in one sweep.
         """
-        self.epoch += 1
-        for tenant, model in self._cost_models.items():
-            self._stale[tenant] = model.compiled
-        self._cost_models.clear()
-        self._compile_routes = True
+        self._stale_cost_models()
         router = Router(self._network)
         router.hits = self._router.hits
         router.misses = self._router.misses
@@ -447,6 +425,18 @@ class FleetState:
         router.pairs_invalidated = self._router.pairs_invalidated
         router.pairs_recomputed = self._router.pairs_recomputed
         self._router = router
+
+    def _stale_cost_models(self) -> None:
+        """Drop every cost model, keeping its compiled instance to rebind.
+
+        The tenant's next :meth:`cost_model` rebinds the kept instance's
+        workflow half to the current network and router instead of
+        recompiling it. The epoch advances.
+        """
+        self.epoch += 1
+        for tenant, model in self._cost_models.items():
+            self._stale[tenant] = model.compiled
+        self._cost_models.clear()
 
     def _invalidate_routes(self) -> None:
         """Link parameters changed: rebuild only the route tables.
@@ -710,10 +700,11 @@ class FleetState:
 
         The replacement :class:`~repro.network.topology.Server` is
         constructed (and validated) first, then swapped in place --
-        capacity enters every tenant's ``Tproc`` table, so all
-        evaluation caches are invalidated.
+        capacity enters every tenant's ``Tproc`` table, so every cost
+        model is rebound. Routes do not depend on server power: the
+        router, its route table and dense matrices are kept.
         """
         self._network.server(server)  # raise early on unknown names
         updated = self._network.replace_server(Server(server, power_hz))
-        self._invalidate_caches()
+        self._stale_cost_models()
         return updated

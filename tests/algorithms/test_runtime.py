@@ -240,5 +240,10 @@ class TestClocks:
         clock = StepClock(step_s=1.0, start_s=10.0)
         assert clock() == 11.0
 
+    @pytest.mark.parametrize("step_s", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_step_clock_rejects_a_step_that_does_not_advance(self, step_s):
+        with pytest.raises(ValueError, match="step_s"):
+            StepClock(step_s=step_s)
+
     def test_monotonic_is_nondecreasing(self):
         assert MONOTONIC() <= MONOTONIC()

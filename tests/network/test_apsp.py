@@ -66,15 +66,21 @@ class TestCompiledGraph:
         assert graph.to_names((0, 2, 3)) == ("S0", "S2", "S3")
 
 
+def _row_path(graph, source, target, weight):
+    """*source*'s full-pass row for *weight*, walked to *target*."""
+    row, _runs = apsp.source_row(graph, source, weight)
+    return apsp.row_path(graph, row, source, target)
+
+
 class TestDijkstra:
     def test_propagation_weight_prefers_low_latency(self):
         graph = apsp.compile_graph(_diamond())
-        path = apsp.shortest_path(graph, 0, 3, apsp.WEIGHT_PROPAGATION)
+        path = _row_path(graph, 0, 3, apsp.WEIGHT_PROPAGATION)
         assert graph.to_names(path) == ("S0", "S2", "S3")
 
     def test_transfer_weight_prefers_fast_links(self):
         graph = apsp.compile_graph(_diamond())
-        path = apsp.shortest_path(graph, 0, 3, apsp.WEIGHT_TRANSFER)
+        path = _row_path(graph, 0, 3, apsp.WEIGHT_TRANSFER)
         assert graph.to_names(path) == ("S0", "S1", "S3")
 
     def test_matches_networkx(self):
@@ -100,9 +106,7 @@ class TestDijkstra:
                     )
                 )
                 got = graph.to_names(
-                    apsp.shortest_path(
-                        graph, source, target, apsp.WEIGHT_PROPAGATION
-                    )
+                    _row_path(graph, source, target, apsp.WEIGHT_PROPAGATION)
                 )
                 assert got == expected
 
@@ -111,7 +115,7 @@ class TestDijkstra:
         network.add_servers([Server("A", 1e9), Server("B", 1e9)])
         graph = apsp.compile_graph(network)
         with pytest.raises(DisconnectedNetworkError):
-            apsp.shortest_path(graph, 0, 1, apsp.WEIGHT_PROPAGATION)
+            _row_path(graph, 0, 1, apsp.WEIGHT_PROPAGATION)
 
     def test_full_pass_equals_targeted_queries(self):
         graph = apsp.compile_graph(_diamond())

@@ -17,6 +17,9 @@ from repro.core.compiled import CompiledInstance
 from repro.core.cost import CostModel
 from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
+from repro.exceptions import DisconnectedNetworkError
+from repro.network import apsp
+from repro.network.routing import Router
 from repro.service.state import FleetState
 
 
@@ -72,6 +75,50 @@ def scalar_batch_pricing():
         yield issued
 
 
+def _targeted_build_route(router: Router, source: str, target: str):
+    """A cold pair answered by two targeted Dijkstra runs of its own.
+
+    One early-stop pass per weight from the pair's canonical endpoint to
+    the other, classified like a pair built from its source's rows. No
+    rows are kept, so a router filled this way must not be invalidated
+    (its pairs would never be refreshed).
+    """
+    graph = router._compiled_graph()
+    index = graph.index
+    a, b = sorted((source, target), key=index.__getitem__)
+    try:
+        path_zero, path_large = (
+            apsp.row_path(
+                graph,
+                apsp._dijkstra(graph, index[a], weight, target=index[b]),
+                index[a],
+                index[b],
+            )
+            for weight in (apsp.WEIGHT_PROPAGATION, apsp.WEIGHT_TRANSFER)
+        )
+    except DisconnectedNetworkError:
+        raise DisconnectedNetworkError(
+            f"no route from {source!r} to {target!r} in "
+            f"{router.network.name!r}"
+        ) from None
+    router.dijkstra_runs += 2
+    router._store(a, b, apsp.classify_pair(graph, path_zero, path_large))
+    return router._route_cache[(source, target)]
+
+
+@contextmanager
+def per_pair_routes():
+    """Resolve every cold route pair by its own two targeted runs.
+
+    Patches :func:`_targeted_build_route` in as ``Router._build_route``:
+    the per-pair fill that the benchmarks compare the per-source rows
+    (and the in-place refresh) against. Routes are bit-identical either
+    way; only the Dijkstra work differs.
+    """
+    with mock.patch.object(Router, "_build_route", _targeted_build_route):
+        yield
+
+
 @contextmanager
 def rebuild_routes_on_link_events():
     """Answer fleet link events with a from-scratch route rebuild.
@@ -80,18 +127,19 @@ def rebuild_routes_on_link_events():
     <repro.service.state.FleetState._invalidate_routes>` -- the
     in-place refresh -- with what a server change does: drop the shared
     router and every cached cost model, then let the next queries
-    rebuild them. The batched route compile is switched off, so the
-    fresh router fills pair by pair on demand. Nothing route-derived is
-    kept across a link event (only the link-independent compiled
-    workflows are rebound), so a fleet that decides differently under
-    this oracle has a stale cache on the in-place path.
+    rebuild them, pair by pair on demand (:func:`per_pair_routes`).
+    Nothing route-derived is kept across a link event (only the
+    link-independent compiled workflows are rebound), so a fleet that
+    decides differently under this oracle has a stale cache on the
+    in-place path.
     """
 
     def rebuild(state, *_args, **_kwargs):
         state._invalidate_caches()
-        state._compile_routes = False
 
-    with mock.patch.object(FleetState, "_invalidate_routes", rebuild):
+    with per_pair_routes(), mock.patch.object(
+        FleetState, "_invalidate_routes", rebuild
+    ):
         yield
 
 

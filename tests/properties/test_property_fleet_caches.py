@@ -7,8 +7,9 @@ place. Random sequences of admissions, departures, server failures and
 joins, region outages, capacity and workload drifts, ticks, link
 degrades and link failures are driven through
 :class:`~repro.service.controller.FleetController` on a heterogeneous
-full mesh (so degrades leave size-dependent pairs) whose servers fall
-into two regions. Failures and outages are drawn without regard to
+full mesh (so degrades leave size-dependent pairs) or a sparse random
+network with mixed 10M/100M/1G links, whose servers fall into two
+regions. Failures and outages are drawn without regard to
 connectivity, so some would split the fleet and must be refused. After
 *every* event every tenant must be completely placed on live servers,
 and each tenant's artifact must equal, field for field, a fresh
@@ -32,7 +33,7 @@ from hypothesis import strategies as st
 
 from repro.core.compiled import CompiledInstance
 from repro.network.routing import Router
-from repro.network.topology import Server, ServerNetwork
+from repro.network.topology import Server, ServerNetwork, random_network
 from repro.scenarios.geo import region_of
 from repro.service.controller import FleetConfig, FleetController, StepClock
 from repro.service.events import (
@@ -115,6 +116,40 @@ def mesh(seed):
                 propagation_s=rng.choice((1e-4, 1e-3, 1e-2)),
             )
     return network
+
+
+def sparse(seed):
+    """Six servers in two regions on a random spanning tree plus links.
+
+    Built by :func:`repro.network.topology.random_network` with mixed
+    10M/100M/1G speeds, then renamed into ``{region}/{i}`` form; a
+    server failure here often has no detour and must be refused.
+    """
+    rng = random.Random(seed)
+    base = random_network(
+        [rng.uniform(1e9, 4e9) for _ in range(6)],
+        (1e7, 1e8, 1e9),
+        extra_edge_probability=0.2,
+        rng=rng,
+    )
+    renamed = {
+        server.name: f"r{i % 2}/{i}" for i, server in enumerate(base, start=1)
+    }
+    network = ServerNetwork("sparse")
+    network.add_servers(
+        [Server(renamed[server.name], server.power_hz) for server in base]
+    )
+    for link in base.links:
+        network.connect(
+            renamed[link.a],
+            renamed[link.b],
+            link.speed_bps,
+            propagation_s=rng.choice((1e-4, 1e-3, 1e-2)),
+        )
+    return network
+
+
+TOPOLOGIES = {"mesh": mesh, "sparse": sparse}
 
 
 def workflow_for(index, seed):
@@ -225,10 +260,14 @@ def assert_coherent(state, rng):
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10_000), events=steps)
-def test_every_event_keeps_every_cache_fresh(seed, events):
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    topology=st.sampled_from(sorted(TOPOLOGIES)),
+    events=steps,
+)
+def test_every_event_keeps_every_cache_fresh(seed, topology, events):
     controller = FleetController(
-        mesh(seed),
+        TOPOLOGIES[topology](seed),
         config=FleetConfig(drift_threshold=0.0, max_moves_per_rebalance=2),
         clock=StepClock(),
     )

@@ -12,16 +12,15 @@ propagation delays, so most pairs are size-dependent. After *every*
 ``Router(network).compile_all_pairs()``:
 
 * the route table (paths, coefficients, classification) matches;
-* every stored row equals a fresh ``_dijkstra`` row, and every cached
-  pair carries the fresh classification paths;
+* every stored row equals a fresh ``_dijkstra`` row, and a source has
+  rows exactly when all its canonical pairs are cached;
 * every surviving per-size entry equals a fresh sized query (from
   either end: entries are stored in both directions);
 * the returned set holds every canonical pair whose cached route or
   per-size entries changed.
 
-Routers start either eagerly compiled or lazily filled by targeted
-queries (whose sources get the rows of changed weights on later
-invalidations).
+Routers start either eagerly compiled or lazily filled by queries,
+each of which fills its canonical source's rows and pairs.
 """
 
 import random
@@ -123,11 +122,13 @@ def assert_fresh(router, before_routes, before_sized, affected):
         assert route == fresh.cached_route(a, b), (a, b)
     for source, rows in router._rows.items():
         for weight, row in enumerate(rows):
-            if row is not None:
-                assert row == apsp._dijkstra(graph, source, weight), source
-        if None not in rows:  # a source with both rows has every pair
-            for target in range(source + 1, len(names)):
-                assert (names[source], names[target]) in router._route_cache
+            assert row == apsp._dijkstra(graph, source, weight), source
+    for source in range(len(names) - 1):
+        filled = {
+            (names[source], names[target]) in router._route_cache
+            for target in range(source + 1, len(names))
+        }
+        assert filled == {source in router._rows}, source
     for (a, b, size), path in router._sized_path_cache.items():
         # entries are stored both ways: the query ran from either end
         forward, backward = (

@@ -14,7 +14,8 @@ unnoticed:
   and the lazy query path both match the oracle's path, coefficients
   and size-independence flag exactly, for every *canonical* pair --
   and reverse queries return the same floats with the reversed path
-  (the canonical-direction build rule).
+  (the canonical-direction build rule). Lazily, a full table costs at
+  most two passes per source, like one compile.
 * **Sized parity** -- per-size fallback paths equal the oracle's sized
   networkx query.
 * **Invalidation equivalence** -- after random sequences of worsenings
@@ -168,6 +169,26 @@ def test_lazy_queries_match_oracle_on_random_networks(seed):
     for a, b in pairs:
         router.pair_coefficients(a, b)
     assert_matches_oracle(router, network)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds)
+def test_lazy_fill_runs_each_source_once(seed):
+    # a cold pair fills its canonical source's rows, so a full table
+    # filled by queries in any order costs what one compile costs
+    network = random_network(seed)
+    names = list(network.server_names)
+    pairs = [(a, b) for a in names for b in names if a != b]
+    random.Random(seed + 2).shuffle(pairs)
+    lazy = Router(network)
+    for a, b in pairs:
+        lazy.pair_coefficients(a, b)
+    assert lazy.dijkstra_runs <= 2 * (len(names) - 1)
+    assert lazy.misses <= len(names) - 1
+    compiled = Router(network)
+    compiled.compile_all_pairs()
+    assert _table(lazy, network) == _table(compiled, network)
+    assert_matches_oracle(lazy, network)
 
 
 def test_compile_matches_oracle_on_abilene():

@@ -174,6 +174,11 @@ class TestWriteAndLoad:
 CORRUPTIONS = {
     "config-seed": lambda doc: doc["config"].update(seed="x"),
     "clock-step": lambda doc: doc["clock"].update(step_s="x"),
+    # a step clock must move forward: a replay under any other step
+    # would only surface as a log divergence
+    "clock-step-negative": lambda doc: doc["clock"].update(step_s=-1),
+    "clock-step-zero": lambda doc: doc["clock"].update(step_s=0),
+    "clock-step-nan": lambda doc: doc["clock"].update(step_s="nan"),
     "details-pair": lambda doc: doc["log"][0]["details"].__setitem__(
         0, ["only"]
     ),
@@ -202,6 +207,19 @@ class TestMalformedFields:
         corrupt_checkpoint(path, corruption)
         with pytest.raises(ValidationError, match="malformed checkpoint"):
             restore_controller(path)
+
+    @pytest.mark.parametrize(
+        "corruption",
+        ["clock-step", "clock-step-negative", "clock-step-zero", "clock-step-nan"],
+    )
+    def test_bad_clock_step_names_the_field(self, tmp_path, corruption):
+        path = write_checkpoint(
+            replay("steady", seed=1), tmp_path / "fleet.json"
+        )
+        corrupt_checkpoint(path, corruption)
+        pattern = r"fleet\.json: malformed checkpoint .*clock\.step_s"
+        with pytest.raises(ValidationError, match=pattern):
+            load_checkpoint(path)
 
 
 class TestVerifiedRestore:

@@ -90,15 +90,16 @@ class TestSharedCaches:
         runs, misses = state.router_dijkstra_runs, state.router_misses
         assert misses > 0
         state.join_server("S9", 1e9, 100e6)
-        assert state.router.cache_size() == 0  # compiled on first use
+        assert state.router.cache_size() == 0  # filled on first use
         state.snapshot()
         for tenant in state.tenants:
             state.cost_model(tenant).compiled.batch_evaluator()
-        # every pair of the 5-server bus is compiled in one sweep that
-        # the dense dominance certificate answers without Dijkstra
+        # every pair of the 5-server bus is cached, each source filled
+        # once (at most one miss per source) from rows the dense
+        # dominance certificate answers without Dijkstra
         assert state.router.cache_size() == 5 * 4
         assert state.router_dijkstra_runs == runs
-        assert state.router_misses == misses
+        assert misses < state.router_misses <= misses + 5 - 1
 
 
 class TestAggregates:
@@ -259,6 +260,7 @@ class TestWorkCounters:
         self.price_everything(state)
         assert counters == {"compiles": tenants, "dense_reads": 1}
         before = {t: state.cost_model(t).compiled for t in state.tenants}
+        router = state.router
         if change == "failure":
             orphans = state.fail_server("S4")
             for tenant, operations in orphans.items():
@@ -269,7 +271,11 @@ class TestWorkCounters:
         else:
             state.set_server_power("S2", 3e9)
         self.price_everything(state)
-        assert counters == {"compiles": tenants, "dense_reads": 2}
+        # routes do not depend on server power: a capacity change keeps
+        # the router and its dense matrices
+        kept = change == "capacity"
+        assert (state.router is router) == kept
+        assert counters == {"compiles": tenants, "dense_reads": 1 if kept else 2}
         table = state.router.route_table()
         for tenant, old in before.items():
             compiled = state.cost_model(tenant).compiled
