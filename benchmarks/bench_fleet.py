@@ -12,10 +12,14 @@ full workflow compiles (:class:`~repro.core.compiled.CompiledWorkflow`
 builds), topology rebinds (:meth:`CompiledInstance.rebind
 <repro.core.compiled.CompiledInstance.rebind>` after a server change),
 dense route-table reads (:class:`~repro.core.batch.DenseRoutes` builds
-and refreshes) and router hits, plus the host (``cpu_count``, Python,
-NumPy). It asserts the floor the two-halves compile layout guarantees:
-a workflow is compiled once per admission attempt and once per
-workload drift, never per server change or per tenant.
+and refreshes), router hits and tenant price hits/misses
+(:meth:`FleetState.price <repro.service.state.FleetState.price>`),
+plus the host (``cpu_count``, Python, NumPy). It asserts the floor the
+two-halves compile layout guarantees: a workflow is compiled once per
+admission attempt and once per workload drift, never per server change
+or per tenant. A counted replay of the link-event ``abilene`` scenario
+records the same counters under ``"abilene"``: there a price miss after
+a link event means a tenant's routes moved.
 """
 
 import os
@@ -40,8 +44,8 @@ def _replay_surge():
     return controller
 
 
-def _counted_replay():
-    """Replay surge with the compile/rebind/route-read calls counted."""
+def _counted_replay(scenario="surge"):
+    """Replay *scenario* with the compile/rebind/route-read calls counted."""
     counts = {"workflow_compiles": 0, "topology_rebinds": 0, "dense_route_reads": 0}
 
     def counting(key, function):
@@ -62,8 +66,21 @@ def _counted_replay():
     ), mock.patch.object(
         DenseRoutes, "_read", counting("dense_route_reads", DenseRoutes._read)
     ):
-        controller = replay("surge", seed=SEED)
+        controller = replay(scenario, seed=SEED)
     return controller, counts
+
+
+def _state_counters(state):
+    """The fleet state's own deterministic work counters."""
+    return {
+        "router_hits": state.router_hits,
+        "router_misses": state.router_misses,
+        "dijkstra_runs": state.router_dijkstra_runs,
+        "cost_model_hits": state.cost_model_hits,
+        "cost_model_misses": state.cost_model_misses,
+        "price_hits": state.price_hits,
+        "price_misses": state.price_misses,
+    }
 
 
 def bench_fleet_surge_throughput(benchmark):
@@ -131,7 +148,10 @@ def bench_fleet_surge_work_counters(benchmark):
         if record.event in ("server-failed", "server-joined", "capacity-drift")
         and record.action != "rejected"
     )
-    state = controller.state
+    links, link_counts = _counted_replay("abilene")
+    link_events = sum(
+        1 for record in links.log if record.event.startswith("link-")
+    )
     payload = {
         "scenario": "surge",
         "seed": SEED,
@@ -140,11 +160,15 @@ def bench_fleet_surge_work_counters(benchmark):
         "workload_drifts": drifts,
         "server_changes": server_changes,
         **counts,
-        "router_hits": state.router_hits,
-        "router_misses": state.router_misses,
-        "dijkstra_runs": state.router_dijkstra_runs,
-        "cost_model_hits": state.cost_model_hits,
-        "cost_model_misses": state.cost_model_misses,
+        **_state_counters(controller.state),
+        "abilene": {
+            "events": len(links.log),
+            "link_events": link_events,
+            **link_counts,
+            **_state_counters(links.state),
+            "route_pairs_invalidated": links.state.router_pairs_invalidated,
+            "route_pairs_recomputed": links.state.router_pairs_recomputed,
+        },
         "host": {
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
@@ -161,8 +185,12 @@ def bench_fleet_surge_work_counters(benchmark):
         "topology_rebinds",
         "dense_route_reads",
         "router_hits",
+        "price_hits",
+        "price_misses",
     ):
         table.add_row([key, payload[key]])
+    for key in ("link_events", "price_hits", "price_misses"):
+        table.add_row([f"abilene {key}", payload["abilene"][key]])
     emit("fleet_work", table)
 
     # deterministic floor: no server change or tenant count recompiles

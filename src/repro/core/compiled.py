@@ -488,8 +488,9 @@ class CompiledInstance:
         self.total_power_hz: float = network.total_power_hz
         # Tproc(op, s) = C(op) / P(s), the exact division the name-dict
         # path performed per query
+        power = self.power
         self.tproc: tuple[tuple[float, ...], ...] = tuple(
-            tuple(cycles / p for p in self.power) for cycles in shape.cycles
+            [tuple([cycles / p for p in power]) for cycles in shape.cycles]
         )
         self.ideal_cycles: tuple[float, ...] = tuple(
             shape.total_weighted_cycles * p / self.total_power_hz

@@ -10,6 +10,7 @@ a cost is actually computed.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from typing import Iterable, Iterator, Mapping
 
@@ -23,6 +24,10 @@ from repro.exceptions import (
 from repro.network.topology import ServerNetwork
 
 __all__ = ["Deployment", "FrozenDeployment"]
+
+#: Process-wide source of :attr:`Deployment.stamp` values: no two
+#: mutations anywhere in the process draw the same stamp.
+_stamps = itertools.count()
 
 
 class FrozenDeployment:
@@ -84,6 +89,10 @@ class Deployment:
 
     def __init__(self, assignments: Mapping[str, str] | None = None):
         self._assignments: dict[str, str] = dict(assignments or {})
+        #: Redrawn on construction and on every mutation: a cache that
+        #: holds this object and a stamp knows in O(1) whether the
+        #: assignments changed since (the fleet's price cache does).
+        self.stamp = next(_stamps)
 
     # ------------------------------------------------------------------
     # constructors
@@ -138,14 +147,17 @@ class Deployment:
     def assign(self, operation_name: str, server_name: str) -> None:
         """Set (or move) *operation_name* onto *server_name*."""
         self._assignments[operation_name] = server_name
+        self.stamp = next(_stamps)
 
     def unassign(self, operation_name: str) -> None:
         """Remove the assignment for *operation_name* if present."""
         self._assignments.pop(operation_name, None)
+        self.stamp = next(_stamps)
 
     def update(self, assignments: Mapping[str, str]) -> None:
         """Bulk :meth:`assign`."""
         self._assignments.update(assignments)
+        self.stamp = next(_stamps)
 
     # ------------------------------------------------------------------
     # queries

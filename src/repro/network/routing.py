@@ -97,10 +97,16 @@ class Router:
         Cumulative single-source Dijkstra passes executed (source
         fills, per-size fallbacks and invalidation re-runs alike) --
         the unit of routing work the benchmarks compare.
-    pairs_invalidated, pairs_recomputed:
-        Cumulative counts over :meth:`invalidate` calls: how many cached
-        pairs were dropped, and how many were recomputed (the same
-        pairs: every dropped pair is reclassified at once).
+    pairs_invalidated:
+        Cumulative count over :meth:`invalidate` calls of the canonical
+        pairs reported as changed (the returned sets: a changed route,
+        dropped per-size entries, or every size-dependent pair after an
+        eviction) -- what the route table and consumers re-derive.
+    pairs_recomputed:
+        Cumulative count over :meth:`invalidate` calls of the cached
+        pairs reclassified from their source's rows (a pair whose path
+        changed or crosses a changed link), whether or not the route
+        came out different.
     last_invalidation:
         A summary dict of the most recent :meth:`invalidate` call
         (``changed_links``/``rows_rerun``/``pairs_invalidated``/
@@ -498,12 +504,12 @@ class Router:
                 for (a, b), route in self._route_cache.items()
                 if not route.size_independent and index[a] < index[b]
             )
-        self.pairs_invalidated += reclassified
+        self.pairs_invalidated += len(affected)
         self.pairs_recomputed += reclassified
         self.last_invalidation = {
             "changed_links": len(change.moved) // 2,
             "rows_rerun": rerun,
-            "pairs_invalidated": reclassified,
+            "pairs_invalidated": len(affected),
             "pairs_recomputed": reclassified,
             "sized_pairs_dropped": len(sized_dropped),
             "dijkstra_runs": self.dijkstra_runs - runs_before,

@@ -765,13 +765,16 @@ class FleetController:
         :attr:`migration_paid` when a model is configured).
 
         Every round scores its whole candidate set -- each eligible
-        ``(tenant, operation)`` pair moved to each destination -- as one
-        array program (:meth:`_scan`); the candidates' tenant execution
-        times come from one :meth:`BatchEvaluator.execution
+        ``(tenant, operation)`` pair moved to each destination, built as
+        integer arrays (tenant position, op index, source and target
+        server index) -- as one array program (:meth:`_scan`); the
+        candidates' tenant execution times come from one
+        :meth:`BatchEvaluator.execution
         <repro.core.batch.BatchEvaluator.execution>` call per tenant
         over that tenant's rows (:meth:`_price_batched`). The standing
         per-tenant prices the scan starts from come from
         :meth:`FleetState.price <repro.service.state.FleetState.price>`.
+        Server and operation names appear only in the applied moves.
 
         The scan runs on the :class:`~repro.algorithms.runtime.
         SearchRuntime` -- one applied move per step -- under
@@ -785,11 +788,15 @@ class FleetController:
         state = self.state
         network = state.network
         names = network.server_names
-        destinations = targets if targets is not None else names
-        exec_times = {
-            tenant: state.price(tenant).execution_time
-            for tenant in state.tenants
-        }
+        column = {name: j for j, name in enumerate(names)}
+        destinations = np.array(
+            [column[name] for name in (names if targets is None else targets)],
+            dtype=np.intp,
+        )
+        power = np.array([server.power_hz for server in network])
+        tenants = state.tenants
+        position = {tenant: t for t, tenant in enumerate(tenants)}
+        exec_times = [state.price(tenant).execution_time for tenant in tenants]
         loads = np.array(list(state.combined_loads().values()))
         migration_model = self.config.migration
         aware = self._transition_aware
@@ -801,26 +808,22 @@ class FleetController:
         )
 
         def move_cost(
-            tenant: str, operation: str, source: str, target: str
+            instance: CompiledInstance, op: int, source: int, target: int
         ) -> float:
-            """One-time cost of moving *operation*'s state to *target*.
+            """One-time cost of moving operation *op*'s state to *target*.
 
             Checkpoint transfer over the fleet's current links (routed
             through the tenant's compiled instance) plus the model's
             fixed downtime. State size scales with the operation's raw
             cycle count -- probability never shrinks a checkpoint.
             """
-            compiled = state.cost_model(tenant).compiled
-            op = compiled.op_index[operation]
-            return migration_model.downtime_s + compiled.delay(
-                compiled.server_index[source],
-                compiled.server_index[target],
-                migration_model.state_bits(compiled.cycles[op]),
+            return migration_model.downtime_s + instance.delay(
+                source, target, migration_model.state_bits(instance.cycles[op])
             )
 
         self.evaluations += 1
         current = state.objective_value(
-            max(exec_times.values(), default=0.0),
+            max(exec_times, default=0.0),
             penalty_statistic(loads.tolist(), state.penalty_mode),
         )
         before = current
@@ -831,33 +834,53 @@ class FleetController:
             nonlocal current, loads, migration_total
             yield SearchStep(current, lambda: tuple(moves), evals=1)
             for _ in range(max_moves):
-                cands = []
+                instances: dict[int, CompiledInstance] = {}
+                pairs: list[tuple[int, int, int]] = []
+                pair_weights: list[float] = []
                 for tenant, operation in candidates(
                     dict(zip(names, loads.tolist()))
                 ):
-                    source = state.tenant(tenant).deployment.server_of(
-                        operation
-                    )
-                    cands.extend(
-                        (tenant, operation, source, target)
-                        for target in destinations
-                        if target != source
-                    )
-                scanned = len(cands)
+                    t = position[tenant]
+                    instance = instances.get(t)
+                    if instance is None:
+                        instance = state.cost_model(tenant).compiled
+                        instances[t] = instance
+                    op = instance.op_index[operation]
+                    server = state.tenant(tenant).deployment.server_of(operation)
+                    pairs.append((t, op, column[server]))
+                    pair_weights.append(instance.wcycles[op])
+                # every pair to every destination but its own source, in
+                # pair order: the first minimal net wins
+                width = len(destinations)
+                grid = np.repeat(
+                    np.array(pairs, dtype=np.intp).reshape(-1, 3), width, axis=0
+                )
+                target = np.tile(destinations, len(pairs))
+                keep = target != grid[:, 2]
+                tenant_of, op_of, source = grid[keep].T
+                target = target[keep]
+                weighted = np.repeat(pair_weights, width)[keep]
+                scanned = len(target)
                 self.evaluations += scanned
-                compiled = {
-                    tenant: state.cost_model(tenant).compiled
-                    for tenant in dict.fromkeys(cand[0] for cand in cands)
-                }
-                priced = self._price_batched(cands, compiled)
+                priced = self._price_batched(tenant_of, op_of, target, instances)
                 costs = (
-                    np.array([move_cost(*cand) for cand in cands])
+                    np.array(
+                        [
+                            move_cost(instances[t], op, src, dst)
+                            for t, op, src, dst in zip(
+                                tenant_of.tolist(),
+                                op_of.tolist(),
+                                source.tolist(),
+                                target.tolist(),
+                            )
+                        ]
+                    )
                     if aware
                     else None
                 )
                 best = self._scan(
-                    cands, compiled, priced, costs, exec_times, loads,
-                    current - threshold,
+                    tenant_of, source, target, weighted, priced, costs,
+                    exec_times, loads, power, current - threshold,
                 )
                 if best is None:
                     yield SearchStep(
@@ -868,14 +891,18 @@ class FleetController:
                     )
                     break
                 row, value, new_loads = best
-                tenant, operation, source, target = cands[row]
+                t, op = int(tenant_of[row]), int(op_of[row])
+                src, dst = int(source[row]), int(target[row])
+                instance = instances[t]
+                tenant = tenants[t]
+                operation = instance.op_names[op]
                 cost = float(costs[row]) if aware else 0.0
                 if migration_model is not None and not aware:
                     # weight 0: the move was chosen blind, but its cost
                     # is still billed (benchmarks charge naive churn)
-                    cost = move_cost(tenant, operation, source, target)
-                state.tenant(tenant).deployment.assign(operation, target)
-                exec_times[tenant] = float(priced[row])
+                    cost = move_cost(instance, op, src, dst)
+                state.tenant(tenant).deployment.assign(operation, names[dst])
+                exec_times[t] = float(priced[row])
                 # the standing objective never carries the one-time
                 # migration term -- hysteresis compares future nets
                 # against the objective actually achieved
@@ -884,7 +911,7 @@ class FleetController:
                 if migration_model is not None:
                     migration_total += cost
                     self.migration_paid += cost
-                moves.append((tenant, operation, source, target))
+                moves.append((tenant, operation, names[src], names[dst]))
                 yield SearchStep(
                     current,
                     lambda: tuple(moves),
@@ -909,54 +936,53 @@ class FleetController:
 
     def _price_batched(
         self,
-        cands: list[tuple[str, str, str, str]],
-        compiled: dict[str, CompiledInstance],
+        tenant_of: np.ndarray,
+        op: np.ndarray,
+        target: np.ndarray,
+        instances: dict[int, CompiledInstance],
     ) -> np.ndarray:
         """Candidate tenant execution times through the batch kernel.
 
-        One ``(K_t, M_t)`` batch per tenant -- its current server vector
-        with one operation relocated per row -- priced by
+        Row ``k`` moves op index ``op[k]`` of tenant position
+        ``tenant_of[k]`` to server index ``target[k]``; *instances* maps
+        a tenant position to its compiled instance. One ``(K_t, M_t)``
+        batch per tenant -- its current server vector with one
+        operation relocated per row -- priced by
         :meth:`BatchEvaluator.execution
         <repro.core.batch.BatchEvaluator.execution>`.
         """
-        state = self.state
-        groups: dict[str, tuple[list[int], list[tuple[int, int]]]] = {}
-        for slot, (tenant, operation, _source, target) in enumerate(cands):
-            instance = compiled[tenant]
-            slots, cells = groups.setdefault(tenant, ([], []))
-            slots.append(slot)
-            cells.append(
-                (instance.op_index[operation], instance.server_index[target])
-            )
-        priced = np.empty(len(cands))
-        for tenant, (slots, cells) in groups.items():
-            instance = compiled[tenant]
-            base = instance.server_vector(state.tenant(tenant).deployment)
-            rows = np.repeat(
-                np.array([base], dtype=np.intp), len(cells), axis=0
-            )
-            cell = np.array(cells, dtype=np.intp)
-            rows[np.arange(len(cells)), cell[:, 0]] = cell[:, 1]
+        tenants = self.state.tenants
+        priced = np.empty(len(tenant_of))
+        for t, instance in instances.items():
+            slots = np.flatnonzero(tenant_of == t)
+            if not len(slots):
+                continue
+            base = instance.server_vector(self.state.tenant(tenants[t]).deployment)
+            rows = np.repeat(np.array([base], dtype=np.intp), len(slots), axis=0)
+            rows[np.arange(len(slots)), op[slots]] = target[slots]
             priced[slots] = instance.batch_evaluator().execution(rows)
         return priced
 
     def _scan(
         self,
-        cands: list[tuple[str, str, str, str]],
-        compiled: dict[str, CompiledInstance],
+        tenant_of: np.ndarray,
+        source: np.ndarray,
+        target: np.ndarray,
+        weighted: np.ndarray,
         priced: np.ndarray,
         costs: np.ndarray | None,
-        exec_times: dict[str, float],
+        exec_times: list[float],
         loads: np.ndarray,
+        power: np.ndarray,
         bar: float,
     ) -> tuple[int, float, np.ndarray] | None:
         """Select one rebalance round's winner as one array program.
 
-        Row ``k`` prices candidate ``cands[k]`` (``(tenant, operation,
-        source, target)``, *compiled* maps its tenant to the tenant's
-        compiled instance) whose tenant execution time is
-        ``priced[k]``: the fleet execution is the max over the other
-        tenants' standing *exec_times* and ``priced[k]``; the trial
+        Row ``k`` moves weighted cycles ``weighted[k]`` of tenant
+        position ``tenant_of[k]`` from server index ``source[k]`` to
+        ``target[k]``, and its tenant execution time is ``priced[k]``:
+        the fleet execution is the max over the other tenants' standing
+        *exec_times* (in tenant order) and ``priced[k]``; the trial
         loads are the standing *loads* with exactly the scalar
         ``weighted / power`` update on the source and target columns;
         the penalty is
@@ -969,34 +995,19 @@ class FleetController:
         """
         from repro.core.batch import penalty_rows
 
-        if not cands:
+        if not len(tenant_of):
             return None
         state = self.state
-        network = state.network
-        column = {name: j for j, name in enumerate(network.server_names)}
-        power = np.array(
-            [network.server(name).power_hz for name in network.server_names]
-        )
-        position = {tenant: t for t, tenant in enumerate(exec_times)}
-        tenant_of = np.array([position[cand[0]] for cand in cands])
-        source = np.array([column[cand[2]] for cand in cands])
-        target = np.array([column[cand[3]] for cand in cands])
-        weighted = np.array(
-            [
-                compiled[tenant].wcycles[compiled[tenant].op_index[operation]]
-                for tenant, operation, _source, _target in cands
-            ]
-        )
         # max over every *other* tenant (-inf for a lone tenant): the
         # prefix max before each tenant joined with the suffix max after
-        execs = np.array(list(exec_times.values()))
+        execs = np.array(exec_times)
         others = np.full(len(execs), -np.inf)
         others[1:] = np.maximum.accumulate(execs[:-1])
         suffix = np.maximum.accumulate(execs[::-1])[::-1]
         others[:-1] = np.maximum(others[:-1], suffix[1:])
         execution = np.maximum(others[tenant_of], priced)
-        trial = np.repeat(loads[None, :], len(cands), axis=0)
-        rows = np.arange(len(cands))
+        trial = np.repeat(loads[None, :], len(tenant_of), axis=0)
+        rows = np.arange(len(tenant_of))
         trial[rows, source] = loads[source] - weighted / power[source]
         trial[rows, target] = loads[target] + weighted / power[target]
         values = state.objective_value(

@@ -223,8 +223,11 @@ class FleetMetrics:
         (the unit of routing work ``benchmarks/bench_routing.py``
         compares against a from-scratch rebuild).
     route_pairs_invalidated, route_pairs_recomputed:
-        Route pairs dropped / recomputed by link-event invalidations.
-        Stay 0 when no link event occurred.
+        Route pairs link events reported as changed / reclassified
+        (:attr:`Router.pairs_invalidated
+        <repro.network.routing.Router.pairs_invalidated>` and
+        :attr:`~repro.network.routing.Router.pairs_recomputed`). Stay 0
+        when no link event occurred.
     """
 
     events: int

@@ -29,11 +29,14 @@ picture:
   (:meth:`~repro.core.compiled.CompiledInstance.rebind`), re-deriving
   only ``Tproc`` and the ideal loads; a workload drift recompiles that
   one tenant's workflow;
-* a per-tenant :class:`TenantPrice` cache (execution time and load
-  dict) keyed by *value* -- the cost model's identity, the topology
-  :attr:`FleetState.epoch` and the tenant's server vector -- so a
-  snapshot re-prices only the tenants whose placement or routes
-  actually changed since the last one.
+* a per-tenant :class:`TenantPrice` cache (execution time and loads
+  in server order) keyed in O(1) by the identity of the tenant's cost
+  model and deployment and the deployment's
+  :attr:`~repro.core.mapping.Deployment.stamp`. Server changes and
+  drifts replace the cost model; a link event drops only the prices of
+  tenants with a message between two servers whose route it changed.
+  A snapshot therefore re-prices only the tenants whose placement or
+  routes actually changed since the last one.
 
 All aggregate metrics (combined loads, fairness penalty, Jain balance
 index, the scalar fleet objective) are deterministic functions of the
@@ -43,7 +46,6 @@ state, which is what lets the controller log byte-identical replays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Mapping
 
 import networkx as nx
@@ -85,12 +87,12 @@ class TenantPrice:
     execution_time:
         The tenant's ``Texecute`` under its current placement.
     loads:
-        The tenant's own per-server load in seconds, every server
-        listed, in network order (read-only: the price is shared).
+        The tenant's own load in seconds on every server, in network
+        server order.
     """
 
     execution_time: float
-    loads: Mapping[str, float]
+    loads: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -189,15 +191,16 @@ class FleetState:
         # tenant -> its compiled instance from before the last server
         # change: the next cost model rebinds its workflow half
         self._stale: dict[str, CompiledInstance] = {}
-        # tenant -> (cost model, epoch, server vector, price): the key
-        # is compared by value on every read, never invalidated by hooks
+        # tenant -> (cost model, deployment, its stamp, server vector,
+        # price); link events drop the entries whose routes moved
         self._prices: dict[
-            str, tuple[CostModel, int, tuple[int, ...], TenantPrice]
+            str,
+            tuple[CostModel, Deployment, int, tuple[int, ...], TenantPrice],
         ] = {}
         self.cost_model_hits = 0
         self.cost_model_misses = 0
-        #: Bumped on every topology change; cache keys include it.
-        self.epoch = 0
+        self.price_hits = 0
+        self.price_misses = 0
 
     # ------------------------------------------------------------------
     # basic queries
@@ -229,12 +232,12 @@ class FleetState:
 
     @property
     def router_pairs_invalidated(self) -> int:
-        """Route pairs dropped by link-event invalidations."""
+        """Route pairs link events reported as changed."""
         return self._router.pairs_invalidated
 
     @property
     def router_pairs_recomputed(self) -> int:
-        """Route pairs recomputed after link events."""
+        """Route pairs reclassified after link events."""
         return self._router.pairs_recomputed
 
     @property
@@ -298,8 +301,7 @@ class FleetState:
         shape-preserving drift contract of
         :class:`~repro.service.events.WorkloadDrift`), so the tenant's
         current placement stays valid and only *its* workflow is
-        recompiled -- the topology epoch and every other tenant's cache
-        are untouched.
+        recompiled -- every other tenant's cache is untouched.
         """
         record = self.tenant(tenant)
         if sorted(workflow.operation_names) != sorted(
@@ -365,48 +367,43 @@ class FleetState:
     def price(self, tenant: str) -> TenantPrice:
         """The tenant's :class:`TenantPrice`, re-priced only on change.
 
-        The cached price is served while its key still matches by value:
-        the same cost-model object (a drift or server change replaces
-        it), the same topology :attr:`epoch` (link events keep the
-        cost models but rewrite their route tables) and the same
-        compiled server vector (deployments are mutated in place from
-        many call sites, so no mutation hook could be trusted). A miss
-        validates the deployment and runs the tenant's forward pass and
-        load scatter once -- the exact floats of
-        :meth:`CostModel.execution_time
+        The cached price is served while the tenant's cost model and
+        deployment are the same objects (``is``: a drift or server
+        change replaces the model) and the deployment's
+        :attr:`~repro.core.mapping.Deployment.stamp` is unchanged (every
+        mutation redraws it). Link events keep the cost models but
+        rewrite their routes, so :meth:`_invalidate_routes` drops the
+        prices they touch. A miss validates the deployment and runs the
+        tenant's forward pass and load scatter once -- the exact floats
+        of :meth:`CostModel.execution_time
         <repro.core.cost.CostModel.execution_time>` and
         :meth:`CostModel.loads <repro.core.cost.CostModel.loads>`.
         """
         record = self.tenant(tenant)
         model = self.cost_model(tenant)
-        compiled = model.compiled
         deployment = record.deployment
-        servers = None
-        if len(deployment) == compiled.num_ops:
-            index = compiled.server_index
-            assigned = deployment.get
-            servers = tuple(
-                [index.get(assigned(name)) for name in compiled.op_names]
-            )
         cached = self._prices.get(tenant)
         if (
             cached is not None
             and cached[0] is model
-            and cached[1] == self.epoch
-            and cached[2] == servers
+            and cached[1] is deployment
+            and cached[2] == deployment.stamp
         ):
-            return cached[3]
+            self.price_hits += 1
+            return cached[4]
+        self.price_misses += 1
         deployment.validate(record.workflow, self._network)
-        vector = list(servers)
+        compiled = model.compiled
+        servers = tuple(compiled.server_vector(deployment))
         price = TenantPrice(
             execution_time=compiled.execution_from(
-                compiled.forward_pass(vector)
+                compiled.forward_pass(servers)
             ),
-            loads=MappingProxyType(
-                dict(zip(compiled.server_names, compiled.load_values(vector)))
-            ),
+            loads=tuple(compiled.load_values(servers)),
         )
-        self._prices[tenant] = (model, self.epoch, servers, price)
+        self._prices[tenant] = (
+            model, deployment, deployment.stamp, servers, price
+        )
         return price
 
     def _invalidate_caches(self) -> None:
@@ -431,9 +428,8 @@ class FleetState:
 
         The tenant's next :meth:`cost_model` rebinds the kept instance's
         workflow half to the current network and router instead of
-        recompiling it. The epoch advances.
+        recompiling it.
         """
-        self.epoch += 1
         for tenant, model in self._cost_models.items():
             self._stale[tenant] = model.compiled
         self._cost_models.clear()
@@ -450,14 +446,29 @@ class FleetState:
         :meth:`repro.network.routing.Router.invalidate`); then each
         transition-aware tenant re-prices its migration rows.
 
-        The epoch still advances -- anything keyed on topology state
-        must observe the change.
+        A cached :meth:`price` is dropped only when one of the tenant's
+        messages runs between two different servers whose pair the
+        router reports as changed; every other price stays valid.
         """
-        self.epoch += 1
         self._drop_unpriced_sizes()
         affected = self._router.invalidate()
         for model in self._cost_models.values():
             model.compiled.refresh_routes(affected)
+        if not affected:
+            return
+        index = {name: i for i, name in enumerate(self._network.server_names)}
+        changed = set()
+        for a, b in affected:
+            changed.add((index[a], index[b]))
+            changed.add((index[b], index[a]))
+        for tenant, (model, _deployment, _stamp, servers, _price) in list(
+            self._prices.items()
+        ):
+            if any(
+                (servers[src], servers[dst]) in changed
+                for src, dst, _size, _weight in model.compiled.messages
+            ):
+                del self._prices[tenant]
 
     def _drop_unpriced_sizes(self) -> None:
         """Keep only the shared delay matrices a cached tenant prices.
@@ -552,11 +563,10 @@ class FleetState:
         return self._combine([self.price(name) for name in self._tenants])
 
     def _combine(self, prices: list[TenantPrice]) -> dict[str, float]:
-        totals = {name: 0.0 for name in self._network.server_names}
+        totals = [0.0] * len(self._network)
         for price in prices:
-            for server, load in price.loads.items():
-                totals[server] += load
-        return totals
+            totals = [total + load for total, load in zip(totals, price.loads)]
+        return dict(zip(self._network.server_names, totals))
 
     def snapshot(self) -> FleetSnapshot:
         """The current :class:`FleetSnapshot` (see its attribute docs)."""

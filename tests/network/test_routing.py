@@ -271,6 +271,33 @@ class TestInvalidate:
         # the refreshed table equals a fresh router's exactly
         self._assert_matches_fresh(router, network)
 
+    def test_reclassified_pair_with_an_unchanged_route_is_not_invalidated(
+        self,
+    ):
+        # S1-S4 ties on propagation via the slow S2 and the fast S3:
+        # its propagation row runs through S2, its route through S3
+        network = ServerNetwork("tie")
+        network.add_servers([Server(f"S{i}", 1e9) for i in range(1, 5)])
+        network.connect("S1", "S2", 10e6, propagation_s=0.001)
+        network.connect("S1", "S3", 100e6, propagation_s=0.001)
+        network.connect("S2", "S4", 10e6, propagation_s=0.001)
+        network.connect("S3", "S4", 100e6, propagation_s=0.001)
+        router = Router(network)
+        router.compile_all_pairs()
+        route = router.cached_route("S1", "S4")
+        assert route.path == ("S1", "S3", "S4")
+        network.replace_link(Link("S1", "S2", 5e6, 0.001))
+        affected = router.invalidate()
+        # S1-S4 is reclassified (its row crosses the slowed link) but
+        # keeps its route, so it is not reported as changed
+        assert router.cached_route("S1", "S4") == route
+        assert affected == {("S1", "S2"), ("S2", "S3")}
+        assert router.pairs_invalidated == len(affected)
+        assert router.pairs_recomputed == 3
+        assert router.last_invalidation["pairs_invalidated"] == 2
+        assert router.last_invalidation["pairs_recomputed"] == 3
+        self._assert_matches_fresh(router, network)
+
     def test_improvement_reroutes_only_changed_pairs(self):
         network = self._square()
         router = Router(network)

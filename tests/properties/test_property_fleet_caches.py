@@ -7,9 +7,10 @@ place. Random sequences of admissions, departures, server failures and
 joins, region outages, capacity and workload drifts, ticks, link
 degrades and link failures are driven through
 :class:`~repro.service.controller.FleetController` on a heterogeneous
-full mesh (so degrades leave size-dependent pairs) or a sparse random
-network with mixed 10M/100M/1G links, whose servers fall into two
-regions. Failures and outages are drawn without regard to
+full mesh (so degrades leave size-dependent pairs), a sparse random
+network with mixed 10M/100M/1G links, or the bundled Abilene backbone
+(sparse, multi-hop, heterogeneous propagation), whose servers fall into
+two regions. Failures and outages are drawn without regard to
 connectivity, so some would split the fleet and must be refused. After
 *every* event every tenant must be completely placed on live servers,
 and each tenant's artifact must equal, field for field, a fresh
@@ -19,6 +20,9 @@ and each tenant's artifact must equal, field for field, a fresh
 * every route-table slot the fleet has resolved;
 * the batch kernel's dense ``base``/``rate`` matrices and every cached
   per-size delay matrix, and the tenant's batch scores on random rows;
+* the tenant's cached fleet price (execution time and loads), float for
+  float, and the fleet's combined loads as the admission-order sum of
+  the fresh loads;
 
 and all tenants must share (``is``) the current router's route table,
 their evaluators reading its per-size matrices and no stale copies.
@@ -34,6 +38,7 @@ from hypothesis import strategies as st
 from repro.core.compiled import CompiledInstance
 from repro.network.routing import Router
 from repro.network.topology import Server, ServerNetwork, random_network
+from repro.scenarios.loader import abilene_network
 from repro.scenarios.geo import region_of
 from repro.service.controller import FleetConfig, FleetController, StepClock
 from repro.service.events import (
@@ -118,6 +123,32 @@ def mesh(seed):
     return network
 
 
+def in_regions(base, name, powers, propagation):
+    """*base* with its i-th server renamed ``r{i % 2}/{i}``.
+
+    *powers* gives each server's power in network order and
+    *propagation* each link's propagation delay.
+    """
+    renamed = {
+        server.name: f"r{i % 2}/{i}" for i, server in enumerate(base, start=1)
+    }
+    network = ServerNetwork(name)
+    network.add_servers(
+        [
+            Server(renamed[server.name], power)
+            for server, power in zip(base, powers)
+        ]
+    )
+    for link in base.links:
+        network.connect(
+            renamed[link.a],
+            renamed[link.b],
+            link.speed_bps,
+            propagation_s=propagation(link),
+        )
+    return network
+
+
 def sparse(seed):
     """Six servers in two regions on a random spanning tree plus links.
 
@@ -132,24 +163,32 @@ def sparse(seed):
         extra_edge_probability=0.2,
         rng=rng,
     )
-    renamed = {
-        server.name: f"r{i % 2}/{i}" for i, server in enumerate(base, start=1)
-    }
-    network = ServerNetwork("sparse")
-    network.add_servers(
-        [Server(renamed[server.name], server.power_hz) for server in base]
+    return in_regions(
+        base,
+        "sparse",
+        [server.power_hz for server in base],
+        lambda link: rng.choice((1e-4, 1e-3, 1e-2)),
     )
-    for link in base.links:
-        network.connect(
-            renamed[link.a],
-            renamed[link.b],
-            link.speed_bps,
-            propagation_s=rng.choice((1e-4, 1e-3, 1e-2)),
-        )
-    return network
 
 
-TOPOLOGIES = {"mesh": mesh, "sparse": sparse}
+def abilene(seed):
+    """The bundled Abilene backbone in two regions, random powers.
+
+    Twelve servers on fifteen links whose distance-derived propagation
+    delays differ: sparse and multi-hop, the shape where reusing the
+    prices of tenants whose routes did not move matters most.
+    """
+    rng = random.Random(seed)
+    base = abilene_network()
+    return in_regions(
+        base,
+        "abilene",
+        [rng.uniform(1e9, 4e9) for _ in base],
+        lambda link: link.propagation_s,
+    )
+
+
+TOPOLOGIES = {"abilene": abilene, "mesh": mesh, "sparse": sparse}
 
 
 def workflow_for(index, seed):
@@ -213,6 +252,7 @@ def assert_placed(state):
 def assert_coherent(state, rng):
     assert_placed(state)
     table = state.router.route_table()
+    fresh_loads = []
     for tenant in state.tenants:
         compiled = state.cost_model(tenant).compiled
         assert compiled.route_table is table, tenant
@@ -227,6 +267,15 @@ def assert_coherent(state, rng):
                 tenant,
                 name,
             )
+        # the price the fleet serves (the controller priced every
+        # tenant for its log record) against the fresh instance
+        vector = fresh.server_vector(state.tenant(tenant).deployment)
+        price = state.price(tenant)
+        execution = fresh.execution_from(fresh.forward_pass(vector))
+        assert price.execution_time.hex() == execution.hex(), tenant
+        loads = tuple(fresh.load_values(vector))
+        assert [v.hex() for v in price.loads] == [v.hex() for v in loads], tenant
+        fresh_loads.append(loads)
         servers = range(compiled.num_servers)
         for i in servers:
             for j in servers:
@@ -257,6 +306,12 @@ def assert_coherent(state, rng):
         got = evaluator.evaluate(rows).objective
         want_scores = fresh.batch_evaluator().evaluate(rows).objective
         assert np.array_equal(got, want_scores), tenant
+    totals = [0.0] * len(state.network)
+    for loads in fresh_loads:  # admission order
+        totals = [total + load for total, load in zip(totals, loads)]
+    combined = state.combined_loads()
+    assert list(combined) == list(state.network.server_names)
+    assert [v.hex() for v in combined.values()] == [v.hex() for v in totals]
 
 
 @settings(max_examples=25, deadline=None)

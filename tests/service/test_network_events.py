@@ -285,7 +285,8 @@ class TestServerLossPartition:
         network = state.network
         servers, links = network.server_names, network.links
         placement = dict(state.tenant("alpha").deployment)
-        epoch = state.epoch
+        router = state.router
+        models = {t: state.cost_model(t) for t in state.tenants}
         record = controller.handle(event)
         assert record.action == "rejected"
         assert record.detail("reason") == "would-partition"
@@ -293,7 +294,9 @@ class TestServerLossPartition:
         assert network.server_names == servers
         assert network.links == links
         assert dict(state.tenant("alpha").deployment) == placement
-        assert state.epoch == epoch
+        assert state.router is router
+        for tenant, model in models.items():
+            assert state.cost_model(tenant) is model, tenant
         # the fleet keeps working after the refusal
         assert controller.handle(Tick()).action in ("steady", "rebalanced")
         record = controller.handle(

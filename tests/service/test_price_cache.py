@@ -1,14 +1,15 @@
 """Coherence of the fleet's cached per-tenant prices.
 
 :meth:`FleetState.price <repro.service.state.FleetState.price>` serves a
-tenant's execution time and load dict from a cache keyed by value (cost
-model identity, topology epoch, server vector). After *every* event of
-the builtin scenarios -- admissions, failures, joins, drifts, capacity
-changes, link failures and degrades, region outages, rebalances -- the
-served prices and the snapshot built from them must equal an uncached
-recompute bit for bit. Link events keep every cost model but rewrite
-its route table, so a cache keyed only on (model, placement) would
-serve stale execution times there; this suite is what catches that.
+tenant's execution time and loads from a cache keyed by the identity of
+its cost model and deployment and the deployment's stamp. After *every*
+event of the builtin scenarios -- admissions, failures, joins, drifts,
+capacity changes, link failures and degrades, region outages,
+rebalances -- the served prices and the snapshot built from them must
+equal an uncached recompute bit for bit. Link events keep every cost
+model but rewrite its route table and drop only the prices whose routes
+moved, so a missed drop would serve a stale execution time; this suite
+is what catches that.
 """
 
 import pytest
@@ -67,7 +68,8 @@ def test_prices_match_an_uncached_recompute_after_every_event(name):
             deployment = state.tenant(tenant).deployment
             fresh = model.execution_time(deployment)
             assert price.execution_time.hex() == fresh.hex(), where
-            assert bits(price.loads) == bits(model.loads(deployment)), where
+            loads = dict(zip(state.network.server_names, price.loads))
+            assert bits(loads) == bits(model.loads(deployment)), where
         expected = uncached_snapshot(state)
         snapshot = state.snapshot()
         assert bits(snapshot.loads) == bits(expected.loads), where

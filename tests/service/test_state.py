@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.mapping import Deployment
 from repro.exceptions import ReproError, ServiceError
-from repro.network.topology import bus_network
+from repro.network.topology import Link, Server, ServerNetwork, bus_network
 from repro.service.state import FleetState, jain_index
 
 from .conftest import make_line
@@ -297,6 +297,44 @@ class TestWorkCounters:
         state.join_server("S9", 1e9, 100e6)
         self.price_everything(state)
         assert counters == {"compiles": 4, "dense_reads": 2}
+
+    @staticmethod
+    def line_state():
+        """Servers S1-S2-S3-S4 on a line; alpha on S1/S2, beta on S2/S3."""
+        network = ServerNetwork("line-4")
+        names = ("S1", "S2", "S3", "S4")
+        network.add_servers([Server(name, 1e9) for name in names])
+        for a, b in zip(names, names[1:]):
+            network.add_link(Link(a, b, 100e6, 1e-3))
+        state = FleetState(network)
+        for tenant, servers in (("alpha", ("S1", "S2")), ("beta", ("S2", "S3"))):
+            workflow = make_line(tenant, [10e6, 20e6])
+            placement = Deployment(dict(zip(workflow.operation_names, servers)))
+            state.add_tenant(tenant, workflow, placement)
+        state.snapshot()
+        return state
+
+    def test_far_link_degrade_reprices_no_tenant(self):
+        state = self.line_state()
+        prices = {tenant: state.price(tenant) for tenant in state.tenants}
+        misses = state.price_misses
+        state.degrade_link("S3", "S4", 0.5)
+        state.snapshot()
+        for tenant, price in prices.items():
+            assert state.price(tenant) is price
+        assert state.price_misses == misses
+
+    def test_used_link_degrade_reprices_exactly_its_tenant(self):
+        state = self.line_state()
+        prices = {tenant: state.price(tenant) for tenant in state.tenants}
+        misses = state.price_misses
+        state.degrade_link("S1", "S2", 0.5)
+        state.snapshot()
+        assert state.price("beta") is prices["beta"]
+        assert state.price_misses == misses + 1
+        repriced = state.price("alpha")
+        assert repriced.execution_time > prices["alpha"].execution_time
+        assert repriced.loads == prices["alpha"].loads
 
     def test_only_priced_message_sizes_keep_a_matrix(
         self, fleet_network, tenant_workflows
