@@ -9,9 +9,9 @@ candidate. :class:`BatchEvaluator` scores a whole *batch* of deployments
 -- in NumPy across the batch axis:
 
 * the router's shared route table
-  (:class:`~repro.network.routing.RouteTable`) is materialised once per
-  router as :class:`DenseRoutes`: dense ``(S, S)`` base/rate matrices
-  plus one delay matrix per distinct message size, so genuinely
+  (:meth:`~repro.network.routing.Router.route_table`) is materialised
+  once per router as :class:`DenseRoutes`: dense ``(S, S)`` base/rate
+  matrices plus one delay matrix per distinct message size, so genuinely
   size-dependent pairs are priced through the router exactly once per
   size -- for every evaluator on that router, whichever tenant or
   instance it belongs to;
@@ -62,7 +62,7 @@ from repro.core.compiled import (
     CompiledInstance,
 )
 from repro.exceptions import DeploymentError
-from repro.network.routing import RouteTable
+from repro.network.routing import Router
 
 __all__ = ["BatchEvaluator", "BatchScores", "DenseRoutes", "penalty_rows"]
 
@@ -145,9 +145,9 @@ class DenseRoutes:
     """Dense ``(S, S)`` delay matrices over one router's route table.
 
     The batch kernel's half of the shared topology: built once per
-    :class:`~repro.network.routing.RouteTable` -- so once per router --
-    and borrowed by every :class:`BatchEvaluator` on it, whichever
-    instance or tenant it prices. Obtain it through :meth:`of`.
+    :class:`~repro.network.routing.Router` and borrowed by every
+    :class:`BatchEvaluator` on it, whichever instance or tenant it
+    prices. Obtain it through :meth:`of`.
 
     Attributes
     ----------
@@ -163,24 +163,24 @@ class DenseRoutes:
         so :meth:`refresh` rewrites them in place.
     """
 
-    def __init__(self, table: RouteTable):
-        # weak, like the table's own reference to its router: the table
-        # owns these matrices
-        self._table = weakref.ref(table)
+    def __init__(self, router: Router):
+        # weak: the router owns these matrices, and a cycle would leave
+        # every discarded router to the cyclic garbage collector
+        self._router = weakref.ref(router)
         self.matrices: dict[float, np.ndarray] = {}
         self._read()
 
     @property
-    def table(self) -> RouteTable:
-        """The route table these matrices are read from."""
-        return self._table()
+    def router(self) -> Router:
+        """The router whose route table these matrices are read from."""
+        return self._router()
 
     @classmethod
-    def of(cls, table: RouteTable) -> "DenseRoutes":
-        """The dense matrices of *table*, built on first use."""
-        dense = table.dense
+    def of(cls, router: Router) -> "DenseRoutes":
+        """The dense matrices of *router*, built on first use."""
+        dense = router.dense
         if dense is None:
-            dense = table.dense = cls(table)
+            dense = router.dense = cls(router)
         return dense
 
     def _read(self) -> None:
@@ -191,8 +191,8 @@ class DenseRoutes:
         collected instead: they are priced per message size when a
         delay matrix is built.
         """
-        table = self.table
-        routes = table.routes
+        router = self.router
+        routes = router.route_table()
         servers = len(routes)
         base = np.zeros((servers, servers))
         rate = np.zeros((servers, servers))
@@ -202,7 +202,7 @@ class DenseRoutes:
             for j in range(servers):
                 coeff = row[j]
                 if coeff is None:
-                    coeff = table.resolve(i, j)
+                    coeff = router.resolve(i, j)
                 if coeff:
                     base[i, j] = coeff[0]
                     rate[i, j] = coeff[1]
@@ -215,8 +215,9 @@ class DenseRoutes:
     def _sized_times(
         self, pairs: Sequence[tuple[int, int]], size_bits: float
     ) -> list[float]:
-        names = self.table.server_names
-        return self.table.router.transmission_times(
+        router = self.router
+        names = router.server_names
+        return router.transmission_times(
             [(names[i], names[j]) for i, j in pairs], size_bits
         )
 
@@ -241,7 +242,7 @@ class DenseRoutes:
     def retain(self, sizes: Collection[float]) -> None:
         """Drop the delay matrix of every message size not in *sizes*.
 
-        For the owner of the evaluators on this table -- the fleet state
+        For the owner of the evaluators on this router -- the fleet state
         -- to call with the sizes its live tenants price, so refreshes
         and memory follow the live tenants instead of every size priced
         since the router was built. A dropped matrix is no longer
@@ -254,9 +255,9 @@ class DenseRoutes:
     def refresh(self, affected: "set[tuple[int, int]] | None" = None) -> None:
         """Rebuild every matrix in place after a route refresh.
 
-        Called by :meth:`RouteTable.refresh
-        <repro.network.routing.RouteTable.refresh>` once the table holds
-        the post-event coefficients: re-reads every pair into
+        Called by :meth:`Router.invalidate
+        <repro.network.routing.Router.invalidate>` once the route table
+        holds the post-event coefficients: re-reads every pair into
         ``base``/``rate`` and recomputes each cached per-size matrix
         **in place**, because evaluators' per-operation incoming tuples
         hold references to those arrays.
@@ -343,7 +344,7 @@ class BatchEvaluator:
         )
 
         # ---- per-operation incoming edges, shared delay matrix attached
-        self.routes = DenseRoutes.of(compiled.route_table)
+        self.routes = DenseRoutes.of(compiled.router)
         matrix = self.routes.matrix
         self._incoming: tuple[tuple[tuple[int, "np.ndarray"], ...], ...] = (
             tuple(

@@ -36,11 +36,11 @@ depends only on the network:
   the dirty-region and scope memos -- compiled once per workflow and
   probability setting and never changed;
 * the **topology half** -- server index, capacities, the connectivity
-  check and the route-delay table -- where the route part is one
-  :class:`~repro.network.routing.RouteTable` per router, borrowed by
-  every instance on that router and refreshed in place when links
-  change (:meth:`Router.invalidate
-  <repro.network.routing.Router.invalidate>`).
+  check and the route-delay table -- where the route part is the
+  router's own index-keyed table (:meth:`Router.route_table
+  <repro.network.routing.Router.route_table>`), borrowed by every
+  instance on that router and rewritten in place when links change
+  (:meth:`Router.invalidate <repro.network.routing.Router.invalidate>`).
 
 Only ``Tproc``, the ideal-load vector and the transition tables are
 per instance. :meth:`CompiledInstance.rebind` moves a compiled workflow
@@ -293,13 +293,9 @@ def _checked(objective: TransitionObjective) -> TransitionObjective:
 
 
 def _shared_router(network: ServerNetwork, router: Router | None) -> Router:
-    """*router* (a fresh one when omitted), its route table built.
-
-    Building the table checks that the network is connected; its server
-    order must be *network*'s.
-    """
+    """*router* (a fresh one when omitted), over *network*'s servers."""
     router = router or Router(network)
-    if router.route_table().server_names != network.server_names:
+    if router.server_names != network.server_names:
         raise DeploymentError(
             f"the router's network {router.network.name!r} does not have "
             f"the servers of {network.name!r}"
@@ -315,12 +311,12 @@ class CompiledInstance:
     only per-evaluation input is a server vector ``servers[op_index] ->
     server_index``. The instance is made of a workflow half
     (:class:`CompiledWorkflow`, :attr:`compiled_workflow`) and a
-    topology half whose route table (:attr:`route_table`) is shared by
+    topology half whose route table (:attr:`routes`) is shared by
     every instance on the same router. Neither changes value after
     construction (the route table and the memos fill lazily), with one
     sanctioned exception: when *link parameters* change at runtime,
     :meth:`Router.invalidate <repro.network.routing.Router.invalidate>`
-    refreshes the shared route table in place and
+    rewrites the shared route table in place and
     :meth:`refresh_routes` (or :meth:`invalidate_routes`, which does
     both) refreshes this instance's migration rows. A changed server
     set needs a new router and :meth:`rebind`, a changed capacity
@@ -384,13 +380,14 @@ class CompiledInstance:
     join_code, xor_weights, xor_weight_total:
         Join semantics code (:data:`JOIN_MAX`/:data:`JOIN_MIN`/
         :data:`JOIN_XOR`) plus the static XOR join weights.
-    route_table, routes:
-        The router's shared :class:`~repro.network.routing.RouteTable`
-        and its lazily-filled per-``(server, server)`` affine
-        route-delay table: ``(propagation_s, transfer_s_per_bit)``,
-        ``None`` when not yet resolved, ``()`` for the rare genuinely
-        size-dependent pairs (answered by the router per size). Read
-        through :meth:`delay` unless you replicate its fallback.
+    routes:
+        The router's shared, lazily-filled per-``(server, server)``
+        affine route-delay table (:meth:`Router.route_table
+        <repro.network.routing.Router.route_table>`):
+        ``(propagation_s, transfer_s_per_bit)``, ``None`` when not yet
+        resolved, ``()`` for the rare genuinely size-dependent pairs
+        (answered by the router per size). Read through :meth:`delay`
+        unless you replicate its fallback.
     objective, transition_aware, migration_weight:
         The resolved :class:`~repro.core.migration.TransitionObjective`
         plus its unpacked gate and coefficient.
@@ -476,11 +473,10 @@ class CompiledInstance:
         self.transition_aware = objective.transition_aware
 
         # ---- topology half: the shared routes, then capacities ---------
-        table = self.route_table = router.route_table()
         self.router = router
-        self.routes = table.routes
-        self.server_names: tuple[str, ...] = table.server_names
-        self.server_index: dict[str, int] = table.server_index
+        self.routes = router.route_table()
+        self.server_names: tuple[str, ...] = router.server_names
+        self.server_index: dict[str, int] = router.server_index
         self.num_servers = len(self.server_names)
         self.power: tuple[float, ...] = tuple(
             network.server(name).power_hz for name in self.server_names
@@ -571,13 +567,12 @@ class CompiledInstance:
 
         Every server's rows through
         :meth:`~repro.network.routing.Router.compile_all_pairs` (at most
-        two single-source Dijkstra passes per server) followed by a bulk
-        refill of the shared route table and this instance's migration
-        rows -- bit-identical entries to what lazy resolution would
-        produce, without counting cache traffic.
+        two single-source Dijkstra passes per server), which fills the
+        shared route table as it classifies, followed by this instance's
+        migration rows -- bit-identical entries to what lazy resolution
+        would produce, without counting cache traffic.
         """
         self.router.compile_all_pairs()
-        self.route_table.refresh()
         self.refresh_routes()
 
     def invalidate_routes(self) -> None:
@@ -586,7 +581,7 @@ class CompiledInstance:
         The explicit invalidation/rebuild hook of the scenario layer:
         when a link fails, degrades or is upgraded, the compiled
         artifact stays valid *except* for everything derived from route
-        delays. The router recomputes immediately and refreshes its
+        delays. The router recomputes immediately and rewrites its
         shared route table and dense delay matrices in place (see
         :meth:`repro.network.routing.Router.invalidate`); then this
         instance's migration rows follow (:meth:`refresh_routes`).
@@ -615,7 +610,7 @@ class CompiledInstance:
     ) -> None:
         """Refresh this instance's route-derived state after a link change.
 
-        The shared route table and dense matrices were already refreshed
+        The shared route table and dense matrices were already rewritten
         by :meth:`Router.invalidate
         <repro.network.routing.Router.invalidate>`; what is left per
         instance is the transition-aware migration table (and the batch
@@ -673,7 +668,7 @@ class CompiledInstance:
         """
         coeff = self.routes[source][target]
         if coeff is None:
-            coeff = self.route_table.resolve(source, target)
+            coeff = self.router.resolve(source, target)
         return coeff
 
     def delay(self, source: int, target: int, size_bits: float) -> float:
@@ -688,7 +683,7 @@ class CompiledInstance:
         """
         coeff = self.routes[source][target]
         if coeff is None:
-            coeff = self.route_table.resolve(source, target)
+            coeff = self.router.resolve(source, target)
         if coeff:
             return coeff[0] + size_bits * coeff[1]
         return self.router.transmission_time(

@@ -39,11 +39,11 @@ consumer -- the compiled instances (and through them ``CostModel``/
 reads paths and affine coefficients from here, over arbitrary weighted
 graphs with heterogeneous per-link speeds and propagation delays.
 Nothing downstream assumes a uniform bus or a line; those are just the
-easy special cases. The index-keyed form of those coefficients is one
-:class:`RouteTable` per router (:meth:`Router.route_table`), which
-every :class:`~repro.core.compiled.CompiledInstance` on the router
-borrows, so a fleet of tenants reads each pair once instead of once per
-tenant.
+easy special cases. The router keeps each classified pair in one store
+with two views: the name-keyed cache behind the queries above and the
+index-keyed route table (:meth:`Router.route_table`), which every
+:class:`~repro.core.compiled.CompiledInstance` on the router borrows,
+so a fleet of tenants reads each pair once instead of once per tenant.
 
 Cache effectiveness is observable through :attr:`Router.hits` /
 :attr:`Router.misses` / :attr:`Router.hit_rate`; recompute effort
@@ -52,21 +52,19 @@ through :attr:`Router.dijkstra_runs`, :attr:`Router.pairs_invalidated`,
 Link parameters may change at runtime (the fleet's link
 failure/degradation events); :meth:`Router.invalidate` is the one
 refresh hook: it re-runs only the single-source passes a changed edge
-could alter, for any kind of change (DESIGN.md §15), and refreshes the
-router's route table in place. A server change needs a new router.
+could alter, for any kind of change (DESIGN.md §15), rewriting the
+route table's slots in place. A server change needs a new router.
 
 Between mutations the network is treated as frozen.
 """
 
 from __future__ import annotations
 
-import weakref
-
 from repro.exceptions import NetworkError
 from repro.network import apsp
 from repro.network.topology import ServerNetwork
 
-__all__ = ["Router", "RouteTable"]
+__all__ = ["Router"]
 
 #: Per-size fallback entries kept for size-*dependent* server pairs
 #: before the oldest half is evicted (bounds memory on adversarial
@@ -83,10 +81,18 @@ class Router:
         The server network to route over. The router snapshots the
         topology lazily on first query (into a
         :class:`repro.network.apsp.CompiledGraph`) and assumes links do
-        not change until :meth:`invalidate`.
+        not change until :meth:`invalidate`. Its server set is fixed:
+        a changed one needs a new router.
 
     Attributes
     ----------
+    server_names, server_index:
+        Server names in network order and the name -> index map; the
+        route table's indices.
+    dense:
+        The batch kernel's dense matrices over the route table
+        (:class:`repro.core.batch.DenseRoutes`), built on first use and
+        refreshed in place by :meth:`invalidate`; ``None`` before.
     hits, misses:
         Cache counters over non-co-located :meth:`transmission_time`,
         :meth:`pair_coefficients` and :meth:`path` queries (and their
@@ -101,7 +107,7 @@ class Router:
         Cumulative count over :meth:`invalidate` calls of the canonical
         pairs reported as changed (the returned sets: a changed route,
         dropped per-size entries, or every size-dependent pair after an
-        eviction) -- what the route table and consumers re-derive.
+        eviction) -- what the dense matrices and consumers re-derive.
     pairs_recomputed:
         Cumulative count over :meth:`invalidate` calls of the cached
         pairs reclassified from their source's rows (a pair whose path
@@ -118,7 +124,22 @@ class Router:
         self._network = network
         self._graph: apsp.CompiledGraph | None = None
         # the snapshot's dense certificate, built on its first use
-        self._dense: object | None = None
+        self._certificate: object | None = None
+        self.server_names: tuple[str, ...] = network.server_names
+        self.server_index: dict[str, int] = {
+            name: i for i, name in enumerate(self.server_names)
+        }
+        count = len(self.server_names)
+        # routes[i][j]: the index view of the pair cache, written with it
+        # by _store; co-located pairs are free at any size
+        self._routes: list[list[tuple[float, float] | tuple[()] | None]] = [
+            [None] * count for _ in range(count)
+        ]
+        for i in range(count):
+            self._routes[i][i] = (0.0, 0.0)
+        # the connectivity check runs once, when the table is first bound
+        self._connected = False
+        self.dense = None
         self._route_cache: dict[tuple[str, str], apsp.PairRoute] = {}
         self._sized_path_cache: dict[tuple[str, str, float], tuple[str, ...]] = {}
         # canonical source index -> its (min-propagation, min-transfer)
@@ -132,7 +153,6 @@ class Router:
         self.pairs_invalidated = 0
         self.pairs_recomputed = 0
         self.last_invalidation: dict[str, object] | None = None
-        self._table: RouteTable | None = None
 
     @property
     def network(self) -> ServerNetwork:
@@ -151,15 +171,36 @@ class Router:
     def _compiled_graph(self) -> apsp.CompiledGraph:
         graph = self._graph
         if graph is None:
-            graph = self._graph = apsp.compile_graph(self._network)
+            graph = self._graph = self._snapshot()
         return graph
 
-    def _store(self, a: str, b: str, route: apsp.PairRoute) -> None:
-        """Cache one classified canonical pair (both directions)."""
+    def _snapshot(self) -> apsp.CompiledGraph:
+        """A fresh snapshot of the network, over this router's servers."""
+        graph = apsp.compile_graph(self._network)
+        if graph.names != self.server_names:
+            raise NetworkError(
+                f"{self._network.name!r} changed servers: use a new Router"
+            )
+        return graph
+
+    def _store(self, si: int, ti: int, route: apsp.PairRoute) -> None:
+        """The one write of a classified canonical pair ``(si, ti)``.
+
+        Fills the name cache in both directions and the route table's
+        two slots: the affine coefficients, or ``()`` for a
+        size-dependent pair (answered per size).
+        """
+        a, b = self.server_names[si], self.server_names[ti]
         self._route_cache[(a, b)] = route
         # symmetric network: the reverse path is optimal in reverse,
         # with the *same* coefficient floats
         self._route_cache[(b, a)] = route.reversed()
+        coeff = (
+            (route.propagation_s, route.transfer_s_per_bit)
+            if route.size_independent
+            else ()
+        )
+        self._routes[si][ti] = self._routes[ti][si] = coeff
 
     def _route(self, source: str, target: str) -> apsp.PairRoute:
         """The pair's route, built on a miss; counts the query.
@@ -366,25 +407,36 @@ class Router:
         return None
 
     def cached_route(self, source: str, target: str) -> apsp.PairRoute | None:
-        """The cached entry for a pair, without counting a query.
-
-        The bulk-refill accessor: after :meth:`compile_all_pairs` or
-        :meth:`invalidate` the compiled-instance route table reads every
-        pair through here so route refreshes do not distort the
-        hit/miss telemetry of real pricing traffic.
-        """
+        """The cached entry for a pair, without counting a query."""
         return self._route_cache.get((source, target))
 
-    def route_table(self) -> RouteTable:
-        """The shared index-keyed :class:`RouteTable` over this router.
+    def route_table(self) -> list[list[tuple[float, float] | tuple[()] | None]]:
+        """The index-keyed route table every compiled instance borrows.
 
-        Built on first use and kept for the router's lifetime;
-        :meth:`invalidate` refreshes it in place.
+        ``routes[i][j]``, over :attr:`server_names`, holds the pair's
+        affine ``(propagation_s, transfer_s_per_bit)`` coefficients,
+        ``()`` for a size-dependent pair (answered per size) or ``None``
+        until the pair's source is filled (:meth:`resolve`); co-located
+        pairs are ``(0.0, 0.0)``. The same lists for the router's
+        lifetime: every classification, :meth:`invalidate` included,
+        rewrites their slots in place. The first call checks that the
+        network is connected.
         """
-        table = self._table
-        if table is None:
-            table = self._table = RouteTable(self)
-        return table
+        if not self._connected:
+            self._network.require_connected()
+            self._connected = True
+        return self._routes
+
+    def resolve(self, source: int, target: int) -> tuple:
+        """Fill an unresolved route-table slot; return its coefficients.
+
+        A counted query (:meth:`pair_coefficients`): a cold pair fills
+        its canonical source, and with it every slot of that source's
+        row and column.
+        """
+        names = self.server_names
+        self.pair_coefficients(names[source], names[target])
+        return self._routes[source][target]
 
     def hop_count(self, source: str, target: str, size_bits: float = 0.0) -> int:
         """Number of links on the chosen route (0 when co-located)."""
@@ -419,25 +471,27 @@ class Router:
         """
         if si in self._rows:
             return 0
-        names = self._graph.names
         rows = (
             self._source_row(si, apsp.WEIGHT_PROPAGATION),
             self._source_row(si, apsp.WEIGHT_TRANSFER),
         )
+        first = si + 1
         routes = [
-            (names[ti], self._classify(si, ti, rows))
-            for ti in range(si + 1, len(names))
+            self._classify(si, ti, rows)
+            for ti in range(first, len(self.server_names))
         ]
         self._rows[si] = rows
-        for target, route in routes:
-            self._store(names[si], target, route)
+        for ti, route in enumerate(routes, start=first):
+            self._store(si, ti, route)
         return len(routes)
 
     def _source_row(self, source: int, weight: int) -> apsp.Row:
         """One full pass of the snapshot (or its dense certificate)."""
-        if self._dense is None:
-            self._dense = apsp.dense_dominance(self._graph) or False
-        row, runs = apsp.source_row(self._graph, source, weight, self._dense or None)
+        if self._certificate is None:
+            self._certificate = apsp.dense_dominance(self._graph) or False
+        row, runs = apsp.source_row(
+            self._graph, source, weight, self._certificate or None
+        )
         self.dijkstra_runs += runs
         return row
 
@@ -465,21 +519,17 @@ class Router:
         Returns the canonical ``(server, server)`` pairs whose cached
         route changed or whose per-size entries dropped -- every
         size-dependent pair once per-size entries were evicted -- so
-        consumers re-derive their per-size prices. The
-        :meth:`route_table`, when built, is refreshed from those pairs
-        before this returns. Hit/miss counters are kept; the work lands
-        in :attr:`last_invalidation`.
+        consumers re-derive their per-size prices. Reclassified pairs are
+        rewritten in the :meth:`route_table`, and the :attr:`dense`
+        matrices, when built, are refreshed over those pairs before this
+        returns. Hit/miss counters are kept; the work lands in
+        :attr:`last_invalidation`.
         """
         runs_before = self.dijkstra_runs
-        old = self._graph
-        graph = self._graph = apsp.compile_graph(self._network)
-        self._dense = None
-        if old is None or graph.names != old.names:
-            if self._route_cache:
-                raise NetworkError(
-                    f"{self._network.name!r} changed servers: use a new Router"
-                )
-            old = graph
+        graph = self._snapshot()
+        old = graph if self._graph is None else self._graph
+        self._graph = graph
+        self._certificate = None
         change = apsp.diff_graphs(old, graph)
         names = graph.names
         affected: set[tuple[str, str]] = set()
@@ -493,7 +543,7 @@ class Router:
                 route = self._classify(si, ti, self._rows[si])
                 if route != self._route_cache[pair]:
                     affected.add(pair)
-                self._store(*pair, route)
+                self._store(si, ti, route)
         sized_dropped = self._drop_sized(change)
         affected |= sized_dropped
         if self._sized_evicted and (change.moved or change.improved):
@@ -514,8 +564,13 @@ class Router:
             "sized_pairs_dropped": len(sized_dropped),
             "dijkstra_runs": self.dijkstra_runs - runs_before,
         }
-        if self._table is not None:
-            self._table.refresh(affected)
+        if affected and self.dense is not None:
+            index = self.server_index
+            scope = set()
+            for a, b in affected:
+                scope.add((index[a], index[b]))
+                scope.add((index[b], index[a]))
+            self.dense.refresh(scope)
         return affected
 
     def _refresh_rows(
@@ -562,100 +617,3 @@ class Router:
         self.pairs_invalidated = 0
         self.pairs_recomputed = 0
         self.last_invalidation = None
-
-
-class RouteTable:
-    """The index-keyed route-delay table of one router, shared.
-
-    The route half of a compiled instance's topology: ``routes[i][j]``,
-    over the router network's server order, holds the pair's affine
-    ``(propagation_s, transfer_s_per_bit)`` coefficients, ``()`` for the
-    rare size-dependent pairs (answered by the router per size), or
-    ``None`` until first read; co-located pairs are ``(0.0, 0.0)``.
-    Every :class:`~repro.core.compiled.CompiledInstance` on the router
-    borrows the same table (obtain it through
-    :meth:`Router.route_table`), and :attr:`dense` holds the batch
-    kernel's dense matrices over it once one is built. Both are
-    refreshed in place by :meth:`Router.invalidate`, because consumers
-    hold references to them.
-
-    Construction checks that the network is connected. The table refers
-    to its router weakly: the router owns the table, and a cycle would
-    leave every discarded router (and its route cache) to the cyclic
-    garbage collector instead of freeing it at once.
-    """
-
-    def __init__(self, router: Router):
-        network = router.network
-        network.require_connected()
-        self._router = weakref.ref(router)
-        self.server_names: tuple[str, ...] = network.server_names
-        self.server_index: dict[str, int] = {
-            name: i for i, name in enumerate(self.server_names)
-        }
-        count = len(self.server_names)
-        self.routes: list[list[tuple[float, float] | tuple[()] | None]] = [
-            [None] * count for _ in range(count)
-        ]
-        for i in range(count):
-            self.routes[i][i] = (0.0, 0.0)  # co-located: free, any size
-        #: The batch kernel's dense matrices over this table
-        #: (:class:`repro.core.batch.DenseRoutes`), built on first use.
-        self.dense = None
-
-    @property
-    def router(self) -> Router:
-        """The router that owns this table."""
-        return self._router()
-
-    def resolve(self, source: int, target: int) -> tuple:
-        """Fill one pair's slots from the router; return the coefficients.
-
-        Both directions at once: the router builds every pair from its
-        canonical direction, so the reverse coefficients are the same
-        floats. Counted as a router query
-        (:meth:`Router.pair_coefficients`).
-        """
-        names = self.server_names
-        coeff = self.router.pair_coefficients(names[source], names[target])
-        if coeff is None:
-            coeff = ()  # size-dependent pair: router answers per size
-        self.routes[source][target] = coeff
-        self.routes[target][source] = coeff
-        return coeff
-
-    def refresh(self, affected: set[tuple[str, str]] | None = None) -> None:
-        """Re-read pairs from the router's caches, then the dense matrices.
-
-        *affected* is the set of canonical ``(server, server)`` name
-        pairs :meth:`Router.invalidate` returned, or ``None`` for every
-        pair. Reads go through :meth:`Router.cached_route`, so a refresh
-        does not count as router queries.
-        """
-        if affected is not None and not affected:
-            return  # the invalidation changed none of the routes
-        routes = self.routes
-        names = self.server_names
-        router = self.router
-        if affected is None:
-            count = len(names)
-            pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
-        else:
-            index = self.server_index
-            pairs = [(index[a], index[b]) for a, b in affected]
-        for i, j in pairs:
-            route = router.cached_route(names[i], names[j])
-            coeff: tuple[float, float] | tuple[()] | None
-            if route is None:  # pragma: no cover - the router compiles first
-                coeff = None
-            elif route.size_independent:
-                coeff = (route.propagation_s, route.transfer_s_per_bit)
-            else:
-                coeff = ()
-            routes[i][j] = coeff
-            routes[j][i] = coeff
-        if self.dense is not None:
-            scope = None
-            if affected is not None:
-                scope = set(pairs) | {(j, i) for i, j in pairs}
-            self.dense.refresh(scope)

@@ -568,17 +568,19 @@ class FleetController:
             },
         )
 
-    def _drive_rebalance(self) -> dict[str, str]:
-        """Drift check + bounded rebalance after a topology patch.
+    def _drive_rebalance(self, tick: bool = False) -> dict[str, str]:
+        """Drift check + bounded rebalance; the event's log details.
 
-        The same test :meth:`_on_tick` applies, run immediately when a
-        link failed or degraded: re-routed traffic may have shifted the
-        time-penalty share of the objective past the threshold, and
-        waiting for the next scheduled tick would leave the fleet
-        unbalanced in between. Cooldowns are *set* for moved tenants
-        (hysteresis must keep damping oscillation) but not decayed --
-        these events are not ticks. Returns the detail entries for the
-        event's log record.
+        Rebalances when the time-penalty share of the objective exceeds
+        :attr:`FleetConfig.drift_threshold`, and adds the ``churn``/
+        ``objective_*``/``gain`` entries (plus ``migration``/
+        ``net_gain`` when transition-aware and ``stopped`` when the
+        runtime cut the scan) after ``drift``. A *tick* also counts
+        every cooldown down; link failures and degrades run the same
+        test at once -- re-routed traffic may have shifted the drift
+        past the threshold -- and set cooldowns for moved tenants
+        (hysteresis must keep damping oscillation) without decaying
+        them, since those events are not ticks.
         """
         snapshot = self.state.snapshot()
         if snapshot.objective > 0:
@@ -590,12 +592,19 @@ class FleetController:
             drift = 0.0
         details = {"drift": format_detail(drift)}
         if drift <= self.config.drift_threshold:
+            if tick:
+                self._decay_cooldowns()
             return details
         moves, before, after, migration_total = self._greedy_moves(
             targets=None,
             candidates=self._busiest_server_operations,
             max_moves=self.config.max_moves_per_rebalance,
         )
+        # cooldown bookkeeping: candidates were filtered against the
+        # *pre-decrement* counters, so a cooldown of N skips exactly N
+        # ticks; tenants moved now start their cooldown afresh
+        if tick:
+            self._decay_cooldowns()
         if self.config.rebalance_cooldown_ticks > 0:
             for tenant, _operation, _source, _target in moves:
                 self._tenant_cooldowns[tenant] = (
@@ -621,48 +630,9 @@ class FleetController:
         return details
 
     def _on_tick(self, event: Tick) -> tuple[str, str, dict[str, str]]:
-        snapshot = self.state.snapshot()
-        if snapshot.objective > 0:
-            drift = (
-                self.state.penalty_weight * snapshot.time_penalty
-                / snapshot.objective
-            )
-        else:
-            drift = 0.0
-        if drift <= self.config.drift_threshold:
-            self._decay_cooldowns()
-            return "fleet", "steady", {"drift": format_detail(drift)}
-        moves, before, after, migration_total = self._greedy_moves(
-            targets=None,
-            candidates=self._busiest_server_operations,
-            max_moves=self.config.max_moves_per_rebalance,
-        )
-        # cooldown bookkeeping: candidates were filtered against the
-        # *pre-decrement* counters, so a cooldown of N skips exactly N
-        # ticks; tenants moved this tick start their cooldown afresh
-        self._decay_cooldowns()
-        if self.config.rebalance_cooldown_ticks > 0:
-            for tenant, _operation, _source, _target in moves:
-                self._tenant_cooldowns[tenant] = (
-                    self.config.rebalance_cooldown_ticks
-                )
-        details = {
-            "drift": format_detail(drift),
-            "churn": format_detail(len(moves)),
-            "objective_before": format_detail(before),
-            "objective_after": format_detail(after),
-            "gain": format_detail(before - after),
-        }
-        if self._transition_aware:
-            details["migration"] = format_detail(migration_total)
-            details["net_gain"] = format_detail(
-                before - after
-                - self.config.migration_weight * migration_total
-            )
-        report = self.last_rebalance_report
-        if report is not None and not report.exhausted:
-            details["stopped"] = report.stop_reason
-        return "fleet", "rebalanced", details
+        details = self._drive_rebalance(tick=True)
+        action = "rebalanced" if "churn" in details else "steady"
+        return "fleet", action, details
 
     @property
     def _transition_aware(self) -> bool:
@@ -812,13 +782,15 @@ class FleetController:
         ) -> float:
             """One-time cost of moving operation *op*'s state to *target*.
 
-            Checkpoint transfer over the fleet's current links (routed
-            through the tenant's compiled instance) plus the model's
-            fixed downtime. State size scales with the operation's raw
-            cycle count -- probability never shrinks a checkpoint.
+            The model's price of the checkpoint transfer over the fleet's
+            current links (routed through the tenant's compiled
+            instance). State size scales with the operation's raw cycle
+            count -- probability never shrinks a checkpoint.
             """
-            return migration_model.downtime_s + instance.delay(
-                source, target, migration_model.state_bits(instance.cycles[op])
+            return migration_model.move_cost(
+                instance.delay(
+                    source, target, migration_model.state_bits(instance.cycles[op])
+                )
             )
 
         self.evaluations += 1

@@ -456,7 +456,7 @@ class FleetState:
             model.compiled.refresh_routes(affected)
         if not affected:
             return
-        index = {name: i for i, name in enumerate(self._network.server_names)}
+        index = self._router.server_index
         changed = set()
         for a, b in affected:
             changed.add((index[a], index[b]))
@@ -477,7 +477,7 @@ class FleetState:
         nothing else frees the message sizes of departed or drifted
         workflows; without this, every link event would re-price them.
         """
-        dense = self._router.route_table().dense
+        dense = self._router.dense
         if dense is not None:
             dense.retain(
                 {

@@ -499,9 +499,9 @@ class TestTwoHalves:
         other = CompiledInstance(
             line_workflow(4, seed=1), network, router=compiled.router
         )
-        assert other.route_table is compiled.route_table
+        assert other.router is compiled.router
         assert other.routes is compiled.routes
-        assert compiled.route_table is compiled.router.route_table()
+        assert compiled.routes is compiled.router.route_table()
         # a pair resolved through one instance is resolved for both
         other.delay(0, 2, 1e6)
         assert compiled.routes[0][2] is not None
@@ -524,14 +524,13 @@ class TestTwoHalves:
         network = bus_network((1e9, 2e9, 3e9), speed_bps=1e8)
         compiled = CompiledInstance(line_workflow(4, seed=1), network)
         compiled.delay(0, 1, 1e6)
-        DenseRoutes.of(compiled.route_table)
+        dense = weakref.ref(DenseRoutes.of(compiled.router))
         router = weakref.ref(compiled.router)
-        table = weakref.ref(compiled.route_table)
         gc.disable()
         try:
             del compiled
             # freed by reference counting
-            assert router() is None and table() is None
+            assert router() is None and dense() is None
         finally:
             gc.enable()
 

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.compiled import CompiledInstance
-from repro.exceptions import DisconnectedNetworkError, UnknownServerError
+from repro.exceptions import (
+    DisconnectedNetworkError,
+    NetworkError,
+    UnknownServerError,
+)
 from repro.network.routing import Router
 from repro.network.topology import (
     Link,
@@ -216,6 +220,76 @@ class TestCompileAllPairs:
         router.compile_all_pairs()
         assert router.cached_route("S1", "S2") is not None
         assert (router.hits, router.misses) == (0, 0)
+
+
+class TestRouteTable:
+    """The index view of the pair cache, written with it in one place."""
+
+    def test_cold_query_fills_every_slot_of_its_source(self):
+        network = line_network([1e9] * 4, speeds_bps=[10e6, 100e6, 50e6])
+        router = Router(network)
+        routes = router.route_table()
+        # canonical source S2 owns the pairs (S2, S3) and (S2, S4)
+        router.pair_coefficients("S3", "S2")
+        assert (router.hits, router.misses) == (0, 1)
+        for i, j in ((0, 1), (0, 2), (0, 3), (2, 3)):
+            assert routes[i][j] is None and routes[j][i] is None
+        for j, name in ((2, "S3"), (3, "S4")):
+            coeff = router.pair_coefficients("S2", name)
+            assert routes[1][j] == routes[j][1] == coeff
+        assert (router.hits, router.misses) == (2, 1)
+
+    def test_resolve_is_a_counted_query(self, bus3):
+        router = Router(bus3)
+        routes = router.route_table()
+        coeff = router.resolve(2, 0)
+        assert coeff == routes[0][2] == router.pair_coefficients("S1", "S3")
+        assert (router.hits, router.misses) == (1, 1)
+
+    def test_invalidate_rewrites_the_same_table(self):
+        network = line_network([1e9] * 3, speeds_bps=[10e6, 100e6])
+        router = Router(network)
+        routes = router.route_table()
+        router.compile_all_pairs()
+        network.connect("S1", "S3", 1e9)
+        router.invalidate()
+        assert router.route_table() is routes
+        fresh = Router(network)
+        for i in range(3):
+            for j in range(3):
+                assert routes[i][j] == fresh.resolve(i, j), (i, j)
+
+    def test_connectivity_is_checked_once_when_the_table_is_bound(
+        self, bus3, monkeypatch
+    ):
+        router = Router(bus3)
+        calls = []
+        monkeypatch.setattr(
+            bus3, "require_connected", lambda: calls.append(True)
+        )
+        for workflow_seed in (1, 2):
+            CompiledInstance(
+                line_workflow(3, seed=workflow_seed), bus3, router=router
+            )
+        assert calls == [True]
+
+    def test_disconnected_network_refuses_the_table(self):
+        network = ServerNetwork("split")
+        network.add_servers([Server(f"S{i}", 1e9) for i in range(1, 4)])
+        network.connect("S2", "S3", 100e6)
+        router = Router(network)
+        assert router.path("S2", "S3") == ("S2", "S3")  # names still route
+        with pytest.raises(DisconnectedNetworkError):
+            router.route_table()
+
+    def test_changed_server_set_needs_a_new_router(self, bus3):
+        router = Router(bus3)
+        bus3.add_server(Server("S9", 1e9))
+        bus3.connect("S9", "S1", 100e6)
+        with pytest.raises(NetworkError, match="use a new Router"):
+            router.invalidate()
+        with pytest.raises(NetworkError, match="use a new Router"):
+            router.path("S1", "S2")
 
 
 class TestInvalidate:

@@ -102,7 +102,9 @@ def _targeted_build_route(router: Router, source: str, target: str):
             f"{router.network.name!r}"
         ) from None
     router.dijkstra_runs += 2
-    router._store(a, b, apsp.classify_pair(graph, path_zero, path_large))
+    router._store(
+        index[a], index[b], apsp.classify_pair(graph, path_zero, path_large)
+    )
     return router._route_cache[(source, target)]
 
 

@@ -2,22 +2,25 @@
 
 The fleet keeps each tenant's compiled workflow across server changes
 (rebinding it to the new network and router) and keeps one route table
-per router, which every tenant borrows and link events refresh in
+per router, which every tenant borrows and link events rewrite in
 place. Random sequences of admissions, departures, server failures and
 joins, region outages, capacity and workload drifts, ticks, link
 degrades and link failures are driven through
 :class:`~repro.service.controller.FleetController` on a heterogeneous
 full mesh (so degrades leave size-dependent pairs), a sparse random
-network with mixed 10M/100M/1G links, or the bundled Abilene backbone
+network with mixed 10M/100M/1G links, the bundled Abilene backbone
 (sparse, multi-hop, heterogeneous propagation), whose servers fall into
-two regions. Failures and outages are drawn without regard to
+two regions, or a seeded three-region geo fleet (complete, with
+jittered backbone latencies that may make relaying through a third
+region faster). Failures and outages are drawn without regard to
 connectivity, so some would split the fleet and must be refused. After
 *every* event every tenant must be completely placed on live servers,
-and each tenant's artifact must equal, field for field, a fresh
-``CompiledInstance`` on a router over a copy of the network:
+every slot the fleet router's route table has filled must equal a
+fresh router's over a copy of the network, and each tenant's artifact
+must equal, field for field, a fresh ``CompiledInstance`` on such a
+router:
 
 * the workflow arrays, index maps, ``tproc`` and ``ideal_cycles``;
-* every route-table slot the fleet has resolved;
 * the batch kernel's dense ``base``/``rate`` matrices and every cached
   per-size delay matrix, and the tenant's batch scores on random rows;
 * the tenant's cached fleet price (execution time and loads), float for
@@ -39,7 +42,7 @@ from repro.core.compiled import CompiledInstance
 from repro.network.routing import Router
 from repro.network.topology import Server, ServerNetwork, random_network
 from repro.scenarios.loader import abilene_network
-from repro.scenarios.geo import region_of
+from repro.scenarios.geo import random_geo_network, region_of
 from repro.service.controller import FleetConfig, FleetController, StepClock
 from repro.service.events import (
     CapacityDrift,
@@ -188,7 +191,17 @@ def abilene(seed):
     )
 
 
-TOPOLOGIES = {"abilene": abilene, "mesh": mesh, "sparse": sparse}
+def geo(seed):
+    """Three cloud regions of two servers from the seeded geo factory.
+
+    A complete graph of 10G LANs and 1G backbone links whose jittered
+    latencies can break the triangle inequality, so some pairs relay
+    through a third region; an outage fails a whole region.
+    """
+    return random_geo_network(3, servers_per_region=2, seed=seed)
+
+
+TOPOLOGIES = {"abilene": abilene, "geo": geo, "mesh": mesh, "sparse": sparse}
 
 
 def workflow_for(index, seed):
@@ -249,13 +262,24 @@ def assert_placed(state):
         assert set(dict(record.deployment).values()) <= live, tenant
 
 
+def assert_routes_fresh(state):
+    """Every filled route-table slot equals a fresh router's."""
+    table = state.router.route_table()
+    reference = Router(copy.deepcopy(state.network))
+    for i, row in enumerate(table):
+        for j, coeff in enumerate(row):
+            if coeff is not None:
+                assert coeff == reference.resolve(i, j), (i, j)
+
+
 def assert_coherent(state, rng):
     assert_placed(state)
+    assert_routes_fresh(state)
     table = state.router.route_table()
     fresh_loads = []
     for tenant in state.tenants:
         compiled = state.cost_model(tenant).compiled
-        assert compiled.route_table is table, tenant
+        assert compiled.routes is table, tenant
         fresh = CompiledInstance(
             compiled.workflow,
             state.network,
@@ -276,13 +300,6 @@ def assert_coherent(state, rng):
         loads = tuple(fresh.load_values(vector))
         assert [v.hex() for v in price.loads] == [v.hex() for v in loads], tenant
         fresh_loads.append(loads)
-        servers = range(compiled.num_servers)
-        for i in servers:
-            for j in servers:
-                if compiled.routes[i][j] is not None:
-                    assert compiled.routes[i][j] == fresh.route_coefficients(
-                        i, j
-                    ), (tenant, i, j)
         evaluator = compiled.batch_evaluator()
         dense = evaluator.routes
         want = fresh.batch_evaluator().routes

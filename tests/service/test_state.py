@@ -281,7 +281,7 @@ class TestWorkCounters:
             compiled = state.cost_model(tenant).compiled
             assert compiled is not old
             assert compiled.compiled_workflow is old.compiled_workflow
-            assert compiled.route_table is table
+            assert compiled.routes is table
 
     def test_workload_drift_recompiles_only_that_tenant(
         self, fleet_network, tenant_workflows, counters
@@ -297,6 +297,19 @@ class TestWorkCounters:
         state.join_server("S9", 1e9, 100e6)
         self.price_everything(state)
         assert counters == {"compiles": 4, "dense_reads": 2}
+
+    def test_pricing_a_placed_fleet_counts_no_router_hits(
+        self, fleet_network, tenant_workflows
+    ):
+        """Route-table reads fill whole sources; name queries count hits."""
+        state = FleetState(fleet_network)
+        for name, workflow in tenant_workflows.items():
+            place_round_robin(state, name, workflow)
+        self.price_everything(state)
+        assert state.router_misses > 0
+        assert state.router_hits == 0
+        state.router.pair_coefficients("S1", "S2")
+        assert state.router_hits == 1
 
     @staticmethod
     def line_state():
@@ -345,7 +358,7 @@ class TestWorkCounters:
             cycles = [op.cycles for op in tenant_workflows[name]]
             place_round_robin(state, name, make_line(name, cycles, bits))
         self.price_everything(state)
-        dense = state.router.route_table().dense
+        dense = state.router.dense
         assert set(dense.matrices) == set(sizes.values())
         state.remove_tenant("beta")
         assert set(dense.matrices) == {1e4, 3e4}
