@@ -20,9 +20,9 @@ from repro.algorithms.local_search import HillClimbing
 from repro.algorithms.tie_resolver import FairLoadTieResolver
 from repro.core.cost import CostModel
 from repro.core.workflow import Operation, Workflow
-from repro.experiments.reporting import TextTable, format_seconds
 from repro.network.topology import bus_network
 from repro.simulation.engine import SimulationEngine
+from repro.tables import TextTable, format_seconds
 from repro.workloads.generator import line_workflow, random_line_network
 from repro.workloads.parameters import ClassCParameters
 

@@ -8,7 +8,7 @@ whole harness rests on.
 
 import random
 
-from repro.experiments.reporting import TextTable
+from repro.tables import TextTable
 from repro.workloads.generator import line_workflow, random_bus_network
 from repro.workloads.parameters import ClassCParameters
 

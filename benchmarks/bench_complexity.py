@@ -12,7 +12,7 @@ import time
 
 from repro.algorithms.base import algorithm_registry
 from repro.core.cost import CostModel
-from repro.experiments.reporting import TextTable
+from repro.tables import TextTable
 from repro.workloads.generator import line_workflow, random_bus_network
 
 from _common import emit

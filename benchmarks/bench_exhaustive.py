@@ -10,7 +10,7 @@ import pytest
 from repro.algorithms.base import algorithm_registry
 from repro.algorithms.exhaustive import Exhaustive
 from repro.core.cost import CostModel
-from repro.experiments.reporting import TextTable
+from repro.tables import TextTable
 from repro.workloads.generator import line_workflow, random_bus_network
 
 from _common import emit

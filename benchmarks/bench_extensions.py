@@ -18,8 +18,8 @@ from repro.algorithms.heavy_ops import HeavyOpsLargeMsgs
 from repro.core.cost import CostModel
 from repro.experiments.failover import analyze_failure
 from repro.experiments.multi_workflow import combine_workflows
-from repro.experiments.reporting import TextTable, format_seconds
 from repro.network.topology import bus_network
+from repro.tables import TextTable, format_seconds
 from repro.workloads.gallery import healthcare_workflow, ministry_network
 from repro.workloads.generator import line_workflow, random_bus_network
 

@@ -88,7 +88,7 @@ def bench_fig6_k_sweep(benchmark):
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    from repro.experiments.reporting import TextTable, format_seconds
+    from repro.tables import TextTable, format_seconds
 
     table = TextTable(
         ["K", *DEFAULT_ALGORITHMS],

@@ -11,12 +11,13 @@ unstable on fairness.
 import pytest
 
 from repro.experiments.classes import FIG6_BUS_SPEEDS
-from repro.experiments.reporting import TextTable, format_seconds, scatter_table
+from repro.experiments.reporting import scatter_table
 from repro.experiments.runner import (
     DEFAULT_ALGORITHMS,
     ExperimentConfig,
     ExperimentRunner,
 )
+from repro.tables import TextTable, format_seconds
 
 from _common import emit
 

@@ -31,8 +31,8 @@ import numpy
 
 from repro.core.batch import DenseRoutes
 from repro.core.compiled import CompiledInstance, CompiledWorkflow
-from repro.experiments.reporting import TextTable
 from repro.service.scenarios import build_scenario, replay
+from repro.tables import TextTable
 
 from _common import emit, write_json
 
@@ -107,9 +107,6 @@ def bench_fleet_surge_throughput(benchmark):
     table.add_row(["rejected", fresh_metrics.rejected])
     table.add_row(["rebalances", fresh_metrics.rebalances])
     table.add_row(
-        ["router hit rate", f"{fresh_metrics.router_hit_rate:.3f}"]
-    )
-    table.add_row(
         [
             "cost-model hit rate",
             f"{fresh_metrics.cost_model_hit_rate:.3f}",
@@ -122,8 +119,7 @@ def bench_fleet_surge_throughput(benchmark):
 
     # caching sanity: with batch candidate pricing (the default) route
     # pairs are materialised into the kernel's delay matrices instead of
-    # being queried per message, so the *cost-model* cache is the hot
-    # path now -- the router hit rate is reported above but not asserted
+    # being queried per message, so the *cost-model* cache is the hot path
     assert fresh_metrics.cost_model_hit_rate > 0.5
 
 

@@ -10,7 +10,7 @@ bridges exist.
 
 from repro.algorithms.line_line import LineLine
 from repro.core.cost import CostModel
-from repro.experiments.reporting import TextTable, format_seconds
+from repro.tables import TextTable, format_seconds
 from repro.workloads.generator import line_workflow, random_line_network
 
 from _common import emit

@@ -113,22 +113,9 @@ def _geo_network():
     )
 
 
-def _route_table(router: Router) -> dict:
-    """Every pair's ``(path, coefficients, classification)`` snapshot."""
-    names = router.network.server_names
-    table = {}
-    for a in names:
-        for b in names:
-            if a == b:
-                continue
-            route = router.cached_route(a, b)
-            table[(a, b)] = (
-                route.path,
-                route.propagation_s,
-                route.transfer_s_per_bit,
-                route.size_independent,
-            )
-    return table
+def _route_table(router: Router) -> list:
+    """A copy of every route-table slot (coefficients or ``()``)."""
+    return [list(row) for row in router.route_table()]
 
 
 def _lazy_fill(network) -> tuple[Router, float]:

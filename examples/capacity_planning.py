@@ -14,7 +14,7 @@ Run with::
 
 from repro import CostModel, HeavyOpsLargeMsgs, bus_network, line_workflow
 from repro.experiments.multi_workflow import combine_workflows
-from repro.experiments.reporting import TextTable, format_seconds
+from repro.tables import TextTable, format_seconds
 from repro.workloads.gallery import healthcare_workflow
 from repro.workloads.generator import GraphStructure, random_graph_workflow
 

@@ -15,7 +15,7 @@ Run with::
 
 from repro import CostModel, algorithm_registry, healthcare_workflow
 from repro.experiments.failover import analyze_failure, failover_table
-from repro.experiments.reporting import TextTable, format_seconds
+from repro.tables import TextTable, format_seconds
 from repro.workloads.gallery import ministry_network
 
 SUITE = ("FairLoad", "FL-TieResolver2", "HeavyOps-LargeMsgs")

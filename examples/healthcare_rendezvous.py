@@ -26,7 +26,7 @@ from repro import (
     algorithm_registry,
     healthcare_workflow,
 )
-from repro.experiments.reporting import TextTable, format_seconds
+from repro.tables import TextTable, format_seconds
 from repro.workloads.gallery import ministry_network
 
 SUITE = (

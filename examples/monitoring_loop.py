@@ -24,7 +24,7 @@ from repro import (
     WorkflowBuilder,
     bus_network,
 )
-from repro.experiments.reporting import format_seconds
+from repro.tables import format_seconds
 from repro.workloads.messages import COMPLEX_MESSAGE, SIMPLE_MESSAGE
 from repro.workloads.monitoring import (
     calibrated_workflow,

@@ -21,7 +21,7 @@ from repro import (
     ring_network,
     star_network,
 )
-from repro.experiments.reporting import TextTable, format_seconds
+from repro.tables import TextTable, format_seconds
 
 POWERS = [1e9, 2e9, 2e9, 3e9, 2e9]
 SPEED = 10e6

@@ -60,11 +60,7 @@ from repro.experiments.classes import (
     class_c_configs,
 )
 from repro.experiments.quality import QualityProtocol
-from repro.experiments.reporting import (
-    TextTable,
-    ascii_scatter,
-    format_seconds,
-)
+from repro.experiments.reporting import ascii_scatter
 from repro.experiments.runner import (
     DEFAULT_ALGORITHMS,
     ExperimentConfig,
@@ -73,6 +69,7 @@ from repro.experiments.runner import (
 from repro.io.dot import deployment_to_dot, workflow_to_dot
 from repro.io.json_codec import dump_instance, load_instance
 from repro.simulation.engine import SimulationEngine
+from repro.tables import TextTable, format_seconds
 
 __all__ = ["main", "build_parser"]
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -239,41 +239,23 @@ class DenseRoutes:
             self.matrices[size_bits] = matrix
         return matrix
 
-    def retain(self, sizes: Collection[float]) -> None:
-        """Drop the delay matrix of every message size not in *sizes*.
-
-        For the owner of the evaluators on this router -- the fleet state
-        -- to call with the sizes its live tenants price, so refreshes
-        and memory follow the live tenants instead of every size priced
-        since the router was built. A dropped matrix is no longer
-        refreshed: an evaluator still holding one would price stale
-        routes.
-        """
-        for size_bits in [size for size in self.matrices if size not in sizes]:
-            del self.matrices[size_bits]
-
     def refresh(self, affected: "set[tuple[int, int]] | None" = None) -> None:
         """Rebuild every matrix in place after a route refresh.
 
         Called by :meth:`Router.invalidate
         <repro.network.routing.Router.invalidate>` once the route table
-        holds the post-event coefficients: re-reads every pair into
-        ``base``/``rate`` and recomputes each cached per-size matrix
-        **in place**, because evaluators' per-operation incoming tuples
-        hold references to those arrays.
+        holds the post-event slots: re-reads every pair into
+        ``base``/``rate`` and recomputes each per-size matrix **in
+        place**, because evaluators' per-operation incoming tuples hold
+        references to those arrays.
 
-        *affected* (index pairs, both directions) scopes the expensive
-        part: a size-dependent pair outside the affected set kept its
-        per-size optimal paths across the change, so its old matrix
-        entries are restored verbatim instead of re-running one
-        Dijkstra per cached message size. That is only sound because
-        :meth:`repro.network.routing.Router.invalidate` reports *every*
-        pair whose per-size fallback entries it dropped -- including
-        pairs whose classification paths avoid the change while some
-        per-size optimum crossed it, and every size-dependent pair once
-        entries were evicted -- so anything outside *affected* provably
-        kept all its sized paths. ``None`` means every pair may have
-        changed -- re-query them all.
+        *affected* is the set of canonical index pairs ``(i, j)``,
+        ``i < j``, that :meth:`~repro.network.routing.Router.invalidate`
+        returned: every pair whose slot changed or whose per-size paths
+        it dropped. A size-dependent pair outside it kept every per-size
+        path of a retained size, so its matrix entries are kept
+        verbatim instead of re-running one Dijkstra per message size.
+        ``None`` means every pair may have changed -- re-query them all.
         """
         self._read()
         base = self.base
@@ -282,7 +264,8 @@ class DenseRoutes:
             kept = {
                 (i, j): matrix[i, j]
                 for i, j in self.sized_pairs
-                if affected is not None and (i, j) not in affected
+                if affected is not None
+                and ((i, j) if i < j else (j, i)) not in affected
             }
             matrix[...] = base + size_bits * rate
             requery: list[tuple[int, int]] = []

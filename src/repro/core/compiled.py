@@ -606,7 +606,7 @@ class CompiledInstance:
         self.refresh_routes(self.router.invalidate())
 
     def refresh_routes(
-        self, affected: set[tuple[str, str]] | None = None
+        self, affected: set[tuple[int, int]] | None = None
     ) -> None:
         """Refresh this instance's route-derived state after a link change.
 
@@ -616,25 +616,20 @@ class CompiledInstance:
         instance is the transition-aware migration table (and the batch
         evaluator's copy of it), so this is a no-op for instances that
         are not transition-aware. *affected* is the set of canonical
-        ``(server, server)`` name pairs the invalidation returned -- the
-        pairs whose route changed plus every pair whose per-size prices
-        may have -- or ``None`` for "every pair changed".
+        server index pairs the invalidation returned -- the pairs whose
+        slot changed plus every pair whose per-size prices may have --
+        or ``None`` for "every pair changed".
         """
         if not self.transition_aware or (affected is not None and not affected):
             return
         if affected is None:
             self.migration_table = self._compile_migration_table()
         else:
-            server_index = self.server_index
-            self._refresh_migration_rows(
-                [(server_index[a], server_index[b]) for a, b in affected]
-            )
+            self._refresh_migration_rows(affected)
         if self._batch is not None:
             self._batch.refresh_routes()
 
-    def _refresh_migration_rows(
-        self, pairs: list[tuple[int, int]]
-    ) -> None:
+    def _refresh_migration_rows(self, pairs: set[tuple[int, int]]) -> None:
         """Re-price only the migration moves that cross a changed route."""
         model = self.objective.migration
         touched: dict[int, set[int]] = {}
@@ -653,6 +648,21 @@ class CompiledInstance:
                     self.delay(source, target, bits)
                 )
         self.migration_table = tuple(tuple(row) for row in table)
+
+    def priced_sizes(self) -> set[float]:
+        """Every message size this instance prices a route at.
+
+        Its messages' sizes and, when transition-aware, its operations'
+        migration state sizes: the per-size state a shared router must
+        keep (:meth:`Router.retain
+        <repro.network.routing.Router.retain>`) for a link change to
+        refresh what this instance derived from it.
+        """
+        sizes = {size_bits for _src, _dst, size_bits, _weight in self.messages}
+        if self.transition_aware:
+            state_bits = self.objective.migration.state_bits
+            sizes.update(state_bits(cycles) for cycles in self.cycles)
+        return sizes
 
     def route_coefficients(
         self, source: int, target: int

@@ -6,7 +6,7 @@
   definitions of section 4.1.
 * :mod:`repro.experiments.quality` -- the 32 000-sample deviation-from-
   best protocol behind the paper's "(2.9 %, 12 %)" quality numbers.
-* :mod:`repro.experiments.reporting` -- plain-text tables and CSV series
+* :mod:`repro.experiments.reporting` -- scatter tables and series
   mirroring the rows behind the paper's figures.
 * :mod:`repro.experiments.multi_workflow` -- the section 6 future-work
   extension: deploying several workflows jointly.
@@ -26,18 +26,12 @@ from repro.experiments.classes import (
     FIG6_BUS_SPEEDS,
 )
 from repro.experiments.quality import QualityProtocol, QualityReport
-from repro.experiments.reporting import (
-    TextTable,
-    scatter_table,
-    ascii_scatter,
-    format_seconds,
-)
+from repro.experiments.reporting import scatter_table, ascii_scatter
 from repro.experiments.multi_workflow import (
     combine_workflows,
     deploy_workflows,
 )
 from repro.experiments.failover import (
-    remove_server,
     replace_orphans,
     analyze_failure,
     FailureReport,
@@ -80,13 +74,10 @@ __all__ = [
     "FIG6_BUS_SPEEDS",
     "QualityProtocol",
     "QualityReport",
-    "TextTable",
     "scatter_table",
-    "format_seconds",
     "combine_workflows",
     "deploy_workflows",
     "ascii_scatter",
-    "remove_server",
     "replace_orphans",
     "analyze_failure",
     "FailureReport",

@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.experiments.quality import QualityProtocol
-from repro.experiments.reporting import TextTable
 from repro.experiments.runner import (
     DEFAULT_ALGORITHMS,
     ExperimentConfig,
     ExperimentResult,
     ExperimentRunner,
 )
+from repro.tables import TextTable
 
 __all__ = ["Claim", "ClaimReport", "PAPER_CLAIMS", "verify_claims"]
 

@@ -19,8 +19,8 @@ from typing import Sequence
 
 from repro.core.cost import CostBreakdown
 from repro.exceptions import ExperimentError
-from repro.experiments.reporting import TextTable
 from repro.experiments.runner import ExperimentResult, RunRecord
+from repro.tables import TextTable
 
 __all__ = [
     "pareto_front",

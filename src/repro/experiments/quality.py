@@ -28,8 +28,9 @@ from repro.algorithms.sampling import DEFAULT_SAMPLE_BLOCK, SolutionSampler
 from repro.core.cost import CostModel
 from repro.core.rng import coerce_rng
 from repro.exceptions import ExperimentError
-from repro.experiments.reporting import TextTable, format_percent
+from repro.experiments.reporting import format_percent
 from repro.experiments.runner import DEFAULT_ALGORITHMS, ExperimentConfig
+from repro.tables import TextTable
 
 __all__ = ["QualityProtocol", "QualityReport", "DeviationRecord"]
 

@@ -22,8 +22,8 @@ from repro.core.mapping import Deployment
 from repro.core.rng import coerce_rng
 from repro.core.workflow import Workflow
 from repro.exceptions import ExperimentError
-from repro.experiments.reporting import TextTable, format_seconds
 from repro.network.topology import ServerNetwork
+from repro.tables import TextTable, format_seconds
 from repro.workloads.generator import (
     GraphStructure,
     line_workflow,

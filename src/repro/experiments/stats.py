@@ -10,7 +10,8 @@ how sure it is. This module adds:
   :class:`~repro.experiments.runner.ExperimentResult`;
 * :func:`comparison_table` -- the above as a printable table.
 
-Uses :mod:`scipy.stats` for the t quantile.
+Uses :mod:`scipy.stats` for the t quantile, imported at that one call
+so the rest of the package never needs SciPy.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as scipy_stats
-
 from repro.exceptions import ExperimentError
-from repro.experiments.reporting import TextTable, format_seconds
 from repro.experiments.runner import ExperimentResult
+from repro.tables import TextTable, format_seconds
 
 __all__ = ["SummaryStats", "summarize", "win_matrix", "comparison_table"]
 
@@ -66,6 +65,8 @@ def summarize(
         return SummaryStats(1, mean, 0.0, mean, mean, confidence)
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     std = math.sqrt(variance)
+    from scipy import stats as scipy_stats
+
     t = float(scipy_stats.t.ppf(0.5 + confidence / 2, df=n - 1))
     half = t * std / math.sqrt(n)
     return SummaryStats(n, mean, std, mean - half, mean + half, confidence)

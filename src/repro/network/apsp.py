@@ -58,7 +58,6 @@ from repro.network.topology import ServerNetwork
 __all__ = [
     "CompiledGraph",
     "GraphChange",
-    "PairRoute",
     "classify_pair",
     "compile_graph",
     "crosses",
@@ -78,33 +77,9 @@ WEIGHT_TRANSFER = 1
 #: One full single-source pass for one weight: ``(dist, parent)``.
 Row = tuple[list, list[int]]
 
-
-@dataclass(frozen=True)
-class PairRoute:
-    """One classified server pair, as the router caches it.
-
-    ``path`` is the representative route (the size-0 optimum unless the
-    min-transfer path dominates) with its affine coefficients; a
-    size-dependent pair is answered per size by the sized fallback.
-    """
-
-    path: tuple[str, ...]
-    propagation_s: float
-    transfer_s_per_bit: float
-    size_independent: bool
-
-    def time(self, size_bits: float) -> float:
-        """Delivery time of a *size_bits* message along :attr:`path`."""
-        return self.propagation_s + size_bits * self.transfer_s_per_bit
-
-    def reversed(self) -> "PairRoute":
-        """The same route walked backwards: identical coefficients."""
-        return PairRoute(
-            self.path[::-1],
-            self.propagation_s,
-            self.transfer_s_per_bit,
-            self.size_independent,
-        )
+#: Elements of one ``(S, k, S)`` two-hop block of the dense certificate
+#: (8 bytes each): graphs up to 160 servers take one block.
+TWO_HOP_BLOCK = 160**3
 
 
 class CompiledGraph:
@@ -301,11 +276,14 @@ def classify_pair(
     graph: CompiledGraph,
     path_zero: tuple[int, ...],
     path_large: tuple[int, ...],
-) -> PairRoute:
+) -> tuple[float, float] | tuple[()]:
     """The pinned dominance classification of one server pair.
 
-    Byte-identical to the original per-pair router's branch order,
-    which is therefore the frozen tie-break contract:
+    Returns the pair's route-table slot: its affine
+    ``(propagation_s, transfer_s_per_bit)`` coefficients, or ``()`` for
+    a size-dependent pair. Byte-identical to the original per-pair
+    router's branch order, which is therefore the frozen tie-break
+    contract:
 
     1. ``transfer_zero <= transfer_large``: the min-propagation path
        also minimises the transfer coefficient -- size-independent,
@@ -313,17 +291,16 @@ def classify_pair(
     2. else ``prop_large <= prop_zero``: the min-transfer path is also
        propagation-optimal -- size-independent, coefficients from
        ``path_large``.
-    3. else genuinely size-dependent: ``path_zero`` is the
-       representative, per-size queries fall back to Dijkstra.
+    3. else genuinely size-dependent: per-size queries fall back to
+       Dijkstra.
     """
-    prop_zero, transfer_zero = graph.coefficients(path_zero)
-    prop_large, transfer_large = graph.coefficients(path_large)
-    names = graph.to_names
-    if transfer_zero <= transfer_large:
-        return PairRoute(names(path_zero), prop_zero, transfer_zero, True)
-    if prop_large <= prop_zero:
-        return PairRoute(names(path_large), prop_large, transfer_large, True)
-    return PairRoute(names(path_zero), prop_zero, transfer_zero, False)
+    zero = graph.coefficients(path_zero)
+    large = graph.coefficients(path_large)
+    if zero[1] <= large[1]:
+        return zero
+    if large[0] <= zero[0]:
+        return large
+    return ()
 
 
 class _DenseDominance:
@@ -358,8 +335,15 @@ class _DenseDominance:
     @staticmethod
     def _dominant_rows(weights, np):
         # two_hop[i, j] = min_k (W[i, k] + W[k, j]); k = i and k = j are
-        # harmless (W[i, i] = 0 makes them the direct weight itself)
-        two_hop = (weights[:, :, None] + weights[None, :, :]).min(axis=1)
+        # harmless (W[i, i] = 0 makes them the direct weight itself).
+        # The minimum runs over blocks of k, each at most TWO_HOP_BLOCK
+        # elements: min is exact, so the blocks change no float
+        n = len(weights)
+        step = max(1, TWO_HOP_BLOCK // (n * n))
+        two_hop = np.full((n, n), np.inf)
+        for k in range(0, n, step):
+            block = weights[:, k : k + step, None] + weights[None, k : k + step, :]
+            np.minimum(two_hop, block.min(axis=1), out=two_hop)
         return (weights <= two_hop).all(axis=1)
 
     def row_ok(self, source: int, weight: int) -> bool:

@@ -15,11 +15,11 @@ The delivery time of a fixed path is affine in the message size::
 
 so a path that simultaneously minimises both coefficients is optimal for
 *every* message size. The router detects that (very common) case when
-it classifies a server pair and caches the two coefficients per
-``(source, target)`` -- after which any message size is answered in O(1)
-without touching Dijkstra and without growing the cache. Only genuinely
-size-dependent pairs (a short slow path versus a long fast one, where
-neither dominates) fall back to a bounded per-size cache.
+it classifies a server pair and keeps the two coefficients per pair --
+after which any message size is answered in O(1) without touching
+Dijkstra and without growing any store. Only genuinely size-dependent
+pairs (a short slow path versus a long fast one, where neither
+dominates) fall back to a per-size store.
 
 Pair classification runs on the compiled kernel in
 :mod:`repro.network.apsp` -- integer-indexed adjacency with precomputed
@@ -30,8 +30,8 @@ of its pairs runs that source's two single-source passes and classifies
 every pair of the source from them. Lazy queries and
 :meth:`Router.compile_all_pairs` therefore take the same path: a full
 table costs at most ``2 * (S - 1)`` passes (fewer when the dense fast
-path certifies rows of a complete graph), and the cached coefficients
-are bit-identical no matter which query arrived first.
+path certifies rows of a complete graph), and the classified
+coefficients are bit-identical no matter which query arrived first.
 
 The router is the *single owner of path selection*: every route-delay
 consumer -- the compiled instances (and through them ``CostModel``/
@@ -39,11 +39,13 @@ consumer -- the compiled instances (and through them ``CostModel``/
 reads paths and affine coefficients from here, over arbitrary weighted
 graphs with heterogeneous per-link speeds and propagation delays.
 Nothing downstream assumes a uniform bus or a line; those are just the
-easy special cases. The router keeps each classified pair in one store
-with two views: the name-keyed cache behind the queries above and the
-index-keyed route table (:meth:`Router.route_table`), which every
-:class:`~repro.core.compiled.CompiledInstance` on the router borrows,
-so a fleet of tenants reads each pair once instead of once per tenant.
+easy special cases. All its state is keyed by server index: the rows,
+the index-keyed route table (:meth:`Router.route_table`) of classified
+slots, which every :class:`~repro.core.compiled.CompiledInstance` on
+the router borrows, and the per-size paths of size-dependent pairs. A
+route's path is not stored; :meth:`Router.path` rebuilds it from the
+rows. The name-keyed queries translate names to indices and read the
+same slots.
 
 Cache effectiveness is observable through :attr:`Router.hits` /
 :attr:`Router.misses` / :attr:`Router.hit_rate`; recompute effort
@@ -54,22 +56,21 @@ failure/degradation events); :meth:`Router.invalidate` is the one
 refresh hook: it re-runs only the single-source passes a changed edge
 could alter, for any kind of change (DESIGN.md §15), rewriting the
 route table's slots in place. A server change needs a new router.
+:meth:`Router.retain` bounds the per-size store to the message sizes
+its owner still prices.
 
 Between mutations the network is treated as frozen.
 """
 
 from __future__ import annotations
 
+from typing import Collection
+
 from repro.exceptions import NetworkError
 from repro.network import apsp
 from repro.network.topology import ServerNetwork
 
 __all__ = ["Router"]
-
-#: Per-size fallback entries kept for size-*dependent* server pairs
-#: before the oldest half is evicted (bounds memory on adversarial
-#: workloads; size-independent pairs never consume these entries).
-SIZED_CACHE_LIMIT = 4096
 
 
 class Router:
@@ -96,22 +97,22 @@ class Router:
     hits, misses:
         Cache counters over non-co-located :meth:`transmission_time`,
         :meth:`pair_coefficients` and :meth:`path` queries (and their
-        bulk forms): a *hit* is answered from the per-pair (or
-        per-size fallback) cache, a *miss* fills the pair's source (or
-        runs a per-size pass).
+        bulk forms): a *hit* is answered from a filled slot (or the
+        per-size store), a *miss* fills the pair's source (or runs a
+        per-size pass).
     dijkstra_runs:
         Cumulative single-source Dijkstra passes executed (source
         fills, per-size fallbacks and invalidation re-runs alike) --
         the unit of routing work the benchmarks compare.
     pairs_invalidated:
         Cumulative count over :meth:`invalidate` calls of the canonical
-        pairs reported as changed (the returned sets: a changed route,
-        dropped per-size entries, or every size-dependent pair after an
-        eviction) -- what the dense matrices and consumers re-derive.
+        pairs reported as changed (the returned sets: a changed slot or
+        dropped per-size entries) -- what the dense matrices and
+        consumers re-derive.
     pairs_recomputed:
-        Cumulative count over :meth:`invalidate` calls of the cached
+        Cumulative count over :meth:`invalidate` calls of the filled
         pairs reclassified from their source's rows (a pair whose path
-        changed or crosses a changed link), whether or not the route
+        changed or crosses a changed link), whether or not the slot
         came out different.
     last_invalidation:
         A summary dict of the most recent :meth:`invalidate` call
@@ -130,8 +131,8 @@ class Router:
             name: i for i, name in enumerate(self.server_names)
         }
         count = len(self.server_names)
-        # routes[i][j]: the index view of the pair cache, written with it
-        # by _store; co-located pairs are free at any size
+        # routes[i][j]: the classified slot, written by _store;
+        # co-located pairs are free at any size
         self._routes: list[list[tuple[float, float] | tuple[()] | None]] = [
             [None] * count for _ in range(count)
         ]
@@ -140,13 +141,12 @@ class Router:
         # the connectivity check runs once, when the table is first bound
         self._connected = False
         self.dense = None
-        self._route_cache: dict[tuple[str, str], apsp.PairRoute] = {}
-        self._sized_path_cache: dict[tuple[str, str, float], tuple[str, ...]] = {}
         # canonical source index -> its (min-propagation, min-transfer)
-        # rows; a source has rows exactly when its pairs are cached
+        # rows; a source has rows exactly when its slots are filled
         self._rows: dict[int, tuple[apsp.Row, apsp.Row]] = {}
-        # set when per-size entries were evicted since the last refresh
-        self._sized_evicted = False
+        # (i, j, size_bits) -> index path of a size-dependent pair,
+        # stored in both directions
+        self._sized: dict[tuple[int, int, float], tuple[int, ...]] = {}
         self.hits = 0
         self.misses = 0
         self.dijkstra_runs = 0
@@ -183,93 +183,100 @@ class Router:
             )
         return graph
 
-    def _store(self, si: int, ti: int, route: apsp.PairRoute) -> None:
+    def _indices(self, source: str, target: str) -> tuple[int, int]:
+        """The route-table indices of two server names."""
+        index = self.server_index
+        try:
+            return index[source], index[target]
+        except KeyError:
+            self._network.server(source)
+            self._network.server(target)
+            raise NetworkError(
+                f"{self._network.name!r} changed servers: use a new Router"
+            ) from None
+
+    def _store(
+        self, si: int, ti: int, coeff: tuple[float, float] | tuple[()]
+    ) -> None:
         """The one write of a classified canonical pair ``(si, ti)``.
 
-        Fills the name cache in both directions and the route table's
-        two slots: the affine coefficients, or ``()`` for a
-        size-dependent pair (answered per size).
+        Fills both route-table slots -- a symmetric network routes the
+        reverse direction with the *same* coefficient floats -- with the
+        affine coefficients, or ``()`` for a size-dependent pair
+        (answered per size).
         """
-        a, b = self.server_names[si], self.server_names[ti]
-        self._route_cache[(a, b)] = route
-        # symmetric network: the reverse path is optimal in reverse,
-        # with the *same* coefficient floats
-        self._route_cache[(b, a)] = route.reversed()
-        coeff = (
-            (route.propagation_s, route.transfer_s_per_bit)
-            if route.size_independent
-            else ()
-        )
         self._routes[si][ti] = self._routes[ti][si] = coeff
 
-    def _route(self, source: str, target: str) -> apsp.PairRoute:
-        """The pair's route, built on a miss; counts the query.
+    def _slot(self, si: int, ti: int) -> tuple[float, float] | tuple[()]:
+        """The pair's slot, filled on a miss; counts the query.
 
         A size-dependent pair's hit is left to its per-size query.
         """
-        route = self._route_cache.get((source, target))
-        if route is None:
-            self._network.server(source)
-            self._network.server(target)
+        coeff = self._routes[si][ti]
+        if coeff is None:
             self.misses += 1
-            route = self._build_route(source, target)
-        elif route.size_independent:
+            self._build_route(si, ti)
+            coeff = self._routes[si][ti]
+        elif coeff:
             self.hits += 1
-        return route
+        return coeff
 
-    def _build_route(self, source: str, target: str) -> apsp.PairRoute:
-        """Classify the (source, target) pair on its first query.
+    def _build_route(self, si: int, ti: int) -> None:
+        """Classify the pair ``(si, ti)`` on its first query.
 
         The pair's canonical source (the endpoint that comes first in
         network server order) is filled (:meth:`_fill_source`), which
         classifies this pair and every other pair of that source, so a
         later query from the same source is a hit.
         """
-        index = self._compiled_graph().index
+        self._compiled_graph()
         try:
-            self._fill_source(min(index[source], index[target]))
+            self._fill_source(min(si, ti))
         except apsp.DisconnectedNetworkError as error:
+            names = self.server_names
             raise apsp.DisconnectedNetworkError(
-                f"cannot route {source!r} to {target!r}: {error}"
+                f"cannot route {names[si]!r} to {names[ti]!r}: {error}"
             ) from None
-        return self._route_cache[(source, target)]
 
-    def _sized_path(self, source: str, target: str, size_bits: float) -> tuple[str, ...]:
-        """Per-size fallback for size-dependent pairs (bounded cache)."""
-        key = (source, target, size_bits)
-        cached = self._sized_path_cache.get(key)
-        if cached is not None:
+    def _route_path(
+        self, si: int, ti: int, coeff: tuple[float, float]
+    ) -> tuple[int, ...]:
+        """A size-independent pair's route, rebuilt from its rows.
+
+        The min-transfer path when classification took it (its
+        coefficients are the slot's, the min-propagation path's are
+        not), else the min-propagation path; walked backwards for the
+        non-canonical direction.
+        """
+        source, target = min(si, ti), max(si, ti)
+        graph = self._graph
+        zero, large = self._rows[source]
+        path = apsp.row_path(graph, zero, source, target)
+        if graph.coefficients(path) != coeff:
+            path = apsp.row_path(graph, large, source, target)
+        return path if source == si else path[::-1]
+
+    def _sized_path(self, si: int, ti: int, size_bits: float) -> tuple[int, ...]:
+        """Per-size fallback for size-dependent pairs."""
+        path = self._sized.get((si, ti, size_bits))
+        if path is not None:
             self.hits += 1
-            return cached
+            return path
         self.misses += 1
-        graph = self._compiled_graph()
-        index = graph.index
-        path = graph.to_names(
-            apsp.shortest_sized_path(graph, index[source], index[target], size_bits)
-        )
+        path = apsp.shortest_sized_path(self._graph, si, ti, size_bits)
         self.dijkstra_runs += 1
-        self._store_sized(key, path)
+        self._store_sized(si, ti, size_bits, path)
         return path
 
     def _store_sized(
-        self, key: tuple[str, str, float], path: tuple[str, ...]
+        self, si: int, ti: int, size_bits: float, path: tuple[int, ...]
     ) -> None:
-        """Cache one sized path (both directions, bounded)."""
-        if len(self._sized_path_cache) >= SIZED_CACHE_LIMIT:
-            # drop the oldest half; simple and O(1) amortised
-            for stale in list(self._sized_path_cache)[: SIZED_CACHE_LIMIT // 2]:
-                del self._sized_path_cache[stale]
-            self._sized_evicted = True
-        source, target, size_bits = key
-        self._sized_path_cache[key] = path
-        self._sized_path_cache[(target, source, size_bits)] = path[::-1]
+        """Store one sized path in both directions."""
+        self._sized[(si, ti, size_bits)] = path
+        self._sized[(ti, si, size_bits)] = path[::-1]
 
-    def _sized_time(self, path: tuple[str, ...], size_bits: float) -> float:
-        graph = self._graph
-        index = graph.index
-        propagation, transfer = graph.coefficients(
-            tuple(index[name] for name in path)
-        )
+    def _sized_time(self, path: tuple[int, ...], size_bits: float) -> float:
+        propagation, transfer = self._graph.coefficients(path)
         return propagation + size_bits * transfer
 
     # ------------------------------------------------------------------
@@ -286,10 +293,13 @@ class Router:
         self._network.server(target)
         if source == target:
             return (source,)
-        route = self._route(source, target)
-        if route.size_independent:
-            return route.path
-        return self._sized_path(source, target, size_bits)
+        si, ti = self._indices(source, target)
+        coeff = self._slot(si, ti)
+        if coeff:
+            path = self._route_path(si, ti, coeff)
+        else:
+            path = self._sized_path(si, ti, size_bits)
+        return self._graph.to_names(path)
 
     def transmission_time(
         self, source: str, target: str, size_bits: float
@@ -298,17 +308,17 @@ class Router:
 
         Zero when source and target coincide (co-located operations talk
         through local memory, the paper's key lever for saving cost).
-        Size-independent pairs are answered from the cached affine
+        Size-independent pairs are answered from the slot's affine
         coefficients in O(1) regardless of how many distinct message
         sizes are queried.
         """
         if source == target:
             return 0.0
-        route = self._route(source, target)
-        if route.size_independent:
-            return route.time(size_bits)
-        path = self._sized_path(source, target, size_bits)
-        return self._sized_time(path, size_bits)
+        si, ti = self._indices(source, target)
+        coeff = self._slot(si, ti)
+        if coeff:
+            return coeff[0] + size_bits * coeff[1]
+        return self._sized_time(self._sized_path(si, ti, size_bits), size_bits)
 
     def transmission_times(
         self, pairs: list[tuple[str, str]], size_bits: float
@@ -330,59 +340,54 @@ class Router:
         refresh its dense per-size delay matrices.
         """
         times: list[float] = [0.0] * len(pairs)
-        queued: dict[str, list[tuple[int, str]]] = {}
-        queued_keys: set[tuple[str, str]] = set()
+        sized = self._sized
+        queued: dict[int, list[tuple[int, int]]] = {}
+        queued_keys: set[tuple[int, int]] = set()
         for slot, (source, target) in enumerate(pairs):
             if source == target:
                 continue
-            route = self._route(source, target)
-            if route.size_independent:
-                times[slot] = route.time(size_bits)
+            si, ti = self._indices(source, target)
+            coeff = self._slot(si, ti)
+            if coeff:
+                times[slot] = coeff[0] + size_bits * coeff[1]
                 continue
-            cached = self._sized_path_cache.get((source, target, size_bits))
-            if cached is not None:
+            path = sized.get((si, ti, size_bits))
+            if path is not None:
                 self.hits += 1
-                times[slot] = self._sized_time(cached, size_bits)
+                times[slot] = self._sized_time(path, size_bits)
             else:
                 # counters are settled here, in query order: if this
                 # pair (either direction) is already queued, a
                 # sequential call at this position would be answered
                 # from the earlier miss's store -- a hit
-                if (source, target) in queued_keys:
+                if (si, ti) in queued_keys:
                     self.hits += 1
                 else:
                     self.misses += 1
-                    queued_keys.add((source, target))
-                    queued_keys.add((target, source))
-                queued.setdefault(source, []).append((slot, target))
-        if not queued:
-            return times
-        graph = self._compiled_graph()
-        index = graph.index
-        for source, wanted in queued.items():  # insertion (= query) order
-            pending: list[tuple[int, str]] = []
-            for slot, target in wanted:
+                    queued_keys.add((si, ti))
+                    queued_keys.add((ti, si))
+                queued.setdefault(si, []).append((slot, ti))
+        for si, wanted in queued.items():  # insertion (= query) order
+            pending: list[tuple[int, int]] = []
+            for slot, ti in wanted:
                 # an earlier group's reverse-direction store may already
                 # have answered this pair, exactly as a sequential query
-                # after it would have hit the cache (already counted as
+                # after it would have hit the store (already counted as
                 # a hit at queue time above)
-                path = self._sized_path_cache.get((source, target, size_bits))
+                path = sized.get((si, ti, size_bits))
                 if path is not None:
                     times[slot] = self._sized_time(path, size_bits)
                 else:
-                    pending.append((slot, target))
+                    pending.append((slot, ti))
             if not pending:
                 continue
             paths = apsp.sized_source_paths(
-                graph,
-                index[source],
-                [index[target] for _slot, target in pending],
-                size_bits,
+                self._graph, si, [ti for _slot, ti in pending], size_bits
             )
             self.dijkstra_runs += 1
-            for slot, target in pending:
-                path = graph.to_names(paths[index[target]])
-                self._store_sized((source, target, size_bits), path)
+            for slot, ti in pending:
+                path = paths[ti]
+                self._store_sized(si, ti, size_bits, path)
                 times[slot] = self._sized_time(path, size_bits)
         return times
 
@@ -396,19 +401,12 @@ class Router:
         message size. Returns ``None`` for size-dependent pairs (the
         caller must fall back to :meth:`transmission_time`). Co-located
         pairs are ``(0.0, 0.0)``. Counted like :meth:`transmission_time`:
-        a cold pair is a miss, a cached size-independent pair a hit (a
+        a cold pair is a miss, a filled size-independent pair a hit (a
         size-dependent pair is counted by the per-size fallback query).
         """
         if source == target:
             return (0.0, 0.0)
-        route = self._route(source, target)
-        if route.size_independent:
-            return (route.propagation_s, route.transfer_s_per_bit)
-        return None
-
-    def cached_route(self, source: str, target: str) -> apsp.PairRoute | None:
-        """The cached entry for a pair, without counting a query."""
-        return self._route_cache.get((source, target))
+        return self._slot(*self._indices(source, target)) or None
 
     def route_table(self) -> list[list[tuple[float, float] | tuple[()] | None]]:
         """The index-keyed route table every compiled instance borrows.
@@ -442,12 +440,8 @@ class Router:
         """Number of links on the chosen route (0 when co-located)."""
         return len(self.path(source, target, size_bits)) - 1
 
-    def cache_size(self) -> int:
-        """Number of cached route entries (pairs plus sized fallbacks)."""
-        return len(self._route_cache) + len(self._sized_path_cache)
-
     # ------------------------------------------------------------------
-    # batched compilation and invalidation
+    # batched compilation, invalidation and retention
     # ------------------------------------------------------------------
     def compile_all_pairs(self) -> int:
         """Eagerly classify every server pair; returns pairs compiled.
@@ -465,9 +459,9 @@ class Router:
         """Classify every pair ``(si, ti > si)`` from the source's rows.
 
         The one route-build path. The two rows are kept for
-        :meth:`invalidate`; nothing is stored when a target is
-        unreachable. Returns the pairs classified (0 for a source that
-        is already filled).
+        :meth:`invalidate` and :meth:`path`; nothing is stored when a
+        target is unreachable. Returns the pairs classified (0 for a
+        source that is already filled).
         """
         if si in self._rows:
             return 0
@@ -476,14 +470,14 @@ class Router:
             self._source_row(si, apsp.WEIGHT_TRANSFER),
         )
         first = si + 1
-        routes = [
+        slots = [
             self._classify(si, ti, rows)
             for ti in range(first, len(self.server_names))
         ]
         self._rows[si] = rows
-        for ti, route in enumerate(routes, start=first):
-            self._store(si, ti, route)
-        return len(routes)
+        for ti, coeff in enumerate(slots, start=first):
+            self._store(si, ti, coeff)
+        return len(slots)
 
     def _source_row(self, source: int, weight: int) -> apsp.Row:
         """One full pass of the snapshot (or its dense certificate)."""
@@ -495,7 +489,9 @@ class Router:
         self.dijkstra_runs += runs
         return row
 
-    def _classify(self, source: int, target: int, rows) -> apsp.PairRoute:
+    def _classify(
+        self, source: int, target: int, rows
+    ) -> tuple[float, float] | tuple[()]:
         """Classify a canonical pair from its source's two rows."""
         graph = self._graph
         return apsp.classify_pair(
@@ -504,7 +500,7 @@ class Router:
             apsp.row_path(graph, rows[1], source, target),
         )
 
-    def invalidate(self) -> set[tuple[str, str]]:
+    def invalidate(self) -> set[tuple[int, int]]:
         """Refresh routes after link changes, recomputing immediately.
 
         One path for every change: the router diffs its snapshot against
@@ -516,14 +512,12 @@ class Router:
         improvement, otherwise only those crossing a changed link.
         DESIGN.md §15 has the rules and their proofs.
 
-        Returns the canonical ``(server, server)`` pairs whose cached
-        route changed or whose per-size entries dropped -- every
-        size-dependent pair once per-size entries were evicted -- so
-        consumers re-derive their per-size prices. Reclassified pairs are
-        rewritten in the :meth:`route_table`, and the :attr:`dense`
-        matrices, when built, are refreshed over those pairs before this
-        returns. Hit/miss counters are kept; the work lands in
-        :attr:`last_invalidation`.
+        Returns the canonical index pairs ``(i, j)``, ``i < j``, whose
+        slot changed or whose per-size entries dropped, so consumers
+        re-derive their prices. Reclassified pairs are rewritten in the
+        :meth:`route_table`, and the :attr:`dense` matrices, when built,
+        are refreshed over those pairs before this returns. Hit/miss
+        counters are kept; the work lands in :attr:`last_invalidation`.
         """
         runs_before = self.dijkstra_runs
         graph = self._snapshot()
@@ -531,29 +525,21 @@ class Router:
         self._graph = graph
         self._certificate = None
         change = apsp.diff_graphs(old, graph)
-        names = graph.names
-        affected: set[tuple[str, str]] = set()
+        routes = self._routes
+        affected: set[tuple[int, int]] = set()
         reclassified = rerun = 0
         for si in sorted(self._rows):
             targets, runs = self._refresh_rows(si, change)
             rerun += runs
             reclassified += len(targets)
+            rows = self._rows[si]
             for ti in targets:
-                pair = (names[si], names[ti])
-                route = self._classify(si, ti, self._rows[si])
-                if route != self._route_cache[pair]:
-                    affected.add(pair)
-                self._store(si, ti, route)
+                coeff = self._classify(si, ti, rows)
+                if coeff != routes[si][ti]:
+                    affected.add((si, ti))
+                self._store(si, ti, coeff)
         sized_dropped = self._drop_sized(change)
         affected |= sized_dropped
-        if self._sized_evicted and (change.moved or change.improved):
-            self._sized_evicted = False  # consumers may price evicted sizes
-            index = graph.index
-            affected.update(
-                (a, b)
-                for (a, b), route in self._route_cache.items()
-                if not route.size_independent and index[a] < index[b]
-            )
         self.pairs_invalidated += len(affected)
         self.pairs_recomputed += reclassified
         self.last_invalidation = {
@@ -565,12 +551,7 @@ class Router:
             "dijkstra_runs": self.dijkstra_runs - runs_before,
         }
         if affected and self.dense is not None:
-            index = self.server_index
-            scope = set()
-            for a, b in affected:
-                scope.add((index[a], index[b]))
-                scope.add((index[b], index[a]))
-            self.dense.refresh(scope)
+            self.dense.refresh(affected)
         return affected
 
     def _refresh_rows(
@@ -593,21 +574,38 @@ class Router:
         self._rows[si] = (rows[0], rows[1])
         return sorted(ti for ti in dirty if ti > si), runs
 
-    def _drop_sized(self, change: apsp.GraphChange) -> set[tuple[str, str]]:
+    def _drop_sized(self, change: apsp.GraphChange) -> set[tuple[int, int]]:
         """Drop stale per-size entries; returns their canonical pairs."""
-        index = self._graph.index
         stale = [
             key
-            for key, path in self._sized_path_cache.items()
-            if change.improved
-            or apsp.crosses(tuple(index[name] for name in path), change.moved)
+            for key, path in self._sized.items()
+            if change.improved or apsp.crosses(path, change.moved)
         ]
-        dropped: set[tuple[str, str]] = set()
+        dropped: set[tuple[int, int]] = set()
         for key in stale:
-            del self._sized_path_cache[key]
+            del self._sized[key]
             a, b = key[:2]
-            dropped.add((a, b) if index[a] < index[b] else (b, a))
+            dropped.add((a, b) if a < b else (b, a))
         return dropped
+
+    def retain(self, sizes: Collection[float]) -> None:
+        """Keep only the per-size state of the message sizes in *sizes*.
+
+        Drops every per-size path and every :attr:`dense` delay matrix
+        of a size outside *sizes*. For the owner of the consumers on
+        this router -- the fleet state -- to call with the sizes its
+        live tenants price, so refreshes and memory follow the live
+        tenants instead of every size priced since the router was
+        built. A dropped size is no longer refreshed: a consumer still
+        holding a price at that size would keep a stale one.
+        """
+        self._sized = {
+            key: path for key, path in self._sized.items() if key[2] in sizes
+        }
+        if self.dense is not None:
+            matrices = self.dense.matrices
+            for size_bits in [size for size in matrices if size not in sizes]:
+                del matrices[size_bits]
 
     def reset_counters(self) -> None:
         """Zero every telemetry counter (caches are left alone)."""

@@ -35,6 +35,7 @@ __all__ = [
     "Server",
     "Link",
     "ServerNetwork",
+    "remove_server",
     "line_network",
     "bus_network",
     "star_network",
@@ -397,6 +398,31 @@ class ServerNetwork:
             f"ServerNetwork({self.name!r}, kind={self.topology_kind!r}, "
             f"servers={len(self)}, links={len(self._links)})"
         )
+
+
+def remove_server(network: ServerNetwork, server_name: str) -> ServerNetwork:
+    """A copy of *network* without *server_name* and its links.
+
+    The copy keeps the topology kind; a bus stays a (smaller) bus, while
+    removing an interior line server disconnects the network -- the cost
+    model will reject that, which is the correct physical answer.
+    """
+    network.server(server_name)  # raise early on unknown names
+    if len(network) <= 1:
+        raise NetworkError(
+            f"cannot remove {server_name!r}: it is the only server"
+        )
+    survivor = ServerNetwork(
+        f"{network.name}-minus-{server_name}",
+        topology_kind=network.topology_kind,
+    )
+    for server in network.servers:
+        if server.name != server_name:
+            survivor.add_server(server)
+    for link in network.links:
+        if server_name not in link.endpoints:
+            survivor.add_link(link)
+    return survivor
 
 
 # ----------------------------------------------------------------------

@@ -1033,8 +1033,6 @@ class FleetController:
             ),
             max_latency_s=max(latencies, default=0.0),
             placement_evaluations=self.evaluations,
-            router_hits=self.state.router_hits,
-            router_misses=self.state.router_misses,
             cost_model_hits=self.state.cost_model_hits,
             cost_model_misses=self.state.cost_model_misses,
             route_dijkstra_runs=self.state.router_dijkstra_runs,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from repro.exceptions import ServiceError
-from repro.experiments.reporting import TextTable, format_seconds
+from repro.tables import TextTable, format_seconds
 
 __all__ = ["LogRecord", "FleetLog", "FleetMetrics", "format_detail"]
 
@@ -202,8 +202,6 @@ class FleetMetrics:
     placement_evaluations:
         Fleet-objective evaluations spent on placement and rebalancing
         -- the deterministic work counter.
-    router_hits, router_misses:
-        Shared-router cache outcomes across every tenant's cost model.
     cost_model_hits, cost_model_misses:
         Per-tenant cost-model cache outcomes.
     balance_timeline:
@@ -243,8 +241,6 @@ class FleetMetrics:
     mean_latency_s: float
     max_latency_s: float
     placement_evaluations: int
-    router_hits: int
-    router_misses: int
     cost_model_hits: int
     cost_model_misses: int
     balance_timeline: tuple[float, ...]
@@ -257,12 +253,6 @@ class FleetMetrics:
     route_dijkstra_runs: int = 0
     route_pairs_invalidated: int = 0
     route_pairs_recomputed: int = 0
-
-    @property
-    def router_hit_rate(self) -> float:
-        """Shared-router cache hit fraction (0 with no queries)."""
-        total = self.router_hits + self.router_misses
-        return self.router_hits / total if total else 0.0
 
     @property
     def cost_model_hit_rate(self) -> float:
@@ -287,13 +277,6 @@ class FleetMetrics:
         table.add_row(["mean event latency", format_seconds(self.mean_latency_s)])
         table.add_row(["max event latency", format_seconds(self.max_latency_s)])
         table.add_row(["placement evaluations", self.placement_evaluations])
-        table.add_row(
-            [
-                "router cache hit rate",
-                f"{self.router_hit_rate * 100:.1f}% "
-                f"({self.router_hits}/{self.router_hits + self.router_misses})",
-            ]
-        )
         table.add_row(
             [
                 "cost-model cache hit rate",

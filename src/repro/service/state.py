@@ -56,9 +56,8 @@ from repro.core.mapping import Deployment
 from repro.core.migration import TransitionObjective
 from repro.core.workflow import Workflow
 from repro.exceptions import ServiceError
-from repro.experiments.failover import remove_server
 from repro.network.routing import Router
-from repro.network.topology import Link, Server, ServerNetwork
+from repro.network.topology import Link, Server, ServerNetwork, remove_server
 from repro.numeric import ordered_sum
 
 __all__ = [
@@ -456,36 +455,28 @@ class FleetState:
             model.compiled.refresh_routes(affected)
         if not affected:
             return
-        index = self._router.server_index
-        changed = set()
-        for a, b in affected:
-            changed.add((index[a], index[b]))
-            changed.add((index[b], index[a]))
         for tenant, (model, _deployment, _stamp, servers, _price) in list(
             self._prices.items()
         ):
-            if any(
-                (servers[src], servers[dst]) in changed
-                for src, dst, _size, _weight in model.compiled.messages
-            ):
-                del self._prices[tenant]
+            for src, dst, _size, _weight in model.compiled.messages:
+                a, b = servers[src], servers[dst]
+                if ((a, b) if a < b else (b, a)) in affected:
+                    del self._prices[tenant]
+                    break
 
     def _drop_unpriced_sizes(self) -> None:
-        """Keep only the shared delay matrices a cached tenant prices.
+        """Keep only the router's per-size state a cached tenant prices.
 
-        The router's dense matrices are shared by every tenant, so
-        nothing else frees the message sizes of departed or drifted
-        workflows; without this, every link event would re-price them.
+        The router's per-size paths and dense matrices are shared by
+        every tenant, so nothing else frees the sizes of departed or
+        drifted workflows; without this, every link event would re-price
+        them. A tenant prices its
+        :meth:`~repro.core.compiled.CompiledInstance.priced_sizes`.
         """
-        dense = self._router.dense
-        if dense is not None:
-            dense.retain(
-                {
-                    size_bits
-                    for model in self._cost_models.values()
-                    for _src, _dst, size_bits, _weight in model.compiled.messages
-                }
-            )
+        models = self._cost_models.values()
+        self._router.retain(
+            set().union(*(model.compiled.priced_sizes() for model in models))
+        )
 
     # ------------------------------------------------------------------
     # aggregate load accounting
@@ -591,9 +582,8 @@ class FleetState:
     def fail_server(self, *servers: str) -> dict[str, tuple[str, ...]]:
         """Remove *servers*; return the orphaned operations per tenant.
 
-        The network is rebuilt without each server in turn (reusing the
-        failover experiment's
-        :func:`~repro.experiments.failover.remove_server`), orphaned
+        The network is rebuilt without each server in turn
+        (:func:`~repro.network.topology.remove_server`), orphaned
         assignments are dropped from the affected tenants' deployments
         (per tenant, in the order the servers fail), and every
         evaluation cache is invalidated. Callers (the controller) are

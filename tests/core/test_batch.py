@@ -286,30 +286,28 @@ class TestScopedRefreshSizedPairs:
         assert scores.objective[0] == fresh_scores.objective[0]
         assert scores.execution[0] > before  # the z detour is gone
 
-    def test_refresh_reprices_evicted_sized_entries(
-        self, pareto_triple, monkeypatch
+    def test_size_dropped_by_retain_reprices_like_a_fresh_compile(
+        self, pareto_triple
     ):
-        # the dense matrix still holds the via-z price after the
-        # router's bounded per-size cache evicted that entry: the
-        # A-z worsening must re-derive it although no cached sized
-        # path crosses A-z any more
-        monkeypatch.setattr("repro.network.routing.SIZED_CACHE_LIMIT", 2)
+        # retain drops the 5e6 per-size path and delay matrix, so the
+        # A-z worsening has nothing of that size to refresh; pricing
+        # the size again afterwards must read the post-event routes
         workflow = Workflow("pair")
         workflow.add_operations(
             [Operation("op1", 1e9), Operation("op2", 1e9)]
         )
         workflow.connect("op1", "op2", 5e6)
         compiled = CompiledInstance(workflow, pareto_triple)
-        evaluator = compiled.batch_evaluator()
         row = [0, 4]  # op1 on A, op2 on B
-        evaluator.evaluate([row])
-        for size in (1e3, 1e4):  # evict both via-z entries
-            compiled.router.transmission_time("A", "B", size)
-        assert ("A", "B", 5e6) not in compiled.router._sized_path_cache
+        before = compiled.batch_evaluator().evaluate([row]).execution[0]
+        router = compiled.router
+        router.retain(set())
+        assert router._sized == {} and router.dense.matrices == {}
         pareto_triple.replace_link(Link("A", "z", 1e3, 50.0))
         compiled.invalidate_routes()
+        assert router.last_invalidation["sized_pairs_dropped"] == 0
         fresh = CompiledInstance(workflow, pareto_triple)
-        scores = evaluator.evaluate([row])
-        assert scores.execution[0] == (
-            fresh.batch_evaluator().evaluate([row]).execution[0]
-        )
+        want = fresh.batch_evaluator().evaluate([row]).execution[0]
+        assert BatchEvaluator(compiled).evaluate([row]).execution[0] == want
+        assert compiled.delay(0, 4, 5e6) == fresh.delay(0, 4, 5e6)
+        assert want > before  # the z detour is gone

@@ -8,16 +8,15 @@ from repro.core.cost import CostModel
 from repro.core.mapping import Deployment
 from repro.exceptions import (
     DisconnectedNetworkError,
-    ExperimentError,
+    NetworkError,
     UnknownServerError,
 )
 from repro.experiments.failover import (
     analyze_failure,
     failover_table,
-    remove_server,
     replace_orphans,
 )
-from repro.network.topology import bus_network, line_network
+from repro.network.topology import bus_network, line_network, remove_server
 
 
 class TestRemoveServer:
@@ -43,7 +42,7 @@ class TestRemoveServer:
 
     def test_last_server_protected(self):
         network = bus_network([1e9], speed_bps=1e6)
-        with pytest.raises(ExperimentError):
+        with pytest.raises(NetworkError):
             remove_server(network, "S1")
 
     def test_original_untouched(self, bus3):

@@ -2,12 +2,8 @@
 
 import pytest
 
-from repro.experiments.reporting import (
-    TextTable,
-    format_percent,
-    format_seconds,
-    scatter_table,
-)
+from repro.experiments.reporting import format_percent, scatter_table
+from repro.tables import TextTable, format_seconds
 
 
 class TestFormatSeconds:

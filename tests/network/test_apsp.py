@@ -1,5 +1,7 @@
 """Unit tests for the batched all-pairs routing kernel."""
 
+import random
+
 import pytest
 
 from repro.exceptions import DisconnectedNetworkError
@@ -29,20 +31,23 @@ def _complete(speeds=(100e6, 50e6, 25e6)):
 
 
 def _source_routes(graph, source, targets, dense=None):
-    """Both rows of *source*, classified per target; ``(routes, runs)``."""
+    """Both rows of *source*, per target ``(slot, path_zero, path_large)``.
+
+    The slot is the pair's classification; the two paths (names) are
+    the rows' min-propagation and min-transfer routes. ``(routes, runs)``.
+    """
     rows, runs = [], 0
     for weight in (apsp.WEIGHT_PROPAGATION, apsp.WEIGHT_TRANSFER):
         row, ran = apsp.source_row(graph, source, weight, dense)
         rows.append(row)
         runs += ran
-    routes = {
-        target: apsp.classify_pair(
-            graph,
-            apsp.row_path(graph, rows[0], source, target),
-            apsp.row_path(graph, rows[1], source, target),
+    routes = {}
+    for target in targets:
+        paths = [apsp.row_path(graph, row, source, target) for row in rows]
+        routes[target] = (
+            apsp.classify_pair(graph, *paths),
+            *map(graph.to_names, paths),
         )
-        for target in targets
-    }
     return routes, runs
 
 
@@ -132,22 +137,32 @@ class TestClassification:
         graph = apsp.compile_graph(_complete())
         routes, runs = _source_routes(graph, 0, [1, 2])
         assert runs <= 2
-        assert routes[1].size_independent
-        assert routes[1].path == ("S0", "S1")
+        slot, zero, large = routes[1]
+        assert slot == graph.coefficients((0, 1))
+        assert zero == large == ("S0", "S1")
 
     def test_size_dependent_pair_keeps_both_paths(self):
         graph = apsp.compile_graph(_diamond())
         routes, _ = _source_routes(graph, 0, [3])
-        record = routes[3]
-        assert not record.size_independent
-        assert record.path == ("S0", "S2", "S3")  # size-0 representative
+        slot, zero, large = routes[3]
+        assert slot == ()
         # the two rows keep both classification paths
-        zero, _ = apsp.source_row(graph, 0, apsp.WEIGHT_PROPAGATION)
-        large, _ = apsp.source_row(graph, 0, apsp.WEIGHT_TRANSFER)
-        assert graph.to_names(apsp.row_path(graph, zero, 0, 3)) == record.path
-        assert graph.to_names(apsp.row_path(graph, large, 0, 3)) == (
-            "S0", "S1", "S3",
-        )
+        assert zero == ("S0", "S2", "S3")
+        assert large == ("S0", "S1", "S3")
+
+    def test_branch_order_is_pinned(self):
+        # slow low-latency S0-S2-S3 against fast S0-S1-S3 whose
+        # propagation is first higher, then equal
+        graph = apsp.compile_graph(_diamond())
+        slow, fast = (0, 2, 3), (0, 1, 3)
+        assert apsp.classify_pair(graph, fast, fast) == graph.coefficients(fast)
+        assert apsp.classify_pair(graph, slow, fast) == ()
+        network = _diamond()
+        network.replace_link(Link("S0", "S1", 1e9, 0.001))
+        network.replace_link(Link("S1", "S3", 1e9, 0.001))
+        graph = apsp.compile_graph(network)
+        # branch 2: the min-transfer path ties on propagation
+        assert apsp.classify_pair(graph, slow, fast) == graph.coefficients(fast)
 
 
 class TestRows:
@@ -227,3 +242,38 @@ class TestDenseFastPath:
                 row, runs = apsp.source_row(graph, source, weight, dense)
                 assert row == apsp._dijkstra(graph, source, weight)
                 assert runs == (0 if dense.row_ok(source, weight) else 1)
+
+
+def _tied_complete(seed, size):
+    """A complete graph of dyadic weights: a direct link often ties a
+    two-hop relay exactly (``1.0 == 0.5 + 0.5``)."""
+    rng = random.Random(seed)
+    network = ServerNetwork("tied")
+    network.add_servers([Server(f"S{i}", 1e9) for i in range(size)])
+    for i in range(size):
+        for j in range(i + 1, size):
+            network.connect(
+                f"S{i}",
+                f"S{j}",
+                rng.choice((2.0,) * 5 + (1.0,) * 4 + (0.5,)),
+                propagation_s=rng.choice((0.5,) * 5 + (1.0,) * 4 + (1.5,)),
+            )
+    return network
+
+
+@pytest.mark.parametrize("relays", [None, 1, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_blocked_dominance_equals_the_broadcast_form(monkeypatch, seed, relays):
+    np = pytest.importorskip("numpy")
+    graph = apsp.compile_graph(_tied_complete(seed, 7 + seed))
+    n = len(graph)
+    if relays is not None:  # blocks of one or a few relays
+        monkeypatch.setattr(apsp, "TWO_HOP_BLOCK", relays * n * n)
+    dense = apsp.dense_dominance(graph)
+    for weight, ok_rows in enumerate(dense.ok_rows):
+        weights = np.zeros((n, n))
+        for v, row in enumerate(graph.adjacency):
+            for edge in row:
+                weights[v, edge[0]] = edge[1 + weight]
+        two_hop = (weights[:, :, None] + weights[None, :, :]).min(axis=1)
+        assert np.array_equal(ok_rows, (weights <= two_hop).all(axis=1))

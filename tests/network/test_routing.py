@@ -19,6 +19,29 @@ from repro.network.topology import (
 from repro.workloads.generator import line_workflow
 
 
+def assert_same_routes(router, fresh):
+    """Slots, the filled sources' rows and every path equal *fresh*'s."""
+    assert router.route_table() == fresh.route_table()
+    fresh.compile_all_pairs()
+    for source, rows in router._rows.items():
+        assert rows == fresh._rows[source], source
+    names = router.server_names
+    for a in names:
+        for b in names:
+            assert router.path(a, b) == fresh.path(a, b), (a, b)
+
+
+def _tie_network():
+    """S1-S4 ties on propagation via the slow S2 and the fast S3."""
+    network = ServerNetwork("tie")
+    network.add_servers([Server(f"S{i}", 1e9) for i in range(1, 5)])
+    network.connect("S1", "S2", 10e6, propagation_s=0.001)
+    network.connect("S1", "S3", 100e6, propagation_s=0.001)
+    network.connect("S2", "S4", 10e6, propagation_s=0.001)
+    network.connect("S3", "S4", 100e6, propagation_s=0.001)
+    return network
+
+
 class TestBasicRouting:
     def test_same_server_path(self, bus3):
         router = Router(bus3)
@@ -110,7 +133,7 @@ class TestCaching:
         second = router.transmission_time("S1", "S2", 8_000)
         assert first == second
         assert (router.hits, router.misses) == (1, 1)
-        assert router.cache_size() > 0
+        assert router.route_table()[0][1] == router.route_table()[1][0]
 
     def test_colocated_queries_bypass_the_cache(self, bus3):
         router = Router(bus3)
@@ -184,10 +207,7 @@ class TestCompileAllPairs:
         router = Router(chain3)
         compiled = router.compile_all_pairs()
         assert compiled == 3  # canonical pairs of 3 servers
-        for a in chain3.server_names:
-            for b in chain3.server_names:
-                if a != b:
-                    assert router.cached_route(a, b) is not None
+        assert all(None not in row for row in router.route_table())
         # compiled entries serve queries as cache hits
         router.transmission_time("S1", "S3", 8_000)
         assert (router.hits, router.misses) == (1, 0)
@@ -198,15 +218,9 @@ class TestCompileAllPairs:
         batched.compile_all_pairs()
         for a in chain3.server_names:
             for b in chain3.server_names:
-                if a == b:
-                    continue
-                lazy.pair_coefficients(a, b)
-                left = lazy.cached_route(a, b)
-                right = batched.cached_route(a, b)
-                assert left.path == right.path
-                assert left.propagation_s == right.propagation_s
-                assert left.transfer_s_per_bit == right.transfer_s_per_bit
-                assert left.size_independent == right.size_independent
+                if a != b:
+                    lazy.pair_coefficients(a, b)
+        assert_same_routes(lazy, batched)
 
     def test_compile_skips_cached_pairs(self, chain3):
         router = Router(chain3)
@@ -214,11 +228,12 @@ class TestCompileAllPairs:
         router.pair_coefficients("S1", "S3")
         assert router.compile_all_pairs() == 1
 
-    def test_cached_route_does_not_count_traffic(self, bus3):
+    def test_route_table_reads_do_not_count_traffic(self, bus3):
         router = Router(bus3)
-        assert router.cached_route("S1", "S2") is None
+        routes = router.route_table()
+        assert routes[0][1] is None
         router.compile_all_pairs()
-        assert router.cached_route("S1", "S2") is not None
+        assert routes[0][1] is not None
         assert (router.hits, router.misses) == (0, 0)
 
 
@@ -290,6 +305,8 @@ class TestRouteTable:
             router.invalidate()
         with pytest.raises(NetworkError, match="use a new Router"):
             router.path("S1", "S2")
+        with pytest.raises(NetworkError, match="use a new Router"):
+            router.transmission_time("S9", "S1", 1e3)
 
 
 class TestInvalidate:
@@ -308,12 +325,7 @@ class TestInvalidate:
     def _assert_matches_fresh(self, router, network):
         fresh = Router(network)
         fresh.compile_all_pairs()
-        for a in network.server_names:
-            for b in network.server_names:
-                if a != b:
-                    assert router.cached_route(a, b) == fresh.cached_route(
-                        a, b
-                    ), (a, b)
+        assert_same_routes(router, fresh)
         return fresh
 
     def test_unchanged_network_recomputes_nothing(self):
@@ -340,7 +352,7 @@ class TestInvalidate:
         affected = router.invalidate()
         assert affected
         # the S3-S4 pair rides its own direct link: untouched
-        assert ("S3", "S4") not in affected and ("S4", "S3") not in affected
+        assert (2, 3) not in affected and (3, 2) not in affected
         assert router.last_invalidation["changed_links"] == 1
         # the refreshed table equals a fresh router's exactly
         self._assert_matches_fresh(router, network)
@@ -350,25 +362,26 @@ class TestInvalidate:
     ):
         # S1-S4 ties on propagation via the slow S2 and the fast S3:
         # its propagation row runs through S2, its route through S3
-        network = ServerNetwork("tie")
-        network.add_servers([Server(f"S{i}", 1e9) for i in range(1, 5)])
-        network.connect("S1", "S2", 10e6, propagation_s=0.001)
-        network.connect("S1", "S3", 100e6, propagation_s=0.001)
-        network.connect("S2", "S4", 10e6, propagation_s=0.001)
-        network.connect("S3", "S4", 100e6, propagation_s=0.001)
+        network = _tie_network()
         router = Router(network)
         router.compile_all_pairs()
-        route = router.cached_route("S1", "S4")
-        assert route.path == ("S1", "S3", "S4")
+        coeff = router.pair_coefficients("S1", "S4")
+        assert router.path("S1", "S4") == ("S1", "S3", "S4")
+        assert router.path("S2", "S3") == ("S2", "S1", "S3")
         network.replace_link(Link("S1", "S2", 5e6, 0.001))
         affected = router.invalidate()
         # S1-S4 is reclassified (its row crosses the slowed link) but
         # keeps its route, so it is not reported as changed
-        assert router.cached_route("S1", "S4") == route
-        assert affected == {("S1", "S2"), ("S2", "S3")}
+        assert router.pair_coefficients("S1", "S4") == coeff
+        assert router.path("S1", "S4") == ("S1", "S3", "S4")
+        # S2-S3 re-routes from the S1 relay to the S4 relay, whose
+        # coefficients are the same floats: its slot, and every price
+        # read from it, stands, so it is not reported either
+        assert router.path("S2", "S3") == ("S2", "S4", "S3")
+        assert affected == {(0, 1)}
         assert router.pairs_invalidated == len(affected)
         assert router.pairs_recomputed == 3
-        assert router.last_invalidation["pairs_invalidated"] == 2
+        assert router.last_invalidation["pairs_invalidated"] == 1
         assert router.last_invalidation["pairs_recomputed"] == 3
         self._assert_matches_fresh(router, network)
 
@@ -378,23 +391,20 @@ class TestInvalidate:
         router.compile_all_pairs()
         # upgrade the slow S1-S3 link fourfold
         network.replace_link(Link("S1", "S3", 200e6, 0.003))
-        before = {
-            (a, b): router.cached_route(a, b)
-            for a in network.server_names
-            for b in network.server_names
-            if a != b
-        }
+        routes = router.route_table()
+        before = [list(row) for row in routes]
         runs_before = router.dijkstra_runs
         affected = router.invalidate()
         runs = router.dijkstra_runs - runs_before
         fresh = self._assert_matches_fresh(router, network)
         changed = {
-            (a, b)
-            for (a, b), route in before.items()
-            if a < b and route != router.cached_route(a, b)
+            (i, j)
+            for i in range(4)
+            for j in range(i + 1, 4)
+            if before[i][j] != routes[i][j]
         }
         # S1-S3 rides the upgraded link, S2-S3 now re-routes over it
-        assert changed == {("S1", "S3"), ("S2", "S3")}
+        assert changed == {(0, 2), (1, 2)}
         assert affected == changed  # only the re-routed pairs
         # a speed-only upgrade re-runs min-transfer passes only
         assert runs == router.last_invalidation["rows_rerun"] == 3
@@ -458,12 +468,11 @@ class TestInvalidate:
         pareto_triple.replace_link(Link("A", "z", 1e3, 50.0))
         affected = router.invalidate()
         # both classification paths (via x, via y) avoid A-z, yet the
-        # pair is reported because its sized-cache entry was dropped
-        assert ("A", "B") in affected
+        # pair is reported because its per-size entry was dropped
+        assert (0, 4) in affected
         assert router.last_invalidation["sized_pairs_dropped"] == 1
-        # the classification entry itself stood (it was never stale)
-        route = router.cached_route("A", "B")
-        assert route is not None and not route.size_independent
+        # the classification slot itself stood (it was never stale)
+        assert router.route_table()[0][4] == ()
         # the re-derived per-size price equals a fresh router's exactly
         fresh = Router(pareto_triple)
         after = router.transmission_time("A", "B", 5e6)
@@ -484,6 +493,54 @@ class TestInvalidate:
         hits = router.hits
         assert router.transmission_time("A", "B", 5e6) == pytest.approx(6.5)
         assert router.hits == hits + 1  # served from the kept entry
+
+
+class TestPathRebuild:
+    def test_min_transfer_route_when_propagation_ties(self):
+        # S1-S4 ties on propagation via the slow S2 (first in adjacency
+        # order, so the propagation row's path) and the fast S3: the
+        # slot is the min-transfer path's, and so is the route
+        network = _tie_network()
+        router = Router(network)
+        assert router.path("S1", "S4") == ("S1", "S3", "S4")
+        assert router.path("S4", "S1") == ("S4", "S3", "S1")
+        assert router._rows[0][0][1][3] == 1  # propagation row: via S2
+        assert router.pair_coefficients("S1", "S4") == (
+            0.002, 1 / 100e6 + 1 / 100e6
+        )
+
+    def test_reverse_query_walks_the_canonical_route_backwards(self, chain3):
+        router = Router(chain3)
+        assert router.path("S3", "S1") == ("S3", "S2", "S1")
+        assert router.hop_count("S3", "S1") == 2
+        assert list(router._rows) == [0]  # filled from canonical S1
+
+
+class TestPerSizeStore:
+    def test_entries_are_index_keyed_both_ways(self, pareto_triple):
+        router = Router(pareto_triple)
+        path = router.path("B", "A", 5e6)
+        assert path == ("B", "z", "A")
+        assert router._sized == {(4, 0, 5e6): (4, 3, 0), (0, 4, 5e6): (0, 3, 4)}
+        hits = router.hits
+        assert router.path("A", "B", 5e6) == path[::-1]
+        assert router.hits == hits + 1
+
+    def test_retain_keeps_only_the_given_sizes(self, pareto_triple):
+        router = Router(pareto_triple)
+        for size in (1e3, 5e6, 1e8):
+            router.transmission_time("A", "B", size)
+        router.retain({5e6})
+        assert set(router._sized) == {(0, 4, 5e6), (4, 0, 5e6)}
+        # a dropped size is priced again, equal to a fresh router's
+        misses, runs = router.misses, router.dijkstra_runs
+        fresh = Router(pareto_triple)
+        for size in (1e3, 1e8):
+            assert router.transmission_time(
+                "A", "B", size
+            ) == fresh.transmission_time("A", "B", size)
+        assert router.misses == misses + 2
+        assert router.dijkstra_runs == runs + 2
 
 
 class TestBulkTransmissionTimes:

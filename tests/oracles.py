@@ -75,37 +75,30 @@ def scalar_batch_pricing():
         yield issued
 
 
-def _targeted_build_route(router: Router, source: str, target: str):
+def _targeted_build_route(router: Router, source: int, target: int) -> None:
     """A cold pair answered by two targeted Dijkstra runs of its own.
 
     One early-stop pass per weight from the pair's canonical endpoint to
     the other, classified like a pair built from its source's rows. No
     rows are kept, so a router filled this way must not be invalidated
-    (its pairs would never be refreshed).
+    (its pairs would never be refreshed) nor asked for a size-independent
+    pair's :meth:`~repro.network.routing.Router.path` (rebuilt from rows).
     """
     graph = router._compiled_graph()
-    index = graph.index
-    a, b = sorted((source, target), key=index.__getitem__)
+    a, b = min(source, target), max(source, target)
     try:
         path_zero, path_large = (
-            apsp.row_path(
-                graph,
-                apsp._dijkstra(graph, index[a], weight, target=index[b]),
-                index[a],
-                index[b],
-            )
+            apsp.row_path(graph, apsp._dijkstra(graph, a, weight, target=b), a, b)
             for weight in (apsp.WEIGHT_PROPAGATION, apsp.WEIGHT_TRANSFER)
         )
     except DisconnectedNetworkError:
+        names = router.server_names
         raise DisconnectedNetworkError(
-            f"no route from {source!r} to {target!r} in "
+            f"no route from {names[source]!r} to {names[target]!r} in "
             f"{router.network.name!r}"
         ) from None
     router.dijkstra_runs += 2
-    router._store(
-        index[a], index[b], apsp.classify_pair(graph, path_zero, path_large)
-    )
-    return router._route_cache[(source, target)]
+    router._store(a, b, apsp.classify_pair(graph, path_zero, path_large))
 
 
 @contextmanager

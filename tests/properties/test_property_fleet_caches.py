@@ -15,8 +15,10 @@ jittered backbone latencies that may make relaying through a third
 region faster). Failures and outages are drawn without regard to
 connectivity, so some would split the fleet and must be refused. After
 *every* event every tenant must be completely placed on live servers,
-every slot the fleet router's route table has filled must equal a
-fresh router's over a copy of the network, and each tenant's artifact
+every slot the fleet router's route table has filled, the rows it
+keeps, the routes ``path()`` rebuilds from them and every per-size
+path it stores must equal a fresh router's over a copy of the
+network, and each tenant's artifact
 must equal, field for field, a fresh ``CompiledInstance`` on such a
 router:
 
@@ -39,6 +41,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compiled import CompiledInstance
+from repro.network import apsp
 from repro.network.routing import Router
 from repro.network.topology import Server, ServerNetwork, random_network
 from repro.scenarios.loader import abilene_network
@@ -263,13 +266,34 @@ def assert_placed(state):
 
 
 def assert_routes_fresh(state):
-    """Every filled route-table slot equals a fresh router's."""
-    table = state.router.route_table()
+    """The router's slots, rows, routes and per-size paths are fresh.
+
+    Every filled slot, every filled source's rows, a size-independent
+    pair's ``path()`` and every per-size path equal a fresh router's
+    over a copy of the network.
+    """
+    router = state.router
+    table = router.route_table()
     reference = Router(copy.deepcopy(state.network))
+    reference.compile_all_pairs()
+    names = router.server_names
     for i, row in enumerate(table):
         for j, coeff in enumerate(row):
             if coeff is not None:
                 assert coeff == reference.resolve(i, j), (i, j)
+            if coeff and i != j:
+                assert router.path(names[i], names[j]) == reference.path(
+                    names[i], names[j]
+                ), (i, j)
+    for source, rows in router._rows.items():
+        assert rows == reference._rows[source], source
+    graph = reference._compiled_graph()
+    for (i, j, size), path in router._sized.items():
+        forward, backward = (
+            apsp.shortest_sized_path(graph, x, y, size)
+            for x, y in ((i, j), (j, i))
+        )
+        assert path in (forward, backward[::-1]), (i, j, size)
 
 
 def assert_coherent(state, rng):

@@ -6,7 +6,8 @@ Two guarantees are exercised here:
   XOR probabilities, every fairness statistic) and random move
   sequences, :class:`MoveEvaluator` and full-mapping
   ``CompiledInstance.components`` pricing agree with
-  ``CostModel.evaluate`` to within ``1e-9``;
+  ``CostModel.evaluate`` to within ``1e-9``, and every resync lands on
+  a fresh evaluator's loads, migration term and scalars bit for bit;
 * **regression** -- the seeded local-search algorithms return the exact
   same deployment as their full-evaluation oracles
   (:class:`tests.oracles.FullEvaluationHillClimbing`,
@@ -58,11 +59,42 @@ def instance(size, servers, seed, structure, mode):
     return workflow, network, model, deployment
 
 
+def transition_aware(workflow, network, mode, seed):
+    """A cost model with a random migration term and baseline."""
+    rng = random.Random(seed + 6)
+    return CostModel(
+        workflow,
+        network,
+        objective=TransitionObjective(
+            penalty_mode=mode,
+            migration_weight=rng.uniform(0.0, 2.0),
+            migration=MigrationCostModel(
+                state_bits_per_cycle=rng.uniform(0.0, 0.5),
+                state_bits_base=rng.uniform(0.0, 1e6),
+                downtime_s=rng.uniform(0.0, 0.05),
+            ),
+            baseline=Deployment.random(workflow, network, rng),
+        ),
+    )
+
+
 def assert_in_sync(evaluator, model, deployment):
     full = model.evaluate(deployment)
     assert abs(evaluator.objective - full.objective) <= TOLERANCE
     assert abs(evaluator.execution_time - full.execution_time) <= TOLERANCE
     assert abs(evaluator.time_penalty - full.time_penalty) <= TOLERANCE
+
+
+def assert_equals_fresh(evaluator, model, deployment):
+    """A resynced evaluator's state is a fresh evaluator's, bit for bit."""
+    fresh = MoveEvaluator(model, deployment.copy())
+    assert [v.hex() for v in evaluator._loads_list] == [
+        v.hex() for v in fresh._loads_list
+    ]
+    assert evaluator.migration_cost.hex() == fresh.migration_cost.hex()
+    assert evaluator.objective.hex() == fresh.objective.hex()
+    assert evaluator.execution_time.hex() == fresh.execution_time.hex()
+    assert evaluator.time_penalty.hex() == fresh.time_penalty.hex()
 
 
 @given(
@@ -71,14 +103,21 @@ def assert_in_sync(evaluator, model, deployment):
     seed=seeds,
     structure=structures,
     mode=modes,
+    aware=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_move_evaluator_tracks_cost_model(size, servers, seed, structure, mode):
+def test_move_evaluator_tracks_cost_model(
+    size, servers, seed, structure, mode, aware
+):
     workflow, network, model, deployment = instance(
         size, servers, seed, structure, mode
     )
-    evaluator = MoveEvaluator(model, deployment)
+    if aware:
+        model = transition_aware(workflow, network, mode, seed)
+    # frequent resyncs: each one must land exactly on a fresh state
+    evaluator = MoveEvaluator(model, deployment, resync_interval=3)
     assert_in_sync(evaluator, model, deployment)
+    assert_equals_fresh(evaluator, model, deployment)
     rng = random.Random(seed + 2)
     operations = workflow.operation_names
     servers_list = network.server_names
@@ -100,6 +139,8 @@ def test_move_evaluator_tracks_cost_model(size, servers, seed, structure, mode):
         if rng.random() < 0.5 and server != outcome.previous_server:
             evaluator.commit()
             assert_in_sync(evaluator, model, deployment)
+            if evaluator._commits_since_resync == 0:  # this commit resynced
+                assert_equals_fresh(evaluator, model, deployment)
 
 
 @given(
@@ -202,21 +243,7 @@ def test_scan_equals_propose_value(size, servers, seed, structure, mode, aware):
         size, servers, seed, structure, mode
     )
     if aware:
-        rng = random.Random(seed + 6)
-        model = CostModel(
-            workflow,
-            network,
-            objective=TransitionObjective(
-                penalty_mode=mode,
-                migration_weight=rng.uniform(0.0, 2.0),
-                migration=MigrationCostModel(
-                    state_bits_per_cycle=rng.uniform(0.0, 0.5),
-                    state_bits_base=rng.uniform(0.0, 1e6),
-                    downtime_s=rng.uniform(0.0, 0.05),
-                ),
-                baseline=Deployment.random(workflow, network, rng),
-            ),
-        )
+        model = transition_aware(workflow, network, mode, seed)
     evaluator = MoveEvaluator(model, deployment, resync_interval=3)
     rng = random.Random(seed + 5)
     for _ in range(8):

@@ -11,13 +11,14 @@ propagation delays, so most pairs are size-dependent. After *every*
 ``invalidate()`` it asserts, against a fresh
 ``Router(network).compile_all_pairs()``:
 
-* the route table (paths, coefficients, classification) matches;
+* every filled route-table slot (coefficients or ``()``) and every
+  size-independent pair's ``path()`` matches;
 * every stored row equals a fresh ``_dijkstra`` row, and a source has
-  rows exactly when all its canonical pairs are cached;
+  rows exactly when all its canonical slots are filled;
 * every surviving per-size entry equals a fresh sized query (from
   either end: entries are stored in both directions);
-* the returned set holds every canonical pair whose cached route or
-  per-size entries changed.
+* the returned set holds, as canonical index pairs, every pair whose
+  slot or per-size entries changed.
 
 Routers start either eagerly compiled or lazily filled by queries,
 each of which fills its canonical source's rows and pairs.
@@ -108,45 +109,42 @@ def warm_sized(router, rng):
             router.transmission_time(a, b, size)
 
 
-def canonical(graph, a, b):
-    return (a, b) if graph.index[a] < graph.index[b] else (b, a)
-
-
-def assert_fresh(router, before_routes, before_sized, affected):
+def assert_fresh(router, before_slots, before_sized, affected):
     network = router.network
     fresh = Router(network)
     fresh.compile_all_pairs()
     graph = fresh._compiled_graph()
     names = graph.names
-    for (a, b), route in router._route_cache.items():
-        assert route == fresh.cached_route(a, b), (a, b)
+    routes = router.route_table()
     for source, rows in router._rows.items():
         for weight, row in enumerate(rows):
             assert row == apsp._dijkstra(graph, source, weight), source
-    for source in range(len(names) - 1):
-        filled = {
-            (names[source], names[target]) in router._route_cache
-            for target in range(source + 1, len(names))
-        }
-        assert filled == {source in router._rows}, source
-    for (a, b, size), path in router._sized_path_cache.items():
+    for i, row in enumerate(routes):
+        for j, coeff in enumerate(row):
+            if i == j:
+                continue
+            assert (coeff is not None) == (min(i, j) in router._rows), (i, j)
+            if coeff is None:
+                continue
+            assert coeff == fresh.route_table()[i][j], (i, j)
+            if coeff:  # a size-dependent pair's path is per size
+                a, b = names[i], names[j]
+                assert router.path(a, b) == fresh.path(a, b), (a, b)
+    for (i, j, size), path in router._sized.items():
         # entries are stored both ways: the query ran from either end
         forward, backward = (
-            graph.to_names(
-                apsp.shortest_sized_path(
-                    graph, graph.index[x], graph.index[y], size
-                )
-            )
-            for x, y in ((a, b), (b, a))
+            apsp.shortest_sized_path(graph, x, y, size)
+            for x, y in ((i, j), (j, i))
         )
-        assert path in (forward, backward[::-1]), (a, b, size)
-    for (a, b), route in before_routes.items():
-        if route != router._route_cache.get((a, b)):
-            assert canonical(graph, a, b) in affected, (a, b)
-    for a, b, size in before_sized.keys() - router._sized_path_cache.keys():
-        assert canonical(graph, a, b) in affected, (a, b, size)
-    for a, b in affected:
-        assert graph.index[a] < graph.index[b]
+        assert path in (forward, backward[::-1]), (i, j, size)
+    for i, row in enumerate(before_slots):
+        for j in range(i + 1, len(row)):
+            if row[j] != routes[i][j]:
+                assert (i, j) in affected, (i, j)
+    for i, j, size in before_sized.keys() - router._sized.keys():
+        assert (min(i, j), max(i, j)) in affected, (i, j, size)
+    for i, j in affected:
+        assert i < j
 
 
 @settings(max_examples=40, deadline=None)
@@ -167,8 +165,8 @@ def test_every_invalidation_equals_a_fresh_compile(seed, eager, events):
     failed = []
     for kind, pick, scale in events:
         warm_sized(router, rng)
-        before_routes = dict(router._route_cache)
-        before_sized = dict(router._sized_path_cache)
+        before_slots = [list(row) for row in router.route_table()]
+        before_sized = dict(router._sized)
         apply(network, failed, kind, pick, scale)
         affected = router.invalidate()
-        assert_fresh(router, before_routes, before_sized, affected)
+        assert_fresh(router, before_slots, before_sized, affected)

@@ -11,10 +11,12 @@ unnoticed:
 * **Classification parity** -- on random continuous-weight networks,
   heterogeneous detour topologies, the bundled Abilene backbone and
   seeded geo fleets: ``compile_all_pairs`` (dense fast path included)
-  and the lazy query path both match the oracle's path, coefficients
-  and size-independence flag exactly, for every *canonical* pair --
-  and reverse queries return the same floats with the reversed path
-  (the canonical-direction build rule). Lazily, a full table costs at
+  and the lazy query path both match the oracle's coefficients and
+  size-independence flag exactly, for every *canonical* pair, and its
+  path for a size-independent pair (a size-dependent pair's rows walk
+  the oracle's size-0 representative) -- and reverse queries return
+  the same floats with the reversed path (the canonical-direction
+  build rule). Lazily, a full table costs at
   most two passes per source, like one compile.
 * **Sized parity** -- per-size fallback paths equal the oracle's sized
   networkx query.
@@ -29,6 +31,7 @@ import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.network import apsp
 from repro.network.routing import Router
 from repro.network.topology import Link, Server, ServerNetwork
 from repro.scenarios import abilene_network, random_geo_network
@@ -126,11 +129,13 @@ def assert_matches_oracle(router, network):
     """Every pair equals the frozen oracle, bit for bit."""
     names = network.server_names
     index = {name: i for i, name in enumerate(names)}
+    routes = router.route_table()
+    graph = router._compiled_graph()
     for a in names:
         for b in names:
             if a == b:
                 continue
-            got = router.cached_route(a, b)
+            got = routes[index[a]][index[b]]
             assert got is not None, f"pair {(a, b)} missing from the table"
             # the canonical-direction build rule: the pair's floats are
             # the oracle's for its canonical direction; the reverse
@@ -139,11 +144,18 @@ def assert_matches_oracle(router, network):
             path, propagation, transfer, independent = _oracle_route(
                 network, ca, cb
             )
-            expected_path = path if (a, b) == (ca, cb) else path[::-1]
-            assert got.path == expected_path
-            assert got.propagation_s == propagation
-            assert got.transfer_s_per_bit == transfer
-            assert got.size_independent == independent
+            if independent:
+                assert got == (propagation, transfer)
+                expected = path if (a, b) == (ca, cb) else path[::-1]
+                assert router.path(a, b) == expected
+            else:
+                # per size from here on; the source's propagation row
+                # still walks the oracle's size-0 representative
+                assert got == ()
+                row = router._rows[index[ca]][0]
+                assert graph.to_names(
+                    apsp.row_path(graph, row, index[ca], index[cb])
+                ) == path
 
 
 @settings(max_examples=30, deadline=None)
@@ -226,17 +238,13 @@ def test_sized_paths_match_oracle(seed, size):
 # invalidation equivalence: refreshed == fresh compile
 # ----------------------------------------------------------------------
 def _table(router, network):
+    """Every pair's coefficients and, when size-independent, its path."""
     return {
-        (a, b): (
-            route.path,
-            route.propagation_s,
-            route.transfer_s_per_bit,
-            route.size_independent,
-        )
+        (a, b): (coeff, coeff and router.path(a, b))
         for a in network.server_names
         for b in network.server_names
         if a != b
-        for route in (router.cached_route(a, b),)
+        for coeff in (router.pair_coefficients(a, b),)
     }
 
 

@@ -231,8 +231,6 @@ class TestMetrics:
         controller.handle(DeployRequest("alpha", tenant_workflows["alpha"]))
         controller.handle(Tick())
         metrics = controller.metrics()
-        assert metrics.router_hits + metrics.router_misses > 0
-        assert 0.0 <= metrics.router_hit_rate <= 1.0
         assert metrics.cost_model_misses >= 1
 
 

@@ -83,21 +83,22 @@ class TestSharedCaches:
         self, fleet_network, tenant_workflows
     ):
         state = FleetState(fleet_network)
-        assert state.router.cache_size() == 0  # set-up stays lazy
+        assert not state.router._rows  # set-up stays lazy
         for name, workflow in tenant_workflows.items():
             place_round_robin(state, name, workflow)
         state.snapshot()
         runs, misses = state.router_dijkstra_runs, state.router_misses
         assert misses > 0
         state.join_server("S9", 1e9, 100e6)
-        assert state.router.cache_size() == 0  # filled on first use
+        assert not state.router._rows  # filled on first use
         state.snapshot()
         for tenant in state.tenants:
             state.cost_model(tenant).compiled.batch_evaluator()
         # every pair of the 5-server bus is cached, each source filled
         # once (at most one miss per source) from rows the dense
         # dominance certificate answers without Dijkstra
-        assert state.router.cache_size() == 5 * 4
+        assert len(state.router._rows) == 5 - 1
+        assert all(None not in row for row in state.router.route_table())
         assert state.router_dijkstra_runs == runs
         assert misses < state.router_misses <= misses + 5 - 1
 
