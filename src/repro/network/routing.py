@@ -57,7 +57,8 @@ refresh hook: it re-runs only the single-source passes a changed edge
 could alter, for any kind of change (DESIGN.md §15), rewriting the
 route table's slots in place. A server change needs a new router.
 :meth:`Router.retain` bounds the per-size store to the message sizes
-its owner still prices.
+its owner still prices, each time the owner calls it; until then the
+store grows with every new size queried.
 
 Between mutations the network is treated as frozen.
 """

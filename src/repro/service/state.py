@@ -472,6 +472,10 @@ class FleetState:
         drifted workflows; without this, every link event would re-price
         them. A tenant prices its
         :meth:`~repro.core.compiled.CompiledInstance.priced_sizes`.
+        It runs on a tenant's leave or drift and before each link
+        refresh, not on admissions: a stream of admissions with new
+        message sizes grows the router's per-size state until the next
+        such event.
         """
         models = self._cost_models.values()
         self._router.retain(

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.local_search import HillClimbing, SimulatedAnnealing
 from repro.core.cost import PENALTY_MODES, CostModel
-from repro.core.incremental import MoveEvaluator
+from repro.core.incremental import DEFAULT_RESYNC_INTERVAL, MoveEvaluator
 from repro.core.mapping import Deployment
 from repro.core.migration import MigrationCostModel, TransitionObjective
 from repro.workloads.generator import (
@@ -104,18 +104,21 @@ def assert_equals_fresh(evaluator, model, deployment):
     structure=structures,
     mode=modes,
     aware=st.booleans(),
+    interval=st.sampled_from([3, DEFAULT_RESYNC_INTERVAL]),
 )
 @settings(max_examples=60, deadline=None)
 def test_move_evaluator_tracks_cost_model(
-    size, servers, seed, structure, mode, aware
+    size, servers, seed, structure, mode, aware, interval
 ):
     workflow, network, model, deployment = instance(
         size, servers, seed, structure, mode
     )
     if aware:
         model = transition_aware(workflow, network, mode, seed)
-    # frequent resyncs: each one must land exactly on a fresh state
-    evaluator = MoveEvaluator(model, deployment, resync_interval=3)
+    # the default interval checks a long run of unresynced commits; the
+    # short one resyncs often, and each resync must land exactly on a
+    # fresh state
+    evaluator = MoveEvaluator(model, deployment, resync_interval=interval)
     assert_in_sync(evaluator, model, deployment)
     assert_equals_fresh(evaluator, model, deployment)
     rng = random.Random(seed + 2)
@@ -141,6 +144,8 @@ def test_move_evaluator_tracks_cost_model(
             assert_in_sync(evaluator, model, deployment)
             if evaluator._commits_since_resync == 0:  # this commit resynced
                 assert_equals_fresh(evaluator, model, deployment)
+    evaluator.resync()
+    assert_equals_fresh(evaluator, model, deployment)
 
 
 @given(
