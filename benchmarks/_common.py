@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import platform
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
@@ -32,6 +33,21 @@ def perf_floor(name: str, default: float) -> float:
     """
     raw = os.environ.get(f"BENCH_FLOOR_{name}", "").strip()
     return float(raw) if raw else default
+
+def host() -> dict:
+    """The host a perf record was measured on, for every ``BENCH_*.json``.
+
+    CPU count, Python version and NumPy version: the figures in one
+    record are comparable with another's only on a like host.
+    """
+    import numpy
+
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+
 
 #: Paper anchor numbers quoted in section 4.2, for side-by-side context
 #: in the quality benchmarks: worst-case (execution, penalty) deviations

@@ -38,7 +38,7 @@ from repro.workloads.generator import (
     random_graph_workflow,
 )
 
-from _common import emit, write_json
+from _common import emit, host, write_json
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
@@ -55,6 +55,7 @@ FLOOR_POPULATION = 64
 #: Perf-trajectory payload, accumulated across the bench functions and
 #: rewritten after each (so a partial run still leaves valid JSON).
 _TRAJECTORY = {
+    "host": host(),
     "instance": {
         "operations": NUM_OPERATIONS,
         "servers": NUM_SERVERS,

@@ -22,19 +22,15 @@ records the same counters under ``"abilene"``: there a price miss after
 a link event means a tenant's routes moved.
 """
 
-import os
-import platform
 import time
 from unittest import mock
-
-import numpy
 
 from repro.core.batch import DenseRoutes
 from repro.core.compiled import CompiledInstance, CompiledWorkflow
 from repro.service.scenarios import build_scenario, replay
 from repro.tables import TextTable
 
-from _common import emit, write_json
+from _common import emit, host, write_json
 
 SEED = 7
 
@@ -165,11 +161,7 @@ def bench_fleet_surge_work_counters(benchmark):
             "route_pairs_invalidated": links.state.router_pairs_invalidated,
             "route_pairs_recomputed": links.state.router_pairs_recomputed,
         },
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-        },
+        "host": host(),
     }
     write_json("BENCH_fleet", payload)
     table = TextTable(["counter", "value"], title="fleet surge work (seed 7)")

@@ -36,7 +36,7 @@ from repro.core.migration import MigrationCostModel
 from repro.service.controller import FleetController
 from repro.service.scenarios import build_scenario
 
-from _common import emit, perf_floor, write_json
+from _common import emit, host, perf_floor, write_json
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
@@ -65,6 +65,7 @@ BILL_WEIGHT = 1.0
 RATIO_FLOOR = perf_floor("MIGRATION", 1.0)
 
 _RESULTS: dict = {
+    "host": host(),
     "smoke": SMOKE,
     "scenario": SCENARIO,
     "seed": SEED,

@@ -29,10 +29,7 @@ identity checks without asserting the scaling floor.
 
 import dataclasses
 import os
-import platform
 import time
-
-import numpy
 
 import pytest
 
@@ -47,7 +44,7 @@ from repro.workloads.generator import (
     random_graph_workflow,
 )
 
-from _common import emit, perf_floor, write_json
+from _common import emit, host, perf_floor, write_json
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
@@ -67,9 +64,7 @@ _RESULTS: dict = {
     "smoke": SMOKE,
     "operations": NUM_OPERATIONS,
     "servers": NUM_SERVERS,
-    "cpu_count": os.cpu_count(),
-    "python": platform.python_version(),
-    "numpy": numpy.__version__,
+    "host": host(),
     "scale_workers": SCALE_WORKERS,
     "ga_scaling_floor": GA_SCALING_FLOOR,
 }

@@ -43,11 +43,8 @@ arm on a smaller 20-server fleet and skips only the wall-clock floor.
 """
 
 import os
-import platform
 import random
 import time
-
-import numpy
 
 from repro.core.clock import StepClock
 from repro.network.routing import Router
@@ -57,7 +54,7 @@ from repro.service.controller import FleetController
 from repro.service.scenarios import build_scenario
 from tests.oracles import per_pair_routes, rebuild_routes_on_link_events
 
-from _common import emit, perf_floor, write_json
+from _common import emit, host, perf_floor, write_json
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
@@ -94,9 +91,7 @@ _RESULTS: dict = {
     "restore_servers": RESTORE_SERVERS,
     "restore_rounds": RESTORE_ROUNDS,
     "restore_runs_floor": RESTORE_RUNS_FLOOR,
-    "cpu_count": os.cpu_count(),
-    "python": platform.python_version(),
-    "numpy": numpy.__version__,
+    "host": host(),
 }
 
 

@@ -28,7 +28,7 @@ from repro.service.queue import FleetService, WorkQueue
 from repro.service.scenarios import build_scenario
 from repro.workloads.generator import line_workflow
 
-from _common import emit, perf_floor, write_json
+from _common import emit, host, perf_floor, write_json
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
@@ -42,6 +42,7 @@ SWEEPS = 10 if SMOKE else 100
 QUEUE_FLOOR = perf_floor("SERVICE_QUEUE", 50_000.0)
 
 _RESULTS: dict = {
+    "host": host(),
     "smoke": SMOKE,
     "scenario": SCENARIO,
     "seed": SEED,

@@ -33,7 +33,7 @@ from repro.core.clock import StepClock
 from repro.service.controller import FleetController
 from repro.service.scenarios import build_scenario
 
-from _common import emit, perf_floor, write_json
+from _common import emit, host, perf_floor, write_json
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 
@@ -50,6 +50,7 @@ NAIVE_DRIFT_THRESHOLD = 1.0
 RATIO_FLOOR = perf_floor("TOPOLOGY", 1.05)
 
 _RESULTS: dict = {
+    "host": host(),
     "smoke": SMOKE,
     "scenario": SCENARIO,
     "seed": SEED,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 from repro.algorithms.runtime import (
     CancelToken,
@@ -81,16 +81,11 @@ class ProblemContext:
     """Everything an algorithm needs about one problem instance.
 
     Built once per :meth:`DeploymentAlgorithm.deploy` call, it bundles the
-    inputs with the shared cost model, the RNG, and the section 3.4
-    probability weights (all 1.0 for workflows without XOR splits or when
-    the algorithm opts out of weighting).
+    inputs with the shared cost model, its compiled instance, the RNG
+    and the search plumbing.
 
     Attributes
     ----------
-    op_weights:
-        Execution probability per operation name.
-    msg_weights:
-        Unconditional send probability per ``(source, target)`` pair.
     compiled:
         The cost model's :class:`~repro.core.compiled.CompiledInstance`
         -- the integer-indexed problem IR shared by every consumer, so
@@ -118,8 +113,6 @@ class ProblemContext:
     network: ServerNetwork
     cost_model: CostModel
     rng: random.Random
-    op_weights: Mapping[str, float] = field(default_factory=dict)
-    msg_weights: Mapping[tuple[str, str], float] = field(default_factory=dict)
     compiled: CompiledInstance | None = None
     budget: SearchBudget = field(default_factory=SearchBudget)
     cancel: CancelToken | None = None
@@ -148,35 +141,6 @@ class ProblemContext:
         self.report = outcome.report
         return outcome
 
-    def weighted_cycles(self, operation_name: str) -> float:
-        """``C(op)`` scaled by the operation's execution probability."""
-        return (
-            self.workflow.operation(operation_name).cycles
-            * self.op_weights[operation_name]
-        )
-
-    def weighted_message_bits(self, source: str, target: str) -> float:
-        """``MsgSize`` scaled by the message's send probability."""
-        return (
-            self.workflow.message(source, target).size_bits
-            * self.msg_weights[(source, target)]
-        )
-
-    def total_weighted_cycles(self) -> float:
-        """Weighted ``Sum_Cycles`` over all operations."""
-        return sum(
-            op.cycles * self.op_weights[op.name] for op in self.workflow
-        )
-
-    def initial_ideal_cycles(self) -> dict[str, float]:
-        """``Ideal_Cycles(s)`` for every server (weighted ``Sum_Cycles``)."""
-        total = self.total_weighted_cycles()
-        capacity = self.network.total_power_hz
-        return {
-            server.name: total * server.power_hz / capacity
-            for server in self.network
-        }
-
 
 class DeploymentAlgorithm(ABC):
     """Base class for all deployment algorithms.
@@ -191,9 +155,10 @@ class DeploymentAlgorithm(ABC):
     name:
         Registry key and report label.
     uses_probability_weights:
-        When True (the default) and the workflow contains ``XOR`` splits,
-        cycles and message sizes seen through the
-        :class:`ProblemContext` are probability-weighted (section 3.4).
+        When True (the default) and the cost model weights by execution
+        probability, the cycles and message sizes a greedy heuristic
+        reads through :class:`~repro.algorithms.graph_adapters.WeightedGraph`
+        are probability-weighted (section 3.4).
         Fair Load sets this to False -- the paper keeps it "exactly the
         same" on random graphs.
     """
@@ -309,26 +274,11 @@ class DeploymentAlgorithm(ABC):
             cost_model = CostModel(workflow, network)
         rng = coerce_rng(rng)
 
-        if self.uses_probability_weights and cost_model.use_probabilities:
-            op_weights = {
-                name: cost_model.node_probability(name)
-                for name in workflow.operation_names
-            }
-            msg_weights = {
-                message.pair: cost_model.message_probability(message)
-                for message in workflow.messages
-            }
-        else:
-            op_weights = {name: 1.0 for name in workflow.operation_names}
-            msg_weights = {message.pair: 1.0 for message in workflow.messages}
-
         context = ProblemContext(
             workflow=workflow,
             network=network,
             cost_model=cost_model,
             rng=rng,
-            op_weights=op_weights,
-            msg_weights=msg_weights,
             compiled=cost_model.compiled,
             budget=budget if budget is not None else SearchBudget(),
             cancel=cancel,

@@ -42,12 +42,13 @@ from repro.algorithms.base import (
     ProblemContext,
     register_algorithm,
 )
-from repro.algorithms.fair_load import sorted_operations_by_cost
+from repro.algorithms.graph_adapters import WeightedGraph
 from repro.algorithms.heavy_ops import HeavyOpsLargeMsgs
 from repro.algorithms.runtime import SearchBudget, SearchStep
 from repro.core.mapping import Deployment
 from repro.core.workflow import NodeKind
 from repro.exceptions import SearchSpaceTooLargeError
+from repro.numeric import ordered_sum
 
 __all__ = ["BranchAndBound"]
 
@@ -199,7 +200,10 @@ class BranchAndBound(DeploymentAlgorithm):
         workflow = context.workflow
         network = context.network
         cost_model = context.cost_model
-        order = sorted_operations_by_cost(context)
+        compiled = cost_model.compiled
+        graph = WeightedGraph(compiled, self.uses_probability_weights)
+        order = [compiled.op_names[op] for op in graph.by_cost()]
+        op_cycles = dict(zip(compiled.op_names, graph.cycles))
         topo = workflow.topological_order()
         fastest_hz = max(server.power_hz for server in network)
         servers = list(network.server_names)
@@ -207,7 +211,6 @@ class BranchAndBound(DeploymentAlgorithm):
         # leaf evaluation prices the compiled server vector directly: one
         # leaf costs a forward pass, not two validation sweeps plus a
         # throwaway Deployment
-        compiled = cost_model.compiled
         server_index = compiled.server_index
 
         def leaf_value(mapping: dict[str, str]) -> float:
@@ -223,7 +226,7 @@ class BranchAndBound(DeploymentAlgorithm):
 
         assignment: dict[str, str] = {}
         assigned_cycles = {name: 0.0 for name in servers}
-        total_cycles = context.total_weighted_cycles()
+        total_cycles = ordered_sum(graph.cycles)
         self.nodes_explored = 0
 
         # called by the runtime only at strict improvements, which happen
@@ -268,7 +271,7 @@ class BranchAndBound(DeploymentAlgorithm):
                 return
             yield SearchStep(best_value, snapshot, evals=1)
             operation = order[index]
-            cycles = context.weighted_cycles(operation)
+            cycles = op_cycles[operation]
             for server in servers:
                 assignment[operation] = server
                 assigned_cycles[server] += cycles

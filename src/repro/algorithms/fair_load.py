@@ -20,22 +20,10 @@ from repro.algorithms.base import (
     ProblemContext,
     register_algorithm,
 )
-from repro.algorithms.graph_adapters import ServerBudgets
+from repro.algorithms.graph_adapters import UNPLACED, ServerBudgets, WeightedGraph
 from repro.core.mapping import Deployment
 
-__all__ = ["FairLoad", "sorted_operations_by_cost"]
-
-
-def sorted_operations_by_cost(context: ProblemContext) -> list[str]:
-    """Operation names ordered by (weighted) cycles, descending.
-
-    Ties keep the workflow's insertion order, which makes every greedy in
-    the family deterministic for a fixed instance.
-    """
-    names = list(context.workflow.operation_names)
-    rank = {name: i for i, name in enumerate(names)}
-    names.sort(key=lambda name: (-context.weighted_cycles(name), rank[name]))
-    return names
+__all__ = ["FairLoad"]
 
 
 @register_algorithm
@@ -46,10 +34,11 @@ class FairLoad(DeploymentAlgorithm):
     uses_probability_weights = False  # section 3.4: FL stays exactly the same
 
     def _deploy(self, context: ProblemContext) -> Deployment:
-        budgets = ServerBudgets(context)
-        mapping = Deployment()
-        for operation in sorted_operations_by_cost(context):
-            server = budgets.neediest()
-            mapping.assign(operation, server)
-            budgets.charge(server, context.weighted_cycles(operation))
-        return mapping
+        graph = WeightedGraph(context.compiled, self.uses_probability_weights)
+        budgets = ServerBudgets(graph.ideal_cycles)
+        servers = [UNPLACED] * len(graph.cycles)
+        order = graph.by_cost()
+        for operation in order:
+            server = servers[operation] = budgets.neediest()
+            budgets.charge(server, graph.cycles[operation])
+        return graph.deployment(servers, order)

@@ -28,45 +28,44 @@ bus equivalent.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.algorithms.base import (
     DeploymentAlgorithm,
     ProblemContext,
     register_algorithm,
 )
-from repro.algorithms.graph_adapters import ServerBudgets
+from repro.algorithms.graph_adapters import UNPLACED, ServerBudgets, WeightedGraph
 from repro.core.mapping import Deployment
 
 __all__ = ["HeavyOpsLargeMsgs"]
 
 
 class _Groups:
-    """Union of operation groups with weighted-cycle bookkeeping."""
+    """Union of operation groups (by index) with weighted-cycle bookkeeping.
 
-    def __init__(self, context: ProblemContext):
-        self._context = context
-        self._members: dict[int, set[str]] = {}
-        self._cycles: dict[int, float] = {}
-        self._group_of: dict[str, int] = {}
-        self._rank: dict[str, int] = {}
-        for i, name in enumerate(context.workflow.operation_names):
-            self._members[i] = {name}
-            self._cycles[i] = context.weighted_cycles(name)
-            self._group_of[name] = i
-            self._rank[name] = i
+    A group's id is the index of the operation it started from.
+    """
 
-    def group_of(self, operation: str) -> int:
+    def __init__(self, cycles: Sequence[float]):
+        self._op_cycles = cycles
+        self._members: dict[int, set[int]] = {i: {i} for i in range(len(cycles))}
+        self._cycles: dict[int, float] = dict(enumerate(cycles))
+        self._group_of: dict[int, int] = {i: i for i in range(len(cycles))}
+
+    def group_of(self, operation: int) -> int:
         """Group id currently containing *operation*."""
         return self._group_of[operation]
 
-    def same_group(self, a: str, b: str) -> bool:
+    def same_group(self, a: int, b: int) -> bool:
         """True when both operations sit in one group."""
         return self._group_of.get(a) == self._group_of.get(b) and a in self._group_of
 
-    def members(self, group_id: int) -> set[str]:
+    def members(self, group_id: int) -> set[int]:
         """Operations of one group."""
         return set(self._members[group_id])
 
-    def merge(self, a: str, b: str) -> int:
+    def merge(self, a: int, b: int) -> int:
         """Merge the groups of *a* and *b*; returns the surviving id."""
         ga, gb = self._group_of[a], self._group_of[b]
         if ga == gb:
@@ -76,45 +75,40 @@ class _Groups:
             ga, gb = gb, ga
         self._members[ga] |= self._members[gb]
         self._cycles[ga] += self._cycles[gb]
-        for name in self._members[gb]:
-            self._group_of[name] = ga
+        for operation in self._members[gb]:
+            self._group_of[operation] = ga
         del self._members[gb]
         del self._cycles[gb]
         return ga
 
-    def remove_operation(self, operation: str) -> None:
+    def remove_operation(self, operation: int) -> None:
         """Detach *operation* (it has been assigned individually)."""
         group_id = self._group_of.pop(operation)
         members = self._members[group_id]
         members.discard(operation)
-        self._cycles[group_id] -= self._context.weighted_cycles(operation)
+        self._cycles[group_id] -= self._op_cycles[operation]
         if not members:
             del self._members[group_id]
             del self._cycles[group_id]
 
-    def remove_group(self, group_id: int) -> set[str]:
+    def remove_group(self, group_id: int) -> set[int]:
         """Drop a whole group (it has been assigned); returns its members."""
         members = self._members.pop(group_id)
         del self._cycles[group_id]
-        for name in members:
-            del self._group_of[name]
+        for operation in members:
+            del self._group_of[operation]
         return members
 
     def heaviest(self) -> int | None:
         """Id of the group with the most (weighted) cycles, or ``None``.
 
-        Ties break toward the group containing the earliest-inserted
-        operation, keeping runs deterministic.
+        Ties break toward the group containing the lowest operation
+        index, keeping runs deterministic.
         """
-        if not self._members:
+        cycles, members = self._cycles, self._members
+        if not cycles:
             return None
-        return min(
-            self._members,
-            key=lambda gid: (
-                -self._cycles[gid],
-                min(self._rank[name] for name in self._members[gid]),
-            ),
-        )
+        return min(cycles, key=lambda gid: (-cycles[gid], min(members[gid])))
 
     def cycles(self, group_id: int) -> float:
         """Weighted cycles of one group."""
@@ -146,43 +140,45 @@ class HeavyOpsLargeMsgs(DeploymentAlgorithm):
         )
 
     def _deploy(self, context: ProblemContext) -> Deployment:
-        workflow = context.workflow
-        budgets = ServerBudgets(context)
-        groups = _Groups(context)
-        mapping = Deployment()
+        graph = WeightedGraph(context.compiled, self.uses_probability_weights)
+        op_names = context.compiled.op_names
+        power = context.compiled.power
+        cycles = graph.cycles
+        budgets = ServerBudgets(graph.ideal_cycles)
+        groups = _Groups(cycles)
+        servers = [UNPLACED] * len(cycles)
+        placed: list[int] = []
         bus = self._bus(context.network)
 
         # messages sorted by weighted size descending, insertion order on ties
-        messages = sorted(
-            workflow.messages,
-            key=lambda m: -context.weighted_message_bits(*m.pair),
-        )
+        messages = sorted(graph.messages, key=lambda m: -m[2])
 
         def active_top_message():
-            """First message still worth acting on; prunes dead entries.
+            """First message still worth acting on.
 
-            Dead: both ends assigned (the appendix's cleanup loop).
-            Skipped but kept: both ends unassigned in one group -- their
-            co-location is already guaranteed, acting would self-merge.
+            Skipped: both ends assigned (the appendix's cleanup loop),
+            and both ends unassigned in one group -- their co-location
+            is already guaranteed, acting would self-merge.
             """
-            while messages and all(end in mapping for end in messages[0].pair):
-                messages.pop(0)
             for message in messages:
-                src_assigned = message.source in mapping
-                dst_assigned = message.target in mapping
+                source, target = message[0], message[1]
+                src_assigned = servers[source] != UNPLACED
+                dst_assigned = servers[target] != UNPLACED
                 if src_assigned and dst_assigned:
                     continue
-                if (
-                    not src_assigned
-                    and not dst_assigned
-                    and groups.same_group(message.source, message.target)
+                if not (src_assigned or dst_assigned) and groups.same_group(
+                    source, target
                 ):
                     continue
                 return message
             return None
 
-        unassigned = len(workflow)
-        while unassigned:
+        def place(operation: int, server: int) -> None:
+            servers[operation] = server
+            budgets.charge(server, cycles[operation])
+            placed.append(operation)
+
+        while len(placed) < len(cycles):
             heaviest = groups.heaviest()
             assert heaviest is not None  # every unassigned op is in a group
             server = budgets.neediest()
@@ -190,41 +186,31 @@ class HeavyOpsLargeMsgs(DeploymentAlgorithm):
 
             message_is_large = False
             if top is not None:
-                group_time = groups.cycles(heaviest) / context.network.server(
-                    server
-                ).power_hz
+                group_time = groups.cycles(heaviest) / power[server]
                 # time to push the message over the bus
                 transfer_time = 0.0
                 if bus is not None:
                     speed, propagation = bus
-                    bits = context.weighted_message_bits(*top.pair)
-                    transfer_time = bits / speed + propagation
+                    transfer_time = top[2] / speed + propagation
                 message_is_large = transfer_time >= group_time
 
             if top is None or not message_is_large:
-                # option (a): heaviest group to the most available server
-                for name in sorted(groups.remove_group(heaviest)):
-                    mapping.assign(name, server)
-                    budgets.charge(server, context.weighted_cycles(name))
-                    unassigned -= 1
+                # option (a): heaviest group to the most available server,
+                # its members in name order
+                members = groups.remove_group(heaviest)
+                for operation in sorted(members, key=op_names.__getitem__):
+                    place(operation, server)
                 continue
 
-            src_assigned = top.source in mapping
-            dst_assigned = top.target in mapping
-            if src_assigned and not dst_assigned:
+            source, target = top[0], top[1]
+            if servers[source] != UNPLACED and servers[target] == UNPLACED:
                 # option (b1): pull the free end onto the sender's server
-                host = mapping.server_of(top.source)
-                mapping.assign(top.target, host)
-                budgets.charge(host, context.weighted_cycles(top.target))
-                groups.remove_operation(top.target)
-                unassigned -= 1
-            elif dst_assigned and not src_assigned:
-                host = mapping.server_of(top.target)
-                mapping.assign(top.source, host)
-                budgets.charge(host, context.weighted_cycles(top.source))
-                groups.remove_operation(top.source)
-                unassigned -= 1
+                place(target, servers[source])
+                groups.remove_operation(target)
+            elif servers[target] != UNPLACED and servers[source] == UNPLACED:
+                place(source, servers[target])
+                groups.remove_operation(source)
             else:
                 # option (b2): both free -> merge their groups
-                groups.merge(top.source, top.target)
-        return mapping
+                groups.merge(source, target)
+        return graph.deployment(servers, placed)

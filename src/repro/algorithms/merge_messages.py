@@ -21,21 +21,24 @@ defined -- faithful to the pseudo-code.
 
 from __future__ import annotations
 
+import operator
+
 from repro.algorithms.base import (
     DeploymentAlgorithm,
     ProblemContext,
     register_algorithm,
 )
-from repro.algorithms.fair_load import sorted_operations_by_cost
-from repro.algorithms.graph_adapters import ServerBudgets, gain_of_operation_at_server
-from repro.algorithms.tie_resolver import tied_prefix
+from repro.algorithms.graph_adapters import UNPLACED, WeightedGraph
+from repro.algorithms.tie_resolver import FairLoadTieResolver2, place_by_gain
 from repro.core.mapping import Deployment
 from repro.exceptions import AlgorithmError
 
 __all__ = ["FairLoadMergeMessages", "big_message_threshold"]
 
+_BITS = operator.itemgetter(1)
 
-def big_message_threshold(context: ProblemContext, big_fraction: float) -> float:
+
+def big_message_threshold(graph: WeightedGraph, big_fraction: float) -> float:
     """The size (weighted bits) above which a message counts as large.
 
     Sorts the workflow's (probability-weighted) message sizes descending
@@ -43,13 +46,7 @@ def big_message_threshold(context: ProblemContext, big_fraction: float) -> float
     i.e. roughly the top ``big_fraction`` of messages are large. Returns
     ``inf`` for workflows without messages so nothing triggers.
     """
-    sizes = sorted(
-        (
-            context.weighted_message_bits(*message.pair)
-            for message in context.workflow.messages
-        ),
-        reverse=True,
-    )
+    sizes = sorted((bits for _, _, bits in graph.messages), reverse=True)
     if not sizes:
         return float("inf")
     index = int((len(sizes) - 1) * big_fraction)
@@ -79,80 +76,43 @@ class FairLoadMergeMessages(DeploymentAlgorithm):
         self.big_fraction = big_fraction
         self.random_start = random_start
 
+    @staticmethod
     def _constraining_neighbor(
-        self, context: ProblemContext, operation: str, threshold: float
-    ) -> str | None:
+        graph: WeightedGraph, operation: int, threshold: float
+    ) -> int | None:
         """The neighbour whose shared large message forces co-location.
 
         Generalises ``There_Is_Constraints``: the largest incoming
-        message plays the pseudo-code's ``left_message`` role, the
-        largest outgoing one the ``right_message`` role; whichever
-        exceeds the threshold by more decides. ``None`` when neither is
-        large.
+        message (the first of equals) plays the pseudo-code's
+        ``left_message`` role, the largest outgoing one the
+        ``right_message`` role; whichever exceeds the threshold by more
+        decides. ``None`` when neither is large.
         """
-        workflow = context.workflow
-        best_in: tuple[float, str] | None = None
-        for predecessor in workflow.predecessors(operation):
-            size = context.weighted_message_bits(predecessor, operation)
-            if best_in is None or size > best_in[0]:
-                best_in = (size, predecessor)
-        best_out: tuple[float, str] | None = None
-        for successor in workflow.successors(operation):
-            size = context.weighted_message_bits(operation, successor)
-            if best_out is None or size > best_out[0]:
-                best_out = (size, successor)
-
-        in_large = best_in is not None and best_in[0] >= threshold
-        out_large = best_out is not None and best_out[0] >= threshold
+        best_in = max(graph.incoming[operation], key=_BITS, default=None)
+        best_out = max(graph.outgoing[operation], key=_BITS, default=None)
+        in_large = best_in is not None and best_in[1] >= threshold
+        out_large = best_out is not None and best_out[1] >= threshold
         if in_large and out_large:
             # the message "furthest from the threshold value" wins; the
             # appendix breaks the exact tie toward the left (incoming) end
-            return best_in[1] if best_in[0] >= best_out[0] else best_out[1]
+            return best_in[0] if best_in[1] >= best_out[1] else best_out[0]
         if in_large:
-            return best_in[1]
+            return best_in[0]
         if out_large:
-            return best_out[1]
+            return best_out[0]
         return None
 
     def _deploy(self, context: ProblemContext) -> Deployment:
-        budgets = ServerBudgets(context)
-        if self.random_start:
-            mapping = Deployment.random(
-                context.workflow, context.network, context.rng
-            )
-        else:
-            mapping = Deployment()
-        pending = sorted_operations_by_cost(context)
-        threshold = big_message_threshold(context, self.big_fraction)
-        while pending:
-            ordered_servers = budgets.sorted_servers()
-            tied_servers = tied_prefix(ordered_servers, budgets.remaining)
-            candidates = tied_prefix(pending, context.weighted_cycles)
-            best_operation = candidates[0]
-            best_server = tied_servers[0]
-            best_gain = gain_of_operation_at_server(
-                context, best_operation, best_server, mapping
-            )
-            for operation in candidates:
-                for server in tied_servers:
-                    if operation == best_operation and server == best_server:
-                        continue
-                    gain = gain_of_operation_at_server(
-                        context, operation, server, mapping
-                    )
-                    if gain > best_gain:
-                        best_gain = gain
-                        best_operation = operation
-                        best_server = server
+        graph = WeightedGraph(context.compiled, self.uses_probability_weights)
+        threshold = big_message_threshold(graph, self.big_fraction)
 
-            neighbor = self._constraining_neighbor(
-                context, best_operation, threshold
+        def choose(graph, budgets, pending, servers) -> tuple[int, int]:
+            operation, server = FairLoadTieResolver2._choose(
+                graph, budgets, pending, servers
             )
-            if neighbor is not None and mapping.get(neighbor) is not None:
-                target_server = mapping.server_of(neighbor)
-            else:
-                target_server = best_server
-            mapping.assign(best_operation, target_server)
-            budgets.charge(target_server, context.weighted_cycles(best_operation))
-            pending.remove(best_operation)
-        return mapping
+            neighbor = self._constraining_neighbor(graph, operation, threshold)
+            if neighbor is not None and servers[neighbor] != UNPLACED:
+                server = servers[neighbor]
+            return operation, server
+
+        return place_by_gain(context, graph, self.random_start, choose)

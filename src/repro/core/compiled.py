@@ -65,7 +65,7 @@ from repro.core.migration import PENALTY_MODES, TransitionObjective
 from repro.core.probability import execution_probabilities
 from repro.core.validation import check_well_formed
 from repro.core.workflow import NodeKind, Workflow
-from repro.exceptions import DeploymentError, UnknownServerError
+from repro.exceptions import DeploymentError, UnknownServerError, WorkflowError
 from repro.network.routing import Router
 from repro.network.topology import ServerNetwork
 from repro.numeric import ordered_sum
@@ -146,17 +146,20 @@ class CompiledWorkflow:
     """
 
     def __init__(self, workflow: Workflow, use_probabilities: bool | None):
-        if not workflow.is_dag():
+        try:
+            # the one sort of the compile: the order and the probabilities
+            topological = workflow.topological_order()
+        except WorkflowError:
             raise DeploymentError(
                 f"workflow {workflow.name!r} contains a cycle; the cost "
                 f"model requires a DAG"
-            )
+            ) from None
         self.workflow = workflow
         self.has_xor = any(op.kind is NodeKind.XOR_SPLIT for op in workflow)
         self.use_probabilities = self.probability_setting(use_probabilities)
         if self.use_probabilities:
             workflow.validate_xor_probabilities()
-            prob_by_name = execution_probabilities(workflow)
+            prob_by_name = execution_probabilities(workflow, topological)
         else:
             prob_by_name = {name: 1.0 for name in workflow.operation_names}
 
@@ -166,7 +169,7 @@ class CompiledWorkflow:
         }
         self.num_ops = len(self.op_names)
         self.order: tuple[int, ...] = tuple(
-            op_index[name] for name in workflow.topological_order()
+            op_index[name] for name in topological
         )
         self.exits: tuple[int, ...] = tuple(
             op_index[name] for name in workflow.exits
@@ -233,7 +236,7 @@ class CompiledWorkflow:
         )
 
         # ---- lazily-filled memos ----------------------------------------
-        self._graph = workflow.graph
+        self._graph: nx.DiGraph | None = None  # see _view
         topo_pos = [0] * self.num_ops
         for pos, op in enumerate(self.order):
             topo_pos[op] = pos
@@ -245,12 +248,18 @@ class CompiledWorkflow:
         """What a requested *use_probabilities* resolves to here."""
         return self.has_xor if use_probabilities is None else use_probabilities
 
+    def _view(self) -> nx.DiGraph:
+        """The workflow's read-only graph view, made on first use."""
+        if self._graph is None:
+            self._graph = self.workflow.graph
+        return self._graph
+
     def dirty_order(self, op: int) -> tuple[int, ...]:
         """See :meth:`CompiledInstance.dirty_order`."""
         cached = self._dirty.get(op)
         if cached is None:
             name = self.op_names[op]
-            region = nx.descendants(self._graph, name) | {name}
+            region = nx.descendants(self._view(), name) | {name}
             cached = tuple(
                 sorted(
                     (self.op_index[n] for n in region),
@@ -263,7 +272,7 @@ class CompiledWorkflow:
     def decision_scopes(self) -> Mapping[int, tuple[int, ...]]:
         """See :meth:`CompiledInstance.decision_scopes`."""
         if self._scopes is None:
-            graph = self._graph
+            graph = self._view()
             report = check_well_formed(self.workflow)
             scopes: dict[int, tuple[int, ...]] = {}
             for split, join in report.matches.items():
@@ -865,6 +874,12 @@ class CompiledInstance:
     # ------------------------------------------------------------------
     # graph regions
     # ------------------------------------------------------------------
+    def _view(self) -> nx.DiGraph:
+        """The workflow's read-only graph view, made on first use."""
+        if self._graph is None:
+            self._graph = self.workflow.graph
+        return self._graph
+
     def dirty_order(self, op: int) -> tuple[int, ...]:
         """The operation plus its descendants, in topological order.
 

@@ -24,23 +24,30 @@ propagated through the DAG:
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.core.workflow import NodeKind, Workflow
+from repro.numeric import ordered_sum
 
 __all__ = ["execution_probabilities", "message_probabilities"]
 
 
-def execution_probabilities(workflow: Workflow) -> dict[str, float]:
+def execution_probabilities(
+    workflow: Workflow, order: Sequence[str] | None = None
+) -> dict[str, float]:
     """Per-operation execution probability, amortised over many runs.
 
     The workflow must be a DAG (raises through
-    :meth:`Workflow.topological_order` otherwise). Probabilities are
-    clamped to ``[0, 1]`` to absorb floating-point drift in deeply nested
-    regions.
+    :meth:`Workflow.topological_order` otherwise); a caller that has
+    sorted it already passes that *order*. Probabilities are clamped to
+    ``[0, 1]`` to absorb floating-point drift in deeply nested regions.
+    An ``XOR`` join's edge probabilities are added left to right
+    (:func:`~repro.numeric.ordered_sum`), on every Python version.
     """
+    if order is None:
+        order = workflow.topological_order()
     probabilities: dict[str, float] = {}
-    for name in workflow.topological_order():
+    for name in order:
         operation = workflow.operation(name)
         incoming = workflow.incoming(name)
         if not incoming:
@@ -50,7 +57,7 @@ def execution_probabilities(workflow: Workflow) -> dict[str, float]:
             probabilities[m.source] * m.probability for m in incoming
         ]
         if operation.kind is NodeKind.XOR_JOIN:
-            value = sum(edge_probs)
+            value = ordered_sum(edge_probs)
         else:
             value = max(edge_probs)
         probabilities[name] = min(1.0, max(0.0, value))

@@ -397,9 +397,10 @@ class Workflow:
 
     def topological_order(self) -> tuple[str, ...]:
         """A topological ordering of the operations (DAG required)."""
-        if not self.is_dag():
-            raise WorkflowError(f"workflow {self.name!r} contains a cycle")
-        return tuple(nx.topological_sort(self._graph))
+        try:
+            return tuple(nx.topological_sort(self._graph))
+        except nx.NetworkXUnfeasible:
+            raise WorkflowError(f"workflow {self.name!r} contains a cycle") from None
 
     def decision_fraction(self) -> float:
         """Fraction of nodes that are decision nodes (0 for empty)."""

@@ -466,15 +466,23 @@ class Router:
         """
         if si in self._rows:
             return 0
-        rows = (
-            self._source_row(si, apsp.WEIGHT_PROPAGATION),
-            self._source_row(si, apsp.WEIGHT_TRANSFER),
-        )
+        weights = (apsp.WEIGHT_PROPAGATION, apsp.WEIGHT_TRANSFER)
+        rows = tuple(self._source_row(si, weight) for weight in weights)
         first = si + 1
-        slots = [
-            self._classify(si, ti, rows)
-            for ti in range(first, len(self.server_names))
-        ]
+        certificate = self._certificate
+        if certificate and all(certificate.row_ok(si, w) for w in weights):
+            # both rows are the direct links, so classification would
+            # take branch 1 with each link's own floats (0.0 + p == p)
+            direct = {
+                ti: (0.0 + prop, 0.0 + inv)
+                for ti, prop, inv, _speed in self._graph.adjacency[si]
+            }
+            slots = [direct[ti] for ti in range(first, len(self.server_names))]
+        else:
+            slots = [
+                self._classify(si, ti, rows)
+                for ti in range(first, len(self.server_names))
+            ]
         self._rows[si] = rows
         for ti, coeff in enumerate(slots, start=first):
             self._store(si, ti, coeff)

@@ -11,6 +11,7 @@ from repro.algorithms.base import (
     get_algorithm,
     register_algorithm,
 )
+from repro.algorithms.graph_adapters import WeightedGraph
 from repro.core.cost import CostModel
 from repro.core.mapping import Deployment
 from repro.exceptions import AlgorithmError
@@ -137,45 +138,59 @@ class TestDeployContract:
 
 
 class TestProblemContextWeights:
+    """The section 3.4 weights a heuristic reads through WeightedGraph."""
+
     def test_line_weights_are_one(self, line3, bus3):
         algorithm = _AllOnFirst()
         algorithm.deploy(line3, bus3)
-        context = algorithm.seen_context
-        assert all(w == 1.0 for w in context.op_weights.values())
-        assert all(w == 1.0 for w in context.msg_weights.values())
+        compiled = algorithm.seen_context.compiled
+        graph = WeightedGraph(compiled, True)
+        assert graph.cycles == tuple(op.cycles for op in line3)
+        assert [bits for _, _, bits in graph.messages] == [
+            m.size_bits for m in line3.messages
+        ]
 
     def test_xor_weights_follow_probabilities(self, xor_diamond, bus3):
         algorithm = _AllOnFirst()
         algorithm.deploy(xor_diamond, bus3)
-        context = algorithm.seen_context
-        assert context.op_weights["left"] == pytest.approx(0.7)
-        assert context.msg_weights[("choice", "right")] == pytest.approx(0.3)
+        compiled = algorithm.seen_context.compiled
+        graph = WeightedGraph(compiled, True)
+        index = compiled.op_index
+        assert graph.cycles[index["left"]] == pytest.approx(0.7 * 20e6)
+        bits = {(s, t): b for s, t, b in graph.messages}
+        size = xor_diamond.message("choice", "right").size_bits
+        assert bits[(index["choice"], index["right"])] == pytest.approx(
+            0.3 * size
+        )
 
     def test_opt_out_of_weighting(self, xor_diamond, bus3):
-        class Unweighted(_AllOnFirst):
-            name = "test-unweighted"
-            uses_probability_weights = False
-
-        algorithm = Unweighted()
+        algorithm = _AllOnFirst()
         algorithm.deploy(xor_diamond, bus3)
-        assert all(
-            w == 1.0 for w in algorithm.seen_context.op_weights.values()
+        graph = WeightedGraph(algorithm.seen_context.compiled, False)
+        assert graph.cycles == tuple(op.cycles for op in xor_diamond)
+        assert [bits for _, _, bits in graph.messages] == [
+            m.size_bits for m in xor_diamond.messages
+        ]
+        assert sum(graph.ideal_cycles) == pytest.approx(
+            xor_diamond.total_cycles
         )
 
     def test_weighted_cycles_and_bits(self, xor_diamond, bus3):
         algorithm = _AllOnFirst()
         algorithm.deploy(xor_diamond, bus3)
-        context = algorithm.seen_context
-        assert context.weighted_cycles("left") == pytest.approx(0.7 * 20e6)
-        assert context.weighted_message_bits(
-            "choice", "left"
-        ) == pytest.approx(0.7 * 8_000)
-        assert context.total_weighted_cycles() == pytest.approx(48e6)
+        compiled = algorithm.seen_context.compiled
+        graph = WeightedGraph(compiled, True)
+        left = compiled.op_index["left"]
+        choice = compiled.op_index["choice"]
+        assert graph.cycles[left] == pytest.approx(0.7 * 20e6)
+        assert (choice, pytest.approx(0.7 * 8_000)) in graph.incoming[left]
+        assert graph.neighbours[left] == (
+            graph.incoming[left] + graph.outgoing[left]
+        )
+        assert sum(graph.ideal_cycles) == pytest.approx(48e6)
 
     def test_initial_ideal_cycles(self, line3, bus3):
         algorithm = _AllOnFirst()
         algorithm.deploy(line3, bus3)
-        ideal = algorithm.seen_context.initial_ideal_cycles()
-        assert ideal == pytest.approx(
-            {"S1": 10e6, "S2": 20e6, "S3": 30e6}
-        )
+        graph = WeightedGraph(algorithm.seen_context.compiled, True)
+        assert graph.ideal_cycles == pytest.approx((10e6, 20e6, 30e6))

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.algorithms.fair_load import FairLoad, sorted_operations_by_cost
+from repro.algorithms.fair_load import FairLoad
+from repro.algorithms.graph_adapters import WeightedGraph
 from repro.core.cost import CostModel
 from repro.core.workflow import Operation, Workflow
 from repro.network.topology import bus_network
@@ -81,7 +82,9 @@ def test_sorted_operations_by_cost_stable_ties(line5, bus5):
         name = "test-probe-sort"
 
         def _deploy(self, context):
-            self.order = sorted_operations_by_cost(context)
+            graph = WeightedGraph(context.compiled, True)
+            names = context.compiled.op_names
+            self.order = [names[op] for op in graph.by_cost()]
             return Deployment.round_robin(context.workflow, context.network)
 
     probe = Probe()

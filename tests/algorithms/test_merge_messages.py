@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algorithms.base import DeploymentAlgorithm
+from repro.algorithms.graph_adapters import WeightedGraph
 from repro.algorithms.merge_messages import (
     FairLoadMergeMessages,
     big_message_threshold,
@@ -23,7 +24,7 @@ def line_with_sizes(sizes, cycles=10e6):
     return workflow
 
 
-def _context(workflow, network):
+def _graph(workflow, network):
     class Probe(DeploymentAlgorithm):
         name = "test-flmme-probe"
 
@@ -33,33 +34,33 @@ def _context(workflow, network):
 
     probe = Probe()
     probe.deploy(workflow, network)
-    return probe.context
+    return WeightedGraph(probe.context.compiled, True)
 
 
 class TestBigMessageThreshold:
     def test_top_decile_of_ten_messages(self, bus3):
         sizes = [float(s) for s in range(1_000, 11_000, 1_000)]  # 1k..10k
         workflow = line_with_sizes(sizes)
-        context = _context(workflow, bus3)
+        graph = _graph(workflow, bus3)
         # descending [10k..1k]; index int(9 * 0.1) = 0 -> 10k is the bar
-        assert big_message_threshold(context, 0.1) == pytest.approx(10_000)
+        assert big_message_threshold(graph, 0.1) == pytest.approx(10_000)
 
     def test_half_fraction(self, bus3):
         sizes = [1_000.0, 2_000.0, 3_000.0, 4_000.0]
         workflow = line_with_sizes(sizes)
-        context = _context(workflow, bus3)
+        graph = _graph(workflow, bus3)
         # descending [4k,3k,2k,1k]; index int(3 * 0.5) = 1 -> 3k
-        assert big_message_threshold(context, 0.5) == pytest.approx(3_000)
+        assert big_message_threshold(graph, 0.5) == pytest.approx(3_000)
 
     def test_no_messages_yields_infinity(self, bus3):
         workflow = Workflow("solo")
         workflow.add_operation(Operation("A", 1e6))
-        context = _context(workflow, bus3)
-        assert big_message_threshold(context, 0.1) == float("inf")
+        graph = _graph(workflow, bus3)
+        assert big_message_threshold(graph, 0.1) == float("inf")
 
     def test_probability_weighted_sizes(self, xor_diamond, bus3):
-        context = _context(xor_diamond, bus3)
-        threshold = big_message_threshold(context, 0.0)
+        graph = _graph(xor_diamond, bus3)
+        threshold = big_message_threshold(graph, 0.0)
         # fraction 0 -> the single largest weighted message: the
         # probability-1 edges at 8000 bits
         assert threshold == pytest.approx(8_000)

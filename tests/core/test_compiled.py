@@ -13,9 +13,11 @@ import math
 import random
 import weakref
 
+import networkx as nx
 import numpy as np
 import pytest
 
+from repro.algorithms.graph_adapters import WeightedGraph
 from repro.core.builder import WorkflowBuilder
 from repro.core.compiled import (
     JOIN_MAX,
@@ -30,8 +32,9 @@ from repro.core.cost import CostModel
 from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
 from repro.core.migration import TransitionObjective
+from repro.core.probability import execution_probabilities
 from repro.core.workflow import Message, NodeKind, Operation, Workflow
-from repro.exceptions import DeploymentError, UnknownServerError
+from repro.exceptions import DeploymentError, UnknownServerError, WorkflowError
 from repro.network.topology import Link, bus_network
 from repro.service.state import FleetState, jain_index
 from repro.simulation.engine import SimulationEngine
@@ -373,6 +376,40 @@ class TestLeftToRightSums:
         assert list(compiled.xor_weights[join]) == weights
         assert compiled.xor_weight_total[join] == self.fold(weights)
 
+    def test_xor_join_probability_is_a_left_fold(self):
+        # ten 0.1 branches fold to 0.9999999999999999, compensate to 1.0
+        weights = [0.1] * 10
+        assert math.fsum(weights) != self.fold(weights)
+        builder = WorkflowBuilder("xor-tenths", default_message_bits=8e6)
+        builder.task("start", 1e9)
+        builder.split(NodeKind.XOR_SPLIT, "split", 1e9)
+        for index, probability in enumerate(weights):
+            builder.branch(probability=probability)
+            builder.task(f"b{index}", 1e9)
+        builder.join("join", 1e9)
+        workflow = builder.build()
+        assert execution_probabilities(workflow)["join"] == self.fold(weights)
+        compiled = CompiledInstance(
+            workflow, bus_network((1e9, 2e9), speed_bps=1e8)
+        )
+        join = compiled.op_index["join"]
+        assert compiled.node_prob[join] == self.fold(weights)
+        assert compiled.wcycles[join] == 1e9 * self.fold(weights)
+
+    @pytest.mark.parametrize("use_probabilities", [None, True])
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_heuristic_budgets_are_left_folds(self, use_probabilities, weighted):
+        parts = [1e16, 1.0, 1.0]
+        assert math.fsum(parts) != self.fold(parts)
+        compiled = CompiledInstance(
+            make_chain("skew", parts),
+            bus_network((1e9, 3e9), speed_bps=1e8),
+            use_probabilities=use_probabilities,
+        )
+        graph = WeightedGraph(compiled, weighted)
+        total = self.fold(parts)
+        assert graph.ideal_cycles == (total * 1e9 / 4e9, total * 3e9 / 4e9)
+
     @staticmethod
     def skewed_xor_instance():
         """A 3-way XOR join whose weighted arrivals are 1e16, 1, 1."""
@@ -415,6 +452,45 @@ class TestLeftToRightSums:
             CostModel.from_compiled(compiled), Deployment(mapping)
         )
         assert evaluator.propose("c", "S1").execution_time == execution
+
+
+class TestOneSort:
+    """A compile sorts its workflow once and checks for cycles through it."""
+
+    def test_compile_sorts_an_xor_workflow_once(self, monkeypatch):
+        sorts = []
+        dag_checks = []
+        real_sort = nx.topological_sort
+        real_is_dag = Workflow.is_dag
+
+        def counting_sort(graph):
+            sorts.append(graph)
+            return real_sort(graph)
+
+        def counting_is_dag(workflow):
+            dag_checks.append(workflow)
+            return real_is_dag(workflow)
+
+        monkeypatch.setattr(nx, "topological_sort", counting_sort)
+        monkeypatch.setattr(Workflow, "is_dag", counting_is_dag)
+        compiled = CompiledInstance(
+            xor_workflow(), bus_network((1e9, 2e9), speed_bps=1e8)
+        )
+        assert compiled.use_probabilities
+        assert (len(sorts), len(dag_checks)) == (1, 0)
+
+    def test_cycle_errors_keep_their_types_and_messages(self):
+        workflow = make_chain("loop", [1e9, 1e9, 1e9])
+        workflow.add_transition(Message("O3", "O1", size_bits=1e4))
+        with pytest.raises(
+            DeploymentError,
+            match=r"^workflow 'loop' contains a cycle; the cost model "
+            r"requires a DAG$",
+        ):
+            CompiledInstance(workflow, bus_network((1e9,), speed_bps=1e8))
+        with pytest.raises(WorkflowError, match=r"^workflow 'loop' contains a cycle$"):
+            workflow.topological_order()
+        assert not issubclass(DeploymentError, WorkflowError)
 
 
 #: Every array a compiled instance exposes (tuples, lists and dicts

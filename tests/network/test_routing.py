@@ -1,5 +1,7 @@
 """Unit tests for shortest-delivery-time routing."""
 
+import struct
+
 import pytest
 
 from repro.core.compiled import CompiledInstance
@@ -8,6 +10,7 @@ from repro.exceptions import (
     NetworkError,
     UnknownServerError,
 )
+from repro.network import apsp
 from repro.network.routing import Router
 from repro.network.topology import (
     Link,
@@ -235,6 +238,52 @@ class TestCompileAllPairs:
         router.compile_all_pairs()
         assert routes[0][1] is not None
         assert (router.hits, router.misses) == (0, 0)
+
+
+def _dyadic_mesh():
+    """A complete graph whose relays tie the direct links exactly.
+
+    Every propagation and every ``1/speed`` is a power of two, so the
+    two-hop sums the dense certificate compares are exact: S1-S2 costs
+    as much direct as through S3 on both weights, and S4's links are
+    strictly dominant.
+    """
+    network = ServerNetwork("dyadic")
+    network.add_servers([Server(f"S{i}", 1e9) for i in range(1, 5)])
+    network.connect("S1", "S2", 2.0**20, propagation_s=2.0**-9)
+    network.connect("S1", "S3", 2.0**21, propagation_s=2.0**-10)
+    network.connect("S3", "S2", 2.0**21, propagation_s=2.0**-10)
+    for other in ("S1", "S2", "S3"):
+        network.connect(other, "S4", 2.0**19, propagation_s=2.0**-8)
+    return network
+
+
+class TestCertifiedFill:
+    def test_certified_slots_equal_classified_slots_bit_for_bit(self):
+        network = _dyadic_mesh()
+        router = Router(network)
+        router.compile_all_pairs()
+        graph = router._graph
+        certificate = apsp.dense_dominance(graph)
+        # every row passes, ties included: the fill took the shortcut
+        assert certificate.ok_rows[0].all() and certificate.ok_rows[1].all()
+        assert router.dijkstra_runs == 0
+        count = len(network)
+        for si in range(count - 1):
+            rows = [apsp._dijkstra(graph, si, weight) for weight in (0, 1)]
+            assert rows == list(router._rows[si])
+            for ti in range(si + 1, count):
+                expected = apsp.classify_pair(
+                    graph,
+                    apsp.row_path(graph, rows[0], si, ti),
+                    apsp.row_path(graph, rows[1], si, ti),
+                )
+                slot = router.route_table()[si][ti]
+                assert struct.pack("dd", *slot) == struct.pack("dd", *expected)
+                assert router.route_table()[ti][si] is slot
+        # the relay ties are real: S1-S2 via S3 costs what the link costs
+        s1, s2, s3 = 0, 1, 2
+        assert graph.coefficients((s1, s3, s2)) == graph.coefficients((s1, s2))
 
 
 class TestRouteTable:

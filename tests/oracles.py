@@ -10,8 +10,12 @@ from unittest import mock
 import numpy as np
 
 from repro.algorithms.base import ProblemContext
+from repro.algorithms.fair_load import FairLoad
+from repro.algorithms.heavy_ops import HeavyOpsLargeMsgs
 from repro.algorithms.local_search import HillClimbing, SimulatedAnnealing
+from repro.algorithms.merge_messages import FairLoadMergeMessages
 from repro.algorithms.runtime import SearchStep
+from repro.algorithms.tie_resolver import FairLoadTieResolver, FairLoadTieResolver2
 from repro.core.batch import BatchScores
 from repro.core.compiled import CompiledInstance
 from repro.core.cost import CostModel
@@ -20,6 +24,7 @@ from repro.core.mapping import Deployment
 from repro.exceptions import DisconnectedNetworkError
 from repro.network import apsp
 from repro.network.routing import Router
+from repro.numeric import ordered_sum
 from repro.service.state import FleetState
 
 
@@ -139,7 +144,10 @@ def rebuild_routes_on_link_events():
 
 
 def per_move_hill_climbing(
-    model: CostModel, start: Deployment, max_iterations: int = 1_000
+    model: CostModel,
+    start: Deployment,
+    max_iterations: int = 1_000,
+    moves: list[tuple[str, str]] | None = None,
 ) -> tuple[Deployment, int, int, int]:
     """Steepest descent priced one ``propose_value`` call per move.
 
@@ -149,7 +157,8 @@ def per_move_hill_climbing(
     and the first strict minimum below the incumbent wins. Returns
     ``(deployment, evaluations, accepted, rejected)`` with the counters
     :class:`~repro.algorithms.runtime.SearchReport` totals for the same
-    run (the starting state counts one evaluation).
+    run (the starting state counts one evaluation). Each round's move
+    is appended to *moves* when given.
     """
     current = start.copy()
     evaluator = MoveEvaluator(model, current)
@@ -173,6 +182,8 @@ def per_move_hill_climbing(
             rejected += evals
             break
         evaluator.apply(*best_move)
+        if moves is not None:
+            moves.append(best_move)
         accepted += 1
         rejected += evals - 1
     return current, evaluations, accepted, rejected
@@ -187,11 +198,13 @@ class FullEvaluationHillClimbing(HillClimbing):
     incumbent wins. It still runs through ``context.search``, so a
     benchmark that times it against :class:`HillClimbing` compares
     pricing alone. Not registered: it exists to be compared against.
+    The last run's moves, one per round, are kept in :attr:`moves`.
     """
 
     def _steps(
         self, context: ProblemContext, current: Deployment
     ) -> Iterator[SearchStep]:
+        self.moves: list[tuple[str, str]] = []
         cost_model = context.cost_model
         current_value = cost_model.objective(current)
         yield SearchStep(current_value, current.copy, evals=1)
@@ -217,6 +230,7 @@ class FullEvaluationHillClimbing(HillClimbing):
                 )
                 break
             current.assign(*best_move)
+            self.moves.append(best_move)
             current_value = best_value
             yield SearchStep(
                 best_value,
@@ -264,3 +278,391 @@ class FullEvaluationAnnealing(SimulatedAnnealing):
                 current.assign(operation, original)
                 yield SearchStep(current_value, snapshot, 1, 0, 1)
             temperature *= self.cooling
+
+
+# ----------------------------------------------------------------------
+# the greedy heuristics, name-keyed
+# ----------------------------------------------------------------------
+#: The tie tolerance of :mod:`repro.algorithms.tie_resolver`.
+TIE_RELATIVE_TOLERANCE = 1e-9
+
+
+class NameKeyedWeights:
+    """The section 3.4 weights as name-keyed dicts.
+
+    Built the way ``DeploymentAlgorithm.deploy`` built them before the
+    heuristics moved to operation and server indices: execution and
+    send probabilities when the algorithm weights (*weighted*) and the
+    cost model does, else 1.0 everywhere.
+    """
+
+    def __init__(self, context: ProblemContext, weighted: bool):
+        self.workflow = context.workflow
+        self.network = context.network
+        cost_model = context.cost_model
+        if weighted and cost_model.use_probabilities:
+            self.op_weights = {
+                name: cost_model.node_probability(name)
+                for name in self.workflow.operation_names
+            }
+            self.msg_weights = {
+                message.pair: cost_model.message_probability(message)
+                for message in self.workflow.messages
+            }
+        else:
+            self.op_weights = {name: 1.0 for name in self.workflow.operation_names}
+            self.msg_weights = {
+                message.pair: 1.0 for message in self.workflow.messages
+            }
+
+    def weighted_cycles(self, operation_name: str) -> float:
+        return (
+            self.workflow.operation(operation_name).cycles
+            * self.op_weights[operation_name]
+        )
+
+    def weighted_message_bits(self, source: str, target: str) -> float:
+        return (
+            self.workflow.message(source, target).size_bits
+            * self.msg_weights[(source, target)]
+        )
+
+    def initial_ideal_cycles(self) -> dict[str, float]:
+        total = ordered_sum(
+            op.cycles * self.op_weights[op.name] for op in self.workflow
+        )
+        capacity = self.network.total_power_hz
+        return {
+            server.name: total * server.power_hz / capacity
+            for server in self.network
+        }
+
+
+def name_keyed_gain(
+    weights: NameKeyedWeights, operation: str, server: str, mapping: Deployment
+) -> float:
+    """``Gain_Of_Operation_At_Server`` over names, predecessors first."""
+    workflow = weights.workflow
+    gain = 0.0
+    for predecessor in workflow.predecessors(operation):
+        if mapping.get(predecessor) == server:
+            gain += weights.weighted_message_bits(predecessor, operation)
+    for successor in workflow.successors(operation):
+        if mapping.get(successor) == server:
+            gain += weights.weighted_message_bits(operation, successor)
+    return gain
+
+
+class NameKeyedBudgets:
+    """Remaining ``Ideal_Cycles`` per server name, sorted on every read."""
+
+    def __init__(self, weights: NameKeyedWeights):
+        self._budget = weights.initial_ideal_cycles()
+        self._rank = {
+            name: i for i, name in enumerate(weights.network.server_names)
+        }
+
+    def remaining(self, server: str) -> float:
+        return self._budget[server]
+
+    def charge(self, server: str, cycles: float) -> None:
+        self._budget[server] -= cycles
+
+    def sorted_servers(self) -> list[str]:
+        return sorted(
+            self._budget, key=lambda name: (-self._budget[name], self._rank[name])
+        )
+
+    def neediest(self) -> str:
+        return self.sorted_servers()[0]
+
+
+def name_keyed_tied_prefix(ordered, key) -> list:
+    """Every element of *ordered* whose key ties the first's (no early exit)."""
+    if not ordered:
+        return []
+    top = key(ordered[0])
+    scale = max(abs(top), 1.0)
+    return [
+        name
+        for name in ordered
+        if abs(key(name) - top) <= TIE_RELATIVE_TOLERANCE * scale
+    ]
+
+
+def name_keyed_by_cost(weights: NameKeyedWeights) -> list[str]:
+    """Operation names by weighted cycles descending, insertion order on ties."""
+    names = list(weights.workflow.operation_names)
+    rank = {name: i for i, name in enumerate(names)}
+    names.sort(key=lambda name: (-weights.weighted_cycles(name), rank[name]))
+    return names
+
+
+def _name_keyed_start(algorithm, context: ProblemContext) -> Deployment:
+    if algorithm.random_start:
+        return Deployment.random(context.workflow, context.network, context.rng)
+    return Deployment()
+
+
+def _name_keyed_best_pair(weights, budgets, pending, mapping) -> tuple[str, str]:
+    """FLTR2's choice: the best gain over tied operations x tied servers."""
+    tied_servers = name_keyed_tied_prefix(
+        budgets.sorted_servers(), budgets.remaining
+    )
+    candidates = name_keyed_tied_prefix(pending, weights.weighted_cycles)
+    best_operation, best_server = candidates[0], tied_servers[0]
+    best_gain = name_keyed_gain(weights, best_operation, best_server, mapping)
+    for operation in candidates:
+        for server in tied_servers:
+            if operation == best_operation and server == best_server:
+                continue
+            gain = name_keyed_gain(weights, operation, server, mapping)
+            if gain > best_gain:
+                best_gain = gain
+                best_operation = operation
+                best_server = server
+    return best_operation, best_server
+
+
+class NameKeyedFairLoad(FairLoad):
+    """:class:`FairLoad` over names: the heaviest operation to the neediest."""
+
+    def _deploy(self, context: ProblemContext) -> Deployment:
+        weights = NameKeyedWeights(context, self.uses_probability_weights)
+        budgets = NameKeyedBudgets(weights)
+        mapping = Deployment()
+        for operation in name_keyed_by_cost(weights):
+            server = budgets.neediest()
+            mapping.assign(operation, server)
+            budgets.charge(server, weights.weighted_cycles(operation))
+        return mapping
+
+
+class NameKeyedTieResolver(FairLoadTieResolver):
+    """:class:`FairLoadTieResolver` over names and a name-keyed mapping."""
+
+    def _deploy(self, context: ProblemContext) -> Deployment:
+        weights = NameKeyedWeights(context, self.uses_probability_weights)
+        budgets = NameKeyedBudgets(weights)
+        mapping = _name_keyed_start(self, context)
+        pending = name_keyed_by_cost(weights)
+        while pending:
+            server = budgets.neediest()
+            candidates = name_keyed_tied_prefix(pending, weights.weighted_cycles)
+            best_operation = candidates[0]
+            best_gain = name_keyed_gain(weights, best_operation, server, mapping)
+            for operation in candidates[1:]:
+                gain = name_keyed_gain(weights, operation, server, mapping)
+                if gain > best_gain:
+                    best_gain = gain
+                    best_operation = operation
+            mapping.assign(best_operation, server)
+            budgets.charge(server, weights.weighted_cycles(best_operation))
+            pending.remove(best_operation)
+        return mapping
+
+
+class NameKeyedTieResolver2(FairLoadTieResolver2):
+    """:class:`FairLoadTieResolver2` over names and a name-keyed mapping."""
+
+    def _deploy(self, context: ProblemContext) -> Deployment:
+        weights = NameKeyedWeights(context, self.uses_probability_weights)
+        budgets = NameKeyedBudgets(weights)
+        mapping = _name_keyed_start(self, context)
+        pending = name_keyed_by_cost(weights)
+        while pending:
+            operation, server = _name_keyed_best_pair(
+                weights, budgets, pending, mapping
+            )
+            mapping.assign(operation, server)
+            budgets.charge(server, weights.weighted_cycles(operation))
+            pending.remove(operation)
+        return mapping
+
+
+class NameKeyedMergeMessages(FairLoadMergeMessages):
+    """:class:`FairLoadMergeMessages` over names and a name-keyed mapping."""
+
+    def _constraining_neighbor(self, weights, operation, threshold):
+        workflow = weights.workflow
+        best_in = None
+        for predecessor in workflow.predecessors(operation):
+            size = weights.weighted_message_bits(predecessor, operation)
+            if best_in is None or size > best_in[0]:
+                best_in = (size, predecessor)
+        best_out = None
+        for successor in workflow.successors(operation):
+            size = weights.weighted_message_bits(operation, successor)
+            if best_out is None or size > best_out[0]:
+                best_out = (size, successor)
+        in_large = best_in is not None and best_in[0] >= threshold
+        out_large = best_out is not None and best_out[0] >= threshold
+        if in_large and out_large:
+            return best_in[1] if best_in[0] >= best_out[0] else best_out[1]
+        if in_large:
+            return best_in[1]
+        if out_large:
+            return best_out[1]
+        return None
+
+    def _deploy(self, context: ProblemContext) -> Deployment:
+        weights = NameKeyedWeights(context, self.uses_probability_weights)
+        budgets = NameKeyedBudgets(weights)
+        mapping = _name_keyed_start(self, context)
+        pending = name_keyed_by_cost(weights)
+        sizes = sorted(
+            (
+                weights.weighted_message_bits(*message.pair)
+                for message in context.workflow.messages
+            ),
+            reverse=True,
+        )
+        threshold = (
+            sizes[int((len(sizes) - 1) * self.big_fraction)]
+            if sizes
+            else float("inf")
+        )
+        while pending:
+            operation, server = _name_keyed_best_pair(
+                weights, budgets, pending, mapping
+            )
+            neighbor = self._constraining_neighbor(weights, operation, threshold)
+            if neighbor is not None and mapping.get(neighbor) is not None:
+                server = mapping.server_of(neighbor)
+            mapping.assign(operation, server)
+            budgets.charge(server, weights.weighted_cycles(operation))
+            pending.remove(operation)
+        return mapping
+
+
+class NameKeyedGroups:
+    """HOLM's operation groups over names: sets, cycles and ranks."""
+
+    def __init__(self, weights: NameKeyedWeights):
+        self._weights = weights
+        self._members: dict[int, set[str]] = {}
+        self._cycles: dict[int, float] = {}
+        self._group_of: dict[str, int] = {}
+        self._rank: dict[str, int] = {}
+        for i, name in enumerate(weights.workflow.operation_names):
+            self._members[i] = {name}
+            self._cycles[i] = weights.weighted_cycles(name)
+            self._group_of[name] = i
+            self._rank[name] = i
+
+    def same_group(self, a: str, b: str) -> bool:
+        return self._group_of.get(a) == self._group_of.get(b) and a in self._group_of
+
+    def merge(self, a: str, b: str) -> None:
+        ga, gb = self._group_of[a], self._group_of[b]
+        if ga == gb:
+            return
+        if len(self._members[ga]) < len(self._members[gb]):
+            ga, gb = gb, ga
+        self._members[ga] |= self._members[gb]
+        self._cycles[ga] += self._cycles[gb]
+        for name in self._members[gb]:
+            self._group_of[name] = ga
+        del self._members[gb]
+        del self._cycles[gb]
+
+    def remove_operation(self, operation: str) -> None:
+        group_id = self._group_of.pop(operation)
+        members = self._members[group_id]
+        members.discard(operation)
+        self._cycles[group_id] -= self._weights.weighted_cycles(operation)
+        if not members:
+            del self._members[group_id]
+            del self._cycles[group_id]
+
+    def remove_group(self, group_id: int) -> set[str]:
+        members = self._members.pop(group_id)
+        del self._cycles[group_id]
+        for name in members:
+            del self._group_of[name]
+        return members
+
+    def heaviest(self) -> int:
+        return min(
+            self._members,
+            key=lambda gid: (
+                -self._cycles[gid],
+                min(self._rank[name] for name in self._members[gid]),
+            ),
+        )
+
+    def cycles(self, group_id: int) -> float:
+        return self._cycles[group_id]
+
+
+class NameKeyedHeavyOps(HeavyOpsLargeMsgs):
+    """:class:`HeavyOpsLargeMsgs` over names and a name-keyed mapping."""
+
+    def _deploy(self, context: ProblemContext) -> Deployment:
+        workflow = context.workflow
+        weights = NameKeyedWeights(context, self.uses_probability_weights)
+        budgets = NameKeyedBudgets(weights)
+        groups = NameKeyedGroups(weights)
+        mapping = Deployment()
+        bus = self._bus(context.network)
+        messages = sorted(
+            workflow.messages,
+            key=lambda m: -weights.weighted_message_bits(*m.pair),
+        )
+
+        def active_top_message():
+            while messages and all(end in mapping for end in messages[0].pair):
+                messages.pop(0)
+            for message in messages:
+                src_assigned = message.source in mapping
+                dst_assigned = message.target in mapping
+                if src_assigned and dst_assigned:
+                    continue
+                if (
+                    not src_assigned
+                    and not dst_assigned
+                    and groups.same_group(message.source, message.target)
+                ):
+                    continue
+                return message
+            return None
+
+        unassigned = len(workflow)
+        while unassigned:
+            heaviest = groups.heaviest()
+            server = budgets.neediest()
+            top = active_top_message()
+            message_is_large = False
+            if top is not None:
+                group_time = (
+                    groups.cycles(heaviest) / context.network.server(server).power_hz
+                )
+                transfer_time = 0.0
+                if bus is not None:
+                    speed, propagation = bus
+                    bits = weights.weighted_message_bits(*top.pair)
+                    transfer_time = bits / speed + propagation
+                message_is_large = transfer_time >= group_time
+            if top is None or not message_is_large:
+                for name in sorted(groups.remove_group(heaviest)):
+                    mapping.assign(name, server)
+                    budgets.charge(server, weights.weighted_cycles(name))
+                    unassigned -= 1
+                continue
+            src_assigned = top.source in mapping
+            dst_assigned = top.target in mapping
+            if src_assigned and not dst_assigned:
+                host = mapping.server_of(top.source)
+                mapping.assign(top.target, host)
+                budgets.charge(host, weights.weighted_cycles(top.target))
+                groups.remove_operation(top.target)
+                unassigned -= 1
+            elif dst_assigned and not src_assigned:
+                host = mapping.server_of(top.target)
+                mapping.assign(top.source, host)
+                budgets.charge(host, weights.weighted_cycles(top.source))
+                groups.remove_operation(top.source)
+                unassigned -= 1
+            else:
+                groups.merge(top.source, top.target)
+        return mapping
