@@ -121,12 +121,12 @@ class BranchAndBound(DeploymentAlgorithm):
                     weights = [
                         cost_model.message_probability(m) for m in incoming
                     ]
-                    total = sum(weights)
+                    total = ordered_sum(weights)
                     if total <= 0:
                         ready = max(arrivals)
                     else:
                         ready = (
-                            sum(w * a for w, a in zip(weights, arrivals))
+                            ordered_sum(w * a for w, a in zip(weights, arrivals))
                             / total
                         )
                 elif operation.kind is NodeKind.OR_JOIN:
@@ -172,7 +172,7 @@ class BranchAndBound(DeploymentAlgorithm):
         while budget > 0 and i < n - 1:
             current = levelled[i]
             nxt = levelled[i + 1]
-            capacity = sum(powers[: i + 1])
+            capacity = ordered_sum(powers[: i + 1])
             needed = (nxt - current) * capacity
             if needed >= budget:
                 break
@@ -181,7 +181,7 @@ class BranchAndBound(DeploymentAlgorithm):
                 levelled[j] = nxt
             i += 1
         if budget > 0:
-            capacity = sum(powers[: i + 1])
+            capacity = ordered_sum(powers[: i + 1])
             bump = budget / capacity
             for j in range(i + 1):
                 levelled[j] += bump

@@ -20,7 +20,7 @@ from repro.algorithms.base import (
     ProblemContext,
     register_algorithm,
 )
-from repro.algorithms.graph_adapters import UNPLACED, ServerBudgets, WeightedGraph
+from repro.algorithms.graph_adapters import ServerBudgets, WeightedGraph
 from repro.core.mapping import Deployment
 
 __all__ = ["FairLoad"]
@@ -35,10 +35,7 @@ class FairLoad(DeploymentAlgorithm):
 
     def _deploy(self, context: ProblemContext) -> Deployment:
         graph = WeightedGraph(context.compiled, self.uses_probability_weights)
-        budgets = ServerBudgets(graph.ideal_cycles)
-        servers = [UNPLACED] * len(graph.cycles)
         order = graph.by_cost()
-        for operation in order:
-            server = servers[operation] = budgets.neediest()
-            budgets.charge(server, graph.cycles[operation])
-        return graph.deployment(servers, order)
+        budgets = ServerBudgets(graph.ideal_cycles)
+        servers = budgets.place(graph.cycles[op] for op in order)
+        return graph.deployment(dict(zip(order, servers)), order)

@@ -18,12 +18,15 @@ helper that tracks each server's remaining budget, which every
 Fair-Load-family algorithm reads and decrements step by step. A
 heuristic keeps its mapping as a server-index vector (``-1`` while an
 operation is unplaced); names appear only in the returned deployment.
+
+:meth:`ServerBudgets.place` is the one worst-fit fill (DESIGN §17): Fair
+Load, :func:`worst_fit` and the fleet's orphan re-homing use it.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.core.compiled import CompiledInstance
 from repro.core.mapping import Deployment
@@ -33,6 +36,7 @@ __all__ = [
     "WeightedGraph",
     "gain_of_operation_at_servers",
     "ServerBudgets",
+    "worst_fit",
     "UNPLACED",
 ]
 
@@ -103,7 +107,9 @@ class WeightedGraph:
         cycles = self.cycles
         return sorted(range(len(cycles)), key=lambda op: -cycles[op])
 
-    def deployment(self, servers: Sequence[int], order: Sequence[int]) -> Deployment:
+    def deployment(
+        self, servers: Sequence[int] | Mapping[int, int], order: Iterable[int]
+    ) -> Deployment:
         """The named mapping of *servers*, operations inserted in *order*."""
         op_names = self.compiled.op_names
         server_names = self.compiled.server_names
@@ -139,7 +145,7 @@ class ServerBudgets:
     assignment against one. Ties keep the network's order.
     """
 
-    def __init__(self, ideal_cycles: Sequence[float]):
+    def __init__(self, ideal_cycles: Iterable[float]):
         #: Remaining budget per server index (may go negative).
         self.remaining = list(ideal_cycles)
 
@@ -151,6 +157,19 @@ class ServerBudgets:
         """The server with the most remaining budget (lowest index on ties)."""
         remaining = self.remaining
         return max(range(len(remaining)), key=remaining.__getitem__)
+
+    def place(self, weights: Iterable[float]) -> list[int]:
+        """Worst-fit: each weight in order to the neediest server, charged.
+
+        The paper's Fair Load loop ("a variant of the worst-fit algorithm
+        for the bin packing problem"); returns the server of each weight.
+        """
+        servers = []
+        for weight in weights:
+            server = self.neediest()
+            self.charge(server, weight)
+            servers.append(server)
+        return servers
 
     def tied_with_neediest(self) -> list[int]:
         """Servers that tie the largest budget (:data:`TIE_RELATIVE_TOLERANCE`).
@@ -165,3 +184,35 @@ class ServerBudgets:
         tied = [s for s, value in enumerate(remaining) if abs(value - top) <= bound]
         tied.sort(key=lambda s: -remaining[s])
         return tied
+
+
+def worst_fit(
+    compiled: CompiledInstance, kept: Deployment, pending: Iterable[str]
+) -> Deployment:
+    """*kept* plus every *pending* operation placed worst-fit.
+
+    A server's budget is its ``Ideal_Cycles`` minus the weighted cycles
+    *kept* hosts there, added in *kept*'s order; a server outside the
+    network feeds none, and an operation outside the workflow on one
+    inside it raises :class:`~repro.exceptions.UnknownOperationError`.
+    Pending operations go heaviest raw cycles first (ties keep
+    *pending*'s order), charge weighted cycles, and are skipped when
+    not in the workflow.
+    """
+    op_index, server_index = compiled.op_index, compiled.server_index
+    wcycles = compiled.wcycles
+    hosted = [0.0] * len(compiled.server_names)
+    for operation, server in kept:
+        if server in server_index:
+            if operation not in op_index:
+                compiled.workflow.operation(operation)  # UnknownOperationError
+            hosted[server_index[server]] += wcycles[op_index[operation]]
+    budgets = ServerBudgets(map(operator.sub, compiled.ideal_cycles, hosted))
+    ops = sorted(
+        (op_index[name] for name in pending if name in op_index),
+        key=lambda op: -compiled.cycles[op],
+    )
+    placed = kept.copy()
+    for op, server in zip(ops, budgets.place(wcycles[op] for op in ops)):
+        placed.assign(compiled.op_names[op], compiled.server_names[server])
+    return placed

@@ -27,6 +27,7 @@ from repro.algorithms.base import (
 )
 from repro.core.mapping import Deployment
 from repro.exceptions import AlgorithmError, UnsupportedTopologyError
+from repro.numeric import ordered_sum
 
 __all__ = ["LineLine"]
 
@@ -97,7 +98,7 @@ class LineLine(DeploymentAlgorithm):
     ) -> _Blocks:
         workflow = context.workflow
         network = context.network
-        total = sum(workflow.operation(o).cycles for o in operations)
+        total = ordered_sum(workflow.operation(o).cycles for o in operations)
         capacity = network.total_power_hz
 
         def ideal(server: str) -> float:

@@ -39,6 +39,7 @@ from repro.core.mapping import Deployment
 from repro.core.workflow import Workflow
 from repro.exceptions import DeploymentError
 from repro.network.topology import ServerNetwork
+from repro.numeric import ordered_sum
 
 __all__ = [
     "RandomMapping",
@@ -126,7 +127,7 @@ class SampleStatistics:
         if cost.time_penalty <= 0:
             return 0.0
         loads = list(cost.loads.values())
-        scale = sum(loads) / len(loads) if loads else 1.0
+        scale = ordered_sum(loads) / len(loads) if loads else 1.0
         return cost.time_penalty / scale if scale > 0 else float("inf")
 
     def penalty_gap_vs_load(self, cost: CostBreakdown) -> float:
@@ -142,7 +143,7 @@ class SampleStatistics:
         loads = list(cost.loads.values())
         if not loads:
             return 0.0
-        scale = sum(loads) / len(loads)
+        scale = ordered_sum(loads) / len(loads)
         return gap / scale if scale > 0 else float("inf")
 
 

@@ -68,6 +68,7 @@ from repro.experiments.runner import (
 )
 from repro.io.dot import deployment_to_dot, workflow_to_dot
 from repro.io.json_codec import dump_instance, load_instance
+from repro.numeric import ordered_sum
 from repro.simulation.engine import SimulationEngine
 from repro.tables import TextTable, format_seconds
 
@@ -538,7 +539,7 @@ def _cmd_simulate(args) -> int:
     )
     results = engine.run_many(args.runs, rng=args.seed)
     makespans = [r.makespan for r in results]
-    mean = sum(makespans) / len(makespans)
+    mean = ordered_sum(makespans) / len(makespans)
     analytic = model.execution_time(deployment)
     table = TextTable(
         ["metric", "value"], title=f"{args.runs} simulated executions"
@@ -551,13 +552,12 @@ def _cmd_simulate(args) -> int:
         [
             "mean queueing delay",
             format_seconds(
-                sum(r.total_queueing_delay() for r in results) / len(results)
+                ordered_sum(r.total_queueing_delay() for r in results) / len(results)
             ),
         ]
     )
-    table.add_row(
-        ["mean bits on network", f"{sum(r.bits_sent for r in results) / len(results):,.0f}"]
-    )
+    mean_bits = ordered_sum(r.bits_sent for r in results) / len(results)
+    table.add_row(["mean bits on network", f"{mean_bits:,.0f}"])
     print(table)
     return 0
 

@@ -22,6 +22,7 @@ from repro.core.mapping import Deployment
 from repro.core.validation import check_well_formed
 from repro.core.workflow import NodeKind, Workflow
 from repro.exceptions import MalformedWorkflowError
+from repro.numeric import ordered_sum
 
 __all__ = [
     "workflow_statistics",
@@ -69,8 +70,8 @@ def workflow_statistics(workflow: Workflow) -> dict[str, object]:
             default=0,
         ),
         "total_cycles": workflow.total_cycles,
-        "total_message_bits": sum(sizes),
-        "mean_message_bits": sum(sizes) / len(sizes) if sizes else 0.0,
+        "total_message_bits": ordered_sum(sizes),
+        "mean_message_bits": ordered_sum(sizes) / len(sizes) if sizes else 0.0,
     }
 
 
@@ -277,10 +278,10 @@ def critical_path(
         chain.append(best_pred[chain[-1]])  # type: ignore[arg-type]
     chain.reverse()
 
-    processing = sum(
+    processing = ordered_sum(
         cost_model.tproc(name, deployment) for name in chain
     )
-    communication = sum(
+    communication = ordered_sum(
         cost_model.tcomm(workflow.message(a, b), deployment)
         for a, b in zip(chain, chain[1:])
     )

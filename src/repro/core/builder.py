@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from repro.core.validation import assert_well_formed
 from repro.core.workflow import Message, NodeKind, Operation, Workflow
 from repro.exceptions import WorkflowError
+from repro.numeric import ordered_sum
 
 __all__ = ["WorkflowBuilder"]
 
@@ -139,7 +140,7 @@ class WorkflowBuilder:
                 f"before join()"
             )
         if block.kind is NodeKind.XOR_SPLIT:
-            total = sum(block.probabilities)
+            total = ordered_sum(block.probabilities)
             if abs(total - 1.0) > 1e-9:
                 raise WorkflowError(
                     f"XOR region {block.split_name!r}: branch probabilities "

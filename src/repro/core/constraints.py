@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 
 from repro.core.cost import CostBreakdown
 from repro.exceptions import ConstraintViolationError
+from repro.numeric import ordered_sum
 
 __all__ = [
     "Constraint",
@@ -110,7 +111,7 @@ class MaxServerLoad(Constraint):
             if load is None:
                 return float("inf")
             return max(0.0, load - self.limit_s)
-        return sum(
+        return ordered_sum(
             max(0.0, load - self.limit_s) for load in cost.loads.values()
         )
 
@@ -204,7 +205,7 @@ class ConstraintSet:
 
     def total_excess(self, cost: CostBreakdown) -> float:
         """Summed excess over all constraints (0 when admissible)."""
-        return sum(c.excess(cost) for c in self._constraints)
+        return ordered_sum(c.excess(cost) for c in self._constraints)
 
     def enforce(self, cost: CostBreakdown) -> None:
         """Raise :class:`ConstraintViolationError` listing all violations."""

@@ -235,23 +235,6 @@ class CostModel:
     # ------------------------------------------------------------------
     # loads and fairness
     # ------------------------------------------------------------------
-    def load(self, server_name: str, deployment: Deployment) -> float:
-        """``Load(s)``: seconds *server_name* spends on its operations.
-
-        Validates the deployment, consistently with :meth:`loads`.
-        """
-        deployment.validate(self.workflow, self.network)
-        compiled = self.compiled
-        server = compiled.server_index_of(server_name)
-        op_index = compiled.op_index
-        wcycles = compiled.wcycles
-        cycles = sum(
-            wcycles[op_index[op]]
-            for op in deployment.operations_on(server_name)
-            if op in self.workflow
-        )
-        return cycles / compiled.power[server]
-
     def loads(self, deployment: Deployment) -> dict[str, float]:
         """``Load(s)`` for every server of the network (0 when unused)."""
         deployment.validate(self.workflow, self.network)
@@ -332,11 +315,6 @@ class CostModel:
         """Probability-weighted sum of ``Tcomm`` over all messages."""
         compiled = self.compiled
         return compiled.communication_time(compiled.server_vector(deployment))
-
-    def total_processing_time(self, deployment: Deployment) -> float:
-        """Probability-weighted sum of ``Tproc`` over all operations."""
-        compiled = self.compiled
-        return compiled.processing_time(compiled.server_vector(deployment))
 
     def objective(self, deployment: Deployment) -> float:
         """The scalar objective: weighted sum of the cost metrics.

@@ -43,6 +43,7 @@ from repro.exceptions import (
     UnknownOperationError,
     WorkflowError,
 )
+from repro.numeric import ordered_sum
 
 __all__ = ["NodeKind", "Operation", "Message", "Workflow"]
 
@@ -346,7 +347,7 @@ class Workflow:
     @property
     def total_cycles(self) -> float:
         """``Sum_Cycles``: the cycles of all operations combined."""
-        return sum(op.cycles for op in self._operations.values())
+        return ordered_sum(op.cycles for op in self._operations.values())
 
     @property
     def graph(self) -> nx.DiGraph:
@@ -420,7 +421,7 @@ class Workflow:
             if op.kind is NodeKind.XOR_SPLIT:
                 if not out:
                     continue
-                total = sum(m.probability for m in out)
+                total = ordered_sum(m.probability for m in out)
                 if abs(total - 1.0) > tolerance:
                     raise WorkflowError(
                         f"XOR split {op.name!r}: branch probabilities sum to "

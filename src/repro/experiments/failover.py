@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.algorithms.base import DeploymentAlgorithm
+from repro.algorithms.graph_adapters import worst_fit
 from repro.core.cost import CostBreakdown, CostModel
 from repro.core.mapping import Deployment
 from repro.core.workflow import Workflow
@@ -49,43 +50,16 @@ def replace_orphans(
 
     Orphans are assigned heaviest-first to the surviving server with the
     most remaining capacity-proportional budget, counting the work it
-    already hosts -- the worst-fit rule of Fair Load restricted to the
-    orphans.
+    already hosts -- Fair Load's worst-fit rule restricted to the orphans
+    (:func:`~repro.algorithms.graph_adapters.worst_fit`).
     """
     if cost_model is None:
         cost_model = CostModel(workflow, survivor_network)
-    recovered = Deployment(
-        {
-            operation: server
-            for operation, server in deployment
-            if server != failed_server
-        }
+    kept = Deployment(
+        {op: server for op, server in deployment if server != failed_server}
     )
-    orphans = [
-        operation
-        for operation, server in deployment
-        if server == failed_server and operation in workflow
-    ]
-    # remaining budget = ideal share minus already-hosted weighted cycles
-    budgets: dict[str, float] = {}
-    for server in survivor_network.server_names:
-        hosted = sum(
-            workflow.operation(op).cycles * cost_model.node_probability(op)
-            for op in recovered.operations_on(server)
-        )
-        budgets[server] = cost_model.ideal_cycles(server) - hosted
-    rank = {
-        name: i for i, name in enumerate(survivor_network.server_names)
-    }
-    orphans.sort(key=lambda op: -workflow.operation(op).cycles)
-    for operation in orphans:
-        target = max(budgets, key=lambda s: (budgets[s], -rank[s]))
-        recovered.assign(operation, target)
-        budgets[target] -= (
-            workflow.operation(operation).cycles
-            * cost_model.node_probability(operation)
-        )
-    return recovered
+    orphans = deployment.operations_on(failed_server)
+    return worst_fit(cost_model.compiled, kept, orphans)
 
 
 @dataclass(frozen=True)

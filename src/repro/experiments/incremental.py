@@ -6,9 +6,9 @@ deployment. In production nobody redeploys fifteen services because one
 was added; this module provides the middle ground:
 
 * :func:`patch_deployment` -- keep every existing assignment, place only
-  the new operations (worst-fit against remaining capacity budgets, the
-  same policy as failover's orphan re-homing) and drop assignments of
-  removed operations;
+  the new operations (worst-fit against remaining capacity budgets:
+  :func:`~repro.algorithms.graph_adapters.worst_fit`, which failover's
+  orphan re-homing shares) and drop assignments of removed operations;
 * :func:`adaptation_report` -- compare that patch against a full
   re-deployment with any algorithm: cost of each, and how many
   operations the full re-deployment would move (the churn the patch
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.algorithms.base import DeploymentAlgorithm
+from repro.algorithms.graph_adapters import worst_fit
 from repro.core.cost import CostBreakdown, CostModel
 from repro.core.mapping import Deployment
 from repro.core.workflow import Workflow
@@ -43,34 +44,11 @@ def patch_deployment(
     """
     if cost_model is None:
         cost_model = CostModel(new_workflow, network)
-    patched = Deployment(
-        {
-            operation: server
-            for operation, server in old_deployment
-            if operation in new_workflow
-        }
+    kept = Deployment(
+        {op: server for op, server in old_deployment if op in new_workflow}
     )
-    additions = [
-        name for name in new_workflow.operation_names if name not in patched
-    ]
-    budgets: dict[str, float] = {}
-    for server in network.server_names:
-        hosted = sum(
-            new_workflow.operation(op).cycles
-            * cost_model.node_probability(op)
-            for op in patched.operations_on(server)
-        )
-        budgets[server] = cost_model.ideal_cycles(server) - hosted
-    rank = {name: i for i, name in enumerate(network.server_names)}
-    additions.sort(key=lambda op: -new_workflow.operation(op).cycles)
-    for operation in additions:
-        target = max(budgets, key=lambda s: (budgets[s], -rank[s]))
-        patched.assign(operation, target)
-        budgets[target] -= (
-            new_workflow.operation(operation).cycles
-            * cost_model.node_probability(operation)
-        )
-    return patched
+    additions = [op for op in new_workflow.operation_names if op not in kept]
+    return worst_fit(cost_model.compiled, kept, additions)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from typing import Sequence
 from repro.core.cost import CostBreakdown
 from repro.exceptions import ExperimentError
 from repro.experiments.runner import ExperimentResult, RunRecord
+from repro.numeric import ordered_sum
 from repro.tables import TextTable
 
 __all__ = [
@@ -93,7 +94,7 @@ def rank_by_distance(
     rankings = []
     for name in result.algorithms():
         records = result.records_for(name)
-        mean = sum(
+        mean = ordered_sum(
             distance_to_origin(
                 record.cost, execution_weight, penalty_weight, order
             )

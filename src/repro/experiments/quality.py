@@ -30,6 +30,7 @@ from repro.core.rng import coerce_rng
 from repro.exceptions import ExperimentError
 from repro.experiments.reporting import format_percent
 from repro.experiments.runner import DEFAULT_ALGORITHMS, ExperimentConfig
+from repro.numeric import ordered_sum
 from repro.tables import TextTable
 
 __all__ = ["QualityProtocol", "QualityReport", "DeviationRecord"]
@@ -89,8 +90,8 @@ class QualityReport:
         records = self._records_for(algorithm)
         count = len(records)
         return (
-            sum(r.execution_deviation for r in records) / count,
-            sum(r.penalty_deviation for r in records) / count,
+            ordered_sum(r.execution_deviation for r in records) / count,
+            ordered_sum(r.penalty_deviation for r in records) / count,
         )
 
     def table(self) -> TextTable:

@@ -23,6 +23,7 @@ from repro.core.rng import coerce_rng
 from repro.core.workflow import Workflow
 from repro.exceptions import ExperimentError
 from repro.network.topology import ServerNetwork
+from repro.numeric import ordered_sum
 from repro.tables import TextTable, format_seconds
 from repro.workloads.generator import (
     GraphStructure,
@@ -214,36 +215,21 @@ class ExperimentResult:
         records = self.records_for(algorithm)
         if not records:
             raise ExperimentError(f"no records for algorithm {algorithm!r}")
-        return sum(r.cost.execution_time for r in records) / len(records)
+        return ordered_sum(r.cost.execution_time for r in records) / len(records)
 
     def mean_time_penalty(self, algorithm: str) -> float:
         """Mean fairness penalty of one algorithm over the repetitions."""
         records = self.records_for(algorithm)
         if not records:
             raise ExperimentError(f"no records for algorithm {algorithm!r}")
-        return sum(r.cost.time_penalty for r in records) / len(records)
+        return ordered_sum(r.cost.time_penalty for r in records) / len(records)
 
     def mean_objective(self, algorithm: str) -> float:
         """Mean scalar objective of one algorithm."""
         records = self.records_for(algorithm)
         if not records:
             raise ExperimentError(f"no records for algorithm {algorithm!r}")
-        return sum(r.cost.objective for r in records) / len(records)
-
-    def anytime_curves(self, algorithm: str) -> dict[int, tuple]:
-        """Per-repetition anytime curves of one algorithm.
-
-        Maps repetition index to the ``(step, best_value)`` curve of
-        that run's :class:`~repro.algorithms.runtime.SearchReport`;
-        repetitions whose run produced no report (greedy algorithms)
-        are omitted. The curves are what a budget study plots:
-        objective value reachable within k steps.
-        """
-        return {
-            record.repetition: record.report.curve
-            for record in self.records_for(algorithm)
-            if record.report is not None
-        }
+        return ordered_sum(r.cost.objective for r in records) / len(records)
 
     def winner_by_execution(self) -> str:
         """Algorithm with the best mean execution time."""

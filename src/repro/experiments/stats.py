@@ -22,6 +22,7 @@ from typing import Sequence
 
 from repro.exceptions import ExperimentError
 from repro.experiments.runner import ExperimentResult
+from repro.numeric import ordered_sum
 from repro.tables import TextTable, format_seconds
 
 __all__ = ["SummaryStats", "summarize", "win_matrix", "comparison_table"]
@@ -60,10 +61,10 @@ def summarize(
     if not 0.0 < confidence < 1.0:
         raise ExperimentError("confidence must lie strictly in (0, 1)")
     n = len(samples)
-    mean = sum(samples) / n
+    mean = ordered_sum(samples) / n
     if n == 1:
         return SummaryStats(1, mean, 0.0, mean, mean, confidence)
-    variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
+    variance = ordered_sum((x - mean) ** 2 for x in samples) / (n - 1)
     std = math.sqrt(variance)
     from scipy import stats as scipy_stats
 

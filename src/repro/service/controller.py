@@ -11,8 +11,8 @@ experiment layer already provides:
   capacity, then placement with any registered algorithm (sharing the
   fleet's router/cost caches);
 * ``UndeployRequest`` -- release a tenant;
-* ``ServerFailed`` -- orphan re-homing with the failover experiment's
-  worst-fit policy generalised to fleet-wide budgets;
+* ``ServerFailed`` -- orphan re-homing with Fair Load's worst-fit fill
+  (``ServerBudgets.place``) over fleet-wide budgets;
 * ``ServerJoined`` -- opportunistic spreading of hosted load onto the
   new capacity, bounded like a rebalance;
 * ``LinkFailure`` / ``LinkDegrade`` -- patch the live topology (drop or
@@ -57,6 +57,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.algorithms.base import get_algorithm
+from repro.algorithms.graph_adapters import ServerBudgets
 from repro.algorithms.runtime import (
     CancelToken,
     SearchBudget,
@@ -72,6 +73,7 @@ from repro.core.migration import MigrationCostModel
 from repro.core.rng import coerce_rng
 from repro.exceptions import ServiceError
 from repro.network.topology import ServerNetwork
+from repro.numeric import ordered_sum
 from repro.scenarios.geo import region_servers
 from repro.service.events import (
     CapacityDrift,
@@ -657,11 +659,11 @@ class FleetController:
     def _rehome_orphans(self, orphans: dict[str, tuple[str, ...]]) -> int:
         """Worst-fit re-homing of failure orphans, fleet-wide.
 
-        The policy of :func:`repro.experiments.failover.replace_orphans`
-        lifted to the multi-tenant fleet: budgets are the fleet-wide
-        capacity-proportional shares minus *all* hosted load, and the
-        orphans of every affected tenant compete in one heaviest-first
-        queue. Returns the number of operations re-homed.
+        :meth:`~repro.algorithms.graph_adapters.ServerBudgets.place` over
+        fleet-wide budgets (capacity-proportional shares minus *all*
+        hosted load); the orphans of every affected tenant compete in
+        one queue, heaviest weighted cycles first. Returns the number
+        of operations re-homed.
         """
         state = self.state
         queue: list[tuple[float, str, str]] = []
@@ -671,12 +673,11 @@ class FleetController:
                 weighted = compiled.wcycles[compiled.op_index[operation]]
                 queue.append((weighted, tenant, operation))
         queue.sort(key=lambda item: (-item[0], item[1], item[2]))
-        budgets = state.remaining_budgets()
-        rank = {name: i for i, name in enumerate(state.network.server_names)}
-        for weighted, tenant, operation in queue:
-            target = max(budgets, key=lambda s: (budgets[s], -rank[s]))
-            state.tenant(tenant).deployment.assign(operation, target)
-            budgets[target] -= weighted
+        budgets = ServerBudgets(state.remaining_budgets().values())
+        targets = budgets.place(weighted for weighted, _, _ in queue)
+        server_names = state.network.server_names
+        for (_, tenant, operation), target in zip(queue, targets):
+            state.tenant(tenant).deployment.assign(operation, server_names[target])
         return len(queue)
 
     def _all_operations(
@@ -1029,7 +1030,7 @@ class FleetController:
             rebalances=len(rebalanced),
             rebalance_moves=churn,
             mean_latency_s=(
-                sum(latencies) / len(latencies) if latencies else 0.0
+                ordered_sum(latencies) / len(latencies) if latencies else 0.0
             ),
             max_latency_s=max(latencies, default=0.0),
             placement_evaluations=self.evaluations,

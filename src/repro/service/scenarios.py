@@ -60,6 +60,7 @@ from repro.core.rng import coerce_rng
 from repro.core.workflow import NodeKind, Workflow
 from repro.exceptions import ServiceError
 from repro.network.topology import Server, ServerNetwork
+from repro.numeric import ordered_sum
 from repro.scenarios import abilene_network, random_geo_network, region_of
 from repro.service.controller import FleetConfig, FleetController, StepClock
 from repro.service.events import (
@@ -305,7 +306,7 @@ def drift_workflow(
             )
             for m in branches
         ]
-        total = sum(raw)
+        total = ordered_sum(raw)
         for message, weight in zip(branches, raw):
             clone.replace_message(
                 replace(message, probability=weight / total)

@@ -172,22 +172,6 @@ class FleetApp:
             }
         return 404, {"error": f"no route for POST /{'/'.join(parts)}"}
 
-    def checkpoint_payload(self) -> dict[str, Any]:
-        """The full checkpoint document including queued events.
-
-        Exposed for callers embedding the app without HTTP (the CLI's
-        ``serve`` loop uses it for shutdown checkpoints).
-        """
-        from repro.service.checkpoint import checkpoint_to_dict
-
-        return checkpoint_to_dict(
-            self.service.controller,
-            pending=[
-                (job.event, job.priority)
-                for job in self.service.queue.queued()
-            ],
-        )
-
 
 class _FleetRequestHandler(BaseHTTPRequestHandler):
     """Transport shim: request line + JSON body in, JSON out."""

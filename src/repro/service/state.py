@@ -521,16 +521,15 @@ class FleetState:
                 totals[server] += wcycles[op_index[operation.name]]
         return totals
 
-    def remaining_budgets(self, extra_cycles: float = 0.0) -> dict[str, float]:
+    def remaining_budgets(self) -> dict[str, float]:
         """Capacity-proportional cycle headroom per server.
 
-        ``Ideal_Cycles(s) - hosted(s)`` computed fleet-wide: the ideal
-        share uses the *total* hosted weighted cycles (plus
-        *extra_cycles* for work about to be placed), so the worst-fit
-        placement and re-homing policies of the one-shot experiments
-        generalise unchanged to the multi-tenant fleet.
+        ``Ideal_Cycles(s) - hosted(s)`` computed fleet-wide over the
+        weighted cycles of *every* tenant operation, so the budgets sum
+        to the cycles of unassigned operations (orphans mid-recovery;
+        else zero up to rounding): what the orphan re-homing fills.
         """
-        total = self.total_weighted_cycles() + extra_cycles
+        total = self.total_weighted_cycles()
         capacity = self._network.total_power_hz
         hosted = self.hosted_cycles()
         return {

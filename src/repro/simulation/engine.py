@@ -33,6 +33,7 @@ from repro.core.workflow import NodeKind, Workflow
 from repro.exceptions import SimulationError
 from repro.network.routing import Router
 from repro.network.topology import ServerNetwork
+from repro.numeric import ordered_sum
 from repro.simulation.events import EventKind, EventQueue
 from repro.simulation.trace import (
     MessageRecord,
@@ -302,12 +303,12 @@ class SimulationEngine:
     ) -> float:
         """Mean makespan over *runs* executions (Monte-Carlo ``Texecute``)."""
         results = self.run_many(runs, rng)
-        return sum(result.makespan for result in results) / len(results)
+        return ordered_sum(result.makespan for result in results) / len(results)
 
 
 def _sample_branch(outgoing, rng: random.Random):
     """Pick one XOR branch proportionally to its edge probability."""
-    total = sum(message.probability for message in outgoing)
+    total = ordered_sum(message.probability for message in outgoing)
     if total <= 0:
         raise SimulationError(
             f"XOR split {outgoing[0].source!r} has no positive branch "

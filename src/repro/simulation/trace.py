@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.numeric import ordered_sum
+
 __all__ = ["OperationRecord", "MessageRecord", "SimulationResult"]
 
 
@@ -102,7 +104,7 @@ class SimulationResult:
 
     def total_queueing_delay(self) -> float:
         """Sum of queueing delays -- 0 with infinite server concurrency."""
-        return sum(record.queueing_delay for record in self.records)
+        return ordered_sum(record.queueing_delay for record in self.records)
 
     def network_messages(self) -> tuple[MessageRecord, ...]:
         """Only the messages that actually crossed the network."""

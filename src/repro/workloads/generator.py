@@ -31,6 +31,7 @@ from repro.core.rng import coerce_rng
 from repro.core.workflow import NodeKind, Workflow
 from repro.exceptions import ExperimentError
 from repro.network.topology import ServerNetwork, bus_network, line_network
+from repro.numeric import ordered_sum
 from repro.workloads.parameters import ClassCParameters, DiscreteMixture
 
 __all__ = [
@@ -213,10 +214,10 @@ class _GraphGenerator:
 
         if kind is NodeKind.XOR_SPLIT:
             weights = [self.rng.random() + 0.05 for _ in range(branches)]
-            total = sum(weights)
+            total = ordered_sum(weights)
             probabilities = [w / total for w in weights]
             # make them sum to exactly 1.0 despite floating point
-            probabilities[-1] = 1.0 - sum(probabilities[:-1])
+            probabilities[-1] = 1.0 - ordered_sum(probabilities[:-1])
         else:
             probabilities = [1.0] * branches
 

@@ -23,6 +23,7 @@ from repro.core.mapping import Deployment
 from repro.core.workflow import NodeKind, Workflow
 from repro.exceptions import ExperimentError
 from repro.network.topology import ServerNetwork
+from repro.numeric import ordered_sum
 from repro.simulation.engine import SimulationEngine
 
 __all__ = [
@@ -103,14 +104,14 @@ def calibrated_workflow(
         if not all((operation.name, head) in frequencies for head in heads):
             continue  # split never observed: keep prior probabilities
         observed = [frequencies[(operation.name, head)] for head in heads]
-        total = sum(observed)
+        total = ordered_sum(observed)
         if total <= 0:
             continue
         probabilities = [
             (1.0 - smoothing) * value / total + smoothing / len(heads)
             for value in observed
         ]
-        probabilities[-1] = 1.0 - sum(probabilities[:-1])
+        probabilities[-1] = 1.0 - ordered_sum(probabilities[:-1])
         for head, probability in zip(heads, probabilities):
             message = workflow.message(operation.name, head)
             calibrated.replace_message(

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Generic, Sequence, TypeVar
 
 from repro.exceptions import ExperimentError
+from repro.numeric import ordered_sum
 from repro.workloads.messages import (
     COMPLEX_MESSAGE,
     MEDIUM_MESSAGE,
@@ -104,7 +105,7 @@ class DiscreteMixture(Generic[T]):
 
     def mean(self) -> float:
         """Expected value (numeric supports only)."""
-        return sum(
+        return ordered_sum(
             p * float(v)  # type: ignore[arg-type]
             for p, v in zip(self.probabilities(), self._values)
         )

@@ -4,11 +4,11 @@ import pytest
 
 from repro.algorithms.fair_load import FairLoad
 from repro.algorithms.heavy_ops import HeavyOpsLargeMsgs
-from repro.core.cost import CostModel
 from repro.core.mapping import Deployment
 from repro.exceptions import (
     DisconnectedNetworkError,
     NetworkError,
+    UnknownOperationError,
     UnknownServerError,
 )
 from repro.experiments.failover import (
@@ -16,7 +16,7 @@ from repro.experiments.failover import (
     failover_table,
     replace_orphans,
 )
-from repro.network.topology import bus_network, line_network, remove_server
+from repro.network.topology import bus_network, remove_server
 
 
 class TestRemoveServer:
@@ -77,6 +77,13 @@ class TestReplaceOrphans:
         recovered = replace_orphans(line5, survivor, deployment, "S3")
         # S2 hosts nothing; the orphan O5 must land there, not on S1
         assert recovered.server_of("O5") == "S2"
+
+    def test_survivor_assignment_outside_the_workflow_is_rejected(self, line5, bus3):
+        deployment = FairLoad().deploy(line5, bus3)
+        deployment.assign("STRAY", "S1")
+        survivor = remove_server(bus3, "S3")
+        with pytest.raises(UnknownOperationError, match="STRAY"):
+            replace_orphans(line5, survivor, deployment, "S3")
 
 
 class TestAnalyzeFailure:

@@ -666,3 +666,42 @@ class NameKeyedHeavyOps(HeavyOpsLargeMsgs):
             else:
                 groups.merge(top.source, top.target)
         return mapping
+
+
+# ----------------------------------------------------------------------
+# the worst-fit fill, name-keyed
+# ----------------------------------------------------------------------
+def worst_fit_by_name(
+    cost_model: CostModel, kept: Deployment, pending
+) -> Deployment:
+    """The failover/incremental fill as both modules wrote it over names.
+
+    Budgets start at each network server's ``Ideal_Cycles`` minus the
+    weighted cycles *kept* hosts there (servers outside the network get
+    none); *pending* operations of the workflow go heaviest raw cycles
+    first to the largest budget, network order on ties, and charge their
+    weighted cycles.
+    """
+    workflow = cost_model.workflow
+    server_names = cost_model.network.server_names
+
+    def weighted(operation: str) -> float:
+        return (
+            workflow.operation(operation).cycles
+            * cost_model.node_probability(operation)
+        )
+
+    placed = kept.copy()
+    budgets = {
+        server: cost_model.ideal_cycles(server)
+        - ordered_sum(weighted(op) for op in kept.operations_on(server))
+        for server in server_names
+    }
+    rank = {name: i for i, name in enumerate(server_names)}
+    ordered = [op for op in pending if op in workflow]
+    ordered.sort(key=lambda op: -workflow.operation(op).cycles)
+    for operation in ordered:
+        target = max(budgets, key=lambda s: (budgets[s], -rank[s]))
+        placed.assign(operation, target)
+        budgets[target] -= weighted(operation)
+    return placed

@@ -130,14 +130,12 @@ class TestAggregates:
             150e6 / fleet_network.total_power_hz
         )
 
-    def test_remaining_budgets_sum_to_extra_cycles(
-        self, fleet_network, tenant_workflows
-    ):
+    def test_remaining_budgets_sum_to_zero(self, fleet_network, tenant_workflows):
         state = FleetState(fleet_network)
         place_round_robin(state, "alpha", tenant_workflows["alpha"])
-        budgets = state.remaining_budgets(extra_cycles=50e6)
-        # ideal shares sum to hosted + extra; hosted subtracts itself
-        assert sum(budgets.values()) == pytest.approx(50e6)
+        budgets = state.remaining_budgets()
+        # ideal shares sum to the hosted cycles, which subtract themselves
+        assert sum(budgets.values()) == pytest.approx(0.0, abs=1e-6)
 
     def test_empty_fleet_snapshot(self, fleet_network):
         snapshot = FleetState(fleet_network).snapshot()

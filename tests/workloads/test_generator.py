@@ -133,6 +133,14 @@ class TestRandomGraphWorkflow:
         assert len(workflow.entries) == 1
         assert len(workflow.exits) == 1
 
+    def test_branch_probabilities_do_not_depend_on_the_interpreter(self):
+        # normalised by a left fold: Python 3.12's compensated builtin
+        # sum() gives 0.42507632559898556 for this first branch
+        workflow = random_graph_workflow(30, GraphStructure.LENGTHY, seed=5)
+        split = next(op for op in workflow if op.kind is NodeKind.XOR_SPLIT)
+        first = workflow.outgoing(split.name)[0]
+        assert first.probability == 0.4250763255989855
+
 
 class TestNetworkGenerators:
     def test_bus_network_sampling(self):
