@@ -21,6 +21,7 @@ from repro.algorithms.tie_resolver import FairLoadTieResolver
 from repro.core.cost import CostModel
 from repro.core.workflow import Operation, Workflow
 from repro.network.topology import bus_network
+from repro.numeric import ordered_sum
 from repro.simulation.engine import SimulationEngine
 from repro.tables import TextTable, format_seconds
 from repro.workloads.generator import line_workflow, random_line_network
@@ -72,7 +73,7 @@ def bench_ablation_tie_resolution(benchmark):
         fair = model.total_communication_time(
             FairLoad().deploy(workflow, network, cost_model=model)
         )
-        resolver = sum(
+        resolver = ordered_sum(
             model.total_communication_time(
                 FairLoadTieResolver().deploy(
                     workflow, network, cost_model=model, rng=seed
@@ -289,8 +290,7 @@ def bench_ablation_local_search_polish(benchmark):
     table = TextTable(
         ["metric", "value"], title="hill-climbing polish on HOLM (12 ops)"
     )
-    table.add_row(
-        ["mean objective improvement", f"{sum(improvements) / len(improvements):.1%}"]
-    )
+    mean = ordered_sum(improvements) / len(improvements)
+    table.add_row(["mean objective improvement", f"{mean:.1%}"])
     table.add_row(["max objective improvement", f"{max(improvements):.1%}"])
     emit("ablation_local_search_polish", table)

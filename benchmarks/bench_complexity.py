@@ -12,6 +12,7 @@ import time
 
 from repro.algorithms.base import algorithm_registry
 from repro.core.cost import CostModel
+from repro.numeric import ordered_sum
 from repro.tables import TextTable
 from repro.workloads.generator import line_workflow, random_bus_network
 
@@ -56,7 +57,7 @@ def bench_deploy_time_growth(benchmark):
             if values[i] > 0
         ]
         mean_ratio = (
-            sum(ratios) / len(ratios) if ratios else float("nan")
+            ordered_sum(ratios) / len(ratios) if ratios else float("nan")
         )
         table.add_row(
             [

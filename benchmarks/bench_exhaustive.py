@@ -10,6 +10,7 @@ import pytest
 from repro.algorithms.base import algorithm_registry
 from repro.algorithms.exhaustive import Exhaustive
 from repro.core.cost import CostModel
+from repro.numeric import ordered_sum
 from repro.tables import TextTable
 from repro.workloads.generator import line_workflow, random_bus_network
 
@@ -63,7 +64,7 @@ def bench_heuristic_optimality_gap(benchmark):
         table.add_row(
             [
                 name,
-                f"{sum(values) / len(values):.1%}",
+                f"{ordered_sum(values) / len(values):.1%}",
                 f"{max(values):.1%}",
             ]
         )

@@ -19,6 +19,7 @@ from repro.core.cost import CostModel
 from repro.experiments.failover import analyze_failure
 from repro.experiments.multi_workflow import combine_workflows
 from repro.network.topology import bus_network
+from repro.numeric import ordered_sum
 from repro.tables import TextTable, format_seconds
 from repro.workloads.gallery import healthcare_workflow, ministry_network
 from repro.workloads.generator import line_workflow, random_bus_network
@@ -93,9 +94,8 @@ def bench_genetic_refinement(benchmark):
 
     improvements = benchmark.pedantic(measure, rounds=1, iterations=1)
     table = TextTable(["metric", "value"], title="genetic refinement vs greedy")
-    table.add_row(
-        ["mean objective improvement", f"{sum(improvements) / len(improvements):.1%}"]
-    )
+    mean = ordered_sum(improvements) / len(improvements)
+    table.add_row(["mean objective improvement", f"{mean:.1%}"])
     table.add_row(["max objective improvement", f"{max(improvements):.1%}"])
     emit("genetic_refinement", table)
 
@@ -208,7 +208,7 @@ def bench_incremental_adaptation(benchmark):
         title="incremental patch vs full re-deployment (one op added)",
     )
     table.add_row(
-        ["mean patch overhead", f"{sum(overheads) / len(overheads):+.1%}"]
+        ["mean patch overhead", f"{ordered_sum(overheads) / len(overheads):+.1%}"]
     )
     table.add_row(["max patch overhead", f"{max(overheads):+.1%}"])
     table.add_row(

@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments.classes import FIG6_BUS_SPEEDS
 from repro.experiments.reporting import scatter_table
+from repro.numeric import ordered_sum
 from repro.experiments.runner import (
     DEFAULT_ALGORITHMS,
     ExperimentConfig,
@@ -61,8 +62,8 @@ def bench_fig7_overall(benchmark, speed):
         summary.add_row(
             [
                 name,
-                format_seconds(sum(executions) / len(executions)),
-                format_seconds(sum(penalties) / len(penalties)),
+                format_seconds(ordered_sum(executions) / len(executions)),
+                format_seconds(ordered_sum(penalties) / len(penalties)),
             ]
         )
     emit(

@@ -33,6 +33,7 @@ from dataclasses import replace
 
 from repro.core.clock import StepClock
 from repro.core.migration import MigrationCostModel
+from repro.numeric import ordered_sum
 from repro.service.controller import FleetController
 from repro.service.scenarios import build_scenario
 
@@ -104,7 +105,7 @@ def _replay(**overrides):
 
 
 def _billed_total(controller, series) -> float:
-    return sum(series) + BILL_WEIGHT * controller.migration_paid
+    return ordered_sum(series) + BILL_WEIGHT * controller.migration_paid
 
 
 def bench_migration_hysteresis(benchmark):
@@ -138,11 +139,11 @@ def bench_migration_hysteresis(benchmark):
     ratio = naive_total / aware_total if aware_total > 0 else float("inf")
 
     _RESULTS["events"] = len(naive_series)
-    _RESULTS["naive_objective_sum"] = sum(naive_series)
+    _RESULTS["naive_objective_sum"] = ordered_sum(naive_series)
     _RESULTS["naive_migration_paid"] = naive.migration_paid
     _RESULTS["naive_moves"] = naive.metrics().rebalance_moves
     _RESULTS["naive_total"] = naive_total
-    _RESULTS["aware_objective_sum"] = sum(aware_series)
+    _RESULTS["aware_objective_sum"] = ordered_sum(aware_series)
     _RESULTS["aware_migration_paid"] = aware.migration_paid
     _RESULTS["aware_moves"] = aware.metrics().rebalance_moves
     _RESULTS["aware_total"] = aware_total
@@ -157,10 +158,10 @@ def bench_migration_hysteresis(benchmark):
         f"scenario {SCENARIO!r} (seed {SEED})"
         + (" (smoke)" if SMOKE else ""),
         f"events replayed:            {len(naive_series):10d}",
-        f"naive: objective sum        {sum(naive_series):10.4f} s, "
+        f"naive: objective sum        {ordered_sum(naive_series):10.4f} s, "
         f"migration paid {naive.migration_paid:.4f} s "
         f"({naive.metrics().rebalance_moves} moves)",
-        f"aware: objective sum        {sum(aware_series):10.4f} s, "
+        f"aware: objective sum        {ordered_sum(aware_series):10.4f} s, "
         f"migration paid {aware.migration_paid:.4f} s "
         f"({aware.metrics().rebalance_moves} moves)",
         f"billed totals (w={BILL_WEIGHT}):    naive {naive_total:.4f} s, "

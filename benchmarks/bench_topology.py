@@ -30,6 +30,7 @@ import time
 from dataclasses import replace
 
 from repro.core.clock import StepClock
+from repro.numeric import ordered_sum
 from repro.service.controller import FleetController
 from repro.service.scenarios import build_scenario
 
@@ -104,8 +105,8 @@ def bench_topology_rebalance(benchmark):
         "the naive controller was supposed to never move anything"
     )
 
-    naive_total = sum(naive_series)
-    rebal_total = sum(rebal_series)
+    naive_total = ordered_sum(naive_series)
+    rebal_total = ordered_sum(rebal_series)
     ratio = naive_total / rebal_total if rebal_total > 0 else float("inf")
 
     _RESULTS["events"] = len(naive_series)

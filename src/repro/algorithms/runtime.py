@@ -279,13 +279,11 @@ class SearchRuntime:
     cancel:
         Optional :class:`CancelToken` observed between steps.
     on_progress:
-        Optional callback receiving a :class:`SearchProgress` every
-        *progress_every* steps. Called after the step is accounted and
-        before the cancellation check, so a callback may cancel the
-        search it is observing (the fleet controller's preemption
-        hook relies on this).
-    progress_every:
-        Step period of the callback (default 1 -- every step).
+        Optional callback receiving a :class:`SearchProgress` after
+        every step. Called after the step is accounted and before the
+        cancellation check, so a callback may cancel the search it is
+        observing (:class:`repro.parallel.budget.WorkerBridge` relies on
+        this).
     """
 
     def __init__(
@@ -294,15 +292,11 @@ class SearchRuntime:
         clock: Clock | None = None,
         cancel: CancelToken | None = None,
         on_progress: Callable[[SearchProgress], None] | None = None,
-        progress_every: int = 1,
     ):
         self.budget = budget if budget is not None else UNLIMITED
         self.clock = clock if clock is not None else MONOTONIC
         self.cancel = cancel
         self.on_progress = on_progress
-        self.progress_every = SearchBudget.validate_count(
-            "progress_every", progress_every
-        )
 
     def run(self, search: Iterator[SearchStep]) -> SearchOutcome:
         """Consume *search* until exhaustion or the first binding limit.
@@ -318,7 +312,6 @@ class SearchRuntime:
         clock = self.clock
         cancel = self.cancel
         on_progress = self.on_progress
-        progress_every = self.progress_every
         max_steps = budget.max_steps
         max_evals = budget.max_evals
         start = clock()
@@ -366,7 +359,7 @@ class SearchRuntime:
                         best = step.snapshot()
                         has_best = True
                         curve.append((steps, best_value))
-                    if on_progress is not None and steps % progress_every == 0:
+                    if on_progress is not None:
                         on_progress(
                             SearchProgress(
                                 steps=steps,

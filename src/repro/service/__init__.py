@@ -30,13 +30,14 @@ Modules
     The stdlib-only REST façade (``FleetApp`` + ``make_server``).
 """
 
+from repro.core.clock import StepClock
 from repro.service.checkpoint import (
     Checkpoint,
     load_checkpoint,
     restore_controller,
     write_checkpoint,
 )
-from repro.service.controller import FleetConfig, FleetController, StepClock
+from repro.service.controller import FleetConfig, FleetController
 from repro.service.events import (
     DeployRequest,
     FleetEvent,

@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.algorithms.runtime import SearchBudget
 from repro.core.clock import StepClock
 from repro.core.migration import MigrationCostModel
-from repro.exceptions import ValidationError
+from repro.exceptions import ServiceError, ValidationError
 from repro.io.json_codec import (
     CodecError,
     dump_document,
@@ -63,8 +62,6 @@ __all__ = [
     "event_from_dict",
     "config_to_dict",
     "config_from_dict",
-    "budget_to_dict",
-    "budget_from_dict",
     "migration_to_dict",
     "migration_from_dict",
     "record_to_dict",
@@ -223,30 +220,6 @@ def event_from_dict(document: Mapping[str, Any]) -> FleetEvent:
 # ----------------------------------------------------------------------
 # config
 # ----------------------------------------------------------------------
-def budget_to_dict(budget: SearchBudget | None) -> dict[str, Any] | None:
-    """Encode a search budget (``None`` passes through)."""
-    if budget is None:
-        return None
-    return {
-        "max_steps": budget.max_steps,
-        "max_evals": budget.max_evals,
-        "deadline_s": budget.deadline_s,
-    }
-
-
-def budget_from_dict(
-    document: Mapping[str, Any] | None,
-) -> SearchBudget | None:
-    """Decode a search budget (``None`` passes through)."""
-    if document is None:
-        return None
-    return SearchBudget(
-        max_steps=document.get("max_steps"),
-        max_evals=document.get("max_evals"),
-        deadline_s=document.get("deadline_s"),
-    )
-
-
 def migration_to_dict(
     migration: MigrationCostModel | None,
 ) -> dict[str, Any] | None:
@@ -282,14 +255,12 @@ def config_to_dict(config: FleetConfig) -> dict[str, Any]:
         "admission_load_limit_s": config.admission_load_limit_s,
         "drift_threshold": config.drift_threshold,
         "max_moves_per_rebalance": config.max_moves_per_rebalance,
-        "rebalance_budget": budget_to_dict(config.rebalance_budget),
         "execution_weight": config.execution_weight,
         "penalty_weight": config.penalty_weight,
         "penalty_mode": config.penalty_mode,
         "seed": config.seed,
         "migration": migration_to_dict(config.migration),
         "migration_weight": config.migration_weight,
-        "rebalance_min_gain": config.rebalance_min_gain,
         "rebalance_cooldown_ticks": config.rebalance_cooldown_ticks,
     }
 
@@ -304,14 +275,17 @@ def config_from_dict(document: Mapping[str, Any]) -> FleetConfig:
     """
     return FleetConfig(
         algorithm=str(_require(document, "algorithm", "fleet config")),
-        admission_load_limit_s=document.get("admission_load_limit_s"),
+        admission_load_limit_s=(
+            None
+            if document.get("admission_load_limit_s") is None
+            else float(document["admission_load_limit_s"])
+        ),
         drift_threshold=float(
             _require(document, "drift_threshold", "fleet config")
         ),
         max_moves_per_rebalance=int(
             _require(document, "max_moves_per_rebalance", "fleet config")
         ),
-        rebalance_budget=budget_from_dict(document.get("rebalance_budget")),
         execution_weight=float(
             _require(document, "execution_weight", "fleet config")
         ),
@@ -322,7 +296,6 @@ def config_from_dict(document: Mapping[str, Any]) -> FleetConfig:
         seed=int(_require(document, "seed", "fleet config")),
         migration=migration_from_dict(document.get("migration")),
         migration_weight=float(document.get("migration_weight", 0.0)),
-        rebalance_min_gain=float(document.get("rebalance_min_gain", 0.0)),
         rebalance_cooldown_ticks=int(
             document.get("rebalance_cooldown_ticks", 0)
         ),
@@ -520,7 +493,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             step_s=_step_s(clock_doc.get("step_s", 0.001)),
             pending_priorities=tuple(pending_priorities),
         )
-    except (CodecError, TypeError, ValueError, AttributeError) as exc:
+    except (
+        CodecError, ServiceError, TypeError, ValueError, AttributeError
+    ) as exc:
         raise ValidationError(f"{path}: malformed checkpoint ({exc})") from None
 
 

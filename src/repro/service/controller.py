@@ -35,16 +35,6 @@ With a deterministic clock (see :class:`~repro.core.clock.StepClock`)
 an entire run is a pure function of the initial fleet and the event
 list -- replaying a seeded scenario twice produces byte-identical logs
 and metrics.
-
-Rebalancing and join-spreading run as step generators on the shared
-:class:`~repro.algorithms.runtime.SearchRuntime`: the
-:attr:`FleetConfig.rebalance_budget` bounds them (on top of the churn
-cap), :meth:`FleetController.preempt_rebalance` cancels the one in
-flight at its next step boundary -- e.g. from the
-:attr:`FleetController.on_search_step` progress hook when a surge
-arrives -- and the applied-moves prefix always leaves the fleet
-consistent because every move is only applied after it strictly
-improved the fleet objective.
 """
 
 from __future__ import annotations
@@ -52,21 +42,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.algorithms.base import get_algorithm
 from repro.algorithms.graph_adapters import ServerBudgets
-from repro.algorithms.runtime import (
-    CancelToken,
-    SearchBudget,
-    SearchProgress,
-    SearchReport,
-    SearchRuntime,
-    SearchStep,
-)
-from repro.core.clock import StepClock
 from repro.core.compiled import CompiledInstance, penalty_statistic
 from repro.core.cost import PENALTY_MODES
 from repro.core.migration import MigrationCostModel
@@ -91,9 +72,7 @@ from repro.service.events import (
 from repro.service.log import FleetLog, FleetMetrics, LogRecord, format_detail
 from repro.service.state import FleetSnapshot, FleetState
 
-# StepClock lives in repro.core.clock now (the search runtime needs it
-# too); re-exported here because it is part of this module's public API.
-__all__ = ["FleetConfig", "FleetController", "StepClock"]
+__all__ = ["FleetConfig", "FleetController"]
 
 
 @dataclass(frozen=True)
@@ -107,8 +86,8 @@ class FleetConfig:
         requests may override per tenant).
     admission_load_limit_s:
         Admission-control capacity: the maximum projected *mean*
-        per-server load in seconds the fleet accepts. ``None`` disables
-        admission control (everything is admitted).
+        per-server load in seconds the fleet accepts: ``None`` (admission
+        control off, everything is admitted) or a finite value >= 0.
     drift_threshold:
         A tick triggers a rebalance when the time-penalty share of the
         fleet objective (``penalty_weight * TimePenalty / objective``)
@@ -116,12 +95,6 @@ class FleetConfig:
     max_moves_per_rebalance:
         Churn bound: at most this many operation moves per rebalance or
         per join-spreading pass.
-    rebalance_budget:
-        Optional :class:`~repro.algorithms.runtime.SearchBudget` on each
-        rebalance / spreading search, on top of the churn bound: an
-        evaluation cap or wall-clock deadline stops the scan at the next
-        step boundary, keeping whatever improving moves were already
-        applied. ``None`` (the default) leaves only the churn bound.
     execution_weight, penalty_weight, penalty_mode:
         Fleet-objective knobs, as in :class:`~repro.core.cost.CostModel`.
     seed:
@@ -138,14 +111,10 @@ class FleetConfig:
     migration_weight:
         Weight of the migration cost in the hysteresis acceptance test:
         a candidate move is accepted only when
-        ``objective_after + migration_weight * move_cost`` undercuts
-        the current objective by more than :attr:`rebalance_min_gain`.
-        0 (the default) keeps decisions byte-identical to a
-        migration-blind controller; > 0 requires :attr:`migration`.
-    rebalance_min_gain:
-        Hysteresis threshold (seconds of objective): moves must clear
-        this net gain to be applied. 0 keeps the historical
-        strictly-improving test (an epsilon of 1e-12).
+        ``objective_after + migration_weight * move_cost`` strictly
+        undercuts the current objective. 0 (the default) keeps
+        decisions byte-identical to a migration-blind controller; > 0
+        requires :attr:`migration`.
     rebalance_cooldown_ticks:
         Per-tenant cooldown: after a tick rebalance moves one of a
         tenant's operations, that tenant's operations are not eligible
@@ -157,14 +126,12 @@ class FleetConfig:
     admission_load_limit_s: float | None = None
     drift_threshold: float = 0.35
     max_moves_per_rebalance: int = 4
-    rebalance_budget: SearchBudget | None = None
     execution_weight: float = 0.5
     penalty_weight: float = 0.5
     penalty_mode: str = "mad"
     seed: int = 0
     migration: MigrationCostModel | None = None
     migration_weight: float = 0.0
-    rebalance_min_gain: float = 0.0
     rebalance_cooldown_ticks: int = 0
 
     def __post_init__(self) -> None:
@@ -172,6 +139,15 @@ class FleetConfig:
             raise ServiceError(
                 f"unknown penalty mode {self.penalty_mode!r}; expected one "
                 f"of {PENALTY_MODES}"
+            )
+        limit = self.admission_load_limit_s
+        if limit is not None and not (
+            isinstance(limit, (int, float))
+            and math.isfinite(limit)
+            and limit >= 0.0
+        ):
+            raise ServiceError(
+                "admission_load_limit_s must be None or finite and >= 0"
             )
         if not 0.0 <= self.drift_threshold <= 1.0:
             raise ServiceError("drift_threshold must lie in [0, 1]")
@@ -187,11 +163,6 @@ class FleetConfig:
                 "migration_weight > 0 needs a MigrationCostModel "
                 "(set FleetConfig.migration)"
             )
-        if not (
-            math.isfinite(self.rebalance_min_gain)
-            and self.rebalance_min_gain >= 0.0
-        ):
-            raise ServiceError("rebalance_min_gain must be finite and >= 0")
         if self.rebalance_cooldown_ticks < 0:
             raise ServiceError("rebalance_cooldown_ticks must be >= 0")
 
@@ -207,8 +178,8 @@ class FleetController:
         Policy knobs; defaults are reasonable for small fleets.
     clock:
         A zero-argument callable returning seconds. Defaults to
-        :func:`time.perf_counter`; pass a :class:`StepClock` for
-        deterministic replays.
+        :func:`time.perf_counter`; pass a
+        :class:`~repro.core.clock.StepClock` for deterministic replays.
     """
 
     def __init__(
@@ -239,14 +210,6 @@ class FleetController:
         #: on rebalancing / spreading decisions.
         self.evaluations = 0
         self._balance_timeline: list[float] = []
-        #: Optional per-step observer of in-flight rebalance searches
-        #: (receives :class:`~repro.algorithms.runtime.SearchProgress`).
-        #: Runs before the cancellation check, so the hook may call
-        #: :meth:`preempt_rebalance` on the search it is observing.
-        self.on_search_step: Callable[[SearchProgress], None] | None = None
-        #: Report of the most recent rebalance / spreading search.
-        self.last_rebalance_report: SearchReport | None = None
-        self._active_rebalance_cancel: CancelToken | None = None
         #: Cumulative migration cost (seconds) of every applied move,
         #: priced by :attr:`FleetConfig.migration`. Tracked whenever a
         #: migration model is configured -- weight 0 included -- so a
@@ -254,20 +217,6 @@ class FleetController:
         self.migration_paid = 0.0
         # tenant -> remaining ticks it is excluded from rebalancing
         self._tenant_cooldowns: dict[str, int] = {}
-
-    def preempt_rebalance(self, reason: str = "") -> bool:
-        """Cancel the rebalance currently in flight, if any.
-
-        Cooperative: the search observes the token at its next step
-        boundary, so the moves already applied (each one strictly
-        improving) are kept and fleet state stays consistent. Returns
-        True when there was a search to preempt.
-        """
-        token = self._active_rebalance_cancel
-        if token is None:
-            return False
-        token.cancel(reason)
-        return True
 
     # ------------------------------------------------------------------
     # event loop
@@ -493,15 +442,15 @@ class FleetController:
             candidates=self._all_operations,
             max_moves=self.config.max_moves_per_rebalance,
         )
-        details = {
-            "spread_moves": format_detail(len(moves)),
-            "gain": format_detail(before - after),
-            "servers": format_detail(len(state.network)),
-        }
-        report = self.last_rebalance_report
-        if report is not None and not report.exhausted:
-            details["stopped"] = report.stop_reason
-        return event.server, "joined", details
+        return (
+            event.server,
+            "joined",
+            {
+                "spread_moves": format_detail(len(moves)),
+                "gain": format_detail(before - after),
+                "servers": format_detail(len(state.network)),
+            },
+        )
 
     def _on_link_failure(
         self, event: LinkFailure
@@ -576,11 +525,10 @@ class FleetController:
         Rebalances when the time-penalty share of the objective exceeds
         :attr:`FleetConfig.drift_threshold`, and adds the ``churn``/
         ``objective_*``/``gain`` entries (plus ``migration``/
-        ``net_gain`` when transition-aware and ``stopped`` when the
-        runtime cut the scan) after ``drift``. A *tick* also counts
-        every cooldown down; link failures and degrades run the same
-        test at once -- re-routed traffic may have shifted the drift
-        past the threshold -- and set cooldowns for moved tenants
+        ``net_gain`` when transition-aware) after ``drift``. A *tick*
+        also counts every cooldown down; link failures and degrades run
+        the same test at once -- re-routed traffic may have shifted the
+        drift past the threshold -- and set cooldowns for moved tenants
         (hysteresis must keep damping oscillation) without decaying
         them, since those events are not ticks.
         """
@@ -626,9 +574,6 @@ class FleetController:
                 before - after
                 - self.config.migration_weight * migration_total
             )
-        report = self.last_rebalance_report
-        if report is not None and not report.exhausted:
-            details["stopped"] = report.stop_reason
         return details
 
     def _on_tick(self, event: Tick) -> tuple[str, str, dict[str, str]]:
@@ -728,12 +673,12 @@ class FleetController:
         With a :attr:`FleetConfig.migration` model at weight > 0 the
         acceptance test is *hysteretic*: a candidate's score is its
         objective plus the weighted one-time cost of moving that
-        operation's state over the current links, and it must undercut
-        the standing objective by :attr:`FleetConfig.rebalance_min_gain`
-        -- churn that does not pay for itself is left alone. At weight 0
-        the historical strictly-improving comparison is preserved bit
-        for bit (migration cost is still *billed* into
-        :attr:`migration_paid` when a model is configured).
+        operation's state over the current links, and it must still
+        undercut the standing objective -- churn that does not pay for
+        itself is left alone. At weight 0 the plain strictly-improving
+        comparison decides (migration cost is still *billed* into
+        :attr:`migration_paid` when a model is configured). "Strictly"
+        means by more than 1e-12, so float noise never moves anything.
 
         Every round scores its whole candidate set -- each eligible
         ``(tenant, operation)`` pair moved to each destination, built as
@@ -747,14 +692,8 @@ class FleetController:
         :meth:`FleetState.price <repro.service.state.FleetState.price>`.
         Server and operation names appear only in the applied moves.
 
-        The scan runs on the :class:`~repro.algorithms.runtime.
-        SearchRuntime` -- one applied move per step -- under
-        :attr:`FleetConfig.rebalance_budget` and a fresh per-call
-        :class:`~repro.algorithms.runtime.CancelToken` (see
-        :meth:`preempt_rebalance`). Budgets and preemption only ever
-        drop *pending* moves; applied ones already improved the
-        objective, so the fleet is consistent at every step boundary.
-        The runtime's report lands in :attr:`last_rebalance_report`.
+        :attr:`evaluations` grows by one for the standing objective and
+        then by each round's scanned rows.
         """
         state = self.state
         network = state.network
@@ -771,12 +710,6 @@ class FleetController:
         loads = np.array(list(state.combined_loads().values()))
         migration_model = self.config.migration
         aware = self._transition_aware
-        # min_gain == 0 keeps the historical strict-improvement epsilon
-        threshold = (
-            self.config.rebalance_min_gain
-            if self.config.rebalance_min_gain > 0.0
-            else 1e-12
-        )
 
         def move_cost(
             instance: CompiledInstance, op: int, source: int, target: int
@@ -803,108 +736,79 @@ class FleetController:
         migration_total = 0.0
         moves: list[tuple[str, str, str, str]] = []
 
-        def steps() -> Iterator[SearchStep]:
-            nonlocal current, loads, migration_total
-            yield SearchStep(current, lambda: tuple(moves), evals=1)
-            for _ in range(max_moves):
-                instances: dict[int, CompiledInstance] = {}
-                pairs: list[tuple[int, int, int]] = []
-                pair_weights: list[float] = []
-                for tenant, operation in candidates(
-                    dict(zip(names, loads.tolist()))
-                ):
-                    t = position[tenant]
-                    instance = instances.get(t)
-                    if instance is None:
-                        instance = state.cost_model(tenant).compiled
-                        instances[t] = instance
-                    op = instance.op_index[operation]
-                    server = state.tenant(tenant).deployment.server_of(operation)
-                    pairs.append((t, op, column[server]))
-                    pair_weights.append(instance.wcycles[op])
-                # every pair to every destination but its own source, in
-                # pair order: the first minimal net wins
-                width = len(destinations)
-                grid = np.repeat(
-                    np.array(pairs, dtype=np.intp).reshape(-1, 3), width, axis=0
+        for _ in range(max_moves):
+            instances: dict[int, CompiledInstance] = {}
+            pairs: list[tuple[int, int, int]] = []
+            pair_weights: list[float] = []
+            for tenant, operation in candidates(
+                dict(zip(names, loads.tolist()))
+            ):
+                t = position[tenant]
+                instance = instances.get(t)
+                if instance is None:
+                    instance = state.cost_model(tenant).compiled
+                    instances[t] = instance
+                op = instance.op_index[operation]
+                server = state.tenant(tenant).deployment.server_of(operation)
+                pairs.append((t, op, column[server]))
+                pair_weights.append(instance.wcycles[op])
+            # every pair to every destination but its own source, in
+            # pair order: the first minimal net wins
+            width = len(destinations)
+            grid = np.repeat(
+                np.array(pairs, dtype=np.intp).reshape(-1, 3), width, axis=0
+            )
+            target = np.tile(destinations, len(pairs))
+            keep = target != grid[:, 2]
+            tenant_of, op_of, source = grid[keep].T
+            target = target[keep]
+            weighted = np.repeat(pair_weights, width)[keep]
+            scanned = len(target)
+            self.evaluations += scanned
+            priced = self._price_batched(tenant_of, op_of, target, instances)
+            costs = (
+                np.array(
+                    [
+                        move_cost(instances[t], op, src, dst)
+                        for t, op, src, dst in zip(
+                            tenant_of.tolist(),
+                            op_of.tolist(),
+                            source.tolist(),
+                            target.tolist(),
+                        )
+                    ]
                 )
-                target = np.tile(destinations, len(pairs))
-                keep = target != grid[:, 2]
-                tenant_of, op_of, source = grid[keep].T
-                target = target[keep]
-                weighted = np.repeat(pair_weights, width)[keep]
-                scanned = len(target)
-                self.evaluations += scanned
-                priced = self._price_batched(tenant_of, op_of, target, instances)
-                costs = (
-                    np.array(
-                        [
-                            move_cost(instances[t], op, src, dst)
-                            for t, op, src, dst in zip(
-                                tenant_of.tolist(),
-                                op_of.tolist(),
-                                source.tolist(),
-                                target.tolist(),
-                            )
-                        ]
-                    )
-                    if aware
-                    else None
-                )
-                best = self._scan(
-                    tenant_of, source, target, weighted, priced, costs,
-                    exec_times, loads, power, current - threshold,
-                )
-                if best is None:
-                    yield SearchStep(
-                        current,
-                        lambda: tuple(moves),
-                        evals=scanned,
-                        rejected=scanned,
-                    )
-                    break
-                row, value, new_loads = best
-                t, op = int(tenant_of[row]), int(op_of[row])
-                src, dst = int(source[row]), int(target[row])
-                instance = instances[t]
-                tenant = tenants[t]
-                operation = instance.op_names[op]
-                cost = float(costs[row]) if aware else 0.0
-                if migration_model is not None and not aware:
-                    # weight 0: the move was chosen blind, but its cost
-                    # is still billed (benchmarks charge naive churn)
-                    cost = move_cost(instance, op, src, dst)
-                state.tenant(tenant).deployment.assign(operation, names[dst])
-                exec_times[t] = float(priced[row])
-                # the standing objective never carries the one-time
-                # migration term -- hysteresis compares future nets
-                # against the objective actually achieved
-                current = value
-                loads = new_loads
-                if migration_model is not None:
-                    migration_total += cost
-                    self.migration_paid += cost
-                moves.append((tenant, operation, names[src], names[dst]))
-                yield SearchStep(
-                    current,
-                    lambda: tuple(moves),
-                    evals=scanned,
-                    accepted=1,
-                    rejected=scanned - 1,
-                )
-
-        cancel = CancelToken()
-        self._active_rebalance_cancel = cancel
-        runtime = SearchRuntime(
-            budget=self.config.rebalance_budget,
-            cancel=cancel,
-            on_progress=self.on_search_step,
-        )
-        try:
-            outcome = runtime.run(steps())
-        finally:
-            self._active_rebalance_cancel = None
-        self.last_rebalance_report = outcome.report
+                if aware
+                else None
+            )
+            best = self._scan(
+                tenant_of, source, target, weighted, priced, costs,
+                exec_times, loads, power, current - 1e-12,
+            )
+            if best is None:
+                break
+            row, value, new_loads = best
+            t, op = int(tenant_of[row]), int(op_of[row])
+            src, dst = int(source[row]), int(target[row])
+            instance = instances[t]
+            tenant = tenants[t]
+            operation = instance.op_names[op]
+            cost = float(costs[row]) if aware else 0.0
+            if migration_model is not None and not aware:
+                # weight 0: the move was chosen blind, but its cost
+                # is still billed (benchmarks charge naive churn)
+                cost = move_cost(instance, op, src, dst)
+            state.tenant(tenant).deployment.assign(operation, names[dst])
+            exec_times[t] = float(priced[row])
+            # the standing objective never carries the one-time
+            # migration term -- hysteresis compares future nets
+            # against the objective actually achieved
+            current = value
+            loads = new_loads
+            if migration_model is not None:
+                migration_total += cost
+                self.migration_paid += cost
+            moves.append((tenant, operation, names[src], names[dst]))
         return moves, before, current, migration_total
 
     def _price_batched(

@@ -316,24 +316,14 @@ class FleetService:
     controller:
         The controller that actually decides; the service owns its
         lifecycle from here on.
-    preempt_priority, drift_priority:
-        The boost targets of the two built-in reprioritization policies
-        (see the module docs).
 
     Access is serialised by an internal lock, so one service instance
     can back the threaded REST façade directly.
     """
 
-    def __init__(
-        self,
-        controller: FleetController,
-        preempt_priority: int = PREEMPT_PRIORITY,
-        drift_priority: int = DRIFT_PRIORITY,
-    ):
+    def __init__(self, controller: FleetController):
         self.controller = controller
         self.queue = WorkQueue()
-        self.preempt_priority = preempt_priority
-        self.drift_priority = drift_priority
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -344,7 +334,7 @@ class FleetService:
 
         Submitting a :class:`~repro.service.events.ServerFailed` boosts
         every queued job of a tenant currently hosting operations on the
-        failed server to :attr:`preempt_priority` -- those tenants' work
+        failed server to :data:`PREEMPT_PRIORITY` -- those tenants' work
         must not run against a stale placement before the failover does.
         """
         with self._lock:
@@ -366,11 +356,8 @@ class FleetService:
             return ()
 
         def boost(job: Job) -> int | None:
-            if (
-                job.subject in affected
-                and job.priority > self.preempt_priority
-            ):
-                return self.preempt_priority
+            if job.subject in affected and job.priority > PREEMPT_PRIORITY:
+                return PREEMPT_PRIORITY
             return None
 
         return self.queue.update_priorities(boost)
@@ -384,7 +371,7 @@ class FleetService:
         A controller error fails the job (one-line message captured)
         without poisoning the queue. After a tick that actually
         rebalanced, queued drift checks are raised to
-        :attr:`drift_priority` -- the drift-raises-rebalance-priority
+        :data:`DRIFT_PRIORITY` -- the drift-raises-rebalance-priority
         policy.
         """
         with self._lock:
@@ -403,11 +390,8 @@ class FleetService:
     def _react(self, record: LogRecord) -> None:
         if record.event == Tick.kind and record.action == "rebalanced":
             def raise_ticks(job: Job) -> int | None:
-                if (
-                    job.kind == Tick.kind
-                    and job.priority > self.drift_priority
-                ):
-                    return self.drift_priority
+                if job.kind == Tick.kind and job.priority > DRIFT_PRIORITY:
+                    return DRIFT_PRIORITY
                 return None
 
             self.queue.update_priorities(raise_ticks)

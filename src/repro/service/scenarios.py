@@ -5,10 +5,10 @@ fleet network, a :class:`~repro.service.controller.FleetConfig`, and an
 ordered event trace (arrivals, departures, failures, joins, ticks). All
 randomness -- workflow shapes, server powers, arrival ordering -- is
 drawn from one seed, and replays run the controller under a
-deterministic :class:`~repro.service.controller.StepClock`, so the same
+deterministic :class:`~repro.core.clock.StepClock`, so the same
 ``(name, seed)`` pair always produces byte-identical logs and metrics.
 
-Three builtin scenarios cover the interesting regimes:
+Seven builtin scenarios cover the interesting regimes:
 
 ``steady``
     A small fleet absorbing tenant arrivals and departures; no
@@ -56,13 +56,14 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable
 
+from repro.core.clock import StepClock
 from repro.core.rng import coerce_rng
 from repro.core.workflow import NodeKind, Workflow
 from repro.exceptions import ServiceError
 from repro.network.topology import Server, ServerNetwork
 from repro.numeric import ordered_sum
 from repro.scenarios import abilene_network, random_geo_network, region_of
-from repro.service.controller import FleetConfig, FleetController, StepClock
+from repro.service.controller import FleetConfig, FleetController
 from repro.service.events import (
     CapacityDrift,
     DeployRequest,

@@ -219,16 +219,6 @@ class TestRuntimeProgress:
         assert [p.best_value for p in seen] == [3.0, 2.0, 1.0]
         assert [p.evaluations for p in seen] == [1, 2, 3]
 
-    def test_progress_every_k(self):
-        seen = []
-        runtime = SearchRuntime(on_progress=seen.append, progress_every=2)
-        runtime.run(descending([5.0, 4.0, 3.0, 2.0, 1.0]))
-        assert [p.steps for p in seen] == [2, 4]
-
-    def test_progress_every_validated(self):
-        with pytest.raises(AlgorithmError, match="progress_every must be >= 1"):
-            SearchRuntime(progress_every=0)
-
 
 class TestClocks:
     def test_step_clock_advances_fixed_steps(self):

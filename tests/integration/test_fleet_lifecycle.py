@@ -10,9 +10,10 @@ churn it reports.
 
 import pytest
 
+from repro.core.clock import StepClock
 from repro.core.workflow import Operation, Workflow
 from repro.network.topology import bus_network
-from repro.service.controller import FleetConfig, FleetController, StepClock
+from repro.service.controller import FleetConfig, FleetController
 from repro.service.events import (
     DeployRequest,
     ServerFailed,

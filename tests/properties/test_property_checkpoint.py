@@ -7,11 +7,8 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.runtime import SearchBudget
 from repro.core.clock import StepClock
 from repro.service.checkpoint import (
-    budget_from_dict,
-    budget_to_dict,
     config_from_dict,
     config_to_dict,
     event_from_dict,
@@ -82,24 +79,6 @@ def test_event_round_trip_through_json_is_identity(event):
     decoded = event_from_dict(document)
     assert type(decoded) is type(event)
     assert event_to_dict(decoded) == event_to_dict(event)
-
-
-budgets = st.none() | st.builds(
-    SearchBudget,
-    max_steps=st.none() | st.integers(min_value=1, max_value=10**6),
-    max_evals=st.none() | st.integers(min_value=1, max_value=10**6),
-    deadline_s=st.none()
-    | st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
-)
-
-
-@given(budget=budgets)
-@settings(max_examples=40, deadline=None)
-def test_budget_round_trip_is_identity(budget):
-    document = budget_to_dict(budget)
-    if document is not None:
-        document = json.loads(json.dumps(document))
-    assert budget_from_dict(document) == budget
 
 
 records = st.builds(

@@ -40,13 +40,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.clock import StepClock
 from repro.core.compiled import CompiledInstance
 from repro.network import apsp
 from repro.network.routing import Router
 from repro.network.topology import Server, ServerNetwork, random_network
 from repro.scenarios.loader import abilene_network
 from repro.scenarios.geo import random_geo_network, region_of
-from repro.service.controller import FleetConfig, FleetController, StepClock
+from repro.service.controller import FleetConfig, FleetController
 from repro.service.events import (
     CapacityDrift,
     DeployRequest,

@@ -27,13 +27,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.clock import StepClock
 from repro.core.compiled import CompiledInstance
 from repro.core.cost import CostModel
 from repro.core.migration import MigrationCostModel, TransitionObjective
 from repro.network.routing import Router
 from repro.network.topology import Server, ServerNetwork
 from repro.scenarios import abilene_network, random_geo_network
-from repro.service.controller import FleetConfig, FleetController, StepClock
+from repro.service.controller import FleetConfig, FleetController
 from repro.service.events import DeployRequest, LinkDegrade, LinkFailure, Tick
 from repro.workloads.generator import (
     GraphStructure,

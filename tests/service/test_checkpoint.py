@@ -6,14 +6,11 @@ import json
 
 import pytest
 
-from repro.algorithms.runtime import SearchBudget
 from repro.core.clock import StepClock
 from repro.exceptions import ValidationError
 from repro.core.migration import MigrationCostModel
 from repro.service.checkpoint import (
     Checkpoint,
-    budget_from_dict,
-    budget_to_dict,
     config_from_dict,
     config_to_dict,
     event_from_dict,
@@ -101,21 +98,19 @@ class TestConfigCodec:
         config = FleetConfig()
         assert config_from_dict(config_to_dict(config)) == config
 
-    def test_round_trip_with_budget(self):
+    def test_round_trip_with_options(self):
         config = FleetConfig(
             algorithm="GreedyPaths",
             admission_load_limit_s=0.25,
             drift_threshold=0.5,
-            rebalance_budget=SearchBudget(
-                max_steps=10, max_evals=200, deadline_s=1.5
-            ),
             seed=9,
         )
         assert config_from_dict(config_to_dict(config)) == config
 
-    def test_budget_none_passes_through(self):
-        assert budget_to_dict(None) is None
-        assert budget_from_dict(None) is None
+    def test_admission_limit_decodes_as_a_float(self):
+        document = config_to_dict(FleetConfig())
+        document["admission_load_limit_s"] = "0.05"
+        assert config_from_dict(document).admission_load_limit_s == 0.05
 
 
 class TestRecordAndSnapshotCodecs:
@@ -170,9 +165,15 @@ class TestWriteAndLoad:
 
 
 #: One corruption per checkpoint field that must decode as a number (or
-#: a pair): each must raise ValidationError naming the file.
+#: a pair) in its range: each must raise ValidationError naming the file.
 CORRUPTIONS = {
     "config-seed": lambda doc: doc["config"].update(seed="x"),
+    "config-admission-limit": lambda doc: doc["config"].update(
+        admission_load_limit_s="x"
+    ),
+    "config-admission-limit-negative": lambda doc: doc["config"].update(
+        admission_load_limit_s=-1.0
+    ),
     "clock-step": lambda doc: doc["clock"].update(step_s="x"),
     # a step clock must move forward: a replay under any other step
     # would only surface as a log divergence
@@ -340,7 +341,6 @@ class TestMigrationCodec:
         config = FleetConfig(
             migration=self.MODEL,
             migration_weight=0.05,
-            rebalance_min_gain=1e-4,
             rebalance_cooldown_ticks=3,
         )
         document = json.loads(json.dumps(config_to_dict(config)))
@@ -351,21 +351,20 @@ class TestMigrationCodec:
         for key in (
             "migration",
             "migration_weight",
-            "rebalance_min_gain",
             "rebalance_cooldown_ticks",
         ):
             document.pop(key, None)
         config = config_from_dict(document)
         assert config.migration is None
         assert config.migration_weight == 0.0
-        assert config.rebalance_min_gain == 0.0
         assert config.rebalance_cooldown_ticks == 0
 
 
 #: A checkpoint written before ``FleetConfig.use_batch`` was removed:
 #: two line tenants on a 2-server bus and one rebalancing tick, with the
 #: scalar-pricing switch set (``"use_batch":false``). It also carries
-#: ``"parallel_workers":1``, an option removed since.
+#: ``"parallel_workers":1``, ``"rebalance_budget":null`` and
+#: ``"rebalance_min_gain":0.0``, options removed since.
 LEGACY_CHECKPOINT = (
     '{"clock":{"kind":"step","step_s":0.001},'
     '"config":{"admission_load_limit_s":null,'
@@ -448,6 +447,15 @@ class TestLegacyCheckpoint:
         document, restored = self._restore(tmp_path, text)
         assert document["config"]["parallel_workers"] == 2
         assert "parallel_workers" not in config_to_dict(restored.config)
+
+    def test_rebalance_budget_and_min_gain_keys_are_ignored(self, tmp_path):
+        # the plain rebalance loop made the same decisions as the
+        # unbudgeted search at min gain 0, so the keys restore away
+        document, restored = self._restore(tmp_path, LEGACY_CHECKPOINT)
+        removed = ("rebalance_budget", "rebalance_min_gain")
+        assert all(key in document["config"] for key in removed)
+        encoded = config_to_dict(restored.config)
+        assert not any(key in encoded for key in removed)
 
 
 class TestPendingPriorities:

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.clock import StepClock
 from repro.exceptions import ServiceError
-from repro.service.controller import FleetConfig, FleetController, StepClock
+from repro.service.controller import FleetConfig, FleetController
 from repro.service.events import (
     DeployRequest,
     FleetEvent,
@@ -234,87 +235,28 @@ class TestMetrics:
         assert metrics.cost_model_misses >= 1
 
 
-class TestBudgetedRebalance:
-    """The rebalance search runs under the shared SearchRuntime."""
+class TestRebalanceLoop:
+    """The rebalance is a plain loop: best strictly improving move first."""
 
-    def _overloaded_controller(self, network, workflow, **overrides):
+    def test_rebalance_improves_within_the_churn_cap(
+        self, fleet_network, tenant_workflows
+    ):
         from repro.core.mapping import Deployment
 
         controller = controller_for(
-            network,
-            drift_threshold=0.0,
-            max_moves_per_rebalance=3,
-            **overrides,
+            fleet_network, drift_threshold=0.0, max_moves_per_rebalance=3
         )
+        workflow = tenant_workflows["gamma"]
         controller.state.add_tenant(
             "gamma", workflow, Deployment.all_on_one(workflow, "S1")
         )
-        return controller
-
-    def test_unbudgeted_rebalance_report_is_exhausted(
-        self, fleet_network, tenant_workflows
-    ):
-        controller = self._overloaded_controller(
-            fleet_network, tenant_workflows["gamma"]
-        )
         record = controller.handle(Tick())
         assert record.action == "rebalanced"
-        report = controller.last_rebalance_report
-        assert report is not None and report.exhausted
-        assert "stopped" not in record.details
-
-    def test_rebalance_budget_caps_evaluations(
-        self, fleet_network, tenant_workflows
-    ):
-        from repro.algorithms.runtime import STOP_MAX_EVALS, SearchBudget
-
-        controller = self._overloaded_controller(
-            fleet_network,
-            tenant_workflows["gamma"],
-            rebalance_budget=SearchBudget(max_evals=1),
-        )
-        record = controller.handle(Tick())
-        # the budget bites at the starting state: no move is applied
-        assert record.action == "rebalanced"
-        assert record.detail("churn") == "0"
-        assert record.detail("stopped") == STOP_MAX_EVALS
-        report = controller.last_rebalance_report
-        assert report.stop_reason == STOP_MAX_EVALS
-        assert controller.state.tenant("gamma").deployment.is_complete(
-            tenant_workflows["gamma"]
-        )
-
-    def test_progress_hook_preempts_mid_rebalance(
-        self, fleet_network, tenant_workflows
-    ):
-        from repro.algorithms.runtime import STOP_CANCELLED
-
-        controller = self._overloaded_controller(
-            fleet_network, tenant_workflows["gamma"]
-        )
-        preempted = []
-
-        def surge(progress):
-            # cancel as soon as the first improving move has landed
-            if progress.steps == 2:
-                preempted.append(controller.preempt_rebalance("surge"))
-
-        controller.on_search_step = surge
-        record = controller.handle(Tick())
-        assert preempted == [True]
-        report = controller.last_rebalance_report
-        assert report.stop_reason == STOP_CANCELLED
-        assert report.steps == 2
-        # the partial rebalance left a consistent, fully placed state
-        assert record.action == "rebalanced"
-        assert int(record.detail("churn")) == 1
-        assert record.detail("stopped") == STOP_CANCELLED
-        deployment = controller.state.tenant("gamma").deployment
-        assert deployment.is_complete(tenant_workflows["gamma"])
+        assert 1 <= int(record.detail("churn")) <= 3
         assert float(record.detail("objective_after")) < float(
             record.detail("objective_before")
         )
-
-    def test_preempt_without_active_search_is_a_no_op(self, fleet_network):
-        controller = controller_for(fleet_network)
-        assert controller.preempt_rebalance() is False
+        assert "stopped" not in record.details
+        assert controller.state.tenant("gamma").deployment.is_complete(
+            workflow
+        )

@@ -11,6 +11,8 @@ replay comparison.
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.core.clock import StepClock
 from repro.service.controller import FleetController
 from repro.service.events import (
@@ -20,8 +22,15 @@ from repro.service.events import (
     UndeployRequest,
 )
 from repro.service.log import format_detail
+from repro.service.scenarios import builtin_scenarios, replay
 
 from .conftest import make_line
+
+#: sha256 of every builtin scenario's log text, replayed in
+#: ``builtin_scenarios()`` order with seeds 1, 2 and 3 and concatenated.
+ALL_SCENARIOS_DIGEST = (
+    "dbd9fa760c0037913576a8c6eaada3b21ceb4ccbaeb403f8da669e9564746ca6"
+)
 
 GOLDEN_LOG = """\
 #0000 deploy alpha admitted latency=0.001000s algorithm=HeavyOps-LargeMsgs balance=0.720588 objective=0.019787 operations=3 projected_load=0.010000 servers_used=3
@@ -66,6 +75,13 @@ class TestGoldenLog:
         controller.handle(ServerFailed("S3"))
         controller.handle(UndeployRequest("alpha"))
         assert controller.log.to_text() == GOLDEN_LOG
+
+    def test_every_builtin_scenario_log_is_byte_identical(self):
+        digest = hashlib.sha256()
+        for name in builtin_scenarios():
+            for seed in (1, 2, 3):
+                digest.update(replay(name, seed).log.to_text().encode())
+        assert digest.hexdigest() == ALL_SCENARIOS_DIGEST
 
     def test_every_detail_value_is_canonical(self, fleet_network):
         """No log detail may carry more than 6 decimals or repr noise."""

@@ -2,8 +2,8 @@
 
 The transition-aware controller surface: parameter-drift event
 handling (``workload-drift`` / ``capacity-drift``), the rebalance
-hysteresis knobs (``migration_weight``, ``rebalance_min_gain``,
-``rebalance_cooldown_ticks``) and the ``migration_paid`` meter. The
+hysteresis knobs (``migration_weight``, ``rebalance_cooldown_ticks``),
+the admission limit's validation and the ``migration_paid`` meter. The
 frozen-oracle contract -- a configured migration model at weight 0
 changes *accounting only*, never one decision byte -- is pinned here
 end-to-end on the seeded ``drift`` scenario.
@@ -66,10 +66,12 @@ class TestConfigValidation:
         with pytest.raises(ServiceError, match="migration_weight"):
             FleetConfig(migration=MODEL, migration_weight=bad)
 
-    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf")])
-    def test_bad_min_gain_rejected(self, bad):
-        with pytest.raises(ServiceError, match="rebalance_min_gain"):
-            FleetConfig(rebalance_min_gain=bad)
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("inf"), "0.05"])
+    def test_bad_admission_limit_rejected(self, bad):
+        # unchecked, nan would admit every deploy, a negative limit
+        # reject every one, and a string fail only at the first deploy
+        with pytest.raises(ServiceError, match="admission_load_limit_s"):
+            FleetConfig(admission_load_limit_s=bad)
 
     def test_negative_cooldown_rejected(self):
         with pytest.raises(ServiceError, match="rebalance_cooldown_ticks"):
@@ -213,14 +215,6 @@ class TestHysteresis:
         for record in rebalanced:
             assert has_detail(record, "migration")
             assert has_detail(record, "net_gain")
-
-    def test_min_gain_threshold_blocks_marginal_moves(self):
-        open_gate = replay_drift()
-        gated = replay_drift(rebalance_min_gain=1e9)
-        assert open_gate.metrics().rebalance_moves > 0
-        assert gated.metrics().rebalance_moves == 0
-        # the rebalance records still fire -- only the moves are vetoed
-        assert gated.log.filter("tick", "rebalanced")
 
 
 class TestCooldown:

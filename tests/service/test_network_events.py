@@ -9,6 +9,7 @@ tick.
 
 import pytest
 
+from repro.core.clock import StepClock
 from repro.exceptions import ServiceError
 from repro.network.routing import Router
 from repro.network.topology import (
@@ -19,7 +20,7 @@ from repro.network.topology import (
     line_network,
 )
 from repro.scenarios import geo_network
-from repro.service.controller import FleetConfig, FleetController, StepClock
+from repro.service.controller import FleetConfig, FleetController
 from repro.service.events import (
     DeployRequest,
     LinkDegrade,

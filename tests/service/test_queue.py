@@ -17,6 +17,7 @@ from repro.service.events import (
 from repro.service.queue import (
     DEFAULT_PRIORITIES,
     DONE,
+    DRIFT_PRIORITY,
     FAILED,
     PREEMPT_PRIORITY,
     QUEUED,
@@ -274,4 +275,4 @@ class TestFleetService:
             if service.queue.pending == 0:
                 pytest.skip("scenario produced no rebalance")
         del first_tick
-        assert later_tick.priority == service.drift_priority
+        assert later_tick.priority == DRIFT_PRIORITY
