@@ -14,8 +14,9 @@ Three measurements on the 100-operation x 50-server scaling instance
   (about the restarts' total evaluations): its wall time and best
   objective against the restarts' own.
 * **Portfolio race** -- wall-clock and winner of the default portfolio
-  under a shared evaluation budget, serial (workers=1 inline) vs the
-  process pool.
+  under one evaluation budget, sliced across the racers, run inline vs
+  the process pool; the two must elect the same winner with the same
+  best value and evaluations.
 * **workers=1 byte-identity** -- the ``deploy_parallel(workers=1)``
   escape hatch produces the same deployment and report as the direct
   serial ``deploy_with_report`` call, for every wrapped algorithm
@@ -166,7 +167,7 @@ def bench_ga_restarts_scaling(benchmark, instance):
 
 
 def bench_portfolio_race(benchmark, instance):
-    """Default-portfolio race under a shared evaluation budget."""
+    """Default-portfolio race under one sliced evaluation budget."""
     workflow, network, model = instance
     budget = SearchBudget(max_evals=PORTFOLIO_EVALS)
 
@@ -185,22 +186,33 @@ def bench_portfolio_race(benchmark, instance):
 
     serial_outcome, serial_s = run(inline=True)
     parallel_outcome, parallel_s = run(inline=False)
-    # shared-budget racing is deterministic for eval-capped runs: the
-    # pool and the sequential execution elect the same winner
+    # every racer is a solo run under its budget slice, so the pool and
+    # the sequential execution give the same race: winner, best value
+    # and evaluations
+    winner = serial_outcome.parallel.runs[serial_outcome.parallel.winner]
+    pool_winner = parallel_outcome.parallel.runs[
+        parallel_outcome.parallel.winner
+    ]
+    assert pool_winner.label == winner.label
+    assert parallel_outcome.best_value == serial_outcome.best_value
+    assert (
+        parallel_outcome.report.evaluations
+        == serial_outcome.report.evaluations
+    )
     assert (
         parallel_outcome.best.as_dict() == serial_outcome.best.as_dict()
     )
-    winner = serial_outcome.parallel.runs[serial_outcome.parallel.winner]
     _RESULTS["portfolio_evals"] = PORTFOLIO_EVALS
     _RESULTS["portfolio_serial_s"] = serial_s
     _RESULTS["portfolio_parallel_s"] = parallel_s
     _RESULTS["portfolio_winner"] = winner.label
     _RESULTS["portfolio_best_value"] = serial_outcome.best_value
+    _RESULTS["portfolio_evaluations"] = serial_outcome.report.evaluations
     _flush_results()
     emit(
         "parallel_portfolio",
         f"portfolio of {len(serial_outcome.parallel.runs)} racers, "
-        f"{PORTFOLIO_EVALS} shared evaluations"
+        f"{PORTFOLIO_EVALS} evaluations"
         + (" (smoke)" if SMOKE else ""),
         f"sequential (inline):  {serial_s * 1e3:10.1f} ms",
         f"{SCALE_WORKERS}-worker pool:        {parallel_s * 1e3:10.1f} ms",

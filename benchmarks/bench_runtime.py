@@ -2,7 +2,7 @@
 
 Every iterative algorithm now runs as a step generator under
 :class:`~repro.algorithms.runtime.SearchRuntime` -- one driver owning
-incumbent tracking, budgets, cancellation and progress. The refactor's
+incumbent tracking and budgets. The refactor's
 perf bargain is that the driver costs (almost) nothing when no budget
 binds. This bench replays the *pre-refactor* hand-rolled loops of hill
 climbing (full and incremental pricing) and simulated annealing

@@ -35,18 +35,17 @@ The search runtime (:mod:`repro.algorithms.runtime`)
     Every iterative algorithm above is expressed as a *step generator*
     driven by :class:`~repro.algorithms.runtime.SearchRuntime` under a
     :class:`~repro.algorithms.runtime.SearchBudget` (step/evaluation
-    caps, wall-clock deadlines), with cooperative cancellation via
-    :class:`~repro.algorithms.runtime.CancelToken` and a structured
+    caps, wall-clock deadlines), with a structured
     :class:`~repro.algorithms.runtime.SearchReport` per run. Pass
-    ``budget=`` / ``cancel=`` to any ``deploy`` call, or use
-    ``deploy_with_report`` to also get the anytime best-so-far curve.
+    ``budget=`` to any ``deploy`` call, or use ``deploy_with_report``
+    to also get the anytime best-so-far curve.
 
 The parallel layer (:mod:`repro.parallel`)
     :func:`~repro.parallel.deploy_parallel` runs one algorithm as
     seeded restarts across worker processes and
     :func:`~repro.parallel.race_portfolio` races a portfolio of
-    algorithms under one shared budget; both are re-exported here for
-    convenience.
+    algorithms, each under its share of one budget; both are
+    re-exported here for convenience.
 """
 
 from repro.algorithms.base import (
@@ -57,10 +56,8 @@ from repro.algorithms.base import (
     register_algorithm,
 )
 from repro.algorithms.runtime import (
-    CancelToken,
     SearchBudget,
     SearchOutcome,
-    SearchProgress,
     SearchReport,
     SearchRuntime,
     SearchStep,
@@ -83,10 +80,8 @@ __all__ = [
     "algorithm_registry",
     "get_algorithm",
     "register_algorithm",
-    "CancelToken",
     "SearchBudget",
     "SearchOutcome",
-    "SearchProgress",
     "SearchReport",
     "SearchRuntime",
     "SearchStep",

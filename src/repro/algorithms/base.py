@@ -17,13 +17,11 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.algorithms.runtime import (
-    CancelToken,
     SearchBudget,
     SearchOutcome,
-    SearchProgress,
     SearchReport,
     SearchRuntime,
     SearchStep,
@@ -81,8 +79,8 @@ class ProblemContext:
     """Everything an algorithm needs about one problem instance.
 
     Built once per :meth:`DeploymentAlgorithm.deploy` call, it bundles the
-    inputs with the shared cost model, its compiled instance, the RNG
-    and the search plumbing.
+    inputs with the shared cost model, its compiled instance, the RNG,
+    the search budget and clock.
 
     Attributes
     ----------
@@ -94,11 +92,8 @@ class ProblemContext:
     budget:
         The :class:`~repro.algorithms.runtime.SearchBudget` governing
         this deploy call (unlimited by default).
-    cancel:
-        Optional :class:`~repro.algorithms.runtime.CancelToken` the
-        caller can trigger to preempt the search.
-    clock, on_progress:
-        The runtime's clock and periodic progress callback.
+    clock:
+        The runtime's clock (monotonic wall clock when ``None``).
     report:
         The :class:`~repro.algorithms.runtime.SearchReport` of the last
         :meth:`search` run (``None`` for non-iterative algorithms).
@@ -115,29 +110,22 @@ class ProblemContext:
     rng: random.Random
     compiled: CompiledInstance | None = None
     budget: SearchBudget = field(default_factory=SearchBudget)
-    cancel: CancelToken | None = None
     clock: Clock | None = None
-    on_progress: Callable[[SearchProgress], None] | None = None
     report: SearchReport | None = None
     objective: TransitionObjective | None = None
 
     def search(self, steps: Iterator[SearchStep]) -> SearchOutcome:
-        """Run a step generator under this context's budget and plumbing.
+        """Run a step generator under this context's budget and clock.
 
         The one entry point search algorithms use from ``_deploy``:
         builds a :class:`~repro.algorithms.runtime.SearchRuntime` with
-        the context's budget, clock, cancel token and progress
-        callback, drives *steps* under it, and records the resulting
-        report on the context (surfaced by
+        the context's budget and clock, drives *steps* under it, and
+        records the resulting report on the context (surfaced by
         :meth:`DeploymentAlgorithm.deploy_with_report`).
         """
-        runtime = SearchRuntime(
-            budget=self.budget,
-            clock=self.clock,
-            cancel=self.cancel,
-            on_progress=self.on_progress,
+        outcome = SearchRuntime(budget=self.budget, clock=self.clock).run(
+            steps
         )
-        outcome = runtime.run(steps)
         self.report = outcome.report
         return outcome
 
@@ -173,9 +161,7 @@ class DeploymentAlgorithm(ABC):
         cost_model: CostModel | None = None,
         rng: random.Random | int | None = None,
         budget: SearchBudget | None = None,
-        cancel: CancelToken | None = None,
         clock: Clock | None = None,
-        on_progress: Callable[[SearchProgress], None] | None = None,
         objective: TransitionObjective | None = None,
     ) -> Deployment:
         """Compute a complete mapping of *workflow* onto *network*.
@@ -204,16 +190,10 @@ class DeploymentAlgorithm(ABC):
             seeded results are byte-identical to the pre-runtime
             implementations. Non-iterative algorithms (the greedy
             suite) ignore the budget.
-        cancel:
-            Optional :class:`~repro.algorithms.runtime.CancelToken` to
-            preempt the search cooperatively.
         clock:
             Clock used for ``budget.deadline_s`` (monotonic wall clock
             by default; inject :class:`~repro.core.clock.StepClock`
             for deterministic tests).
-        on_progress:
-            Periodic per-step progress callback (see
-            :class:`~repro.algorithms.runtime.SearchRuntime`).
         objective:
             Optional :class:`~repro.core.migration.TransitionObjective`.
             When given and *cost_model* is omitted, the cost model is
@@ -229,9 +209,7 @@ class DeploymentAlgorithm(ABC):
             cost_model=cost_model,
             rng=rng,
             budget=budget,
-            cancel=cancel,
             clock=clock,
-            on_progress=on_progress,
             objective=objective,
         )
         return deployment
@@ -243,9 +221,7 @@ class DeploymentAlgorithm(ABC):
         cost_model: CostModel | None = None,
         rng: random.Random | int | None = None,
         budget: SearchBudget | None = None,
-        cancel: CancelToken | None = None,
         clock: Clock | None = None,
-        on_progress: Callable[[SearchProgress], None] | None = None,
         objective: TransitionObjective | None = None,
     ) -> tuple[Deployment, SearchReport | None]:
         """:meth:`deploy`, plus the search report.
@@ -281,9 +257,7 @@ class DeploymentAlgorithm(ABC):
             rng=rng,
             compiled=cost_model.compiled,
             budget=budget if budget is not None else SearchBudget(),
-            cancel=cancel,
             clock=clock,
-            on_progress=on_progress,
             objective=cost_model.compiled.objective,
         )
         deployment = self._deploy(context)

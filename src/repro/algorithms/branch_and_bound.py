@@ -28,9 +28,8 @@ Every explored node is one :class:`~repro.algorithms.runtime.SearchStep`
 on the shared runtime, which turns the exact solver into an *anytime*
 one: under a deadline or evaluation budget it returns the best
 incumbent found so far (optimal only at exhaustion -- check
-``report.stop_reason``), and a cancel token aborts cleanly. The
-``node_limit`` hard stop is unchanged: exceeding it is still an error,
-whereas a budget is a graceful stop.
+``report.stop_reason``). The ``node_limit`` hard stop is unchanged:
+exceeding it is still an error, whereas a budget is a graceful stop.
 """
 
 from __future__ import annotations

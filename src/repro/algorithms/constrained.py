@@ -19,8 +19,8 @@ with the smallest remaining excess (callers can check with
 
 The refinement loop runs as a step generator on the shared
 :class:`~repro.algorithms.runtime.SearchRuntime`; the yielded values
-are the lexicographic ``(excess, objective)`` pairs, so budgets and
-cancellation return the *most feasible* mapping seen so far.
+are the lexicographic ``(excess, objective)`` pairs, so a budget
+returns the *most feasible* mapping seen so far.
 """
 
 from __future__ import annotations

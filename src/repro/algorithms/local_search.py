@@ -28,8 +28,8 @@ Both are expressed as step generators driven by the shared
 :class:`~repro.algorithms.runtime.SearchRuntime`: one hill-climbing
 round or one annealing proposal is one step, incumbent tracking lives
 in the runtime, and any :class:`~repro.algorithms.runtime.SearchBudget`
-(deadline, evaluation cap) or cancel token stops the search at a step
-boundary with a valid best-so-far deployment.
+(deadline, evaluation cap) stops the search at a step boundary with a
+valid best-so-far deployment.
 
 Each accepts any registered algorithm (or explicit deployment) as its
 starting point, so they compose naturally: ``HillClimbing(seed_algorithm=

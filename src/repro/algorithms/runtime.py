@@ -2,19 +2,15 @@
 
 The paper's deployment algorithms (section 4) and our extensions are
 all *iterative* searches, yet each used to hand-roll its own loop:
-private ``max_iterations`` counters, private best-so-far tracking, no
-wall-clock deadlines and no way to preempt a search in flight. This
-module is the one loop they all run on now:
+private ``max_iterations`` counters, private best-so-far tracking and
+no wall-clock deadlines. This module is the one loop they all run on
+now:
 
 :class:`SearchBudget`
     How much work a search may spend: a step cap, an evaluation cap
     and/or a wall-clock deadline. The default budget is unlimited, in
     which case every search runs to its natural exhaustion and seeded
     results are byte-identical to the pre-runtime implementations.
-:class:`CancelToken`
-    Cooperative cancellation. Anyone holding the token can
-    :meth:`~CancelToken.cancel` it; the runtime observes it between
-    steps, so the incumbent is always a consistent, complete solution.
 :class:`SearchStep`
     What a search yields per step: the value of the candidate the step
     produced, a zero-argument snapshot supplier for it (called only
@@ -24,14 +20,14 @@ module is the one loop they all run on now:
 :class:`SearchRuntime`
     Drives any iterator of :class:`SearchStep` under a budget: tracks
     the incumbent (best-so-far), records the best-value curve, checks
-    cancellation/deadline/caps between steps, fires periodic progress
-    callbacks, and closes the generator on early exit so ``finally``
-    blocks run. Returns a :class:`SearchOutcome` bundling the incumbent
-    with a structured :class:`SearchReport`.
+    the deadline and caps between steps, and closes the generator on
+    early exit so ``finally`` blocks run. Returns a
+    :class:`SearchOutcome` bundling the incumbent with a structured
+    :class:`SearchReport`.
 
 The *anytime contract*: a search yields its starting state as its first
-step, so whatever fires first -- deadline, eval cap, cancellation --
-the runtime always holds a valid complete incumbent to return. Values
+step, so whatever fires first -- deadline, eval cap, step cap -- the
+runtime always holds a valid complete incumbent to return. Values
 only need to be orderable with ``<`` (scalars normally; the
 constraint-aware search yields lexicographic tuples).
 """
@@ -46,9 +42,7 @@ from repro.exceptions import AlgorithmError
 
 __all__ = [
     "SearchBudget",
-    "CancelToken",
     "SearchStep",
-    "SearchProgress",
     "SearchReport",
     "SearchOutcome",
     "SearchRuntime",
@@ -56,7 +50,6 @@ __all__ = [
     "STOP_DEADLINE",
     "STOP_MAX_EVALS",
     "STOP_MAX_STEPS",
-    "STOP_CANCELLED",
 ]
 
 #: The search's step generator finished on its own.
@@ -67,8 +60,6 @@ STOP_DEADLINE = "deadline"
 STOP_MAX_EVALS = "max-evals"
 #: The step cap was reached.
 STOP_MAX_STEPS = "max-steps"
-#: The cancel token was triggered.
-STOP_CANCELLED = "cancelled"
 
 
 @dataclass(frozen=True)
@@ -136,33 +127,6 @@ class SearchBudget:
 UNLIMITED = SearchBudget()
 
 
-class CancelToken:
-    """Cooperative cancellation shared between a search and its owner.
-
-    The owner calls :meth:`cancel` (from a progress callback, another
-    thread, or an event handler); the runtime checks :attr:`cancelled`
-    between steps and stops with :data:`STOP_CANCELLED`. Cancellation
-    is sticky -- create a fresh token per search.
-    """
-
-    __slots__ = ("_cancelled", "reason")
-
-    def __init__(self) -> None:
-        self._cancelled = False
-        self.reason = ""
-
-    def cancel(self, reason: str = "") -> None:
-        """Request the search to stop at the next step boundary."""
-        self._cancelled = True
-        if reason:
-            self.reason = reason
-
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` was called."""
-        return self._cancelled
-
-
 @dataclass(slots=True)
 class SearchStep:
     """One yielded step of a search generator.
@@ -187,16 +151,6 @@ class SearchStep:
     evals: int = 1
     accepted: int = 0
     rejected: int = 0
-
-
-@dataclass(frozen=True)
-class SearchProgress:
-    """Periodic progress notification handed to ``on_progress``."""
-
-    steps: int
-    evaluations: int
-    best_value: Any
-    elapsed_s: float
 
 
 @dataclass(frozen=True)
@@ -276,27 +230,15 @@ class SearchRuntime:
         deterministic deadline tests. The clock is only polled per
         step when a deadline is set (plus once at start and end for
         the report), so unbudgeted runs pay no timing overhead.
-    cancel:
-        Optional :class:`CancelToken` observed between steps.
-    on_progress:
-        Optional callback receiving a :class:`SearchProgress` after
-        every step. Called after the step is accounted and before the
-        cancellation check, so a callback may cancel the search it is
-        observing (:class:`repro.parallel.budget.WorkerBridge` relies on
-        this).
     """
 
     def __init__(
         self,
         budget: SearchBudget | None = None,
         clock: Clock | None = None,
-        cancel: CancelToken | None = None,
-        on_progress: Callable[[SearchProgress], None] | None = None,
     ):
         self.budget = budget if budget is not None else UNLIMITED
         self.clock = clock if clock is not None else MONOTONIC
-        self.cancel = cancel
-        self.on_progress = on_progress
 
     def run(self, search: Iterator[SearchStep]) -> SearchOutcome:
         """Consume *search* until exhaustion or the first binding limit.
@@ -310,8 +252,6 @@ class SearchRuntime:
         """
         budget = self.budget
         clock = self.clock
-        cancel = self.cancel
-        on_progress = self.on_progress
         max_steps = budget.max_steps
         max_evals = budget.max_evals
         start = clock()
@@ -326,18 +266,11 @@ class SearchRuntime:
         curve: list[tuple[int, Any]] = []
         steps = evaluations = accepted = rejected = 0
         stop_reason = STOP_EXHAUSTED
-        # nothing to observe between steps -> run the tight loop (the
-        # checks below could never fire; skipping them keeps the driver
-        # overhead negligible for unbudgeted searches)
-        unconstrained = (
-            max_steps is None
-            and max_evals is None
-            and deadline is None
-            and cancel is None
-            and on_progress is None
-        )
         try:
-            if unconstrained:
+            # no limit to check between steps -> run the tight loop (the
+            # checks below could never fire; skipping them keeps the
+            # driver overhead negligible for unbudgeted searches)
+            if not budget.bounded:
                 for step in search:
                     steps += 1
                     evaluations += step.evals
@@ -359,18 +292,6 @@ class SearchRuntime:
                         best = step.snapshot()
                         has_best = True
                         curve.append((steps, best_value))
-                    if on_progress is not None:
-                        on_progress(
-                            SearchProgress(
-                                steps=steps,
-                                evaluations=evaluations,
-                                best_value=best_value,
-                                elapsed_s=clock() - start,
-                            )
-                        )
-                    if cancel is not None and cancel.cancelled:
-                        stop_reason = STOP_CANCELLED
-                        break
                     if max_evals is not None and evaluations >= max_evals:
                         stop_reason = STOP_MAX_EVALS
                         break

@@ -11,14 +11,14 @@ The sampler runs on the shared
 :class:`~repro.algorithms.runtime.SearchRuntime` -- one draw is one
 step -- so the 32 000-draw protocol accepts a
 :class:`~repro.algorithms.runtime.SearchBudget` (deadline, evaluation
-cap) or a cancel token and still returns well-formed statistics over
+cap) and still returns well-formed statistics over
 the draws actually made (check ``SampleStatistics.report``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.algorithms.base import (
     DeploymentAlgorithm,
@@ -26,9 +26,7 @@ from repro.algorithms.base import (
     register_algorithm,
 )
 from repro.algorithms.runtime import (
-    CancelToken,
     SearchBudget,
-    SearchProgress,
     SearchReport,
     SearchRuntime,
     SearchStep,
@@ -70,7 +68,7 @@ class SampleStatistics:
     ----------
     samples:
         Number of mappings actually drawn (fewer than requested when a
-        budget or cancellation cut the run short).
+        budget cut the run short).
     best_objective:
         The best sampled mapping by scalar objective, with its cost.
     best_execution_time:
@@ -180,9 +178,7 @@ class SolutionSampler:
         cost_model: CostModel,
         rng,
         budget: SearchBudget | None = None,
-        cancel: CancelToken | None = None,
         clock: Clock | None = None,
-        on_progress: Callable[[SearchProgress], None] | None = None,
     ) -> SampleStatistics:
         """Sample and aggregate; *rng* is ``random.Random``-like.
 
@@ -195,8 +191,8 @@ class SolutionSampler:
         only the single best-objective sample is materialised and
         evaluated in full at the end.
 
-        One draw is one runtime step, so *budget*, *cancel*, *clock*
-        and *on_progress* behave exactly as for
+        One draw is one runtime step, so *budget* and *clock* behave
+        exactly as for
         :meth:`~repro.algorithms.base.DeploymentAlgorithm.deploy`; the
         statistics then aggregate the draws actually made. (One caveat
         under a *binding* budget: blocks are drawn ahead of scoring, so
@@ -210,7 +206,7 @@ class SolutionSampler:
             raise DeploymentError("network has no servers")
         batch = cost_model.compiled.batch_evaluator()
         # per-dimension extrema live outside the generator so the
-        # aggregates survive an early (budget/cancel) stop
+        # aggregates survive an early (budget) stop
         state = {
             "drawn": 0,
             "best_execution": float("inf"),
@@ -250,10 +246,7 @@ class SolutionSampler:
                         evals=1,
                     )
 
-        runtime = SearchRuntime(
-            budget=budget, clock=clock, cancel=cancel, on_progress=on_progress
-        )
-        outcome = runtime.run(draws())
+        outcome = SearchRuntime(budget=budget, clock=clock).run(draws())
         best_deployment = outcome.best
         best_pair = (best_deployment, cost_model.evaluate(best_deployment))
         return SampleStatistics(

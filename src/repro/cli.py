@@ -193,8 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         metavar="SPEC",
         default=None,
-        help="race a portfolio of algorithms under the shared budget "
-        "instead of --algorithm; without SPECs, use the built-in line-up",
+        help="race a portfolio of algorithms, each under its slice of the "
+        "budget, instead of --algorithm; without SPECs, use the built-in "
+        "line-up",
     )
     deploy.add_argument(
         "--save",

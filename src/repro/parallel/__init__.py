@@ -3,12 +3,12 @@
 A fan-out layer over the serial anytime
 :class:`~repro.algorithms.runtime.SearchRuntime`: run one algorithm as
 seeded restarts across worker processes, or race a portfolio of
-algorithms, under one shared evaluation/deadline budget with
-cooperative cancellation and a merged anytime report. Deterministic by
-construction -- worker RNG streams are pure functions of the root seed
-and each worker's position, and budget shares are pre-partitioned --
-so a fixed ``(seed, workers)`` pair reproduces the same winner. See
-DESIGN §11 for the protocols.
+algorithms, each under its share of one evaluation/deadline budget,
+with a merged anytime report. Deterministic by construction -- worker
+RNG streams are pure functions of the root seed and each worker's
+position, and budget shares are pre-partitioned -- so a fixed
+``(seed, workers)`` pair reproduces the same winner, in a process pool
+or inline. See DESIGN §11 for the protocols.
 """
 
 from repro.parallel.api import (
@@ -16,15 +16,7 @@ from repro.parallel.api import (
     deploy_parallel,
     race_portfolio,
 )
-from repro.parallel.budget import (
-    DEFAULT_FLUSH_EVERY,
-    STOP_TARGET,
-    BudgetLedger,
-    InlineLedger,
-    SharedLedger,
-    WorkerBridge,
-    slice_budget,
-)
+from repro.parallel.budget import slice_budget
 from repro.parallel.rng import require_spawnable_seed, spawn_rng, spawn_seed
 from repro.parallel.runtime import (
     ParallelOutcome,
@@ -48,12 +40,6 @@ __all__ = [
     "AlgorithmSpec",
     "DEFAULT_PORTFOLIO",
     "slice_budget",
-    "BudgetLedger",
-    "InlineLedger",
-    "SharedLedger",
-    "WorkerBridge",
-    "STOP_TARGET",
-    "DEFAULT_FLUSH_EVERY",
     "spawn_seed",
     "spawn_rng",
     "require_spawnable_seed",

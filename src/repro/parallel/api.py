@@ -4,15 +4,17 @@
     One algorithm, run as parallel seeded restarts: every worker runs
     the full search from its own spawned RNG stream, best run wins.
 :func:`race_portfolio`
-    Many algorithms racing under one shared budget -- the portfolio
-    pattern: constructive seeds fanned into polishers, first target hit
-    or global budget exhaustion ends the race, best deployment wins.
+    Many algorithms racing, each under its share of one budget -- the
+    portfolio pattern: constructive seeds fanned into polishers, best
+    deployment wins.
 
 Both return a :class:`~repro.parallel.runtime.ParallelOutcome` and obey
-the determinism contract: a fixed ``(seed, workers)`` pair reproduces
-the same winner for eval-/step-capped and unbudgeted runs (wall-clock
-deadlines and target stops are inherently timing-dependent across
-processes; with ``inline=True`` even those are exact).
+the determinism contract: every racer is a solo search under its
+budget slice and spawned seed, so a fixed ``(seed, workers)`` pair
+reproduces the same result for eval-/step-capped and unbudgeted runs,
+and the process pool gives exactly the inline result (where a
+wall-clock deadline stops a racer depends on timing; with
+``inline=True`` and an injected clock even that is exact).
 ``workers=1`` is the serial escape hatch -- :func:`deploy_parallel`
 then makes the exact
 :meth:`~repro.algorithms.base.DeploymentAlgorithm.deploy_with_report`
@@ -25,7 +27,7 @@ import os
 from typing import Any, Sequence
 
 from repro.algorithms.base import DeploymentAlgorithm
-from repro.algorithms.runtime import CancelToken, SearchBudget
+from repro.algorithms.runtime import SearchBudget
 from repro.core.clock import Clock
 from repro.core.cost import CostModel
 from repro.core.rng import coerce_rng
@@ -58,12 +60,11 @@ def _serial_outcome(
     cost_model: CostModel | None,
     rng: Any,
     budget: SearchBudget | None,
-    cancel: CancelToken | None,
     clock: Clock | None,
 ) -> ParallelOutcome:
     """The ``workers=1`` path: the exact serial call, wrapped.
 
-    No ledger, no bridge, no seed spawning -- byte-identity with
+    No payload, no seed spawning -- byte-identity with
     :meth:`~repro.algorithms.base.DeploymentAlgorithm.deploy_with_report`
     holds by construction, not by argument.
     """
@@ -76,7 +77,6 @@ def _serial_outcome(
         cost_model=cost_model,
         rng=rng,
         budget=budget,
-        cancel=cancel,
         clock=clock,
     )
     value = cost_model.objective(deployment)
@@ -109,8 +109,6 @@ def deploy_parallel(
     workers: int | None = None,
     seed: Any = None,
     budget: SearchBudget | None = None,
-    target_value: float | None = None,
-    cancel: CancelToken | None = None,
     inline: bool = False,
     clock: Clock | None = None,
 ) -> ParallelOutcome:
@@ -132,9 +130,6 @@ def deploy_parallel(
         Root of the deterministic per-worker RNG streams. Must be a
         *spawnable* seed (int/str/None) when ``workers > 1`` -- a live
         ``random.Random`` has one stream and cannot be split.
-    ``target_value``
-        Stop everyone once any worker's incumbent reaches this
-        objective value (stop reason ``"target"``).
     ``inline``
         Run the restarts one after another in this process instead of
         in a pool (same seeds, slices and merged result).
@@ -151,7 +146,6 @@ def deploy_parallel(
             cost_model,
             coerce_rng(seed),
             budget,
-            cancel,
             clock,
         )
     seed = require_spawnable_seed(seed)
@@ -166,8 +160,6 @@ def deploy_parallel(
             payload_from(workflow, network, cost_model),
             racers,
             budget=budget,
-            target_value=target_value,
-            cancel=cancel,
             plan_label="restarts",
         )
 
@@ -180,12 +172,10 @@ def race_portfolio(
     workers: int | None = None,
     seed: Any = None,
     budget: SearchBudget | None = None,
-    target_value: float | None = None,
-    cancel: CancelToken | None = None,
     inline: bool = False,
     clock: Clock | None = None,
 ) -> ParallelOutcome:
-    """Race a portfolio of algorithms under one shared budget.
+    """Race a portfolio of algorithms, each under its share of *budget*.
 
     The line-up defaults to :data:`~repro.parallel.specs.
     DEFAULT_PORTFOLIO`. With more workers than entries the portfolio
@@ -218,7 +208,5 @@ def race_portfolio(
             payload_from(workflow, network, cost_model),
             racers,
             budget=budget,
-            target_value=target_value,
-            cancel=cancel,
             plan_label="portfolio",
         )

@@ -51,8 +51,14 @@ class AlgorithmSpec:
     def of(
         cls, name: str, seed_algorithm: str | None = None, **params
     ) -> "AlgorithmSpec":
-        """Validated constructor (names resolved, kwargs accepted)."""
+        """Validated constructor (names resolved, kwargs accepted).
+
+        The constructor's signature is read only when there is a
+        ``seed_algorithm`` or a parameter to check against it.
+        """
         algorithm_cls = get_algorithm(name)
+        if seed_algorithm is None and not params:
+            return cls(name=name)
         accepted = inspect.signature(algorithm_cls.__init__).parameters
         if seed_algorithm is not None:
             get_algorithm(seed_algorithm)

@@ -7,26 +7,29 @@ What crosses the process boundary is deliberately small and dumb:
   process rebuilds (and compiles) an instance **once** and serves every
   later task for the same fingerprint from :data:`_MATERIALIZED`;
 * a :class:`SearchTask` naming the algorithm (a picklable spec or
-  instance), its pre-spawned seed and its budget share -- never live
-  domain objects.
+  instance), its pre-spawned seed, its budget share and the race's
+  shared deadline -- never live domain objects.
 
 The entry point is a module-level function (picklable by qualified
-name under any ``multiprocessing`` start method) taking ``(task,
-ledger)`` and returning a plain picklable result object. Budget
-accounting and cooperative cancellation run through the
-:class:`~repro.parallel.budget.WorkerBridge`.
+name under any ``multiprocessing`` start method) taking a task and
+returning a plain picklable result object. A task shares nothing with
+the other racers while it runs: it is a solo
+:meth:`~repro.algorithms.base.DeploymentAlgorithm.deploy_with_report`
+call.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
 from repro.algorithms.base import DeploymentAlgorithm
-from repro.algorithms.runtime import CancelToken, SearchBudget, SearchReport
-from repro.core.clock import Clock
+from repro.algorithms.runtime import SearchBudget, SearchReport
+from repro.core.clock import MONOTONIC, Clock
 from repro.core.cost import CostModel
 from repro.core.rng import coerce_rng
 from repro.core.workflow import Workflow
@@ -37,12 +40,6 @@ from repro.io.json_codec import (
     workflow_to_dict,
 )
 from repro.network.topology import ServerNetwork
-from repro.parallel.budget import (
-    DEFAULT_FLUSH_EVERY,
-    STOP_TARGET,
-    BudgetLedger,
-    WorkerBridge,
-)
 from repro.parallel.specs import AlgorithmSpec
 
 __all__ = [
@@ -152,7 +149,9 @@ class SearchTask:
     :class:`~repro.algorithms.base.DeploymentAlgorithm` instance (for
     configured variants the spec grammar cannot express). ``seed`` is
     the value fed to :func:`~repro.core.rng.coerce_rng` -- already
-    spawned per worker by the coordinator.
+    spawned per worker by the coordinator. ``deadline_at`` is the
+    race's shared deadline as a reading of the racer's clock (``None``
+    when the budget has no deadline).
     """
 
     index: int
@@ -161,8 +160,7 @@ class SearchTask:
     algorithm: "AlgorithmSpec | DeploymentAlgorithm"
     seed: Any
     budget: SearchBudget | None = None
-    target_value: float | None = None
-    flush_every: int = DEFAULT_FLUSH_EVERY
+    deadline_at: float | None = None
 
 
 @dataclass(frozen=True)
@@ -176,56 +174,40 @@ class SearchResult:
     report: SearchReport | None
 
 
-def run_search_task(
-    task: SearchTask,
-    ledger: BudgetLedger,
-    clock: Clock | None = None,
-) -> SearchResult:
-    """Run one algorithm under the shared ledger; always returns a
-    valid deployment (the anytime contract survives pre-cancellation:
-    the first step's starting state is still produced)."""
+def run_search_task(task: SearchTask, clock: Clock = MONOTONIC) -> SearchResult:
+    """Run one racer: a solo search under its slice and spawned seed.
+
+    The slice's deadline is replaced by the time left until the race's
+    shared ``deadline_at`` on *clock* (by default the monotonic clock,
+    which every process of the machine shares). A racer that starts
+    after the deadline still takes its first step -- the anytime
+    contract -- and then stops with reason ``deadline``.
+    """
     workflow, network, model = materialize(task.payload)
     algorithm = (
         task.algorithm.build()
         if isinstance(task.algorithm, AlgorithmSpec)
         else task.algorithm
     )
-    # pre-tripped when the run is already stopping
-    cancel = CancelToken()
-    if ledger.stop_requested:
-        cancel.cancel(ledger.stop_reason)
-    bridge = WorkerBridge(
-        ledger,
-        cancel,
-        flush_every=task.flush_every,
-        target_value=task.target_value,
-    )
-    try:
-        deployment, report = algorithm.deploy_with_report(
-            workflow,
-            network,
-            cost_model=model,
-            rng=coerce_rng(task.seed),
-            budget=task.budget,
-            cancel=cancel,
-            clock=clock,
-            on_progress=bridge,
+    budget = task.budget
+    if task.deadline_at is not None:
+        remaining = task.deadline_at - clock()
+        # the smallest positive deadline fires right after the first step
+        budget = dataclasses.replace(
+            budget, deadline_s=max(remaining, math.ulp(0.0))
         )
-    finally:
-        # flush even when the search raises: the ledger must account
-        # for the evaluations a crashed worker already spent
-        bridge.finish()
-    if report is not None:
-        bridge.finish(report.evaluations)
-    value = model.objective(deployment)
-    ledger.record(0 if report is not None else 1)
-    if task.target_value is not None and value <= task.target_value:
-        # greedy algorithms never fire on_progress; check their result
-        ledger.request_stop(STOP_TARGET)
+    deployment, report = algorithm.deploy_with_report(
+        workflow,
+        network,
+        cost_model=model,
+        rng=coerce_rng(task.seed),
+        budget=budget,
+        clock=clock,
+    )
     return SearchResult(
         index=task.index,
         label=task.label,
         mapping=deployment.as_dict(),
-        value=value,
+        value=model.objective(deployment),
         report=report,
     )

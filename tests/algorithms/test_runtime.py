@@ -3,12 +3,10 @@
 import pytest
 
 from repro.algorithms.runtime import (
-    STOP_CANCELLED,
     STOP_DEADLINE,
     STOP_EXHAUSTED,
     STOP_MAX_EVALS,
     STOP_MAX_STEPS,
-    CancelToken,
     SearchBudget,
     SearchRuntime,
     SearchStep,
@@ -62,18 +60,6 @@ class TestSearchBudget:
             AlgorithmError, match="population_size must be >= 2"
         ):
             SearchBudget.validate_count("population_size", 1, minimum=2)
-
-
-class TestCancelToken:
-    def test_starts_uncancelled(self):
-        assert not CancelToken().cancelled
-
-    def test_cancel_is_sticky_and_keeps_reason(self):
-        token = CancelToken()
-        token.cancel("surge")
-        token.cancel()
-        assert token.cancelled
-        assert token.reason == "surge"
 
 
 class TestRuntimeBasics:
@@ -184,40 +170,6 @@ class TestRuntimeLimits:
 
         SearchRuntime(budget=SearchBudget(max_steps=3)).run(search())
         assert closed == [True]
-
-
-class TestRuntimeCancellation:
-    def test_cancel_before_run_stops_at_first_step(self):
-        token = CancelToken()
-        token.cancel("pre-empted")
-        runtime = SearchRuntime(cancel=token)
-        outcome = runtime.run(descending([5.0, 1.0]))
-        assert outcome.report.stop_reason == STOP_CANCELLED
-        assert outcome.report.steps == 1
-        assert outcome.best_value == 5.0
-
-    def test_progress_callback_can_cancel_its_own_search(self):
-        token = CancelToken()
-
-        def on_progress(progress):
-            if progress.steps == 2:
-                token.cancel()
-
-        runtime = SearchRuntime(cancel=token, on_progress=on_progress)
-        outcome = runtime.run(descending([5.0, 4.0, 1.0]))
-        assert outcome.report.stop_reason == STOP_CANCELLED
-        assert outcome.report.steps == 2
-        assert outcome.best_value == 4.0
-
-
-class TestRuntimeProgress:
-    def test_progress_every_step_by_default(self):
-        seen = []
-        runtime = SearchRuntime(on_progress=seen.append)
-        runtime.run(descending([3.0, 2.0, 1.0]))
-        assert [p.steps for p in seen] == [1, 2, 3]
-        assert [p.best_value for p in seen] == [3.0, 2.0, 1.0]
-        assert [p.evaluations for p in seen] == [1, 2, 3]
 
 
 class TestClocks:

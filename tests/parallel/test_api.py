@@ -1,9 +1,9 @@
 """End-to-end contracts of ``deploy_parallel`` / ``race_portfolio``.
 
 Everything except the process-pool parity checks runs in *inline* mode:
-the same task protocol and shared-ledger accounting, executed
-sequentially in this process -- deterministic, fast, and exactly what
-the pool executes (the parity test pins that equivalence).
+the same tasks, executed sequentially in this process -- deterministic,
+fast, and exactly what the pool executes (the parity tests pin that
+equivalence).
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ import random
 
 import pytest
 
+from repro.algorithms.local_search import HillClimbing
 from repro.algorithms.runtime import (
-    STOP_CANCELLED,
     STOP_DEADLINE,
     STOP_MAX_EVALS,
-    CancelToken,
     SearchBudget,
 )
 from repro.core.clock import StepClock
@@ -25,12 +24,13 @@ from repro.core.cost import CostModel
 from repro.core.rng import coerce_rng
 from repro.exceptions import AlgorithmError
 from repro.parallel import (
-    STOP_TARGET,
     AlgorithmSpec,
     deploy_parallel,
     race_portfolio,
+    slice_budget,
+    spawn_seed,
 )
-from repro.parallel.budget import DEFAULT_FLUSH_EVERY
+from repro.workloads.generator import line_workflow, random_bus_network
 
 
 @pytest.fixture
@@ -122,11 +122,26 @@ class TestReproducibility:
             )
 
 
+def _solo_reports(spec, workflow, network, model, budget, workers, seed):
+    """Each restart run alone: its slice of *budget*, its spawned seed."""
+    algorithm = AlgorithmSpec.parse(spec).build()
+    return [
+        algorithm.deploy_with_report(
+            workflow,
+            network,
+            cost_model=model,
+            rng=coerce_rng(spawn_seed(seed, "worker", index)),
+            budget=slice_budget(budget, workers, index),
+        )[1]
+        for index in range(workers)
+    ]
+
+
 class TestBudgetEnforcement:
-    def test_eval_cap_never_overshoots_by_more_than_a_batch_per_worker(
+    def test_eval_capped_race_spends_what_the_solo_runs_spend(
         self, line5, bus5, model
     ):
-        workers, max_evals = 2, 300
+        workers, budget = 2, SearchBudget(max_evals=300)
         outcome = deploy_parallel(
             "SimulatedAnnealing",
             line5,
@@ -134,14 +149,14 @@ class TestBudgetEnforcement:
             cost_model=model,
             workers=workers,
             seed=1,
-            budget=SearchBudget(max_evals=max_evals),
+            budget=budget,
             inline=True,
         )
-        assert outcome.report.stop_reason == STOP_MAX_EVALS
-        assert (
-            outcome.report.evaluations
-            <= max_evals + workers * DEFAULT_FLUSH_EVERY
+        solo = _solo_reports(
+            "SimulatedAnnealing", line5, bus5, model, budget, workers, 1
         )
+        assert outcome.report.stop_reason == STOP_MAX_EVALS
+        assert outcome.report.evaluations == sum(r.evaluations for r in solo)
 
     def test_deadline_stops_workers_on_injected_clock(
         self, line5, bus5, model
@@ -163,38 +178,39 @@ class TestBudgetEnforcement:
         assert outcome.best is not None
         assert outcome.best_value > 0
 
-    def test_precancelled_token_still_yields_a_deployment(
+    def test_racer_starting_after_the_deadline_returns_its_start(
         self, line5, bus5, model
     ):
-        cancel = CancelToken()
-        cancel.cancel()
-        outcome = deploy_parallel(
-            "SimulatedAnnealing",
+        # three racers on two workers run one after another inline; the
+        # first spends the whole 50 ms deadline on the 10 ms step clock,
+        # so the later ones start late and stop after their first step
+        portfolio = ["SimulatedAnnealing", "HillClimbing", "Genetic"]
+        outcome = race_portfolio(
             line5,
             bus5,
+            portfolio=portfolio,
             cost_model=model,
             workers=2,
-            seed=1,
-            cancel=cancel,
+            seed=4,
+            budget=SearchBudget(deadline_s=0.05),
             inline=True,
+            clock=StepClock(step_s=0.01),
         )
-        assert outcome.report.stop_reason == STOP_CANCELLED
-        assert outcome.best is not None
-
-    def test_target_value_stops_the_race(self, line5, bus5, model):
-        # a target above any feasible objective is reached immediately
-        outcome = deploy_parallel(
-            "SimulatedAnnealing",
-            line5,
-            bus5,
-            cost_model=model,
-            workers=2,
-            seed=1,
-            target_value=1e9,
-            budget=SearchBudget(max_steps=10_000),
-            inline=True,
-        )
-        assert outcome.report.stop_reason == STOP_TARGET
+        first, *late = outcome.parallel.runs
+        assert first.report.steps > 1
+        assert outcome.report.stop_reason == STOP_DEADLINE
+        for run in late:
+            algorithm = AlgorithmSpec.parse(portfolio[run.index]).build()
+            start = algorithm.deploy(
+                line5,
+                bus5,
+                cost_model=model,
+                rng=coerce_rng(spawn_seed(4, "racer", run.index)),
+                budget=SearchBudget(max_steps=1),
+            )
+            assert run.report.stop_reason == STOP_DEADLINE
+            assert run.report.steps == 1
+            assert run.deployment.as_dict() == start.as_dict()
 
 
 class TestPortfolio:
@@ -283,6 +299,41 @@ class TestProcessPoolParity:
         assert pool_outcome.best_value == inline_outcome.best_value
         assert _strip(pool_outcome.report) == _strip(inline_outcome.report)
 
+    def test_eval_capped_restarts_are_their_solo_runs(self):
+        """A racer whose last climb round overshoots its slice must not
+        cut the other racer short: each racer is its solo run, in the
+        pool as inline."""
+        workflow = line_workflow(40, seed=3)
+        network = random_bus_network(10, seed=4)
+        model = CostModel(workflow, network)
+        budget = SearchBudget(max_evals=3000)
+
+        def run(inline):
+            return deploy_parallel(
+                "HillClimbing",
+                workflow,
+                network,
+                cost_model=model,
+                workers=2,
+                seed=7,
+                budget=budget,
+                inline=inline,
+            )
+
+        inline_outcome = run(True)
+        pool_outcome = run(False)
+        solo = _solo_reports(
+            "HillClimbing", workflow, network, model, budget, 2, 7
+        )
+        for outcome in (inline_outcome, pool_outcome):
+            assert outcome.best.as_dict() == inline_outcome.best.as_dict()
+            assert _strip(outcome.report) == _strip(inline_outcome.report)
+            assert [_strip(r.report) for r in outcome.parallel.runs] == [
+                _strip(report) for report in solo
+            ]
+        assert [r.evaluations for r in solo] == [1801, 1801]
+        assert inline_outcome.best_value == pytest.approx(0.241730, abs=5e-7)
+
 
 class TestRemovedOptions:
     def test_removed_plan_runtime_and_ga_hooks_are_rejected(
@@ -306,3 +357,34 @@ class TestRemovedOptions:
             GeneticAlgorithm(initial_population=[])
         with pytest.raises(AlgorithmError):
             AlgorithmSpec.of("Genetic", population_sink=print)
+
+    def test_removed_target_and_cancel_hooks_are_rejected(
+        self, line5, bus5, model
+    ):
+        """The race's target and cancel stops and the search runtime's
+        cancel token and progress callback are gone, not ignored."""
+        from repro.algorithms.runtime import SearchRuntime
+        from repro.algorithms.sampling import SolutionSampler
+
+        for keyword in ("target_value", "cancel"):
+            with pytest.raises(TypeError):
+                deploy_parallel(
+                    "HillClimbing", line5, bus5, workers=2, inline=True,
+                    **{keyword: None},
+                )
+            with pytest.raises(TypeError):
+                race_portfolio(
+                    line5, bus5, workers=2, inline=True, **{keyword: None}
+                )
+        algorithm = HillClimbing()
+        for keyword in ("cancel", "on_progress"):
+            with pytest.raises(TypeError):
+                algorithm.deploy(line5, bus5, **{keyword: None})
+            with pytest.raises(TypeError):
+                algorithm.deploy_with_report(line5, bus5, **{keyword: None})
+            with pytest.raises(TypeError):
+                SearchRuntime(**{keyword: None})
+            with pytest.raises(TypeError):
+                SolutionSampler(samples=4).run(
+                    line5, bus5, model, random.Random(0), **{keyword: None}
+                )

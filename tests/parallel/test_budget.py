@@ -1,31 +1,11 @@
-"""Budget slicing, shared-ledger accounting and the overshoot bound."""
+"""Budget slicing: each racer's deterministic share."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.runtime import (
-    STOP_CANCELLED,
-    STOP_MAX_EVALS,
-    CancelToken,
-    SearchBudget,
-    SearchProgress,
-)
-from repro.parallel.budget import (
-    STOP_TARGET,
-    InlineLedger,
-    WorkerBridge,
-    slice_budget,
-)
-
-
-def _progress(evaluations, best_value=None):
-    return SearchProgress(
-        steps=evaluations,
-        evaluations=evaluations,
-        best_value=best_value,
-        elapsed_s=0.0,
-    )
+from repro.algorithms.runtime import SearchBudget
+from repro.parallel.budget import slice_budget
 
 
 class TestSliceBudget:
@@ -70,105 +50,3 @@ class TestSliceBudget:
     def test_pure_function_of_inputs(self):
         budget = SearchBudget(max_evals=1000, max_steps=99)
         assert slice_budget(budget, 8, 5) == slice_budget(budget, 8, 5)
-
-
-class TestInlineLedger:
-    def test_accumulates_and_trips_cap(self):
-        ledger = InlineLedger(max_evals=10)
-        ledger.record(6)
-        assert ledger.evaluations == 6
-        assert not ledger.stop_requested
-        ledger.record(4)
-        assert ledger.stop_requested
-        assert ledger.stop_reason == STOP_MAX_EVALS
-
-    def test_zero_and_negative_deltas_ignored(self):
-        ledger = InlineLedger(max_evals=5)
-        ledger.record(0)
-        ledger.record(-3)
-        assert ledger.evaluations == 0
-
-    def test_first_stop_reason_sticks(self):
-        ledger = InlineLedger()
-        ledger.request_stop(STOP_CANCELLED)
-        ledger.request_stop(STOP_TARGET)
-        assert ledger.stop_reason == STOP_CANCELLED
-
-    def test_uncapped_ledger_never_trips_on_record(self):
-        ledger = InlineLedger()
-        ledger.record(10_000)
-        assert not ledger.stop_requested
-
-
-class TestWorkerBridge:
-    def test_flushes_in_batches(self):
-        ledger = InlineLedger()
-        bridge = WorkerBridge(ledger, CancelToken(), flush_every=10)
-        bridge(_progress(9))
-        assert ledger.evaluations == 0
-        bridge(_progress(10))
-        assert ledger.evaluations == 10
-        bridge(_progress(19))
-        assert ledger.evaluations == 10
-        bridge.finish(19)
-        assert ledger.evaluations == 19
-
-    def test_overshoot_bounded_by_one_batch_per_worker(self):
-        """The satellite's accounting bound, as a pure unit test.
-
-        Two workers share a 100-eval cap with flush_every=16. Each
-        worker runs until its local cancel token trips; the global
-        count must never exceed max_evals + workers * flush_every.
-        """
-        workers, flush_every, max_evals = 2, 16, 100
-        ledger = InlineLedger(max_evals=max_evals)
-        totals = []
-        for _ in range(workers):
-            cancel = CancelToken()
-            bridge = WorkerBridge(ledger, cancel, flush_every=flush_every)
-            evaluations = 0
-            while not cancel.cancelled and evaluations < 10_000:
-                evaluations += 1
-                bridge(_progress(evaluations))
-            bridge.finish(evaluations)
-            totals.append(evaluations)
-        assert ledger.stop_reason == STOP_MAX_EVALS
-        assert ledger.evaluations == sum(totals)
-        assert ledger.evaluations <= max_evals + workers * flush_every
-
-    def test_target_stop_trips_ledger_and_cancel(self):
-        ledger = InlineLedger()
-        cancel = CancelToken()
-        bridge = WorkerBridge(
-            ledger, cancel, flush_every=1000, target_value=5.0
-        )
-        bridge(_progress(3, best_value=7.0))
-        assert not ledger.stop_requested
-        bridge(_progress(4, best_value=5.0))
-        assert ledger.stop_reason == STOP_TARGET
-        assert cancel.cancelled
-        assert cancel.reason == STOP_TARGET
-
-    def test_shared_stop_propagates_into_cancel_token(self):
-        ledger = InlineLedger()
-        cancel = CancelToken()
-        bridge = WorkerBridge(ledger, cancel, flush_every=5)
-        ledger.request_stop(STOP_CANCELLED)
-        bridge(_progress(5))
-        assert cancel.cancelled
-        assert cancel.reason == STOP_CANCELLED
-
-    def test_chain_callback_still_invoked(self):
-        seen = []
-        bridge = WorkerBridge(
-            InlineLedger(), CancelToken(), flush_every=5, chain=seen.append
-        )
-        progress = _progress(1)
-        bridge(progress)
-        assert seen == [progress]
-
-    def test_flush_every_validated(self):
-        from repro.exceptions import AlgorithmError
-
-        with pytest.raises(AlgorithmError):
-            WorkerBridge(InlineLedger(), CancelToken(), flush_every=0)

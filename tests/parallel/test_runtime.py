@@ -44,14 +44,15 @@ class TestParallelRuntime:
         with pytest.raises(Exception):
             ParallelRuntime(0)
 
-    def test_inline_ledger_for_inline_mode(self):
-        from repro.parallel.budget import InlineLedger
+    def test_pool_rejects_an_injected_clock(self):
+        from repro.core.clock import MONOTONIC, StepClock
+        from repro.exceptions import AlgorithmError
 
-        runtime = ParallelRuntime(2, inline=True)
-        try:
-            assert isinstance(runtime.make_ledger(), InlineLedger)
-        finally:
-            runtime.close()
+        with pytest.raises(AlgorithmError, match="inline=True"):
+            ParallelRuntime(2, clock=StepClock())
+        ParallelRuntime(2, inline=True, clock=StepClock()).close()
+        ParallelRuntime(1, clock=StepClock()).close()
+        ParallelRuntime(2, clock=MONOTONIC).close()
 
     def test_close_is_idempotent(self):
         runtime = ParallelRuntime(2, inline=True)

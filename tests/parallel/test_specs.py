@@ -57,6 +57,21 @@ class TestAlgorithmSpec:
         with pytest.raises(AlgorithmError):
             AlgorithmSpec.of("Genetic", warp_factor=9)
 
+    def test_bare_name_does_not_read_the_signature(self, monkeypatch):
+        import inspect
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("inspect.signature called")
+
+        monkeypatch.setattr(inspect, "signature", forbidden)
+        assert AlgorithmSpec.parse("HeavyOps-LargeMsgs") == AlgorithmSpec(
+            "HeavyOps-LargeMsgs"
+        )
+        with pytest.raises(AlgorithmError, match="unknown algorithm"):
+            AlgorithmSpec.parse("NoSuchAlgorithm")
+        with pytest.raises(AssertionError, match="signature"):
+            AlgorithmSpec.of("Genetic", generations=3)
+
     def test_spec_is_picklable_and_hashable(self):
         spec = AlgorithmSpec.of("Genetic", generations=3)
         assert pickle.loads(pickle.dumps(spec)) == spec
