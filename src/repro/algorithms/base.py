@@ -97,11 +97,6 @@ class ProblemContext:
     report:
         The :class:`~repro.algorithms.runtime.SearchReport` of the last
         :meth:`search` run (``None`` for non-iterative algorithms).
-    objective:
-        The resolved :class:`~repro.core.migration.TransitionObjective`
-        the cost model prices with. Algorithms that evaluate through
-        the cost model / compiled instance are transition-aware
-        automatically; this field is informational.
     """
 
     workflow: Workflow
@@ -112,7 +107,6 @@ class ProblemContext:
     budget: SearchBudget = field(default_factory=SearchBudget)
     clock: Clock | None = None
     report: SearchReport | None = None
-    objective: TransitionObjective | None = None
 
     def search(self, steps: Iterator[SearchStep]) -> SearchOutcome:
         """Run a step generator under this context's budget and clock.
@@ -258,7 +252,6 @@ class DeploymentAlgorithm(ABC):
             compiled=cost_model.compiled,
             budget=budget if budget is not None else SearchBudget(),
             clock=clock,
-            objective=cost_model.compiled.objective,
         )
         deployment = self._deploy(context)
         deployment.validate(workflow, network)

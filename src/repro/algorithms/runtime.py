@@ -113,15 +113,6 @@ class SearchBudget:
             raise AlgorithmError(f"{name} must be >= {minimum}")
         return value
 
-    @property
-    def bounded(self) -> bool:
-        """True when any limit is set."""
-        return (
-            self.max_steps is not None
-            or self.max_evals is not None
-            or self.deadline_s is not None
-        )
-
 
 #: The unlimited budget used when callers pass ``None``.
 UNLIMITED = SearchBudget()
@@ -267,40 +258,25 @@ class SearchRuntime:
         steps = evaluations = accepted = rejected = 0
         stop_reason = STOP_EXHAUSTED
         try:
-            # no limit to check between steps -> run the tight loop (the
-            # checks below could never fire; skipping them keeps the
-            # driver overhead negligible for unbudgeted searches)
-            if not budget.bounded:
-                for step in search:
-                    steps += 1
-                    evaluations += step.evals
-                    accepted += step.accepted
-                    rejected += step.rejected
-                    if not has_best or step.value < best_value:
-                        best_value = step.value
-                        best = step.snapshot()
-                        has_best = True
-                        curve.append((steps, best_value))
-            else:
-                for step in search:
-                    steps += 1
-                    evaluations += step.evals
-                    accepted += step.accepted
-                    rejected += step.rejected
-                    if not has_best or step.value < best_value:
-                        best_value = step.value
-                        best = step.snapshot()
-                        has_best = True
-                        curve.append((steps, best_value))
-                    if max_evals is not None and evaluations >= max_evals:
-                        stop_reason = STOP_MAX_EVALS
-                        break
-                    if max_steps is not None and steps >= max_steps:
-                        stop_reason = STOP_MAX_STEPS
-                        break
-                    if deadline is not None and clock() >= deadline:
-                        stop_reason = STOP_DEADLINE
-                        break
+            for step in search:
+                steps += 1
+                evaluations += step.evals
+                accepted += step.accepted
+                rejected += step.rejected
+                if not has_best or step.value < best_value:
+                    best_value = step.value
+                    best = step.snapshot()
+                    has_best = True
+                    curve.append((steps, best_value))
+                if max_evals is not None and evaluations >= max_evals:
+                    stop_reason = STOP_MAX_EVALS
+                    break
+                if max_steps is not None and steps >= max_steps:
+                    stop_reason = STOP_MAX_STEPS
+                    break
+                if deadline is not None and clock() >= deadline:
+                    stop_reason = STOP_DEADLINE
+                    break
         finally:
             close = getattr(search, "close", None)
             if close is not None:

@@ -727,6 +727,7 @@ def _require_checkpoint_path(args, action: str) -> str:
 def _fleet_checkpoint(args) -> int:
     from repro.core.clock import StepClock
     from repro.exceptions import ServiceError
+    from repro.service.checkpoint import write_checkpoint
     from repro.service.controller import FleetController
     from repro.service.scenarios import build_scenario
 
@@ -746,7 +747,7 @@ def _fleet_checkpoint(args) -> int:
     )
     for event in events[:cut]:
         controller.handle(event)
-    written = controller.checkpoint(path, pending=events[cut:])
+    written = write_checkpoint(controller, path, pending=events[cut:])
     print(
         f"checkpoint written to {written}: scenario {scenario.name!r} "
         f"(seed {args.seed}), {cut} events processed, "
@@ -778,27 +779,28 @@ def _fleet_restore(args) -> int:
 
 def _fleet_serve(args) -> int:
     from repro.core.clock import StepClock
-    from repro.service.checkpoint import restore_controller
+    from repro.service.checkpoint import restore_service
     from repro.service.controller import FleetController
     from repro.service.queue import FleetService
     from repro.service.scenarios import build_scenario
     from repro.service.server import FleetApp, make_server
 
     if args.checkpoint:
-        controller, pending = restore_controller(args.checkpoint)
+        # the queue re-seeds at the checkpointed priorities
+        service = restore_service(args.checkpoint)
         origin = f"checkpoint {args.checkpoint}"
     else:
         scenario = build_scenario(
             args.scenario, seed=args.seed, algorithm=args.algorithm
         )
-        controller = FleetController(
-            scenario.network, config=scenario.config, clock=StepClock()
+        service = FleetService(
+            FleetController(
+                scenario.network, config=scenario.config, clock=StepClock()
+            )
         )
-        pending = scenario.events
+        for event in scenario.events:
+            service.submit(event)
         origin = f"scenario {scenario.name!r} (seed {args.seed})"
-    service = FleetService(controller)
-    for event in pending:
-        service.submit(event)
     server = make_server(FleetApp(service), host=args.host, port=args.port)
     host, port = server.server_address[:2]
     print(

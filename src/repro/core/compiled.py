@@ -874,12 +874,6 @@ class CompiledInstance:
     # ------------------------------------------------------------------
     # graph regions
     # ------------------------------------------------------------------
-    def _view(self) -> nx.DiGraph:
-        """The workflow's read-only graph view, made on first use."""
-        if self._graph is None:
-            self._graph = self.workflow.graph
-        return self._graph
-
     def dirty_order(self, op: int) -> tuple[int, ...]:
         """The operation plus its descendants, in topological order.
 

@@ -184,9 +184,6 @@ class CostModel:
         self.penalty_mode = compiled.penalty_mode
         self.router = compiled.router
         self.use_probabilities = compiled.use_probabilities
-        # the resolved specification (the method `objective` prices a
-        # deployment; this attribute is the spec it prices against)
-        self.objective_spec = compiled.objective
 
     # ------------------------------------------------------------------
     # Table 1 primitives

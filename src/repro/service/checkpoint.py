@@ -1,4 +1,4 @@
-"""Durable fleet checkpoints: codecs, dump, and verified restore.
+"""Durable fleet checkpoints: the document codec, dump, and verified restore.
 
 A checkpoint freezes everything a deterministic controller run is a
 function of -- the initial fleet network, the
@@ -15,23 +15,37 @@ its own log fails loudly with :class:`~repro.exceptions.ValidationError`
 instead of silently resuming from divergent state.
 
 The format follows :mod:`repro.io.json_codec`: versioned, explicit,
-sorted-key JSON (diffable, hand-editable), with every sub-object going
-through the same constructors the API validates with. ``pending``
-optionally stores not-yet-processed events so a crash-interrupted
-scenario can checkpoint mid-trace and resume exactly where it stopped.
+sorted-key JSON (diffable, hand-editable). Its sub-documents -- events,
+the config and its migration model, log records, the snapshot -- follow
+their dataclasses: :func:`to_dict` and :func:`from_dict` read the field
+layout from :func:`dataclasses.fields` and the type hints, with one
+rule per field type, and decode through the same constructors the API
+validates with. The REST surface (:mod:`repro.service.server`) speaks
+the same documents. ``pending`` optionally stores not-yet-processed
+events so a crash-interrupted scenario can checkpoint mid-trace and
+resume exactly where it stopped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import (
+    Any,
+    Callable,
+    Mapping,
+    NamedTuple,
+    Sequence,
+    get_args,
+    get_type_hints,
+)
 
 from repro.core.clock import StepClock
 from repro.core.migration import MigrationCostModel
-from repro.exceptions import ServiceError, ValidationError
+from repro.core.workflow import Workflow
+from repro.exceptions import ReproError, ValidationError
 from repro.io.json_codec import (
-    CodecError,
+    _require,
     dump_document,
     load_document,
     network_from_dict,
@@ -40,34 +54,21 @@ from repro.io.json_codec import (
 )
 from repro.service.controller import FleetConfig, FleetController
 from repro.service.events import (
-    CapacityDrift,
+    EVENT_TYPES,
     DeployRequest,
     FleetEvent,
     LinkDegrade,
-    LinkFailure,
-    RegionOutage,
-    ServerFailed,
     ServerJoined,
-    Tick,
-    UndeployRequest,
-    WorkloadDrift,
 )
 from repro.service.log import LogRecord
-from repro.service.state import FleetSnapshot
 
 __all__ = [
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_VERSION",
+    "to_dict",
+    "from_dict",
     "event_to_dict",
     "event_from_dict",
-    "config_to_dict",
-    "config_from_dict",
-    "migration_to_dict",
-    "migration_from_dict",
-    "record_to_dict",
-    "record_from_dict",
-    "snapshot_to_dict",
-    "snapshot_from_dict",
     "Checkpoint",
     "checkpoint_to_dict",
     "write_checkpoint",
@@ -80,285 +81,200 @@ CHECKPOINT_FORMAT = "fleet-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-def _require(document: Mapping[str, Any], field: str, expected: str) -> Any:
-    try:
-        return document[field]
-    except (KeyError, TypeError):
+# ----------------------------------------------------------------------
+# the dataclass codec
+# ----------------------------------------------------------------------
+#: The only fields a document may omit (the constructor default then
+#: applies): those the format has always read with a default, so
+#: documents written before they existed still load. Every other field
+#: is required, dataclass default or not.
+_OPTIONAL = {
+    DeployRequest: ("algorithm",),
+    ServerJoined: ("propagation_s",),
+    LinkDegrade: ("propagation_factor",),
+    FleetConfig: (
+        "admission_load_limit_s",
+        "migration",
+        "migration_weight",
+        "rebalance_cooldown_ticks",
+    ),
+    MigrationCostModel: (
+        "state_bits_per_cycle",
+        "state_bits_base",
+        "downtime_s",
+    ),
+}
+
+#: ``(decode, encode)`` per leaf field type: *decode* turns a document
+#: value into the field value; *encode* is the expression that writes
+#: the field, ``{0}`` standing for the attribute read. ``X | None`` and
+#: nested dataclasses are derived from these in :func:`_rule`.
+_RULES: dict[Any, tuple[Callable[[Any], Any], str]] = {
+    str: (str, "{0}"),
+    int: (int, "{0}"),
+    float: (float, "{0}"),
+    Workflow: (workflow_from_dict, "workflow_to_dict({0})"),
+    Mapping[str, float]: (
+        lambda value: {str(key): float(x) for key, x in value.items()},
+        "dict({0})",
+    ),
+    tuple[tuple[str, str], ...]: (
+        lambda value: tuple((str(key), str(x)) for key, x in value),
+        "[[key, x] for key, x in {0}]",
+    ),
+}
+
+_EVENT_CLASSES = frozenset(EVENT_TYPES.values())
+
+#: What a field decode may raise on a malformed value; each becomes a
+#: :class:`ValidationError` naming the field.
+_DECODE_ERRORS = (
+    ReproError, TypeError, ValueError, AttributeError, OverflowError
+)
+
+
+class _Field(NamedTuple):
+    name: str
+    decode: Callable[[Any], Any]
+    encode: str
+    optional: bool
+
+
+class _Plan(NamedTuple):
+    label: str
+    fields: tuple[_Field, ...]
+    encode: Callable[[Any], dict[str, Any]]
+
+
+def _rule(hint: Any) -> tuple[Callable[[Any], Any], str]:
+    """The ``(decode, encode)`` pair of one field type hint."""
+    if hint in _RULES:
+        return _RULES[hint]
+    arguments = get_args(hint)
+    if len(arguments) == 2 and type(None) in arguments:
+        (inner,) = (a for a in arguments if a is not type(None))
+        decode, encode = _rule(inner)
+        if encode != "{0}":
+            encode = "None if {0} is None else " + encode
+        return (lambda value: None if value is None else decode(value)), encode
+    if is_dataclass(hint):
+        return (lambda value: from_dict(hint, value)), "to_dict({0})"
+    raise TypeError(f"no document rule for field type {hint!r}")
+
+
+def _encoder(
+    kind: str | None, table: tuple[_Field, ...]
+) -> Callable[[Any], dict[str, Any]]:
+    """The function writing a document from *table*, made once per class.
+
+    Like :mod:`dataclasses` does for ``__init__``, it is generated
+    source: one dict display, ``kind`` first, then each field's encode
+    expression in declaration order -- the encoder one would write by
+    hand, with no dispatch left for call time.
+    """
+    items = [] if kind is None else [f"'kind': {kind!r}"]
+    items += [
+        f"{field.name!r}: " + field.encode.format(f"value.{field.name}")
+        for field in table
+    ]
+    source = "def encode(value):\n    return {" + ", ".join(items) + "}"
+    namespace = {"to_dict": to_dict, "workflow_to_dict": workflow_to_dict}
+    exec(source, namespace)
+    return namespace["encode"]
+
+
+def _plan(cls: type) -> _Plan:
+    """The field table of dataclass *cls* (see :data:`_PLANS`)."""
+    hints = get_type_hints(cls)
+    optional = _OPTIONAL.get(cls, ())
+    table = tuple(
+        _Field(field.name, *_rule(hints[field.name]), field.name in optional)
+        for field in fields(cls)
+    )
+    kind = cls.kind if issubclass(cls, FleetEvent) else None
+    return _Plan(
+        label=cls.__name__ if kind is None else f"{kind} event",
+        fields=table,
+        encode=_encoder(kind, table),
+    )
+
+
+class _Plans(dict):
+    """Field tables by class, each built on first use."""
+
+    def __missing__(self, cls: type) -> _Plan:
+        plan = self[cls] = _plan(cls)
+        return plan
+
+
+_PLANS = _Plans()
+
+
+def to_dict(value: Any) -> dict[str, Any]:
+    """Encode a fleet dataclass (event, config, record, snapshot, ...).
+
+    Events also carry their ``kind``. The result is JSON-compatible.
+    """
+    return _PLANS[type(value)].encode(value)
+
+
+def from_dict(cls: type, document: Mapping[str, Any]) -> Any:
+    """Decode a *cls* document written by :func:`to_dict`.
+
+    Keys it does not read are ignored. A missing required field, a
+    value of the wrong type or a non-object document raises
+    :class:`ValidationError` naming the field; the constructor then
+    validates as it does for API callers.
+    """
+    plan = _PLANS[cls]
+    if not isinstance(document, Mapping):
         raise ValidationError(
-            f"{expected} document is missing required field {field!r}"
-        ) from None
+            f"{plan.label} document must be an object, "
+            f"got {type(document).__name__}"
+        )
+    values = {}
+    for name, decode, _encode, optional in plan.fields:
+        if name not in document:
+            if optional:
+                continue
+            raise ValidationError(
+                f"{plan.label} document is missing required field {name!r}"
+            )
+        try:
+            values[name] = decode(document[name])
+        except _DECODE_ERRORS as exc:
+            raise ValidationError(
+                f"{plan.label} field {name!r}: {exc}"
+            ) from None
+    return cls(**values)
 
 
-# ----------------------------------------------------------------------
-# events
-# ----------------------------------------------------------------------
 def event_to_dict(event: FleetEvent) -> dict[str, Any]:
     """Encode one fleet event as a JSON-compatible dict."""
-    if isinstance(event, DeployRequest):
-        return {
-            "kind": event.kind,
-            "tenant": event.tenant,
-            "workflow": workflow_to_dict(event.workflow),
-            "algorithm": event.algorithm,
-        }
-    if isinstance(event, UndeployRequest):
-        return {"kind": event.kind, "tenant": event.tenant}
-    if isinstance(event, ServerFailed):
-        return {"kind": event.kind, "server": event.server}
-    if isinstance(event, ServerJoined):
-        return {
-            "kind": event.kind,
-            "server": event.server,
-            "power_hz": event.power_hz,
-            "link_speed_bps": event.link_speed_bps,
-            "propagation_s": event.propagation_s,
-        }
-    if isinstance(event, WorkloadDrift):
-        return {
-            "kind": event.kind,
-            "tenant": event.tenant,
-            "workflow": workflow_to_dict(event.workflow),
-        }
-    if isinstance(event, CapacityDrift):
-        return {
-            "kind": event.kind,
-            "server": event.server,
-            "power_hz": event.power_hz,
-        }
-    if isinstance(event, LinkFailure):
-        return {"kind": event.kind, "a": event.a, "b": event.b}
-    if isinstance(event, LinkDegrade):
-        return {
-            "kind": event.kind,
-            "a": event.a,
-            "b": event.b,
-            "speed_factor": event.speed_factor,
-            "propagation_factor": event.propagation_factor,
-        }
-    if isinstance(event, RegionOutage):
-        return {"kind": event.kind, "region": event.region}
-    if isinstance(event, Tick):
-        return {"kind": event.kind}
-    raise ValidationError(
-        f"cannot encode fleet event type {type(event).__name__!r}"
-    )
+    cls = type(event)
+    if cls not in _EVENT_CLASSES:
+        raise ValidationError(
+            f"cannot encode fleet event type {cls.__name__!r}"
+        )
+    return _PLANS[cls].encode(event)
 
 
 def event_from_dict(document: Mapping[str, Any]) -> FleetEvent:
-    """Decode one fleet event; raises :class:`ValidationError`."""
-    kind = _require(document, "kind", "event")
-    if kind == DeployRequest.kind:
-        return DeployRequest(
-            tenant=str(_require(document, "tenant", "deploy event")),
-            workflow=workflow_from_dict(
-                _require(document, "workflow", "deploy event")
-            ),
-            algorithm=(
-                str(document["algorithm"])
-                if document.get("algorithm") is not None
-                else None
-            ),
-        )
-    if kind == UndeployRequest.kind:
-        return UndeployRequest(
-            tenant=str(_require(document, "tenant", "undeploy event"))
-        )
-    if kind == ServerFailed.kind:
-        return ServerFailed(
-            server=str(_require(document, "server", "server-failed event"))
-        )
-    if kind == ServerJoined.kind:
-        return ServerJoined(
-            server=str(_require(document, "server", "server-joined event")),
-            power_hz=float(
-                _require(document, "power_hz", "server-joined event")
-            ),
-            link_speed_bps=float(
-                _require(document, "link_speed_bps", "server-joined event")
-            ),
-            propagation_s=float(document.get("propagation_s", 0.0)),
-        )
-    if kind == WorkloadDrift.kind:
-        return WorkloadDrift(
-            tenant=str(_require(document, "tenant", "workload-drift event")),
-            workflow=workflow_from_dict(
-                _require(document, "workflow", "workload-drift event")
-            ),
-        )
-    if kind == CapacityDrift.kind:
-        return CapacityDrift(
-            server=str(_require(document, "server", "capacity-drift event")),
-            power_hz=float(
-                _require(document, "power_hz", "capacity-drift event")
-            ),
-        )
-    if kind == LinkFailure.kind:
-        return LinkFailure(
-            a=str(_require(document, "a", "link-failed event")),
-            b=str(_require(document, "b", "link-failed event")),
-        )
-    if kind == LinkDegrade.kind:
-        return LinkDegrade(
-            a=str(_require(document, "a", "link-degraded event")),
-            b=str(_require(document, "b", "link-degraded event")),
-            speed_factor=float(
-                _require(document, "speed_factor", "link-degraded event")
-            ),
-            propagation_factor=float(
-                document.get("propagation_factor", 1.0)
-            ),
-        )
-    if kind == RegionOutage.kind:
-        return RegionOutage(
-            region=str(_require(document, "region", "region-outage event"))
-        )
-    if kind == Tick.kind:
-        return Tick()
-    raise ValidationError(f"unknown fleet event kind {kind!r}")
+    """Decode one fleet event, its class chosen by ``kind``.
 
-
-# ----------------------------------------------------------------------
-# config
-# ----------------------------------------------------------------------
-def migration_to_dict(
-    migration: MigrationCostModel | None,
-) -> dict[str, Any] | None:
-    """Encode a migration cost model (``None`` passes through)."""
-    if migration is None:
-        return None
-    return {
-        "state_bits_per_cycle": migration.state_bits_per_cycle,
-        "state_bits_base": migration.state_bits_base,
-        "downtime_s": migration.downtime_s,
-    }
-
-
-def migration_from_dict(
-    document: Mapping[str, Any] | None,
-) -> MigrationCostModel | None:
-    """Decode a migration cost model (``None`` passes through)."""
-    if document is None:
-        return None
-    return MigrationCostModel(
-        state_bits_per_cycle=float(
-            document.get("state_bits_per_cycle", 0.0)
-        ),
-        state_bits_base=float(document.get("state_bits_base", 0.0)),
-        downtime_s=float(document.get("downtime_s", 0.0)),
-    )
-
-
-def config_to_dict(config: FleetConfig) -> dict[str, Any]:
-    """Encode a :class:`FleetConfig` as a JSON-compatible dict."""
-    return {
-        "algorithm": config.algorithm,
-        "admission_load_limit_s": config.admission_load_limit_s,
-        "drift_threshold": config.drift_threshold,
-        "max_moves_per_rebalance": config.max_moves_per_rebalance,
-        "execution_weight": config.execution_weight,
-        "penalty_weight": config.penalty_weight,
-        "penalty_mode": config.penalty_mode,
-        "seed": config.seed,
-        "migration": migration_to_dict(config.migration),
-        "migration_weight": config.migration_weight,
-        "rebalance_cooldown_ticks": config.rebalance_cooldown_ticks,
-    }
-
-
-def config_from_dict(document: Mapping[str, Any]) -> FleetConfig:
-    """Decode a :class:`FleetConfig` (validated by its constructor).
-
-    The transition-aware fields decode with their defaults when absent,
-    so version-1 checkpoints written before the migration model existed
-    keep loading. Keys it does not read -- such as options removed
-    since an older checkpoint was written -- are ignored.
+    Raises :class:`ValidationError` on an unknown kind or a malformed
+    field.
     """
-    return FleetConfig(
-        algorithm=str(_require(document, "algorithm", "fleet config")),
-        admission_load_limit_s=(
-            None
-            if document.get("admission_load_limit_s") is None
-            else float(document["admission_load_limit_s"])
-        ),
-        drift_threshold=float(
-            _require(document, "drift_threshold", "fleet config")
-        ),
-        max_moves_per_rebalance=int(
-            _require(document, "max_moves_per_rebalance", "fleet config")
-        ),
-        execution_weight=float(
-            _require(document, "execution_weight", "fleet config")
-        ),
-        penalty_weight=float(
-            _require(document, "penalty_weight", "fleet config")
-        ),
-        penalty_mode=str(_require(document, "penalty_mode", "fleet config")),
-        seed=int(_require(document, "seed", "fleet config")),
-        migration=migration_from_dict(document.get("migration")),
-        migration_weight=float(document.get("migration_weight", 0.0)),
-        rebalance_cooldown_ticks=int(
-            document.get("rebalance_cooldown_ticks", 0)
-        ),
-    )
-
-
-# ----------------------------------------------------------------------
-# log records and snapshots
-# ----------------------------------------------------------------------
-def record_to_dict(record: LogRecord) -> dict[str, Any]:
-    """Encode one decision-log record."""
-    return {
-        "seq": record.seq,
-        "event": record.event,
-        "subject": record.subject,
-        "action": record.action,
-        "latency_s": record.latency_s,
-        "details": [[key, value] for key, value in record.details],
-    }
-
-
-def record_from_dict(document: Mapping[str, Any]) -> LogRecord:
-    """Decode one decision-log record."""
-    details = _require(document, "details", "log record")
-    return LogRecord(
-        seq=int(_require(document, "seq", "log record")),
-        event=str(_require(document, "event", "log record")),
-        subject=str(_require(document, "subject", "log record")),
-        action=str(_require(document, "action", "log record")),
-        latency_s=float(_require(document, "latency_s", "log record")),
-        details=tuple((str(key), str(value)) for key, value in details),
-    )
-
-
-def snapshot_to_dict(snapshot: FleetSnapshot) -> dict[str, Any]:
-    """Encode a fleet snapshot (floats round-trip exactly via JSON)."""
-    return {
-        "execution_time": snapshot.execution_time,
-        "time_penalty": snapshot.time_penalty,
-        "objective": snapshot.objective,
-        "loads": dict(snapshot.loads),
-        "balance_index": snapshot.balance_index,
-        "tenants": snapshot.tenants,
-    }
-
-
-def snapshot_from_dict(document: Mapping[str, Any]) -> FleetSnapshot:
-    """Decode a fleet snapshot."""
-    loads = _require(document, "loads", "fleet snapshot")
-    return FleetSnapshot(
-        execution_time=float(
-            _require(document, "execution_time", "fleet snapshot")
-        ),
-        time_penalty=float(
-            _require(document, "time_penalty", "fleet snapshot")
-        ),
-        objective=float(_require(document, "objective", "fleet snapshot")),
-        loads={str(key): float(value) for key, value in loads.items()},
-        balance_index=float(
-            _require(document, "balance_index", "fleet snapshot")
-        ),
-        tenants=int(_require(document, "tenants", "fleet snapshot")),
-    )
+    try:
+        kind = document["kind"]
+    except (KeyError, TypeError):
+        raise ValidationError(
+            "event document is missing required field 'kind'"
+        ) from None
+    cls = EVENT_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValidationError(f"unknown fleet event kind {kind!r}")
+    return from_dict(cls, document)
 
 
 def _clock_to_dict(clock) -> dict[str, Any]:
@@ -420,15 +336,16 @@ def checkpoint_to_dict(
     -- the latter preserve a work queue's current priorities (see
     :func:`restore_service`).
     """
+    encode_record = _PLANS[LogRecord].encode  # one lookup for the log
     return {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": config_to_dict(controller.config),
+        "config": to_dict(controller.config),
         "network": controller.initial_network_doc,
         "clock": _clock_to_dict(controller.clock),
         "events": [event_to_dict(event) for event in controller.history],
-        "log": [record_to_dict(record) for record in controller.log],
-        "snapshot": snapshot_to_dict(controller.state.snapshot()),
+        "log": [encode_record(record) for record in controller.log],
+        "snapshot": to_dict(controller.state.snapshot()),
         "pending": [_pending_entry(item) for item in pending],
     }
 
@@ -452,14 +369,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """
     try:
         document = load_document(path, CHECKPOINT_FORMAT)
-    except CodecError as exc:
+    except ReproError as exc:
         raise ValidationError(str(exc)) from None
-    version = document.get("version", CHECKPOINT_VERSION)
-    if version != CHECKPOINT_VERSION:
-        raise ValidationError(
-            f"{path}: unsupported checkpoint version {version!r} "
-            f"(this library writes version {CHECKPOINT_VERSION})"
-        )
     try:
         clock_doc = document.get("clock") or {"kind": "step"}
         pending_events: list[FleetEvent] = []
@@ -475,8 +386,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 pending_events.append(event_from_dict(entry))
                 pending_priorities.append(None)
         return Checkpoint(
-            config=config_from_dict(
-                _require(document, "config", "checkpoint")
+            config=from_dict(
+                FleetConfig, _require(document, "config", "checkpoint")
             ),
             network_doc=_require(document, "network", "checkpoint"),
             events=tuple(
@@ -484,7 +395,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 for entry in _require(document, "events", "checkpoint")
             ),
             records=tuple(
-                record_from_dict(entry)
+                from_dict(LogRecord, entry)
                 for entry in _require(document, "log", "checkpoint")
             ),
             snapshot_doc=dict(_require(document, "snapshot", "checkpoint")),
@@ -493,9 +404,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             step_s=_step_s(clock_doc.get("step_s", 0.001)),
             pending_priorities=tuple(pending_priorities),
         )
-    except (
-        CodecError, ServiceError, TypeError, ValueError, AttributeError
-    ) as exc:
+    except (ReproError, TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"{path}: malformed checkpoint ({exc})") from None
 
 
@@ -540,7 +449,7 @@ def _verify_replay(
             f"{source}: replay produced {len(replayed_lines)} log records, "
             f"checkpoint has {len(expected_lines)}"
         )
-    replayed_snapshot = snapshot_to_dict(controller.state.snapshot())
+    replayed_snapshot = to_dict(controller.state.snapshot())
     if replayed_snapshot != checkpoint.snapshot_doc:
         raise ValidationError(
             f"{source}: replayed fleet snapshot does not match the "
@@ -567,7 +476,7 @@ def restore_controller(
         checkpoint, label = load_checkpoint(source), str(source)
     try:
         network = network_from_dict(checkpoint.network_doc)
-    except CodecError as exc:
+    except ReproError as exc:
         raise ValidationError(f"{label}: malformed checkpoint ({exc})") from None
     controller = FleetController(
         network,

@@ -189,8 +189,8 @@ class FleetController:
         clock: Callable[[], float] | None = None,
     ):
         self.config = config or FleetConfig()
-        # captured before any event mutates the network: checkpointing
-        # replays the event history against this initial fleet
+        # captured before any event mutates the network: a durable
+        # restore replays the event history against this initial fleet
         from repro.io.json_codec import network_to_dict
 
         self._initial_network_doc = network_to_dict(network)
@@ -202,7 +202,7 @@ class FleetController:
         )
         self.log = FleetLog()
         #: Every event handled so far, in order -- the append-only
-        #: event log that checkpoint/restore replays.
+        #: event log that a durable restore replays.
         self.history: list[FleetEvent] = []
         self._clock = clock if clock is not None else time.perf_counter
         self._rng = coerce_rng(self.config.seed)
@@ -278,40 +278,6 @@ class FleetController:
     def clock(self) -> Callable[[], float]:
         """The controller's clock (checkpointing serialises StepClocks)."""
         return self._clock
-
-    def checkpoint(
-        self,
-        path,
-        pending: Sequence[FleetEvent | tuple[FleetEvent, int | None]] = (),
-    ):
-        """Write a durable checkpoint of this controller to *path*.
-
-        *pending* optionally records not-yet-processed events (e.g. the
-        queued remainder of a scenario) so a restore can resume them;
-        entries may be bare events or ``(event, priority)`` pairs when
-        a work queue's current priorities must survive the round trip.
-        See :mod:`repro.service.checkpoint` for the format.
-        """
-        from repro.service.checkpoint import write_checkpoint
-
-        return write_checkpoint(self, path, pending=pending)
-
-    @classmethod
-    def restore(cls, path) -> "FleetController":
-        """Rebuild a controller from a checkpoint written by
-        :meth:`checkpoint`.
-
-        The event history is replayed from the initial fleet under a
-        fresh deterministic clock and the result is verified against
-        the checkpointed decision log and snapshot -- byte-identical
-        state reproduction, enforced, not assumed. Use
-        :func:`repro.service.checkpoint.restore_controller` to also get
-        the pending events back.
-        """
-        from repro.service.checkpoint import restore_controller
-
-        controller, _ = restore_controller(path)
-        return controller
 
     # ------------------------------------------------------------------
     # handlers

@@ -31,6 +31,7 @@ __all__ = [
     "LinkDegrade",
     "RegionOutage",
     "Tick",
+    "EVENT_TYPES",
 ]
 
 
@@ -267,3 +268,23 @@ class Tick(FleetEvent):
     """
 
     kind = "tick"
+
+
+#: Every concrete event class by its :attr:`~FleetEvent.kind` -- the one
+#: registry the document codec (:mod:`repro.service.checkpoint`)
+#: decodes through.
+EVENT_TYPES: dict[str, type[FleetEvent]] = {
+    cls.kind: cls
+    for cls in (
+        DeployRequest,
+        UndeployRequest,
+        ServerFailed,
+        ServerJoined,
+        WorkloadDrift,
+        CapacityDrift,
+        LinkFailure,
+        LinkDegrade,
+        RegionOutage,
+        Tick,
+    )
+}

@@ -40,12 +40,8 @@ from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from repro.exceptions import ReproError, ServiceError
-from repro.service.checkpoint import (
-    event_from_dict,
-    record_to_dict,
-    snapshot_to_dict,
-)
+from repro.exceptions import ReproError, ServiceError, ValidationError
+from repro.service.checkpoint import event_from_dict, to_dict, write_checkpoint
 from repro.service.queue import FleetService, Job
 
 __all__ = ["FleetApp", "job_to_dict", "make_server"]
@@ -61,10 +57,23 @@ def job_to_dict(job: Job) -> dict[str, Any]:
         "seq": job.seq,
         "state": job.state,
         "record": (
-            record_to_dict(job.record) if job.record is not None else None
+            to_dict(job.record) if job.record is not None else None
         ),
         "error": job.error,
     }
+
+
+def _optional_int(body: dict[str, Any], field: str) -> int | None:
+    """Read integer *field* of a request body (absent or null: ``None``)."""
+    value = body.get(field)
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"field {field!r} must be an integer, got {value!r}"
+        ) from None
 
 
 class FleetApp:
@@ -110,7 +119,7 @@ class FleetApp:
                 "events": len(controller.history),
             }
         if parts == ["snapshot"]:
-            return 200, snapshot_to_dict(service.controller.state.snapshot())
+            return 200, to_dict(service.controller.state.snapshot())
         if parts == ["metrics"]:
             return 200, asdict(service.controller.metrics())
         if parts == ["jobs"]:
@@ -141,16 +150,10 @@ class FleetApp:
                     "error": "POST /jobs needs an object 'event' field"
                 }
             event = event_from_dict(event_doc)
-            priority = body.get("priority")
-            job = service.submit(
-                event, int(priority) if priority is not None else None
-            )
-            return 201, job_to_dict(job)
+            priority = _optional_int(body, "priority")
+            return 201, job_to_dict(service.submit(event, priority))
         if parts == ["process"]:
-            max_jobs = body.get("max_jobs")
-            processed = service.drain(
-                int(max_jobs) if max_jobs is not None else None
-            )
+            processed = service.drain(_optional_int(body, "max_jobs"))
             return 200, {
                 "processed": [job_to_dict(job) for job in processed],
                 "pending": service.queue.pending,
@@ -164,7 +167,9 @@ class FleetApp:
             pending = [
                 (job.event, job.priority) for job in service.queue.queued()
             ]
-            written = service.controller.checkpoint(path, pending=pending)
+            written = write_checkpoint(
+                service.controller, path, pending=pending
+            )
             return 200, {
                 "path": str(written),
                 "events": len(service.controller.history),

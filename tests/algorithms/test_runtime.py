@@ -24,7 +24,6 @@ def descending(values, evals=1):
 class TestSearchBudget:
     def test_default_is_unlimited(self):
         budget = SearchBudget()
-        assert not budget.bounded
         assert budget.max_steps is None
         assert budget.max_evals is None
         assert budget.deadline_s is None
@@ -48,7 +47,19 @@ class TestSearchBudget:
         [{"max_steps": 1}, {"max_evals": 5}, {"deadline_s": 0.5}],
     )
     def test_any_limit_makes_it_bounded(self, kwargs):
-        assert SearchBudget(**kwargs).bounded
+        # each limit alone stops a search that would never end
+        def endless():
+            value = 0.0
+            while True:
+                value -= 1.0
+                yield SearchStep(value, lambda v=value: v)
+
+        runtime = SearchRuntime(
+            budget=SearchBudget(**kwargs), clock=StepClock(step_s=0.001)
+        )
+        report = runtime.run(endless()).report
+        assert report.stop_reason != STOP_EXHAUSTED
+        assert report.steps <= 501
 
     def test_validate_count_returns_value(self):
         assert SearchBudget.validate_count("steps", 3) == 3

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Any, Iterator, Mapping
 from unittest import mock
 
 import numpy as np
@@ -21,10 +21,26 @@ from repro.core.compiled import CompiledInstance
 from repro.core.cost import CostModel
 from repro.core.incremental import MoveEvaluator
 from repro.core.mapping import Deployment
-from repro.exceptions import DisconnectedNetworkError
+from repro.core.migration import MigrationCostModel
+from repro.exceptions import DisconnectedNetworkError, ValidationError
+from repro.io.json_codec import workflow_from_dict
 from repro.network import apsp
 from repro.network.routing import Router
 from repro.numeric import ordered_sum
+from repro.service.controller import FleetConfig
+from repro.service.events import (
+    CapacityDrift,
+    DeployRequest,
+    FleetEvent,
+    LinkDegrade,
+    LinkFailure,
+    RegionOutage,
+    ServerFailed,
+    ServerJoined,
+    Tick,
+    UndeployRequest,
+    WorkloadDrift,
+)
 from repro.service.state import FleetState
 
 
@@ -705,3 +721,143 @@ def worst_fit_by_name(
         placed.assign(operation, target)
         budgets[target] -= weighted(operation)
     return placed
+
+
+# ----------------------------------------------------------------------
+# fleet documents, decoded by hand
+# ----------------------------------------------------------------------
+def _require(document: Mapping[str, Any], field: str, expected: str) -> Any:
+    try:
+        return document[field]
+    except (KeyError, TypeError):
+        raise ValidationError(
+            f"{expected} document is missing required field {field!r}"
+        ) from None
+
+
+def hand_event_from_dict(document: Mapping[str, Any]) -> FleetEvent:
+    """The event decoder as written field by field, one branch per kind.
+
+    The reference for :func:`repro.service.checkpoint.event_from_dict`:
+    it accepts exactly the documents the hand decoder accepted. Its
+    malformed values raise bare ``ValueError``/``TypeError``.
+    """
+    kind = _require(document, "kind", "event")
+    if kind == DeployRequest.kind:
+        return DeployRequest(
+            tenant=str(_require(document, "tenant", "deploy event")),
+            workflow=workflow_from_dict(
+                _require(document, "workflow", "deploy event")
+            ),
+            algorithm=(
+                str(document["algorithm"])
+                if document.get("algorithm") is not None
+                else None
+            ),
+        )
+    if kind == UndeployRequest.kind:
+        return UndeployRequest(
+            tenant=str(_require(document, "tenant", "undeploy event"))
+        )
+    if kind == ServerFailed.kind:
+        return ServerFailed(
+            server=str(_require(document, "server", "server-failed event"))
+        )
+    if kind == ServerJoined.kind:
+        return ServerJoined(
+            server=str(_require(document, "server", "server-joined event")),
+            power_hz=float(
+                _require(document, "power_hz", "server-joined event")
+            ),
+            link_speed_bps=float(
+                _require(document, "link_speed_bps", "server-joined event")
+            ),
+            propagation_s=float(document.get("propagation_s", 0.0)),
+        )
+    if kind == WorkloadDrift.kind:
+        return WorkloadDrift(
+            tenant=str(_require(document, "tenant", "workload-drift event")),
+            workflow=workflow_from_dict(
+                _require(document, "workflow", "workload-drift event")
+            ),
+        )
+    if kind == CapacityDrift.kind:
+        return CapacityDrift(
+            server=str(_require(document, "server", "capacity-drift event")),
+            power_hz=float(
+                _require(document, "power_hz", "capacity-drift event")
+            ),
+        )
+    if kind == LinkFailure.kind:
+        return LinkFailure(
+            a=str(_require(document, "a", "link-failed event")),
+            b=str(_require(document, "b", "link-failed event")),
+        )
+    if kind == LinkDegrade.kind:
+        return LinkDegrade(
+            a=str(_require(document, "a", "link-degraded event")),
+            b=str(_require(document, "b", "link-degraded event")),
+            speed_factor=float(
+                _require(document, "speed_factor", "link-degraded event")
+            ),
+            propagation_factor=float(
+                document.get("propagation_factor", 1.0)
+            ),
+        )
+    if kind == RegionOutage.kind:
+        return RegionOutage(
+            region=str(_require(document, "region", "region-outage event"))
+        )
+    if kind == Tick.kind:
+        return Tick()
+    raise ValidationError(f"unknown fleet event kind {kind!r}")
+
+
+def hand_migration_from_dict(
+    document: Mapping[str, Any] | None,
+) -> MigrationCostModel | None:
+    """The migration-model decoder as written field by field."""
+    if document is None:
+        return None
+    return MigrationCostModel(
+        state_bits_per_cycle=float(
+            document.get("state_bits_per_cycle", 0.0)
+        ),
+        state_bits_base=float(document.get("state_bits_base", 0.0)),
+        downtime_s=float(document.get("downtime_s", 0.0)),
+    )
+
+
+def hand_config_from_dict(document: Mapping[str, Any]) -> FleetConfig:
+    """The :class:`FleetConfig` decoder as written field by field.
+
+    The transition-aware fields and the admission limit decode with
+    their defaults when absent; every other field is required.
+    """
+    return FleetConfig(
+        algorithm=str(_require(document, "algorithm", "fleet config")),
+        admission_load_limit_s=(
+            None
+            if document.get("admission_load_limit_s") is None
+            else float(document["admission_load_limit_s"])
+        ),
+        drift_threshold=float(
+            _require(document, "drift_threshold", "fleet config")
+        ),
+        max_moves_per_rebalance=int(
+            _require(document, "max_moves_per_rebalance", "fleet config")
+        ),
+        execution_weight=float(
+            _require(document, "execution_weight", "fleet config")
+        ),
+        penalty_weight=float(
+            _require(document, "penalty_weight", "fleet config")
+        ),
+        penalty_mode=str(_require(document, "penalty_mode", "fleet config")),
+        seed=int(_require(document, "seed", "fleet config")),
+        migration=hand_migration_from_dict(document.get("migration")),
+        migration_weight=float(document.get("migration_weight", 0.0)),
+        rebalance_cooldown_ticks=int(
+            document.get("rebalance_cooldown_ticks", 0)
+        ),
+    )

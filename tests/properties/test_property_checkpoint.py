@@ -2,36 +2,41 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.clock import StepClock
+from repro.core.migration import MigrationCostModel
+from repro.exceptions import ReproError, ValidationError
 from repro.service.checkpoint import (
-    config_from_dict,
-    config_to_dict,
     event_from_dict,
     event_to_dict,
-    record_from_dict,
-    record_to_dict,
+    from_dict,
     restore_controller,
-    snapshot_from_dict,
-    snapshot_to_dict,
+    to_dict,
     write_checkpoint,
 )
-from repro.service.controller import FleetController
+from repro.service.controller import FleetConfig, FleetController
 from repro.service.events import (
+    CapacityDrift,
     DeployRequest,
+    LinkDegrade,
+    LinkFailure,
+    RegionOutage,
     ServerFailed,
     ServerJoined,
     Tick,
     UndeployRequest,
+    WorkloadDrift,
 )
 from repro.service.log import LogRecord
 from repro.service.scenarios import build_scenario
 from repro.service.state import FleetSnapshot
 from repro.workloads.generator import line_workflow
+from tests.oracles import hand_config_from_dict, hand_event_from_dict
 
 names = st.text(
     alphabet=st.characters(
@@ -97,8 +102,8 @@ records = st.builds(
 @given(record=records)
 @settings(max_examples=40, deadline=None)
 def test_record_round_trip_preserves_canonical_line(record):
-    document = json.loads(json.dumps(record_to_dict(record)))
-    assert record_from_dict(document).to_line() == record.to_line()
+    document = json.loads(json.dumps(to_dict(record)))
+    assert from_dict(LogRecord, document).to_line() == record.to_line()
 
 
 snapshots = st.builds(
@@ -116,16 +121,16 @@ snapshots = st.builds(
 @settings(max_examples=40, deadline=None)
 def test_snapshot_round_trip_through_json_is_exact(snapshot):
     """JSON float repr round-trips exactly -- snapshots compare equal."""
-    document = json.loads(json.dumps(snapshot_to_dict(snapshot)))
-    assert snapshot_from_dict(document) == snapshot
+    document = json.loads(json.dumps(to_dict(snapshot)))
+    assert from_dict(FleetSnapshot, document) == snapshot
 
 
 @given(seed=st.integers(min_value=0, max_value=50))
 @settings(max_examples=10, deadline=None)
 def test_config_round_trip_from_scenario(seed):
     config = build_scenario("steady", seed=seed).config
-    document = json.loads(json.dumps(config_to_dict(config)))
-    assert config_from_dict(document) == config
+    document = json.loads(json.dumps(to_dict(config)))
+    assert from_dict(FleetConfig, document) == config
 
 
 @given(
@@ -166,3 +171,110 @@ def test_restore_then_resume_equals_uninterrupted(name, seed, cut_fraction):
         resumed.handle(event)
     assert resumed.log.to_text() == uninterrupted.log.to_text()
     assert resumed.state.snapshot() == uninterrupted.state.snapshot()
+
+
+# ----------------------------------------------------------------------
+# the dataclass decoder against the hand-written decoders
+# ----------------------------------------------------------------------
+def _valid_documents() -> list[tuple[str, dict]]:
+    """One valid document of every event kind, plus two configs."""
+    workflow = line_workflow(3, seed=1)
+    sample_events = [
+        DeployRequest("alpha", workflow),
+        DeployRequest("beta", workflow, algorithm="Exhaustive"),
+        UndeployRequest("gamma"),
+        ServerFailed("S2"),
+        ServerJoined("S9", 2e9, 5e7, propagation_s=0.001),
+        WorkloadDrift("alpha", workflow),
+        CapacityDrift("S3", 1.25e9),
+        LinkFailure("S1", "S2"),
+        LinkDegrade("S2", "S3", 0.5, propagation_factor=1.5),
+        RegionOutage("us-east"),
+        Tick(),
+    ]
+    configs = [
+        FleetConfig(),
+        FleetConfig(
+            admission_load_limit_s=0.25,
+            migration=MigrationCostModel(0.25, 5e5, 0.02),
+            migration_weight=0.05,
+            rebalance_cooldown_ticks=3,
+        ),
+    ]
+    return [("event", event_to_dict(event)) for event in sample_events] + [
+        ("config", to_dict(config)) for config in configs
+    ]
+
+
+VALID_DOCUMENTS = _valid_documents()
+
+#: Replacement values: wrong types, numeric strings, out-of-range and
+#: non-finite numbers, containers.
+odd_values = st.sampled_from(
+    [None, "abc", "", "1.5", "3", "nan", "inf", True, -1, 0, 2.5, 1e400,
+     [], [1], ["a", "b"], {}, {"kind": "tick"}]
+)
+
+
+def _decode_both(family: str, document):
+    """``(new, oracle)`` outcomes: the decoded object or the exception."""
+    if family == "event":
+        decoders = (event_from_dict, hand_event_from_dict)
+    else:
+        decoders = (
+            lambda doc: from_dict(FleetConfig, doc),
+            hand_config_from_dict,
+        )
+    outcomes = []
+    for decode in decoders:
+        try:
+            outcomes.append(decode(document))
+        except Exception as exc:  # noqa: BLE001 -- the outcome under test
+            outcomes.append(exc)
+    return outcomes
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_decoder_matches_hand_decoders_on_mutated_documents(data):
+    """Both accept or both reject; accepted documents encode equally,
+    and where the hand decoder let a bare ``ValueError``/``TypeError``
+    (or any other non-library error) escape, the new one raises
+    :class:`ValidationError`."""
+    family, base = data.draw(st.sampled_from(VALID_DOCUMENTS))
+    document = copy.deepcopy(base)
+    target = document
+    if isinstance(document.get("migration"), dict) and data.draw(
+        st.booleans()
+    ):
+        target = document["migration"]
+    mutation = data.draw(
+        st.sampled_from(["drop", "replace", "null", "kind", "document"])
+    )
+    if mutation == "document":
+        document = data.draw(odd_values)
+    elif mutation == "kind":
+        target["kind"] = data.draw(
+            st.sampled_from(["teleport", "", "Tick", 5, None, ["tick"]])
+        )
+    elif target:
+        field = data.draw(st.sampled_from(sorted(target)))
+        if mutation == "drop":
+            del target[field]
+        elif mutation == "null":
+            target[field] = None
+        else:
+            target[field] = data.draw(odd_values)
+
+    new, oracle = _decode_both(family, document)
+    new_failed = isinstance(new, Exception)
+    oracle_failed = isinstance(oracle, Exception)
+    assert new_failed == oracle_failed, (document, new, oracle)
+    if not new_failed:
+        assert json.dumps(to_dict(new), sort_keys=True) == json.dumps(
+            to_dict(oracle), sort_keys=True
+        )
+    else:
+        assert isinstance(new, ReproError), (document, new)
+        if not isinstance(oracle, ReproError):
+            assert isinstance(new, ValidationError), (document, new)

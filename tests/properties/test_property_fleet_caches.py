@@ -31,10 +31,17 @@ router:
 
 and all tenants must share (``is``) the current router's route table,
 their evaluators reading its per-size matrices and no stale copies.
+
+The same traces also cross a checkpoint: cut at a drawn event boundary,
+written to disk, restored by verified replay and resumed, a run must
+end with the uninterrupted run's log and snapshot, and the restored
+fleet's caches must pass the same checks.
 """
 
 import copy
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -42,11 +49,13 @@ from hypothesis import strategies as st
 
 from repro.core.clock import StepClock
 from repro.core.compiled import CompiledInstance
+from repro.core.migration import MigrationCostModel
 from repro.network import apsp
 from repro.network.routing import Router
 from repro.network.topology import Server, ServerNetwork, random_network
 from repro.scenarios.loader import abilene_network
 from repro.scenarios.geo import random_geo_network, region_of
+from repro.service.checkpoint import restore_controller, write_checkpoint
 from repro.service.controller import FleetConfig, FleetController
 from repro.service.events import (
     CapacityDrift,
@@ -356,6 +365,21 @@ def assert_coherent(state, rng):
     assert [v.hex() for v in combined.values()] == [v.hex() for v in totals]
 
 
+PLAIN = FleetConfig(drift_threshold=0.0, max_moves_per_rebalance=2)
+
+#: A transition-aware policy: moves are priced and weighed, and a
+#: rebalanced tenant sits out the next tick.
+TRANSITION_AWARE = FleetConfig(
+    drift_threshold=0.0,
+    max_moves_per_rebalance=2,
+    migration=MigrationCostModel(
+        state_bits_per_cycle=0.05, state_bits_base=2e5, downtime_s=0.002
+    ),
+    migration_weight=0.5,
+    rebalance_cooldown_ticks=1,
+)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
@@ -364,9 +388,7 @@ def assert_coherent(state, rng):
 )
 def test_every_event_keeps_every_cache_fresh(seed, topology, events):
     controller = FleetController(
-        TOPOLOGIES[topology](seed),
-        config=FleetConfig(drift_threshold=0.0, max_moves_per_rebalance=2),
-        clock=StepClock(),
+        TOPOLOGIES[topology](seed), config=PLAIN, clock=StepClock()
     )
     state = controller.state
     for index in range(2):
@@ -379,3 +401,51 @@ def test_every_event_keeps_every_cache_fresh(seed, topology, events):
             continue
         controller.handle(event)
         assert_coherent(state, rng)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    topology=st.sampled_from(sorted(TOPOLOGIES)),
+    config=st.sampled_from((PLAIN, TRANSITION_AWARE)),
+    events=steps,
+    data=st.data(),
+)
+def test_checkpoint_at_a_drawn_boundary_resumes_identically(
+    seed, topology, config, events, data
+):
+    uninterrupted = FleetController(
+        TOPOLOGIES[topology](seed), config=config, clock=StepClock()
+    )
+    for index in range(2):
+        uninterrupted.handle(
+            DeployRequest(f"t{index}", workflow_for(index, seed))
+        )
+    for counter, (kind, pick, scale) in enumerate(events, start=2):
+        event = next_event(
+            uninterrupted.state, kind, pick, scale, seed, counter
+        )
+        if event is not None:
+            uninterrupted.handle(event)
+    trace = list(uninterrupted.history)
+    cut = data.draw(st.integers(min_value=0, max_value=len(trace)))
+
+    crashed = FleetController(
+        TOPOLOGIES[topology](seed), config=config, clock=StepClock()
+    )
+    for event in trace[:cut]:
+        crashed.handle(event)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_checkpoint(
+            crashed, Path(tmp) / "fleet.json", pending=trace[cut:]
+        )
+        resumed, pending = restore_controller(path)
+    assert resumed.config == config
+    assert len(pending) == len(trace) - cut
+    rng = random.Random(seed)
+    assert_coherent(resumed.state, rng)
+    for event in pending:
+        resumed.handle(event)
+    assert resumed.log.to_text() == uninterrupted.log.to_text()
+    assert resumed.state.snapshot() == uninterrupted.state.snapshot()
+    assert_coherent(resumed.state, rng)

@@ -11,25 +11,20 @@ from repro.exceptions import ValidationError
 from repro.core.migration import MigrationCostModel
 from repro.service.checkpoint import (
     Checkpoint,
-    config_from_dict,
-    config_to_dict,
     event_from_dict,
     event_to_dict,
+    from_dict,
     load_checkpoint,
-    migration_from_dict,
-    migration_to_dict,
-    record_from_dict,
-    record_to_dict,
     restore_controller,
     restore_service,
-    snapshot_from_dict,
-    snapshot_to_dict,
+    to_dict,
     write_checkpoint,
 )
 from repro.service.controller import FleetConfig, FleetController
 from repro.service.events import (
     CapacityDrift,
     DeployRequest,
+    FleetEvent,
     LinkDegrade,
     LinkFailure,
     RegionOutage,
@@ -39,8 +34,10 @@ from repro.service.events import (
     UndeployRequest,
     WorkloadDrift,
 )
+from repro.service.log import LogRecord
 from repro.service.queue import FleetService
 from repro.service.scenarios import build_scenario, replay
+from repro.service.state import FleetSnapshot
 
 from .conftest import make_line
 
@@ -92,11 +89,57 @@ class TestEventCodec:
         with pytest.raises(ValidationError):
             event_from_dict({"kind": "deploy"})
 
+    @pytest.mark.parametrize(
+        ("document", "pattern"),
+        [
+            (
+                {"kind": "server-joined", "server": "S9", "power_hz": "abc",
+                 "link_speed_bps": 1e8},
+                "server-joined event field 'power_hz': could not convert",
+            ),
+            (
+                {"kind": "capacity-drift", "server": "S1", "power_hz": None},
+                "capacity-drift event field 'power_hz'",
+            ),
+            (
+                {"kind": "link-degraded", "a": "S1", "b": "S2",
+                 "speed_factor": 0.5, "propagation_factor": None},
+                "link-degraded event field 'propagation_factor'",
+            ),
+            (
+                {"kind": "deploy", "tenant": "a", "workflow": []},
+                "deploy event field 'workflow'",
+            ),
+            ({"kind": 5}, "unknown fleet event kind 5"),
+            ({"kind": ["tick"]}, "unknown fleet event kind"),
+            ([], "missing required field 'kind'"),
+        ],
+    )
+    def test_malformed_fields_raise_a_typed_error(self, document, pattern):
+        with pytest.raises(ValidationError, match=pattern):
+            event_from_dict(document)
+
+    def test_defaulted_fields_may_be_omitted(self):
+        joined = event_from_dict(
+            {"kind": "server-joined", "server": "S9", "power_hz": 2e9,
+             "link_speed_bps": 5e7}
+        )
+        assert joined.propagation_s == 0.0
+        degraded = event_from_dict(
+            {"kind": "link-degraded", "a": "S1", "b": "S2",
+             "speed_factor": 0.5}
+        )
+        assert degraded.propagation_factor == 1.0
+
+    def test_unregistered_event_class_is_not_encoded(self):
+        with pytest.raises(ValidationError, match="cannot encode"):
+            event_to_dict(FleetEvent())
+
 
 class TestConfigCodec:
     def test_round_trip_defaults(self):
         config = FleetConfig()
-        assert config_from_dict(config_to_dict(config)) == config
+        assert from_dict(FleetConfig, to_dict(config)) == config
 
     def test_round_trip_with_options(self):
         config = FleetConfig(
@@ -105,26 +148,58 @@ class TestConfigCodec:
             drift_threshold=0.5,
             seed=9,
         )
-        assert config_from_dict(config_to_dict(config)) == config
+        assert from_dict(FleetConfig, to_dict(config)) == config
 
     def test_admission_limit_decodes_as_a_float(self):
-        document = config_to_dict(FleetConfig())
+        document = to_dict(FleetConfig())
         document["admission_load_limit_s"] = "0.05"
-        assert config_from_dict(document).admission_load_limit_s == 0.05
+        assert from_dict(FleetConfig, document).admission_load_limit_s == 0.05
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "algorithm",
+            "drift_threshold",
+            "max_moves_per_rebalance",
+            "execution_weight",
+            "penalty_weight",
+            "penalty_mode",
+            "seed",
+        ],
+    )
+    def test_fields_without_a_format_default_stay_required(self, field):
+        # required although the dataclass has a default: a document
+        # that lacks one of these was never a valid config
+        document = to_dict(FleetConfig())
+        del document[field]
+        with pytest.raises(ValidationError, match=repr(field)):
+            from_dict(FleetConfig, document)
+
+    def test_bad_int_names_the_field(self):
+        document = to_dict(FleetConfig())
+        document["seed"] = "x"
+        with pytest.raises(ValidationError, match="FleetConfig field 'seed'"):
+            from_dict(FleetConfig, document)
 
 
 class TestRecordAndSnapshotCodecs:
     def test_record_round_trip_preserves_line(self):
         controller = replay("steady", seed=7)
         for record in controller.log:
-            decoded = record_from_dict(record_to_dict(record))
+            decoded = from_dict(LogRecord, to_dict(record))
             assert decoded.to_line() == record.to_line()
+
+    def test_record_details_stay_required(self):
+        document = to_dict(replay("steady", seed=7).log.records[0])
+        del document["details"]
+        with pytest.raises(ValidationError, match="'details'"):
+            from_dict(LogRecord, document)
 
     def test_snapshot_round_trip_is_exact(self):
         controller = replay("steady", seed=7)
         snapshot = controller.state.snapshot()
-        document = json.loads(json.dumps(snapshot_to_dict(snapshot)))
-        assert snapshot_from_dict(document) == snapshot
+        document = json.loads(json.dumps(to_dict(snapshot)))
+        assert from_dict(FleetSnapshot, document) == snapshot
 
 
 class TestWriteAndLoad:
@@ -268,12 +343,6 @@ class TestVerifiedRestore:
         with pytest.raises(ValidationError):
             restore_controller(path)
 
-    def test_classmethod_restore_matches_function(self, tmp_path):
-        controller = replay("steady", seed=7)
-        path = write_checkpoint(controller, tmp_path / "fleet.json")
-        via_class = FleetController.restore(path)
-        assert via_class.log.to_text() == controller.log.to_text()
-
 
 @pytest.mark.parametrize("name", ["steady", "churn"])
 class TestCrashRestoreResume:
@@ -296,7 +365,8 @@ class TestCrashRestoreResume:
             )
             for event in scenario.events[:cut]:
                 crashed.handle(event)
-            path = crashed.checkpoint(
+            path = write_checkpoint(
+                crashed,
                 tmp_path / f"cut{cut}.json",
                 pending=scenario.events[cut:],
             )
@@ -330,12 +400,16 @@ class TestMigrationCodec:
     )
 
     def test_none_passes_through(self):
-        assert migration_to_dict(None) is None
-        assert migration_from_dict(None) is None
+        document = to_dict(FleetConfig())
+        assert document["migration"] is None
+        assert from_dict(FleetConfig, document).migration is None
 
     def test_model_round_trips(self):
-        document = json.loads(json.dumps(migration_to_dict(self.MODEL)))
-        assert migration_from_dict(document) == self.MODEL
+        document = json.loads(json.dumps(to_dict(self.MODEL)))
+        assert from_dict(MigrationCostModel, document) == self.MODEL
+
+    def test_model_fields_may_be_omitted(self):
+        assert from_dict(MigrationCostModel, {}) == MigrationCostModel()
 
     def test_config_round_trips_the_policy_knobs(self):
         config = FleetConfig(
@@ -343,18 +417,18 @@ class TestMigrationCodec:
             migration_weight=0.05,
             rebalance_cooldown_ticks=3,
         )
-        document = json.loads(json.dumps(config_to_dict(config)))
-        assert config_from_dict(document) == config
+        document = json.loads(json.dumps(to_dict(config)))
+        assert from_dict(FleetConfig, document) == config
 
     def test_pre_migration_documents_decode_with_defaults(self):
-        document = config_to_dict(FleetConfig())
+        document = to_dict(FleetConfig())
         for key in (
             "migration",
             "migration_weight",
             "rebalance_cooldown_ticks",
         ):
             document.pop(key, None)
-        config = config_from_dict(document)
+        config = from_dict(FleetConfig, document)
         assert config.migration is None
         assert config.migration_weight == 0.0
         assert config.rebalance_cooldown_ticks == 0
@@ -420,12 +494,12 @@ class TestLegacyCheckpoint:
         restored, pending = restore_controller(path)
         assert pending == ()
         assert restored.config == FleetConfig(drift_threshold=0.0)
-        stored = [record_from_dict(entry) for entry in document["log"]]
+        stored = [from_dict(LogRecord, entry) for entry in document["log"]]
         assert restored.log.to_text() == "".join(
             record.to_line() + "\n" for record in stored
         )
         assert restored.log.records[-1].action == "rebalanced"
-        assert snapshot_to_dict(restored.state.snapshot()) == (
+        assert to_dict(restored.state.snapshot()) == (
             document["snapshot"]
         )
         return document, restored
@@ -446,7 +520,7 @@ class TestLegacyCheckpoint:
         )
         document, restored = self._restore(tmp_path, text)
         assert document["config"]["parallel_workers"] == 2
-        assert "parallel_workers" not in config_to_dict(restored.config)
+        assert "parallel_workers" not in to_dict(restored.config)
 
     def test_rebalance_budget_and_min_gain_keys_are_ignored(self, tmp_path):
         # the plain rebalance loop made the same decisions as the
@@ -454,7 +528,7 @@ class TestLegacyCheckpoint:
         document, restored = self._restore(tmp_path, LEGACY_CHECKPOINT)
         removed = ("rebalance_budget", "rebalance_min_gain")
         assert all(key in document["config"] for key in removed)
-        encoded = config_to_dict(restored.config)
+        encoded = to_dict(restored.config)
         assert not any(key in encoded for key in removed)
 
 

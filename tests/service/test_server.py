@@ -99,6 +99,36 @@ class TestDispatchRoutes:
         )
         assert status == 400
 
+    @pytest.mark.parametrize(
+        ("path", "body", "field"),
+        [
+            (
+                "/jobs",
+                {"event": {"kind": "tick"}, "priority": "abc"},
+                "priority",
+            ),
+            (
+                "/jobs",
+                {"event": {"kind": "server-joined", "server": "S9",
+                           "power_hz": "abc", "link_speed_bps": 1e8}},
+                "power_hz",
+            ),
+            (
+                "/jobs",
+                {"event": {"kind": "capacity-drift", "server": "S1",
+                           "power_hz": None}},
+                "power_hz",
+            ),
+            ("/process", {"max_jobs": "x"}, "max_jobs"),
+        ],
+    )
+    def test_malformed_values_are_one_line_400s(self, app, path, body, field):
+        status, payload = app.dispatch("POST", path, body)
+        assert status == 400
+        assert field in payload["error"]
+        assert "\n" not in payload["error"]
+        assert app.service.queue.pending == 0
+
     def test_checkpoint_includes_queued_jobs_as_pending(self, app, tmp_path):
         app.dispatch("POST", "/jobs", {"event": _deploy_doc("alpha")})
         app.dispatch("POST", "/process")

@@ -613,6 +613,52 @@ class TestFleetDurability:
         assert code == 1
         assert "needs --checkpoint" in capsys.readouterr().err
 
+    def test_serve_from_checkpoint_keeps_queued_priorities(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.service.queue import FleetService
+        from repro.service.scenarios import replay
+        from repro.service.server import FleetApp
+
+        live = FleetApp(FleetService(replay("steady", seed=1)))
+        live.dispatch(
+            "POST", "/jobs", {"event": {"kind": "undeploy", "tenant": "t0"}}
+        )
+        live.dispatch(
+            "POST", "/jobs", {"event": {"kind": "tick"}, "priority": 5}
+        )
+        path = tmp_path / "fleet.json"
+        live.dispatch("POST", "/checkpoint", {"path": str(path)})
+        expected = [
+            (job.kind, job.priority)
+            for job in live.service.queue.queued()
+        ]
+        assert expected == [("tick", 5), ("undeploy", 40)]
+
+        served = []
+
+        class NoServer:
+            server_address = ("127.0.0.1", 0)
+
+            def serve_forever(self):
+                pass
+
+            def server_close(self):
+                pass
+
+        def capture(app, host, port):
+            served.append(app)
+            return NoServer()
+
+        monkeypatch.setattr("repro.service.server.make_server", capture)
+        code = main(["fleet", "serve", "--checkpoint", str(path)])
+        assert code == 0
+        assert "2 queued jobs" in capsys.readouterr().out
+        (app,) = served
+        assert [
+            (job.kind, job.priority) for job in app.service.queue.queued()
+        ] == expected
+
 
 def test_algorithms_lists_registry(capsys):
     assert main(["algorithms"]) == 0
