@@ -108,6 +108,9 @@ def bench_ga_restarts_scaling(benchmark, instance):
         assert outcome.best_value > 0
         return outcome, elapsed
 
+    # build the shared model's batch evaluator before any arm is timed,
+    # so the 1-worker arm and the serial GA below both run warm
+    model.compiled.batch_evaluator()
     _, serial_s = run(1)
     parallel_outcome, parallel_s = run(SCALE_WORKERS)
     # every restart evolves GENERATIONS generations; throughput is

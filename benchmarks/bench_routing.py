@@ -37,6 +37,13 @@ Three experiments over the routing layer (see DESIGN.md §15):
   deterministic count, asserted even in smoke), and the refreshed
   table must equal the fresh one after every event.
 
+* **one-shot deploys** -- the three greedy heuristics of the e2e
+  ``deploy-greedy`` workload, each through its own
+  ``CostModel(workflow, network)`` on one 12-server bus, as one-shot
+  users deploy. The network does not change between them, so every
+  cost model's router must hold the one snapshot of that network
+  generation (an identity check, asserted even in smoke).
+
 Results land in ``output/BENCH_routing.json``, with the host's CPU
 count, Python and NumPy versions. ``BENCH_SMOKE=1`` runs the compile
 arm on a smaller 20-server fleet and skips only the wall-clock floor.
@@ -47,11 +54,19 @@ import random
 import time
 
 from repro.core.clock import StepClock
+from repro.core.cost import CostModel
+from repro.network import apsp
 from repro.network.routing import Router
 from repro.network.topology import Link, random_network
+from repro.parallel import deploy_parallel
 from repro.scenarios import random_geo_network
 from repro.service.controller import FleetController
 from repro.service.scenarios import build_scenario
+from repro.workloads.generator import (
+    GraphStructure,
+    random_bus_network,
+    random_graph_workflow,
+)
 from tests.oracles import per_pair_routes, rebuild_routes_on_link_events
 
 from _common import emit, host, perf_floor, write_json
@@ -78,6 +93,11 @@ RESTORE_ROUNDS = 20
 #: Dijkstra-count floor for restoring events, in-place refresh vs one
 #: fresh compile per event (deterministic: seeded, counted work).
 RESTORE_RUNS_FLOOR = perf_floor("ROUTING_RESTORE", 3.0)
+#: One-shot arm: the greedy line-up and instance shape of the e2e
+#: ``deploy-greedy`` workload.
+ONESHOT_ALGORITHMS = ("HeavyOps-LargeMsgs", "FL-TieResolver2", "FL-MergeMsgEnds")
+ONESHOT_OPERATIONS = 32
+ONESHOT_SERVERS = 12
 
 _RESULTS: dict = {
     "smoke": SMOKE,
@@ -91,6 +111,9 @@ _RESULTS: dict = {
     "restore_servers": RESTORE_SERVERS,
     "restore_rounds": RESTORE_ROUNDS,
     "restore_runs_floor": RESTORE_RUNS_FLOOR,
+    "oneshot_algorithms": list(ONESHOT_ALGORITHMS),
+    "oneshot_operations": ONESHOT_OPERATIONS,
+    "oneshot_servers": ONESHOT_SERVERS,
     "host": host(),
 }
 
@@ -360,3 +383,53 @@ def bench_routing_restore(benchmark):
             f"restores saved too few Dijkstra runs: {ratio:.2f}x < floor "
             f"{RESTORE_RUNS_FLOOR:.2f}x"
         )
+
+
+def _oneshot_deploys():
+    """Each greedy heuristic through its own cost model; one network.
+
+    Returns ``(network, routers, wall seconds)``.
+    """
+    workflow = random_graph_workflow(
+        ONESHOT_OPERATIONS, GraphStructure.HYBRID, seed=SEED
+    )
+    network = random_bus_network(ONESHOT_SERVERS, seed=SEED)
+    routers = []
+    start = time.perf_counter()
+    for name in ONESHOT_ALGORITHMS:
+        model = CostModel(workflow, network)
+        deploy_parallel(
+            name, workflow, network, cost_model=model, workers=1, seed=SEED
+        )
+        routers.append(model.compiled.router)
+    return network, routers, time.perf_counter() - start
+
+
+def bench_routing_oneshot(benchmark):
+    """Greedy one-shot deploys on one network share its route snapshot."""
+    benchmark(_oneshot_deploys)
+    network, routers, wall = _oneshot_deploys()
+    # every deploy filled routes, so each router holds its snapshot
+    snapshots = {id(router._compiled_graph()) for router in routers}
+    runs = 0
+    for router in routers:
+        runs += router.dijkstra_runs
+
+    _RESULTS["oneshot_deploys"] = len(routers)
+    _RESULTS["oneshot_snapshots"] = len(snapshots)
+    _RESULTS["oneshot_dijkstra_runs"] = runs
+    _RESULTS["oneshot_wall_s"] = wall
+    _flush_results()
+
+    emit(
+        "routing_oneshot",
+        f"{len(routers)} greedy deploys, {ONESHOT_OPERATIONS} operations on "
+        f"a {ONESHOT_SERVERS}-server bus (seed {SEED})",
+        f"route snapshots:       {len(snapshots):6d} (one network generation)",
+        f"Dijkstra runs:         {runs:6d}",
+        f"wall clock:            {wall * 1e3:9.2f} ms (no floor)",
+    )
+    assert snapshots == {id(apsp.compile_graph(network))}, (
+        f"{len(routers)} one-shot cost models on one network generation "
+        f"hold {len(snapshots)} route snapshots, not its one"
+    )

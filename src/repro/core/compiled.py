@@ -192,40 +192,39 @@ class CompiledWorkflow:
         )
 
         # ---- message endpoint arrays ------------------------------------
-        self.incoming: tuple[tuple[tuple[int, float, float], ...], ...] = (
-            tuple(
-                tuple(
-                    (
-                        op_index[m.source],
-                        m.size_bits,
-                        prob_by_name[m.source] * m.probability,
-                    )
-                    for m in workflow.incoming(name)
-                )
-                for name in self.op_names
-            )
-        )
-        self.outgoing: tuple[tuple[tuple[int, float, float], ...], ...] = (
-            tuple(
-                tuple(
-                    (
-                        op_index[m.target],
-                        m.size_bits,
-                        prob_by_name[m.source] * m.probability,
-                    )
-                    for m in workflow.outgoing(name)
-                )
-                for name in self.op_names
-            )
-        )
-        self.messages: tuple[tuple[int, int, float, float], ...] = tuple(
-            (
+        endpoints = {
+            (m.source, m.target): (
                 op_index[m.source],
                 op_index[m.target],
                 m.size_bits,
                 prob_by_name[m.source] * m.probability,
             )
             for m in workflow.messages
+        }
+        self.messages: tuple[tuple[int, int, float, float], ...] = tuple(
+            endpoints.values()
+        )
+        # one walk of the predecessor and successor maps, in their order
+        graph = self._graph = workflow.graph
+        pred, succ = graph.pred, graph.succ
+        incoming = []
+        outgoing = []
+        for name in self.op_names:
+            arrivals = []
+            for peer in pred[name]:
+                source, _target, size, weight = endpoints[peer, name]
+                arrivals.append((source, size, weight))
+            incoming.append(tuple(arrivals))
+            departures = []
+            for peer in succ[name]:
+                _source, target, size, weight = endpoints[name, peer]
+                departures.append((target, size, weight))
+            outgoing.append(tuple(departures))
+        self.incoming: tuple[tuple[tuple[int, float, float], ...], ...] = (
+            tuple(incoming)
+        )
+        self.outgoing: tuple[tuple[tuple[int, float, float], ...], ...] = (
+            tuple(outgoing)
         )
         # static XOR join weights (and their sums) in arrival order
         self.xor_weights: tuple[tuple[float, ...], ...] = tuple(
@@ -236,7 +235,6 @@ class CompiledWorkflow:
         )
 
         # ---- lazily-filled memos ----------------------------------------
-        self._graph: nx.DiGraph | None = None  # see _view
         topo_pos = [0] * self.num_ops
         for pos, op in enumerate(self.order):
             topo_pos[op] = pos
@@ -248,18 +246,12 @@ class CompiledWorkflow:
         """What a requested *use_probabilities* resolves to here."""
         return self.has_xor if use_probabilities is None else use_probabilities
 
-    def _view(self) -> nx.DiGraph:
-        """The workflow's read-only graph view, made on first use."""
-        if self._graph is None:
-            self._graph = self.workflow.graph
-        return self._graph
-
     def dirty_order(self, op: int) -> tuple[int, ...]:
         """See :meth:`CompiledInstance.dirty_order`."""
         cached = self._dirty.get(op)
         if cached is None:
             name = self.op_names[op]
-            region = nx.descendants(self._view(), name) | {name}
+            region = nx.descendants(self._graph, name) | {name}
             cached = tuple(
                 sorted(
                     (self.op_index[n] for n in region),
@@ -272,7 +264,7 @@ class CompiledWorkflow:
     def decision_scopes(self) -> Mapping[int, tuple[int, ...]]:
         """See :meth:`CompiledInstance.decision_scopes`."""
         if self._scopes is None:
-            graph = self._view()
+            graph = self._graph
             report = check_well_formed(self.workflow)
             scopes: dict[int, tuple[int, ...]] = {}
             for split, join in report.matches.items():

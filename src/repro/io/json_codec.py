@@ -78,17 +78,21 @@ def _number(
         ) from None
 
 
-def _check_format(document: Mapping[str, Any], expected: str) -> None:
+def _check_format(
+    document: Mapping[str, Any], expected: str, written: int = FORMAT_VERSION
+) -> None:
+    """Check a document's ``format``, and that its ``version`` is
+    *written*, the version this library writes for that format."""
     actual = _require(document, "format", expected)
     if actual != expected:
         raise CodecError(
             f"expected a {expected!r} document, got format {actual!r}"
         )
-    version = document.get("version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    version = document.get("version", written)
+    if version != written:
         raise CodecError(
             f"unsupported {expected} format version {version!r} "
-            f"(this library writes version {FORMAT_VERSION})"
+            f"(this library writes version {written})"
         )
 
 

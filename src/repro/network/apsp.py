@@ -51,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
+from weakref import WeakKeyDictionary
 
 from repro.exceptions import DisconnectedNetworkError
 from repro.network.topology import ServerNetwork
@@ -83,14 +84,20 @@ TWO_HOP_BLOCK = 160**3
 
 
 class CompiledGraph:
-    """An integer-indexed adjacency snapshot of one network's links.
+    """An integer-indexed adjacency snapshot of one network generation.
 
-    Rebuilt (cheaply, O(S + L)) whenever link parameters change; between
-    rebuilds every Dijkstra pass runs over flat lists with precomputed
-    weights instead of networkx dicts behind a lambda.
+    Built (cheaply, O(S + L)) once per network generation by
+    :func:`compile_graph` and shared by every router on that
+    generation; every Dijkstra pass runs over flat lists with
+    precomputed weights instead of networkx dicts behind a lambda.
+    A snapshot never changes after it is built, except that its dense
+    certificate (:meth:`certificate`) is filled on first use.
 
     Attributes
     ----------
+    name, generation:
+        The network's name and mutation generation when the snapshot
+        was taken; the snapshot holds no reference to the network.
     names, index:
         Server names in network (insertion) order and the inverse map.
     adjacency:
@@ -100,21 +107,20 @@ class CompiledGraph:
         tie-counter semantics make observable.
     """
 
-    __slots__ = ("network", "names", "index", "adjacency")
+    __slots__ = ("name", "generation", "names", "index", "adjacency", "_dense")
 
     def __init__(self, network: ServerNetwork):
-        self.network = network
+        self.name = network.name
+        self.generation = network.generation
         self.names: tuple[str, ...] = network.server_names
-        self.index: dict[str, int] = {
-            name: i for i, name in enumerate(self.names)
-        }
-        graph = network.graph
-        index = self.index
+        index = self.index = {name: i for i, name in enumerate(self.names)}
         adjacency: list[list[tuple[int, float, float, float]]] = []
-        for name in self.names:
+        # graph nodes are the servers in insertion order, and each
+        # edge's data holds its link
+        for _name, neighbors in network.graph.adjacency():
             row: list[tuple[int, float, float, float]] = []
-            for neighbor in graph.adj[name]:
-                link = network.link(name, neighbor)
+            for neighbor, data in neighbors.items():
+                link = data["link"]
                 row.append(
                     (
                         index[neighbor],
@@ -125,6 +131,7 @@ class CompiledGraph:
                 )
             adjacency.append(row)
         self.adjacency = adjacency
+        self._dense: _DenseDominance | None | bool = None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -133,6 +140,12 @@ class CompiledGraph:
         """True when every server pair is directly linked."""
         n = len(self.names)
         return all(len(row) == n - 1 for row in self.adjacency)
+
+    def certificate(self) -> "_DenseDominance | None":
+        """This snapshot's :func:`dense_dominance` certificate, built once."""
+        if self._dense is None:
+            self._dense = dense_dominance(self) or False
+        return self._dense or None
 
     def coefficients(
         self, path: tuple[int, ...]
@@ -159,15 +172,30 @@ class CompiledGraph:
         return tuple(names[i] for i in path)
 
 
+#: network -> the snapshot of its current generation; weakly keyed, and
+#: a snapshot holds no reference to its network, so a dropped network
+#: frees its snapshot by reference counting
+_SNAPSHOTS: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def compile_graph(network: ServerNetwork) -> CompiledGraph:
-    """Snapshot *network*'s links into a :class:`CompiledGraph`."""
-    return CompiledGraph(network)
+    """The :class:`CompiledGraph` of *network*'s current generation.
+
+    Built on the first call per generation and shared by every later
+    call until a mutation bumps :attr:`ServerNetwork.generation
+    <repro.network.topology.ServerNetwork.generation>`.
+    """
+    graph = _SNAPSHOTS.get(network)
+    # threads racing here may each build one: equal snapshots, no lock
+    if graph is None or graph.generation != network.generation:
+        graph = _SNAPSHOTS[network] = CompiledGraph(network)
+    return graph
 
 
 def _no_route(graph: CompiledGraph, source: int, target: int) -> Exception:
     return DisconnectedNetworkError(
         f"no route from {graph.names[source]!r} to "
-        f"{graph.names[target]!r} in {graph.network.name!r}"
+        f"{graph.names[target]!r} in {graph.name!r}"
     )
 
 

@@ -60,7 +60,15 @@ route table's slots in place. A server change needs a new router.
 its owner still prices, each time the owner calls it; until then the
 store grows with every new size queried.
 
-Between mutations the network is treated as frozen.
+The generation contract: between two bumps of
+:attr:`ServerNetwork.generation
+<repro.network.topology.ServerNetwork.generation>` the network is
+frozen, so every router on one generation borrows that generation's
+one snapshot and its dense certificate
+(:func:`repro.network.apsp.compile_graph`). Rows, route table and the
+per-size store stay per router: nothing a query fills is shared. A
+mutation bumps the generation, and a router keeps routing over its
+snapshot until :meth:`Router.invalidate` takes the new one.
 """
 
 from __future__ import annotations
@@ -80,11 +88,12 @@ class Router:
     Parameters
     ----------
     network:
-        The server network to route over. The router snapshots the
-        topology lazily on first query (into a
-        :class:`repro.network.apsp.CompiledGraph`) and assumes links do
-        not change until :meth:`invalidate`. Its server set is fixed:
-        a changed one needs a new router.
+        The server network to route over. The router takes the
+        snapshot of the network's current generation lazily on first
+        query (a :class:`repro.network.apsp.CompiledGraph`, shared with
+        every router on that generation) and routes over it until
+        :meth:`invalidate`. Its server set is fixed: a changed one
+        needs a new router.
 
     Attributes
     ----------
@@ -125,8 +134,6 @@ class Router:
     def __init__(self, network: ServerNetwork):
         self._network = network
         self._graph: apsp.CompiledGraph | None = None
-        # the snapshot's dense certificate, built on its first use
-        self._certificate: object | None = None
         self.server_names: tuple[str, ...] = network.server_names
         self.server_index: dict[str, int] = {
             name: i for i, name in enumerate(self.server_names)
@@ -176,7 +183,7 @@ class Router:
         return graph
 
     def _snapshot(self) -> apsp.CompiledGraph:
-        """A fresh snapshot of the network, over this router's servers."""
+        """The network's current snapshot, over this router's servers."""
         graph = apsp.compile_graph(self._network)
         if graph.names != self.server_names:
             raise NetworkError(
@@ -469,7 +476,7 @@ class Router:
         weights = (apsp.WEIGHT_PROPAGATION, apsp.WEIGHT_TRANSFER)
         rows = tuple(self._source_row(si, weight) for weight in weights)
         first = si + 1
-        certificate = self._certificate
+        certificate = self._graph.certificate()
         if certificate and all(certificate.row_ok(si, w) for w in weights):
             # both rows are the direct links, so classification would
             # take branch 1 with each link's own floats (0.0 + p == p)
@@ -490,11 +497,8 @@ class Router:
 
     def _source_row(self, source: int, weight: int) -> apsp.Row:
         """One full pass of the snapshot (or its dense certificate)."""
-        if self._certificate is None:
-            self._certificate = apsp.dense_dominance(self._graph) or False
-        row, runs = apsp.source_row(
-            self._graph, source, weight, self._certificate or None
-        )
+        graph = self._graph
+        row, runs = apsp.source_row(graph, source, weight, graph.certificate())
         self.dijkstra_runs += runs
         return row
 
@@ -532,7 +536,6 @@ class Router:
         graph = self._snapshot()
         old = graph if self._graph is None else self._graph
         self._graph = graph
-        self._certificate = None
         change = apsp.diff_graphs(old, graph)
         routes = self._routes
         affected: set[tuple[int, int]] = set()

@@ -114,6 +114,18 @@ class ServerNetwork:
         or ``"custom"``. Algorithms use this to select their cost
         shortcuts (e.g. on a bus every pair communicates at the same
         speed); factories set it automatically.
+
+    Attributes
+    ----------
+    generation:
+        A mutation counter: every mutator (:meth:`add_server`,
+        :meth:`replace_server`, :meth:`add_link`, :meth:`remove_link`,
+        :meth:`replace_link`) bumps it. Between two bumps the servers
+        and links are frozen, so everything derived from one
+        generation -- the routing snapshot
+        (:func:`repro.network.apsp.compile_graph`) -- stays valid
+        until the next bump. Mutate a network only through these
+        methods.
     """
 
     KNOWN_KINDS = ("line", "bus", "star", "ring", "mesh", "custom")
@@ -129,6 +141,7 @@ class ServerNetwork:
         self._graph: nx.Graph = nx.Graph()
         self._servers: dict[str, Server] = {}
         self._links: dict[frozenset[str], Link] = {}
+        self.generation = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -141,6 +154,7 @@ class ServerNetwork:
             )
         self._servers[server.name] = server
         self._graph.add_node(server.name)
+        self.generation += 1
         return server
 
     def add_servers(self, servers: Iterable[Server]) -> None:
@@ -163,6 +177,7 @@ class ServerNetwork:
                 f"{self.name!r}"
             )
         self._servers[server.name] = server
+        self.generation += 1
         return server
 
     def add_link(self, link: Link) -> Link:
@@ -177,7 +192,9 @@ class ServerNetwork:
                 f"a link between {link.a!r} and {link.b!r} already exists"
             )
         self._links[link.endpoints] = link
-        self._graph.add_edge(link.a, link.b)
+        # the edge data holds the link, so a snapshot reads it directly
+        self._graph.add_edge(link.a, link.b, link=link)
+        self.generation += 1
         return link
 
     def connect(
@@ -204,6 +221,7 @@ class ServerNetwork:
         link = self.link(a, b)
         del self._links[link.endpoints]
         self._graph.remove_edge(link.a, link.b)
+        self.generation += 1
         return link
 
     def replace_link(self, link: Link) -> Link:
@@ -221,6 +239,8 @@ class ServerNetwork:
                 f"{self.name!r}"
             )
         self._links[link.endpoints] = link
+        self._graph.edges[link.a, link.b]["link"] = link
+        self.generation += 1
         return link
 
     # ------------------------------------------------------------------
@@ -284,7 +304,11 @@ class ServerNetwork:
 
     @property
     def graph(self) -> nx.Graph:
-        """A read-only view of the underlying graph."""
+        """A read-only view of the underlying graph.
+
+        Nodes are the server names in insertion order; each edge's data
+        holds its :class:`Link` under ``"link"``.
+        """
         return self._graph.copy(as_view=True)
 
     def is_connected(self) -> bool:

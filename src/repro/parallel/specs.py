@@ -17,12 +17,19 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from functools import cache
 from typing import Any
 
 from repro.algorithms.base import DeploymentAlgorithm, get_algorithm
 from repro.exceptions import AlgorithmError
 
 __all__ = ["AlgorithmSpec", "DEFAULT_PORTFOLIO"]
+
+
+@cache
+def _accepted(algorithm_cls: type) -> frozenset[str]:
+    """The constructor parameter names of *algorithm_cls*, read once."""
+    return frozenset(inspect.signature(algorithm_cls.__init__).parameters)
 
 
 @dataclass(frozen=True)
@@ -54,12 +61,13 @@ class AlgorithmSpec:
         """Validated constructor (names resolved, kwargs accepted).
 
         The constructor's signature is read only when there is a
-        ``seed_algorithm`` or a parameter to check against it.
+        ``seed_algorithm`` or a parameter to check against it, and then
+        once per algorithm class.
         """
         algorithm_cls = get_algorithm(name)
         if seed_algorithm is None and not params:
             return cls(name=name)
-        accepted = inspect.signature(algorithm_cls.__init__).parameters
+        accepted = _accepted(algorithm_cls)
         if seed_algorithm is not None:
             get_algorithm(seed_algorithm)
             if "seed_algorithm" not in accepted:

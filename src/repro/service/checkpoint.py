@@ -45,6 +45,7 @@ from repro.core.migration import MigrationCostModel
 from repro.core.workflow import Workflow
 from repro.exceptions import ReproError, ValidationError
 from repro.io.json_codec import (
+    _check_format,
     _require,
     dump_document,
     load_document,
@@ -368,7 +369,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     message -- the CLI turns them into one-line errors.
     """
     try:
-        document = load_document(path, CHECKPOINT_FORMAT)
+        document = load_document(path)
+        _check_format(document, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     except ReproError as exc:
         raise ValidationError(str(exc)) from None
     try:

@@ -1,6 +1,8 @@
 """Unit tests for the batched all-pairs routing kernel."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -69,6 +71,35 @@ class TestCompiledGraph:
     def test_to_names(self):
         graph = apsp.compile_graph(_diamond())
         assert graph.to_names((0, 2, 3)) == ("S0", "S2", "S3")
+
+    def test_one_snapshot_per_generation(self):
+        network = _complete()
+        graph = apsp.compile_graph(network)
+        assert apsp.compile_graph(network) is graph
+        assert graph.certificate() is graph.certificate() is not None
+        assert (graph.name, graph.generation) == (
+            network.name,
+            network.generation,
+        )
+        network.replace_link(Link("S0", "S1", 1e6))
+        fresh = apsp.compile_graph(network)
+        assert fresh is not graph
+        assert fresh.generation == network.generation
+        assert fresh.adjacency[0][0] == (1, 0.0, 1e-6, 1e6)
+        assert graph.adjacency[0][0] == (1, 0.001, 1e-8, 100e6)
+
+    def test_dropped_network_frees_its_snapshot(self):
+        network = _complete()
+        graph = apsp.compile_graph(network)
+        dropped = weakref.ref(network)
+        certificate = weakref.ref(graph.certificate())
+        gc.disable()
+        try:
+            del network, graph
+            # freed by reference counting: no cycle through the memo
+            assert dropped() is None and certificate() is None
+        finally:
+            gc.enable()
 
 
 def _row_path(graph, source, target, weight):

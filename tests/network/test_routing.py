@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from repro.core.compiled import CompiledInstance
+from repro.core.cost import CostModel
 from repro.exceptions import (
     DisconnectedNetworkError,
     NetworkError,
@@ -187,6 +188,44 @@ class TestCaching:
             assert router.transmission_time("S1", "S3", size) == pytest.approx(
                 expected
             )
+
+
+class TestSharedSnapshot:
+    """Routers on one network generation borrow its one snapshot."""
+
+    def test_cost_models_share_the_snapshot_and_certificate(
+        self, monkeypatch
+    ):
+        built = []
+        dense_dominance = apsp.dense_dominance
+
+        def counting(graph):
+            built.append(graph)
+            return dense_dominance(graph)
+
+        monkeypatch.setattr(apsp, "dense_dominance", counting)
+        network = bus_network((1e9, 2e9, 3e9, 4e9), speed_bps=1e8)
+        workflow = line_workflow(6, seed=1)
+        routers = [
+            CostModel(workflow, network).compiled.router for _ in range(2)
+        ]
+        for router in routers:
+            router.compile_all_pairs()
+        first, second = routers
+        assert first is not second
+        assert first._compiled_graph() is second._compiled_graph()
+        assert len(built) == 1  # one certificate, borrowed by both
+        assert first._rows is not second._rows  # rows stay per router
+        assert first.route_table() == second.route_table()
+
+        network.replace_link(Link("S1", "S2", 5e7))
+        third = CostModel(workflow, network).compiled.router
+        third.compile_all_pairs()
+        graph = third._compiled_graph()
+        assert graph is not first._compiled_graph()
+        assert graph.generation == network.generation
+        assert len(built) == 2
+        assert third.route_table()[0][1] != first.route_table()[0][1]
 
 
 class TestCounters:

@@ -238,6 +238,35 @@ class TestLiveMutation:
         with pytest.raises(UnknownServerError):
             chain3.replace_link(Link("S1", "S3", 1e6))
 
+    def test_edge_data_holds_the_current_link(self, chain3):
+        chain3.replace_link(Link("S2", "S1", 5e6, 0.5))
+        graph = chain3.graph
+        for a, b in (("S1", "S2"), ("S2", "S3")):
+            assert graph.edges[a, b]["link"] is chain3.link(a, b)
+
+
+#: One call of each ServerNetwork mutator on the ``chain3`` fixture.
+MUTATIONS = {
+    "add_server": lambda network: network.add_server(Server("S4", 1e9)),
+    "replace_server": lambda network: network.replace_server(
+        Server("S2", 9e9)
+    ),
+    "add_link": lambda network: network.add_link(Link("S1", "S3", 1e6)),
+    "remove_link": lambda network: network.remove_link("S1", "S2"),
+    "replace_link": lambda network: network.replace_link(
+        Link("S1", "S2", 1e6)
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_every_mutator_bumps_the_generation(chain3, mutation):
+    before = chain3.generation
+    chain3.summary()  # queries leave it alone
+    assert chain3.generation == before
+    MUTATIONS[mutation](chain3)
+    assert chain3.generation == before + 1
+
 
 class TestHeterogeneousSummary:
     def test_uniform_bus_summary(self, bus3):

@@ -9,6 +9,7 @@ import pytest
 from repro.algorithms.genetic import GeneticAlgorithm
 from repro.algorithms.local_search import HillClimbing
 from repro.exceptions import AlgorithmError
+from repro.parallel import specs
 from repro.parallel.specs import DEFAULT_PORTFOLIO, AlgorithmSpec
 
 
@@ -69,8 +70,32 @@ class TestAlgorithmSpec:
         )
         with pytest.raises(AlgorithmError, match="unknown algorithm"):
             AlgorithmSpec.parse("NoSuchAlgorithm")
+        specs._accepted.cache_clear()  # a cold class reads it
         with pytest.raises(AssertionError, match="signature"):
             AlgorithmSpec.of("Genetic", generations=3)
+
+    def test_signature_is_read_once_per_class(self, monkeypatch):
+        import inspect
+
+        signature = inspect.signature
+        reads = []
+
+        def counting(target, *args, **kwargs):
+            reads.append(target)
+            return signature(target, *args, **kwargs)
+
+        specs._accepted.cache_clear()
+        monkeypatch.setattr(inspect, "signature", counting)
+        first = AlgorithmSpec.of("HillClimbing", "FL-TieResolver2")
+        assert reads == [HillClimbing.__init__]
+        assert AlgorithmSpec.of("HillClimbing", "FL-TieResolver2") == first
+        with pytest.raises(AlgorithmError, match="has no parameter 'warp'"):
+            AlgorithmSpec.of("HillClimbing", warp=9)
+        with pytest.raises(AlgorithmError, match="takes no seed_algorithm"):
+            AlgorithmSpec.of(
+                "HeavyOps-LargeMsgs", seed_algorithm="FL-TieResolver2"
+            )
+        assert len(reads) == 2  # one per class
 
     def test_spec_is_picklable_and_hashable(self):
         spec = AlgorithmSpec.of("Genetic", generations=3)

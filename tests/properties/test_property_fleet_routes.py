@@ -12,7 +12,9 @@ the Abilene backbone, a seeded geo fleet and a five-server net with
 three Pareto-optimal A-B routes (a migration checkpoint's optimum rides
 the middle route, on neither classification path). After *every* event
 each tenant's cached artifact must equal, bit for bit, a fresh
-``CompiledInstance`` on a fresh ``Router(state.network)``:
+``CompiledInstance`` on a fresh router over a copy of the network (a
+copy has its own snapshot, so a missed generation bump cannot feed the
+reference the fleet's stale one):
 
 * ``route_coefficients`` for every server pair;
 * ``migration_table`` (one tenant is transition-aware, so rows exist);
@@ -20,6 +22,7 @@ each tenant's cached artifact must equal, bit for bit, a fresh
   matrices -- on seeded random rows plus the live placement.
 """
 
+import copy
 import random
 
 import numpy as np
@@ -152,7 +155,7 @@ def assert_coherent(state, models, rng):
             compiled.workflow,
             state.network,
             objective=compiled.objective,
-            router=Router(state.network),
+            router=Router(copy.deepcopy(state.network)),
         )
         servers = range(compiled.num_servers)
         for i in servers:

@@ -9,7 +9,7 @@ mixed-speed networks shaped like the ``links`` benchmark fleet: a
 random spanning tree plus extra links, 10M/100M/1G speeds and spread
 propagation delays, so most pairs are size-dependent. After *every*
 ``invalidate()`` it asserts, against a fresh
-``Router(network).compile_all_pairs()``:
+``Router(copy.deepcopy(network)).compile_all_pairs()``:
 
 * every filled route-table slot (coefficients or ``()``) and every
   size-independent pair's ``path()`` matches;
@@ -24,6 +24,7 @@ Routers start either eagerly compiled or lazily filled by queries,
 each of which fills its canonical source's rows and pairs.
 """
 
+import copy
 import random
 
 from hypothesis import given, settings
@@ -110,8 +111,9 @@ def warm_sized(router, rng):
 
 
 def assert_fresh(router, before_slots, before_sized, affected):
-    network = router.network
-    fresh = Router(network)
+    # a copy has its own snapshot: a missed generation bump cannot
+    # hand the router's stale one to the reference
+    fresh = Router(copy.deepcopy(router.network))
     fresh.compile_all_pairs()
     graph = fresh._compiled_graph()
     names = graph.names

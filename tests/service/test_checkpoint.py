@@ -238,6 +238,28 @@ class TestWriteAndLoad:
         with pytest.raises(ValidationError):
             load_checkpoint(path)
 
+    def test_version_is_checked_against_the_checkpoint_constant(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.io import json_codec
+        from repro.service import checkpoint
+
+        monkeypatch.setattr(
+            checkpoint, "CHECKPOINT_VERSION", json_codec.FORMAT_VERSION + 1
+        )
+        controller = replay("steady", seed=1)
+        path = write_checkpoint(controller, tmp_path / "fleet.json")
+        loaded = load_checkpoint(path)
+        assert len(loaded.events) == len(controller.history)
+        document = json.loads(path.read_text())
+        document["version"] = json_codec.FORMAT_VERSION
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValidationError) as error:
+            load_checkpoint(path)
+        message = str(error.value)
+        assert "unsupported fleet-checkpoint format version" in message
+        assert "\n" not in message
+
 
 #: One corruption per checkpoint field that must decode as a number (or
 #: a pair) in its range: each must raise ValidationError naming the file.
