@@ -6,17 +6,23 @@ HOLM). This bench measures wall-clock deploy time across M at fixed N
 and reports the growth ratio per doubling -- near 2x indicates the
 quasi-linear family, near 4x the quadratic one. (pytest-benchmark times
 each point; the summary table shows the shape.)
+
+Both tables are wall-clock figures, so they are printed and recorded in
+``output/BENCH_complexity.json`` with the host, like every other timed
+``BENCH_*.json``, not next to the deterministic figure records.
 """
 
+import random
 import time
 
 from repro.algorithms.base import algorithm_registry
 from repro.core.cost import CostModel
+from repro.core.mapping import Deployment
 from repro.numeric import ordered_sum
 from repro.tables import TextTable
 from repro.workloads.generator import line_workflow, random_bus_network
 
-from _common import emit
+from _common import host, write_json
 
 SIZES = (25, 50, 100, 200)
 SUITE = (
@@ -26,6 +32,11 @@ SUITE = (
     "FL-MergeMsgEnds",
     "HeavyOps-LargeMsgs",
 )
+SERVERS = 5
+
+#: The record, rewritten after each bench function (so a partial run
+#: still leaves valid JSON).
+_RECORD = {"host": host(), "operations": list(SIZES), "servers": SERVERS}
 
 
 def bench_deploy_time_growth(benchmark):
@@ -35,7 +46,7 @@ def bench_deploy_time_growth(benchmark):
         timings: dict[str, list[float]] = {name: [] for name in SUITE}
         for operations in SIZES:
             workflow = line_workflow(operations, seed=1)
-            network = random_bus_network(5, seed=2)
+            network = random_bus_network(SERVERS, seed=2)
             model = CostModel(workflow, network)
             for name in SUITE:
                 algorithm = registry[name]()
@@ -47,8 +58,9 @@ def bench_deploy_time_growth(benchmark):
     timings = benchmark.pedantic(measure, rounds=1, iterations=1)
     table = TextTable(
         ["algorithm", *(f"M={m}" for m in SIZES), "ratio/doubling"],
-        title="deploy wall time vs M (N=5); the paper's complexity shapes",
+        title=f"deploy wall time vs M (N={SERVERS}); the paper's complexity shapes",
     )
+    growth = {}
     for name in SUITE:
         values = timings[name]
         ratios = [
@@ -66,7 +78,13 @@ def bench_deploy_time_growth(benchmark):
                 f"{mean_ratio:.1f}x",
             ]
         )
-    emit("complexity_growth", table)
+        growth[name] = {
+            "deploy_ms": [v * 1e3 for v in values],
+            "ratio_per_doubling": mean_ratio,
+        }
+    print(f"\n{table}")
+    _RECORD["deploy_growth"] = growth
+    write_json("BENCH_complexity", _RECORD)
 
 
 def bench_cost_evaluation_scaling(benchmark):
@@ -76,14 +94,9 @@ def bench_cost_evaluation_scaling(benchmark):
         rows = []
         for operations in SIZES:
             workflow = line_workflow(operations, seed=3)
-            network = random_bus_network(5, seed=4)
+            network = random_bus_network(SERVERS, seed=4)
             model = CostModel(workflow, network)
-            from repro.core.mapping import Deployment
-            import random as _random
-
-            deployment = Deployment.random(
-                workflow, network, _random.Random(5)
-            )
+            deployment = Deployment.random(workflow, network, random.Random(5))
             start = time.perf_counter()
             iterations = 50
             for _ in range(iterations):
@@ -96,8 +109,10 @@ def bench_cost_evaluation_scaling(benchmark):
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
     table = TextTable(
         ["M", "evaluate() time"],
-        title="cost evaluation scaling (line workflows, N=5)",
+        title=f"cost evaluation scaling (line workflows, N={SERVERS})",
     )
     for operations, seconds in rows:
         table.add_row([operations, f"{seconds * 1e6:.0f}us"])
-    emit("complexity_evaluate", table)
+    print(f"\n{table}")
+    _RECORD["evaluate_us"] = [seconds * 1e6 for _, seconds in rows]
+    write_json("BENCH_complexity", _RECORD)

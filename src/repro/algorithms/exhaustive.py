@@ -7,8 +7,8 @@ properties of near-optimal solutions, and so do we: a guard refuses
 search spaces beyond a configurable size instead of hanging.
 
 Besides the best mapping, :meth:`Exhaustive.enumerate` exposes the whole
-evaluation as an iterator so the experiment harness can build Pareto
-fronts and optimality gaps on toy instances.
+evaluation as an iterator so the experiment harness can measure
+optimality gaps on toy instances.
 
 Through ``deploy`` the enumeration runs on the shared
 :class:`~repro.algorithms.runtime.SearchRuntime`: every evaluated
@@ -108,25 +108,6 @@ class Exhaustive(DeploymentAlgorithm):
             self.enumerate(workflow, network, cost_model),
             key=lambda em: em.cost.objective,
         )
-
-    def pareto_front(
-        self, workflow: Workflow, network: ServerNetwork, cost_model: CostModel
-    ) -> list[EvaluatedMapping]:
-        """Non-dominated mappings in the (Texecute, TimePenalty) plane.
-
-        Useful for plotting the toy-instance solution space the paper
-        samples. Returned sorted by execution time ascending.
-        """
-        front: list[EvaluatedMapping] = []
-        for candidate in self.enumerate(workflow, network, cost_model):
-            if any(kept.cost.dominates(candidate.cost) for kept in front):
-                continue
-            front = [
-                kept for kept in front if not candidate.cost.dominates(kept.cost)
-            ]
-            front.append(candidate)
-        front.sort(key=lambda em: (em.cost.execution_time, em.cost.time_penalty))
-        return front
 
     def _deploy(self, context: ProblemContext) -> Deployment:
         return context.search(self._steps(context)).best

@@ -53,17 +53,9 @@ class _Groups:
         self._cycles: dict[int, float] = dict(enumerate(cycles))
         self._group_of: dict[int, int] = {i: i for i in range(len(cycles))}
 
-    def group_of(self, operation: int) -> int:
-        """Group id currently containing *operation*."""
-        return self._group_of[operation]
-
     def same_group(self, a: int, b: int) -> bool:
         """True when both operations sit in one group."""
         return self._group_of.get(a) == self._group_of.get(b) and a in self._group_of
-
-    def members(self, group_id: int) -> set[int]:
-        """Operations of one group."""
-        return set(self._members[group_id])
 
     def merge(self, a: int, b: int) -> int:
         """Merge the groups of *a* and *b*; returns the surviving id."""
@@ -113,9 +105,6 @@ class _Groups:
     def cycles(self, group_id: int) -> float:
         """Weighted cycles of one group."""
         return self._cycles[group_id]
-
-    def __len__(self) -> int:
-        return len(self._members)
 
 
 @register_algorithm

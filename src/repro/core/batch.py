@@ -39,8 +39,7 @@ the kernel's from-scratch sums by ulps, so a search priced through
 by move. :meth:`MoveEvaluator.scan
 <repro.core.incremental.MoveEvaluator.scan>` therefore takes only
 :meth:`BatchEvaluator.execution` from the kernel and patches the loads
-itself. :meth:`BatchScores.argbest` resolves ties like every existing
-consumer: the first row attaining the minimum wins.
+itself.
 
 NumPy is a required dependency. Consumers still import this module on
 first use (:meth:`CompiledInstance.batch_evaluator
@@ -93,18 +92,6 @@ class BatchScores:
     def __len__(self) -> int:
         """Number of scored rows."""
         return len(self.objective)
-
-    def argbest(self) -> int:
-        """Index of the best (minimum-objective) row.
-
-        Ties resolve to the *first* minimal row -- the deterministic
-        order every scalar consumer already uses (``max``/``min`` over
-        a scan keeps the first extremum; ``np.argmin`` does the same).
-        Raises on an empty batch.
-        """
-        if len(self.objective) == 0:
-            raise DeploymentError("argbest() on an empty batch")
-        return int(np.argmin(self.objective))
 
 
 def penalty_rows(loads: "np.ndarray", mode: str) -> "np.ndarray":

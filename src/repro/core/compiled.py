@@ -33,8 +33,8 @@ depends only on the network:
 
 * the **workflow half**, :class:`CompiledWorkflow` -- index maps, order,
   probabilities, cycles, join codes, message endpoints, XOR weights and
-  the dirty-region and scope memos -- compiled once per workflow and
-  probability setting and never changed;
+  the dirty-region memo -- compiled once per workflow and probability
+  setting and never changed;
 * the **topology half** -- server index, capacities, the connectivity
   check and the route-delay table -- where the route part is the
   router's own index-keyed table (:meth:`Router.route_table
@@ -57,13 +57,12 @@ deployments.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import networkx as nx
 
 from repro.core.migration import PENALTY_MODES, TransitionObjective
 from repro.core.probability import execution_probabilities
-from repro.core.validation import check_well_formed
 from repro.core.workflow import NodeKind, Workflow
 from repro.exceptions import DeploymentError, UnknownServerError, WorkflowError
 from repro.network.routing import Router
@@ -130,9 +129,9 @@ class CompiledWorkflow:
     Everything a compiled instance derives from the workflow alone:
     index maps, the topological order, probabilities, cycles, join
     codes, message endpoints and XOR weights, plus the memoised dirty
-    regions and decision scopes. It depends on no server, so one
-    compilation serves the workflow on every network it is bound to
-    (see :meth:`CompiledInstance.rebind`). Every public attribute is
+    regions. It depends on no server, so one compilation serves the
+    workflow on every network it is bound to (see
+    :meth:`CompiledInstance.rebind`). Every public attribute is
     also an attribute of the same name on each :class:`CompiledInstance`
     built from it.
 
@@ -240,7 +239,6 @@ class CompiledWorkflow:
             topo_pos[op] = pos
         self._topo_pos: list[int] = topo_pos
         self._dirty: dict[int, tuple[int, ...]] = {}
-        self._scopes: dict[int, tuple[int, ...]] | None = None
 
     def probability_setting(self, use_probabilities: bool | None) -> bool:
         """What a requested *use_probabilities* resolves to here."""
@@ -260,25 +258,6 @@ class CompiledWorkflow:
             )
             self._dirty[op] = cached
         return cached
-
-    def decision_scopes(self) -> Mapping[int, tuple[int, ...]]:
-        """See :meth:`CompiledInstance.decision_scopes`."""
-        if self._scopes is None:
-            graph = self._graph
-            report = check_well_formed(self.workflow)
-            scopes: dict[int, tuple[int, ...]] = {}
-            for split, join in report.matches.items():
-                members = (
-                    nx.descendants(graph, split) & nx.ancestors(graph, join)
-                ) | {split, join}
-                scopes[self.op_index[split]] = tuple(
-                    sorted(
-                        (self.op_index[n] for n in members),
-                        key=self._topo_pos.__getitem__,
-                    )
-                )
-            self._scopes = scopes
-        return self._scopes
 
 
 def _checked(objective: TransitionObjective) -> TransitionObjective:
@@ -665,23 +644,6 @@ class CompiledInstance:
             sizes.update(state_bits(cycles) for cycles in self.cycles)
         return sizes
 
-    def route_coefficients(
-        self, source: int, target: int
-    ) -> tuple[float, float] | tuple[()]:
-        """The resolved affine route coefficients of one server pair.
-
-        ``(propagation_s, transfer_s_per_bit)`` for affine pairs, the
-        empty tuple for the rare genuinely size-dependent pairs (price
-        those through the router per size). Resolves the lazy route
-        table slot on first access -- this is the read-through API for
-        consumers that materialise the table instead of calling
-        :meth:`delay` per message.
-        """
-        coeff = self.routes[source][target]
-        if coeff is None:
-            coeff = self.router.resolve(source, target)
-        return coeff
-
     def delay(self, source: int, target: int, size_bits: float) -> float:
         """``Tcomm`` of one message between two server indices.
 
@@ -876,19 +838,6 @@ class CompiledInstance:
         any instance rebound from it) shares one region table.
         """
         return self.compiled_workflow.dirty_order(op)
-
-    def decision_scopes(self) -> Mapping[int, tuple[int, ...]]:
-        """Per-split region membership: split index -> member indices.
-
-        For every well-formed decision region the scope is the split,
-        its matching join and everything between them, in topological
-        order -- the node set whose costs an ``XOR`` probability
-        re-estimate or a region-local rebalance must touch. Computed
-        lazily from the well-formedness checker's split/join matching;
-        workflows that are not well-formed yield the regions that did
-        match (possibly none).
-        """
-        return self.compiled_workflow.decision_scopes()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

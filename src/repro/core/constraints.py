@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.core.cost import CostBreakdown
-from repro.exceptions import ConstraintViolationError
 from repro.numeric import ordered_sum
 
 __all__ = [
@@ -206,11 +205,3 @@ class ConstraintSet:
     def total_excess(self, cost: CostBreakdown) -> float:
         """Summed excess over all constraints (0 when admissible)."""
         return ordered_sum(c.excess(cost) for c in self._constraints)
-
-    def enforce(self, cost: CostBreakdown) -> None:
-        """Raise :class:`ConstraintViolationError` listing all violations."""
-        messages = self.violations(cost)
-        if messages:
-            raise ConstraintViolationError(
-                "deployment violates constraints:\n  " + "\n  ".join(messages)
-            )

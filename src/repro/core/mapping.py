@@ -11,7 +11,6 @@ a cost is actually computed.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from typing import Iterable, Iterator, Mapping
 
 from repro.core.workflow import Workflow
@@ -68,10 +67,6 @@ class FrozenDeployment:
     def as_dict(self) -> dict[str, str]:
         """A plain-dict copy of the snapshot."""
         return dict(self._items)
-
-    def thaw(self) -> "Deployment":
-        """A new mutable :class:`Deployment` with these assignments."""
-        return Deployment(dict(self._items))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FrozenDeployment({dict(self._items)!r})"
@@ -209,10 +204,6 @@ class Deployment:
     def used_servers(self) -> tuple[str, ...]:
         """Distinct servers that host at least one operation."""
         return tuple(dict.fromkeys(self._assignments.values()))
-
-    def occupancy(self) -> Counter:
-        """Operation count per server."""
-        return Counter(self._assignments.values())
 
     def is_complete(self, workflow: Workflow) -> bool:
         """True when every operation of *workflow* is assigned."""

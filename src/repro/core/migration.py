@@ -42,7 +42,7 @@ pre-refactor code path. The frozen-oracle property suites in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.mapping import Deployment, FrozenDeployment
 from repro.exceptions import DeploymentError
@@ -184,14 +184,6 @@ class TransitionObjective:
             and self.migration_weight > 0
             and self.baseline is not None
         )
-
-    def with_baseline(
-        self, deployment: Deployment | FrozenDeployment
-    ) -> "TransitionObjective":
-        """This specification re-anchored to *deployment* as baseline."""
-        if isinstance(deployment, Deployment):
-            deployment = deployment.frozen()
-        return replace(self, baseline=deployment)
 
     def value(
         self, execution: float, penalty: float, migration: float = 0.0

@@ -246,18 +246,6 @@ class Workflow:
             Message(source, target, size_bits, probability)
         )
 
-    def replace_operation(self, operation: Operation) -> None:
-        """Swap the stored operation with *operation* (same name).
-
-        Used by workload generators to re-cost an existing workflow without
-        rebuilding its structure.
-        """
-        if operation.name not in self._operations:
-            raise UnknownOperationError(
-                f"cannot replace unknown operation {operation.name!r}"
-            )
-        self._operations[operation.name] = operation
-
     def replace_message(self, message: Message) -> None:
         """Swap the stored message for the same pair with *message*."""
         if message.pair not in self._messages:
@@ -311,10 +299,6 @@ class Workflow:
             raise UnknownOperationError(
                 f"no transition {source!r}->{target!r} in {self.name!r}"
             ) from None
-
-    def has_message(self, source: str, target: str) -> bool:
-        """True when a ``source -> target`` transition exists."""
-        return (source, target) in self._messages
 
     def predecessors(self, name: str) -> tuple[str, ...]:
         """Names of operations sending a message to *name*."""

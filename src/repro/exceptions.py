@@ -102,10 +102,6 @@ class ExperimentError(ReproError):
     """The experiment harness was configured incorrectly."""
 
 
-class ConstraintViolationError(DeploymentError):
-    """A user constraint (section 2.2, set C) was violated by a mapping."""
-
-
 class ServiceError(ReproError):
     """The fleet controller was misused or a scenario is invalid."""
 

@@ -11,7 +11,7 @@ their means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.algorithms.base import DeploymentAlgorithm, get_algorithm
@@ -120,11 +120,6 @@ class ExperimentConfig:
             return self.parameters
         return self.parameters.with_fixed_bus_speed(self.bus_speed_bps)
 
-    @property
-    def operations_per_server(self) -> float:
-        """The paper's ``K = M / N`` ratio."""
-        return self.num_operations / self.num_servers
-
     def describe(self) -> str:
         """Short label for tables."""
         if self.label:
@@ -163,10 +158,6 @@ class ExperimentConfig:
                 self.num_servers, seed=rng, parameters=parameters
             )
         return workflow, network
-
-    def with_overrides(self, **changes) -> "ExperimentConfig":
-        """A modified copy (thin wrapper over ``dataclasses.replace``)."""
-        return replace(self, **changes)
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,8 @@ rows. The name-keyed queries translate names to indices and read the
 same slots.
 
 Cache effectiveness is observable through :attr:`Router.hits` /
-:attr:`Router.misses` / :attr:`Router.hit_rate`; recompute effort
-through :attr:`Router.dijkstra_runs`, :attr:`Router.pairs_invalidated`,
+:attr:`Router.misses`; recompute effort through
+:attr:`Router.dijkstra_runs`, :attr:`Router.pairs_invalidated`,
 :attr:`Router.pairs_recomputed` and :attr:`Router.last_invalidation`.
 Link parameters may change at runtime (the fleet's link
 failure/degradation events); :meth:`Router.invalidate` is the one
@@ -166,12 +166,6 @@ class Router:
     def network(self) -> ServerNetwork:
         """The network this router operates on."""
         return self._network
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of non-co-located queries served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     # ------------------------------------------------------------------
     # compiled-graph plumbing
@@ -444,10 +438,6 @@ class Router:
         self.pair_coefficients(names[source], names[target])
         return self._routes[source][target]
 
-    def hop_count(self, source: str, target: str, size_bits: float = 0.0) -> int:
-        """Number of links on the chosen route (0 when co-located)."""
-        return len(self.path(source, target, size_bits)) - 1
-
     # ------------------------------------------------------------------
     # batched compilation, invalidation and retention
     # ------------------------------------------------------------------
@@ -618,12 +608,3 @@ class Router:
             matrices = self.dense.matrices
             for size_bits in [size for size in matrices if size not in sizes]:
                 del matrices[size_bits]
-
-    def reset_counters(self) -> None:
-        """Zero every telemetry counter (caches are left alone)."""
-        self.hits = 0
-        self.misses = 0
-        self.dijkstra_runs = 0
-        self.pairs_invalidated = 0
-        self.pairs_recomputed = 0
-        self.last_invalidation = None

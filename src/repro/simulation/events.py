@@ -66,9 +66,3 @@ class EventQueue:
 
     def __bool__(self) -> bool:
         return bool(self._heap)
-
-    def peek_time(self) -> float:
-        """Timestamp of the earliest event (queue must be non-empty)."""
-        if not self._heap:
-            raise SimulationError("peek into an empty event queue")
-        return self._heap[0].time

@@ -55,11 +55,6 @@ class OperationRecord:
         """Time spent waiting for the server after becoming ready."""
         return self.start_time - self.ready_time
 
-    @property
-    def service_time(self) -> float:
-        """Pure processing time on the server."""
-        return self.finish_time - self.start_time
-
 
 @dataclass(frozen=True)
 class SimulationResult:
@@ -95,19 +90,6 @@ class SimulationResult:
     executed_operations: frozenset[str] = frozenset()
     message_records: tuple[MessageRecord, ...] = ()
 
-    def record_for(self, operation: str) -> OperationRecord:
-        """The record of one executed operation (raises KeyError if absent)."""
-        for record in self.records:
-            if record.operation == operation:
-                return record
-        raise KeyError(f"operation {operation!r} did not execute in this run")
-
     def total_queueing_delay(self) -> float:
         """Sum of queueing delays -- 0 with infinite server concurrency."""
         return ordered_sum(record.queueing_delay for record in self.records)
-
-    def network_messages(self) -> tuple[MessageRecord, ...]:
-        """Only the messages that actually crossed the network."""
-        return tuple(
-            record for record in self.message_records if record.crossed_network
-        )

@@ -28,7 +28,7 @@ def format_seconds(value: float) -> str:
 
 
 class TextTable:
-    """A minimal aligned text table with CSV export.
+    """A minimal aligned text table.
 
     Parameters
     ----------
@@ -78,12 +78,6 @@ class TextTable:
         parts.append(line(["-" * w for w in widths]))
         parts.extend(line(row) for row in self._rows)
         return "\n".join(parts)
-
-    def to_csv(self) -> str:
-        """Comma-separated export (no quoting; cells must be simple)."""
-        rows = [",".join(self.headers)]
-        rows.extend(",".join(row) for row in self._rows)
-        return "\n".join(rows)
 
     def __str__(self) -> str:
         return self.render()

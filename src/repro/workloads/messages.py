@@ -98,15 +98,6 @@ class MessageMixture:
         """The classes in this mixture."""
         return tuple(self._classes)
 
-    def probability_of(self, message_class: MessageClass) -> float:
-        """Normalised probability of one class (0 when absent)."""
-        previous = 0.0
-        for mc, cumulative in zip(self._classes, self._cumulative):
-            if mc == message_class:
-                return cumulative - previous
-            previous = cumulative
-        return 0.0
-
     def sample(self, rng) -> MessageClass:
         """Draw one class (*rng* is ``random.Random``-like)."""
         index = bisect.bisect_left(self._cumulative, rng.random())

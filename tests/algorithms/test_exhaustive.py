@@ -6,7 +6,6 @@ import pytest
 
 from repro.algorithms.exhaustive import Exhaustive
 from repro.core.cost import CostModel
-from repro.core.mapping import Deployment
 from repro.core.workflow import Operation, Workflow
 from repro.exceptions import AlgorithmError, SearchSpaceTooLargeError
 from repro.network.topology import bus_network
@@ -78,34 +77,6 @@ def test_invalid_limit_rejected():
     with pytest.raises(AlgorithmError) as excinfo:
         Exhaustive(limit=0)
     assert not isinstance(excinfo.value, SearchSpaceTooLargeError)
-
-
-def test_pareto_front_is_nondominated(tiny):
-    workflow, network, model = tiny
-    algorithm = Exhaustive()
-    front = algorithm.pareto_front(workflow, network, model)
-    assert front, "front must be non-empty"
-    for a in front:
-        for b in front:
-            if a is not b:
-                assert not a.cost.dominates(b.cost)
-    # every enumerated point is dominated by or equal to a front point
-    for em in algorithm.enumerate(workflow, network, model):
-        assert any(
-            f.cost.dominates(em.cost)
-            or (
-                f.cost.execution_time == em.cost.execution_time
-                and f.cost.time_penalty == em.cost.time_penalty
-            )
-            for f in front
-        )
-
-
-def test_pareto_front_sorted_by_execution_time(tiny):
-    workflow, network, model = tiny
-    front = Exhaustive().pareto_front(workflow, network, model)
-    times = [em.cost.execution_time for em in front]
-    assert times == sorted(times)
 
 
 def test_heuristics_never_beat_exhaustive(tiny):

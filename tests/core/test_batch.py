@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.batch import BatchEvaluator, BatchScores, penalty_rows
+from repro.core.batch import BatchEvaluator, penalty_rows
 from repro.core.compiled import CompiledInstance, penalty_statistic
 from repro.core.workflow import Operation, Workflow
 from repro.exceptions import DeploymentError
@@ -54,10 +54,6 @@ class TestDegenerateBatches:
         assert scores.penalty.shape == (0,)
         assert scores.objective.shape == (0,)
 
-    def test_empty_batch_argbest_raises(self, evaluator):
-        with pytest.raises(DeploymentError):
-            evaluator.evaluate([]).argbest()
-
     def test_single_row_matches_scalar_exactly(self, compiled, evaluator):
         (row,) = random_batch(compiled, 1, seed=3)
         scores = evaluator.evaluate([row])
@@ -65,15 +61,12 @@ class TestDegenerateBatches:
         assert scores.execution[0] == execution
         assert scores.penalty[0] == penalty
         assert scores.objective[0] == objective
-        assert scores.argbest() == 0
 
     def test_duplicate_rows_score_identically(self, compiled, evaluator):
         (row,) = random_batch(compiled, 1, seed=5)
         scores = evaluator.evaluate([row] * 8)
         for array in (scores.execution, scores.penalty, scores.objective):
             assert all(value == array[0] for value in array)
-        # first-occurrence tie resolution on an all-tied batch
-        assert scores.argbest() == 0
 
     def test_all_ops_on_one_server_matches_antagonism_example(
         self, compiled, evaluator
@@ -186,24 +179,6 @@ class TestNeighborhood:
     def test_wrong_length_vector_rejected(self, evaluator):
         with pytest.raises(DeploymentError, match="length"):
             evaluator.neighborhood([0] * (evaluator.num_ops + 1))
-
-
-class TestArgbest:
-    def test_argbest_is_first_minimum(self):
-        scores = BatchScores(
-            execution=np.array([1.0, 2.0, 1.0]),
-            penalty=np.array([0.0, 0.0, 0.0]),
-            objective=np.array([2.0, 1.0, 1.0]),
-        )
-        assert scores.argbest() == 1
-
-    def test_argbest_matches_scalar_scan(self, compiled, evaluator):
-        batch = random_batch(compiled, 40, seed=11)
-        scores = evaluator.evaluate(batch)
-        scalar = [compiled.components(row)[2] for row in batch]
-        assert scores.argbest() == min(
-            range(len(scalar)), key=scalar.__getitem__
-        )
 
 
 class TestSharing:

@@ -1,7 +1,5 @@
 """Unit tests for the user-constraint framework."""
 
-import pytest
-
 from repro.core.constraints import (
     ConstraintSet,
     MaxExecutionTime,
@@ -9,7 +7,6 @@ from repro.core.constraints import (
     MaxTimePenalty,
 )
 from repro.core.cost import CostBreakdown
-from repro.exceptions import ConstraintViolationError
 
 
 def breakdown(execution=1.0, penalty=0.1, loads=None):
@@ -75,18 +72,6 @@ class TestConstraintSet:
         )
         messages = constraints.violations(breakdown())
         assert len(messages) == 2
-
-    def test_enforce_raises_with_all_messages(self):
-        constraints = ConstraintSet(
-            [MaxExecutionTime(0.5), MaxTimePenalty(0.05)]
-        )
-        with pytest.raises(ConstraintViolationError) as excinfo:
-            constraints.enforce(breakdown())
-        text = str(excinfo.value)
-        assert "execution time" in text and "time penalty" in text
-
-    def test_enforce_passes_silently(self):
-        ConstraintSet([MaxExecutionTime(10.0)]).enforce(breakdown())
 
     def test_iteration(self):
         items = [MaxExecutionTime(1.0), MaxTimePenalty(1.0)]

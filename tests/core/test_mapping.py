@@ -81,7 +81,8 @@ class TestQueries:
     def test_used_servers_and_occupancy(self):
         deployment = Deployment({"A": "S1", "B": "S2", "C": "S1"})
         assert deployment.used_servers() == ("S1", "S2")
-        assert deployment.occupancy() == {"S1": 2, "S2": 1}
+        occupancy = {s: len(deployment.operations_on(s)) for s in ("S1", "S2")}
+        assert occupancy == {"S1": 2, "S2": 1}
 
     def test_missing_and_is_complete(self, line3):
         deployment = Deployment({"A": "S1"})
@@ -135,7 +136,7 @@ class TestComparison:
         # the snapshot is decoupled from later mutation
         d1.assign("A", "S2")
         assert snapshot != d1
-        assert snapshot.thaw() == Deployment({"A": "S1", "B": "S2"})
+        assert Deployment(snapshot.as_dict()) == Deployment({"A": "S1", "B": "S2"})
         # frozen snapshots are usable as dict keys / set members
         seen = {snapshot: 1, d1.frozen(): 2}
         assert len(seen) == 2

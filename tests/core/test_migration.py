@@ -13,6 +13,7 @@ all-on-S1 baseline, to any other server)::
     C: state 1e6 + 0.1*30e6 = 4e6 bits -> 0.04 s + 0.01 = 0.05 s
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -120,8 +121,8 @@ class TestTransitionObjective:
         assert frozen.as_dict()["A"] == "S1"
 
     def test_with_baseline_reanchors(self, line3, aware_objective):
-        moved = aware_objective.with_baseline(
-            Deployment.all_on_one(line3, "S2")
+        moved = dataclasses.replace(
+            aware_objective, baseline=Deployment.all_on_one(line3, "S2")
         )
         assert moved.baseline.as_dict() == {n: "S2" for n in "ABC"}
         # the original spec is untouched (frozen dataclass semantics)

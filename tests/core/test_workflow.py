@@ -105,21 +105,14 @@ class TestWorkflowConstruction:
     def test_reverse_transition_is_distinct(self, line3):
         # the one-message rule is per ordered pair
         line3.connect("B", "A", 999)
-        assert line3.has_message("B", "A")
+        assert line3.message("B", "A").size_bits == 999
+        assert line3.message("A", "B").size_bits != 999
 
     def test_transition_requires_known_endpoints(self, line3):
         with pytest.raises(UnknownOperationError):
             line3.connect("A", "Z", 100)
         with pytest.raises(UnknownOperationError):
             line3.connect("Z", "A", 100)
-
-    def test_replace_operation(self, line3):
-        line3.replace_operation(Operation("A", 99e6))
-        assert line3.operation("A").cycles == 99e6
-
-    def test_replace_unknown_operation_rejected(self, line3):
-        with pytest.raises(UnknownOperationError):
-            line3.replace_operation(Operation("Z", 1e6))
 
     def test_replace_message(self, line3):
         line3.replace_message(Message("A", "B", 123))

@@ -1,5 +1,7 @@
 """Unit tests for the experiment configuration and runner."""
 
+import dataclasses
+
 import pytest
 
 from repro.algorithms.fair_load import FairLoad
@@ -58,9 +60,9 @@ class TestExperimentConfig:
         config = ExperimentConfig(
             num_operations=19, num_servers=5, bus_speed_bps=1e6
         )
-        assert config.operations_per_server == pytest.approx(3.8)
-        assert "1Mbps" in config.describe()
-        labelled = config.with_overrides(label="custom")
+        # K = M / N is shown as its two terms
+        assert "M=19 N=5 1Mbps" in config.describe()
+        labelled = dataclasses.replace(config, label="custom")
         assert labelled.describe() == "custom"
 
 

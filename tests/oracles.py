@@ -42,6 +42,7 @@ from repro.service.events import (
     WorkloadDrift,
 )
 from repro.service.state import FleetState
+from repro.workloads.messages import MessageClass, MessageMixture
 
 
 class ScalarBatchEvaluator:
@@ -157,6 +158,36 @@ def rebuild_routes_on_link_events():
         FleetState, "_invalidate_routes", rebuild
     ):
         yield
+
+
+def route_coefficients(
+    compiled: CompiledInstance, source: int, target: int
+) -> tuple[float, float] | tuple[()]:
+    """The resolved route slot of one server pair of *compiled*.
+
+    ``(propagation_s, transfer_s_per_bit)`` for an affine pair, ``()``
+    for a size-dependent one: the slot :meth:`CompiledInstance.delay
+    <repro.core.compiled.CompiledInstance.delay>` reads, filled through
+    the router on first access exactly as ``delay`` fills it.
+    """
+    coeff = compiled.routes[source][target]
+    if coeff is None:
+        coeff = compiled.router.resolve(source, target)
+    return coeff
+
+
+def mixture_probabilities(mixture: MessageMixture) -> dict[MessageClass, float]:
+    """Each class's normalised weight in *mixture*, in class order.
+
+    Read off the cumulative table :meth:`MessageMixture.sample
+    <repro.workloads.messages.MessageMixture.sample>` bisects, so the
+    figures are the probabilities a draw actually uses.
+    """
+    probabilities, previous = {}, 0.0
+    for message_class, cumulative in zip(mixture.classes, mixture._cumulative):
+        probabilities[message_class] = cumulative - previous
+        previous = cumulative
+    return probabilities
 
 
 def per_move_hill_climbing(

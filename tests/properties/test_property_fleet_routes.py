@@ -16,7 +16,8 @@ each tenant's cached artifact must equal, bit for bit, a fresh
 copy has its own snapshot, so a missed generation bump cannot feed the
 reference the fleet's stale one):
 
-* ``route_coefficients`` for every server pair;
+* the resolved route slot of every server pair
+  (:func:`tests.oracles.route_coefficients`);
 * ``migration_table`` (one tenant is transition-aware, so rows exist);
 * ``batch_evaluator().evaluate(rows)`` -- the warmed dense delay
   matrices -- on seeded random rows plus the live placement.
@@ -44,6 +45,7 @@ from repro.workloads.generator import (
     line_workflow,
     random_graph_workflow,
 )
+from tests.oracles import route_coefficients
 
 MIGRATION = MigrationCostModel(
     state_bits_per_cycle=0.1, state_bits_base=2e6, downtime_s=0.1
@@ -160,9 +162,9 @@ def assert_coherent(state, models, rng):
         servers = range(compiled.num_servers)
         for i in servers:
             for j in servers:
-                assert compiled.route_coefficients(
-                    i, j
-                ) == fresh.route_coefficients(i, j), (tenant, i, j)
+                assert route_coefficients(compiled, i, j) == route_coefficients(
+                    fresh, i, j
+                ), (tenant, i, j)
         assert compiled.migration_table == fresh.migration_table, tenant
         rows = [compiled.server_vector(state.tenant(tenant).deployment)]
         rows += [

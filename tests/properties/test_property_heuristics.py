@@ -20,6 +20,7 @@ from repro.algorithms.heavy_ops import HeavyOpsLargeMsgs
 from repro.algorithms.merge_messages import FairLoadMergeMessages
 from repro.algorithms.tie_resolver import FairLoadTieResolver, FairLoadTieResolver2
 from repro.core.cost import CostModel
+from repro.core.workflow import Workflow
 from repro.network.topology import random_network
 from repro.workloads.generator import (
     GraphStructure,
@@ -63,14 +64,16 @@ def make_workflow(size, seed, structure, tied):
         # and message sizes 1 and 1e16, whose sums depend on the order
         # they are added in (1e16 + 1 + 1 == 1e16, 1 + 1 + 1e16 > 1e16)
         rng = random.Random(seed)
-        for i, operation in enumerate(workflow.operations):
-            workflow.replace_operation(
-                operation.with_cycles(10e6 if i % 3 else 20e6)
-            )
+        tied_workflow = Workflow(workflow.name)
+        tied_workflow.add_operations(
+            operation.with_cycles(10e6 if i % 3 else 20e6)
+            for i, operation in enumerate(workflow.operations)
+        )
         for message in workflow.messages:
-            workflow.replace_message(
+            tied_workflow.add_transition(
                 dataclasses.replace(message, size_bits=rng.choice([1.0, 1e16]))
             )
+        workflow = tied_workflow
     return workflow
 
 

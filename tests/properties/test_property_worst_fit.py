@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.cost import CostModel
 from repro.core.mapping import Deployment
-from repro.core.workflow import NodeKind, Operation
+from repro.core.workflow import NodeKind, Operation, Workflow
 from repro.experiments.failover import replace_orphans
 from repro.experiments.incremental import patch_deployment
 from repro.network.topology import bus_network, remove_server
@@ -44,10 +44,15 @@ def tied_instance(size, servers, seed, structure):
         workflow = line_workflow(size, seed=seed)
     else:
         workflow = random_graph_workflow(size, structure, seed=seed)
-    for operation in workflow.operations:
-        workflow.replace_operation(operation.with_cycles(rng.choice([10e6, 20e6])))
+    tied_workflow = Workflow(workflow.name)
+    tied_workflow.add_operations(
+        operation.with_cycles(rng.choice([10e6, 20e6]))
+        for operation in workflow.operations
+    )
+    for message in workflow.messages:
+        tied_workflow.add_transition(message)
     network = bus_network([rng.choice([1e9, 2e9]) for _ in range(servers)], 1e6)
-    return workflow, network, rng
+    return tied_workflow, network, rng
 
 
 def shuffled_deployment(operations, server_names, rng) -> Deployment:

@@ -39,20 +39,10 @@ def test_len_and_bool():
     assert queue and len(queue) == 1
 
 
-def test_peek_time():
-    queue = EventQueue()
-    queue.schedule(5.0, EventKind.MESSAGE_ARRIVAL)
-    queue.schedule(2.0, EventKind.MESSAGE_ARRIVAL)
-    assert queue.peek_time() == 2.0
-    assert len(queue) == 2  # peek does not pop
-
-
-def test_empty_pop_and_peek_raise():
+def test_empty_pop_raises():
     queue = EventQueue()
     with pytest.raises(SimulationError):
         queue.pop()
-    with pytest.raises(SimulationError):
-        queue.peek_time()
 
 
 def test_negative_time_rejected():

@@ -1,7 +1,5 @@
 """Unit tests for trace records and simulation results."""
 
-import pytest
-
 from repro.simulation.trace import OperationRecord, SimulationResult
 
 
@@ -20,9 +18,6 @@ class TestOperationRecord:
         assert record(ready=1.0, start=3.0).queueing_delay == 2.0
         assert record(ready=1.0, start=1.0).queueing_delay == 0.0
 
-    def test_service_time(self):
-        assert record(start=2.0, finish=5.0).service_time == 3.0
-
 
 class TestSimulationResult:
     def _result(self):
@@ -37,12 +32,6 @@ class TestSimulationResult:
             messages_sent=1,
             executed_operations=frozenset({"A", "B"}),
         )
-
-    def test_record_for(self):
-        result = self._result()
-        assert result.record_for("A").finish_time == 2.0
-        with pytest.raises(KeyError):
-            result.record_for("Z")
 
     def test_total_queueing_delay(self):
         assert self._result().total_queueing_delay() == 1.0

@@ -35,7 +35,6 @@ def test_everything_derives_from_repro_error():
         (exceptions.DuplicateServerError, exceptions.NetworkError),
         (exceptions.DisconnectedNetworkError, exceptions.NetworkError),
         (exceptions.IncompleteMappingError, exceptions.DeploymentError),
-        (exceptions.ConstraintViolationError, exceptions.DeploymentError),
         (exceptions.UnsupportedTopologyError, exceptions.AlgorithmError),
         (exceptions.SearchSpaceTooLargeError, exceptions.AlgorithmError),
     ],

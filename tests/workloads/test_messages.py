@@ -13,6 +13,7 @@ from repro.workloads.messages import (
     MessageMixture,
     PAPER_MESSAGE_MIXTURE,
 )
+from tests.oracles import mixture_probabilities
 
 
 class TestMessageClasses:
@@ -51,18 +52,15 @@ class TestMessageMixture:
             MessageMixture([(SIMPLE_MESSAGE, 0.0)])
 
     def test_probability_of(self):
-        assert PAPER_MESSAGE_MIXTURE.probability_of(
-            SIMPLE_MESSAGE
-        ) == pytest.approx(0.25)
-        assert PAPER_MESSAGE_MIXTURE.probability_of(
-            MEDIUM_MESSAGE
-        ) == pytest.approx(0.50)
-        other = MessageClass("other", 1)
-        assert PAPER_MESSAGE_MIXTURE.probability_of(other) == 0.0
+        probabilities = mixture_probabilities(PAPER_MESSAGE_MIXTURE)
+        assert probabilities[SIMPLE_MESSAGE] == pytest.approx(0.25)
+        assert probabilities[MEDIUM_MESSAGE] == pytest.approx(0.50)
+        assert probabilities[COMPLEX_MESSAGE] == pytest.approx(0.25)
+        assert MessageClass("other", 1) not in probabilities
 
     def test_weights_are_normalised(self):
         mixture = MessageMixture([(SIMPLE_MESSAGE, 2), (MEDIUM_MESSAGE, 6)])
-        assert mixture.probability_of(SIMPLE_MESSAGE) == pytest.approx(0.25)
+        assert mixture_probabilities(mixture)[SIMPLE_MESSAGE] == pytest.approx(0.25)
 
     def test_sample_distribution(self):
         rng = random.Random(0)

@@ -14,6 +14,7 @@ from repro.workloads.parameters import (
     MEDIUM_OPERATION_CYCLES,
     SIMPLE_OPERATION_CYCLES,
 )
+from tests.oracles import mixture_probabilities
 
 
 class TestDiscreteMixture:
@@ -73,9 +74,10 @@ class TestClassC:
         )
         assert params.operation_cycles.values == (10e6, 20e6, 30e6)
         assert params.server_power_hz.values == (1e9, 2e9, 3e9)
-        assert params.message_mixture.probability_of(
-            params.message_mixture.classes[1]
-        ) == pytest.approx(0.5)
+        mixture = params.message_mixture
+        assert mixture_probabilities(mixture)[mixture.classes[1]] == pytest.approx(
+            0.5
+        )
 
     def test_with_fixed_bus_speed(self):
         pinned = ClassCParameters.paper().with_fixed_bus_speed(1e6)
